@@ -14,20 +14,15 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class RunConfig:
-    precision_bits: int = 212
     seed: int = 1
     max_words: int = 1 << 18
     max_digits: int = 4096
     horizon: int = 1_000_000
     bisection_tol: float = 1e-3
     ratio_tol: float = 0.1
-    float_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        for name in ("precision_bits", "max_words", "max_digits", "horizon"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
-        for name in ("bisection_tol", "ratio_tol", "float_tol"):
+        for name in ("max_words", "max_digits", "horizon", "bisection_tol", "ratio_tol"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
 

@@ -82,76 +82,97 @@ class DigitSet:
             return False
         return self.norm_sq_hi is None or ns < self.norm_sq_hi
 
+    @functools.cached_property
+    def _shells(self) -> "_ShellTable":
+        return _ShellTable(self)
+
     def members(self) -> tuple[GaussianInt, ...]:
         if self.explicit is not None:
             return self.explicit
         if self.norm_sq_hi is None:
             raise DomainError(f"{self.name} is infinite")
-        out: list[GaussianInt] = []
-        values, _ = norm_sq_shells(self.norm_sq_hi - 1)
-        for ns in values.tolist():
-            if ns >= self.norm_sq_lo:
-                out.extend(shell_members(int(ns)))
-        if self.norm_sq_lo == 0:
-            out.insert(0, GaussianInt(0, 0))
-        return tuple(out)
+        values, _ = self._shells.band(0, self.norm_sq_hi)
+        return tuple(g for ns in values.tolist() for g in shell_members(ns))
 
     def min_norm_sq(self) -> int:
-        if self.explicit is not None:
-            return self.explicit[0].norm_sq()
-        if self.norm_sq_lo == 0:
-            return 0
-        # smallest representable norm_sq at or above the cutoff
-        values, _ = norm_sq_shells(max(self.norm_sq_lo * 2 + 4, 16))
-        for ns in values.tolist():
-            if ns >= self.norm_sq_lo and (self.norm_sq_hi is None or ns < self.norm_sq_hi):
-                return int(ns)
-        raise DomainError(f"{self.name} appears to be empty")
+        self._shells.cover(1)
+        return int(self._shells.values[0])
 
     def shell_counts(self, limit_norm_sq: int) -> tuple[np.ndarray, np.ndarray]:
         """Norm_sq shell values and member counts up to the cutoff."""
-        if self.explicit is not None:
-            ns = np.array([g.norm_sq() for g in self.explicit], dtype=np.int64)
-            ns = ns[ns <= limit_norm_sq]
-            return np.unique(ns, return_counts=True)
-        values, counts = norm_sq_shells(limit_norm_sq)
-        keep = values >= max(self.norm_sq_lo, 1)
-        if self.norm_sq_hi is not None:
-            keep &= values < self.norm_sq_hi
-        return values[keep], counts[keep]
+        values, counts = self._shells.band(0, limit_norm_sq + 1)
+        return values.copy(), counts.copy()
 
     def norm_sq_array(self, count: int) -> np.ndarray:
         """Norm_sq of the first ``count`` members in enumeration order.
 
         Zero (when included) occupies the first slot.
         """
-        include_zero = self.norm_sq_lo == 0 and self.explicit is None
-        parts: list[np.ndarray] = []
-        if include_zero:
-            parts.append(np.zeros(1))
-        total = 1 if include_zero else 0
-        limit = max(16, int(4.5 * count / math.pi))
-        while total < count:
-            values, counts = self.shell_counts(limit)
-            total = (1 if include_zero else 0) + int(counts.sum())
-            if total >= count:
-                break
-            limit *= 2
-            if self.is_finite and limit > 8 * (self.norm_sq_hi or limit):
-                raise DomainError(f"{self.name} has fewer than {count} members")
-        parts.append(np.repeat(values.astype(np.float64), counts))
-        return np.concatenate(parts)[:count]
+        shells = self._shells
+        shells.cover(count)
+        return np.repeat(shells.values.astype(np.float64), shells.counts)[:count]
 
-    def power_sum_in(self, norm_sq_lo: int, norm_sq_hi: int | None, exponent: float) -> float:
-        """Sum of |i|^(-exponent) over members with norm_sq in [lo, hi)."""
-        if norm_sq_hi is None:
-            raise DomainError("unbounded power sums need a tail bound; see restricted_power_sum")
-        values, counts = self.shell_counts(norm_sq_hi - 1)
-        keep = values >= norm_sq_lo
-        values, counts = values[keep], counts[keep]
-        if len(values) == 0:
-            return 0.0
+
+class _ShellTable:
+    """Norm_sq shells of a digit set's members, grown on demand.
+
+    ``values`` holds the distinct member norm_sq values in increasing order
+    and ``counts`` the number of members on each shell; both are complete
+    up to ``limit``.  Radial sets grow by doubling ``limit`` and recounting;
+    no member lies beyond ``cap``.
+    """
+
+    def __init__(self, s: DigitSet):
+        self.set = s
+        self.values = self.counts = np.zeros(0, dtype=np.int64)
+        if s.explicit is not None:
+            ns = np.array([g.norm_sq() for g in s.explicit], dtype=np.int64)
+            self.values, self.counts = np.unique(ns, return_counts=True)
+            self.limit = self.cap = int(ns.max(initial=0))
+        else:
+            self.limit = -1
+            self.cap = math.inf if s.norm_sq_hi is None else s.norm_sq_hi - 1
+            self.ensure(64)
+
+    def ensure(self, norm_sq: int) -> None:
+        """Make the table complete up to norm_sq."""
+        if norm_sq <= self.limit or self.limit >= self.cap:
+            return
+        self.limit = min(max(norm_sq, 2 * self.limit), self.cap)
+        values, counts = norm_sq_shells(self.limit)
+        if self.set.norm_sq_lo <= 0:
+            values, counts = np.r_[0, values], np.r_[1, counts]
+        keep = values >= self.set.norm_sq_lo
+        self.values, self.counts = values[keep], counts[keep]
+
+    def _grow(self, shortfall: str) -> None:
+        if self.limit >= self.cap:
+            raise DomainError(f"{self.set.name} {shortfall}")
+        self.ensure(2 * self.limit)
+
+    def cover(self, count: int) -> None:
+        """Grow until the table holds at least ``count`` members."""
+        while int(self.counts.sum()) < count:
+            self._grow(f"has fewer than {count} members")
+
+    def next_shell_after(self, norm_sq: int) -> int:
+        while len(self.values) == 0 or self.values[-1] <= norm_sq:
+            self._grow(f"has no member beyond norm_sq {norm_sq}")
+        return int(self.values[np.searchsorted(self.values, norm_sq, side="right")])
+
+    def band(self, norm_sq_lo: int, norm_sq_hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the shells in [lo, hi)."""
+        self.ensure(norm_sq_hi - 1)
+        i, j = np.searchsorted(self.values, [norm_sq_lo, norm_sq_hi])
+        return self.values[i:j], self.counts[i:j]
+
+    def weight(self, norm_sq_lo: int, norm_sq_hi: int, exponent: float) -> float:
+        """Sum of |i|^-exponent over members with norm_sq in [lo, hi)."""
+        values, counts = self.band(norm_sq_lo, norm_sq_hi)
         return float(np.sum(counts * np.power(values.astype(np.float64), -exponent / 2.0)))
+
+    def count(self, norm_sq_lo: int, norm_sq_hi: int) -> int:
+        return int(self.band(norm_sq_lo, norm_sq_hi)[1].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +752,7 @@ def restricted_power_sum(
         raise DomainError("norm cutoff must be positive")
     head = 0.0
     if norm_cutoff <= enum_norm_max:
-        head = s.power_sum_in(norm_cutoff * norm_cutoff, enum_norm_max**2 + 1, p)
+        head = s._shells.weight(norm_cutoff * norm_cutoff, enum_norm_max**2 + 1, p)
     if s.is_finite and s.norm_sq_hi is not None and s.norm_sq_hi <= enum_norm_max**2 + 1:
         return head
     tail_start = math.sqrt(max(norm_cutoff, enum_norm_max) ** 2 + 1)
@@ -865,44 +886,6 @@ class NonAutSchedule:
         }
 
 
-class _ShellTable:
-    """Growable cache of a digit set's shells."""
-
-    def __init__(self, s: DigitSet):
-        self.set = s
-        self.limit = 64
-        self.values, self.counts = s.shell_counts(self.limit)
-
-    def ensure(self, norm_sq: int) -> None:
-        while self.limit < norm_sq:
-            self.limit *= 2
-            self.values, self.counts = self.set.shell_counts(self.limit)
-
-    def next_shell_after(self, norm_sq: int) -> int:
-        self.ensure(norm_sq * 2 + 16)
-        later = self.values[self.values > norm_sq]
-        while len(later) == 0:
-            self.limit *= 2
-            self.values, self.counts = self.set.shell_counts(self.limit)
-            later = self.values[self.values > norm_sq]
-        return int(later[0])
-
-    def weight(self, norm_sq_lo: int, norm_sq_hi: int, exponent: float) -> float:
-        """Sum of |i|^-exponent over shells in [lo, hi)."""
-        self.ensure(norm_sq_hi)
-        keep = (self.values >= norm_sq_lo) & (self.values < norm_sq_hi)
-        vals = self.values[keep].astype(np.float64)
-        cnts = self.counts[keep]
-        if len(vals) == 0:
-            return 0.0
-        return float(np.sum(cnts * np.power(vals, -exponent / 2.0)))
-
-    def count(self, norm_sq_lo: int, norm_sq_hi: int) -> int:
-        self.ensure(norm_sq_hi)
-        keep = (self.values >= norm_sq_lo) & (self.values < norm_sq_hi)
-        return int(self.counts[keep].sum())
-
-
 def _clearance_index(f: Callable[[int], float], level: float, horizon: int) -> int | None:
     """Smallest n0 with f(n) >= level for every n in [n0, horizon]."""
     n0 = None
@@ -945,7 +928,7 @@ def build_schedule(
         raise DomainError(f"eps must lie in (0, tau={tau:.4f})")
     p = tau - eps
 
-    shells = _ShellTable(s)
+    shells = s._shells
     min_ns = s.min_norm_sq()
 
     # anchors: z_1 at the minimal norm, then minimal norms making each
@@ -1028,7 +1011,7 @@ def validate_schedule(
     tolerance schedule.  Returns a list of {check, status, witness?}.
     """
     s = sched.digit_set
-    shells = _ShellTable(s)
+    shells = s._shells
     p = sched.tau_estimate - sched.eps
     checks: list[dict] = []
 
@@ -1092,7 +1075,7 @@ def validate_schedule(
                 continue
             level = math.sqrt(sched.anchors[blk.index].norm_sq())
             for n in range(blk.start, blk.end + 1):
-                if fn(n) < level and not sched.truncated:
+                if fn(n) < level:
                     bad = {"block": blk.index, "n": n, "f": fn(n), "level": level}
                     break
             if bad:
@@ -1230,7 +1213,7 @@ def verify_lower_bound_chain(
             "the n-independent bound needs n beyond them"
         )
 
-    shells = _ShellTable(sched.digit_set)
+    shells = sched.digit_set._shells
     t1 = sched.blocks[0].t
     z1_ns = sched.anchors[0].norm_sq()
     log_bound = cutoff * s_val * math.log(float(c1))

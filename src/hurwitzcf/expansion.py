@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import mpmath
 
 from .errors import DomainError
-from .gaussian import ExactComplexRational, GaussianInt, nearest_round
+from .gaussian import ExactComplexRational, GaussianInt, nearest_round, points_by_norm
 
 DEFAULT_MAX_DIGITS = 4096
 
@@ -45,9 +45,6 @@ class DigitWord:
 
     def __getitem__(self, idx):
         return self.digits[idx]
-
-    def shifted(self) -> "DigitWord":
-        return DigitWord(self.digits[1:])
 
     def to_json(self) -> str:
         return json.dumps([d.to_pair() for d in self.digits])
@@ -177,11 +174,7 @@ def classify_digit(d: GaussianInt) -> str:
 
 def exceptional_digits() -> list[GaussianInt]:
     """The sixteen digits with 2 <= norm_sq < 8, lexicographically sorted."""
-    out = []
-    for k in range(-2, 3):
-        for l in range(-2, 3):
-            if MIN_DIGIT_NORM_SQ <= k * k + l * l < REGULAR_NORM_SQ:
-                out.append(GaussianInt(k, l))
+    out = points_by_norm(MIN_DIGIT_NORM_SQ, REGULAR_NORM_SQ - 1)
     return sorted(out, key=GaussianInt.lex_key)
 
 

@@ -186,55 +186,6 @@ def count_in_square(n: int) -> int:
     return count
 
 
-def _sorted_lattice_arrays(min_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First >= min_count lattice points sorted by (norm_sq, re, im).
-
-    Returns (re, im, norm_sq) arrays.  A centred grid of half-width w
-    contains the (2w+1)^2 closest points only up to norm w, so we take w
-    large enough that the disc of radius w already holds min_count points.
-    """
-    w = int(math.isqrt(int(min_count / math.pi))) + 2
-    while (2 * w + 1) ** 2 < min_count or math.pi * w * w < min_count:
-        w += max(w // 2, 1)
-    rng = np.arange(-w, w + 1, dtype=np.int64)
-    re, im = np.meshgrid(rng, rng, indexing="ij")
-    re = re.ravel()
-    im = im.ravel()
-    ns = re * re + im * im
-    # points beyond norm w may be missing siblings of equal norm; drop them
-    keep = ns <= w * w
-    re, im, ns = re[keep], im[keep], ns[keep]
-    order = np.lexsort((im, re, ns))
-    return re[order], im[order], ns[order]
-
-
-def enumerate_by_norm(include_zero: bool, limit: int) -> list[GaussianInt]:
-    """First ``limit`` lattice points ordered by norm, ties (re, im)-lexicographic."""
-    if limit < 1:
-        raise DomainError("limit must be positive")
-    need = limit + (0 if include_zero else 1)
-    re, im, _ = _sorted_lattice_arrays(need)
-    out: list[GaussianInt] = []
-    for a, b in zip(re.tolist(), im.tolist()):
-        if not include_zero and a == 0 and b == 0:
-            continue
-        out.append(GaussianInt(a, b))
-        if len(out) == limit:
-            break
-    return out
-
-
-def lattice_norm_sq_array(count: int, include_zero: bool = True) -> np.ndarray:
-    """Norm-squared values of the first ``count`` lattice points in enumeration order."""
-    if count < 1:
-        raise DomainError("count must be positive")
-    need = count + (0 if include_zero else 1)
-    _, _, ns = _sorted_lattice_arrays(need)
-    if not include_zero:
-        ns = ns[ns > 0]
-    return ns[:count].astype(np.float64)
-
-
 def norm_sq_shells(limit_norm_sq: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice shells up to a norm-squared cutoff.
 
@@ -245,12 +196,34 @@ def norm_sq_shells(limit_norm_sq: int) -> tuple[np.ndarray, np.ndarray]:
     if limit_norm_sq < 1:
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
     w = math.isqrt(limit_norm_sq)
+    sq = np.arange(-w, w + 1, dtype=np.int64) ** 2
+    counts = np.bincount((sq[:, None] + sq[None, :]).ravel())[: limit_norm_sq + 1]
+    counts[0] = 0
+    values = np.flatnonzero(counts)
+    return values, counts[values]
+
+
+def points_by_norm(lo: int, hi: int) -> list[GaussianInt]:
+    """Lattice points with lo <= norm_sq <= hi, ordered by norm, ties (re, im)."""
+    w = math.isqrt(max(hi, 0))
     rng = np.arange(-w, w + 1, dtype=np.int64)
     re, im = np.meshgrid(rng, rng, indexing="ij")
-    ns = (re * re + im * im).ravel()
-    ns = ns[(ns > 0) & (ns <= limit_norm_sq)]
-    values, counts = np.unique(ns, return_counts=True)
-    return values, counts
+    ns = re * re + im * im
+    keep = (ns >= lo) & (ns <= hi)
+    re, im, ns = re[keep], im[keep], ns[keep]
+    order = np.lexsort((im, re, ns))
+    return [GaussianInt(a, b) for a, b in zip(re[order].tolist(), im[order].tolist())]
+
+
+def enumerate_by_norm(include_zero: bool, limit: int) -> list[GaussianInt]:
+    """First ``limit`` lattice points ordered by norm, ties (re, im)-lexicographic."""
+    if limit < 1:
+        raise DomainError("limit must be positive")
+    # the disc of norm_sq ``limit`` holds more than ``limit`` nonzero points;
+    # the norm_sq of the limit-th of them bounds the band from above
+    values, counts = norm_sq_shells(limit)
+    hi = int(values[np.searchsorted(np.cumsum(counts), limit)])
+    return points_by_norm(0 if include_zero else 1, hi)[:limit]
 
 
 def shell_members(norm_sq: int) -> list[GaussianInt]:

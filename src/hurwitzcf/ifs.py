@@ -17,7 +17,13 @@ import numpy as np
 
 from .errors import DomainError
 from .expansion import expand
-from .gaussian import ExactComplexRational, GaussianInt, norm_sq_shells, shell_members
+from .gaussian import (
+    ExactComplexRational,
+    GaussianInt,
+    norm_sq_shells,
+    points_by_norm,
+    shell_members,
+)
 
 HALF = Fraction(1, 2)
 
@@ -28,9 +34,6 @@ BRANCH_MIN_NORM_SQ = 8
 # over all branches the minimum distance squared is 9/2, at the diagonal
 # branches of norm_sq 8, giving sup |Dphi| = 2/9.
 CONTRACTION_SUP = Fraction(2, 9)
-
-# Coarse single-branch contraction bound 1/((|k|-1/2)^2 + (|l|-1/2)^2) < 2/3.
-CONTRACTION_COARSE_BOUND = Fraction(2, 3)
 
 # Two-sided decay of |Dphi_i| against |i|^-2 over the closed box:
 # |z + i| lies within sqrt(2)/2 of |i| and |i| >= 2*sqrt(2), so
@@ -262,32 +265,11 @@ def chain_deriv_abs_exact(
 
 def d2_branches(norm_sq_max: int, norm_sq_min: int = BRANCH_MIN_NORM_SQ) -> list[MobiusBranch]:
     """All branches with norm_sq in [norm_sq_min, norm_sq_max], norm-lex ordered."""
-    values, _ = norm_sq_shells(norm_sq_max)
-    out: list[MobiusBranch] = []
-    for ns in values.tolist():
-        if ns < norm_sq_min:
-            continue
-        out.extend(MobiusBranch(g.re, g.im) for g in shell_members(int(ns)))
-    return out
+    return [MobiusBranch(g.re, g.im) for g in points_by_norm(norm_sq_min, norm_sq_max)]
 
 
 # ---------------------------------------------------------------------------
 # constants and their verification
-
-
-@dataclass(frozen=True)
-class IfsMetadata:
-    contraction_gamma: Fraction = CONTRACTION_COARSE_BOUND
-    contraction_m: int = 1
-    domain_pad_r0: Fraction = Fraction(1, 4)
-    base_point_zeta: ExactComplexRational = ExactComplexRational()
-    inner_radius_delta: Fraction = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class DecayConstants:
-    c1: Fraction = DECAY_C1
-    c2: Fraction = DECAY_C2
 
 
 @dataclass(frozen=True)
@@ -304,11 +286,6 @@ class EngineConstants:
     k2: float = COMPOSITION_DISTORTION_BOUND * math.sqrt(2.0)
     c1: float = float(DECAY_C1)
     c2: float = float(DECAY_C2)
-
-
-def two_decaying_constants() -> DecayConstants:
-    """The decay constants (16/25, 16/9); see validate_decay_bounds."""
-    return DecayConstants()
 
 
 def validate_decay_bounds(norm_sq_max: int = 64, grid: int = 31):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expansion import REGULAR_NORM_SQ, classify_digit, expand
-from .gaussian import ExactComplexRational, GaussianInt, norm_sq_shells, shell_members
+from .gaussian import ExactComplexRational, GaussianInt, points_by_norm
 
 
 @dataclass(frozen=True)
@@ -36,15 +36,8 @@ class TessellationSpec:
 
 def region_digits(spec: TessellationSpec) -> list[GaussianInt]:
     """Digits whose cylinders are rendered, norm-lex ordered."""
-    values, _ = norm_sq_shells(spec.norm_sq_max)
-    out: list[GaussianInt] = []
-    for ns in values.tolist():
-        if ns < 2:
-            continue
-        if ns < REGULAR_NORM_SQ and not spec.include_exceptional:
-            continue
-        out.extend(shell_members(int(ns)))
-    return out
+    lo = 2 if spec.include_exceptional else REGULAR_NORM_SQ
+    return points_by_norm(lo, spec.norm_sq_max)
 
 
 def _invert(x: float, y: float) -> complex:

@@ -1,8 +1,12 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import hurwitzcf
 from hurwitzcf import cli as climod
 from hurwitzcf.cli import cli
 from hurwitzcf.config import RunConfig
@@ -185,6 +189,14 @@ class TestConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 5\n")
         assert RunConfig.from_file(cfg).override(seed=17).seed == 17
+
+    def test_docs_match_package(self):
+        # the README config key list is the RunConfig field list, and every
+        # exported name exists
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = readme.split("mirroring `RunConfig`:", 1)[1].split(". ", 1)[0]
+        assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(RunConfig)]
+        assert [n for n in hurwitzcf.__all__ if not hasattr(hurwitzcf, n)] == []
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -58,6 +59,51 @@ class TestDigitSet:
         arr = d2.norm_sq_array(100)
         assert arr[0] == 8.0 and len(arr) == 100
         assert np.all(np.diff(arr) >= 0)
+
+
+R_BRUTE = 40  # every case below is checked on norm_sq <= R_BRUTE^2
+EXPLICIT = {(3, 0), (2, 2), (0, -3), (-2, -2)}
+
+DIGIT_SET_CASES = [
+    ("explicit", DigitSet.from_branches(EXPLICIT), lambda ns, a, b: (a, b) in EXPLICIT),
+    ("annulus", DigitSet.annulus(5, 30), lambda ns, a, b: 5 <= ns < 30),
+    ("d2", DigitSet.d2(), lambda ns, a, b: ns >= 8),
+    ("lattice", DigitSet.lattice(), lambda ns, a, b: ns >= 1),
+    ("lattice0", DigitSet.lattice_with_zero(), lambda ns, a, b: True),
+    ("min_norm_sq=50", DigitSet.with_min_norm_sq(50), lambda ns, a, b: ns >= 50),
+]
+
+
+@pytest.mark.parametrize("s, member", [c[1:] for c in DIGIT_SET_CASES],
+                         ids=[c[0] for c in DIGIT_SET_CASES])
+def test_digit_set_against_brute_force(s, member):
+    brute = sorted(
+        (a * a + b * b, a, b)
+        for a in range(-R_BRUTE, R_BRUTE + 1)
+        for b in range(-R_BRUTE, R_BRUTE + 1)
+        if a * a + b * b <= R_BRUTE**2 and member(a * a + b * b, a, b)
+    )
+    norms = [ns for ns, _, _ in brute]
+    if s.is_finite:
+        assert [(g.norm_sq(), g.re, g.im) for g in s.members()] == brute
+    else:
+        with pytest.raises(DomainError):
+            s.members()
+    assert s.norm_sq_array(len(brute)).tolist() == norms
+    assert s.min_norm_sq() == norms[0]
+    values, counts = s.shell_counts(1000)
+    shells = Counter(ns for ns in norms if ns <= 1000)
+    assert dict(zip(values.tolist(), counts.tolist())) == shells
+
+
+@pytest.mark.parametrize("s", [DigitSet.annulus(3, 4), DigitSet("empty", 1, None, ())],
+                         ids=["annulus", "explicit"])
+def test_empty_finite_set_raises(s):
+    assert s.members() == ()
+    with pytest.raises(DomainError):
+        s.min_norm_sq()
+    with pytest.raises(DomainError):
+        s.norm_sq_array(1)
 
 
 class TestPartitionSum:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzcf import (
+    DigitSet,
     DomainError,
     ExactComplexRational,
     GaussianInt,
@@ -15,7 +16,7 @@ from hurwitzcf import (
     nearest_round,
     parse_exact_complex,
 )
-from hurwitzcf.gaussian import lattice_norm_sq_array, norm_sq_shells, shell_members
+from hurwitzcf.gaussian import norm_sq_shells, shell_members
 
 
 def ecr(re, im) -> ExactComplexRational:
@@ -139,7 +140,7 @@ class TestEnumerateByNorm:
 
     def test_agrees_with_array_fast_path(self):
         pts = enumerate_by_norm(include_zero=True, limit=2000)
-        arr = lattice_norm_sq_array(2000, include_zero=True)
+        arr = DigitSet.lattice_with_zero().norm_sq_array(2000)
         assert np.array_equal(arr, np.array([p.norm_sq() for p in pts], dtype=float))
 
 

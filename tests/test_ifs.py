@@ -14,7 +14,6 @@ from hurwitzcf import (
     branch_apply,
     contraction_bound,
     distortion_estimate,
-    two_decaying_constants,
     verify_separation,
     word_diameter_bounds,
 )
@@ -155,11 +154,6 @@ class TestContraction:
 
 
 class TestDecay:
-    def test_constants(self):
-        consts = two_decaying_constants()
-        assert consts.c1 == Fraction(16, 25)
-        assert consts.c2 == Fraction(16, 9)
-
     def test_bounds_hold_on_grid(self):
         ok, witness = validate_decay_bounds(norm_sq_max=64, grid=31)
         assert ok, witness
@@ -303,15 +297,3 @@ class TestEngineConstants:
         assert abs(c.k2 - c.k0 * math.sqrt(2)) < 1e-15
         assert c.c1 == 16 / 25 and c.c2 == 16 / 9
         assert c.k0 == COMPOSITION_DISTORTION_BOUND
-
-    def test_metadata_invariants(self):
-        from hurwitzcf import IfsMetadata
-
-        meta = IfsMetadata()
-        assert meta.contraction_gamma == Fraction(2, 3)
-        assert meta.contraction_m == 1
-        assert Fraction(0) < meta.domain_pad_r0 < Fraction(1, 2)
-        assert meta.base_point_zeta.is_zero()
-        # the centred ball of radius delta sits inside the closed unit box
-        assert meta.inner_radius_delta == Fraction(1, 2)
-        assert contraction_bound() <= meta.contraction_gamma

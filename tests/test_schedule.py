@@ -1,4 +1,7 @@
+import bisect
 import math
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +14,6 @@ from hurwitzcf import (
     validate_schedule,
     verify_lower_bound_chain,
 )
-from hurwitzcf.dimension import _ShellTable
 
 
 class TestGrowthFunction:
@@ -57,15 +59,18 @@ class TestBuildSchedule:
         assert first.count == 4  # the four diagonal branches of norm_sq 8
 
     def test_annulus_weights_from_scratch(self, d2_schedule):
-        # independent recomputation of every annulus weight at the built
-        # exponent, straight from shell enumeration
+        # every anchor annulus carries weight >= 1 at the built exponent,
+        # summed over lattice points counted by a plain double loop
         sched, _ = d2_schedule
-        shells = _ShellTable(sched.digit_set)
         p = sched.tau_estimate - sched.eps
-        for i in range(len(sched.anchors) - 1):
-            lo = sched.anchors[i].norm_sq()
-            hi = sched.anchors[i + 1].norm_sq()
-            assert shells.weight(lo, hi, p) >= 1.0
+        r = math.isqrt(sched.anchors[-1].norm_sq())
+        shells = Counter(a * a + b * b for a in range(-r, r + 1) for b in range(-r, r + 1))
+        norms = sorted(shells)
+        for lo_pt, hi_pt in zip(sched.anchors, sched.anchors[1:]):
+            i = bisect.bisect_left(norms, lo_pt.norm_sq())
+            j = bisect.bisect_left(norms, hi_pt.norm_sq())
+            weight = math.fsum(shells[ns] * ns ** (-p / 2) for ns in norms[i:j])
+            assert weight >= 1.0 - 1e-12
 
     def test_blocks_partition_horizon(self, d2_schedule):
         sched, _ = d2_schedule
@@ -113,6 +118,27 @@ class TestScheduleEdges:
         assert sched.truncated
         assert sched.warning is not None
         assert sched.blocks[-1].end == 500
+
+    def test_truncated_schedule_still_checks_growth(self):
+        # f stays below 10, so the schedule truncates; a block moved one step
+        # earlier must still fail growth domination
+        growth = GrowthFunction("10 - 1000/n")
+        sched = build_schedule(
+            DigitSet.d2(), growth, eps=0.5, horizon=3000, ratio_tol=0.1, tau=2.0
+        )
+        assert sched.truncated
+        blocks = list(sched.blocks)
+        m = next(
+            i
+            for i in range(1, len(blocks))
+            if growth(blocks[i].start - 1) < math.sqrt(sched.anchors[blocks[i].index].norm_sq())
+        )
+        blocks[m - 1] = replace(blocks[m - 1], t=blocks[m - 1].t - 1)
+        blocks[m] = replace(blocks[m], start=blocks[m].start - 1, t=blocks[m].t + 1)
+        report = validate_schedule(replace(sched, blocks=tuple(blocks)), growth)
+        status = {c["check"]: c["status"] for c in report}
+        assert status["blocks_tile_horizon"] == "pass"
+        assert status["growth_domination"] == "fail"
 
     def test_finite_set_rejected(self):
         with pytest.raises(DomainError):
