@@ -33,13 +33,13 @@ def engine_errors(fn):
         try:
             return fn(*args, **kwargs)
         except BudgetExceededError as exc:
-            click.echo(f"budget exhausted: {exc}", err=True)
+            click.echo(f"budget exhausted: {exc}", file=sys.stderr)
             sys.exit(3)
         except CheckFailure as exc:
-            click.echo(f"check failure: {exc}", err=True)
+            click.echo(f"check failure: {exc}", file=sys.stderr)
             sys.exit(1)
         except (DomainError, ZeroDivisionError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
 
     return wrapper
@@ -62,7 +62,7 @@ def _emit(ctx: click.Context, payload: dict, rows: list[dict] | None = None) -> 
     if out is not None:
         Path(out).write_text(text)
     else:
-        click.echo(text, nl=False)
+        click.echo(text, file=sys.stdout, nl=False)
 
 
 def _parse_alphabet(spec: str) -> dimension.DigitSet:
@@ -121,8 +121,8 @@ def expand(ctx, z, max_digits):
     point = parse_exact_complex(z)
     result = expansion.expand(point, max_digits or config.max_digits)
     roundtrip = expansion.evaluate(result.digits) == point if result.terminated else False
-    click.echo(f"digits: {result.digits}", err=True)
-    click.echo(f"terminated: {result.terminated}  roundtrip: {roundtrip}", err=True)
+    click.echo(f"digits: {result.digits}", file=sys.stderr)
+    click.echo(f"terminated: {result.terminated}  roundtrip: {roundtrip}", file=sys.stderr)
     payload = {
         "input": z,
         "digits": [d.to_pair() for d in result.digits],
@@ -151,7 +151,7 @@ def eval_word(ctx, word):
     except (ValueError, KeyError) as exc:
         raise DomainError(f"bad word {word!r}: {exc}") from exc
     value = expansion.evaluate(digits)
-    click.echo(f"value: {value}", err=True)
+    click.echo(f"value: {value}", file=sys.stderr)
     payload = {
         "word": [d.to_pair() for d in digits],
         "re": str(value.re),
@@ -170,7 +170,7 @@ def classify(ctx, k, l):
     """Classify a digit as invalid, exceptional or regular."""
     digit = GaussianInt(k, l)
     cls = expansion.classify_digit(digit)
-    click.echo(f"({k},{l}): {cls}", err=True)
+    click.echo(f"({k},{l}): {cls}", file=sys.stderr)
     _emit(ctx, {"digit": [k, l], "norm_sq": digit.norm_sq(), "class": cls})
 
 
@@ -191,9 +191,9 @@ def tessellate(ctx, norm_sq_max, include_exceptional, stroke_width):
     out: Path | None = ctx.obj["out"]
     if out is not None:
         Path(out).write_text(document)
-        click.echo(f"wrote {out} ({len(svgmod.region_digits(spec))} regions)", err=True)
+        click.echo(f"wrote {out} ({len(svgmod.region_digits(spec))} regions)", file=sys.stderr)
     else:
-        click.echo(document, nl=False)
+        click.echo(document, file=sys.stdout, nl=False)
 
 
 @cli.command()
@@ -208,7 +208,7 @@ def tau(ctx, source, horizon):
     horizon = horizon or config.horizon
     norms = _digit_sequence_source(source, horizon)
     est = dimension.tau_exponent(norms, horizon)
-    click.echo(f"tau estimate: {est.estimate:.6f} (ratio max {est.ratio_max:.6f})", err=True)
+    click.echo(f"tau estimate: {est.estimate:.6f} (ratio max {est.ratio_max:.6f})", file=sys.stderr)
     payload = dict(est.to_json(), source=source)
     step = max(1, horizon // 10_000)
     rows = [
@@ -235,7 +235,7 @@ def pressure(ctx, alphabet, word_len, s, mode):
     click.echo(
         f"log Z/n = {est.log_zn_over_n:.6f} bracket [{est.lower_bracket:.6f}, "
         f"{est.upper_bracket:.6f}]",
-        err=True,
+        file=sys.stderr,
     )
     _emit(ctx, est.to_json())
 
@@ -258,7 +258,7 @@ def dim(ctx, alphabet, tol, n_max):
     click.echo(
         f"s in [{result.s_low:.6f}, {result.s_high:.6f}] "
         f"(n={result.n_used}, conclusive={result.conclusive})",
-        err=True,
+        file=sys.stderr,
     )
     _emit(ctx, result.to_json())
 
@@ -283,7 +283,11 @@ def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
     elif set_name == "lattice":
         digit_set = dimension.DigitSet.lattice()
     elif set_name.startswith("minnormsq:"):
-        digit_set = dimension.DigitSet.with_min_norm_sq(int(set_name.split(":", 1)[1]))
+        try:
+            norm_sq_lo = int(set_name.split(":", 1)[1])
+        except ValueError as exc:
+            raise DomainError(f"bad digit set {set_name!r}; use minnormsq:<integer>") from exc
+        digit_set = dimension.DigitSet.with_min_norm_sq(norm_sq_lo)
     else:
         raise DomainError(f"unknown digit set {set_name!r}")
     fn = dimension.GrowthFunction(growth)
@@ -291,7 +295,7 @@ def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
         digit_set, fn, eps=eps, horizon=horizon, ratio_tol=ratio_tol or config.ratio_tol
     )
     if sched.warning:
-        click.echo(f"warning: {sched.warning}", err=True)
+        click.echo(f"warning: {sched.warning}", file=sys.stderr)
     payload = sched.to_json()
     if emit == "subexp":
         traj = dimension.subexp_check(sched)
@@ -314,7 +318,7 @@ def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
     click.echo(
         f"{len(sched.blocks)} blocks, horizon {sched.horizon}, "
         f"tau estimate {sched.tau_estimate:.4f}",
-        err=True,
+        file=sys.stderr,
     )
 
 
@@ -331,7 +335,7 @@ def verify(ctx, suite):
     rows = [{"check": c["check"], "status": c["status"]} for c in checks]
     _emit(ctx, payload, rows)
     for c in checks:
-        click.echo(f"{c['status']:>4}  {c['check']}", err=True)
+        click.echo(f"{c['status']:>4}  {c['check']}", file=sys.stderr)
     if not passed:
         raise CheckFailure(f"suite {suite} has failing checks")
 

@@ -5,6 +5,7 @@ schedules for restricted digit sets.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ class DigitSet:
     @classmethod
     def from_branches(cls, branches: Iterable) -> "DigitSet":
         members = tuple(
-            sorted((_as_digit(b) for b in branches), key=lambda g: (g.norm_sq(), g.re, g.im))
+            sorted({_as_digit(b) for b in branches}, key=lambda g: (g.norm_sq(), g.re, g.im))
         )
         if not members:
             raise DomainError("empty digit set")
@@ -301,7 +302,11 @@ def _tokenize(src: str) -> list[str]:
             i = j
         elif ch.isdigit() or ch == ".":
             j = i
-            while j < len(src) and (src[j].isdigit() or src[j] in ".eE"):
+            while j < len(src) and (
+                src[j].isdigit()
+                or src[j] in ".eE"
+                or (src[j] in "+-" and src[j - 1] in "eE")
+            ):
                 j += 1
             out.append(src[i:j])
             i = j
@@ -886,15 +891,29 @@ class NonAutSchedule:
         }
 
 
-def _clearance_index(f: Callable[[int], float], level: float, horizon: int) -> int | None:
-    """Smallest n0 with f(n) >= level for every n in [n0, horizon]."""
-    n0 = None
-    for n in range(horizon, 0, -1):
-        if f(n) >= level:
-            n0 = n
-        else:
-            break
-    return n0
+def _clearance_query(
+    f: Callable[[int], float], horizon: int
+) -> Callable[[float], int | None]:
+    """Clearance query for one growth bound on [1, horizon].
+
+    The query maps a level to the smallest n0 with f(n) >= level for every
+    n in [n0, horizon], or None when f(horizon) < level; NaN fails every
+    level.  It keeps neg[k] = -min f over [horizon - k, horizon], which is
+    nondecreasing, and extends it by one step only while every value so far
+    clears the queried level.  So f is evaluated at most once per step, and
+    only at steps a backward scan from the horizon for that level reaches.
+    """
+    neg: list[float] = []
+
+    def clearance(level: float) -> int | None:
+        while len(neg) < horizon and (not neg or neg[-1] <= -level):
+            v = f(horizon - len(neg))
+            x = -v if v == v else math.inf
+            neg.append(x if not neg or x > neg[-1] else neg[-1])
+        cleared = bisect.bisect_right(neg, -level)
+        return horizon - cleared + 1 if cleared else None
+
+    return clearance
 
 
 def build_schedule(
@@ -914,14 +933,14 @@ def build_schedule(
     level |z_{m+2}| and (ii) the size/length ratio log(#pool)/start falling
     below ratio_tol/m.  Construction stops at the horizon; an unreachable
     clearance level truncates the schedule with a warning instead of
-    failing.
+    failing.  The growth bound is evaluated at most once per step.
     """
     if s.is_finite:
         raise DomainError("schedule construction needs an infinite digit set")
     if horizon < 10:
         raise DomainError("horizon too small")
     f_source = f.source if isinstance(f, GrowthFunction) else getattr(f, "__name__", "callable")
-    fn = f if callable(f) else f.__call__
+    clearance_of = _clearance_query(f if callable(f) else f.__call__, horizon)
     if tau is None:
         tau = tau_of_digit_set(s, tau_horizon).estimate
     if not 0.0 < eps < tau:
@@ -964,7 +983,7 @@ def build_schedule(
         nxt_lo, nxt_hi = anchor_ns[m], anchor_ns[m + 1]
         nxt_count = shells.count(nxt_lo, nxt_hi)
         level = math.sqrt(anchor_ns[m + 1])  # |z_{m+2}|, the bound block m+1 must clear
-        clearance = _clearance_index(fn, level, horizon)
+        clearance = clearance_of(level)
         if clearance is None:
             blocks.append(
                 ScheduleBlock(m, lo, hi, count, horizon - start + 1, start)

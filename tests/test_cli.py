@@ -1,5 +1,9 @@
+import contextlib
+import gc
+import io
 import json
 import re
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -127,6 +131,15 @@ class TestPressureAndDim:
         payload = json.loads(result.stdout)
         assert payload["s_low"] <= 0.0 <= payload["s_high"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [["pressure", "--n", "3", "--s", "0"], ["dim", "--n-max", "4"]],
+    )
+    def test_duplicate_digits_collapse(self, runner, args):
+        once = run_ok(runner, [args[0], "--alphabet", "[[2,2]]", *args[1:]])
+        twice = run_ok(runner, [args[0], "--alphabet", "[[2,2],[2,2]]", *args[1:]])
+        assert twice.stdout == once.stdout
+
 
 class TestSchedule:
     def test_builds_and_validates(self, runner):
@@ -147,6 +160,33 @@ class TestSchedule:
         )
         payload = json.loads(result.stdout)
         assert payload["truncated"]
+
+    def test_bad_min_norm_sq_is_usage_error(self, runner):
+        result = runner.invoke(cli, ["schedule", "--set", "minnormsq:abc", "--f", "n+3"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+
+class TestInProcess:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["classify", "3", "0"],
+            ["tessellate", "--norm-sq-max", "2"],
+            ["schedule", "--set", "minnormsq:abc", "--f", "n+3"],
+        ],
+    )
+    def test_output_buffers_are_released(self, args):
+        out, err = io.StringIO(), io.StringIO()
+        refs = weakref.ref(out), weakref.ref(err)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.suppress(SystemExit):
+                cli.main(args, prog_name="hurwitzcf", standalone_mode=False)
+        assert out.getvalue() or err.getvalue()
+        del out, err
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestVerify:

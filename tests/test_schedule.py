@@ -1,5 +1,6 @@
 import bisect
 import math
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from hurwitzcf import (
     validate_schedule,
     verify_lower_bound_chain,
 )
+from hurwitzcf.dimension import _clearance_query
 
 
 class TestGrowthFunction:
@@ -30,9 +32,13 @@ class TestGrowthFunction:
         assert GrowthFunction("-1+n")(3) == 2.0
 
     def test_bad_expressions(self):
-        for bad in ("", "n+", "2**n", "foo(n)", "n$", "max(n)"):
+        for bad in ("", "n+", "2**n", "foo(n)", "n$", "max(n)", "1e", "1.2.3", "e5"):
             with pytest.raises(DomainError):
                 GrowthFunction(bad)
+
+    def test_signed_exponents(self):
+        assert GrowthFunction("1e-3*n+5")(1000) == 6.0
+        assert GrowthFunction("2.5E+1")(0) == 25.0
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +157,68 @@ class TestScheduleEdges:
             build_schedule(DigitSet.d2(), GrowthFunction("n"), 5.0, 1000, tau=2.0)
         with pytest.raises(DomainError):
             build_schedule(DigitSet.d2(), GrowthFunction("n"), -0.1, 1000, tau=2.0)
+
+
+def _clearance_scan(f, level, horizon):
+    """Reference: smallest n0 with f(n) >= level on [n0, horizon], scanned
+    backwards from the horizon."""
+    n0 = None
+    for n in range(horizon, 0, -1):
+        if f(n) >= level:
+            n0 = n
+        else:
+            break
+    return n0
+
+
+def _outcome(query, level):
+    try:
+        return query(level)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+class TestClearanceQuery:
+    GROWTHS = [
+        "n+3",
+        "10",
+        "max(10, sqrt(n))",
+        "5*log(n+1)+4",
+        "n^2",
+        "10 - 1000/n",
+        "1/(n-50)",
+        "sqrt(n)-3",
+        "log(n-5)",
+        "0*1e999+n",
+    ]
+    LEVELS = [-1.0, 0.0, 1e-3, 0.5, 3.0, 4.0, 9.99, 10.0, 10.5, 31.7, 54.0, 501.0, 3004.0]
+    LEVELS += [1e7] + [math.sqrt(k) for k in range(8, 400, 37)]
+
+    @pytest.mark.parametrize("horizon", [10, 11, 500, 3001])
+    @pytest.mark.parametrize("order", ["ascending", "unordered"])
+    def test_matches_backward_scan(self, horizon, order):
+        levels = sorted(self.LEVELS)
+        if order == "unordered":
+            random.Random(horizon).shuffle(levels)
+        for source in self.GROWTHS:
+            f = GrowthFunction(source)
+            query = _clearance_query(f, horizon)
+            for level in levels:
+                expected = _outcome(lambda lv: _clearance_scan(f, lv, horizon), level)
+                assert _outcome(query, level) == expected, (source, level)
+
+    def test_build_schedule_evaluates_each_step_once(self):
+        calls = 0
+
+        def counting_f(n):
+            nonlocal calls
+            calls += 1
+            return n + 3.0
+
+        horizon = 10_000
+        sched = build_schedule(DigitSet.d2(), counting_f, eps=0.5, horizon=horizon, tau=2.0)
+        assert len(sched.blocks) > 100
+        assert calls <= horizon
 
 
 class TestLowerBoundChain:
