@@ -65,11 +65,18 @@ def _emit(ctx: click.Context, payload: dict, rows: list[dict] | None = None) -> 
         click.echo(text, file=sys.stdout, nl=False)
 
 
+def _read_arg(spec: str) -> str:
+    """The argument itself, or the text of the file it names as @path."""
+    if not spec.startswith("@"):
+        return spec
+    try:
+        return Path(spec[1:]).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {spec[1:]!r}: {exc}") from exc
+
+
 def _parse_alphabet(spec: str) -> dimension.DigitSet:
     """Alphabet specs: inline JSON pairs, @file of pairs, or annulus:LO:HI."""
-    if spec.startswith("@"):
-        data = json.loads(Path(spec[1:]).read_text())
-        return dimension.DigitSet.from_branches(GaussianInt.from_pair(p) for p in data)
     if spec.startswith("annulus:"):
         try:
             _, lo, hi = spec.split(":")
@@ -77,10 +84,10 @@ def _parse_alphabet(spec: str) -> dimension.DigitSet:
         except ValueError as exc:
             raise DomainError(f"bad annulus spec {spec!r}; use annulus:LO:HI") from exc
     try:
-        data = json.loads(spec)
+        data = json.loads(_read_arg(spec))
     except json.JSONDecodeError as exc:
         raise DomainError(f"bad alphabet spec {spec!r}") from exc
-    return dimension.DigitSet.from_branches(GaussianInt.from_pair(p) for p in data)
+    return dimension.DigitSet.from_branches(GaussianInt.from_pairs(data))
 
 
 def _digit_sequence_source(source: str, horizon: int) -> np.ndarray:
@@ -142,10 +149,7 @@ def expand(ctx, z, max_digits):
 @engine_errors
 def eval_word(ctx, word):
     """Evaluate a digit word given as JSON pairs, e.g. "[[3,0],[-2,0]]"."""
-    if word.startswith("@"):
-        text = Path(word[1:]).read_text()
-    else:
-        text = word
+    text = _read_arg(word)
     try:
         digits = expansion.DigitWord.from_json(text)
     except (ValueError, KeyError) as exc:
@@ -251,7 +255,7 @@ def dim(ctx, alphabet, tol, n_max):
     config: RunConfig = ctx.obj["config"]
     result = dimension.bowen_dimension(
         _parse_alphabet(alphabet),
-        tol=tol or config.bisection_tol,
+        tol=config.bisection_tol if tol is None else tol,
         n_max=n_max,
         max_words=config.max_words,
     )

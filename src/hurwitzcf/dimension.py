@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -193,7 +194,10 @@ class GrowthFunction:
         self._fn = _parse_growth(self.source)
 
     def __call__(self, n: int) -> float:
-        return float(self._fn(float(n)))
+        try:
+            return float(self._fn(float(n)))
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise DomainError(f"growth bound {self.source!r} is undefined at n = {n}: {exc}") from exc
 
     def __repr__(self) -> str:
         return f"GrowthFunction({self.source!r})"
@@ -349,67 +353,150 @@ class PressureEstimate:
         }
 
 
-def _leaf_values(mat: tuple[int, ...]) -> tuple[float, float]:
-    """(sup over box of |Dphi|, |Dphi(0)|) from a composition matrix.
+_POLE_MESSAGE = "derivative pole inside the box; word is not a branch word"
 
-    The matrix is integer 8-tuple (ar, ai, br, bi, cr, ci, dr, di).  With
-    w = d/c the exact box minimum of |c z + d|^2 is (nx^2 + ny^2)/(4 |c|^2)
-    with nx = max(2 |Re(d conj c)| - |c|^2, 0) and likewise ny, so the sup
-    of |Dphi| is the exact rational 4 |c|^2 / (nx^2 + ny^2) (Python's big
-    integer division rounds the float correctly).
+
+def _leaf_values(cr: int, ci: int, dr: int, di: int) -> tuple[float, float]:
+    """(sup over box of |Dphi|, |Dphi(0)|) from a composition's bottom row.
+
+    (cr, ci, dr, di) is the bottom row (c, d) of the integer composition
+    matrix.  With w = d/c the exact box minimum of |c z + d|^2 is
+    (nx^2 + ny^2)/(4 |c|^2) with nx = max(2 |Re(d conj c)| - |c|^2, 0) and
+    likewise ny, so the sup of |Dphi| is the exact rational
+    4 |c|^2 / (nx^2 + ny^2), and |Dphi(0)| = 1/|d|^2.
     """
-    _, _, _, _, cr, ci, dr, di = mat
     den = cr * cr + ci * ci
-    wr = dr * cr + di * ci
-    wi = di * cr - dr * ci
-    nx = 2 * abs(wr) - den
-    ny = 2 * abs(wi) - den
-    nx = nx if nx > 0 else 0
-    ny = ny if ny > 0 else 0
+    nx = 2 * abs(dr * cr + di * ci) - den
+    ny = 2 * abs(di * cr - dr * ci) - den
+    return _sup_value(den, nx if nx > 0 else 0, ny if ny > 0 else 0), 1.0 / (dr * dr + di * di)
+
+
+def _sup_value(den: int, nx: int, ny: int) -> float:
+    """4 den / (nx^2 + ny^2), correctly rounded (Python's int / int is)."""
     q = nx * nx + ny * ny
     if q == 0:
-        raise DomainError("derivative pole inside the box; word is not a branch word")
-    return (4 * den) / q, 1.0 / (dr * dr + di * di)
+        raise DomainError(_POLE_MESSAGE)
+    return (4 * den) / q
 
 
-def _extend_mat(mat: tuple[int, ...], xr: int, xi: int) -> tuple[int, ...]:
-    ar, ai, br, bi, cr, ci, dr, di = mat
-    return (
-        br,
-        bi,
-        ar + br * xr - bi * xi,
-        ai + br * xi + bi * xr,
-        dr,
-        di,
-        cr + dr * xr - di * xi,
-        ci + dr * xi + di * xr,
-    )
+def _extend_row(row: tuple[int, int, int, int], xr: int, xi: int) -> tuple[int, int, int, int]:
+    """Bottom row after appending digit x: (c, d) -> (d, c + d x)."""
+    cr, ci, dr, di = row
+    return dr, di, cr + dr * xr - di * xi, ci + dr * xi + di * xr
 
 
-_IDENTITY_MAT = (1, 0, 0, 0, 0, 0, 1, 0)
+_IDENTITY_ROW = (0, 0, 1, 0)
+
+_INT64_LIMIT = 1 << 63  # every int64 intermediate stays strictly below this
+_SMALL_ENTRY = 1 << 30  # below this every leaf integer but q fits int64
+_FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
+_EXACT_CHUNK = 8192
 
 
 @functools.lru_cache(maxsize=64)
 def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-word (sup, base-point) derivative values, enumerated once.
 
-    Word order is the lexicographic order over the given digit order, so
-    sums over the arrays are deterministic.
+    Word order is the lexicographic order over the given digit order (the
+    last digit varies fastest), so word i has the base-k digits of i and
+    sums over the arrays are deterministic.  Every value is bit-identical
+    to ``_leaf_values`` on the word's bottom row.
+
+    Words are enumerated level by level as int64 bottom rows while a bound
+    proves the entries fit: with M the largest ceil(|x|) over the digits,
+    |c| and |d| after j digits are at most B_j, where B_-1 = 0, B_0 = 1 and
+    B_(j+1) = M B_j + B_(j-1), and by Cauchy-Schwarz every intermediate of
+    the next level is at most B_(j+1).  ``_table_leaves`` then computes the
+    leaf values; once the bound leaves int64, every word goes through
+    ``_leaf_values`` in Python ints instead.  Python ints are converted
+    about 8k words at a time.
     """
-    sups: list[float] = []
-    bases: list[float] = []
+    k = len(digits)
+    m = max(math.isqrt(max(xr * xr + xi * xi - 1, 0)) + 1 for xr, xi in digits)
+    levels, b_prev, b = 0, 0, 1
+    while levels < n and m * b + b_prev < _INT64_LIMIT:
+        levels, b_prev, b = levels + 1, b, m * b + b_prev
 
-    def rec(mat: tuple[int, ...], depth: int) -> None:
-        if depth == n:
-            sup, base = _leaf_values(mat)
-            sups.append(sup)
-            bases.append(base)
-            return
-        for xr, xi in digits:
-            rec(_extend_mat(mat, xr, xi), depth + 1)
+    rows = [np.array([v], dtype=np.int64) for v in _IDENTITY_ROW]
+    if levels:
+        xr, xi = np.array(digits, dtype=np.int64).T
+        for _ in range(levels):
+            cr, ci, dr, di = (a[:, None] for a in rows)
+            rows = [
+                np.repeat(dr.ravel(), k),
+                np.repeat(di.ravel(), k),
+                (cr + dr * xr - di * xi).ravel(),
+                (ci + dr * xi + di * xr).ravel(),
+            ]
 
-    rec(_IDENTITY_MAT, 0)
-    return np.asarray(sups), np.asarray(bases)
+    if levels == n:
+        sups, bases, big = _table_leaves(rows)
+        big_rows = _int_rows(rows, big)
+    else:
+        sups, bases = np.empty(k**n), np.empty(k**n)
+        big = np.arange(k**n)
+        big_rows = _extend_int_rows(_int_rows(rows, np.arange(k**levels)), digits, n - levels)
+    for start in range(0, len(big), _EXACT_CHUNK):
+        part = big[start : start + _EXACT_CHUNK]
+        values = [_leaf_values(*row) for row in itertools.islice(big_rows, len(part))]
+        sups[part], bases[part] = np.array(values).T
+    return sups, bases
+
+
+def _table_leaves(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leaf values of int64 bottom rows, bit-identical to ``_leaf_values``.
+
+    Where every entry is below 2^30, the integers den = |c|^2, nx, ny and
+    |d|^2 are below 2^62 and are computed exactly in int64.  The int64 to
+    float64 cast rounds to nearest-even, as Python's int to float does, so
+    1.0 / |d|^2 matches.  Where 4 den and q = nx^2 + ny^2 are both below
+    2^53 they are exact float64 integers, and IEEE division of exact
+    operands is correctly rounded, as Python's int / int is; elsewhere the
+    quotient is taken in Python ints by ``_sup_value``.  Returns
+    (sups, bases, big): ``big`` indexes the words with a larger entry,
+    whose values are left unset.
+    """
+    count = len(rows[0])
+    sups, bases = np.empty(count), np.empty(count)
+    small = np.maximum.reduce([np.abs(a) for a in rows]) < _SMALL_ENTRY
+    index = np.flatnonzero(small)
+    cr, ci, dr, di = (a[index] for a in rows)
+    den = cr * cr + ci * ci
+    nx = np.maximum(2 * np.abs(dr * cr + di * ci) - den, 0)
+    ny = np.maximum(2 * np.abs(di * cr - dr * ci) - den, 0)
+    if not (nx | ny).all():
+        raise DomainError(_POLE_MESSAGE)
+    bases[index] = 1.0 / (dr * dr + di * di).astype(np.float64)
+    # q is only needed below 2^53, where nx, ny < 2^27; clipping keeps it in int64
+    nxc, nyc = np.minimum(nx, 1 << 27), np.minimum(ny, 1 << 27)
+    q = nxc * nxc + nyc * nyc
+    fast = (4 * den < _FLOAT_EXACT) & (q < _FLOAT_EXACT)
+    sups[index[fast]] = (4 * den[fast]).astype(np.float64) / q[fast].astype(np.float64)
+    slow = np.flatnonzero(~fast)
+    for start in range(0, len(slow), _EXACT_CHUNK):
+        part = slow[start : start + _EXACT_CHUNK]
+        columns = (a[part].tolist() for a in (den, nx, ny))
+        sups[index[part]] = list(map(_sup_value, *columns))
+    return sups, bases, np.flatnonzero(~small)
+
+
+def _int_rows(rows: list[np.ndarray], index: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
+    """Python-int bottom rows of the words at ``index``, converted in chunks."""
+    for start in range(0, len(index), _EXACT_CHUNK):
+        part = index[start : start + _EXACT_CHUNK]
+        yield from zip(*(a[part].tolist() for a in rows))
+
+
+def _extend_int_rows(
+    rows: Iterable[tuple[int, int, int, int]], digits: Sequence[tuple[int, int]], levels: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """Bottom rows of every ``levels``-digit extension of each row, in word order."""
+    if levels == 0:
+        yield from rows
+        return
+    for row in rows:
+        children = (_extend_row(row, xr, xi) for xr, xi in digits)
+        yield from _extend_int_rows(children, digits, levels - 1)
 
 
 def partition_sum(
@@ -433,8 +520,8 @@ def partition_sum(
         raise DomainError(f"unknown mode {mode!r}")
     if n < 1:
         raise DomainError("word length must be positive")
-    if s < 0:
-        raise DomainError("s must be nonnegative")
+    if not (math.isfinite(s) and s >= 0):
+        raise DomainError(f"s must be finite and nonnegative, got {s}")
     members = alphabet.members()
     for g in members:
         if g.norm_sq() < BRANCH_MIN_NORM_SQ:
@@ -463,7 +550,7 @@ def partition_sum(
 
     # pruned enumeration with explicit dropped-mass accounting
     single_sups = [
-        _leaf_values(_extend_mat(_IDENTITY_MAT, xr, xi))[0] ** s for xr, xi in digits
+        _leaf_values(*_extend_row(_IDENTITY_ROW, xr, xi))[0] ** s for xr, xi in digits
     ]
     level_sum = math.fsum(single_sups)
     if prune_tol <= 0.0:
@@ -477,7 +564,7 @@ def partition_sum(
     dropped = 0.0
     kept = 0
 
-    def dfs(mat: tuple[int, ...], depth: int, bound: float) -> None:
+    def dfs(row: tuple[int, int, int, int], depth: int, bound: float) -> None:
         nonlocal dropped, kept
         if bound * (level_sum ** (n - depth)) < threshold:
             dropped += bound * (level_sum ** (n - depth))
@@ -490,13 +577,13 @@ def partition_sum(
                     partial_sum=math.fsum(terms),
                     truncation_bound=dropped + bound,
                 )
-            sup, base = _leaf_values(mat)
+            sup, base = _leaf_values(*row)
             terms.append((sup if mode == "sup_norm" else base) ** s)
             return
         for (xr, xi), spow in zip(digits, single_sups):
-            dfs(_extend_mat(mat, xr, xi), depth + 1, bound * spow)
+            dfs(_extend_row(row, xr, xi), depth + 1, bound * spow)
 
-    dfs(_IDENTITY_MAT, 0, 1.0)
+    dfs(_IDENTITY_ROW, 0, 1.0)
     z = math.fsum(terms)
     log_z = math.log(z) if z > 0 else float("-inf")
     log_z_hi = math.log(z + dropped) if z + dropped > 0 else float("-inf")
@@ -552,7 +639,10 @@ def bowen_dimension(
     step falls back to the sign of the sup-norm bracket midpoint and the
     result is flagged inconclusive.  The returned endpoints always satisfy
     upper(s_low) >= 0 >= lower(s_high) at the reported word length.
+    Brackets are computed once per (s, n) and reused within the call.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     if not alphabet.is_finite:
         raise DomainError("bowen_dimension needs a finite alphabet")
     members = alphabet.members()
@@ -564,10 +654,14 @@ def bowen_dimension(
     while n_eff < n_max and nbranch ** (n_eff + 1) <= max_words:
         n_eff += 1
 
+    memo: dict[tuple[float, int], tuple[float, float]] = {}
+
     def brackets(s: float, n: int) -> tuple[float, float]:
-        sup = partition_sum(alphabet, n, s, "sup_norm", k0, max_words)
-        base = partition_sum(alphabet, n, s, "base_point", k0, max_words)
-        return base.lower_bracket, sup.upper_bracket
+        if (s, n) not in memo:
+            sup = partition_sum(alphabet, n, s, "sup_norm", k0, max_words)
+            base = partition_sum(alphabet, n, s, "base_point", k0, max_words)
+            memo[s, n] = base.lower_bracket, sup.upper_bracket
+        return memo[s, n]
 
     def certified_sign(s: float) -> tuple[int, bool]:
         """(-1, 0, +1) with a flag saying whether the sign is certified."""

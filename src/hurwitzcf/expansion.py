@@ -51,8 +51,7 @@ class DigitWord:
 
     @classmethod
     def from_json(cls, text: str) -> "DigitWord":
-        data = json.loads(text)
-        return cls(tuple(GaussianInt.from_pair(p) for p in data))
+        return cls(GaussianInt.from_pairs(json.loads(text)))
 
     def __str__(self) -> str:
         return "; ".join(str(d) for d in self.digits)

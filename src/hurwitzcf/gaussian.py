@@ -78,9 +78,21 @@ class GaussianInt:
 
     @classmethod
     def from_pair(cls, pair: Sequence[int]) -> "GaussianInt":
-        if len(pair) != 2:
-            raise ValueError(f"expected [re, im], got {pair!r}")
-        return cls(int(pair[0]), int(pair[1]))
+        """Parse [re, im]; both must be ints (bools and floats are rejected)."""
+        if not (
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
+        ):
+            raise DomainError(f"expected [re, im] with integer re and im, got {pair!r}")
+        return cls(pair[0], pair[1])
+
+    @classmethod
+    def from_pairs(cls, data: object) -> tuple["GaussianInt", ...]:
+        """Parse decoded JSON that must be a list of [re, im] pairs."""
+        if not isinstance(data, list):
+            raise DomainError(f"expected a list of [re, im] pairs, got {data!r}")
+        return tuple(cls.from_pair(p) for p in data)
 
 
 @dataclass(frozen=True)

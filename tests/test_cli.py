@@ -168,6 +168,36 @@ class TestSchedule:
         assert "Traceback" not in result.stderr
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pressure", "--alphabet", "[[2,2],[-2,-2]]", "--n", "3", "--s", "nan"],
+            ["pressure", "--alphabet", "[[2,2],[-2,-2]]", "--n", "3", "--s", "inf"],
+            ["dim", "--alphabet", "[[2,2],[-2,-2]]", "--tol", "nan"],
+            ["dim", "--alphabet", "[[2,2],[-2,-2]]", "--tol", "0"],
+            ["schedule", "--set", "d2", "--f", "log(n-5)+100", "--horizon", "300"],
+            ["schedule", "--set", "d2", "--f", "(n-100)^0.5+50", "--horizon", "300"],
+            ["schedule", "--set", "d2", "--f", "sqrt(n-100)+50", "--horizon", "300"],
+            ["dim", "--alphabet", "@{missing}"],
+            ["dim", "--alphabet", "@{bad_json}"],
+            ["dim", "--alphabet", "[[2.5,2]]"],
+            ["dim", "--alphabet", "[[true,8]]"],
+            ["dim", "--alphabet", '{{"a": 1}}'],
+            ["eval", "[1]"],
+            ["eval", "{{}}"],
+            ["eval", "@{missing}"],
+        ],
+    )
+    def test_usage_and_domain_errors_exit_two(self, runner, tmp_path, args):
+        (tmp_path / "bad.json").write_text("[[2, 2],")
+        paths = {"missing": tmp_path / "missing.json", "bad_json": tmp_path / "bad.json"}
+        result = runner.invoke(cli, [a.format(**paths) for a in args])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+
 class TestInProcess:
     @pytest.mark.parametrize(
         "args",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,8 @@ from hurwitzcf import (
     tau_of_digit_set,
     upper_threshold,
 )
-from hurwitzcf.dimension import restricted_power_sum, tail_integral_bound
+from hurwitzcf import dimension
+from hurwitzcf.dimension import _word_value_table, restricted_power_sum, tail_integral_bound
 from hurwitzcf.gaussian import GaussianInt
 
 
@@ -106,6 +108,115 @@ def test_empty_finite_set_raises(s):
         s.norm_sq_array(1)
 
 
+# The recursive enumeration over full 8-tuple composition matrices that
+# the level-by-level word table replaced; the reference for bit identity.
+def _ref_leaf_values(mat):
+    _, _, _, _, cr, ci, dr, di = mat
+    den = cr * cr + ci * ci
+    wr = dr * cr + di * ci
+    wi = di * cr - dr * ci
+    nx = 2 * abs(wr) - den
+    ny = 2 * abs(wi) - den
+    nx = nx if nx > 0 else 0
+    ny = ny if ny > 0 else 0
+    q = nx * nx + ny * ny
+    if q == 0:
+        raise DomainError("derivative pole inside the box; word is not a branch word")
+    return (4 * den) / q, 1.0 / (dr * dr + di * di)
+
+
+def _ref_extend_mat(mat, xr, xi):
+    ar, ai, br, bi, cr, ci, dr, di = mat
+    return (
+        br,
+        bi,
+        ar + br * xr - bi * xi,
+        ai + br * xi + bi * xr,
+        dr,
+        di,
+        cr + dr * xr - di * xi,
+        ci + dr * xi + di * xr,
+    )
+
+
+def _ref_word_value_table(digits, n):
+    sups, bases = [], []
+
+    def rec(mat, depth):
+        if depth == n:
+            sup, base = _ref_leaf_values(mat)
+            sups.append(sup)
+            bases.append(base)
+            return
+        for xr, xi in digits:
+            rec(_ref_extend_mat(mat, xr, xi), depth + 1)
+
+    rec((1, 0, 0, 0, 0, 0, 1, 0), 0)
+    return np.asarray(sups), np.asarray(bases)
+
+
+def _digits(s):
+    return tuple((g.re, g.im) for g in s.members())
+
+
+POOL = _digits(DigitSet.annulus(8, 65))  # the 176 digits with norm_sq in [8, 64]
+
+
+def _seeded(k, seed, include=()):
+    rng = random.Random(seed)
+    rest = [d for d in POOL if d not in include]
+    return tuple(include) + tuple(rng.sample(rest, k - len(include)))
+
+
+# Tables whose words fall in every tier of the table: float64 quotients,
+# int64 integers with a Python quotient, Python ints for entries >= 2^30
+# (over two 8k chunks for the norm-64 pair at n = 14), and, in the last
+# three, enumeration that outgrows int64 part way or at once.
+TABLE_CASES = (
+    [(_digits(PAIR), n) for n in range(1, 13)]
+    + [
+        (_digits(PAIR), 18),
+        (_digits(DigitSet.annulus(8, 17)), 3),
+        (_seeded(2, 1, include=[(8, 0)]), 12),
+        (_seeded(3, 2), 11),
+        (_seeded(4, 3), 9),
+        (_seeded(8, 4), 6),
+        (_seeded(16, 5), 4),
+        (((8, 0), (0, -8)), 14),
+        (((3000, 0), (-2, 2)), 14),
+        (((2**40, 1), (2, 2), (0, -3)), 3),
+        (((2**70, 3), (2, 2)), 2),
+    ]
+)
+
+
+class TestWordValueTable:
+    @pytest.mark.parametrize("digits, n", TABLE_CASES,
+                             ids=[f"k{len(d)}-n{n}-{i}" for i, (d, n) in enumerate(TABLE_CASES)])
+    def test_bit_identical_to_recursion(self, digits, n):
+        sups, bases = _word_value_table.__wrapped__(digits, n)
+        ref_sups, ref_bases = _ref_word_value_table(digits, n)
+        for got, ref in ((sups, ref_sups), (bases, ref_bases)):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("digits, n", [(_digits(QUAD), 4), (_seeded(3, 2), 11)])
+    def test_word_i_has_base_k_digits_of_i(self, digits, n):
+        sups, bases = _word_value_table.__wrapped__(digits, n)
+        k = len(digits)
+        for i in random.Random(n).sample(range(k**n), 200):
+            word = [digits[(i // k ** (n - 1 - j)) % k] for j in range(n)]
+            comp = BranchComposition.from_word(word)
+            assert sups[i] == float(comp.sup_deriv_exact())
+            assert bases[i] == 1.0 / comp.d.norm_sq()
+
+    @pytest.mark.parametrize("digits, n", [(((0, 0), (2, 2)), 2), (((0, 0), (2**70, 0)), 1)],
+                             ids=["int64", "python-ints"])
+    def test_pole_raises(self, digits, n):
+        with pytest.raises(DomainError, match="derivative pole"):
+            _word_value_table.__wrapped__(digits, n)
+
+
 class TestPartitionSum:
     def test_counting_at_s_zero(self):
         est = partition_sum(PAIR, 1, 0.0)
@@ -188,6 +299,11 @@ class TestPartitionSum:
         with pytest.raises(DomainError):
             partition_sum(DigitSet.from_branches([(1, 1)]), 1, 1.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(DomainError):
+            partition_sum(PAIR, 3, s)
+
 
 class TestBowen:
     def test_single_branch_dimension_zero(self):
@@ -219,6 +335,24 @@ class TestBowen:
     def test_infinite_alphabet_rejected(self):
         with pytest.raises(DomainError):
             bowen_dimension(DigitSet.d2())
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-3])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(DomainError):
+            bowen_dimension(PAIR, tol=tol)
+
+    def test_brackets_computed_once_per_s_and_n(self, monkeypatch):
+        calls = []
+        original = dimension.partition_sum
+
+        def counting(alphabet, n, s, mode, *args):
+            calls.append((n, s, mode))
+            return original(alphabet, n, s, mode, *args)
+
+        monkeypatch.setattr(dimension, "partition_sum", counting)
+        result = bowen_dimension(PAIR, tol=1e-3, n_max=12)
+        assert result.iterations == 11
+        assert len(calls) == len(set(calls))
 
 
 class TestTau:

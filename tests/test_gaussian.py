@@ -46,6 +46,17 @@ class TestGaussianInt:
         g = GaussianInt(-7, 11)
         assert GaussianInt.from_pair(g.to_pair()) == g
 
+    @pytest.mark.parametrize("pair", [[2.5, 2], [2, 2.0], [True, 2], [1], [1, 2, 3], 1, "ab", None])
+    def test_from_pair_is_strict(self, pair):
+        with pytest.raises(DomainError):
+            GaussianInt.from_pair(pair)
+
+    def test_from_pairs_needs_a_list(self):
+        assert GaussianInt.from_pairs([[3, 0], [-2, 2]]) == (GaussianInt(3, 0), GaussianInt(-2, 2))
+        for data in ({}, {"a": 1}, "[[3, 0]]", 3, [[3, 0], 4]):
+            with pytest.raises(DomainError):
+                GaussianInt.from_pairs(data)
+
 
 class TestExactComplexRational:
     def test_field_ops(self):

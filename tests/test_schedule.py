@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -35,6 +36,14 @@ class TestGrowthFunction:
         for bad in ("", "n+", "2**n", "foo(n)", "n$", "max(n)", "1e", "1.2.3", "e5"):
             with pytest.raises(DomainError):
                 GrowthFunction(bad)
+
+    @pytest.mark.parametrize(
+        "source, n",
+        [("log(n-5)+100", 5), ("sqrt(n-100)+50", 99), ("(n-100)^0.5+50", 99), ("10^n", 400)],
+    )
+    def test_domain_errors_name_expression_and_n(self, source, n):
+        with pytest.raises(DomainError, match=rf"{re.escape(repr(source))}.* n = {n}\b"):
+            GrowthFunction(source)(n)
 
     def test_signed_exponents(self):
         assert GrowthFunction("1e-3*n+5")(1000) == 6.0
