@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -50,7 +51,11 @@ def _emit(ctx: click.Context, payload: dict, rows: list[dict] | None = None) -> 
     fmt = ctx.obj["format"]
     out: Path | None = ctx.obj["out"]
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
+            raise DomainError(f"non-finite result {', '.join(bad) or 'value'}: {exc}") from exc
     else:
         rows = rows if rows is not None else [payload]
         buf = io.StringIO()
@@ -126,7 +131,7 @@ def expand(ctx, z, max_digits):
     """Hurwitz digit expansion of an exact point, e.g. "2/5+0/1 i"."""
     config: RunConfig = ctx.obj["config"]
     point = parse_exact_complex(z)
-    result = expansion.expand(point, max_digits or config.max_digits)
+    result = expansion.expand(point, config.max_digits if max_digits is None else max_digits)
     roundtrip = expansion.evaluate(result.digits) == point if result.terminated else False
     click.echo(f"digits: {result.digits}", file=sys.stderr)
     click.echo(f"terminated: {result.terminated}  roundtrip: {roundtrip}", file=sys.stderr)
@@ -209,10 +214,9 @@ def tessellate(ctx, norm_sq_max, include_exceptional, stroke_width):
 def tau(ctx, source, horizon):
     """Convergence exponent estimate of a norm sequence."""
     config: RunConfig = ctx.obj["config"]
-    horizon = horizon or config.horizon
+    horizon = config.horizon if horizon is None else horizon
     norms = _digit_sequence_source(source, horizon)
     est = dimension.tau_exponent(norms, horizon)
-    click.echo(f"tau estimate: {est.estimate:.6f} (ratio max {est.ratio_max:.6f})", file=sys.stderr)
     payload = dict(est.to_json(), source=source)
     step = max(1, horizon // 10_000)
     rows = [
@@ -221,6 +225,7 @@ def tau(ctx, source, horizon):
         for i in range(0, horizon, step)
     ]
     _emit(ctx, payload, rows)
+    click.echo(f"tau estimate: {est.estimate:.6f} (ratio max {est.ratio_max:.6f})", file=sys.stderr)
 
 
 @cli.command()
@@ -236,12 +241,12 @@ def pressure(ctx, alphabet, word_len, s, mode):
     est = dimension.partition_sum(
         _parse_alphabet(alphabet), word_len, s, mode, max_words=config.max_words
     )
+    _emit(ctx, est.to_json())
     click.echo(
         f"log Z/n = {est.log_zn_over_n:.6f} bracket [{est.lower_bracket:.6f}, "
         f"{est.upper_bracket:.6f}]",
         file=sys.stderr,
     )
-    _emit(ctx, est.to_json())
 
 
 @cli.command()
@@ -295,9 +300,8 @@ def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
     else:
         raise DomainError(f"unknown digit set {set_name!r}")
     fn = dimension.GrowthFunction(growth)
-    sched = dimension.build_schedule(
-        digit_set, fn, eps=eps, horizon=horizon, ratio_tol=ratio_tol or config.ratio_tol
-    )
+    ratio_tol = config.ratio_tol if ratio_tol is None else ratio_tol
+    sched = dimension.build_schedule(digit_set, fn, eps=eps, horizon=horizon, ratio_tol=ratio_tol)
     if sched.warning:
         click.echo(f"warning: {sched.warning}", file=sys.stderr)
     payload = sched.to_json()

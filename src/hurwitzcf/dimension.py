@@ -10,16 +10,18 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
 from .gaussian import GaussianInt, norm_sq_shells, shell_members
-from .ifs import BRANCH_MIN_NORM_SQ, EngineConstants, _as_digit
+from .ifs import BRANCH_MIN_NORM_SQ, DECAY_C1, EngineConstants, _as_digit
 
 SQRT2 = math.sqrt(2.0)
+
+_LOG_K0 = math.log(EngineConstants().k0)  # widens a base-point sum into the lower bracket
+_MAX_BISECTIONS = 64  # ends bowen_dimension's bisection when tol is below the float spacing
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +342,6 @@ class PressureEstimate:
     upper_bracket: float
     mode: str
     word_count: int
-    truncated: bool = False
-    dropped_mass: float = 0.0
 
     def to_json(self) -> dict:
         return {
@@ -363,12 +363,18 @@ def _leaf_values(cr: int, ci: int, dr: int, di: int) -> tuple[float, float]:
     matrix.  With w = d/c the exact box minimum of |c z + d|^2 is
     (nx^2 + ny^2)/(4 |c|^2) with nx = max(2 |Re(d conj c)| - |c|^2, 0) and
     likewise ny, so the sup of |Dphi| is the exact rational
-    4 |c|^2 / (nx^2 + ny^2), and |Dphi(0)| = 1/|d|^2.
+    4 |c|^2 / (nx^2 + ny^2), and |Dphi(0)| = 1/|d|^2.  Where |d|^2 is too
+    large for a float, 1/|d|^2 is the correctly rounded int / int instead.
     """
     den = cr * cr + ci * ci
     nx = 2 * abs(dr * cr + di * ci) - den
     ny = 2 * abs(di * cr - dr * ci) - den
-    return _sup_value(den, nx if nx > 0 else 0, ny if ny > 0 else 0), 1.0 / (dr * dr + di * di)
+    sup = _sup_value(den, nx if nx > 0 else 0, ny if ny > 0 else 0)
+    dsq = dr * dr + di * di
+    try:
+        return sup, 1.0 / dsq
+    except OverflowError:
+        return sup, 1 / dsq
 
 
 def _sup_value(den: int, nx: int, ny: int) -> float:
@@ -500,21 +506,16 @@ def _extend_int_rows(
 
 
 def partition_sum(
-    alphabet: DigitSet,
-    n: int,
-    s: float,
-    mode: str = "sup_norm",
-    k0: float | None = None,
-    max_words: int = 1 << 18,
-    prune_tol: float = 0.0,
+    alphabet: DigitSet, n: int, s: float, mode: str = "sup_norm", max_words: int = 1 << 18
 ) -> PressureEstimate:
     """Partition sum over length-n words at inverse-dimension parameter s.
 
     sup_norm mode bounds each word by its exact supremum derivative over
-    the box; base_point mode evaluates the derivative at 0.  When the word
-    tree outgrows ``max_words``, subtrees whose bound contributes less than
-    prune_tol / (number of words) are dropped and the dropped mass is added
-    to the upper bracket; with prune_tol = 0 the budget is a hard error.
+    the box; base_point mode evaluates the derivative at 0.  Every one of
+    the k^n words is enumerated.  When they exceed ``max_words`` the call
+    raises ``BudgetExceededError`` with the bound (sum_i sup_i^s)^n, which
+    holds in either mode: sup-norm sums are submultiplicative, and no
+    base-point value exceeds its word's sup.
     """
     if mode not in ("sup_norm", "base_point"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -528,75 +529,27 @@ def partition_sum(
             raise DomainError(f"alphabet digit {g} is not a branch index")
     if not members:
         raise DomainError("alphabet must be nonempty")
-    k0 = EngineConstants().k0 if k0 is None else k0
     digits = tuple((g.re, g.im) for g in members)
-    nbranch = len(digits)
-    total_words = nbranch**n
-
-    if total_words <= max_words:
-        sups, bases = _word_value_table(digits, n)
-        vals = sups if mode == "sup_norm" else bases
-        z = float(np.sum(vals**s))
-        log_z = math.log(z) if z > 0 else float("-inf")
-        return PressureEstimate(
-            s=s,
-            n=n,
-            log_zn_over_n=log_z / n,
-            lower_bracket=(log_z - s * math.log(k0)) / n,
-            upper_bracket=log_z / n,
-            mode=mode,
-            word_count=total_words,
-        )
-
-    # pruned enumeration with explicit dropped-mass accounting
-    single_sups = [
-        _leaf_values(*_extend_row(_IDENTITY_ROW, xr, xi))[0] ** s for xr, xi in digits
-    ]
-    level_sum = math.fsum(single_sups)
-    if prune_tol <= 0.0:
+    total_words = len(digits) ** n
+    if total_words > max_words:
+        single_sups, _ = _word_value_table(digits, 1)
         raise BudgetExceededError(
-            f"{nbranch}^{n} words exceed budget {max_words}",
-            partial_sum=0.0,
-            truncation_bound=level_sum**n,
+            f"{len(digits)}^{n} words exceed budget {max_words}",
+            truncation_bound=math.fsum(v**s for v in single_sups.tolist()) ** n,
         )
-    threshold = prune_tol / total_words
-    terms: list[float] = []
-    dropped = 0.0
-    kept = 0
 
-    def dfs(row: tuple[int, int, int, int], depth: int, bound: float) -> None:
-        nonlocal dropped, kept
-        if bound * (level_sum ** (n - depth)) < threshold:
-            dropped += bound * (level_sum ** (n - depth))
-            return
-        if depth == n:
-            kept += 1
-            if kept > max_words:
-                raise BudgetExceededError(
-                    f"kept words exceed budget {max_words}",
-                    partial_sum=math.fsum(terms),
-                    truncation_bound=dropped + bound,
-                )
-            sup, base = _leaf_values(*row)
-            terms.append((sup if mode == "sup_norm" else base) ** s)
-            return
-        for (xr, xi), spow in zip(digits, single_sups):
-            dfs(_extend_row(row, xr, xi), depth + 1, bound * spow)
-
-    dfs(_IDENTITY_ROW, 0, 1.0)
-    z = math.fsum(terms)
+    sups, bases = _word_value_table(digits, n)
+    vals = sups if mode == "sup_norm" else bases
+    z = float(np.sum(vals**s))
     log_z = math.log(z) if z > 0 else float("-inf")
-    log_z_hi = math.log(z + dropped) if z + dropped > 0 else float("-inf")
     return PressureEstimate(
         s=s,
         n=n,
         log_zn_over_n=log_z / n,
-        lower_bracket=(log_z - s * math.log(k0)) / n,
-        upper_bracket=log_z_hi / n,
+        lower_bracket=(log_z - s * _LOG_K0) / n,
+        upper_bracket=log_z / n,
         mode=mode,
-        word_count=kept,
-        truncated=dropped > 0.0,
-        dropped_mass=dropped,
+        word_count=total_words,
     )
 
 
@@ -623,12 +576,7 @@ class BowenDimResult:
 
 
 def bowen_dimension(
-    alphabet: DigitSet,
-    tol: float = 1e-3,
-    n_max: int = 12,
-    k0: float | None = None,
-    max_words: int = 1 << 18,
-    max_iterations: int = 64,
+    alphabet: DigitSet, tol: float = 1e-3, n_max: int = 12, max_words: int = 1 << 18
 ) -> BowenDimResult:
     """Bisection for the pressure zero over s in [0, 2].
 
@@ -643,13 +591,11 @@ def bowen_dimension(
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
+    if n_max < 1:
+        raise DomainError(f"n_max must be at least 1, got {n_max}")
     if not alphabet.is_finite:
         raise DomainError("bowen_dimension needs a finite alphabet")
-    members = alphabet.members()
-    if not members:
-        raise DomainError("alphabet must be nonempty")
-    k0 = EngineConstants().k0 if k0 is None else k0
-    nbranch = len(members)
+    nbranch = len(alphabet.members())
     n_eff = 1
     while n_eff < n_max and nbranch ** (n_eff + 1) <= max_words:
         n_eff += 1
@@ -658,8 +604,8 @@ def bowen_dimension(
 
     def brackets(s: float, n: int) -> tuple[float, float]:
         if (s, n) not in memo:
-            sup = partition_sum(alphabet, n, s, "sup_norm", k0, max_words)
-            base = partition_sum(alphabet, n, s, "base_point", k0, max_words)
+            sup = partition_sum(alphabet, n, s, "sup_norm", max_words)
+            base = partition_sum(alphabet, n, s, "base_point", max_words)
             memo[s, n] = base.lower_bracket, sup.upper_bracket
         return memo[s, n]
 
@@ -684,7 +630,7 @@ def bowen_dimension(
     iterations = 0
     # monotonicity sanity of the estimates along the bisection path
     previous: list[tuple[float, float]] = []
-    while s_hi - s_lo > tol and iterations < max_iterations:
+    while s_hi - s_lo > tol and iterations < _MAX_BISECTIONS:
         mid = 0.5 * (s_lo + s_hi)
         sign, certain = certified_sign(mid)
         conclusive = conclusive and certain
@@ -858,30 +804,24 @@ def restricted_power_sum(
     return head + tail_integral_bound(tail_start, p)
 
 
-def upper_threshold(
-    s: DigitSet,
-    eps: float,
-    constants: EngineConstants | None = None,
-    tau: float | None = None,
-    enum_norm_max: int = 300,
-    tau_horizon: int = 100_000,
-) -> ThresholdResult:
+def upper_threshold(s: DigitSet, eps: float, tau: float | None = None) -> ThresholdResult:
     """Least norm cutoff N making the weighted covering tail sum <= 1.
 
     The weight is (k0 k2 c2 / k1)^((tau+eps)/2); the tail sum is evaluated
     by shell enumeration plus the integral tail bound, which is monotone in
-    N, so the crossing is located by doubling plus bisection.
+    N, so the crossing is located by doubling plus bisection.  Without a
+    given tau, the set's tau is estimated at horizon 10^5.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
-    consts = constants or EngineConstants()
+    consts = EngineConstants()
     if tau is None:
-        tau = tau_of_digit_set(s, tau_horizon).estimate
+        tau = tau_of_digit_set(s, 100_000).estimate
     p = tau + eps
     factor = (consts.k0 * consts.k2 * consts.c2 / consts.k1) ** (p / 2.0)
 
     def weighted(n: int) -> float:
-        return factor * restricted_power_sum(s, n, p, enum_norm_max)
+        return factor * restricted_power_sum(s, n, p)
 
     n_min = max(1, math.isqrt(s.min_norm_sq()))
     if weighted(n_min) <= 1.0:
@@ -1017,7 +957,6 @@ def build_schedule(
     horizon: int,
     ratio_tol: float = 0.1,
     tau: float | None = None,
-    tau_horizon: int = 200_000,
 ) -> NonAutSchedule:
     """Greedy block schedule matching a growth bound.
 
@@ -1028,15 +967,18 @@ def build_schedule(
     below ratio_tol/m.  Construction stops at the horizon; an unreachable
     clearance level truncates the schedule with a warning instead of
     failing.  The growth bound is evaluated at most once per step.
+    Without a given tau, the set's tau is estimated at horizon 2 10^5.
     """
     if s.is_finite:
         raise DomainError("schedule construction needs an infinite digit set")
     if horizon < 10:
         raise DomainError("horizon too small")
+    if not (math.isfinite(ratio_tol) and ratio_tol > 0):
+        raise DomainError(f"ratio_tol must be finite and positive, got {ratio_tol}")
     f_source = f.source if isinstance(f, GrowthFunction) else getattr(f, "__name__", "callable")
     clearance_of = _clearance_query(f if callable(f) else f.__call__, horizon)
     if tau is None:
-        tau = tau_of_digit_set(s, tau_horizon).estimate
+        tau = tau_of_digit_set(s).estimate
     if not 0.0 < eps < tau:
         raise DomainError(f"eps must lie in (0, tau={tau:.4f})")
     p = tau - eps
@@ -1279,11 +1221,7 @@ class ChainResult:
 
 
 def verify_lower_bound_chain(
-    sched: NonAutSchedule,
-    eps: float,
-    delta: float,
-    n: int,
-    c1: Fraction = Fraction(16, 25),
+    sched: NonAutSchedule, eps: float, delta: float, n: int
 ) -> ChainResult:
     """Evaluate the explicit n-independent lower bound on the partition sum.
 
@@ -1292,7 +1230,8 @@ def verify_lower_bound_chain(
     |i|^-2s)^(t_m); blocks beyond N carry exponent -(2+delta)s = -(tau-eps)
     and each contributes a factor >= 1 by the annulus weight construction,
     so the bound does not depend on n.  N is the first block index from
-    which c1/|i|^2 >= |i|^-(2+delta) holds for all later digits.
+    which c1/|i|^2 >= |i|^-(2+delta) holds for all later digits; c1 = 16/25
+    is the decay constant ``ifs.DECAY_C1``.
     """
     if delta <= 0:
         raise DomainError("delta must be positive")
@@ -1302,10 +1241,11 @@ def verify_lower_bound_chain(
     if not 0 < eps < tau:
         raise DomainError("eps must lie in (0, tau)")
     s_val = (tau - eps) / (2.0 + delta)
+    log_c1 = math.log(float(DECAY_C1))
 
     # smallest anchor index from which the decay floor dominates the
     # (2+delta)-power: |z_{N+1}|^delta >= 1/c1
-    ns_threshold = math.exp(-2.0 * math.log(float(c1)) / delta)
+    ns_threshold = math.exp(-2.0 * log_c1 / delta)
     cutoff = None
     for idx in range(1, len(sched.anchors)):
         if sched.anchors[idx].norm_sq() >= ns_threshold:
@@ -1329,7 +1269,7 @@ def verify_lower_bound_chain(
     shells = sched.digit_set._shells
     t1 = sched.blocks[0].t
     z1_ns = sched.anchors[0].norm_sq()
-    log_bound = cutoff * s_val * math.log(float(c1))
+    log_bound = cutoff * s_val * log_c1
     log_bound += -s_val * t1 * math.log(z1_ns)  # |z_1|^(-2 s t_1)
     for blk in sched.blocks[1:cutoff]:
         w = shells.weight(blk.norm_sq_lo, blk.norm_sq_hi, 2.0 * s_val)

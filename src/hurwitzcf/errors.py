@@ -10,11 +10,10 @@ class DomainError(ValueError):
 class BudgetExceededError(RuntimeError):
     """An enumeration outgrew its configured budget.
 
-    Carries the partial sum accumulated so far and an upper bound on the
-    truncated mass, so callers can still reason about the result.
+    Carries an upper bound on the sum that was not enumerated, so callers
+    can still reason about the result.
     """
 
-    def __init__(self, message: str, partial_sum: float, truncation_bound: float):
+    def __init__(self, message: str, truncation_bound: float):
         super().__init__(message)
-        self.partial_sum = partial_sum
         self.truncation_bound = truncation_bound

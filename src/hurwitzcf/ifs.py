@@ -466,13 +466,11 @@ def _all_words(alphabet: Sequence[MobiusBranch], length: int):
 # geometric verification operations
 
 
-def word_diameter_bounds(
-    comp: BranchComposition, constants: EngineConstants | None = None
-) -> tuple[float, float]:
+def word_diameter_bounds(comp: BranchComposition) -> tuple[float, float]:
     """Two-sided bounds [k1 |Dphi(0)|, k2 |Dphi(0)|] on the image diameter."""
     if not comp.word:
         raise DomainError("diameter bounds need a nonempty word")
-    consts = constants or EngineConstants()
+    consts = EngineConstants()
     base = float(comp.base_deriv_exact())
     return consts.k1 * base, consts.k2 * base
 

@@ -115,6 +115,10 @@ class TestPressureAndDim:
         payload = json.loads(result.stdout)
         assert payload["s_low"] <= 0.0 <= payload["s_high"]
 
+    def test_dim_words_beyond_float_range(self, runner):
+        result = run_ok(runner, ["dim", "--alphabet", "[[2,2]]", "--n-max", "400"])
+        assert json.loads(result.stdout) == {"s_low": 0.0, "s_high": 0.0009765625, "n_used": 400}
+
     def test_annulus_alphabet(self, runner):
         result = run_ok(
             runner,
@@ -187,6 +191,14 @@ class TestInputErrors:
             ["eval", "[1]"],
             ["eval", "{{}}"],
             ["eval", "@{missing}"],
+            ["pressure", "--alphabet", "[[2,2],[-2,-2]]", "--n", "3", "--s", "1e9"],
+            ["pressure", "--alphabet", "[[2,2]]", "--n", "400", "--s", "1"],
+            ["tau", "--horizon", "0"],
+            ["expand", "2/5+0/1 i", "--max-digits", "0"],
+            ["schedule", "--set", "d2", "--f", "n+3", "--horizon", "300", "--ratio-tol", "0"],
+            ["schedule", "--set", "d2", "--f", "n+3", "--horizon", "300", "--ratio-tol", "-1"],
+            ["dim", "--alphabet", "[[2,2]]", "--n-max", "0"],
+            ["dim", "--alphabet", "[[2,2]]", "--n-max", "-3"],
         ],
     )
     def test_usage_and_domain_errors_exit_two(self, runner, tmp_path, args):
@@ -220,8 +232,9 @@ class TestInProcess:
 
 
 class TestVerify:
-    def test_arith_suite_passes(self, runner):
-        result = run_ok(runner, ["verify", "arith"])
+    @pytest.mark.parametrize("suite", ["arith", "expansion", "ifs", "pressure", "schedule"])
+    def test_suite_passes(self, runner, suite):
+        result = run_ok(runner, ["verify", suite])
         payload = json.loads(result.stdout)
         assert payload["passed"]
         assert all(c["status"] == "pass" for c in payload["checks"])

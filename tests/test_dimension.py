@@ -210,6 +210,15 @@ class TestWordValueTable:
             assert sups[i] == float(comp.sup_deriv_exact())
             assert bases[i] == 1.0 / comp.d.norm_sq()
 
+    def test_base_value_beyond_float_range(self):
+        # |d|^2 of (2,2)^400 is too large for a float: 1.0 / |d|^2 overflows
+        sups, bases = _word_value_table.__wrapped__(((2, 2),), 400)
+        comp = BranchComposition.from_word([(2, 2)] * 400)
+        with pytest.raises(OverflowError):
+            1.0 / comp.d.norm_sq()
+        assert bases[0] == 1 / comp.d.norm_sq()
+        assert sups[0] == float(comp.sup_deriv_exact())
+
     @pytest.mark.parametrize("digits, n", [(((0, 0), (2, 2)), 2), (((0, 0), (2**70, 0)), 1)],
                              ids=["int64", "python-ints"])
     def test_pole_raises(self, digits, n):
@@ -273,21 +282,14 @@ class TestPartitionSum:
         with pytest.raises(BudgetExceededError) as info:
             partition_sum(QUAD, 10, 1.0, max_words=1000)
         assert info.value.truncation_bound > 0
-
-    def test_pruned_close_to_exact(self):
-        # heterogeneous branch norms make subtree bounds uneven enough for
-        # branch-and-bound to shed the negligible subtrees
-        het = DigitSet.from_branches([(2, 2), (6, 0)])
-        exact = partition_sum(het, 12, 1.2)
-        pruned = partition_sum(het, 12, 1.2, max_words=3500, prune_tol=1e-13)
-        assert pruned.truncated and pruned.word_count <= 3500
-        z_exact = math.exp(12 * exact.log_zn_over_n)
-        z_lo = math.exp(12 * pruned.log_zn_over_n)
-        z_hi = math.exp(12 * pruned.upper_bracket)
-        assert z_lo <= z_exact * (1 + 1e-12)
-        assert z_hi >= z_exact * (1 - 1e-12)
-        assert (z_exact - z_lo) <= 1e-13
-        assert pruned.dropped_mass <= 1e-13
+        # the bound is (sum of single-branch sups)^n, at or above the exact Z_n
+        with pytest.raises(BudgetExceededError) as info:
+            partition_sum(QUAD, 9, 1.0, max_words=1000)
+        singles = math.fsum(
+            float(BranchComposition.from_word([d]).sup_deriv_exact()) for d in QUAD.members()
+        )
+        assert info.value.truncation_bound == singles**9
+        assert info.value.truncation_bound >= math.exp(9 * partition_sum(QUAD, 9, 1.0).log_zn_over_n)
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
