@@ -101,8 +101,16 @@ def _digit_sequence_source(source: str, horizon: int) -> np.ndarray:
     if source == "d2":
         return np.sqrt(dimension.DigitSet.d2().norm_sq_array(horizon))
     if source.startswith("power:"):
-        p = float(source.split(":", 1)[1])
-        return np.arange(1, horizon + 1, dtype=np.float64) ** p
+        text = source.split(":", 1)[1]
+        try:
+            p = float(text)
+        except ValueError:
+            raise DomainError(f"power exponent must be a number, got {text!r}") from None
+        if not (math.isfinite(p) and p > 0):
+            raise DomainError(f"power exponent must be finite and positive, got {text}")
+        # n^p may overflow to inf; tau_exponent rejects non-finite norms
+        with np.errstate(over="ignore"):
+            return np.arange(1, horizon + 1, dtype=np.float64) ** p
     raise DomainError(f"unknown tau source {source!r}; use lattice, d2 or power:<p>")
 
 

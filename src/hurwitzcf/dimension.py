@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError
 from .gaussian import GaussianInt, norm_sq_shells, shell_members
-from .ifs import BRANCH_MIN_NORM_SQ, DECAY_C1, EngineConstants, _as_digit
+from .ifs import BRANCH_MIN_NORM_SQ, DECAY_C1, EngineConstants, _as_digit, pole_terms
 
 SQRT2 = math.sqrt(2.0)
 
@@ -360,15 +360,13 @@ def _leaf_values(cr: int, ci: int, dr: int, di: int) -> tuple[float, float]:
     """(sup over box of |Dphi|, |Dphi(0)|) from a composition's bottom row.
 
     (cr, ci, dr, di) is the bottom row (c, d) of the integer composition
-    matrix.  With w = d/c the exact box minimum of |c z + d|^2 is
-    (nx^2 + ny^2)/(4 |c|^2) with nx = max(2 |Re(d conj c)| - |c|^2, 0) and
-    likewise ny, so the sup of |Dphi| is the exact rational
-    4 |c|^2 / (nx^2 + ny^2), and |Dphi(0)| = 1/|d|^2.  Where |d|^2 is too
-    large for a float, 1/|d|^2 is the correctly rounded int / int instead.
+    matrix.  The sup of |Dphi| is the rational 4 den/(nx^2 + ny^2) of
+    ``BranchComposition.sup_deriv_exact``, correctly rounded, and
+    |Dphi(0)| = 1/|d|^2.  Where |d|^2 is too large for a float, 1/|d|^2 is
+    the correctly rounded int / int instead.
     """
-    den = cr * cr + ci * ci
-    nx = 2 * abs(dr * cr + di * ci) - den
-    ny = 2 * abs(di * cr - dr * ci) - den
+    den, re, im = pole_terms(cr, ci, dr, di)
+    nx, ny = 2 * abs(re) - den, 2 * abs(im) - den
     sup = _sup_value(den, nx if nx > 0 else 0, ny if ny > 0 else 0)
     dsq = dr * dr + di * di
     try:
@@ -397,6 +395,10 @@ _INT64_LIMIT = 1 << 63  # every int64 intermediate stays strictly below this
 _SMALL_ENTRY = 1 << 30  # below this every leaf integer but q fits int64
 _FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
 _EXACT_CHUNK = 8192
+_LONGDOUBLE = np.finfo(np.longdouble)
+# x87 extended or IEEE quad: at least 64 significand bits hold every int64
+# exactly; double-double and plain double do not qualify
+_EXTENDED_QUOTIENT = _LONGDOUBLE.nmant >= 63 and _LONGDOUBLE.nexp == 15
 
 
 @functools.lru_cache(maxsize=64)
@@ -457,33 +459,69 @@ def _table_leaves(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.nd
     float64 cast rounds to nearest-even, as Python's int to float does, so
     1.0 / |d|^2 matches.  Where 4 den and q = nx^2 + ny^2 are both below
     2^53 they are exact float64 integers, and IEEE division of exact
-    operands is correctly rounded, as Python's int / int is; elsewhere the
-    quotient is taken in Python ints by ``_sup_value``.  Returns
-    (sups, bases, big): ``big`` indexes the words with a larger entry,
-    whose values are left unset.
+    operands is correctly rounded, as Python's int / int is.
+
+    Elsewhere, on an extended format (``_EXTENDED_QUOTIENT``), the quotient
+    v = 4 den / q is taken in long double, with unit roundoff u = eps/2.
+    4 den, nx and ny are exact there; the two squares and the sum give
+    q (1 + t) with |t| <= 2u + u^2, and the division rounds once more, so
+    the result Q = v (1 + d)/(1 + t), |d| <= u, satisfies |Q - v| <= 4u v.
+    With slack S = 4 eps Q = 8u Q (exact, a power-of-two scaling),
+    Q - S > m_lo and Q + S < m_hi therefore give m_lo < v < m_hi.  The
+    bounds m_lo and m_hi are the midpoints between r = float64(Q) and its
+    float64 neighbours, exact in long double, so r is v correctly rounded.
+    Rounding of Q -/+ S is monotone, so the test on the computed values
+    implies it on the exact ones.  Quotients that fail the test, or give a
+    subnormal r, are taken in Python ints by ``_sup_value``, as are all of
+    them on other formats.  Returns (sups, bases, big): ``big`` indexes
+    the words with a larger entry, whose values are left unset.
     """
     count = len(rows[0])
     sups, bases = np.empty(count), np.empty(count)
     small = np.maximum.reduce([np.abs(a) for a in rows]) < _SMALL_ENTRY
     index = np.flatnonzero(small)
     cr, ci, dr, di = (a[index] for a in rows)
-    den = cr * cr + ci * ci
-    nx = np.maximum(2 * np.abs(dr * cr + di * ci) - den, 0)
-    ny = np.maximum(2 * np.abs(di * cr - dr * ci) - den, 0)
+    bases[index] = 1.0 / (dr * dr + di * di).astype(np.float64)
+    den, nx, ny = pole_terms(cr, ci, dr, di)
+    del cr, ci, dr, di  # 32 bytes a word, freed before the quotients
+    for v in (nx, ny):  # in place: nx = max(2 |Re(d conj c)| - den, 0), likewise ny
+        np.maximum(2 * np.abs(v) - den, 0, out=v)
     if not (nx | ny).all():
         raise DomainError(_POLE_MESSAGE)
-    bases[index] = 1.0 / (dr * dr + di * di).astype(np.float64)
     # q is only needed below 2^53, where nx, ny < 2^27; clipping keeps it in int64
-    nxc, nyc = np.minimum(nx, 1 << 27), np.minimum(ny, 1 << 27)
-    q = nxc * nxc + nyc * nyc
+    q = np.minimum(nx, 1 << 27) ** 2 + np.minimum(ny, 1 << 27) ** 2
     fast = (4 * den < _FLOAT_EXACT) & (q < _FLOAT_EXACT)
     sups[index[fast]] = (4 * den[fast]).astype(np.float64) / q[fast].astype(np.float64)
     slow = np.flatnonzero(~fast)
     for start in range(0, len(slow), _EXACT_CHUNK):
         part = slow[start : start + _EXACT_CHUNK]
+        if _EXTENDED_QUOTIENT:
+            r, ok = _long_double_quotients(den[part], nx[part], ny[part])
+            sups[index[part[ok]]] = r[ok]
+            part = part[~ok]
         columns = (a[part].tolist() for a in (den, nx, ny))
         sups[index[part]] = list(map(_sup_value, *columns))
     return sups, bases, np.flatnonzero(~small)
+
+
+def _long_double_quotients(
+    den: np.ndarray, nx: np.ndarray, ny: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """float64 values r of 4 den/(nx^2 + ny^2) and where r is proven correctly rounded.
+
+    Takes int64 arrays below 2^61, 2^62 and 2^62; the rounding test and the
+    inequality that makes it sound are in ``_table_leaves``.
+    """
+    x, y = nx.astype(np.longdouble), ny.astype(np.longdouble)
+    quot = (4 * den).astype(np.longdouble) / (x * x + y * y)
+    r = quot.astype(np.float64)
+    wide, slack = r.astype(np.longdouble), quot * (4 * _LONGDOUBLE.eps)
+    ok = (
+        (quot - slack > (wide + np.nextafter(r, 0.0)) / 2)
+        & (quot + slack < (wide + np.nextafter(r, np.inf)) / 2)
+        & (r >= np.finfo(np.float64).smallest_normal)
+    )
+    return r, ok
 
 
 def _int_rows(rows: list[np.ndarray], index: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
@@ -700,6 +738,8 @@ def tau_exponent(norms: Sequence[float] | np.ndarray, horizon: int) -> TauEstima
     x = np.asarray(norms, dtype=np.float64)[:horizon]
     if len(x) < horizon:
         raise DomainError(f"sequence shorter ({len(x)}) than horizon {horizon}")
+    if not np.isfinite(x).all():
+        raise DomainError("norm sequence must be finite")
     if np.any(np.diff(x) < 0):
         raise DomainError("norm sequence must be nondecreasing")
     if float(x[-1]) <= 1.0:

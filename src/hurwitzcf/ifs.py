@@ -3,7 +3,8 @@
 Branches are indexed by lattice points with norm_sq >= 8 and act on the
 closed unit box as z -> 1/(z + k + il).  Compositions are carried as exact
 integer 2x2 matrices, so derivative moduli at rational points are exact
-rationals and sup/inf over the box reduce to clamped corner analysis.
+rationals and sup/inf over the box have an integer closed form in the
+bottom row (c, d).
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .gaussian import (
     points_by_norm,
     shell_members,
 )
-
-HALF = Fraction(1, 2)
 
 BRANCH_MIN_NORM_SQ = 8
 
@@ -196,27 +195,27 @@ class BranchComposition:
             raise DomainError(f"derivative pole at z = {z}")
         return 1.0 / abs(den) ** 2
 
-    def _pole_offset(self) -> ExactComplexRational:
-        """w = d/c, the negated derivative pole; requires a nonempty word."""
-        c = ExactComplexRational.from_gaussian(self.c)
-        d = ExactComplexRational.from_gaussian(self.d)
-        return d / c
-
     def sup_deriv_exact(self) -> Fraction:
-        """Exact supremum of |Dphi| over the closed unit box."""
+        """Exact supremum of |Dphi| over the closed unit box.
+
+        |c z + d|^2 = den |z + (re + i im)/den|^2 (see ``pole_terms``), and
+        min over x in [-1/2, 1/2] of (x + re/den)^2 is (nx/(2 den))^2 with
+        nx = max(2|re| - den, 0): the sup is 4 den/(nx^2 + ny^2).
+        """
         if not self.word:
             return Fraction(1)
-        w = self._pole_offset()
-        m = _axis_min_sq(w.re) + _axis_min_sq(w.im)
-        return Fraction(1) / (Fraction(self.c.norm_sq()) * m)
+        den, re, im = pole_terms(self.c.re, self.c.im, self.d.re, self.d.im)
+        nx, ny = max(2 * abs(re) - den, 0), max(2 * abs(im) - den, 0)
+        return Fraction(4 * den, nx * nx + ny * ny)
 
     def inf_deriv_exact(self) -> Fraction:
-        """Exact infimum of |Dphi| over the closed unit box."""
+        """Exact infimum of |Dphi| over the closed unit box: as the sup, with
+        the far corner mx = 2|re| + den in place of nx."""
         if not self.word:
             return Fraction(1)
-        w = self._pole_offset()
-        m = _axis_max_sq(w.re) + _axis_max_sq(w.im)
-        return Fraction(1) / (Fraction(self.c.norm_sq()) * m)
+        den, re, im = pole_terms(self.c.re, self.c.im, self.d.re, self.d.im)
+        mx, my = 2 * abs(re) + den, 2 * abs(im) + den
+        return Fraction(4 * den, mx * mx + my * my)
 
     def base_deriv_exact(self) -> Fraction:
         """|Dphi(0)| = 1/|d|^2 exactly."""
@@ -232,17 +231,13 @@ class BranchComposition:
         return self.sup_deriv_exact() / self.inf_deriv_exact()
 
 
-def _axis_min_sq(u: Fraction) -> Fraction:
-    """min over x in [-1/2, 1/2] of (x + u)^2."""
-    au = abs(u)
-    if au <= HALF:
-        return Fraction(0)
-    return (au - HALF) ** 2
+def pole_terms(cr, ci, dr, di):
+    """(|c|^2, Re(d conj c), Im(d conj c)) of a bottom row (c, d).
 
-
-def _axis_max_sq(u: Fraction) -> Fraction:
-    """max over x in [-1/2, 1/2] of (x + u)^2."""
-    return (abs(u) + HALF) ** 2
+    The derivative pole -d/c of the composition is -(re + i im)/|c|^2.
+    Plain arithmetic, so the arguments may be ints or int64 arrays.
+    """
+    return cr * cr + ci * ci, dr * cr + di * ci, di * cr - dr * ci
 
 
 def chain_deriv_abs_exact(

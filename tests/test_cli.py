@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import re
+import warnings
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -194,6 +195,12 @@ class TestInputErrors:
             ["pressure", "--alphabet", "[[2,2],[-2,-2]]", "--n", "3", "--s", "1e9"],
             ["pressure", "--alphabet", "[[2,2]]", "--n", "400", "--s", "1"],
             ["tau", "--horizon", "0"],
+            ["tau", "--source", "power:abc", "--horizon", "1000"],
+            ["tau", "--source", "power:nan", "--horizon", "1000"],
+            ["tau", "--source", "power:0", "--horizon", "1000"],
+            ["tau", "--source", "power:-1", "--horizon", "1000"],
+            ["tau", "--source", "power:1e308", "--horizon", "1000"],
+            ["--format", "csv", "tau", "--source", "power:1e308", "--horizon", "1000"],
             ["expand", "2/5+0/1 i", "--max-digits", "0"],
             ["schedule", "--set", "d2", "--f", "n+3", "--horizon", "300", "--ratio-tol", "0"],
             ["schedule", "--set", "d2", "--f", "n+3", "--horizon", "300", "--ratio-tol", "-1"],
@@ -204,9 +211,12 @@ class TestInputErrors:
     def test_usage_and_domain_errors_exit_two(self, runner, tmp_path, args):
         (tmp_path / "bad.json").write_text("[[2, 2],")
         paths = {"missing": tmp_path / "missing.json", "bad_json": tmp_path / "bad.json"}
-        result = runner.invoke(cli, [a.format(**paths) for a in args])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning line would break the one-line contract
+            result = runner.invoke(cli, [a.format(**paths) for a in args])
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
 
 

@@ -168,10 +168,15 @@ def _seeded(k, seed, include=()):
     return tuple(include) + tuple(rng.sample(rest, k - len(include)))
 
 
+# Digits of norm_sq 58-64: all 4^8 words have entries below 2^30 and
+# q = nx^2 + ny^2 >= 2^53, so every quotient is off the float64 tier.
+NEAR_64 = ((8, 0), (0, -8), (-7, 3), (5, 6))
+
 # Tables whose words fall in every tier of the table: float64 quotients,
-# int64 integers with a Python quotient, Python ints for entries >= 2^30
-# (over two 8k chunks for the norm-64 pair at n = 14), and, in the last
-# three, enumeration that outgrows int64 part way or at once.
+# int64 integers with a long double or Python quotient, Python ints for
+# entries >= 2^30 (over two 8k chunks for the norm-64 pair at n = 14),
+# enumeration that outgrows int64 part way or at once, and last a table
+# whose quotients all leave the float64 tier.
 TABLE_CASES = (
     [(_digits(PAIR), n) for n in range(1, 13)]
     + [
@@ -186,6 +191,7 @@ TABLE_CASES = (
         (((3000, 0), (-2, 2)), 14),
         (((2**40, 1), (2, 2), (0, -3)), 3),
         (((2**70, 3), (2, 2)), 2),
+        (NEAR_64, 8),
     ]
 )
 
@@ -199,6 +205,51 @@ class TestWordValueTable:
         for got, ref in ((sups, ref_sups), (bases, ref_bases)):
             assert got.dtype == np.float64
             assert np.array_equal(got, ref)
+
+    def test_long_double_tier_accepts_most_quotients(self, monkeypatch):
+        if not dimension._EXTENDED_QUOTIENT:
+            pytest.skip("long double has no 64-bit significand here")
+        calls = []
+        sup_value = dimension._sup_value
+        monkeypatch.setattr(dimension, "_sup_value", lambda *a: calls.append(a) or sup_value(*a))
+        sups, bases = _word_value_table.__wrapped__(NEAR_64, 8)
+        # the rounding test accepts all but a few: the Python fallback runs
+        assert 0 < len(calls) < len(sups) // 50
+        calls.clear()
+        monkeypatch.setattr(dimension, "_EXTENDED_QUOTIENT", False)
+        plain_sups, plain_bases = _word_value_table.__wrapped__(NEAR_64, 8)
+        assert len(calls) == len(sups)
+        assert np.array_equal(sups, plain_sups)
+        assert np.array_equal(bases, plain_bases)
+
+    @pytest.mark.skipif(not dimension._EXTENDED_QUOTIENT, reason="no 64-bit long double")
+    def test_long_double_rounding_test_near_midpoints(self):
+        # (den, nx, ny) whose quotient 4 den/q lies within 2^-65 relative of
+        # m = r + ulp(r)/2, a float64 rounding midpoint, or exactly on one:
+        # the long double error can put it on either side of m
+        rng = random.Random(6)
+        triples = []
+        while len(triples) < 2000:
+            e = rng.randrange(-60, 0)
+            m_num, m_shift = 2 * rng.randrange(1 << 52, 1 << 53) + 1, 53 - e + 2  # m/4
+            t = (60 - e) // 2
+            nx, ny = rng.randrange(1 << (t - 1), 1 << t), rng.randrange(1 << (t - 1), 1 << t)
+            q = nx * nx + ny * ny
+            den = (m_num * q + (1 << (m_shift - 1))) >> m_shift
+            if abs((den << m_shift) - m_num * q) << 65 < m_num * q:
+                triples.append((den, nx, ny))
+        triples += [(m << 5, 1 << 60, 0) for m in (2**53 + 1, 2**54 - 1)]  # exact ties
+        den, nx, ny = (np.array(c, dtype=np.int64) for c in zip(*triples))
+        exact = np.array([(4 * d) / (x * x + y * y) for d, x, y in triples])
+        r, ok = dimension._long_double_quotients(den, nx, ny)
+        assert np.array_equal(r[ok], exact[ok])
+        assert not ok[-2:].any()
+        # away from midpoints the test accepts
+        far = den + np.array([rng.randrange(1 << 20, 1 << 40) for _ in triples])
+        exact = np.array([(4 * int(d)) / (x * x + y * y) for d, (_, x, y) in zip(far, triples)])
+        r, ok = dimension._long_double_quotients(far, nx, ny)
+        assert ok.mean() > 0.95
+        assert np.array_equal(r[ok], exact[ok])
 
     @pytest.mark.parametrize("digits, n", [(_digits(QUAD), 4), (_seeded(3, 2), 11)])
     def test_word_i_has_base_k_digits_of_i(self, digits, n):

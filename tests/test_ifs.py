@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +108,51 @@ class TestComposition:
         for z in sample_box_rationals(rng, 50):
             val = comp.deriv_abs_exact(z)
             assert inf <= val <= sup
+
+
+# The Fraction clamped-corner analysis that the integer closed form of
+# sup/inf_deriv_exact replaced, kept as the reference for exact equality;
+# it shares no code with ifs.pole_terms.
+def _ref_box_extremes(comp):
+    half = Fraction(1, 2)
+    w = ExactComplexRational.from_gaussian(comp.d) / ExactComplexRational.from_gaussian(comp.c)
+
+    def axis_min_sq(u):
+        return Fraction(0) if abs(u) <= half else (abs(u) - half) ** 2
+
+    def axis_max_sq(u):
+        return (abs(u) + half) ** 2
+
+    scale = Fraction(comp.c.norm_sq())
+    return (
+        Fraction(1) / (scale * (axis_min_sq(w.re) + axis_min_sq(w.im))),
+        Fraction(1) / (scale * (axis_max_sq(w.re) + axis_max_sq(w.im))),
+    )
+
+
+HUGE_DIGITS = [(2**40, 3), (-5, 2**40 + 1), (-(2**40), -(2**39)), (7, -(2**41))]
+
+
+class TestIntegerSupInf:
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_equals_fraction_reference_on_seeded_words(self, length):
+        alphabet = [b.digit().to_pair() for b in d2_branches(64)]
+        rng = random.Random(length)
+        for _ in range(40):
+            comp = BranchComposition.from_word(rng.choices(alphabet, k=length))
+            sup, inf = _ref_box_extremes(comp)
+            assert comp.sup_deriv_exact() == sup
+            assert comp.inf_deriv_exact() == inf
+
+    def test_equals_fraction_reference_on_huge_digits(self):
+        rng = random.Random(40)
+        small = [(2, 2), (0, -3), (5, -6)]
+        for length in (1, 2, 3):
+            for _ in range(10):
+                comp = BranchComposition.from_word(rng.choices(HUGE_DIGITS + small, k=length))
+                sup, inf = _ref_box_extremes(comp)
+                assert comp.sup_deriv_exact() == sup
+                assert comp.inf_deriv_exact() == inf
 
 
 class TestContraction:
