@@ -22,6 +22,8 @@ class RunConfig:
     ratio_tol: float = 0.1
 
     def __post_init__(self) -> None:
+        if not 0 <= self.seed < 1 << 64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
         for name in ("max_words", "max_digits", "horizon", "bisection_tol", "ratio_tol"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")

@@ -1011,6 +1011,8 @@ def build_schedule(
     """
     if s.is_finite:
         raise DomainError("schedule construction needs an infinite digit set")
+    if s.contains(GaussianInt(0, 0)):
+        raise DomainError(f"digit set {s.name} contains the pole digit 0")
     if horizon < 10:
         raise DomainError("horizon too small")
     if not (math.isfinite(ratio_tol) and ratio_tol > 0):
@@ -1093,6 +1095,96 @@ def build_schedule(
     )
 
 
+def check_entry(name: str, ok: bool, witness: dict | None = None) -> dict:
+    """Report entry {check, status, witness?}; the witness shows on failure only."""
+    entry = {"check": name, "status": "pass" if ok else "fail"}
+    if witness is not None and not ok:
+        entry["witness"] = witness
+    return entry
+
+
+def _anchor_start_at_min_norm(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
+    anchor, min_ns = sched.anchors[0], sched.digit_set.min_norm_sq()
+    return anchor.norm_sq() == min_ns, {"anchor": anchor.to_pair(), "min_norm_sq": min_ns}
+
+
+def _anchors_strictly_increasing(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
+    ns = [a.norm_sq() for a in sched.anchors]
+    return all(a < b for a, b in zip(ns, ns[1:])), None
+
+
+def _annulus_weight_at_least_one(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
+    p = sched.tau_estimate - sched.eps
+    for i in range(len(sched.anchors) - 1):
+        lo = sched.anchors[i].norm_sq()
+        hi = sched.anchors[i + 1].norm_sq()
+        w = sched.digit_set._shells.weight(lo, hi, p)
+        if w < 1.0 - 1e-12:
+            return False, {"annulus": [lo, hi], "weight": w}
+    return True, None
+
+
+def _block_membership(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
+    """Block pools match the stated annuli, counts re-derived from the shells."""
+    shells = sched.digit_set._shells
+    for blk in sched.blocks:
+        expect_lo = sched.anchors[blk.index - 1].norm_sq()
+        if blk.index == 1:
+            expect_hi = shells.next_shell_after(expect_lo)
+        else:
+            expect_hi = sched.anchors[blk.index].norm_sq()
+        count = shells.count(blk.norm_sq_lo, blk.norm_sq_hi)
+        if (blk.norm_sq_lo, blk.norm_sq_hi, blk.count) != (expect_lo, expect_hi, count):
+            return False, {
+                "block": blk.index,
+                "stated": [blk.norm_sq_lo, blk.norm_sq_hi, blk.count],
+                "expected": [expect_lo, expect_hi, count],
+            }
+    return True, None
+
+
+def _growth_domination(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
+    """Every step of block m >= 2 clears the growth bound at the next anchor."""
+    for blk in sched.blocks[1:]:
+        if blk.index >= len(sched.anchors):
+            continue
+        level = math.sqrt(sched.anchors[blk.index].norm_sq())
+        for n in range(blk.start, blk.end + 1):
+            if f(n) < level:
+                return False, {"block": blk.index, "n": n, "f": f(n), "level": level}
+    return True, None
+
+
+def _ratio_tolerance_schedule(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
+    for blk in sched.blocks:
+        if blk.index < 2:
+            continue
+        tol = sched.declared_ratio_tolerance(blk.index)
+        ratio_start = math.log(max(blk.count, 1)) / blk.start
+        ratio_end = math.log(max(blk.count, 1)) / blk.end
+        if ratio_start > tol or ratio_end > tol:
+            return False, {"block": blk.index, "ratio": ratio_start, "tol": tol}
+    return True, None
+
+
+def _blocks_tile_horizon(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
+    b = sched.blocks
+    ok = b[0].start == 1 and b[-1].end == sched.horizon
+    return ok and all(x.end + 1 == y.start for x, y in zip(b, b[1:])), None
+
+
+# (name, check), in report order; check(schedule, growth bound) -> (ok, witness)
+SCHEDULE_CHECKS = (
+    ("anchor_start_at_min_norm", _anchor_start_at_min_norm),
+    ("anchors_strictly_increasing", _anchors_strictly_increasing),
+    ("annulus_weight_at_least_one", _annulus_weight_at_least_one),
+    ("block_membership", _block_membership),
+    ("growth_domination", _growth_domination),
+    ("ratio_tolerance_schedule", _ratio_tolerance_schedule),
+    ("blocks_tile_horizon", _blocks_tile_horizon),
+)
+
+
 def validate_schedule(
     sched: NonAutSchedule, f: GrowthFunction | Callable[[int], float] | None = None
 ) -> list[dict]:
@@ -1102,102 +1194,15 @@ def validate_schedule(
     set's minimal norm; every anchor annulus carries weight >= 1 at
     exponent -(tau - eps); block pools match the stated annuli member for
     member; every step of block m >= 2 clears the growth bound at the next
-    anchor level; and the size/length ratios respect the declared
-    tolerance schedule.  Returns a list of {check, status, witness?}.
+    anchor level (when f is given); and the size/length ratios respect
+    the declared tolerance schedule.  Returns a list of
+    {check, status, witness?}, one per entry of SCHEDULE_CHECKS.
     """
-    s = sched.digit_set
-    shells = s._shells
-    p = sched.tau_estimate - sched.eps
-    checks: list[dict] = []
-
-    def add(name: str, ok: bool, witness: dict | None = None) -> None:
-        entry = {"check": name, "status": "pass" if ok else "fail"}
-        if witness is not None and not ok:
-            entry["witness"] = witness
-        checks.append(entry)
-
-    # anchor start at minimal norm
-    add(
-        "anchor_start_at_min_norm",
-        sched.anchors[0].norm_sq() == s.min_norm_sq(),
-        {"anchor": sched.anchors[0].to_pair(), "min_norm_sq": s.min_norm_sq()},
-    )
-
-    # strictly increasing anchors, annulus weights >= 1
-    ok_order = all(
-        sched.anchors[i].norm_sq() < sched.anchors[i + 1].norm_sq()
-        for i in range(len(sched.anchors) - 1)
-    )
-    add("anchors_strictly_increasing", ok_order)
-    bad = None
-    for i in range(len(sched.anchors) - 1):
-        lo = sched.anchors[i].norm_sq()
-        hi = sched.anchors[i + 1].norm_sq()
-        w = shells.weight(lo, hi, p)
-        if w < 1.0 - 1e-12:
-            bad = {"annulus": [lo, hi], "weight": w}
-            break
-    add("annulus_weight_at_least_one", bad is None, bad)
-
-    # block membership: counts re-derived from shell enumeration
-    bad = None
-    for blk in sched.blocks:
-        expect_lo = (
-            sched.anchors[0].norm_sq()
-            if blk.index == 1
-            else sched.anchors[blk.index - 1].norm_sq()
-        )
-        if blk.index == 1:
-            expect_hi = shells.next_shell_after(expect_lo)
-        else:
-            expect_hi = sched.anchors[blk.index].norm_sq()
-        count = shells.count(blk.norm_sq_lo, blk.norm_sq_hi)
-        if (blk.norm_sq_lo, blk.norm_sq_hi, blk.count) != (expect_lo, expect_hi, count):
-            bad = {
-                "block": blk.index,
-                "stated": [blk.norm_sq_lo, blk.norm_sq_hi, blk.count],
-                "expected": [expect_lo, expect_hi, count],
-            }
-            break
-    add("block_membership", bad is None, bad)
-
-    # growth domination for blocks m >= 2
-    if f is not None:
-        fn = f if callable(f) else f.__call__
-        bad = None
-        for blk in sched.blocks[1:]:
-            if blk.index >= len(sched.anchors):
-                continue
-            level = math.sqrt(sched.anchors[blk.index].norm_sq())
-            for n in range(blk.start, blk.end + 1):
-                if fn(n) < level:
-                    bad = {"block": blk.index, "n": n, "f": fn(n), "level": level}
-                    break
-            if bad:
-                break
-        add("growth_domination", bad is None, bad)
-
-    # ratio tolerance schedule
-    bad = None
-    for blk in sched.blocks:
-        if blk.index < 2:
-            continue
-        tol = sched.declared_ratio_tolerance(blk.index)
-        ratio_start = math.log(max(blk.count, 1)) / blk.start
-        ratio_end = math.log(max(blk.count, 1)) / blk.end
-        if ratio_start > tol or ratio_end > tol:
-            bad = {"block": blk.index, "ratio": ratio_start, "tol": tol}
-            break
-    add("ratio_tolerance_schedule", bad is None, bad)
-
-    # blocks tile [1, horizon]
-    ok_tile = sched.blocks[0].start == 1 and sched.blocks[-1].end == sched.horizon
-    ok_tile = ok_tile and all(
-        sched.blocks[i].end + 1 == sched.blocks[i + 1].start
-        for i in range(len(sched.blocks) - 1)
-    )
-    add("blocks_tile_horizon", ok_tile)
-    return checks
+    return [
+        check_entry(name, *check(sched, f))
+        for name, check in SCHEDULE_CHECKS
+        if f is not None or check is not _growth_domination
+    ]
 
 
 @dataclass(frozen=True)

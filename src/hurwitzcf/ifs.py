@@ -523,40 +523,48 @@ def sample_box_rationals(rng: np.random.Generator, count: int, grid: int = 1 << 
     ]
 
 
-def verify_separation(
-    branches: Sequence[BranchLike], samples: int = 1000, seed: int = 1
+def separation_check(
+    digits: Sequence[BranchLike], samples: int, seed: int
 ) -> tuple[bool, dict | None]:
-    """Branch images are disjoint and carry their own first digit.
+    """Cylinders of ``digits`` carry their own first digit and are disjoint.
 
-    Samples interior points of each branch image, checks via the expansion
-    that the first digit recovers the branch, and that no sampled point is
-    claimed by a second branch's image.
+    Each digit d gets ``samples`` points p = 1/(u + d) from seeded
+    sample_box_rationals draws u; images outside the box (only exceptional
+    digits have them) are redrawn.  Every p must expand with first digit d,
+    and 1/p - e must lie in the box for e = d alone.  Returns (ok, witness).
     """
-    if not branches:
-        raise DomainError("branch list must be nonempty")
-    digits = [_as_digit(b) for b in branches]
+    if not digits:
+        raise DomainError("digit list must be nonempty")
+    digits = [_as_digit(b) for b in digits]
     rng = np.random.default_rng(seed)
-    points = sample_box_rationals(rng, samples)
     for digit in digits:
-        comp = BranchComposition.from_word([digit])
-        for u in points:
-            p = comp.apply(u)
+        points: list[ExactComplexRational] = []
+        drawn = 0
+        while (need := samples - len(points)) > 0:
+            drawn += need
+            if drawn > 200 * samples:
+                raise DomainError(f"rejection sampling stalled for digit {digit}")
+            images = (u.add_gaussian(digit).reciprocal() for u in sample_box_rationals(rng, need))
+            points += [p for p in images if p.in_unit_box()]
+        for p in points:
             first = expand(p, max_digits=1).digits
             if len(first) == 0 or first[0] != digit:
-                return False, {
-                    "check": "first_digit",
-                    "branch": digit.to_pair(),
-                    "point": str(p),
-                }
-            claims = 0
-            for other in digits:
-                back = p.reciprocal().sub_gaussian(other)
-                if back.in_unit_box():
-                    claims += 1
+                return False, {"check": "first_digit", "region": digit.to_pair(), "point": str(p)}
+            w = p.reciprocal()
+            wf = complex(w)
+            # cheap float pre-filter with a wide safety margin; the
+            # membership decision itself stays exact
+            claims = sum(
+                1
+                for e in digits
+                if abs(wf.real - e.re) <= 0.75
+                and abs(wf.imag - e.im) <= 0.75
+                and w.sub_gaussian(e).in_unit_box()
+            )
             if claims != 1:
                 return False, {
-                    "check": "overlap",
-                    "branch": digit.to_pair(),
+                    "check": "unique_region",
+                    "region": digit.to_pair(),
                     "point": str(p),
                     "claims": claims,
                 }

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
-
-import numpy as np
 
 from .errors import DomainError
-from .expansion import REGULAR_NORM_SQ, classify_digit, expand
-from .gaussian import ExactComplexRational, GaussianInt, points_by_norm
+from .expansion import REGULAR_NORM_SQ, classify_digit
+from .gaussian import GaussianInt, points_by_norm
+from .ifs import separation_check
 
 
 @dataclass(frozen=True)
@@ -131,32 +128,6 @@ def render_svg(spec: TessellationSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sample_region_points(
-    digit: GaussianInt, count: int, rng: np.random.Generator, grid: int = 1 << 16
-) -> Iterator[ExactComplexRational]:
-    """Exact interior points of the cylinder of ``digit``.
-
-    Points are branch images of random box rationals; for exceptional
-    digits the image can poke out of the unit box, so those samples are
-    rejected.
-    """
-    produced = 0
-    tries = 0
-    max_tries = 200 * count
-    while produced < count:
-        tries += 1
-        if tries > max_tries:
-            raise DomainError(f"rejection sampling stalled for digit {digit}")
-        a = int(rng.integers(-grid // 2 + 1, grid // 2))
-        b = int(rng.integers(-grid // 2 + 1, grid // 2))
-        u = ExactComplexRational(Fraction(a, grid), Fraction(b, grid))
-        p = u.add_gaussian(digit).reciprocal()
-        if not p.in_unit_box():
-            continue
-        produced += 1
-        yield p
-
-
 def soundness_check(
     spec: TessellationSpec, samples_per_region: int = 1000, seed: int = 1
 ) -> tuple[bool, dict | None]:
@@ -164,34 +135,7 @@ def soundness_check(
 
     For every rendered region, each sampled point's first digit must equal
     the region label, and the point must lie in exactly one region's image
-    (tested through the inverse map on every rendered digit).
+    (tested through the inverse map on every rendered digit); see
+    ifs.separation_check.
     """
-    digits = region_digits(spec)
-    rng = np.random.default_rng(seed)
-    for digit in digits:
-        for p in sample_region_points(digit, samples_per_region, rng):
-            first = expand(p, max_digits=1).digits
-            if len(first) == 0 or first[0] != digit:
-                return False, {
-                    "check": "first_digit",
-                    "region": digit.to_pair(),
-                    "point": str(p),
-                }
-            claims = 0
-            w = p.reciprocal()
-            wf = complex(w)
-            for other in digits:
-                # cheap float pre-filter with a wide safety margin; the
-                # membership decision itself stays exact
-                if abs(wf.real - other.re) > 0.75 or abs(wf.imag - other.im) > 0.75:
-                    continue
-                if w.sub_gaussian(other).in_unit_box():
-                    claims += 1
-            if claims != 1:
-                return False, {
-                    "check": "unique_region",
-                    "region": digit.to_pair(),
-                    "point": str(p),
-                    "claims": claims,
-                }
-    return True, None
+    return separation_check(region_digits(spec), samples_per_region, seed)

@@ -1,14 +1,19 @@
-"""Bundled verification suites behind the ``verify`` command.
+"""Named invariant checks behind ``hurwitzcf verify`` and the test suite.
 
-Each suite re-checks the module invariants at desk scale and reports a
-list of {check, status, witness?} entries; a suite passes when every
-entry does.
+Every check is a function ``(config) -> (ok, witness)`` registered under
+its suite with ``@check(suite, name)``; registration order is report
+order.  ``run_suite`` turns each result into a {check, status, witness?}
+entry, and pytest runs every registered check under its ``suite.name``
+id, so adding a check means adding one registered function.  A suite
+passes when every entry does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -16,14 +21,20 @@ from . import dimension, expansion, gaussian, ifs
 from .config import RunConfig
 from .gaussian import ExactComplexRational, GaussianInt
 
-SUITES = ("arith", "expansion", "ifs", "pressure", "schedule", "all")
+Check = Callable[[RunConfig], tuple[bool, dict | None]]
+
+# suite -> check name -> check, in report order
+CHECKS: dict[str, dict[str, Check]] = {}
 
 
-def _check(name: str, ok: bool, witness: dict | None = None) -> dict:
-    entry = {"check": name, "status": "pass" if ok else "fail"}
-    if witness is not None and not ok:
-        entry["witness"] = witness
-    return entry
+def check(suite: str, name: str) -> Callable[[Check], Check]:
+    """Register a check under ``suite`` as ``name``."""
+
+    def register(fn: Check) -> Check:
+        CHECKS.setdefault(suite, {})[name] = fn
+        return fn
+
+    return register
 
 
 def random_box_rationals(rng: np.random.Generator, count: int, max_denom_norm_sq: int):
@@ -47,76 +58,71 @@ def random_box_rationals(rng: np.random.Generator, count: int, max_denom_norm_sq
     return out
 
 
-def suite_arith(config: RunConfig) -> list[dict]:
-    checks = []
-
-    bad = None
+@check("arith", "count_in_square_closed_form")
+def _count_in_square_closed_form(config: RunConfig):
     for n in range(0, 51):
         if gaussian.count_in_square(n) != (2 * n + 1) ** 2:
-            bad = {"n": n, "count": gaussian.count_in_square(n)}
-            break
-    checks.append(_check("count_in_square_closed_form", bad is None, bad))
+            return False, {"n": n, "count": gaussian.count_in_square(n)}
+    return True, None
 
+
+@check("arith", "nearest_round_residual_in_box")
+def _nearest_round_residual_in_box(config: RunConfig):
     rng = np.random.default_rng(config.seed)
-    bad = None
     for z in random_box_rationals(rng, 200, 10_000):
         g = gaussian.nearest_round(z)
         if not z.sub_gaussian(g).in_unit_box():
             # z already in the box rounds to 0; test a shifted copy too
-            bad = {"z": str(z), "round": g.to_pair()}
-            break
+            return False, {"z": str(z), "round": g.to_pair()}
         shifted = z.add_gaussian(GaussianInt(3, -2))
         if not shifted.sub_gaussian(gaussian.nearest_round(shifted)).in_unit_box():
-            bad = {"z": str(shifted)}
-            break
-    checks.append(_check("nearest_round_residual_in_box", bad is None, bad))
+            return False, {"z": str(shifted)}
+    return True, None
 
+
+@check("arith", "enumeration_monotone_duplicate_free")
+def _enumeration_monotone_duplicate_free(config: RunConfig):
     pts = gaussian.enumerate_by_norm(include_zero=True, limit=10_000)
     norms = [p.norm_sq() for p in pts]
     ok = all(norms[i] <= norms[i + 1] for i in range(len(norms) - 1))
-    ok = ok and len(set((p.re, p.im) for p in pts)) == len(pts)
-    checks.append(_check("enumeration_monotone_duplicate_free", ok))
-
-    bad = None
-    for n in range(10, 10_001):
-        nn = math.isqrt(n - 1)
-        # find N with (2N+1)^2 < n <= (2N+2)^2 if it exists
-        found = None
-        for cand in ((nn - 2) // 2, (nn - 1) // 2, nn // 2, (nn + 1) // 2):
-            if cand >= 0 and (2 * cand + 1) ** 2 < n <= (2 * cand + 2) ** 2:
-                found = cand
-                break
-        if found is None:
-            continue
-        mod = abs(pts[n - 1])
-        if not (found < mod <= math.sqrt(2.0) * (found + 1) + 1e-12):
-            bad = {"n": n, "N": found, "modulus": mod}
-            break
-    checks.append(_check("enumeration_index_norm_sandwich", bad is None, bad))
-    return checks
+    return ok and len(set((p.re, p.im) for p in pts)) == len(pts), None
 
 
-def suite_expansion(config: RunConfig) -> list[dict]:
-    checks = []
-    rng = np.random.default_rng(config.seed)
-    corpus = random_box_rationals(rng, 300, 10_000)
+@check("arith", "enumeration_index_norm_sandwich")
+def _enumeration_index_norm_sandwich(config: RunConfig):
+    # for 10 <= n in ((2N+1)^2, (2N+2)^2]: N < |z_n| <= sqrt2 (N+1)
+    pts = gaussian.enumerate_by_norm(include_zero=True, limit=10_000)
+    checked = 0
+    for bign in range(1, 50):
+        for n in range(max((2 * bign + 1) ** 2 + 1, 10), (2 * bign + 2) ** 2 + 1):
+            mod = abs(pts[n - 1])
+            if not (bign < mod <= math.sqrt(2.0) * (bign + 1) + 1e-12):
+                return False, {"n": n, "N": bign, "modulus": mod}
+            checked += 1
+    return checked > 1000, {"checked": checked}
 
-    bad = None
-    for z in corpus:
+
+def _expansion_corpus(config: RunConfig):
+    return random_box_rationals(np.random.default_rng(config.seed), 300, 10_000)
+
+
+@check("expansion", "expansion_roundtrip_exact")
+def _expansion_roundtrip_exact(config: RunConfig):
+    for z in _expansion_corpus(config):
         result = expansion.expand(z, config.max_digits)
         if not result.terminated:
-            bad = {"z": str(z), "reason": "no termination"}
-            break
+            return False, {"z": str(z), "reason": "no termination"}
         if expansion.evaluate(result.digits) != z:
-            bad = {"z": str(z), "reason": "roundtrip mismatch"}
-            break
+            return False, {"z": str(z), "reason": "roundtrip mismatch"}
         if any(d.norm_sq() < 2 for d in result.digits):
-            bad = {"z": str(z), "reason": "digit norm_sq < 2"}
-            break
-    checks.append(_check("expansion_roundtrip_exact", bad is None, bad))
+            return False, {"z": str(z), "reason": "digit norm_sq < 2"}
+    return True, None
 
-    bad = None
-    for z in corpus[:100]:
+
+@check("expansion", "shift_removes_first_digit")
+def _shift_removes_first_digit(config: RunConfig):
+    checked = 0
+    for z in _expansion_corpus(config)[:120]:
         result = expansion.expand(z, config.max_digits)
         if len(result.digits) < 2:
             continue
@@ -125,10 +131,13 @@ def suite_expansion(config: RunConfig) -> list[dict]:
         _, shifted_z = expansion.hurwitz_step(z)
         shifted = expansion.expand(shifted_z, config.max_digits)
         if shifted.digits.digits != result.digits.digits[1:]:
-            bad = {"z": str(z)}
-            break
-    checks.append(_check("shift_removes_first_digit", bad is None, bad))
+            return False, {"z": str(z)}
+        checked += 1
+    return checked > 10, {"checked": checked}
 
+
+@check("expansion", "exceptional_set_is_the_sixteen")
+def _exceptional_set_is_the_sixteen(config: RunConfig):
     exc = expansion.exceptional_digits()
     expected = sorted(
         (
@@ -139,110 +148,115 @@ def suite_expansion(config: RunConfig) -> list[dict]:
         ),
         key=GaussianInt.lex_key,
     )
-    checks.append(
-        _check(
-            "exceptional_set_is_the_sixteen",
-            exc == expected and len(exc) == 16,
-            {"got": [d.to_pair() for d in exc]},
-        )
-    )
-    return checks
+    return exc == expected and len(exc) == 16, {"got": [d.to_pair() for d in exc]}
 
 
-def suite_ifs(config: RunConfig) -> list[dict]:
-    checks = []
-
+@check("ifs", "contraction_sup_two_ninths")
+def _contraction_sup_two_ninths(config: RunConfig):
     sup = ifs.contraction_bound(exact=True)
-    checks.append(
-        _check(
-            "contraction_sup_two_ninths",
-            sup == Fraction(2, 9) and sup < Fraction(2, 3),
-            {"sup": str(sup)},
-        )
-    )
+    ok = sup == Fraction(2, 9) and sup < Fraction(2, 3)
+    return ok and abs(ifs.contraction_bound(exact=False) - 2.0 / 9.0) < 1e-15, {"sup": str(sup)}
 
-    ok, witness = ifs.contraction_envelope_check(100)
-    checks.append(_check("contraction_envelope_monotone", ok, witness))
 
-    ok, witness = ifs.validate_decay_bounds(norm_sq_max=64, grid=9)
-    checks.append(_check("decay_bounds_on_grid", ok, witness))
+@check("ifs", "contraction_envelope_monotone")
+def _contraction_envelope_monotone(config: RunConfig):
+    return ifs.contraction_envelope_check(100)
 
+
+@check("ifs", "decay_bounds_on_grid")
+def _decay_bounds_on_grid(config: RunConfig):
+    return ifs.validate_decay_bounds(norm_sq_max=64, grid=31)
+
+
+@check("ifs", "chain_rule_matches_matrix_exactly")
+def _chain_rule_matches_matrix_exactly(config: RunConfig):
     rng = np.random.default_rng(config.seed)
     words = [
         [(2, 2)],
         [(2, 2), (2, 2)],
         [(2, 2), (-2, 2), (3, 0)],
         [(0, 3), (3, 1), (-2, -2)],
+        [(0, 3), (3, -1), (-2, -2)],
+        [(4, 1), (2, 3)],
     ]
-    bad = None
     for word in words:
         comp = ifs.BranchComposition.from_word(word)
         for z in ifs.sample_box_rationals(rng, 5):
-            via_matrix = comp.deriv_abs_exact(z)
-            via_chain = ifs.chain_deriv_abs_exact(word, z)
-            if via_matrix != via_chain:
-                bad = {"word": [list(w) for w in word], "z": str(z)}
-                break
-        if bad:
-            break
-    checks.append(_check("chain_rule_matches_matrix_exactly", bad is None, bad))
+            if comp.deriv_abs_exact(z) != ifs.chain_deriv_abs_exact(word, z):
+                return False, {"word": [list(w) for w in word], "z": str(z)}
+    return True, None
 
-    ok, witness = ifs.verify_separation([(2, 2), (2, 3), (3, 0)], samples=200, seed=config.seed)
-    checks.append(_check("branch_images_separated", ok, witness))
 
-    ok, witness = ifs.nesting_check(ifs.d2_branches(16), pad=0.25, per_side=32)
-    checks.append(_check("branch_images_nested", ok, witness))
+@check("ifs", "branch_images_separated")
+def _branch_images_separated(config: RunConfig):
+    return ifs.separation_check([(2, 2), (2, 3), (3, 0)], samples=200, seed=config.seed)
 
+
+@check("ifs", "branch_images_nested")
+def _branch_images_nested(config: RunConfig):
+    return ifs.nesting_check(ifs.d2_branches(25), pad=0.25, per_side=48)
+
+
+@check("ifs", "distortion_single_branch_25_9")
+def _distortion_single_branch_25_9(config: RunConfig):
     est = ifs.distortion_estimate(max_word_len=2, grid_density=5, max_words=1024, seed=config.seed)
     ok = (
         math.isfinite(est.sampled_max)
         and est.sampled_max >= float(Fraction(25, 9)) - 1e-12
         and ifs.max_single_branch_distortion() == Fraction(25, 9)
     )
-    checks.append(_check("distortion_single_branch_25_9", ok, {"sampled": est.sampled_max}))
-
-    ok = ifs.ball_inclusion_check(
-        ifs.BranchComposition.from_word([(2, 2)]),
-        ExactComplexRational(),
-        0.5,
-        float(Fraction(25, 9)),
-        samples=128,
-    )
-    checks.append(_check("ball_inclusion", ok))
-    return checks
+    return ok, {"sampled": est.sampled_max}
 
 
-def suite_pressure(config: RunConfig) -> list[dict]:
-    checks = []
-    alphabet = dimension.DigitSet.from_branches([(2, 2), (-2, -2), (3, 0), (0, 3)])
+@check("ifs", "ball_inclusion")
+def _ball_inclusion(config: RunConfig):
+    for word, distortion in (
+        ([(2, 2)], float(Fraction(25, 9))),
+        ([(3, 1)], ifs.COMPOSITION_DISTORTION_BOUND),
+    ):
+        comp = ifs.BranchComposition.from_word(word)
+        if not ifs.ball_inclusion_check(comp, ExactComplexRational(), 0.5, distortion):
+            return False, {"word": [list(w) for w in word]}
+    return True, None
 
-    bad = None
-    for s in (0.5, 1.0):
+
+_QUAD = dimension.DigitSet.from_branches([(2, 2), (-2, -2), (3, 0), (0, 3)])
+
+
+@check("pressure", "partition_submultiplicative")
+def _partition_submultiplicative(config: RunConfig):
+    for s in (0.4, 0.5, 0.8, 1.0, 1.3):
         z = {
-            n: math.exp(
-                dimension.partition_sum(alphabet, n, s, "sup_norm").log_zn_over_n * n
-            )
+            n: math.exp(dimension.partition_sum(_QUAD, n, s, "sup_norm").log_zn_over_n * n)
             for n in range(1, 7)
         }
         for m in range(1, 6):
             for n in range(1, 7 - m):
-                if z[m + n] > z[m] * z[n] * (1 + 1e-9):
-                    bad = {"s": s, "m": m, "n": n}
-                    break
-    checks.append(_check("partition_submultiplicative", bad is None, bad))
+                if z[m + n] > z[m] * z[n] * (1 + 1e-12):
+                    return False, {"s": s, "m": m, "n": n}
+    return True, None
 
+
+@check("pressure", "pressure_monotone_in_s")
+def _pressure_monotone_in_s(config: RunConfig):
     ups = [
-        dimension.partition_sum(alphabet, 4, s, "sup_norm").upper_bracket
-        for s in (0.2, 0.5, 0.9, 1.4)
+        dimension.partition_sum(_QUAD, 4, s, "sup_norm").upper_bracket
+        for s in (0.1, 0.2, 0.4, 0.5, 0.9, 1.4, 1.5, 2.0)
     ]
-    checks.append(_check("pressure_monotone_in_s", all(a >= b for a, b in zip(ups, ups[1:]))))
+    return all(a >= b for a, b in zip(ups, ups[1:])), None
 
+
+@check("pressure", "single_branch_dimension_zero")
+def _single_branch_dimension_zero(config: RunConfig):
     single = dimension.bowen_dimension(
         dimension.DigitSet.from_branches([(2, 2)]), tol=config.bisection_tol, n_max=8
     )
     ok = single.s_low <= 0.0 <= single.s_high and single.width <= config.bisection_tol
-    checks.append(_check("single_branch_dimension_zero", ok, single.to_json()))
+    return ok and single.conclusive, single.to_json()
 
+
+@check("pressure", "two_branch_bisection_sign_invariants")
+def _two_branch_bisection_sign_invariants(config: RunConfig):
     pair = dimension.bowen_dimension(
         dimension.DigitSet.from_branches([(2, 2), (-2, -2)]),
         tol=config.bisection_tol,
@@ -253,61 +267,67 @@ def suite_pressure(config: RunConfig) -> list[dict]:
         and pair.lower_at_high <= 0.0
         and 0.0 < pair.s_low
         and pair.s_high < 2.0
+        and pair.width <= config.bisection_tol
     )
-    checks.append(_check("two_branch_bisection_sign_invariants", ok, pair.to_json()))
-    return checks
+    return ok, pair.to_json()
 
 
-def suite_schedule(config: RunConfig) -> list[dict]:
-    checks = []
+@functools.lru_cache(maxsize=1)
+def _d2_schedule(ratio_tol: float):
+    """The d2 schedule for growth n+3 at horizon 10^4, built once per run."""
     growth = dimension.GrowthFunction("n+3")
     sched = dimension.build_schedule(
-        dimension.DigitSet.d2(),
-        growth,
-        eps=0.5,
-        horizon=10_000,
-        ratio_tol=config.ratio_tol,
+        dimension.DigitSet.d2(), growth, eps=0.5, horizon=10_000, ratio_tol=ratio_tol
     )
-    checks.extend(dimension.validate_schedule(sched, growth))
+    return sched, growth
 
-    traj = dimension.subexp_check(sched)
-    checks.append(
-        _check("subexponential_final_window", traj.ok, {"max": traj.final_window_max})
+
+for _name, _fn in dimension.SCHEDULE_CHECKS:
+    check("schedule", _name)(lambda config, fn=_fn: fn(*_d2_schedule(config.ratio_tol)))
+
+
+@check("schedule", "subexponential_final_window")
+def _subexponential_final_window(config: RunConfig):
+    traj = dimension.subexp_check(_d2_schedule(config.ratio_tol)[0])
+    return traj.ok, {"max": traj.final_window_max}
+
+
+@check("schedule", "lower_bound_chain_n_independent")
+def _lower_bound_chain_n_independent(config: RunConfig):
+    sched = _d2_schedule(config.ratio_tol)[0]
+    last = sched.blocks[-1]
+    results = [
+        dimension.verify_lower_bound_chain(sched, eps=0.5, delta=0.1, n=n)
+        for n in (last.start, last.start + 1, last.start + last.t // 2, last.end)
+    ]
+    ok = (
+        all(r.positive and math.isfinite(r.log_lower_bound) for r in results)
+        and len({r.log_lower_bound for r in results}) == 1
     )
+    return ok, results[0].to_json()
 
+
+SUITES = (*CHECKS, "all")
+
+
+def run_check(fn: Check, config: RunConfig) -> tuple[bool, dict | None]:
+    """Run one check; an exception becomes a failure with its message."""
     try:
-        chain_ns = [sched.blocks[-1].start, sched.blocks[-1].start + 1, sched.blocks[-1].end]
-        results = [
-            dimension.verify_lower_bound_chain(sched, eps=0.5, delta=0.1, n=n)
-            for n in chain_ns
-        ]
-        ok = (
-            all(r.positive for r in results)
-            and len({r.log_lower_bound for r in results}) == 1
-        )
-        checks.append(_check("lower_bound_chain_n_independent", ok, results[0].to_json()))
-    except Exception as exc:  # pragma: no cover - surfaced as a failing check
-        checks.append(_check("lower_bound_chain_n_independent", False, {"error": str(exc)}))
-    return checks
+        return fn(config)
+    except Exception as exc:
+        return False, {"error": str(exc)}
 
 
 def run_suite(name: str, config: RunConfig | None = None) -> list[dict]:
+    """{check, status, witness?} entries of a suite; ``all`` prefixes suite names."""
     config = config or RunConfig()
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    suites = {
-        "arith": suite_arith,
-        "expansion": suite_expansion,
-        "ifs": suite_ifs,
-        "pressure": suite_pressure,
-        "schedule": suite_schedule,
-    }
-    if name == "all":
-        out = []
-        for key in ("arith", "expansion", "ifs", "pressure", "schedule"):
-            for entry in suites[key](config):
-                entry = dict(entry)
-                entry["check"] = f"{key}.{entry['check']}"
-                out.append(entry)
-        return out
-    return suites[name](config)
+    suites = list(CHECKS) if name == "all" else [name]
+    return [
+        dimension.check_entry(
+            f"{suite}.{check_name}" if name == "all" else check_name, *run_check(fn, config)
+        )
+        for suite in suites
+        for check_name, fn in CHECKS[suite].items()
+    ]

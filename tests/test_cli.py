@@ -206,6 +206,8 @@ class TestInputErrors:
             ["schedule", "--set", "d2", "--f", "n+3", "--horizon", "300", "--ratio-tol", "-1"],
             ["dim", "--alphabet", "[[2,2]]", "--n-max", "0"],
             ["dim", "--alphabet", "[[2,2]]", "--n-max", "-3"],
+            ["schedule", "--set", "minnormsq:0", "--f", "n+3", "--horizon", "1000"],
+            ["schedule", "--set", "minnormsq:-5", "--f", "n+3", "--horizon", "1000"],
         ],
     )
     def test_usage_and_domain_errors_exit_two(self, runner, tmp_path, args):
@@ -242,25 +244,36 @@ class TestInProcess:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["arith", "expansion", "ifs", "pressure", "schedule"])
-    def test_suite_passes(self, runner, suite):
-        result = run_ok(runner, ["verify", suite])
-        payload = json.loads(result.stdout)
-        assert payload["passed"]
-        assert all(c["status"] == "pass" for c in payload["checks"])
-
     def test_unknown_suite_usage_error(self, runner):
         result = runner.invoke(cli, ["verify", "bogus"])
         assert result.exit_code == 2
 
     def test_failing_check_exits_one(self, runner, monkeypatch):
-        monkeypatch.setattr(
-            climod.verifymod,
-            "run_suite",
-            lambda name, config: [{"check": "stub", "status": "fail"}],
+        monkeypatch.setitem(
+            climod.verifymod.CHECKS["arith"],
+            "count_in_square_closed_form",
+            lambda config: (False, {"n": 3}),
         )
         result = runner.invoke(cli, ["verify", "arith"])
         assert result.exit_code == 1
+        payload = json.loads(result.stdout)
+        assert payload["passed"] is False
+        assert payload["checks"][0] == {
+            "check": "count_in_square_closed_form",
+            "status": "fail",
+            "witness": {"n": 3},
+        }
+        assert all(c["status"] == "pass" for c in payload["checks"][1:])
+
+    def test_raising_check_is_a_failing_entry(self, runner, monkeypatch):
+        def boom(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(climod.verifymod.CHECKS["arith"], "count_in_square_closed_form", boom)
+        result = runner.invoke(cli, ["verify", "arith"])
+        assert result.exit_code == 1
+        assert json.loads(result.stdout)["checks"][0]["witness"] == {"error": "boom"}
+        assert "Traceback" not in result.stderr
 
 
 class TestConfig:
@@ -277,6 +290,19 @@ class TestConfig:
         cfg.write_text("wibble = 3\n")
         result = runner.invoke(cli, ["--config", str(cfg), "classify", "2", "2"])
         assert result.exit_code == 2
+
+    def test_negative_seed_flag_is_usage_error(self, runner):
+        result = runner.invoke(cli, ["--seed", "-1", "verify", "arith"])
+        assert result.exit_code == 2
+        assert "seed must lie in [0, 2**64)" in result.stderr
+
+    @pytest.mark.parametrize("seed", ["-3", str(1 << 64)])
+    def test_seed_out_of_range_in_file_is_usage_error(self, tmp_path, runner, seed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        result = runner.invoke(cli, ["--config", str(cfg), "verify", "arith"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.stderr
 
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"

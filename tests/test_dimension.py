@@ -311,20 +311,6 @@ class TestPartitionSum:
         est = partition_sum(PAIR, 3, 1.0, "base_point")
         assert math.isclose(math.exp(3 * est.log_zn_over_n), brute, rel_tol=1e-12)
 
-    def test_submultiplicative(self):
-        for s in (0.4, 0.8, 1.3):
-            z = {
-                n: math.exp(n * partition_sum(QUAD, n, s).log_zn_over_n)
-                for n in range(1, 7)
-            }
-            for m in range(1, 6):
-                for n in range(1, 7 - m):
-                    assert z[m + n] <= z[m] * z[n] * (1 + 1e-12)
-
-    def test_monotone_in_s(self):
-        ups = [partition_sum(QUAD, 4, s).upper_bracket for s in (0.1, 0.4, 0.9, 1.5, 2.0)]
-        assert all(a >= b for a, b in zip(ups, ups[1:]))
-
     def test_bracket_structure(self):
         est = partition_sum(PAIR, 5, 0.9)
         assert est.lower_bracket <= est.log_zn_over_n <= est.upper_bracket
@@ -359,19 +345,6 @@ class TestPartitionSum:
 
 
 class TestBowen:
-    def test_single_branch_dimension_zero(self):
-        result = bowen_dimension(SINGLE, tol=1e-3, n_max=8)
-        assert result.s_low <= 0.0 <= result.s_high
-        assert result.width <= 1e-3
-        assert result.conclusive
-
-    def test_pair_bracket(self):
-        result = bowen_dimension(PAIR, tol=1e-3, n_max=12)
-        assert result.width <= 1e-3
-        assert 0.0 < result.s_low and result.s_high < 2.0
-        assert result.upper_at_low >= 0.0
-        assert result.lower_at_high <= 0.0
-
     def test_nested_monotone(self):
         mids = []
         for digit_set in (

@@ -13,7 +13,6 @@ from hurwitzcf import (
     classify_digit,
     cylinder_check,
     evaluate,
-    exceptional_digits,
     expand,
     expand_guarded,
     hurwitz_step,
@@ -109,17 +108,6 @@ class TestClassify:
         assert classify_digit(GaussianInt(2, 1)) == "exceptional"
         assert classify_digit(GaussianInt(2, 2)) == "regular"
 
-    def test_exceptional_set_is_the_sixteen(self):
-        expected = {
-            (1, 1), (1, -1), (-1, 1), (-1, -1),
-            (2, 0), (-2, 0), (0, 2), (0, -2),
-            (2, 1), (2, -1), (-2, 1), (-2, -1),
-            (1, 2), (1, -2), (-1, 2), (-1, -2),
-        }
-        got = {(d.re, d.im) for d in exceptional_digits()}
-        assert got == expected
-        assert len(exceptional_digits()) == 16
-
 
 class TestCylinderCheck:
     def test_matching_prefix(self):
@@ -176,19 +164,6 @@ class TestRoundtrip:
                 )
             )
             assert expand(evaluate(word)).digits == word
-
-    def test_shift_property(self):
-        rng = np.random.default_rng(11)
-        corpus = random_box_rationals(rng, 120, 10_000)
-        checked = 0
-        for z in corpus:
-            result = expand(z)
-            if len(result.digits) < 2 or classify_digit(result.digits[0]) != "regular":
-                continue
-            _, shifted = hurwitz_step(z)
-            assert expand(shifted).digits.digits == result.digits.digits[1:]
-            checked += 1
-        assert checked > 10
 
 
 class TestSerialization:

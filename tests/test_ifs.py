@@ -13,22 +13,19 @@ from hurwitzcf import (
     MobiusBranch,
     ball_inclusion_check,
     branch_apply,
-    contraction_bound,
     distortion_estimate,
-    verify_separation,
     word_diameter_bounds,
 )
 from hurwitzcf.ifs import (
     contraction_envelope_check,
     COMPOSITION_DISTORTION_BOUND,
-    chain_deriv_abs_exact,
     d2_branches,
     max_single_branch_distortion,
     mc_diameter,
     nesting_check,
     sample_box_rationals,
+    separation_check,
     sup_deriv_by_norm_class,
-    validate_decay_bounds,
 )
 
 
@@ -75,14 +72,6 @@ class TestComposition:
         assert single.deriv_abs_exact(corner) == Fraction(2, 9)
         double = BranchComposition.from_word([(2, 2), (2, 2)])
         assert double.deriv_abs_exact(ecr(0, 0)) == Fraction(1, 65)
-
-    def test_chain_rule_exact(self):
-        rng = np.random.default_rng(3)
-        words = [[(2, 2)], [(2, 2), (2, 2)], [(0, 3), (3, -1), (-2, -2)], [(4, 1), (2, 3)]]
-        for word in words:
-            comp = BranchComposition.from_word(word)
-            for z in sample_box_rationals(rng, 4):
-                assert comp.deriv_abs_exact(z) == chain_deriv_abs_exact(word, z)
 
     def test_chain_rule_float(self):
         comp = BranchComposition.from_word([(2, 2), (-2, 2), (3, 0)])
@@ -156,11 +145,6 @@ class TestIntegerSupInf:
 
 
 class TestContraction:
-    def test_sup_is_two_ninths(self):
-        assert contraction_bound(exact=True) == Fraction(2, 9)
-        assert abs(contraction_bound(exact=False) - 2.0 / 9.0) < 1e-15
-        assert contraction_bound() < Fraction(2, 3)
-
     def test_single_branch_values(self):
         # the box minimiser of |z + k + il| is the clamped projection of the
         # pole, an edge midpoint when k or l vanishes
@@ -200,10 +184,6 @@ class TestContraction:
 
 
 class TestDecay:
-    def test_bounds_hold_on_grid(self):
-        ok, witness = validate_decay_bounds(norm_sq_max=64, grid=31)
-        assert ok, witness
-
     def test_tightness_at_diagonal_branch(self):
         comp = BranchComposition.from_word([(2, 2)])
         far = ecr(Fraction(1, 2), Fraction(1, 2))
@@ -294,11 +274,11 @@ class TestCylinderIdentity:
 
 class TestSeparation:
     def test_no_violation(self):
-        ok, witness = verify_separation([(2, 2), (2, 3)], samples=5000, seed=4)
+        ok, witness = separation_check([(2, 2), (2, 3)], samples=5000, seed=4)
         assert ok, witness
 
     def test_single_branch_vacuous(self):
-        ok, _ = verify_separation([(2, 2)], samples=50, seed=4)
+        ok, _ = separation_check([(2, 2)], samples=50, seed=4)
         assert ok
 
     def test_center_first_digit(self):
@@ -309,27 +289,21 @@ class TestSeparation:
 
     def test_empty_list_rejected(self):
         with pytest.raises(DomainError):
-            verify_separation([], samples=10)
+            separation_check([], samples=10, seed=1)
+
+    def test_empty_cylinder_stalls_with_domain_error(self):
+        # no point 1/(u + 1) of the half-open box lies in the box
+        with pytest.raises(DomainError, match="stalled"):
+            separation_check([(1, 0)], samples=5, seed=1)
 
 
 class TestBallInclusion:
-    def test_example_words(self):
-        k = float(Fraction(25, 9))
-        comp = BranchComposition.from_word([(2, 2)])
-        assert ball_inclusion_check(comp, ecr(0, 0), 0.5, k)
-        comp = BranchComposition.from_word([(3, 1)])
-        assert ball_inclusion_check(comp, ecr(0, 0), 0.5, COMPOSITION_DISTORTION_BOUND)
-
     def test_zero_radius_vacuous(self):
         comp = BranchComposition.from_word([(2, 2)])
         assert ball_inclusion_check(comp, ecr(0, 0), 0.0, 3.0)
 
 
 class TestNesting:
-    def test_images_stay_inside(self):
-        ok, witness = nesting_check(d2_branches(25), pad=0.25, per_side=48)
-        assert ok, witness
-
     def test_padded_boxes_shrink(self):
         # smaller pads nest too
         ok, _ = nesting_check(d2_branches(9), pad=0.1, per_side=32)
