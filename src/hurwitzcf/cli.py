@@ -115,18 +115,16 @@ def _digit_sequence_source(source: str, horizon: int) -> np.ndarray:
 
 
 @click.group()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=click.Path(), default=None, help="Write output here instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.pass_context
+@engine_errors
 def cli(ctx, config_path, seed, out, fmt):
     """Hurwitz continued fractions, their branch system and dimension tools."""
-    try:
-        config = RunConfig.from_file(config_path) if config_path else RunConfig()
-        config = config.override(seed=seed)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
+    config = RunConfig.from_file(config_path) if config_path else RunConfig()
+    config = config.override(seed=seed)
     ctx.obj = {"config": config, "out": Path(out) if out else None, "format": fmt}
 
 

@@ -32,7 +32,11 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         known = {f.name: f.type for f in fields(cls)}
         values: dict[str, int | float] = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError(f"cannot read config {str(path)!r}: {exc}") from exc
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -393,6 +393,7 @@ _IDENTITY_ROW = (0, 0, 1, 0)
 
 _INT64_LIMIT = 1 << 63  # every int64 intermediate stays strictly below this
 _SMALL_ENTRY = 1 << 30  # below this every leaf integer but q fits int64
+_EXACT_ENTRY = 1 << 31  # below this every long double leaf term is an exact integer
 _FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
 _EXACT_CHUNK = 8192
 _LONGDOUBLE = np.finfo(np.longdouble)
@@ -401,7 +402,13 @@ _LONGDOUBLE = np.finfo(np.longdouble)
 _EXTENDED_QUOTIENT = _LONGDOUBLE.nmant >= 63 and _LONGDOUBLE.nexp == 15
 
 
-@functools.lru_cache(maxsize=64)
+# Sized by what one bowen_dimension call reuses: the tables of word lengths
+# 1, 2, 4, 8, ... and of its largest length, 5 at the default n_max of 12
+# and at most 8 for any alphabet of two or more digits whose table fits in
+# memory (a one-digit alphabet may use more lengths, but its tables hold one
+# word).  No table is shared between alphabets, so a larger cache would
+# only hold memory.
+@functools.lru_cache(maxsize=8)
 def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-word (sup, base-point) derivative values, enumerated once.
 
@@ -415,9 +422,9 @@ def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.n
     |c| and |d| after j digits are at most B_j, where B_-1 = 0, B_0 = 1 and
     B_(j+1) = M B_j + B_(j-1), and by Cauchy-Schwarz every intermediate of
     the next level is at most B_(j+1).  ``_table_leaves`` then computes the
-    leaf values; once the bound leaves int64, every word goes through
-    ``_leaf_values`` in Python ints instead.  Python ints are converted
-    about 8k words at a time.
+    leaf values of the int64 rows; the words it leaves undecided, and every
+    word once the bound leaves int64, go through ``_leaf_values`` in Python
+    ints instead, converted about 8k words at a time.
     """
     k = len(digits)
     m = max(math.isqrt(max(xr * xr + xi * xi - 1, 0)) + 1 for xr, xi in digits)
@@ -438,87 +445,170 @@ def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.n
             ]
 
     if levels == n:
-        sups, bases, big = _table_leaves(rows)
-        big_rows = _int_rows(rows, big)
+        sups, bases, slow = _table_leaves(rows, b)
+        slow_rows = _int_rows(rows, slow)
     else:
         sups, bases = np.empty(k**n), np.empty(k**n)
-        big = np.arange(k**n)
-        big_rows = _extend_int_rows(_int_rows(rows, np.arange(k**levels)), digits, n - levels)
-    for start in range(0, len(big), _EXACT_CHUNK):
-        part = big[start : start + _EXACT_CHUNK]
-        values = [_leaf_values(*row) for row in itertools.islice(big_rows, len(part))]
+        slow = np.arange(k**n)
+        slow_rows = _extend_int_rows(_int_rows(rows, np.arange(k**levels)), digits, n - levels)
+    for start in range(0, len(slow), _EXACT_CHUNK):
+        part = slow[start : start + _EXACT_CHUNK]
+        values = [_leaf_values(*row) for row in itertools.islice(slow_rows, len(part))]
         sups[part], bases[part] = np.array(values).T
     return sups, bases
 
 
-def _table_leaves(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _table_leaves(
+    rows: list[np.ndarray], bound: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Leaf values of int64 bottom rows, bit-identical to ``_leaf_values``.
 
-    Where every entry is below 2^30, the integers den = |c|^2, nx, ny and
-    |d|^2 are below 2^62 and are computed exactly in int64.  The int64 to
-    float64 cast rounds to nearest-even, as Python's int to float does, so
-    1.0 / |d|^2 matches.  Where 4 den and q = nx^2 + ny^2 are both below
-    2^53 they are exact float64 integers, and IEEE division of exact
-    operands is correctly rounded, as Python's int / int is.
+    ``bound`` is at least every |entry| (B_n of ``_word_value_table``).
+    Returns (sups, bases, slow): ``slow`` indexes the words that neither
+    vectorised tier decides, every possible pole among them; their values
+    are left unset.
 
-    Elsewhere, on an extended format (``_EXTENDED_QUOTIENT``), the quotient
-    v = 4 den / q is taken in long double, with unit roundoff u = eps/2.
-    4 den, nx and ny are exact there; the two squares and the sum give
-    q (1 + t) with |t| <= 2u + u^2, and the division rounds once more, so
-    the result Q = v (1 + d)/(1 + t), |d| <= u, satisfies |Q - v| <= 4u v.
-    With slack S = 4 eps Q = 8u Q (exact, a power-of-two scaling),
-    Q - S > m_lo and Q + S < m_hi therefore give m_lo < v < m_hi.  The
-    bounds m_lo and m_hi are the midpoints between r = float64(Q) and its
-    float64 neighbours, exact in long double, so r is v correctly rounded.
-    Rounding of Q -/+ S is monotone, so the test on the computed values
-    implies it on the exact ones.  Quotients that fail the test, or give a
-    subnormal r, are taken in Python ints by ``_sup_value``, as are all of
-    them on other formats.  Returns (sups, bases, big): ``big`` indexes
-    the words with a larger entry, whose values are left unset.
+    float64 tier.  Where every entry is below 2^30, the integers den =
+    |c|^2, nx, ny and |d|^2 are below 2^62 and are computed exactly in
+    int64.  The int64 to float64 cast rounds to nearest-even, as Python's
+    int to float does, so 1.0 / |d|^2 matches.  Where 4 den and
+    q = nx^2 + ny^2 are both below 2^53 and q > 0 they are exact float64
+    integers, and IEEE division of exact operands is correctly rounded, as
+    Python's int / int is.
+
+    long double tier, on an extended format (``_EXTENDED_QUOTIENT``) with
+    unit roundoff u = eps/2.  ``_long_double_quotients`` takes the other
+    quotients of the rows above from their exact den, nx and ny, and those
+    of rows with an entry in [2^30, 2^63) from long double terms.  Such
+    entries are exact long doubles, and each product and sum of the terms
+    rounds once: den~ from cr^2 + ci^2, Re~ = a~ + b~ from the products
+    a~ of dr cr and b~ of di ci, and nx~ = 2|Re~| - den~.  A rounded sum
+    of nonnegative terms errs to one side, so den~ lies in
+    [den (1 - u)^2, den (1 + u)^2]; with S = |dr cr| + |di ci|,
+    |Re~ - Re| <= (2u + u^2) S, and for X = 2|Re(d conj c)| - den
+
+        |nx~ - X| <= u |2|Re~| - den~| + 2 (2u + u^2) S + (2u + u^2) den
+                  <= (3u + 3u^2 + u^3)(2S + den).
+
+    The bound E_x = 4u (2 S~ + den~), from S~ = |a~| + |b~| rounded, is at
+    least 4u (1 - u)^3 (2S + den), which exceeds the error above, however
+    near 2|Re| comes to den.  ny~ and E_y are the same with
+    Im = di cr - dr ci.  Where every entry is below 2^31, every product and
+    sum is an integer of magnitude at most 2^64, exact in long double, and
+    E_x = E_y = 0.  |d|^2 rounds like den, so |d|^2 lies in
+    [dsq~/(1 + u)^2, dsq~/(1 - u)^2], inside (dsq~ (1 - 4u), dsq~ (1 + 4u)),
+    and float64(dsq~) is |d|^2 correctly rounded when ``_float64_between``
+    accepts that interval, or when dsq~ is exact; 1.0 divided by it then
+    matches Python's 1.0 / |d|^2.  Without an extended format every word
+    off the float64 tier is slow.
     """
     count = len(rows[0])
     sups, bases = np.empty(count), np.empty(count)
-    small = np.maximum.reduce([np.abs(a) for a in rows]) < _SMALL_ENTRY
+    if bound < _SMALL_ENTRY:  # no entry to test, no rows to copy
+        small = np.ones(count, dtype=bool)
+        cr, ci, dr, di = rows
+    else:
+        small = functools.reduce(np.maximum, map(np.abs, rows)) < _SMALL_ENTRY
+        cr, ci, dr, di = (a[small] for a in rows)
     index = np.flatnonzero(small)
-    cr, ci, dr, di = (a[index] for a in rows)
     bases[index] = 1.0 / (dr * dr + di * di).astype(np.float64)
     den, nx, ny = pole_terms(cr, ci, dr, di)
     del cr, ci, dr, di  # 32 bytes a word, freed before the quotients
     for v in (nx, ny):  # in place: nx = max(2 |Re(d conj c)| - den, 0), likewise ny
         np.maximum(2 * np.abs(v) - den, 0, out=v)
-    if not (nx | ny).all():
-        raise DomainError(_POLE_MESSAGE)
     # q is only needed below 2^53, where nx, ny < 2^27; clipping keeps it in int64
     q = np.minimum(nx, 1 << 27) ** 2 + np.minimum(ny, 1 << 27) ** 2
-    fast = (4 * den < _FLOAT_EXACT) & (q < _FLOAT_EXACT)
+    fast = (4 * den < _FLOAT_EXACT) & (q > 0) & (q < _FLOAT_EXACT)
     sups[index[fast]] = (4 * den[fast]).astype(np.float64) / q[fast].astype(np.float64)
-    slow = np.flatnonzero(~fast)
-    for start in range(0, len(slow), _EXACT_CHUNK):
-        part = slow[start : start + _EXACT_CHUNK]
-        if _EXTENDED_QUOTIENT:
-            r, ok = _long_double_quotients(den[part], nx[part], ny[part])
-            sups[index[part[ok]]] = r[ok]
-            part = part[~ok]
-        columns = (a[part].tolist() for a in (den, nx, ny))
-        sups[index[part]] = list(map(_sup_value, *columns))
-    return sups, bases, np.flatnonzero(~small)
+    slow = ~small
+    slow[index[~fast]] = True
+    if not _EXTENDED_QUOTIENT:
+        return sups, bases, np.flatnonzero(slow)
+
+    rest = np.flatnonzero(~fast)
+    for start in range(0, len(rest), _EXACT_CHUNK):
+        part = rest[start : start + _EXACT_CHUNK]
+        r, ok = _long_double_quotients(den[part], nx[part], ny[part])
+        sups[index[part[ok]]] = r[ok]
+        slow[index[part[ok]]] = False
+    del den, nx, ny, q
+
+    eps = _LONGDOUBLE.eps
+    big = np.flatnonzero(~small)
+    for start in range(0, len(big), _EXACT_CHUNK):
+        part = big[start : start + _EXACT_CHUNK]
+        ints = [a[part] for a in rows]
+        exact = functools.reduce(np.maximum, map(np.abs, ints)) < _EXACT_ENTRY
+        cr, ci, dr, di = (a.astype(np.longdouble) for a in ints)
+        den = cr * cr + ci * ci
+        terms, errs = [], []
+        for a, b in ((dr * cr, di * ci), (di * cr, -(dr * ci))):  # Re and Im of d conj c
+            terms.append(2 * np.abs(a + b) - den)
+            errs.append(np.where(exact, 0, (2 * eps) * (2 * (np.abs(a) + np.abs(b)) + den)))
+        r, ok = _long_double_quotients(den, *terms, *errs)
+        dsq = dr * dr + di * di
+        g, g_ok = _float64_between(dsq, dsq, 2 * eps)
+        ok &= g_ok | exact
+        sups[part[ok]], bases[part[ok]] = r[ok], 1.0 / g[ok]
+        slow[part[ok]] = False
+    return sups, bases, np.flatnonzero(slow)
 
 
 def _long_double_quotients(
-    den: np.ndarray, nx: np.ndarray, ny: np.ndarray
+    den: np.ndarray, nx: np.ndarray, ny: np.ndarray, err_x=None, err_y=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """float64 values r of 4 den/(nx^2 + ny^2) and where r is proven correctly rounded.
+    """float64 values r of v = 4 den/(X+^2 + Y+^2) and where r is proven correctly rounded.
 
-    Takes int64 arrays below 2^61, 2^62 and 2^62; the rounding test and the
-    inequality that makes it sound are in ``_table_leaves``.
+    Without errors, den, nx and ny are exact (int64 below 2^62 is), nx and
+    ny already clamped: only q~ = nx^2 + ny^2 and the division round, so
+    Q = 4 den/q~ satisfies Q (1 - u)^2/(1 + u) <= v <= Q (1 + u)^2/(1 - u)
+    and Q (1 - 4u) < v < Q (1 + 4u).
+
+    With errors, den~ lies in [den (1 - u)^2, den (1 + u)^2] for the true
+    den, and nx, ny within ``err_x``, ``err_y`` of the true X, Y before the
+    clamp X+ = max(X, 0), Y+ = max(Y, 0).  As reals X+ lies in
+    [max(nx - err_x, 0), max(nx + err_x, 0)], and each rounded endpoint is
+    within a factor 1 +/- u of its real value.  The squares and their sum
+    give q_lo~ from the low endpoints and q_hi~ from the high ones, with
+    q_lo~/(1 + u)^4 <= q = X+^2 + Y+^2 <= q_hi~/(1 - u)^4.  One more
+    rounding in each division makes lo~ = 4 den~/q_hi~ and
+    hi~ = 4 den~/q_lo~ satisfy
+
+        lo~ (1 - u)^4/(1 + u)^3 <= v <= hi~ (1 + u)^4/(1 - u)^3,
+
+    so lo~ (1 - 8u) < v < hi~ (1 + 8u).  ``_float64_between`` tests the
+    enclosure; a pole (q~ or q_lo~ = 0) never passes.
     """
-    x, y = nx.astype(np.longdouble), ny.astype(np.longdouble)
-    quot = (4 * den).astype(np.longdouble) / (x * x + y * y)
-    r = quot.astype(np.float64)
-    wide, slack = r.astype(np.longdouble), quot * (4 * _LONGDOUBLE.eps)
+    eps = _LONGDOUBLE.eps
+    den, nx, ny = (np.asarray(a, dtype=np.longdouble) for a in (den, nx, ny))
+    with np.errstate(divide="ignore", invalid="ignore"):  # poles give inf or nan
+        if err_x is None:
+            quot = 4 * den / (nx * nx + ny * ny)
+            return _float64_between(quot, quot, 2 * eps)
+        lo_x, hi_x = np.maximum(nx - err_x, 0), np.maximum(nx + err_x, 0)
+        lo_y, hi_y = np.maximum(ny - err_y, 0), np.maximum(ny + err_y, 0)
+        lo = 4 * den / (hi_x * hi_x + hi_y * hi_y)
+        hi = 4 * den / (lo_x * lo_x + lo_y * lo_y)
+        return _float64_between(lo, hi, 4 * eps)
+
+
+def _float64_between(lo: np.ndarray, hi: np.ndarray, slack) -> tuple[np.ndarray, np.ndarray]:
+    """r = float64(lo) and where every real in (lo (1 - slack), hi (1 + slack)) rounds to r.
+
+    ``slack`` is a power-of-two multiple of eps, so lo slack and hi slack
+    are exact and the bounds round once.  The midpoints m_lo and m_hi
+    between r and its float64 neighbours are exact in a 64-bit
+    significand.  Rounding is monotone and keeps m_lo and m_hi fixed, so a
+    rounded bound strictly inside (m_lo, m_hi) means the exact one is too.
+    Only positive normal r pass, whose neighbours are the adjacent bit
+    patterns.
+    """
+    r = lo.astype(np.float64)
+    bits = r.view(np.int64)
+    wide = r.astype(np.longdouble)
     ok = (
-        (quot - slack > (wide + np.nextafter(r, 0.0)) / 2)
-        & (quot + slack < (wide + np.nextafter(r, np.inf)) / 2)
+        ((wide + (bits - 1).view(np.float64)) / 2 < lo - lo * slack)
+        & (hi + hi * slack < (wide + (bits + 1).view(np.float64)) / 2)
         & (r >= np.finfo(np.float64).smallest_normal)
     )
     return r, ok

@@ -321,15 +321,10 @@ def contraction_bound(exact: bool = True) -> Fraction | float:
     Exact corner analysis over norm_sq <= 64; branches beyond satisfy
     sup |Dphi_i| <= 1/(|i| - sqrt2/2)^2 < 2/9, since |i| - sqrt2/2 > 3/sqrt2
     reduces to norm_sq > 8.  The analysis therefore pins the supremum to
-    the exact maximum over the enumerated range.
+    the exact maximum over the enumerated range, which is returned as
+    computed; the ``ifs`` checks compare it with ``CONTRACTION_SUP``.
     """
-    best = Fraction(0)
-    for branch in d2_branches(64):
-        comp = BranchComposition.from_word([branch])
-        val = comp.sup_deriv_exact()
-        if val > best:
-            best = val
-    assert best == CONTRACTION_SUP
+    best = max(BranchComposition.from_word([b]).sup_deriv_exact() for b in d2_branches(64))
     return best if exact else float(best)
 
 
@@ -375,14 +370,10 @@ def max_single_branch_distortion(norm_sq_max: int = 64) -> Fraction:
 
     Beyond the enumerated range the ratio is below
     ((|i| + sqrt2/2)/(|i| - sqrt2/2))^2 < 25/9 (reduces to norm_sq > 8).
+    The maximum is returned as computed; the ``ifs`` checks compare it with
+    ``SINGLE_BRANCH_DISTORTION_MAX``.
     """
-    best = Fraction(0)
-    for branch in d2_branches(norm_sq_max):
-        val = BranchComposition.from_word([branch]).distortion_exact()
-        if val > best:
-            best = val
-    assert best == SINGLE_BRANCH_DISTORTION_MAX
-    return best
+    return max(BranchComposition.from_word([b]).distortion_exact() for b in d2_branches(norm_sq_max))
 
 
 @dataclass(frozen=True)

@@ -154,8 +154,9 @@ def _exceptional_set_is_the_sixteen(config: RunConfig):
 @check("ifs", "contraction_sup_two_ninths")
 def _contraction_sup_two_ninths(config: RunConfig):
     sup = ifs.contraction_bound(exact=True)
-    ok = sup == Fraction(2, 9) and sup < Fraction(2, 3)
-    return ok and abs(ifs.contraction_bound(exact=False) - 2.0 / 9.0) < 1e-15, {"sup": str(sup)}
+    ok = sup == ifs.CONTRACTION_SUP and sup < Fraction(2, 3)
+    ok = ok and ifs.contraction_bound(exact=False) == float(ifs.CONTRACTION_SUP)
+    return ok, {"sup": str(sup), "expected": str(ifs.CONTRACTION_SUP)}
 
 
 @check("ifs", "contraction_envelope_monotone")
@@ -200,12 +201,17 @@ def _branch_images_nested(config: RunConfig):
 @check("ifs", "distortion_single_branch_25_9")
 def _distortion_single_branch_25_9(config: RunConfig):
     est = ifs.distortion_estimate(max_word_len=2, grid_density=5, max_words=1024, seed=config.seed)
+    exact_max = ifs.max_single_branch_distortion()
     ok = (
         math.isfinite(est.sampled_max)
-        and est.sampled_max >= float(Fraction(25, 9)) - 1e-12
-        and ifs.max_single_branch_distortion() == Fraction(25, 9)
+        and est.sampled_max >= float(ifs.SINGLE_BRANCH_DISTORTION_MAX) - 1e-12
+        and exact_max == ifs.SINGLE_BRANCH_DISTORTION_MAX
     )
-    return ok, {"sampled": est.sampled_max}
+    return ok, {
+        "sampled": est.sampled_max,
+        "max": str(exact_max),
+        "expected": str(ifs.SINGLE_BRANCH_DISTORTION_MAX),
+    }
 
 
 @check("ifs", "ball_inclusion")

@@ -208,11 +208,20 @@ class TestInputErrors:
             ["dim", "--alphabet", "[[2,2]]", "--n-max", "-3"],
             ["schedule", "--set", "minnormsq:0", "--f", "n+3", "--horizon", "1000"],
             ["schedule", "--set", "minnormsq:-5", "--f", "n+3", "--horizon", "1000"],
+            ["--seed", "-1", "verify", "arith"],
+            ["--config", "{bad_key}", "classify", "2", "2"],
+            ["--config", "{bad_value}", "classify", "2", "2"],
+            ["--config", "{directory}", "classify", "2", "2"],
+            ["--config", "{missing}", "classify", "2", "2"],
         ],
     )
     def test_usage_and_domain_errors_exit_two(self, runner, tmp_path, args):
         (tmp_path / "bad.json").write_text("[[2, 2],")
-        paths = {"missing": tmp_path / "missing.json", "bad_json": tmp_path / "bad.json"}
+        (tmp_path / "bad_key.cfg").write_text("wibble = 3\n")
+        (tmp_path / "bad_value.cfg").write_text("seed = x\n")
+        paths = {"missing": tmp_path / "missing.json", "bad_json": tmp_path / "bad.json",
+                 "bad_key": tmp_path / "bad_key.cfg", "bad_value": tmp_path / "bad_value.cfg",
+                 "directory": tmp_path}
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning line would break the one-line contract
             result = runner.invoke(cli, [a.format(**paths) for a in args])

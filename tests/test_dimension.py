@@ -172,11 +172,20 @@ def _seeded(k, seed, include=()):
 # q = nx^2 + ny^2 >= 2^53, so every quotient is off the float64 tier.
 NEAR_64 = ((8, 0), (0, -8), (-7, 3), (5, 6))
 
+# Digits of norm_sq 3e9 and 6e9 beside small ones: at n = 4 the bound on
+# the bottom-row entries is just below 2^63, so the table is the last one
+# enumerated in int64, with entries up to 2^62.99.
+NEAR_INT64 = ((38966, 38966), (0, -55107), (2, 2), (-3, 1))
+
 # Tables whose words fall in every tier of the table: float64 quotients,
-# int64 integers with a long double or Python quotient, Python ints for
-# entries >= 2^30 (over two 8k chunks for the norm-64 pair at n = 14),
-# enumeration that outgrows int64 part way or at once, and last a table
-# whose quotients all leave the float64 tier.
+# int64 integers with a long double or Python quotient, long double terms
+# for entries >= 2^30 (over two 8k chunks for the norm-64 pair at n = 14),
+# enumeration that outgrows int64 part way or at once, a table whose
+# quotients all leave the float64 tier; then digits of real part +-1,
+# whose poles come nearest the box and so give the most cancellation in
+# 2|Re(d conj c)| - |c|^2 (entries up to 2^31.7 for the pair at n = 18,
+# below 2^30 for the triple at n = 10, up to 2^52 beside a large digit),
+# entries near 2^48 throughout, and the last table enumerated in int64.
 TABLE_CASES = (
     [(_digits(PAIR), n) for n in range(1, 13)]
     + [
@@ -192,8 +201,36 @@ TABLE_CASES = (
         (((2**40, 1), (2, 2), (0, -3)), 3),
         (((2**70, 3), (2, 2)), 2),
         (NEAR_64, 8),
+        (((1, 3), (-1, -3)), 18),
+        (((1, 3), (-1, 3), (1, -3), (1, 400)), 6),
+        (((1, 3), (-1, 3), (1, -3)), 10),
+        (((8, 0), (0, -8)), 16),
+        (NEAR_INT64, 4),
     ]
 )
+
+
+def _near_midpoint_triples(rng, count):
+    """(den, nx, ny) whose 4 den/(nx^2 + ny^2) lies within 2^-65 relative of
+    m = r + ulp(r)/2, a float64 rounding midpoint, and two exact ties."""
+    triples = []
+    while len(triples) < count:
+        e = rng.randrange(-60, 0)
+        m_num, m_shift = 2 * rng.randrange(1 << 52, 1 << 53) + 1, 53 - e + 2  # m/4
+        t = (60 - e) // 2
+        nx, ny = rng.randrange(1 << (t - 1), 1 << t), rng.randrange(1 << (t - 1), 1 << t)
+        q = nx * nx + ny * ny
+        den = (m_num * q + (1 << (m_shift - 1))) >> m_shift
+        if abs((den << m_shift) - m_num * q) << 65 < m_num * q:
+            triples.append((den, nx, ny))
+    return triples + [(m << 5, 1 << 60, 0) for m in (2**53 + 1, 2**54 - 1)]
+
+
+def _leaf_or_pole(row):
+    try:
+        return dimension._leaf_values(*row)
+    except DomainError:
+        return None
 
 
 class TestWordValueTable:
@@ -224,21 +261,10 @@ class TestWordValueTable:
 
     @pytest.mark.skipif(not dimension._EXTENDED_QUOTIENT, reason="no 64-bit long double")
     def test_long_double_rounding_test_near_midpoints(self):
-        # (den, nx, ny) whose quotient 4 den/q lies within 2^-65 relative of
-        # m = r + ulp(r)/2, a float64 rounding midpoint, or exactly on one:
-        # the long double error can put it on either side of m
+        # quotients near a float64 rounding midpoint, or exactly on one: the
+        # long double error can put them on either side of it
         rng = random.Random(6)
-        triples = []
-        while len(triples) < 2000:
-            e = rng.randrange(-60, 0)
-            m_num, m_shift = 2 * rng.randrange(1 << 52, 1 << 53) + 1, 53 - e + 2  # m/4
-            t = (60 - e) // 2
-            nx, ny = rng.randrange(1 << (t - 1), 1 << t), rng.randrange(1 << (t - 1), 1 << t)
-            q = nx * nx + ny * ny
-            den = (m_num * q + (1 << (m_shift - 1))) >> m_shift
-            if abs((den << m_shift) - m_num * q) << 65 < m_num * q:
-                triples.append((den, nx, ny))
-        triples += [(m << 5, 1 << 60, 0) for m in (2**53 + 1, 2**54 - 1)]  # exact ties
+        triples = _near_midpoint_triples(rng, 2000)
         den, nx, ny = (np.array(c, dtype=np.int64) for c in zip(*triples))
         exact = np.array([(4 * d) / (x * x + y * y) for d, x, y in triples])
         r, ok = dimension._long_double_quotients(den, nx, ny)
@@ -250,6 +276,71 @@ class TestWordValueTable:
         r, ok = dimension._long_double_quotients(far, nx, ny)
         assert ok.mean() > 0.95
         assert np.array_equal(r[ok], exact[ok])
+
+    @pytest.mark.skipif(not dimension._EXTENDED_QUOTIENT, reason="no 64-bit long double")
+    def test_long_double_bound_near_midpoints(self):
+        # the same quotients with nx and ny known only to within err: an
+        # accepted r must be the rounding of every quotient the bound allows,
+        # and 4 den/q is monotone in each of nx and ny, so the corners decide
+        rng = random.Random(7)
+        triples = _near_midpoint_triples(rng, 2000)
+        triples += [(d + rng.randrange(1 << 20, 1 << 40), x, y) for d, x, y in triples]
+        errs = [x >> rng.randrange(36, 70) for _, x, _ in triples]
+        den, nx, ny, err = (np.array(c, dtype=np.int64) for c in (*zip(*triples), errs))
+        r, ok = dimension._long_double_quotients(den, nx, ny, err, err)
+        for i in np.flatnonzero(ok).tolist():
+            d, x, y = triples[i]
+            for sign in (-1, 1):
+                cx, cy = max(x + sign * errs[i], 0), max(y + sign * errs[i], 0)
+                assert (4 * d) / (cx * cx + cy * cy) == r[i]
+        assert not ok[2000:2002].any()
+        # errors up to 2^-36 nx reject more, most of all near midpoints
+        _, ok_exact = dimension._long_double_quotients(den, nx, ny)
+        assert ok[:2000].mean() < ok[2002:].mean() < ok_exact[2002:].mean()
+        assert ok[2002:].mean() > 0.5
+
+    @pytest.mark.skipif(not dimension._EXTENDED_QUOTIENT, reason="no 64-bit long double")
+    def test_long_double_terms_under_cancellation(self):
+        # synthetic rows d = c w with Re w or Im w at or near 1/2 put
+        # 2|Re(d conj c)| or 2|Im(d conj c)| within about |c| of |c|^2 = den,
+        # with entries up to 2^62: every value the tier returns must match
+        # the Python ints, and poles must be left to them
+        rng = random.Random(8)
+        rows = []
+        for _ in range(6000):
+            bits = rng.randrange(28, 61)
+            cr, ci = rng.randrange(-(1 << bits), 1 << bits), rng.randrange(-(1 << bits), 1 << bits)
+            half = [1 << 40, rng.randrange(1 << 36, 1 << 42)]  # 1/2 and about 1/2, over 2^41
+            wr, wi = rng.choice(half), rng.randrange(-(3 << 41), 3 << 41)
+            if rng.random() < 0.5:
+                wr, wi = wi, rng.choice(half)
+            wr, wi = rng.choice((wr, -wr)), rng.choice((wi, -wi))
+            dr, di = (cr * wr - ci * wi) >> 41, (cr * wi + ci * wr) >> 41
+            rows.append((cr, ci, dr, di))
+        bound = max(map(abs, itertools.chain(*rows)))
+        sups, bases, slow = dimension._table_leaves(
+            [np.array(c, dtype=np.int64) for c in zip(*rows)], bound)
+        decided = np.setdiff1d(np.arange(len(rows)), slow)
+        assert 0.5 * len(rows) < len(decided) < len(rows)
+        for i in decided.tolist():
+            assert (sups[i], bases[i]) == _leaf_or_pole(rows[i])
+
+    @pytest.mark.skipif(not dimension._EXTENDED_QUOTIENT, reason="no 64-bit long double")
+    def test_large_entries_rarely_reach_python(self, monkeypatch):
+        calls = []
+        leaf_values = dimension._leaf_values
+        monkeypatch.setattr(dimension, "_leaf_values", lambda *a: calls.append(a) or leaf_values(*a))
+        sups, _ = _word_value_table.__wrapped__(((8, 0), (0, -8)), 14)
+        assert 0 < len(calls) < len(sups) / 20
+
+    @pytest.mark.parametrize("digits, n", [(((1, 3), (-1, -3)), 16), (((8, 0), (0, -8)), 14),
+                                           (NEAR_INT64, 4), (NEAR_64, 6)])
+    def test_plain_format_gives_the_same_tables(self, monkeypatch, digits, n):
+        sups, bases = _word_value_table.__wrapped__(digits, n)
+        monkeypatch.setattr(dimension, "_EXTENDED_QUOTIENT", False)
+        plain_sups, plain_bases = _word_value_table.__wrapped__(digits, n)
+        assert np.array_equal(sups, plain_sups)
+        assert np.array_equal(bases, plain_bases)
 
     @pytest.mark.parametrize("digits, n", [(_digits(QUAD), 4), (_seeded(3, 2), 11)])
     def test_word_i_has_base_k_digits_of_i(self, digits, n):
@@ -379,6 +470,15 @@ class TestBowen:
         result = bowen_dimension(PAIR, tol=1e-3, n_max=12)
         assert result.iterations == 11
         assert len(calls) == len(set(calls))
+
+    def test_each_word_table_built_once_per_call(self):
+        # every build is a cache miss; with no eviction each stays cached,
+        # so as many misses as entries means no (digits, n) was built twice
+        _word_value_table.cache_clear()
+        bowen_dimension(PAIR, tol=1e-3, n_max=12)
+        info = _word_value_table.cache_info()
+        assert info.misses == info.currsize == 5  # word lengths 1, 2, 4, 8, 12
+        assert info.hits > 0
 
 
 class TestTau:
