@@ -7,6 +7,7 @@ exhausted.  All emitted JSON/CSV is a pure function of the configuration
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -114,7 +115,35 @@ def _digit_sequence_source(source: str, horizon: int) -> np.ndarray:
     raise DomainError(f"unknown tau source {source!r}; use lattice, d2 or power:<p>")
 
 
-@click.group()
+# click 8.2 and later raise this for a bare command, whose help it prints
+_HELP_REQUEST = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+@contextlib.contextmanager
+def _one_line_usage_errors():
+    try:
+        yield
+    except _HELP_REQUEST:
+        raise
+    except click.UsageError as exc:
+        click.echo(f"error: {exc.format_message()}", file=sys.stderr)
+        sys.exit(2)
+
+
+class _Group(click.Group):
+    """The command group: a usage error, in its own options or a
+    subcommand's, exits 2 with one ``error:`` line, as a domain error does."""
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        with _one_line_usage_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx: click.Context):
+        with _one_line_usage_errors():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=click.Path(), default=None, help="Write output here instead of stdout.")

@@ -395,7 +395,7 @@ _INT64_LIMIT = 1 << 63  # every int64 intermediate stays strictly below this
 _SMALL_ENTRY = 1 << 30  # below this every leaf integer but q fits int64
 _EXACT_ENTRY = 1 << 31  # below this every long double leaf term is an exact integer
 _FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
-_EXACT_CHUNK = 8192
+_EXACT_CHUNK = 8192  # words in one block of a word table build
 _LONGDOUBLE = np.finfo(np.longdouble)
 # x87 extended or IEEE quad: at least 64 significand bits hold every int64
 # exactly; double-double and plain double do not qualify
@@ -421,10 +421,19 @@ def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.n
     proves the entries fit: with M the largest ceil(|x|) over the digits,
     |c| and |d| after j digits are at most B_j, where B_-1 = 0, B_0 = 1 and
     B_(j+1) = M B_j + B_(j-1), and by Cauchy-Schwarz every intermediate of
-    the next level is at most B_(j+1).  ``_table_leaves`` then computes the
-    leaf values of the int64 rows; the words it leaves undecided, and every
-    word once the bound leaves int64, go through ``_leaf_values`` in Python
-    ints instead, converted about 8k words at a time.
+    the next level is at most B_(j+1).  When the bound covers all n levels
+    the table is built in blocks of at most ``_EXACT_CHUNK`` words.  With t
+    the largest length up to n with k^t <= ``_EXACT_CHUNK`` and
+    tail = min(t, n - t), the first n - tail levels are enumerated once
+    (at most ``_EXACT_CHUNK`` prefixes while the table has at most
+    ``_EXACT_CHUNK``^2 words).  Each run of ``_EXACT_CHUNK // k^tail``
+    prefixes then gets its tail levels and its leaf values, a contiguous
+    slice of the table since the first digit varies slowest; the short
+    tail keeps the small-array levels of a block, and their per-call
+    overhead, few.  ``_table_leaves`` computes the leaf values of a block; the words it
+    leaves undecided go through ``_leaf_values`` in Python ints while the
+    block's rows are at hand.  Once the bound leaves int64, every word
+    goes through ``_leaf_values``.
     """
     k = len(digits)
     m = max(math.isqrt(max(xr * xr + xi * xi - 1, 0)) + 1 for xr, xi in digits)
@@ -433,29 +442,57 @@ def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.n
         levels, b_prev, b = levels + 1, b, m * b + b_prev
 
     rows = [np.array([v], dtype=np.int64) for v in _IDENTITY_ROW]
+    sups, bases = np.empty(k**n), np.empty(k**n)
+    if levels < n:
+        rows = _extend_levels(rows, digits, levels)
+        int_rows = _extend_int_rows(zip(*(a.tolist() for a in rows)), digits, n - levels)
+        for start in range(0, k**n, _EXACT_CHUNK):
+            part = slice(start, start + _EXACT_CHUNK)
+            _put_leaf_values(sups, bases, part, itertools.islice(int_rows, _EXACT_CHUNK))
+        return sups, bases
+
+    t = 0
+    while t < n and k ** (t + 1) <= _EXACT_CHUNK:
+        t += 1
+    tail = min(t, n - t)
+    prefixes = _extend_levels(rows, digits, n - tail)
+    run, width = _EXACT_CHUNK // k**tail, k**tail
+    for first in range(0, len(prefixes[0]), run):
+        block = _extend_levels([a[first : first + run] for a in prefixes], digits, tail)
+        part = slice(first * width, first * width + len(block[0]))
+        sups[part], bases[part], slow = _table_leaves(block, b)
+        if slow.size:
+            slow_rows = zip(*(a[slow].tolist() for a in block))
+            _put_leaf_values(sups[part], bases[part], slow, slow_rows)
+    return sups, bases
+
+
+def _extend_levels(
+    rows: list[np.ndarray], digits: Sequence[tuple[int, int]], levels: int
+) -> list[np.ndarray]:
+    """int64 bottom rows of every ``levels``-digit extension of each row, in word order."""
+    k = len(digits)
     if levels:
         xr, xi = np.array(digits, dtype=np.int64).T
-        for _ in range(levels):
-            cr, ci, dr, di = (a[:, None] for a in rows)
-            rows = [
-                np.repeat(dr.ravel(), k),
-                np.repeat(di.ravel(), k),
-                (cr + dr * xr - di * xi).ravel(),
-                (ci + dr * xi + di * xr).ravel(),
-            ]
+    for _ in range(levels):
+        cr, ci, dr, di = (a[:, None] for a in rows)
+        rows = [
+            np.repeat(dr.ravel(), k),
+            np.repeat(di.ravel(), k),
+            (cr + dr * xr - di * xi).ravel(),
+            (ci + dr * xi + di * xr).ravel(),
+        ]
+    return rows
 
-    if levels == n:
-        sups, bases, slow = _table_leaves(rows, b)
-        slow_rows = _int_rows(rows, slow)
-    else:
-        sups, bases = np.empty(k**n), np.empty(k**n)
-        slow = np.arange(k**n)
-        slow_rows = _extend_int_rows(_int_rows(rows, np.arange(k**levels)), digits, n - levels)
-    for start in range(0, len(slow), _EXACT_CHUNK):
-        part = slow[start : start + _EXACT_CHUNK]
-        values = [_leaf_values(*row) for row in itertools.islice(slow_rows, len(part))]
-        sups[part], bases[part] = np.array(values).T
-    return sups, bases
+
+def _put_leaf_values(
+    sups: np.ndarray,
+    bases: np.ndarray,
+    index: slice | np.ndarray,
+    rows: Iterable[tuple[int, int, int, int]],
+) -> None:
+    """Store ``_leaf_values`` of the Python-int ``rows``, one or more, at ``index``."""
+    sups[index], bases[index] = np.array([_leaf_values(*row) for row in rows]).T
 
 
 def _table_leaves(
@@ -463,10 +500,11 @@ def _table_leaves(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Leaf values of int64 bottom rows, bit-identical to ``_leaf_values``.
 
-    ``bound`` is at least every |entry| (B_n of ``_word_value_table``).
-    Returns (sups, bases, slow): ``slow`` indexes the words that neither
-    vectorised tier decides, every possible pole among them; their values
-    are left unset.
+    ``_word_value_table`` passes one block, at most ``_EXACT_CHUNK`` rows,
+    so every working array stays small.  ``bound`` is at least every
+    |entry| (B_n of ``_word_value_table``).  Returns (sups, bases, slow):
+    ``slow`` indexes the words that neither vectorised tier decides, every
+    possible pole among them; their values are left unset.
 
     float64 tier.  Where every entry is below 2^30, the integers den =
     |c|^2, nx, ny and |d|^2 are below 2^62 and are computed exactly in
@@ -504,16 +542,14 @@ def _table_leaves(
     """
     count = len(rows[0])
     sups, bases = np.empty(count), np.empty(count)
-    if bound < _SMALL_ENTRY:  # no entry to test, no rows to copy
+    if bound < _SMALL_ENTRY:  # no entry to test
         small = np.ones(count, dtype=bool)
-        cr, ci, dr, di = rows
     else:
         small = functools.reduce(np.maximum, map(np.abs, rows)) < _SMALL_ENTRY
-        cr, ci, dr, di = (a[small] for a in rows)
+    cr, ci, dr, di = rows if small.all() else (a[small] for a in rows)
     index = np.flatnonzero(small)
     bases[index] = 1.0 / (dr * dr + di * di).astype(np.float64)
     den, nx, ny = pole_terms(cr, ci, dr, di)
-    del cr, ci, dr, di  # 32 bytes a word, freed before the quotients
     for v in (nx, ny):  # in place: nx = max(2 |Re(d conj c)| - den, 0), likewise ny
         np.maximum(2 * np.abs(v) - den, 0, out=v)
     # q is only needed below 2^53, where nx, ny < 2^27; clipping keeps it in int64
@@ -525,32 +561,30 @@ def _table_leaves(
     if not _EXTENDED_QUOTIENT:
         return sups, bases, np.flatnonzero(slow)
 
-    rest = np.flatnonzero(~fast)
-    for start in range(0, len(rest), _EXACT_CHUNK):
-        part = rest[start : start + _EXACT_CHUNK]
-        r, ok = _long_double_quotients(den[part], nx[part], ny[part])
-        sups[index[part[ok]]] = r[ok]
-        slow[index[part[ok]]] = False
-    del den, nx, ny, q
+    rest = index[~fast]
+    if rest.size:
+        r, ok = _long_double_quotients(den[~fast], nx[~fast], ny[~fast])
+        sups[rest[ok]] = r[ok]
+        slow[rest[ok]] = False
 
-    eps = _LONGDOUBLE.eps
     big = np.flatnonzero(~small)
-    for start in range(0, len(big), _EXACT_CHUNK):
-        part = big[start : start + _EXACT_CHUNK]
-        ints = [a[part] for a in rows]
-        exact = functools.reduce(np.maximum, map(np.abs, ints)) < _EXACT_ENTRY
-        cr, ci, dr, di = (a.astype(np.longdouble) for a in ints)
-        den = cr * cr + ci * ci
-        terms, errs = [], []
-        for a, b in ((dr * cr, di * ci), (di * cr, -(dr * ci))):  # Re and Im of d conj c
-            terms.append(2 * np.abs(a + b) - den)
-            errs.append(np.where(exact, 0, (2 * eps) * (2 * (np.abs(a) + np.abs(b)) + den)))
-        r, ok = _long_double_quotients(den, *terms, *errs)
-        dsq = dr * dr + di * di
-        g, g_ok = _float64_between(dsq, dsq, 2 * eps)
-        ok &= g_ok | exact
-        sups[part[ok]], bases[part[ok]] = r[ok], 1.0 / g[ok]
-        slow[part[ok]] = False
+    if not big.size:
+        return sups, bases, np.flatnonzero(slow)
+    eps = _LONGDOUBLE.eps
+    ints = [a[big] for a in rows]
+    exact = functools.reduce(np.maximum, map(np.abs, ints)) < _EXACT_ENTRY
+    cr, ci, dr, di = (a.astype(np.longdouble) for a in ints)
+    den = cr * cr + ci * ci
+    terms, errs = [], []
+    for a, b in ((dr * cr, di * ci), (di * cr, -(dr * ci))):  # Re and Im of d conj c
+        terms.append(2 * np.abs(a + b) - den)
+        errs.append(np.where(exact, 0, (2 * eps) * (2 * (np.abs(a) + np.abs(b)) + den)))
+    r, ok = _long_double_quotients(den, *terms, *errs)
+    dsq = dr * dr + di * di
+    g, g_ok = _float64_between(dsq, dsq, 2 * eps)
+    ok &= g_ok | exact
+    sups[big[ok]], bases[big[ok]] = r[ok], 1.0 / g[ok]
+    slow[big[ok]] = False
     return sups, bases, np.flatnonzero(slow)
 
 
@@ -612,13 +646,6 @@ def _float64_between(lo: np.ndarray, hi: np.ndarray, slack) -> tuple[np.ndarray,
         & (r >= np.finfo(np.float64).smallest_normal)
     )
     return r, ok
-
-
-def _int_rows(rows: list[np.ndarray], index: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
-    """Python-int bottom rows of the words at ``index``, converted in chunks."""
-    for start in range(0, len(index), _EXACT_CHUNK):
-        part = index[start : start + _EXACT_CHUNK]
-        yield from zip(*(a[part].tolist() for a in rows))
 
 
 def _extend_int_rows(
@@ -715,7 +742,9 @@ def bowen_dimension(
     step falls back to the sign of the sup-norm bracket midpoint and the
     result is flagged inconclusive.  The returned endpoints always satisfy
     upper(s_low) >= 0 >= lower(s_high) at the reported word length.
-    Brackets are computed once per (s, n) and reused within the call.
+    Each bracket is computed once per (s, n) and reused within the call,
+    and only when read: the base-point one only where the sup-norm one is
+    not negative, or for the reported lower bracket at s_high.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
@@ -728,30 +757,28 @@ def bowen_dimension(
     while n_eff < n_max and nbranch ** (n_eff + 1) <= max_words:
         n_eff += 1
 
-    memo: dict[tuple[float, int], tuple[float, float]] = {}
+    @functools.cache
+    def upper(s: float, n: int) -> float:
+        return partition_sum(alphabet, n, s, "sup_norm", max_words).upper_bracket
 
-    def brackets(s: float, n: int) -> tuple[float, float]:
-        if (s, n) not in memo:
-            sup = partition_sum(alphabet, n, s, "sup_norm", max_words)
-            base = partition_sum(alphabet, n, s, "base_point", max_words)
-            memo[s, n] = base.lower_bracket, sup.upper_bracket
-        return memo[s, n]
+    @functools.cache
+    def lower(s: float, n: int) -> float:
+        return partition_sum(alphabet, n, s, "base_point", max_words).lower_bracket
 
     def certified_sign(s: float) -> tuple[int, bool]:
         """(-1, 0, +1) with a flag saying whether the sign is certified."""
         n = 1
-        lower = upper = 0.0
         while True:
-            lower, upper = brackets(s, n)
-            if upper < 0.0:
+            up = upper(s, n)
+            if up < 0.0:
                 return -1, True
-            if lower > 0.0:
+            low = lower(s, n)
+            if low > 0.0:
                 return +1, True
             if n >= n_eff:
                 break
             n = min(2 * n, n_eff)
-        mid = 0.5 * (lower + upper)
-        return (+1 if mid > 0.0 else -1), False
+        return (+1 if 0.5 * (low + up) > 0.0 else -1), False
 
     s_lo, s_hi = 0.0, 2.0
     conclusive = True
@@ -762,7 +789,7 @@ def bowen_dimension(
         mid = 0.5 * (s_lo + s_hi)
         sign, certain = certified_sign(mid)
         conclusive = conclusive and certain
-        _, upper_mid = brackets(mid, n_eff)
+        upper_mid = upper(mid, n_eff)
         for s_prev, up_prev in previous:
             if s_prev < mid and upper_mid > up_prev + 1e-9:
                 raise AssertionError("pressure upper bracket not monotone in s")
@@ -775,16 +802,14 @@ def bowen_dimension(
             s_hi = mid
         iterations += 1
 
-    _, upper_at_low = brackets(s_lo, n_eff)
-    lower_at_high, _ = brackets(s_hi, n_eff)
     return BowenDimResult(
         s_low=s_lo,
         s_high=s_hi,
         n_used=n_eff,
         iterations=iterations,
         conclusive=conclusive,
-        upper_at_low=upper_at_low,
-        lower_at_high=lower_at_high,
+        upper_at_low=upper(s_lo, n_eff),
+        lower_at_high=lower(s_hi, n_eff),
     )
 
 

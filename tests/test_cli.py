@@ -213,6 +213,8 @@ class TestInputErrors:
             ["--config", "{bad_value}", "classify", "2", "2"],
             ["--config", "{directory}", "classify", "2", "2"],
             ["--config", "{missing}", "classify", "2", "2"],
+            ["--seed", "abc", "classify", "2", "2"],
+            ["pressure", "--alphabet", "[[2,2]]", "--n", "abc", "--s", "1"],
         ],
     )
     def test_usage_and_domain_errors_exit_two(self, runner, tmp_path, args):
@@ -250,6 +252,14 @@ class TestInProcess:
         del out, err
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+    def test_usage_error_exits_two_outside_standalone_mode(self):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
+            cli.main(["pressure", "--alphabet", "[[2,2]]", "--n", "abc", "--s", "1"],
+                     prog_name="hurwitzcf", standalone_mode=False)
+        assert info.value.code == 2
+        assert err.getvalue() == "error: Invalid value for '--n': 'abc' is not a valid integer.\n"
 
 
 class TestVerify:

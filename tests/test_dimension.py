@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -185,7 +186,10 @@ NEAR_INT64 = ((38966, 38966), (0, -55107), (2, 2), (-3, 1))
 # whose poles come nearest the box and so give the most cancellation in
 # 2|Re(d conj c)| - |c|^2 (entries up to 2^31.7 for the pair at n = 18,
 # below 2^30 for the triple at n = 10, up to 2^52 beside a large digit),
-# entries near 2^48 throughout, and the last table enumerated in int64.
+# entries near 2^48 throughout, and the last table enumerated in int64;
+# then two tables built in blocks whose last one is partial: 5^5 prefixes
+# in runs of 327 (3125 = 9 * 327 + 182) and 7^4 in runs of 167
+# (2401 = 14 * 167 + 63), each prefix with 2 tail levels.
 TABLE_CASES = (
     [(_digits(PAIR), n) for n in range(1, 13)]
     + [
@@ -206,6 +210,8 @@ TABLE_CASES = (
         (((1, 3), (-1, 3), (1, -3)), 10),
         (((8, 0), (0, -8)), 16),
         (NEAR_INT64, 4),
+        (_seeded(5, 6), 7),
+        (_seeded(7, 7), 6),
     ]
 )
 
@@ -233,6 +239,20 @@ def _leaf_or_pole(row):
         return None
 
 
+def _record_blocks(monkeypatch):
+    """(rows, undecided words) of each ``_table_leaves`` call, as the calls come."""
+    blocks = []
+    table_leaves = dimension._table_leaves
+
+    def recording(rows, bound):
+        result = table_leaves(rows, bound)
+        blocks.append((len(rows[0]), len(result[2])))
+        return result
+
+    monkeypatch.setattr(dimension, "_table_leaves", recording)
+    return blocks
+
+
 class TestWordValueTable:
     @pytest.mark.parametrize("digits, n", TABLE_CASES,
                              ids=[f"k{len(d)}-n{n}-{i}" for i, (d, n) in enumerate(TABLE_CASES)])
@@ -249,9 +269,12 @@ class TestWordValueTable:
         calls = []
         sup_value = dimension._sup_value
         monkeypatch.setattr(dimension, "_sup_value", lambda *a: calls.append(a) or sup_value(*a))
+        blocks = _record_blocks(monkeypatch)
         sups, bases = _word_value_table.__wrapped__(NEAR_64, 8)
-        # the rounding test accepts all but a few: the Python fallback runs
+        # the rounding test accepts all but a few: the Python fallback runs,
+        # for words of more than one block
         assert 0 < len(calls) < len(sups) // 50
+        assert sum(slow > 0 for _, slow in blocks) > 1
         calls.clear()
         monkeypatch.setattr(dimension, "_EXTENDED_QUOTIENT", False)
         plain_sups, plain_bases = _word_value_table.__wrapped__(NEAR_64, 8)
@@ -341,6 +364,20 @@ class TestWordValueTable:
         plain_sups, plain_bases = _word_value_table.__wrapped__(digits, n)
         assert np.array_equal(sups, plain_sups)
         assert np.array_equal(bases, plain_bases)
+
+    def test_build_keeps_bounded_working_memory(self, monkeypatch):
+        # 2^18 words: beyond the table itself a build holds one block of
+        # working arrays, and no block exceeds _EXACT_CHUNK words
+        blocks = _record_blocks(monkeypatch)
+        tracemalloc.start()
+        try:
+            sups, bases = _word_value_table.__wrapped__(_seeded(4, 3), 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (sups.nbytes + bases.nbytes)
+        sizes = [size for size, _ in blocks]
+        assert sum(sizes) == len(sups) and max(sizes) <= dimension._EXACT_CHUNK
 
     @pytest.mark.parametrize("digits, n", [(_digits(QUAD), 4), (_seeded(3, 2), 11)])
     def test_word_i_has_base_k_digits_of_i(self, digits, n):
@@ -470,6 +507,25 @@ class TestBowen:
         result = bowen_dimension(PAIR, tol=1e-3, n_max=12)
         assert result.iterations == 11
         assert len(calls) == len(set(calls))
+
+    def test_base_point_bracket_read_only_where_needed(self, monkeypatch):
+        # a negative sup-norm upper bracket certifies the sign, so the only
+        # base-point sum taken where it is negative is the reported
+        # lower bracket at s_high
+        calls = []
+        original = dimension.partition_sum
+
+        def recording(alphabet, n, s, mode, *args):
+            calls.append((mode, s, n))
+            return original(alphabet, n, s, mode, *args)
+
+        monkeypatch.setattr(dimension, "partition_sum", recording)
+        result = bowen_dimension(PAIR, tol=1e-3, n_max=12)
+        base = [(s, n) for mode, s, n in calls if mode == "base_point"]
+        assert len(base) < len(calls) - len(base)
+        for s, n in base:
+            if original(PAIR, n, s, "sup_norm").upper_bracket < 0:
+                assert (s, n) == (result.s_high, result.n_used)
 
     def test_each_word_table_built_once_per_call(self):
         # every build is a cache miss; with no eviction each stays cached,
