@@ -41,8 +41,6 @@ from .gaussian import (
 )
 from .ifs import (
     BranchComposition,
-    EngineConstants,
-    MobiusBranch,
     ball_inclusion_check,
     branch_apply,
     contraction_bound,
@@ -60,12 +58,10 @@ __all__ = [
     "DigitSet",
     "DigitWord",
     "DomainError",
-    "EngineConstants",
     "ExactComplexRational",
     "ExpansionResult",
     "GaussianInt",
     "GrowthFunction",
-    "MobiusBranch",
     "NonAutSchedule",
     "PressureEstimate",
     "RunConfig",

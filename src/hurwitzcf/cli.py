@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import io
 import json
 import math
@@ -27,24 +26,6 @@ from .gaussian import GaussianInt, parse_exact_complex
 
 class CheckFailure(Exception):
     """A verification-style command found a failing check."""
-
-
-def engine_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except BudgetExceededError as exc:
-            click.echo(f"budget exhausted: {exc}", file=sys.stderr)
-            sys.exit(3)
-        except CheckFailure as exc:
-            click.echo(f"check failure: {exc}", file=sys.stderr)
-            sys.exit(1)
-        except (DomainError, ZeroDivisionError) as exc:
-            click.echo(f"error: {exc}", file=sys.stderr)
-            sys.exit(2)
-
-    return wrapper
 
 
 def _emit(ctx: click.Context, payload: dict, rows: list[dict] | None = None) -> None:
@@ -120,7 +101,8 @@ _HELP_REQUEST = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 
 @contextlib.contextmanager
-def _one_line_usage_errors():
+def _exit_codes():
+    """One stderr line and the exit code of the contract for each error kind."""
     try:
         yield
     except _HELP_REQUEST:
@@ -128,18 +110,28 @@ def _one_line_usage_errors():
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", file=sys.stderr)
         sys.exit(2)
+    except BudgetExceededError as exc:
+        click.echo(f"budget exhausted: {exc}", file=sys.stderr)
+        sys.exit(3)
+    except CheckFailure as exc:
+        click.echo(f"check failure: {exc}", file=sys.stderr)
+        sys.exit(1)
+    except (DomainError, ZeroDivisionError) as exc:
+        click.echo(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 class _Group(click.Group):
-    """The command group: a usage error, in its own options or a
-    subcommand's, exits 2 with one ``error:`` line, as a domain error does."""
+    """The command group, the one error boundary of the CLI: a usage error,
+    in its own options or a subcommand's, and an error raised by the group
+    or a command each exit through ``_exit_codes``."""
 
     def make_context(self, *args, **kwargs) -> click.Context:
-        with _one_line_usage_errors():
+        with _exit_codes():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx: click.Context):
-        with _one_line_usage_errors():
+        with _exit_codes():
             return super().invoke(ctx)
 
 
@@ -149,7 +141,6 @@ class _Group(click.Group):
 @click.option("--out", type=click.Path(), default=None, help="Write output here instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.pass_context
-@engine_errors
 def cli(ctx, config_path, seed, out, fmt):
     """Hurwitz continued fractions, their branch system and dimension tools."""
     config = RunConfig.from_file(config_path) if config_path else RunConfig()
@@ -161,7 +152,6 @@ def cli(ctx, config_path, seed, out, fmt):
 @click.argument("z")
 @click.option("--max-digits", type=int, default=None)
 @click.pass_context
-@engine_errors
 def expand(ctx, z, max_digits):
     """Hurwitz digit expansion of an exact point, e.g. "2/5+0/1 i"."""
     config: RunConfig = ctx.obj["config"]
@@ -186,7 +176,6 @@ def expand(ctx, z, max_digits):
 @cli.command("eval")
 @click.argument("word")
 @click.pass_context
-@engine_errors
 def eval_word(ctx, word):
     """Evaluate a digit word given as JSON pairs, e.g. "[[3,0],[-2,0]]"."""
     text = _read_arg(word)
@@ -209,7 +198,6 @@ def eval_word(ctx, word):
 @click.argument("k", type=int)
 @click.argument("l", type=int)
 @click.pass_context
-@engine_errors
 def classify(ctx, k, l):
     """Classify a digit as invalid, exceptional or regular."""
     digit = GaussianInt(k, l)
@@ -223,7 +211,6 @@ def classify(ctx, k, l):
 @click.option("--include-exceptional/--regular-only", default=True, show_default=True)
 @click.option("--stroke-width", type=float, default=0.002, show_default=True)
 @click.pass_context
-@engine_errors
 def tessellate(ctx, norm_sq_max, include_exceptional, stroke_width):
     """Render the first-digit cylinder tessellation of the unit box as SVG."""
     spec = svgmod.TessellationSpec(
@@ -245,7 +232,6 @@ def tessellate(ctx, norm_sq_max, include_exceptional, stroke_width):
               help="lattice, d2 or power:<p> for x_n = n^p.")
 @click.option("--horizon", type=int, default=None)
 @click.pass_context
-@engine_errors
 def tau(ctx, source, horizon):
     """Convergence exponent estimate of a norm sequence."""
     config: RunConfig = ctx.obj["config"]
@@ -269,7 +255,6 @@ def tau(ctx, source, horizon):
 @click.option("--s", type=float, required=True)
 @click.option("--mode", type=click.Choice(["sup_norm", "base_point"]), default="sup_norm")
 @click.pass_context
-@engine_errors
 def pressure(ctx, alphabet, word_len, s, mode):
     """Partition sum with distortion brackets at one (n, s)."""
     config: RunConfig = ctx.obj["config"]
@@ -289,7 +274,6 @@ def pressure(ctx, alphabet, word_len, s, mode):
 @click.option("--tol", type=float, default=None)
 @click.option("--n-max", type=int, default=12, show_default=True)
 @click.pass_context
-@engine_errors
 def dim(ctx, alphabet, tol, n_max):
     """Bowen-dimension bracket via pressure bisection."""
     config: RunConfig = ctx.obj["config"]
@@ -318,7 +302,6 @@ def dim(ctx, alphabet, tol, n_max):
 @click.option("--emit", type=click.Choice(["blocks", "subexp"]), default="blocks",
               show_default=True, help="Row content for CSV output.")
 @click.pass_context
-@engine_errors
 def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
     """Build (and validate) a non-autonomous block schedule."""
     config: RunConfig = ctx.obj["config"]
@@ -368,7 +351,6 @@ def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
 @cli.command()
 @click.argument("suite", type=click.Choice(verifymod.SUITES))
 @click.pass_context
-@engine_errors
 def verify(ctx, suite):
     """Run a bundled invariant suite; exit 0 iff everything passes."""
     config: RunConfig = ctx.obj["config"]

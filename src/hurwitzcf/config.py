@@ -56,6 +56,3 @@ class RunConfig:
     def override(self, **kwargs) -> "RunConfig":
         clean = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **clean) if clean else self
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}

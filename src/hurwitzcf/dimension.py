@@ -7,20 +7,20 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
 from .gaussian import GaussianInt, norm_sq_shells, shell_members
-from .ifs import BRANCH_MIN_NORM_SQ, DECAY_C1, EngineConstants, _as_digit, pole_terms
+from .ifs import (BRANCH_MIN_NORM_SQ, COMPOSITION_DISTORTION_BOUND, DECAY_C1, DECAY_C2,
+                  DIAMETER_K1, DIAMETER_K2, _as_digit, pole_terms)
 
 SQRT2 = math.sqrt(2.0)
 
-_LOG_K0 = math.log(EngineConstants().k0)  # widens a base-point sum into the lower bracket
+_LOG_K0 = math.log(COMPOSITION_DISTORTION_BOUND)  # widens a base-point sum into the lower bracket
 _MAX_BISECTIONS = 64  # ends bowen_dimension's bisection when tol is below the float spacing
 
 
@@ -353,40 +353,27 @@ class PressureEstimate:
         }
 
 
-_POLE_MESSAGE = "derivative pole inside the box; word is not a branch word"
-
-
 def _leaf_values(cr: int, ci: int, dr: int, di: int) -> tuple[float, float]:
     """(sup over box of |Dphi|, |Dphi(0)|) from a composition's bottom row.
 
     (cr, ci, dr, di) is the bottom row (c, d) of the integer composition
     matrix.  The sup of |Dphi| is the rational 4 den/(nx^2 + ny^2) of
-    ``BranchComposition.sup_deriv_exact``, correctly rounded, and
-    |Dphi(0)| = 1/|d|^2.  Where |d|^2 is too large for a float, 1/|d|^2 is
-    the correctly rounded int / int instead.
+    ``BranchComposition.sup_deriv_exact``, correctly rounded (Python's
+    int / int is), and |Dphi(0)| = 1/|d|^2.  Where |d|^2 is too large for
+    a float, 1/|d|^2 is the correctly rounded int / int instead.
     """
     den, re, im = pole_terms(cr, ci, dr, di)
     nx, ny = 2 * abs(re) - den, 2 * abs(im) - den
-    sup = _sup_value(den, nx if nx > 0 else 0, ny if ny > 0 else 0)
+    nx, ny = nx if nx > 0 else 0, ny if ny > 0 else 0
+    q = nx * nx + ny * ny
+    if q == 0:
+        raise DomainError("derivative pole inside the box; word is not a branch word")
+    sup = (4 * den) / q
     dsq = dr * dr + di * di
     try:
         return sup, 1.0 / dsq
     except OverflowError:
         return sup, 1 / dsq
-
-
-def _sup_value(den: int, nx: int, ny: int) -> float:
-    """4 den / (nx^2 + ny^2), correctly rounded (Python's int / int is)."""
-    q = nx * nx + ny * ny
-    if q == 0:
-        raise DomainError(_POLE_MESSAGE)
-    return (4 * den) / q
-
-
-def _extend_row(row: tuple[int, int, int, int], xr: int, xi: int) -> tuple[int, int, int, int]:
-    """Bottom row after appending digit x: (c, d) -> (d, c + d x)."""
-    cr, ci, dr, di = row
-    return dr, di, cr + dr * xr - di * xi, ci + dr * xi + di * xr
 
 
 _IDENTITY_ROW = (0, 0, 1, 0)
@@ -417,63 +404,63 @@ def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.n
     sums over the arrays are deterministic.  Every value is bit-identical
     to ``_leaf_values`` on the word's bottom row.
 
-    Words are enumerated level by level as int64 bottom rows while a bound
-    proves the entries fit: with M the largest ceil(|x|) over the digits,
-    |c| and |d| after j digits are at most B_j, where B_-1 = 0, B_0 = 1 and
-    B_(j+1) = M B_j + B_(j-1), and by Cauchy-Schwarz every intermediate of
-    the next level is at most B_(j+1).  When the bound covers all n levels
-    the table is built in blocks of at most ``_EXACT_CHUNK`` words.  With t
-    the largest length up to n with k^t <= ``_EXACT_CHUNK`` and
-    tail = min(t, n - t), the first n - tail levels are enumerated once
-    (at most ``_EXACT_CHUNK`` prefixes while the table has at most
-    ``_EXACT_CHUNK``^2 words).  Each run of ``_EXACT_CHUNK // k^tail``
-    prefixes then gets its tail levels and its leaf values, a contiguous
-    slice of the table since the first digit varies slowest; the short
-    tail keeps the small-array levels of a block, and their per-call
-    overhead, few.  ``_table_leaves`` computes the leaf values of a block; the words it
-    leaves undecided go through ``_leaf_values`` in Python ints while the
-    block's rows are at hand.  Once the bound leaves int64, every word
-    goes through ``_leaf_values``.
+    Words are enumerated level by level as arrays of bottom rows, in
+    blocks of at most ``_EXACT_CHUNK`` words.  With t the largest length
+    up to n with k^t <= ``_EXACT_CHUNK`` and tail = min(t, n - t), the
+    first n - tail levels are enumerated once (at most ``_EXACT_CHUNK``
+    prefixes while the table has at most ``_EXACT_CHUNK``^2 words).  Each
+    run of ``_EXACT_CHUNK // k^tail`` prefixes then gets its tail levels
+    and its leaf values, a contiguous slice of the table since the first
+    digit varies slowest; the short tail keeps the small-array levels of a
+    block, and their per-call overhead, few.
+
+    The rows are int64 while a bound proves the entries fit: with M the
+    largest ceil(|x|) over the digits, |c| and |d| after j digits are at
+    most B_j, where B_-1 = 0, B_0 = 1 and B_(j+1) = M B_j + B_(j-1), and by
+    Cauchy-Schwarz every intermediate of the next level is at most
+    B_(j+1).  ``_table_leaves`` computes the leaf values of such a block;
+    the words it leaves undecided go through ``_leaf_values`` in Python
+    ints while the block's rows are at hand.  When B_n leaves int64 the
+    rows are object arrays of Python ints, and every word goes through
+    ``_leaf_values``.
     """
     k = len(digits)
     m = max(math.isqrt(max(xr * xr + xi * xi - 1, 0)) + 1 for xr, xi in digits)
     levels, b_prev, b = 0, 0, 1
     while levels < n and m * b + b_prev < _INT64_LIMIT:
         levels, b_prev, b = levels + 1, b, m * b + b_prev
-
-    rows = [np.array([v], dtype=np.int64) for v in _IDENTITY_ROW]
-    sups, bases = np.empty(k**n), np.empty(k**n)
-    if levels < n:
-        rows = _extend_levels(rows, digits, levels)
-        int_rows = _extend_int_rows(zip(*(a.tolist() for a in rows)), digits, n - levels)
-        for start in range(0, k**n, _EXACT_CHUNK):
-            part = slice(start, start + _EXACT_CHUNK)
-            _put_leaf_values(sups, bases, part, itertools.islice(int_rows, _EXACT_CHUNK))
-        return sups, bases
+    dtype = np.int64 if levels == n else object
 
     t = 0
     while t < n and k ** (t + 1) <= _EXACT_CHUNK:
         t += 1
     tail = min(t, n - t)
+    rows = [np.array([v], dtype=dtype) for v in _IDENTITY_ROW]
     prefixes = _extend_levels(rows, digits, n - tail)
+    sups, bases = np.empty(k**n), np.empty(k**n)
     run, width = _EXACT_CHUNK // k**tail, k**tail
     for first in range(0, len(prefixes[0]), run):
         block = _extend_levels([a[first : first + run] for a in prefixes], digits, tail)
         part = slice(first * width, first * width + len(block[0]))
-        sups[part], bases[part], slow = _table_leaves(block, b)
+        if dtype is object:
+            slow = np.arange(len(block[0]))
+        else:
+            sups[part], bases[part], slow = _table_leaves(block, b)
         if slow.size:
             slow_rows = zip(*(a[slow].tolist() for a in block))
-            _put_leaf_values(sups[part], bases[part], slow, slow_rows)
+            sups[part][slow], bases[part][slow] = np.array(
+                [_leaf_values(*row) for row in slow_rows]).T
     return sups, bases
 
 
 def _extend_levels(
     rows: list[np.ndarray], digits: Sequence[tuple[int, int]], levels: int
 ) -> list[np.ndarray]:
-    """int64 bottom rows of every ``levels``-digit extension of each row, in word order."""
+    """Bottom rows of every ``levels``-digit extension of each row, in word
+    order, in the rows' dtype (int64, or object for Python ints)."""
     k = len(digits)
     if levels:
-        xr, xi = np.array(digits, dtype=np.int64).T
+        xr, xi = np.array(digits, dtype=rows[0].dtype).T
     for _ in range(levels):
         cr, ci, dr, di = (a[:, None] for a in rows)
         rows = [
@@ -483,16 +470,6 @@ def _extend_levels(
             (ci + dr * xi + di * xr).ravel(),
         ]
     return rows
-
-
-def _put_leaf_values(
-    sups: np.ndarray,
-    bases: np.ndarray,
-    index: slice | np.ndarray,
-    rows: Iterable[tuple[int, int, int, int]],
-) -> None:
-    """Store ``_leaf_values`` of the Python-int ``rows``, one or more, at ``index``."""
-    sups[index], bases[index] = np.array([_leaf_values(*row) for row in rows]).T
 
 
 def _table_leaves(
@@ -648,18 +625,6 @@ def _float64_between(lo: np.ndarray, hi: np.ndarray, slack) -> tuple[np.ndarray,
     return r, ok
 
 
-def _extend_int_rows(
-    rows: Iterable[tuple[int, int, int, int]], digits: Sequence[tuple[int, int]], levels: int
-) -> Iterator[tuple[int, int, int, int]]:
-    """Bottom rows of every ``levels``-digit extension of each row, in word order."""
-    if levels == 0:
-        yield from rows
-        return
-    for row in rows:
-        children = (_extend_row(row, xr, xi) for xr, xi in digits)
-        yield from _extend_int_rows(children, digits, levels - 1)
-
-
 def partition_sum(
     alphabet: DigitSet, n: int, s: float, mode: str = "sup_norm", max_words: int = 1 << 18
 ) -> PressureEstimate:
@@ -688,9 +653,12 @@ def partition_sum(
     total_words = len(digits) ** n
     if total_words > max_words:
         single_sups, _ = _word_value_table(digits, 1)
+        try:
+            bound = math.fsum(v**s for v in single_sups.tolist()) ** n
+        except OverflowError:  # a bound past the float range bounds nothing finite
+            bound = math.inf
         raise BudgetExceededError(
-            f"{len(digits)}^{n} words exceed budget {max_words}",
-            truncation_bound=math.fsum(v**s for v in single_sups.tolist()) ** n,
+            f"{len(digits)}^{n} words exceed budget {max_words}", truncation_bound=bound
         )
 
     sups, bases = _word_value_table(digits, n)
@@ -969,11 +937,11 @@ def upper_threshold(s: DigitSet, eps: float, tau: float | None = None) -> Thresh
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
-    consts = EngineConstants()
     if tau is None:
         tau = tau_of_digit_set(s, 100_000).estimate
     p = tau + eps
-    factor = (consts.k0 * consts.k2 * consts.c2 / consts.k1) ** (p / 2.0)
+    k0 = COMPOSITION_DISTORTION_BOUND
+    factor = (k0 * DIAMETER_K2 * float(DECAY_C2) / DIAMETER_K1) ** (p / 2.0)
 
     def weighted(n: int) -> float:
         return factor * restricted_power_sum(s, n, p)

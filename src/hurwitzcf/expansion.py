@@ -208,7 +208,6 @@ def expand_guarded(
     im: float | str,
     error_radius: float,
     max_digits: int = 64,
-    precision_bits: int = 212,
 ) -> GuardedExpansion:
     """Expand an inexact point, emitting digits only while they are certain.
 
@@ -220,6 +219,7 @@ def expand_guarded(
     """
     if error_radius <= 0:
         raise DomainError("error_radius must be positive")
+    precision_bits = 212
     with mpmath.workprec(precision_bits):
         z = mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
         rad = mpmath.mpf(error_radius)

@@ -165,9 +165,6 @@ class ExactComplexRational:
         return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
 
 
-ZERO = ExactComplexRational()
-
-
 def _floor_frac(x: Fraction) -> int:
     return x.numerator // x.denominator
 

@@ -53,36 +53,17 @@ SINGLE_BRANCH_DISTORTION_MAX = Fraction(25, 9)
 # ((sqrt2 + 1 + sqrt2/2)/(sqrt2 + 1 - sqrt2/2))^2 = (2*sqrt2 - 1)^2.
 COMPOSITION_DISTORTION_BOUND = 9.0 - 4.0 * math.sqrt(2.0)
 
-
-@dataclass(frozen=True)
-class MobiusBranch:
-    """Single inverse branch z -> 1/(z + k + il), norm_sq(k, l) >= 8."""
-
-    k: int
-    l: int
-
-    def __post_init__(self) -> None:
-        if self.k * self.k + self.l * self.l < BRANCH_MIN_NORM_SQ:
-            raise DomainError(
-                f"branch index ({self.k},{self.l}) has norm_sq < {BRANCH_MIN_NORM_SQ}"
-            )
-
-    def digit(self) -> GaussianInt:
-        return GaussianInt(self.k, self.l)
-
-    def norm_sq(self) -> int:
-        return self.k * self.k + self.l * self.l
-
-    def __str__(self) -> str:
-        return f"({self.k},{self.l})"
+# Two-sided bounds k1 |Dphi(0)| <= diam <= k2 |Dphi(0)| on the diameter of
+# a word's image of the box: k1 = 2 delta / (3 k0) with delta = 1/2 and
+# k0 = COMPOSITION_DISTORTION_BOUND, k2 = k0 * diam of the unit box.
+DIAMETER_K1 = 1.0 / (3.0 * COMPOSITION_DISTORTION_BOUND)
+DIAMETER_K2 = COMPOSITION_DISTORTION_BOUND * math.sqrt(2.0)
 
 
-BranchLike = MobiusBranch | GaussianInt | tuple[int, int]
+BranchLike = GaussianInt | tuple[int, int]
 
 
 def _as_digit(b: BranchLike) -> GaussianInt:
-    if isinstance(b, MobiusBranch):
-        return b.digit()
     if isinstance(b, GaussianInt):
         return b
     return GaussianInt(int(b[0]), int(b[1]))
@@ -258,29 +239,13 @@ def chain_deriv_abs_exact(
     return total
 
 
-def d2_branches(norm_sq_max: int, norm_sq_min: int = BRANCH_MIN_NORM_SQ) -> list[MobiusBranch]:
-    """All branches with norm_sq in [norm_sq_min, norm_sq_max], norm-lex ordered."""
-    return [MobiusBranch(g.re, g.im) for g in points_by_norm(norm_sq_min, norm_sq_max)]
+def d2_branches(norm_sq_max: int) -> list[GaussianInt]:
+    """All branch indices with norm_sq in [8, norm_sq_max], norm-lex ordered."""
+    return points_by_norm(BRANCH_MIN_NORM_SQ, norm_sq_max)
 
 
 # ---------------------------------------------------------------------------
 # constants and their verification
-
-
-@dataclass(frozen=True)
-class EngineConstants:
-    """Constants fed to the dimension engine.
-
-    k0 is the uniform composition distortion bound; k1 and k2 convert the
-    base-point derivative into two-sided diameter bounds (k1 = 2 delta /
-    (3 k0) with delta = 1/2, k2 = k0 * diam of the unit box).
-    """
-
-    k0: float = COMPOSITION_DISTORTION_BOUND
-    k1: float = 1.0 / (3.0 * COMPOSITION_DISTORTION_BOUND)
-    k2: float = COMPOSITION_DISTORTION_BOUND * math.sqrt(2.0)
-    c1: float = float(DECAY_C1)
-    c2: float = float(DECAY_C2)
 
 
 def validate_decay_bounds(norm_sq_max: int = 64, grid: int = 31):
@@ -300,8 +265,8 @@ def validate_decay_bounds(norm_sq_max: int = 64, grid: int = 31):
     c2n, c2d = DECAY_C2.numerator, DECAY_C2.denominator
     for branch in d2_branches(norm_sq_max):
         ns = branch.norm_sq()
-        kk = two_g * branch.k
-        ll = two_g * branch.l
+        kk = two_g * branch.re
+        ll = two_g * branch.im
         for u in offs:
             du = (u + kk) ** 2
             for v in offs:
@@ -309,7 +274,7 @@ def validate_decay_bounds(norm_sq_max: int = 64, grid: int = 31):
                 # c1/ns <= (2g)^2/dist  <=>  c1 * dist <= c1d * (2g)^2 * ns
                 if c1n * dist > c1d * two_g**2 * ns or c2n * dist < c2d * two_g**2 * ns:
                     return False, {
-                        "branch": [branch.k, branch.l],
+                        "branch": [branch.re, branch.im],
                         "z": [f"{u}/{two_g}", f"{v}/{two_g}"],
                     }
     return True, None
@@ -376,33 +341,18 @@ def max_single_branch_distortion(norm_sq_max: int = 64) -> Fraction:
     return max(BranchComposition.from_word([b]).distortion_exact() for b in d2_branches(norm_sq_max))
 
 
-@dataclass(frozen=True)
-class DistortionEstimate:
-    sampled_max: float
-    single_branch_exact_max: Fraction
-    uniform_bound: float
-    max_word_len: int
-    rigorous: bool = False
-
-
-def distortion_estimate(
-    max_word_len: int = 3,
-    grid_density: int = 5,
-    alphabet_norm_sq_max: int = 13,
-    max_words: int = 20_000,
-    seed: int = 1,
-) -> DistortionEstimate:
-    """Sampled composition distortion over short low-norm words.
+def distortion_estimate(max_word_len: int = 3, max_words: int = 20_000, seed: int = 1) -> float:
+    """Sampled composition distortion over short words of norm_sq <= 13.
 
     Exhausts words as long as the alphabet power fits ``max_words``, then
     samples uniformly (seeded).  Each word's ratio is taken over a rational
-    grid (grid_density points per axis) that includes the box corners,
-    where single-branch extremes live, so the estimate is >= the exact
+    grid of 5 points per axis that includes the box corners, where
+    single-branch extremes live, so the estimate is >= the exact
     single-branch maximum 25/9.  Word space is sampled, hence non-rigorous;
-    the derived uniform bound is reported alongside.
+    ``COMPOSITION_DISTORTION_BOUND`` is the proven bound.
     """
-    alphabet = d2_branches(alphabet_norm_sq_max)
-    g = grid_density - 1  # coordinates (2j - g) / (2g), j = 0..g
+    alphabet = d2_branches(13)
+    g = 4  # coordinates (2j - g) / (2g), j = 0..g
     offs = [2 * j - g for j in range(g + 1)]
     rng = np.random.default_rng(seed)
     best = 1.0
@@ -431,15 +381,10 @@ def distortion_estimate(
             words = (tuple(alphabet[j] for j in row) for row in idx)
         for word in words:
             best = max(best, ratio_of(word))
-    return DistortionEstimate(
-        sampled_max=best,
-        single_branch_exact_max=SINGLE_BRANCH_DISTORTION_MAX,
-        uniform_bound=COMPOSITION_DISTORTION_BOUND,
-        max_word_len=max_word_len,
-    )
+    return best
 
 
-def _all_words(alphabet: Sequence[MobiusBranch], length: int):
+def _all_words(alphabet: Sequence[GaussianInt], length: int):
     if length == 0:
         yield ()
         return
@@ -456,9 +401,8 @@ def word_diameter_bounds(comp: BranchComposition) -> tuple[float, float]:
     """Two-sided bounds [k1 |Dphi(0)|, k2 |Dphi(0)|] on the image diameter."""
     if not comp.word:
         raise DomainError("diameter bounds need a nonempty word")
-    consts = EngineConstants()
     base = float(comp.base_deriv_exact())
-    return consts.k1 * base, consts.k2 * base
+    return DIAMETER_K1 * base, DIAMETER_K2 * base
 
 
 def mc_diameter(comp: BranchComposition, samples: int = 1024, seed: int = 1) -> float:

@@ -24,7 +24,6 @@ class TessellationSpec:
     norm_sq_max: int = 8
     include_exceptional: bool = True
     stroke_width: float = 0.002
-    viewport: int = 800
 
     def __post_init__(self) -> None:
         if self.norm_sq_max < 2:
@@ -102,10 +101,9 @@ def region_path(k: int, l: int) -> str:
 
 def render_svg(spec: TessellationSpec) -> str:
     """Full SVG document for the tessellation (no timestamps, byte-stable)."""
-    size = spec.viewport
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
         f'viewBox="-0.52 -0.52 1.04 1.04">',
         "<defs>",
         '<clipPath id="unit-box"><rect x="-0.5" y="-0.5" width="1" height="1"/></clipPath>',

@@ -36,7 +36,9 @@ from hurwitzcf.cli import cli
 from hurwitzcf.dimension import restricted_power_sum
 from hurwitzcf.ifs import (
     COMPOSITION_DISTORTION_BOUND,
-    EngineConstants,
+    DECAY_C2,
+    DIAMETER_K1,
+    DIAMETER_K2,
     contraction_envelope_check,
     max_single_branch_distortion,
     validate_decay_bounds,
@@ -128,13 +130,13 @@ def test_criterion_05_contraction_and_decay():
 
 def test_criterion_06_distortion():
     assert max_single_branch_distortion() == Fraction(25, 9)
-    est = distortion_estimate(max_word_len=3)
-    assert math.isfinite(est.sampled_max)
-    assert est.sampled_max >= float(Fraction(25, 9)) - 1e-12
+    sampled = distortion_estimate(max_word_len=3)
+    assert math.isfinite(sampled)
+    assert sampled >= float(Fraction(25, 9)) - 1e-12
     report(
         6,
         f"exact single-branch max 25/9; sampled length<=3 distortion "
-        f"{est.sampled_max:.4f} (uniform bound {COMPOSITION_DISTORTION_BOUND:.4f})",
+        f"{sampled:.4f} (uniform bound {COMPOSITION_DISTORTION_BOUND:.4f})",
     )
 
 
@@ -207,9 +209,9 @@ def test_criterion_09_upper_threshold():
     res = upper_threshold(DigitSet.d2(), eps=0.5)
     # independent re-evaluation: reassemble the weighted sums at the cutoff
     # straight from the constants and the enumeration-plus-integral estimator
-    consts = EngineConstants()
+    k0 = COMPOSITION_DISTORTION_BOUND
     p = res.tau + 0.5
-    factor = (consts.k0 * consts.k2 * consts.c2 / consts.k1) ** (p / 2.0)
+    factor = (k0 * DIAMETER_K2 * float(DECAY_C2) / DIAMETER_K1) ** (p / 2.0)
     at_cutoff = factor * restricted_power_sum(DigitSet.d2(), res.norm_cutoff, p)
     before = factor * restricted_power_sum(DigitSet.d2(), res.norm_cutoff - 1, p)
     assert at_cutoff <= 1.0 < before

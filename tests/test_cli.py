@@ -120,6 +120,12 @@ class TestPressureAndDim:
         result = run_ok(runner, ["dim", "--alphabet", "[[2,2]]", "--n-max", "400"])
         assert json.loads(result.stdout) == {"s_low": 0.0, "s_high": 0.0009765625, "n_used": 400}
 
+    def test_dim_deep_one_digit_alphabet(self, runner):
+        # word tables far beyond int64 entries, at word lengths up to 5000
+        result = run_ok(runner, ["dim", "--alphabet", "[[2,2]]", "--n-max", "5000"])
+        payload = json.loads(result.stdout)
+        assert [payload["s_low"], payload["s_high"]] == [0, 0.0009765625]
+
     def test_annulus_alphabet(self, runner):
         result = run_ok(
             runner,
@@ -215,6 +221,7 @@ class TestInputErrors:
             ["--config", "{missing}", "classify", "2", "2"],
             ["--seed", "abc", "classify", "2", "2"],
             ["pressure", "--alphabet", "[[2,2]]", "--n", "abc", "--s", "1"],
+            ["pressure", "--alphabet", "[[2,2]]", "--n", "1200", "--s", "1"],
         ],
     )
     def test_usage_and_domain_errors_exit_two(self, runner, tmp_path, args):

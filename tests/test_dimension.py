@@ -267,8 +267,8 @@ class TestWordValueTable:
         if not dimension._EXTENDED_QUOTIENT:
             pytest.skip("long double has no 64-bit significand here")
         calls = []
-        sup_value = dimension._sup_value
-        monkeypatch.setattr(dimension, "_sup_value", lambda *a: calls.append(a) or sup_value(*a))
+        leaf_values = dimension._leaf_values
+        monkeypatch.setattr(dimension, "_leaf_values", lambda *a: calls.append(a) or leaf_values(*a))
         blocks = _record_blocks(monkeypatch)
         sups, bases = _word_value_table.__wrapped__(NEAR_64, 8)
         # the rounding test accepts all but a few: the Python fallback runs,
@@ -365,6 +365,17 @@ class TestWordValueTable:
         assert np.array_equal(sups, plain_sups)
         assert np.array_equal(bases, plain_bases)
 
+    @pytest.mark.parametrize("n", [150, 2000])
+    def test_deep_one_digit_table_matches_exact_composition(self, n):
+        # rows of Python ints far past int64, against the exact rationals of
+        # the composition; 1.0 / |d|^2 rounds |d|^2 first, so the base-point
+        # value may be one rounding off the exact one (both are 0 at n 2000)
+        sups, bases = _word_value_table.__wrapped__(((2, 2),), n)
+        comp = BranchComposition.from_word([(2, 2)] * n)
+        base = float(comp.base_deriv_exact())
+        assert sups.tolist() == [float(comp.sup_deriv_exact())]
+        assert abs(bases[0] - base) <= math.ulp(base)
+
     def test_build_keeps_bounded_working_memory(self, monkeypatch):
         # 2^18 words: beyond the table itself a build holds one block of
         # working arrays, and no block exceeds _EXACT_CHUNK words
@@ -455,6 +466,10 @@ class TestPartitionSum:
         )
         assert info.value.truncation_bound == singles**9
         assert info.value.truncation_bound >= math.exp(9 * partition_sum(QUAD, 9, 1.0).log_zn_over_n)
+        # at s = 0 the bound is 4^n, past the float range at n = 600
+        with pytest.raises(BudgetExceededError) as info:
+            partition_sum(QUAD, 600, 0.0)
+        assert info.value.truncation_bound == math.inf
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):

@@ -154,7 +154,7 @@ class TestRoundtrip:
         rng = np.random.default_rng(31)
         from hurwitzcf.ifs import d2_branches
 
-        alphabet = [(b.k, b.l) for b in d2_branches(18)]
+        alphabet = [(b.re, b.im) for b in d2_branches(18)]
         for _ in range(150):
             length = int(rng.integers(1, 6))
             word = DigitWord(

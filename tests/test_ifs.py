@@ -8,17 +8,20 @@ import pytest
 from hurwitzcf import (
     BranchComposition,
     DomainError,
-    EngineConstants,
     ExactComplexRational,
-    MobiusBranch,
     ball_inclusion_check,
     branch_apply,
     distortion_estimate,
     word_diameter_bounds,
 )
+from hurwitzcf import dimension
 from hurwitzcf.ifs import (
     contraction_envelope_check,
     COMPOSITION_DISTORTION_BOUND,
+    DECAY_C1,
+    DECAY_C2,
+    DIAMETER_K1,
+    DIAMETER_K2,
     d2_branches,
     max_single_branch_distortion,
     mc_diameter,
@@ -36,8 +39,8 @@ def ecr(re, im) -> ExactComplexRational:
 class TestBranch:
     def test_index_must_be_regular(self):
         with pytest.raises(DomainError):
-            MobiusBranch(2, 1)
-        MobiusBranch(2, 2)
+            BranchComposition.from_word([(2, 1)])
+        BranchComposition.from_word([(2, 2)])
 
     def test_apply_examples(self):
         assert branch_apply((2, 2), ecr(0, 0)) == ecr(Fraction(1, 4), Fraction(-1, 4))
@@ -125,7 +128,7 @@ HUGE_DIGITS = [(2**40, 3), (-5, 2**40 + 1), (-(2**40), -(2**39)), (7, -(2**41))]
 class TestIntegerSupInf:
     @pytest.mark.parametrize("length", range(1, 7))
     def test_equals_fraction_reference_on_seeded_words(self, length):
-        alphabet = [b.digit().to_pair() for b in d2_branches(64)]
+        alphabet = [b.to_pair() for b in d2_branches(64)]
         rng = random.Random(length)
         for _ in range(40):
             comp = BranchComposition.from_word(rng.choices(alphabet, k=length))
@@ -207,13 +210,13 @@ class TestDistortion:
         assert max_single_branch_distortion() == Fraction(25, 9)
 
     def test_sampled_at_least_single_branch(self):
-        est = distortion_estimate(max_word_len=3)
-        assert math.isfinite(est.sampled_max)
-        assert est.sampled_max >= float(Fraction(25, 9)) - 1e-12
+        sampled = distortion_estimate(max_word_len=3)
+        assert math.isfinite(sampled)
+        assert sampled >= float(Fraction(25, 9)) - 1e-12
 
     def test_uniform_bound_dominates_samples(self):
-        est = distortion_estimate(max_word_len=3)
-        assert est.sampled_max <= COMPOSITION_DISTORTION_BOUND
+        sampled = distortion_estimate(max_word_len=3)
+        assert sampled <= COMPOSITION_DISTORTION_BOUND
         # the bound itself is (2 sqrt2 - 1)^2
         assert abs(COMPOSITION_DISTORTION_BOUND - (2 * math.sqrt(2) - 1) ** 2) < 1e-14
 
@@ -259,7 +262,7 @@ class TestCylinderIdentity:
         from hurwitzcf.gaussian import GaussianInt
 
         rng = np.random.default_rng(23)
-        alphabet = [(b.k, b.l) for b in d2_branches(16)]
+        alphabet = [(b.re, b.im) for b in d2_branches(16)]
         points = sample_box_rationals(rng, 8)
         words = [[a] for a in alphabet] + [[a, b] for a in alphabet for b in alphabet]
         for _ in range(120):
@@ -312,8 +315,9 @@ class TestNesting:
 
 class TestEngineConstants:
     def test_relations(self):
-        c = EngineConstants()
-        assert abs(c.k1 - 2 * 0.5 / (3 * c.k0)) < 1e-15
-        assert abs(c.k2 - c.k0 * math.sqrt(2)) < 1e-15
-        assert c.c1 == 16 / 25 and c.c2 == 16 / 9
-        assert c.k0 == COMPOSITION_DISTORTION_BOUND
+        k0 = COMPOSITION_DISTORTION_BOUND
+        assert abs(DIAMETER_K1 - 2 * 0.5 / (3 * k0)) < 1e-15
+        assert abs(DIAMETER_K2 - k0 * math.sqrt(2)) < 1e-15
+        assert float(DECAY_C1) == 16 / 25 and float(DECAY_C2) == 16 / 9
+        # the k0 the dimension engine widens its lower brackets by
+        assert dimension._LOG_K0 == math.log(k0)
