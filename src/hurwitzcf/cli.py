@@ -28,11 +28,21 @@ class CheckFailure(Exception):
     """A verification-style command found a failing check."""
 
 
+def _write(ctx: click.Context, text: str) -> None:
+    """Write text to --out or stdout; a path that cannot be written is a domain error."""
+    out: Path | None = ctx.obj["out"]
+    if out is None:
+        click.echo(text, file=sys.stdout, nl=False)
+        return
+    try:
+        out.write_text(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {str(out)!r}: {exc}") from exc
+
+
 def _emit(ctx: click.Context, payload: dict, rows: list[dict] | None = None) -> None:
     """Write the JSON or CSV form of a result to --out or stdout."""
-    fmt = ctx.obj["format"]
-    out: Path | None = ctx.obj["out"]
-    if fmt == "json":
+    if ctx.obj["format"] == "json":
         try:
             text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         except ValueError as exc:
@@ -46,10 +56,7 @@ def _emit(ctx: click.Context, payload: dict, rows: list[dict] | None = None) -> 
             writer.writeheader()
             writer.writerows(rows)
         text = buf.getvalue()
-    if out is not None:
-        Path(out).write_text(text)
-    else:
-        click.echo(text, file=sys.stdout, nl=False)
+    _write(ctx, text)
 
 
 def _read_arg(spec: str) -> str:
@@ -158,8 +165,6 @@ def expand(ctx, z, max_digits):
     point = parse_exact_complex(z)
     result = expansion.expand(point, config.max_digits if max_digits is None else max_digits)
     roundtrip = expansion.evaluate(result.digits) == point if result.terminated else False
-    click.echo(f"digits: {result.digits}", file=sys.stderr)
-    click.echo(f"terminated: {result.terminated}  roundtrip: {roundtrip}", file=sys.stderr)
     payload = {
         "input": z,
         "digits": [d.to_pair() for d in result.digits],
@@ -171,6 +176,8 @@ def expand(ctx, z, max_digits):
         {"index": i + 1, "re": d.re, "im": d.im} for i, d in enumerate(result.digits)
     ]
     _emit(ctx, payload, rows)
+    click.echo(f"digits: {result.digits}", file=sys.stderr)
+    click.echo(f"terminated: {result.terminated}  roundtrip: {roundtrip}", file=sys.stderr)
 
 
 @cli.command("eval")
@@ -184,7 +191,6 @@ def eval_word(ctx, word):
     except (ValueError, KeyError) as exc:
         raise DomainError(f"bad word {word!r}: {exc}") from exc
     value = expansion.evaluate(digits)
-    click.echo(f"value: {value}", file=sys.stderr)
     payload = {
         "word": [d.to_pair() for d in digits],
         "re": str(value.re),
@@ -192,6 +198,7 @@ def eval_word(ctx, word):
         "display": str(value),
     }
     _emit(ctx, payload)
+    click.echo(f"value: {value}", file=sys.stderr)
 
 
 @cli.command()
@@ -202,8 +209,8 @@ def classify(ctx, k, l):
     """Classify a digit as invalid, exceptional or regular."""
     digit = GaussianInt(k, l)
     cls = expansion.classify_digit(digit)
-    click.echo(f"({k},{l}): {cls}", file=sys.stderr)
     _emit(ctx, {"digit": [k, l], "norm_sq": digit.norm_sq(), "class": cls})
+    click.echo(f"({k},{l}): {cls}", file=sys.stderr)
 
 
 @cli.command()
@@ -218,13 +225,10 @@ def tessellate(ctx, norm_sq_max, include_exceptional, stroke_width):
         include_exceptional=include_exceptional,
         stroke_width=stroke_width,
     )
-    document = svgmod.render_svg(spec)
-    out: Path | None = ctx.obj["out"]
-    if out is not None:
-        Path(out).write_text(document)
-        click.echo(f"wrote {out} ({len(svgmod.region_digits(spec))} regions)", file=sys.stderr)
-    else:
-        click.echo(document, file=sys.stdout, nl=False)
+    _write(ctx, svgmod.render_svg(spec))
+    if ctx.obj["out"] is not None:
+        click.echo(f"wrote {ctx.obj['out']} ({len(svgmod.region_digits(spec))} regions)",
+                   file=sys.stderr)
 
 
 @cli.command()
@@ -283,12 +287,12 @@ def dim(ctx, alphabet, tol, n_max):
         n_max=n_max,
         max_words=config.max_words,
     )
+    _emit(ctx, result.to_json())
     click.echo(
         f"s in [{result.s_low:.6f}, {result.s_high:.6f}] "
         f"(n={result.n_used}, conclusive={result.conclusive})",
         file=sys.stderr,
     )
-    _emit(ctx, result.to_json())
 
 
 @cli.command()
@@ -320,8 +324,6 @@ def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
     fn = dimension.GrowthFunction(growth)
     ratio_tol = config.ratio_tol if ratio_tol is None else ratio_tol
     sched = dimension.build_schedule(digit_set, fn, eps=eps, horizon=horizon, ratio_tol=ratio_tol)
-    if sched.warning:
-        click.echo(f"warning: {sched.warning}", file=sys.stderr)
     payload = sched.to_json()
     if emit == "subexp":
         traj = dimension.subexp_check(sched)
@@ -332,15 +334,15 @@ def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
         ]
     else:
         rows = [dict(b.to_json(), block=b.index) for b in sched.blocks]
+    failed = []
     if validate:
-        report = dimension.validate_schedule(sched, fn)
-        payload["validation"] = report
-        failed = [c for c in report if c["status"] != "pass"]
-        _emit(ctx, payload, rows)
-        if failed:
-            raise CheckFailure(f"{len(failed)} schedule checks failed")
-    else:
-        _emit(ctx, payload, rows)
+        payload["validation"] = dimension.validate_schedule(sched, fn)
+        failed = [c for c in payload["validation"] if c["status"] != "pass"]
+    _emit(ctx, payload, rows)
+    if sched.warning:
+        click.echo(f"warning: {sched.warning}", file=sys.stderr)
+    if failed:
+        raise CheckFailure(f"{len(failed)} schedule checks failed")
     click.echo(
         f"{len(sched.blocks)} blocks, horizon {sched.horizon}, "
         f"tau estimate {sched.tau_estimate:.4f}",

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError
 from .gaussian import GaussianInt, norm_sq_shells, shell_members
 from .ifs import (BRANCH_MIN_NORM_SQ, COMPOSITION_DISTORTION_BOUND, DECAY_C1, DECAY_C2,
-                  DIAMETER_K1, DIAMETER_K2, _as_digit, pole_terms)
+                  DIAMETER_K1, DIAMETER_K2, BranchComposition, _as_digit, pole_terms)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -327,12 +327,17 @@ def _tokenize(src: str) -> list[str]:
 
 @dataclass(frozen=True)
 class PressureEstimate:
-    """n-normalised log partition sum with distortion brackets.
+    """n-normalised log partition sum with outward brackets.
 
-    The upper bracket is sound for sup-norm sums (submultiplicativity makes
-    every finite-n value an upper bound of the limit); the lower bracket is
-    sound for base-point sums (they are supermultiplicative up to one
-    distortion factor per splice).
+    With Z(n) the exact sum over the mode's values and P(s) the pressure:
+
+    - lo <= (log Z(n) - s log K0)/n <= log Z_inf(n)/n <= P(s), in either
+      mode.  K0 = ``COMPOSITION_DISTORTION_BOUND`` bounds every word's
+      sup/inf ratio over the box, so no sup or base-point value exceeds K0
+      times the word's inf, and Z_inf is supermultiplicative because every
+      branch maps the box into itself.
+    - sup_norm: P(s) <= log Z_sup(n)/n <= hi, as Z_sup is submultiplicative.
+      base_point: hi >= log Z_base(n)/n only, which need not bound P(s).
     """
 
     s: float
@@ -354,13 +359,14 @@ class PressureEstimate:
 
 
 def _leaf_values(cr: int, ci: int, dr: int, di: int) -> tuple[float, float]:
-    """(sup over box of |Dphi|, |Dphi(0)|) from a composition's bottom row.
+    """(sup over box of |Dphi|, |Dphi(0)|) from a composition's bottom row, rounded outward.
 
     (cr, ci, dr, di) is the bottom row (c, d) of the integer composition
     matrix.  The sup of |Dphi| is the rational 4 den/(nx^2 + ny^2) of
-    ``BranchComposition.sup_deriv_exact``, correctly rounded (Python's
-    int / int is), and |Dphi(0)| = 1/|d|^2.  Where |d|^2 is too large for
-    a float, 1/|d|^2 is the correctly rounded int / int instead.
+    ``BranchComposition.sup_deriv_exact`` and |Dphi(0)| = 1/|d|^2.  Python's
+    int / int rounds each correctly, and one ``math.nextafter`` step then
+    moves the sup up and the base-point value down: sup >= 4 den/q and
+    base <= 1/|d|^2, each within 3u relative where it is a normal float.
     """
     den, re, im = pole_terms(cr, ci, dr, di)
     nx, ny = 2 * abs(re) - den, 2 * abs(im) - den
@@ -368,25 +374,17 @@ def _leaf_values(cr: int, ci: int, dr: int, di: int) -> tuple[float, float]:
     q = nx * nx + ny * ny
     if q == 0:
         raise DomainError("derivative pole inside the box; word is not a branch word")
-    sup = (4 * den) / q
-    dsq = dr * dr + di * di
-    try:
-        return sup, 1.0 / dsq
-    except OverflowError:
-        return sup, 1 / dsq
+    return math.nextafter((4 * den) / q, math.inf), math.nextafter(1 / (dr * dr + di * di), 0)
 
 
 _IDENTITY_ROW = (0, 0, 1, 0)
 
 _INT64_LIMIT = 1 << 63  # every int64 intermediate stays strictly below this
-_SMALL_ENTRY = 1 << 30  # below this every leaf integer but q fits int64
-_EXACT_ENTRY = 1 << 31  # below this every long double leaf term is an exact integer
-_FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
 _EXACT_CHUNK = 8192  # words in one block of a word table build
-_LONGDOUBLE = np.finfo(np.longdouble)
-# x87 extended or IEEE quad: at least 64 significand bits hold every int64
-# exactly; double-double and plain double do not qualify
-_EXTENDED_QUOTIENT = _LONGDOUBLE.nmant >= 63 and _LONGDOUBLE.nexp == 15
+_U = 2.0**-53  # unit roundoff of float64
+_E_ULPS = 8  # the cancellation bound of _table_leaves, E = _E_ULPS u (2S + den)
+_ROUND_ULPS = 16  # _table_leaves rounds its values outward by a factor 1 +/- _ROUND_ULPS u
+_KAPPA = 106  # every normal table value lies within a factor 1 +/- _KAPPA u of the exact one
 
 
 # Sized by what one bowen_dimension call reuses: the tables of word lengths
@@ -401,8 +399,11 @@ def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.n
 
     Word order is the lexicographic order over the given digit order (the
     last digit varies fastest), so word i has the base-k digits of i and
-    sums over the arrays are deterministic.  Every value is bit-identical
-    to ``_leaf_values`` on the word's bottom row.
+    sums over the arrays are deterministic.  Every sup is at or above the
+    word's exact sup and every base-point value at or below 1/|d|^2; for
+    branch digits (norm_sq >= 8) each one that is a normal float lies
+    within a factor 1 +/- ``_KAPPA`` u of the exact value, u = 2^-53
+    (``_table_leaves``, ``_leaf_values``).
 
     Words are enumerated level by level as arrays of bottom rows, in
     blocks of at most ``_EXACT_CHUNK`` words.  With t the largest length
@@ -419,10 +420,10 @@ def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.n
     most B_j, where B_-1 = 0, B_0 = 1 and B_(j+1) = M B_j + B_(j-1), and by
     Cauchy-Schwarz every intermediate of the next level is at most
     B_(j+1).  ``_table_leaves`` computes the leaf values of such a block;
-    the words it leaves undecided go through ``_leaf_values`` in Python
-    ints while the block's rows are at hand.  When B_n leaves int64 the
-    rows are object arrays of Python ints, and every word goes through
-    ``_leaf_values``.
+    the words it leaves undecided, every possible pole among them, go
+    through ``_leaf_values`` in Python ints while the block's rows are at
+    hand.  When B_n leaves int64 the rows are object arrays of Python ints,
+    and every word goes through ``_leaf_values``.
     """
     k = len(digits)
     m = max(math.isqrt(max(xr * xr + xi * xi - 1, 0)) + 1 for xr, xi in digits)
@@ -445,7 +446,7 @@ def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.n
         if dtype is object:
             slow = np.arange(len(block[0]))
         else:
-            sups[part], bases[part], slow = _table_leaves(block, b)
+            sups[part], bases[part], slow = _table_leaves(block)
         if slow.size:
             slow_rows = zip(*(a[slow].tolist() for a in block))
             sups[part][slow], bases[part][slow] = np.array(
@@ -472,157 +473,86 @@ def _extend_levels(
     return rows
 
 
-def _table_leaves(
-    rows: list[np.ndarray], bound: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leaf values of int64 bottom rows, bit-identical to ``_leaf_values``.
+def _table_leaves(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leaf values of int64 bottom rows in float64, rounded outward.
 
-    ``_word_value_table`` passes one block, at most ``_EXACT_CHUNK`` rows,
-    so every working array stays small.  ``bound`` is at least every
-    |entry| (B_n of ``_word_value_table``).  Returns (sups, bases, slow):
-    ``slow`` indexes the words that neither vectorised tier decides, every
-    possible pole among them; their values are left unset.
+    ``_word_value_table`` passes one block, at most ``_EXACT_CHUNK`` rows.
+    Returns (sups, bases, slow): sup >= 4 den/q and base <= 1/|d|^2, the
+    exact values of ``_leaf_values``; ``slow`` indexes the words with
+    q_lo = 0, every possible pole among them, whose values are unset.
 
-    float64 tier.  Where every entry is below 2^30, the integers den =
-    |c|^2, nx, ny and |d|^2 are below 2^62 and are computed exactly in
-    int64.  The int64 to float64 cast rounds to nearest-even, as Python's
-    int to float does, so 1.0 / |d|^2 matches.  Where 4 den and
-    q = nx^2 + ny^2 are both below 2^53 and q > 0 they are exact float64
-    integers, and IEEE division of exact operands is correctly rounded, as
-    Python's int / int is.
+    Soundness, with u = 2^-53 and gamma_k = k u/(1 - k u).  Entries below
+    2^63 keep every intermediate finite and each 0 or normal, so every
+    operation rounds by a factor 1 + delta, |delta| <= u.  The casts and a
+    product put den's terms and a = dr cr, b = di ci within a factor
+    1 +- gamma_3, and a sum more gives |den~ - den| <= gamma_4 den and
+    |Re~ - Re| <= gamma_4 S for Re = Re(d conj c) = a + b, S = |a| + |b|.
+    With X = 2|Re| - den and T = 2S + den >= |X|, nx~ = fl(2|Re~| - den~)
+    is within gamma_5 T of X, and E = _E_ULPS u fl(2 fl(|a~| + |b~|) + den~)
+    >= 8u (1 - u)^5 T > gamma_6 T.  So fl(nx~ - E), where positive, is at
+    most nx~ - E + u nx~ <= X + gamma_6 T - E < X: X_lo = max(fl(nx~ - E), 0)
+    <= X+ = max(X, 0), however near 2|Re| comes to den.  Y_lo <= Y+ alike,
+    from Im(d conj c) = di cr - dr ci.  So q_lo = fl(X_lo^2 + Y_lo^2) <=
+    q (1 + u)^2; where q_lo > 0 there is no pole, and with c' = _ROUND_ULPS
 
-    long double tier, on an extended format (``_EXTENDED_QUOTIENT``) with
-    unit roundoff u = eps/2.  ``_long_double_quotients`` takes the other
-    quotients of the rows above from their exact den, nx and ny, and those
-    of rows with an entry in [2^30, 2^63) from long double terms.  Such
-    entries are exact long doubles, and each product and sum of the terms
-    rounds once: den~ from cr^2 + ci^2, Re~ = a~ + b~ from the products
-    a~ of dr cr and b~ of di ci, and nx~ = 2|Re~| - den~.  A rounded sum
-    of nonnegative terms errs to one side, so den~ lies in
-    [den (1 - u)^2, den (1 + u)^2]; with S = |dr cr| + |di ci|,
-    |Re~ - Re| <= (2u + u^2) S, and for X = 2|Re(d conj c)| - den
+        sup~ = fl(fl(den~ (4 + 4c'u))/q_lo) >= 4 den (1 - u)^6 (1 + c'u)/(q (1 + u)^2) >= 4 den/q.
 
-        |nx~ - X| <= u |2|Re~| - den~| + 2 (2u + u^2) S + (2u + u^2) den
-                  <= (3u + 3u^2 + u^3)(2S + den).
+    As |d|^2~ >= |d|^2 (1 - u)^4, base~ = fl((1 - c'u)/|d|^2~) lies in
+    [(1 - 21u)/|d|^2, 1/|d|^2].
 
-    The bound E_x = 4u (2 S~ + den~), from S~ = |a~| + |b~| rounded, is at
-    least 4u (1 - u)^3 (2S + den), which exceeds the error above, however
-    near 2|Re| comes to den.  ny~ and E_y are the same with
-    Im = di cr - dr ci.  Where every entry is below 2^31, every product and
-    sum is an integer of magnitude at most 2^64, exact in long double, and
-    E_x = E_y = 0.  |d|^2 rounds like den, so |d|^2 lies in
-    [dsq~/(1 + u)^2, dsq~/(1 - u)^2], inside (dsq~ (1 - 4u), dsq~ (1 + 4u)),
-    and float64(dsq~) is |d|^2 correctly rounded when ``_float64_between``
-    accepts that interval, or when dsq~ is exact; 1.0 divided by it then
-    matches Python's 1.0 / |d|^2.  Without an extended format every word
-    off the float64 tier is slow.
+    Tightness, for branch digits (|x|^2 >= 8): w = d/c obeys w = x + 1/w'
+    with w' of the word one digit shorter, so |w| >= 1 + sqrt2.  S <= |c||d|
+    (Cauchy-Schwarz) gives T <= |c|^2 (2|w| + 1) <= (1 + sqrt2) M, with
+    M = max(X+, Y+) >= |c|^2 (sqrt2 |w| - 1).  To first order in u,
+    X_lo >= X+ - 14u T >= X+ - eps M for eps = 14 (1 + sqrt2) u, and Y_lo
+    likewise; with m = min(X+, Y+) and M (M + m) <= (1 + sqrt2) q/2,
+    q_lo >= q - 2 eps M (M + m) >= q (1 - 81.6u), so sup~ <= (4 den/q)(1 + 106u).
     """
-    count = len(rows[0])
-    sups, bases = np.empty(count), np.empty(count)
-    if bound < _SMALL_ENTRY:  # no entry to test
-        small = np.ones(count, dtype=bool)
-    else:
-        small = functools.reduce(np.maximum, map(np.abs, rows)) < _SMALL_ENTRY
-    cr, ci, dr, di = rows if small.all() else (a[small] for a in rows)
-    index = np.flatnonzero(small)
-    bases[index] = 1.0 / (dr * dr + di * di).astype(np.float64)
-    den, nx, ny = pole_terms(cr, ci, dr, di)
-    for v in (nx, ny):  # in place: nx = max(2 |Re(d conj c)| - den, 0), likewise ny
-        np.maximum(2 * np.abs(v) - den, 0, out=v)
-    # q is only needed below 2^53, where nx, ny < 2^27; clipping keeps it in int64
-    q = np.minimum(nx, 1 << 27) ** 2 + np.minimum(ny, 1 << 27) ** 2
-    fast = (4 * den < _FLOAT_EXACT) & (q > 0) & (q < _FLOAT_EXACT)
-    sups[index[fast]] = (4 * den[fast]).astype(np.float64) / q[fast].astype(np.float64)
-    slow = ~small
-    slow[index[~fast]] = True
-    if not _EXTENDED_QUOTIENT:
-        return sups, bases, np.flatnonzero(slow)
-
-    rest = index[~fast]
-    if rest.size:
-        r, ok = _long_double_quotients(den[~fast], nx[~fast], ny[~fast])
-        sups[rest[ok]] = r[ok]
-        slow[rest[ok]] = False
-
-    big = np.flatnonzero(~small)
-    if not big.size:
-        return sups, bases, np.flatnonzero(slow)
-    eps = _LONGDOUBLE.eps
-    ints = [a[big] for a in rows]
-    exact = functools.reduce(np.maximum, map(np.abs, ints)) < _EXACT_ENTRY
-    cr, ci, dr, di = (a.astype(np.longdouble) for a in ints)
-    den = cr * cr + ci * ci
-    terms, errs = [], []
-    for a, b in ((dr * cr, di * ci), (di * cr, -(dr * ci))):  # Re and Im of d conj c
-        terms.append(2 * np.abs(a + b) - den)
-        errs.append(np.where(exact, 0, (2 * eps) * (2 * (np.abs(a) + np.abs(b)) + den)))
-    r, ok = _long_double_quotients(den, *terms, *errs)
-    dsq = dr * dr + di * di
-    g, g_ok = _float64_between(dsq, dsq, 2 * eps)
-    ok &= g_ok | exact
-    sups[big[ok]], bases[big[ok]] = r[ok], 1.0 / g[ok]
-    slow[big[ok]] = False
-    return sups, bases, np.flatnonzero(slow)
+    cr, ci, dr, di = (a.astype(np.float64) for a in rows)
+    den, re, im = pole_terms(cr, ci, dr, di)
+    q = 0
+    for v, a, b in ((re, dr * cr, di * ci), (im, di * cr, dr * ci)):
+        x = 2 * np.abs(v) - den - (_E_ULPS * _U) * (2 * (np.abs(a) + np.abs(b)) + den)
+        q = q + np.maximum(x, 0) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):  # poles give inf or nan, then go slow
+        sups = (4 + 4 * _ROUND_ULPS * _U) * den / q
+        bases = (1 - _ROUND_ULPS * _U) / (dr * dr + di * di)
+    return sups, bases, np.flatnonzero(q == 0)
 
 
-def _long_double_quotients(
-    den: np.ndarray, nx: np.ndarray, ny: np.ndarray, err_x=None, err_y=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """float64 values r of v = 4 den/(X+^2 + Y+^2) and where r is proven correctly rounded.
+def _tree_sum(terms: np.ndarray) -> float:
+    """Sum of ``terms``, overwritten, as a balanced tree: each term goes
+    through at most ceil(log2 len(terms)) roundings."""
+    while len(terms) > 1:
+        half = (len(terms) + 1) // 2
+        terms[: len(terms) - half] += terms[half:]
+        terms = terms[:half]
+    return float(terms[0])
 
-    Without errors, den, nx and ny are exact (int64 below 2^62 is), nx and
-    ny already clamped: only q~ = nx^2 + ny^2 and the division round, so
-    Q = 4 den/q~ satisfies Q (1 - u)^2/(1 + u) <= v <= Q (1 + u)^2/(1 - u)
-    and Q (1 - 4u) < v < Q (1 + 4u).
 
-    With errors, den~ lies in [den (1 - u)^2, den (1 + u)^2] for the true
-    den, and nx, ny within ``err_x``, ``err_y`` of the true X, Y before the
-    clamp X+ = max(X, 0), Y+ = max(Y, 0).  As reals X+ lies in
-    [max(nx - err_x, 0), max(nx + err_x, 0)], and each rounded endpoint is
-    within a factor 1 +/- u of its real value.  The squares and their sum
-    give q_lo~ from the low endpoints and q_hi~ from the high ones, with
-    q_lo~/(1 + u)^4 <= q = X+^2 + Y+^2 <= q_hi~/(1 - u)^4.  One more
-    rounding in each division makes lo~ = 4 den~/q_hi~ and
-    hi~ = 4 den~/q_lo~ satisfy
+def _outward_log(z: float, words: int, shift: float, widen: float, n: int, toward: float) -> float:
+    """A bound toward ``toward`` (+-inf) on (log Z + shift)/n; -inf where there is none.
 
-        lo~ (1 - u)^4/(1 + u)^3 <= v <= hi~ (1 + u)^4/(1 - u)^3,
-
-    so lo~ (1 - 8u) < v < hi~ (1 + 8u).  ``_float64_between`` tests the
-    enclosure; a pole (q~ or q_lo~ = 0) never passes.
+    z is the ``_tree_sum`` of the floats t_i = v_i^s of ``words`` values, Z
+    a sum of exact powers each within a factor 1 +- widen u of v_i^s, and
+    shift is within 10u |shift| of its exact value, as -s log K0 is.
+    numpy's power and math.log are taken to err by at most 4 ulps, so v_i^s
+    is within 8u t_i of t_i, or 4 2^-1074 where t_i is subnormal, and the
+    tree's depth h = ceil(log2 words) keeps the exact sum of the t_i within
+    a factor (1 +- u)^h of z (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, section 4.2).  So Z is within a factor 1 +- (h + 9 + widen) u
+    of z +- words 2^-1071.  The margin below adds that, and 8u |log z| for
+    the log and 10u |shift| for the shift with room for its own roundings;
+    every other rounding is stepped outward.
     """
-    eps = _LONGDOUBLE.eps
-    den, nx, ny = (np.asarray(a, dtype=np.longdouble) for a in (den, nx, ny))
-    with np.errstate(divide="ignore", invalid="ignore"):  # poles give inf or nan
-        if err_x is None:
-            quot = 4 * den / (nx * nx + ny * ny)
-            return _float64_between(quot, quot, 2 * eps)
-        lo_x, hi_x = np.maximum(nx - err_x, 0), np.maximum(nx + err_x, 0)
-        lo_y, hi_y = np.maximum(ny - err_y, 0), np.maximum(ny + err_y, 0)
-        lo = 4 * den / (hi_x * hi_x + hi_y * hi_y)
-        hi = 4 * den / (lo_x * lo_x + lo_y * lo_y)
-        return _float64_between(lo, hi, 4 * eps)
-
-
-def _float64_between(lo: np.ndarray, hi: np.ndarray, slack) -> tuple[np.ndarray, np.ndarray]:
-    """r = float64(lo) and where every real in (lo (1 - slack), hi (1 + slack)) rounds to r.
-
-    ``slack`` is a power-of-two multiple of eps, so lo slack and hi slack
-    are exact and the bounds round once.  The midpoints m_lo and m_hi
-    between r and its float64 neighbours are exact in a 64-bit
-    significand.  Rounding is monotone and keeps m_lo and m_hi fixed, so a
-    rounded bound strictly inside (m_lo, m_hi) means the exact one is too.
-    Only positive normal r pass, whose neighbours are the adjacent bit
-    patterns.
-    """
-    r = lo.astype(np.float64)
-    bits = r.view(np.int64)
-    wide = r.astype(np.longdouble)
-    ok = (
-        ((wide + (bits - 1).view(np.float64)) / 2 < lo - lo * slack)
-        & (hi + hi * slack < (wide + (bits + 1).view(np.float64)) / 2)
-        & (r >= np.finfo(np.float64).smallest_normal)
-    )
-    return r, ok
+    z = math.nextafter(z + math.copysign(words * 2.0**-1071, toward), toward)
+    if z <= 0:
+        return -math.inf
+    log_z = math.log(z)
+    ulps = 16 * (abs(log_z) + abs(shift)) + (words - 1).bit_length() + 10 + widen
+    x = math.nextafter(math.nextafter(log_z + shift, toward) + math.copysign(ulps * _U, toward),
+                       toward)
+    return math.nextafter(x / n, toward)
 
 
 def partition_sum(
@@ -636,6 +566,14 @@ def partition_sum(
     raises ``BudgetExceededError`` with the bound (sum_i sup_i^s)^n, which
     holds in either mode: sup-norm sums are submultiplicative, and no
     base-point value exceeds its word's sup.
+
+    The brackets of ``PressureEstimate`` are rounded outward
+    (``_outward_log``).  The table bounds each value from the mode's side,
+    sups from above and base-point values from below, and a normal one to
+    within a factor 1 +- kappa u (``_KAPPA``).  The side that needs that
+    factor (lo for sup_norm, hi for base_point) widens by s (kappa + 2) u,
+    and has no bound when s > 0 and some value is below 2^-1022, where no
+    relative bound holds.
     """
     if mode not in ("sup_norm", "base_point"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -650,11 +588,12 @@ def partition_sum(
     if not members:
         raise DomainError("alphabet must be nonempty")
     digits = tuple((g.re, g.im) for g in members)
-    total_words = len(digits) ** n
-    if total_words > max_words:
-        single_sups, _ = _word_value_table(digits, 1)
+    # k^n against max_words in logs, exactly only where they are within a factor 2
+    excess = n * math.log2(len(digits)) - math.log2(max(max_words, 1))
+    if excess > 1 or (excess > -1 and len(digits) ** n > max_words):
+        singles = [float(BranchComposition.from_word([g]).sup_deriv_exact()) for g in members]
         try:
-            bound = math.fsum(v**s for v in single_sups.tolist()) ** n
+            bound = math.fsum(v**s for v in singles) ** n
         except OverflowError:  # a bound past the float range bounds nothing finite
             bound = math.inf
         raise BudgetExceededError(
@@ -663,16 +602,17 @@ def partition_sum(
 
     sups, bases = _word_value_table(digits, n)
     vals = sups if mode == "sup_norm" else bases
-    z = float(np.sum(vals**s))
-    log_z = math.log(z) if z > 0 else float("-inf")
+    z = _tree_sum(vals**s)
+    widen = math.inf if s > 0 and vals.min() < 2.0**-1022 else s * (_KAPPA + 2)
+    up, down = (0, widen) if mode == "sup_norm" else (widen, 0)
     return PressureEstimate(
         s=s,
         n=n,
-        log_zn_over_n=log_z / n,
-        lower_bracket=(log_z - s * _LOG_K0) / n,
-        upper_bracket=log_z / n,
+        log_zn_over_n=(math.log(z) if z > 0 else -math.inf) / n,
+        lower_bracket=_outward_log(z, len(vals), -s * _LOG_K0, down, n, -math.inf),
+        upper_bracket=_outward_log(z, len(vals), 0.0, up, n, math.inf),
         mode=mode,
-        word_count=total_words,
+        word_count=len(vals),
     )
 
 

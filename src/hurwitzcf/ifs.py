@@ -216,7 +216,7 @@ def pole_terms(cr, ci, dr, di):
     """(|c|^2, Re(d conj c), Im(d conj c)) of a bottom row (c, d).
 
     The derivative pole -d/c of the composition is -(re + i im)/|c|^2.
-    Plain arithmetic, so the arguments may be ints or int64 arrays.
+    Plain arithmetic, so the arguments may be ints or numpy arrays.
     """
     return cr * cr + ci * ci, dr * cr + di * ci, di * cr - dr * ci
 

@@ -11,6 +11,7 @@ passes when every entry does.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable
@@ -276,6 +277,21 @@ def _two_branch_bisection_sign_invariants(config: RunConfig):
         and pair.width <= config.bisection_tol
     )
     return ok, pair.to_json()
+
+
+@check("pressure", "word_table_encloses_exact")
+def _word_table_encloses_exact(config: RunConfig):
+    # exact <= sup <= exact (1 + kappa u) and exact (1 - kappa u) <= base <= exact
+    members = _QUAD.members()
+    sups, bases = dimension._word_value_table(tuple((g.re, g.im) for g in members), 4)
+    kappa_u = Fraction(dimension._KAPPA, 1 << 53)
+    for word, sup, base in zip(itertools.product(members, repeat=4), sups, bases):
+        comp = ifs.BranchComposition.from_word(word)
+        exact_sup, exact_base = comp.sup_deriv_exact(), comp.base_deriv_exact()
+        if not (exact_sup <= sup <= exact_sup * (1 + kappa_u)
+                and exact_base * (1 - kappa_u) <= base <= exact_base):
+            return False, {"word": [g.to_pair() for g in word], "sup": sup, "base": base}
+    return True, None
 
 
 @functools.lru_cache(maxsize=1)

@@ -222,6 +222,8 @@ class TestInputErrors:
             ["--seed", "abc", "classify", "2", "2"],
             ["pressure", "--alphabet", "[[2,2]]", "--n", "abc", "--s", "1"],
             ["pressure", "--alphabet", "[[2,2]]", "--n", "1200", "--s", "1"],
+            ["--out", "{directory}", "classify", "2", "2"],
+            ["--out", "{missing}/x.json", "classify", "2", "2"],
         ],
     )
     def test_usage_and_domain_errors_exit_two(self, runner, tmp_path, args):

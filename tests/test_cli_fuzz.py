@@ -2,7 +2,9 @@
 
 Every command line exits 0 (ok), 1 (check failure), 2 (usage or domain
 error) or 3 (budget), raises nothing but ``SystemExit``, and writes JSON
-without NaN or Infinity.  Sizes are bounded only to keep the run short:
+without NaN or Infinity, to stdout or to an ``--out`` that is a new file,
+a directory or a path whose parent is missing.  Sizes are bounded only to
+keep the run short:
 alphabets of at most 4 digits, horizons and word lengths up to 5000,
 ``--norm-sq-max`` up to 64.
 """
@@ -10,6 +12,8 @@ alphabets of at most 4 digits, horizons and word lengths up to 5000,
 import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -77,6 +81,9 @@ def command_lines(draw) -> list[str]:
     else:
         args = ["verify", draw(st.sampled_from([*SUITES, "bogus"]))]
     group = ["--format", draw(st.sampled_from(["json", "csv"]))]
+    out = draw(st.sampled_from([None, None, None, "file", "directory", "missing"]))
+    if out:
+        group += ["--out", out]
     if draw(st.booleans()):
         group += ["--seed", draw(_text(st.integers(-1, 2**64)))]
     return group + args
@@ -95,11 +102,19 @@ def _reject_constant(name: str):
 def test_exit_code_contract(args):
     out, err = io.StringIO(), io.StringIO()
     code = 0
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            cli.main(args, prog_name="hurwitzcf", standalone_mode=False)
-        except SystemExit as exc:
-            code = exc.code
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"file": Path(tmp, "out.json"), "directory": Path(tmp),
+                 "missing": Path(tmp, "missing", "out.json")}
+        if "--out" in args:
+            at = args.index("--out") + 1
+            args = [*args[:at], str(paths[args[at]]), *args[at + 1:]]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli.main(args, prog_name="hurwitzcf", standalone_mode=False)
+            except SystemExit as exc:
+                code = exc.code
+        if paths["file"].exists():
+            out.write(paths["file"].read_text())
     assert code in (0, 1, 2, 3), (args, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code in (2, 3):

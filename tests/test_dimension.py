@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -110,7 +111,8 @@ def test_empty_finite_set_raises(s):
 
 
 # The recursive enumeration over full 8-tuple composition matrices that
-# the level-by-level word table replaced; the reference for bit identity.
+# the level-by-level word table replaced; the reference for containment:
+# each word's exact sup 4 den/q and base-point value 1/|d|^2 as integer pairs.
 def _ref_leaf_values(mat):
     _, _, _, _, cr, ci, dr, di = mat
     den = cr * cr + ci * ci
@@ -123,7 +125,7 @@ def _ref_leaf_values(mat):
     q = nx * nx + ny * ny
     if q == 0:
         raise DomainError("derivative pole inside the box; word is not a branch word")
-    return (4 * den) / q, 1.0 / (dr * dr + di * di)
+    return (4 * den, q), (1, dr * dr + di * di)
 
 
 def _ref_extend_mat(mat, xr, xi):
@@ -153,7 +155,7 @@ def _ref_word_value_table(digits, n):
             rec(_ref_extend_mat(mat, xr, xi), depth + 1)
 
     rec((1, 0, 0, 0, 0, 0, 1, 0), 0)
-    return np.asarray(sups), np.asarray(bases)
+    return sups, bases
 
 
 def _digits(s):
@@ -170,7 +172,7 @@ def _seeded(k, seed, include=()):
 
 
 # Digits of norm_sq 58-64: all 4^8 words have entries below 2^30 and
-# q = nx^2 + ny^2 >= 2^53, so every quotient is off the float64 tier.
+# q = nx^2 + ny^2 >= 2^53, so no quotient has operands exact in float64.
 NEAR_64 = ((8, 0), (0, -8), (-7, 3), (5, 6))
 
 # Digits of norm_sq 3e9 and 6e9 beside small ones: at n = 4 the bound on
@@ -178,11 +180,10 @@ NEAR_64 = ((8, 0), (0, -8), (-7, 3), (5, 6))
 # enumerated in int64, with entries up to 2^62.99.
 NEAR_INT64 = ((38966, 38966), (0, -55107), (2, 2), (-3, 1))
 
-# Tables whose words fall in every tier of the table: float64 quotients,
-# int64 integers with a long double or Python quotient, long double terms
-# for entries >= 2^30 (over two 8k chunks for the norm-64 pair at n = 14),
+# Tables with entries exact in float64 and entries >= 2^30 whose squares
+# and products round (over two 8k chunks for the norm-64 pair at n = 14),
 # enumeration that outgrows int64 part way or at once, a table whose
-# quotients all leave the float64 tier; then digits of real part +-1,
+# quotients all have inexact operands; then digits of real part +-1,
 # whose poles come nearest the box and so give the most cancellation in
 # 2|Re(d conj c)| - |c|^2 (entries up to 2^31.7 for the pair at n = 18,
 # below 2^30 for the triple at n = 10, up to 2^52 beside a large digit),
@@ -216,27 +217,81 @@ TABLE_CASES = (
 )
 
 
-def _near_midpoint_triples(rng, count):
-    """(den, nx, ny) whose 4 den/(nx^2 + ny^2) lies within 2^-65 relative of
-    m = r + ulp(r)/2, a float64 rounding midpoint, and two exact ties."""
-    triples = []
-    while len(triples) < count:
-        e = rng.randrange(-60, 0)
-        m_num, m_shift = 2 * rng.randrange(1 << 52, 1 << 53) + 1, 53 - e + 2  # m/4
-        t = (60 - e) // 2
-        nx, ny = rng.randrange(1 << (t - 1), 1 << t), rng.randrange(1 << (t - 1), 1 << t)
-        q = nx * nx + ny * ny
-        den = (m_num * q + (1 << (m_shift - 1))) >> m_shift
-        if abs((den << m_shift) - m_num * q) << 65 < m_num * q:
-            triples.append((den, nx, ny))
-    return triples + [(m << 5, 1 << 60, 0) for m in (2**53 + 1, 2**54 - 1)]
+def encloses(values, nums, dens, upward, tight=True):
+    """Which word-table values bound the exact nums/dens (> 0) outward, from
+    above when ``upward``, and, when ``tight`` and the value is a normal
+    float, lie within a factor 1 +- kappa u of it (u = 2^-53, kappa
+    ``dimension._KAPPA``).  Exact: a finite value is m 2^(e - 53) with m an
+    integer, and both sides are compared as Python ints."""
+    values = np.asarray(values, dtype=np.float64)
+    mant, exp = np.frexp(np.where(np.isfinite(values), values, 0))
+    m = (mant * 2.0**53).astype(np.int64).astype(object)
+    got = np.left_shift(m * np.asarray(dens, dtype=object), np.maximum(exp - 53, 0).astype(object))
+    exact = np.left_shift(np.asarray(nums, dtype=object), np.maximum(53 - exp, 0).astype(object))
+    one, kappa = 1 << 53, dimension._KAPPA
+    loose = (not tight) | (values < 2.0**-1022)
+    if upward:
+        ok = (got >= exact) & (loose | (got * one <= exact * (one + kappa)))
+    else:
+        ok = (got <= exact) & (loose | (got * one >= exact * (one - kappa)))
+    return ok.astype(bool) & np.isfinite(values)
 
 
-def _leaf_or_pole(row):
-    try:
-        return dimension._leaf_values(*row)
-    except DomainError:
-        return None
+def _assert_encloses(sups, bases, ref_sups, ref_bases):
+    """Every value of a table bounds the exact one outward (``encloses``)."""
+    assert sups.dtype == bases.dtype == np.float64
+    for values, ref, upward in ((sups, ref_sups, True), (bases, ref_bases, False)):
+        ok = encloses(values, *zip(*ref), upward=upward)
+        assert ok.all(), [(i, values[i], ref[i]) for i in np.flatnonzero(~ok)[:3]]
+
+
+def _exact_values(words):
+    """Exact (sup, base-point) values of the words' compositions, as integer pairs."""
+    comps = [BranchComposition.from_word(word) for word in words]
+    sups = [comp.sup_deriv_exact() for comp in comps]
+    return ([(f.numerator, f.denominator) for f in sups],
+            [(1, comp.d.norm_sq()) for comp in comps])
+
+
+def _cancellation_rows(rng, count):
+    """Synthetic rows d = c w with Re w or Im w at or near +-1/2, which put
+    2|Re(d conj c)| or 2|Im(d conj c)| within about |c| of |c|^2 = den,
+    with entries up to 2^62."""
+    rows = []
+    for _ in range(count):
+        bits = rng.randrange(28, 61)
+        cr, ci = rng.randrange(-(1 << bits), 1 << bits), rng.randrange(-(1 << bits), 1 << bits)
+        half = [1 << 40, rng.randrange(1 << 36, 1 << 42)]  # 1/2 and about 1/2, over 2^41
+        wr, wi = rng.choice(half), rng.randrange(-(3 << 41), 3 << 41)
+        if rng.random() < 0.5:
+            wr, wi = wi, rng.choice(half)
+        wr, wi = rng.choice((wr, -wr)), rng.choice((wi, -wi))
+        dr, di = (cr * wr - ci * wi) >> 41, (cr * wi + ci * wr) >> 41
+        rows.append((cr, ci, dr, di))
+    return rows
+
+
+CANCELLATION_ROWS = _cancellation_rows(random.Random(8), 6000)
+
+
+def _cancellation_leaves():
+    """(decided words, how many of them bound their exact values outward,
+    whether every pole is left undecided) of ``CANCELLATION_ROWS``."""
+    sups, bases, slow = dimension._table_leaves(
+        [np.array(c, dtype=np.int64) for c in zip(*CANCELLATION_ROWS)])
+    exact, poles_slow = {}, True
+    for i, row in enumerate(CANCELLATION_ROWS):
+        try:
+            exact[i] = _ref_leaf_values((0, 0, 0, 0, *row))
+        except DomainError:
+            poles_slow = poles_slow and i in slow
+    decided = np.setdiff1d(np.arange(len(CANCELLATION_ROWS)), slow)
+    known = [i for i in decided.tolist() if i in exact]  # a decided pole is never enclosed
+    (nums, qs), (ones, dsqs) = (zip(*c) for c in zip(*(exact[i] for i in known)))
+    # no tightness here: these rows are not branch words
+    ok = (encloses(sups[known], nums, qs, upward=True, tight=False)
+          & encloses(bases[known], ones, dsqs, upward=False, tight=False))
+    return len(decided), int(ok.sum()), poles_slow
 
 
 def _record_blocks(monkeypatch):
@@ -244,8 +299,8 @@ def _record_blocks(monkeypatch):
     blocks = []
     table_leaves = dimension._table_leaves
 
-    def recording(rows, bound):
-        result = table_leaves(rows, bound)
+    def recording(rows):
+        result = table_leaves(rows)
         blocks.append((len(rows[0]), len(result[2])))
         return result
 
@@ -257,124 +312,42 @@ class TestWordValueTable:
     @pytest.mark.parametrize("digits, n", TABLE_CASES,
                              ids=[f"k{len(d)}-n{n}-{i}" for i, (d, n) in enumerate(TABLE_CASES)])
     def test_bit_identical_to_recursion(self, digits, n):
-        sups, bases = _word_value_table.__wrapped__(digits, n)
-        ref_sups, ref_bases = _ref_word_value_table(digits, n)
-        for got, ref in ((sups, ref_sups), (bases, ref_bases)):
-            assert got.dtype == np.float64
-            assert np.array_equal(got, ref)
+        _assert_encloses(*_word_value_table.__wrapped__(digits, n),
+                         *_ref_word_value_table(digits, n))
 
-    def test_long_double_tier_accepts_most_quotients(self, monkeypatch):
-        if not dimension._EXTENDED_QUOTIENT:
-            pytest.skip("long double has no 64-bit significand here")
-        calls = []
-        leaf_values = dimension._leaf_values
-        monkeypatch.setattr(dimension, "_leaf_values", lambda *a: calls.append(a) or leaf_values(*a))
-        blocks = _record_blocks(monkeypatch)
-        sups, bases = _word_value_table.__wrapped__(NEAR_64, 8)
-        # the rounding test accepts all but a few: the Python fallback runs,
-        # for words of more than one block
-        assert 0 < len(calls) < len(sups) // 50
-        assert sum(slow > 0 for _, slow in blocks) > 1
-        calls.clear()
-        monkeypatch.setattr(dimension, "_EXTENDED_QUOTIENT", False)
-        plain_sups, plain_bases = _word_value_table.__wrapped__(NEAR_64, 8)
-        assert len(calls) == len(sups)
-        assert np.array_equal(sups, plain_sups)
-        assert np.array_equal(bases, plain_bases)
+    def test_cancellation_bound_is_sound(self):
+        # every pole is left to the Python ints, and every value the float64
+        # step decides bounds the exact one outward, however near the pole
+        decided, enclosed, poles_slow = _cancellation_leaves()
+        assert poles_slow
+        assert 0.5 * len(CANCELLATION_ROWS) < decided == enclosed
 
-    @pytest.mark.skipif(not dimension._EXTENDED_QUOTIENT, reason="no 64-bit long double")
-    def test_long_double_rounding_test_near_midpoints(self):
-        # quotients near a float64 rounding midpoint, or exactly on one: the
-        # long double error can put them on either side of it
-        rng = random.Random(6)
-        triples = _near_midpoint_triples(rng, 2000)
-        den, nx, ny = (np.array(c, dtype=np.int64) for c in zip(*triples))
-        exact = np.array([(4 * d) / (x * x + y * y) for d, x, y in triples])
-        r, ok = dimension._long_double_quotients(den, nx, ny)
-        assert np.array_equal(r[ok], exact[ok])
-        assert not ok[-2:].any()
-        # away from midpoints the test accepts
-        far = den + np.array([rng.randrange(1 << 20, 1 << 40) for _ in triples])
-        exact = np.array([(4 * int(d)) / (x * x + y * y) for d, (_, x, y) in zip(far, triples)])
-        r, ok = dimension._long_double_quotients(far, nx, ny)
-        assert ok.mean() > 0.95
-        assert np.array_equal(r[ok], exact[ok])
+    # Half the cancellation bound, 4u T, is the first-order maximum of
+    # |nx~ - X|, reached only when all ten roundings are extreme at once
+    # (these rows reach 2.6u T), so an eighth is the weakening they can show.
+    @pytest.mark.parametrize("name, value", [("_E_ULPS", 1), ("_ROUND_ULPS", 0)],
+                             ids=["eighth-cancellation-bound", "no-outward-factor"])
+    def test_weakened_bound_fails(self, monkeypatch, name, value):
+        monkeypatch.setattr(dimension, name, value)
+        decided, enclosed, _ = _cancellation_leaves()
+        assert enclosed < decided
 
-    @pytest.mark.skipif(not dimension._EXTENDED_QUOTIENT, reason="no 64-bit long double")
-    def test_long_double_bound_near_midpoints(self):
-        # the same quotients with nx and ny known only to within err: an
-        # accepted r must be the rounding of every quotient the bound allows,
-        # and 4 den/q is monotone in each of nx and ny, so the corners decide
-        rng = random.Random(7)
-        triples = _near_midpoint_triples(rng, 2000)
-        triples += [(d + rng.randrange(1 << 20, 1 << 40), x, y) for d, x, y in triples]
-        errs = [x >> rng.randrange(36, 70) for _, x, _ in triples]
-        den, nx, ny, err = (np.array(c, dtype=np.int64) for c in (*zip(*triples), errs))
-        r, ok = dimension._long_double_quotients(den, nx, ny, err, err)
-        for i in np.flatnonzero(ok).tolist():
-            d, x, y = triples[i]
-            for sign in (-1, 1):
-                cx, cy = max(x + sign * errs[i], 0), max(y + sign * errs[i], 0)
-                assert (4 * d) / (cx * cx + cy * cy) == r[i]
-        assert not ok[2000:2002].any()
-        # errors up to 2^-36 nx reject more, most of all near midpoints
-        _, ok_exact = dimension._long_double_quotients(den, nx, ny)
-        assert ok[:2000].mean() < ok[2002:].mean() < ok_exact[2002:].mean()
-        assert ok[2002:].mean() > 0.5
-
-    @pytest.mark.skipif(not dimension._EXTENDED_QUOTIENT, reason="no 64-bit long double")
-    def test_long_double_terms_under_cancellation(self):
-        # synthetic rows d = c w with Re w or Im w at or near 1/2 put
-        # 2|Re(d conj c)| or 2|Im(d conj c)| within about |c| of |c|^2 = den,
-        # with entries up to 2^62: every value the tier returns must match
-        # the Python ints, and poles must be left to them
-        rng = random.Random(8)
-        rows = []
-        for _ in range(6000):
-            bits = rng.randrange(28, 61)
-            cr, ci = rng.randrange(-(1 << bits), 1 << bits), rng.randrange(-(1 << bits), 1 << bits)
-            half = [1 << 40, rng.randrange(1 << 36, 1 << 42)]  # 1/2 and about 1/2, over 2^41
-            wr, wi = rng.choice(half), rng.randrange(-(3 << 41), 3 << 41)
-            if rng.random() < 0.5:
-                wr, wi = wi, rng.choice(half)
-            wr, wi = rng.choice((wr, -wr)), rng.choice((wi, -wi))
-            dr, di = (cr * wr - ci * wi) >> 41, (cr * wi + ci * wr) >> 41
-            rows.append((cr, ci, dr, di))
-        bound = max(map(abs, itertools.chain(*rows)))
-        sups, bases, slow = dimension._table_leaves(
-            [np.array(c, dtype=np.int64) for c in zip(*rows)], bound)
-        decided = np.setdiff1d(np.arange(len(rows)), slow)
-        assert 0.5 * len(rows) < len(decided) < len(rows)
-        for i in decided.tolist():
-            assert (sups[i], bases[i]) == _leaf_or_pole(rows[i])
-
-    @pytest.mark.skipif(not dimension._EXTENDED_QUOTIENT, reason="no 64-bit long double")
     def test_large_entries_rarely_reach_python(self, monkeypatch):
+        # no int64 word of these tables, with entries up to 2^54, is a possible pole
         calls = []
-        leaf_values = dimension._leaf_values
-        monkeypatch.setattr(dimension, "_leaf_values", lambda *a: calls.append(a) or leaf_values(*a))
-        sups, _ = _word_value_table.__wrapped__(((8, 0), (0, -8)), 14)
-        assert 0 < len(calls) < len(sups) / 20
-
-    @pytest.mark.parametrize("digits, n", [(((1, 3), (-1, -3)), 16), (((8, 0), (0, -8)), 14),
-                                           (NEAR_INT64, 4), (NEAR_64, 6)])
-    def test_plain_format_gives_the_same_tables(self, monkeypatch, digits, n):
-        sups, bases = _word_value_table.__wrapped__(digits, n)
-        monkeypatch.setattr(dimension, "_EXTENDED_QUOTIENT", False)
-        plain_sups, plain_bases = _word_value_table.__wrapped__(digits, n)
-        assert np.array_equal(sups, plain_sups)
-        assert np.array_equal(bases, plain_bases)
+        monkeypatch.setattr(dimension, "_leaf_values", lambda *a: calls.append(a))
+        for digits, n in ((_digits(PAIR), 18), (((4, 1), (7, 3)), 16), (((8, 0), (0, -8)), 18)):
+            _word_value_table.__wrapped__(digits, n)
+        assert calls == []
 
     @pytest.mark.parametrize("n", [150, 2000])
     def test_deep_one_digit_table_matches_exact_composition(self, n):
         # rows of Python ints far past int64, against the exact rationals of
-        # the composition; 1.0 / |d|^2 rounds |d|^2 first, so the base-point
-        # value may be one rounding off the exact one (both are 0 at n 2000)
+        # the composition; at n 2000 the sup is the least positive float and
+        # the base-point value 0
         sups, bases = _word_value_table.__wrapped__(((2, 2),), n)
-        comp = BranchComposition.from_word([(2, 2)] * n)
-        base = float(comp.base_deriv_exact())
-        assert sups.tolist() == [float(comp.sup_deriv_exact())]
-        assert abs(bases[0] - base) <= math.ulp(base)
+        _assert_encloses(sups, bases, *_exact_values([[(2, 2)] * n]))
+        assert (sups[0] < 2.0**-1022) == (bases[0] == 0) == (n == 2000)
 
     def test_build_keeps_bounded_working_memory(self, monkeypatch):
         # 2^18 words: beyond the table itself a build holds one block of
@@ -394,11 +367,9 @@ class TestWordValueTable:
     def test_word_i_has_base_k_digits_of_i(self, digits, n):
         sups, bases = _word_value_table.__wrapped__(digits, n)
         k = len(digits)
-        for i in random.Random(n).sample(range(k**n), 200):
-            word = [digits[(i // k ** (n - 1 - j)) % k] for j in range(n)]
-            comp = BranchComposition.from_word(word)
-            assert sups[i] == float(comp.sup_deriv_exact())
-            assert bases[i] == 1.0 / comp.d.norm_sq()
+        sample = random.Random(n).sample(range(k**n), 200)
+        words = [[digits[(i // k ** (n - 1 - j)) % k] for j in range(n)] for i in sample]
+        _assert_encloses(sups[sample], bases[sample], *_exact_values(words))
 
     def test_base_value_beyond_float_range(self):
         # |d|^2 of (2,2)^400 is too large for a float: 1.0 / |d|^2 overflows
@@ -406,8 +377,7 @@ class TestWordValueTable:
         comp = BranchComposition.from_word([(2, 2)] * 400)
         with pytest.raises(OverflowError):
             1.0 / comp.d.norm_sq()
-        assert bases[0] == 1 / comp.d.norm_sq()
-        assert sups[0] == float(comp.sup_deriv_exact())
+        _assert_encloses(sups, bases, *_exact_values([[(2, 2)] * 400]))
 
     @pytest.mark.parametrize("digits, n", [(((0, 0), (2, 2)), 2), (((0, 0), (2**70, 0)), 1)],
                              ids=["int64", "python-ints"])
@@ -453,6 +423,19 @@ class TestPartitionSum:
     def test_bracket_structure(self):
         est = partition_sum(PAIR, 5, 0.9)
         assert est.lower_bracket <= est.log_zn_over_n <= est.upper_bracket
+
+    @pytest.mark.parametrize("mode", ["sup_norm", "base_point"])
+    def test_brackets_enclose_exact_log_sum(self, mode):
+        # at s = 1 and 2 Z_n is an exact rational; its log, at 50 digits,
+        # lies inside the outward brackets
+        for n in range(1, 7):
+            ref_sups, ref_bases = _ref_word_value_table(_digits(QUAD), n)
+            exact = ref_sups if mode == "sup_norm" else ref_bases
+            for s in (1, 2):
+                est = partition_sum(QUAD, n, float(s), mode)
+                with mpmath.workdps(50):
+                    middle = mpmath.log(mpmath.fsum((mpmath.mpf(p) / q) ** s for p, q in exact)) / n
+                    assert est.lower_bracket <= middle <= est.upper_bracket, (n, s)
 
     def test_budget_error_payload(self):
         with pytest.raises(BudgetExceededError) as info:
