@@ -279,7 +279,7 @@ def pressure(ctx, alphabet, word_len, s, mode):
 @click.option("--n-max", type=int, default=12, show_default=True)
 @click.pass_context
 def dim(ctx, alphabet, tol, n_max):
-    """Bowen-dimension bracket via pressure bisection."""
+    """Bowen-dimension estimate inside a sound enclosure, from pressure roots."""
     config: RunConfig = ctx.obj["config"]
     result = dimension.bowen_dimension(
         _parse_alphabet(alphabet),
@@ -289,8 +289,9 @@ def dim(ctx, alphabet, tol, n_max):
     )
     _emit(ctx, result.to_json())
     click.echo(
-        f"s in [{result.s_low:.6f}, {result.s_high:.6f}] "
-        f"(n={result.n_used}, conclusive={result.conclusive})",
+        f"s in [{result.s_low:.6f}, {result.s_high:.6f}] within "
+        f"[{result.enclosure[0]:.6f}, {result.enclosure[1]:.6f}] "
+        f"(n={result.n_used}, certified={result.conclusive})",
         file=sys.stderr,
     )
 

@@ -1,4 +1,4 @@
-"""Partition functions, pressure brackets, Bowen-dimension bisection,
+"""Partition functions, pressure brackets, Bowen dimensions,
 convergence exponents, covering thresholds and non-autonomous block
 schedules for restricted digit sets.
 """
@@ -16,12 +16,12 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError
 from .gaussian import GaussianInt, norm_sq_shells, shell_members
 from .ifs import (BRANCH_MIN_NORM_SQ, COMPOSITION_DISTORTION_BOUND, DECAY_C1, DECAY_C2,
-                  DIAMETER_K1, DIAMETER_K2, BranchComposition, _as_digit, pole_terms)
+                  DIAMETER_K1, DIAMETER_K2, _as_digit, pole_terms)
 
 SQRT2 = math.sqrt(2.0)
 
-_LOG_K0 = math.log(COMPOSITION_DISTORTION_BOUND)  # widens a base-point sum into the lower bracket
-_MAX_BISECTIONS = 64  # ends bowen_dimension's bisection when tol is below the float spacing
+_LOG_K0 = math.log(COMPOSITION_DISTORTION_BOUND)  # widens a sum into a bracket on the pressure
+_MAX_BISECTIONS = 64  # caps each root search of bowen_dimension when tol is below the float spacing
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +336,8 @@ class PressureEstimate:
       sup/inf ratio over the box, so no sup or base-point value exceeds K0
       times the word's inf, and Z_inf is supermultiplicative because every
       branch maps the box into itself.
-    - sup_norm: P(s) <= log Z_sup(n)/n <= hi, as Z_sup is submultiplicative.
-      base_point: hi >= log Z_base(n)/n only, which need not bound P(s).
+    - P(s) <= log Z_sup(n)/n <= hi, as Z_sup is submultiplicative; in
+      base_point mode hi >= (log Z(n) + s log K0)/n >= log Z_sup(n)/n.
     """
 
     s: float
@@ -345,7 +345,6 @@ class PressureEstimate:
     log_zn_over_n: float
     lower_bracket: float
     upper_bracket: float
-    mode: str
     word_count: int
 
     def to_json(self) -> dict:
@@ -387,13 +386,10 @@ _ROUND_ULPS = 16  # _table_leaves rounds its values outward by a factor 1 +/- _R
 _KAPPA = 106  # every normal table value lies within a factor 1 +/- _KAPPA u of the exact one
 
 
-# Sized by what one bowen_dimension call reuses: the tables of word lengths
-# 1, 2, 4, 8, ... and of its largest length, 5 at the default n_max of 12
-# and at most 8 for any alphabet of two or more digits whose table fits in
-# memory (a one-digit alphabet may use more lengths, but its tables hold one
-# word).  No table is shared between alphabets, so a larger cache would
-# only hold memory.
-@functools.lru_cache(maxsize=8)
+# Sized by what one bowen_dimension call reuses: the tables of its word
+# length n and of n - 1.  No table is shared between alphabets, so a larger
+# cache would only hold memory.
+@functools.lru_cache(maxsize=2)
 def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-word (sup, base-point) derivative values, enumerated once.
 
@@ -535,7 +531,7 @@ def _outward_log(z: float, words: int, shift: float, widen: float, n: int, towar
 
     z is the ``_tree_sum`` of the floats t_i = v_i^s of ``words`` values, Z
     a sum of exact powers each within a factor 1 +- widen u of v_i^s, and
-    shift is within 10u |shift| of its exact value, as -s log K0 is.
+    shift is within 10u |shift| of its exact value, as +-s log K0 is.
     numpy's power and math.log are taken to err by at most 4 ulps, so v_i^s
     is within 8u t_i of t_i, or 4 2^-1074 where t_i is subnormal, and the
     tree's depth h = ceil(log2 words) keeps the exact sum of the t_i within
@@ -555,6 +551,30 @@ def _outward_log(z: float, words: int, shift: float, widen: float, n: int, towar
     return math.nextafter(x / n, toward)
 
 
+def _branch_digits(alphabet: DigitSet) -> tuple[tuple[int, int], ...]:
+    """(re, im) of every member of a nonempty alphabet of branch digits."""
+    members = alphabet.members()
+    for g in members:
+        if g.norm_sq() < BRANCH_MIN_NORM_SQ:
+            raise DomainError(f"alphabet digit {g} is not a branch index")
+    if not members:
+        raise DomainError("alphabet must be nonempty")
+    return tuple((g.re, g.im) for g in members)
+
+
+def _truncation_bound(digits: tuple[tuple[int, int], ...], n: int, s: float) -> float:
+    """(sum_i sup_i^s)^n over single digits, rounded up: the n = 1 table's
+    ``hi`` times n, stepped up, then math.exp, taken to err by at most 4
+    ulps, widened by 1 + 16u and 2^-1071 and stepped up."""
+    sups, _ = _word_value_table(digits, 1)
+    log_z1 = _outward_log(_tree_sum(sups**s), len(sups), 0.0, 0, 1, math.inf)
+    try:
+        x = math.nextafter(n * log_z1, math.inf)
+        return math.nextafter(math.exp(x) * (1 + 16 * _U) + 2.0**-1071, math.inf)
+    except OverflowError:  # a bound past the float range bounds nothing finite
+        return math.inf
+
+
 def partition_sum(
     alphabet: DigitSet, n: int, s: float, mode: str = "sup_norm", max_words: int = 1 << 18
 ) -> PressureEstimate:
@@ -562,10 +582,11 @@ def partition_sum(
 
     sup_norm mode bounds each word by its exact supremum derivative over
     the box; base_point mode evaluates the derivative at 0.  Every one of
-    the k^n words is enumerated.  When they exceed ``max_words`` the call
-    raises ``BudgetExceededError`` with the bound (sum_i sup_i^s)^n, which
-    holds in either mode: sup-norm sums are submultiplicative, and no
-    base-point value exceeds its word's sup.
+    the k^n words is enumerated.  When they exceed ``max_words``, or n
+    does (the budget of a one-digit alphabet), the call raises
+    ``BudgetExceededError`` with the bound (sum_i sup_i^s)^n
+    (``_truncation_bound``), which holds in either mode: sup-norm sums are
+    submultiplicative, and no base-point value exceeds its word's sup.
 
     The brackets of ``PressureEstimate`` are rounded outward
     (``_outward_log``).  The table bounds each value from the mode's side,
@@ -581,37 +602,28 @@ def partition_sum(
         raise DomainError("word length must be positive")
     if not (math.isfinite(s) and s >= 0):
         raise DomainError(f"s must be finite and nonnegative, got {s}")
-    members = alphabet.members()
-    for g in members:
-        if g.norm_sq() < BRANCH_MIN_NORM_SQ:
-            raise DomainError(f"alphabet digit {g} is not a branch index")
-    if not members:
-        raise DomainError("alphabet must be nonempty")
-    digits = tuple((g.re, g.im) for g in members)
+    digits = _branch_digits(alphabet)
+    k = len(digits)
     # k^n against max_words in logs, exactly only where they are within a factor 2
-    excess = n * math.log2(len(digits)) - math.log2(max(max_words, 1))
-    if excess > 1 or (excess > -1 and len(digits) ** n > max_words):
-        singles = [float(BranchComposition.from_word([g]).sup_deriv_exact()) for g in members]
-        try:
-            bound = math.fsum(v**s for v in singles) ** n
-        except OverflowError:  # a bound past the float range bounds nothing finite
-            bound = math.inf
+    excess = n * math.log2(k) - math.log2(max(max_words, 1)) if n <= max_words else math.inf
+    if excess > 1 or (excess > -1 and k**n > max_words):
         raise BudgetExceededError(
-            f"{len(digits)}^{n} words exceed budget {max_words}", truncation_bound=bound
+            f"word length {n} exceeds budget {max_words}" if n > max_words
+            else f"{k}^{n} words exceed budget {max_words}",
+            truncation_bound=_truncation_bound(digits, n, s),
         )
 
     sups, bases = _word_value_table(digits, n)
     vals = sups if mode == "sup_norm" else bases
     z = _tree_sum(vals**s)
     widen = math.inf if s > 0 and vals.min() < 2.0**-1022 else s * (_KAPPA + 2)
-    up, down = (0, widen) if mode == "sup_norm" else (widen, 0)
+    up, down, shift = (0, widen, 0.0) if mode == "sup_norm" else (widen, 0, s * _LOG_K0)
     return PressureEstimate(
         s=s,
         n=n,
         log_zn_over_n=(math.log(z) if z > 0 else -math.inf) / n,
         lower_bracket=_outward_log(z, len(vals), -s * _LOG_K0, down, n, -math.inf),
-        upper_bracket=_outward_log(z, len(vals), 0.0, up, n, math.inf),
-        mode=mode,
+        upper_bracket=_outward_log(z, len(vals), shift, up, n, math.inf),
         word_count=len(vals),
     )
 
@@ -621,10 +633,11 @@ class BowenDimResult:
     s_low: float
     s_high: float
     n_used: int
-    iterations: int
+    iterations: int  # steps of the three root searches
     conclusive: bool
-    upper_at_low: float
-    lower_at_high: float
+    upper_at_low: float  # the sup-norm hi at s_low
+    lower_at_high: float  # the sup-norm lo at s_high
+    enclosure: tuple[float, float]
 
     @property
     def midpoint(self) -> float:
@@ -635,90 +648,74 @@ class BowenDimResult:
         return self.s_high - self.s_low
 
     def to_json(self) -> dict:
-        return {"s_low": self.s_low, "s_high": self.s_high, "n_used": self.n_used}
+        return {"s_low": self.s_low, "s_high": self.s_high, "n_used": self.n_used,
+                "enclosure": list(self.enclosure), "certified": self.conclusive}
+
+
+def _bracketed_root(f: Callable[[float], float], a: float, b: float, tol: float):
+    """(x, y, steps): a <= x <= y <= b with f(x) >= 0 > f(y) and y - x <= tol.
+
+    (a, a, 0) when f(a) < 0 or NaN, (b, b, 0) when f(b) >= 0; y - x may
+    exceed tol after ``_MAX_BISECTIONS`` steps.  Each step takes the secant
+    point of [x, y] (the midpoint where a value is infinite) at least tol/4
+    inside; where one end moves twice in a row, the value kept at the other
+    is halved (Illinois), so a convex f closes in from both ends.
+    """
+    fa, fb = f(a), f(b)
+    if not fa >= 0:
+        return a, a, 0
+    if fb >= 0:
+        return b, b, 0
+    steps = side = 0
+    while b - a > tol and steps < _MAX_BISECTIONS:
+        x = b - fb * (b - a) / (fb - fa) if math.isfinite(fa - fb) else 0.5 * (a + b)
+        x = min(max(x, a + tol / 4), b - tol / 4)
+        fx, steps = f(x), steps + 1
+        if fx >= 0:
+            a, fa, fb, side = x, fx, fb / 2 if side > 0 else fb, 1
+        else:
+            b, fb, fa, side = x, fx, fa / 2 if side < 0 else fa, -1
+    return a, b, steps
 
 
 def bowen_dimension(
     alphabet: DigitSet, tol: float = 1e-3, n_max: int = 12, max_words: int = 1 << 18
 ) -> BowenDimResult:
-    """Bisection for the pressure zero over s in [0, 2].
+    """The zero of the pressure P(s) on [0, 2]: an estimate in a sound enclosure.
 
-    At each midpoint the sign is certified when possible: a negative
-    sup-norm upper bracket proves negative pressure at every word length;
-    a positive base-point lower bracket proves positive pressure.  If
-    neither certificate appears by the largest affordable word length, the
-    step falls back to the sign of the sup-norm bracket midpoint and the
-    result is flagged inconclusive.  The returned endpoints always satisfy
-    upper(s_low) >= 0 >= lower(s_high) at the reported word length.
-    Each bracket is computed once per (s, n) and reused within the call,
-    and only when read: the base-point one only where the sup-norm one is
-    not negative, or for the reported lower bracket at s_high.
+    Three ``_bracketed_root`` searches at the largest word length n <= n_max
+    whose k^n words fit ``max_words``.  With lo <= P <= hi the sup-norm
+    brackets of ``partition_sum`` and P decreasing, the enclosure [low, high]
+    holds the dimension: P(low) >= lo(low) >= 0 (or low = 0) and P(high) <=
+    hi(high) < 0 (or high = 2), each where it was evaluated, so nothing relies
+    on monotone brackets.  The estimate [s_low, s_high] is the zero in the
+    enclosure of log Z_base(n) - log Z_base(n - 1), Z_base(0) = 1, the power
+    method for P(s) as Z_base(n) = (L_s^n 1)(0).  ``conclusive`` (JSON
+    ``certified``) holds when the enclosure, then also the estimate, is at
+    most tol wide.  A one-digit alphabet's attractor is a point: [0, 0].
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
-    if not alphabet.is_finite:
-        raise DomainError("bowen_dimension needs a finite alphabet")
-    nbranch = len(alphabet.members())
-    n_eff = 1
-    while n_eff < n_max and nbranch ** (n_eff + 1) <= max_words:
-        n_eff += 1
+    k = len(_branch_digits(alphabet))
+    if k == 1:
+        return BowenDimResult(0.0, 0.0, 0, 0, True, 0.0, 0.0, (0.0, 0.0))
+    n = 1
+    while n < n_max and k ** (n + 1) <= max_words:
+        n += 1
+    sup = functools.cache(lambda s: partition_sum(alphabet, n, s, "sup_norm", max_words))
 
-    @functools.cache
-    def upper(s: float, n: int) -> float:
-        return partition_sum(alphabet, n, s, "sup_norm", max_words).upper_bracket
+    def log_z(m: int, s: float) -> float:  # log Z_base(m)
+        return m * partition_sum(alphabet, m, s, "base_point", max_words).log_zn_over_n if m else 0.0
 
-    @functools.cache
-    def lower(s: float, n: int) -> float:
-        return partition_sum(alphabet, n, s, "base_point", max_words).lower_bracket
-
-    def certified_sign(s: float) -> tuple[int, bool]:
-        """(-1, 0, +1) with a flag saying whether the sign is certified."""
-        n = 1
-        while True:
-            up = upper(s, n)
-            if up < 0.0:
-                return -1, True
-            low = lower(s, n)
-            if low > 0.0:
-                return +1, True
-            if n >= n_eff:
-                break
-            n = min(2 * n, n_eff)
-        return (+1 if 0.5 * (low + up) > 0.0 else -1), False
-
-    s_lo, s_hi = 0.0, 2.0
-    conclusive = True
-    iterations = 0
-    # monotonicity sanity of the estimates along the bisection path
-    previous: list[tuple[float, float]] = []
-    while s_hi - s_lo > tol and iterations < _MAX_BISECTIONS:
-        mid = 0.5 * (s_lo + s_hi)
-        sign, certain = certified_sign(mid)
-        conclusive = conclusive and certain
-        upper_mid = upper(mid, n_eff)
-        for s_prev, up_prev in previous:
-            if s_prev < mid and upper_mid > up_prev + 1e-9:
-                raise AssertionError("pressure upper bracket not monotone in s")
-            if s_prev > mid and upper_mid < up_prev - 1e-9:
-                raise AssertionError("pressure upper bracket not monotone in s")
-        previous.append((mid, upper_mid))
-        if sign > 0:
-            s_lo = mid
-        else:
-            s_hi = mid
-        iterations += 1
-
-    return BowenDimResult(
-        s_low=s_lo,
-        s_high=s_hi,
-        n_used=n_eff,
-        iterations=iterations,
-        conclusive=conclusive,
-        upper_at_low=upper(s_lo, n_eff),
-        lower_at_high=lower(s_hi, n_eff),
-    )
+    low, _, low_steps = _bracketed_root(lambda s: sup(s).lower_bracket, 0.0, 2.0, tol)
+    _, high, high_steps = _bracketed_root(lambda s: sup(s).upper_bracket, low, 2.0, tol)
+    conclusive = high - low <= tol
+    s_low, s_high, steps = (low, high, 0) if conclusive else _bracketed_root(
+        lambda s: log_z(n, s) - log_z(n - 1, s), low, high, tol)
+    return BowenDimResult(s_low, s_high, n, low_steps + high_steps + steps, conclusive,
+                          sup(s_low).upper_bracket, sup(s_high).lower_bracket, (low, high))
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,7 @@ def _ball_inclusion(config: RunConfig):
     return True, None
 
 
+_PAIR = dimension.DigitSet.from_branches([(2, 2), (-2, -2)])
 _QUAD = dimension.DigitSet.from_branches([(2, 2), (-2, -2), (3, 0), (0, 3)])
 
 
@@ -255,28 +256,28 @@ def _pressure_monotone_in_s(config: RunConfig):
 
 @check("pressure", "single_branch_dimension_zero")
 def _single_branch_dimension_zero(config: RunConfig):
-    single = dimension.bowen_dimension(
-        dimension.DigitSet.from_branches([(2, 2)]), tol=config.bisection_tol, n_max=8
-    )
-    ok = single.s_low <= 0.0 <= single.s_high and single.width <= config.bisection_tol
-    return ok and single.conclusive, single.to_json()
+    single = dimension.bowen_dimension(dimension.DigitSet.from_branches([(2, 2)]), n_max=8)
+    return (single.s_low, single.s_high, single.conclusive) == (0.0, 0.0, True), single.to_json()
 
 
 @check("pressure", "two_branch_bisection_sign_invariants")
 def _two_branch_bisection_sign_invariants(config: RunConfig):
-    pair = dimension.bowen_dimension(
-        dimension.DigitSet.from_branches([(2, 2), (-2, -2)]),
-        tol=config.bisection_tol,
-        n_max=12,
-    )
-    ok = (
-        pair.upper_at_low >= 0.0
-        and pair.lower_at_high <= 0.0
-        and 0.0 < pair.s_low
-        and pair.s_high < 2.0
-        and pair.width <= config.bisection_tol
-    )
-    return ok, pair.to_json()
+    pair = dimension.bowen_dimension(_PAIR, tol=config.bisection_tol)
+    ok = pair.upper_at_low >= 0.0 >= pair.lower_at_high and 0.0 < pair.s_low <= pair.s_high < 2.0
+    return ok and pair.width <= config.bisection_tol, pair.to_json()
+
+
+@check("pressure", "dimension_references_enclosed")
+def _dimension_references_enclosed(config: RunConfig):
+    # transfer-operator dimensions that agree to 1e-10 between two
+    # discretisations; the annulus estimate, at word length 3, within 5e-5
+    for alphabet, reference, slack in ((_PAIR, 0.330994621888, 0.0),
+                                       (dimension.DigitSet.annulus(8, 17), 1.41902644, 5e-5)):
+        r = dimension.bowen_dimension(alphabet, tol=config.bisection_tol)
+        if not (r.enclosure[0] <= reference <= r.enclosure[1]
+                and r.s_low - slack <= reference <= r.s_high + slack):
+            return False, dict(r.to_json(), reference=reference)
+    return True, None
 
 
 @check("pressure", "word_table_encloses_exact")

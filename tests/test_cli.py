@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import hurwitzcf
 from hurwitzcf import cli as climod
+from hurwitzcf import dimension
 from hurwitzcf.cli import cli
 from hurwitzcf.config import RunConfig
 
@@ -111,6 +112,16 @@ class TestPressureAndDim:
         )
         assert result.exit_code == 3
 
+    def test_one_digit_word_length_budget_exit(self, runner, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("max_words = 1000\n")
+        result = runner.invoke(
+            cli,
+            ["--config", str(cfg), "pressure", "--alphabet", "[[2,2]]", "--n", "1001", "--s", "0"],
+        )
+        assert result.exit_code == 3
+        assert result.stderr == "budget exhausted: word length 1001 exceeds budget 1000\n"
+
     def test_dim_json(self, runner):
         result = run_ok(runner, ["dim", "--alphabet", "[[2,2]]", "--n-max", "6"])
         payload = json.loads(result.stdout)
@@ -118,13 +129,23 @@ class TestPressureAndDim:
 
     def test_dim_words_beyond_float_range(self, runner):
         result = run_ok(runner, ["dim", "--alphabet", "[[2,2]]", "--n-max", "400"])
-        assert json.loads(result.stdout) == {"s_low": 0.0, "s_high": 0.0009765625, "n_used": 400}
+        assert json.loads(result.stdout) == {"s_low": 0.0, "s_high": 0.0, "n_used": 0,
+                                             "enclosure": [0.0, 0.0], "certified": True}
 
     def test_dim_deep_one_digit_alphabet(self, runner):
-        # word tables far beyond int64 entries, at word lengths up to 5000
+        # a one-digit attractor is a point: no word table at any n-max
+        dimension._word_value_table.cache_clear()
         result = run_ok(runner, ["dim", "--alphabet", "[[2,2]]", "--n-max", "5000"])
         payload = json.loads(result.stdout)
-        assert [payload["s_low"], payload["s_high"]] == [0, 0.0009765625]
+        assert [payload["s_low"], payload["s_high"]] == [0, 0]
+        assert dimension._word_value_table.cache_info().misses == 0
+
+    def test_dim_reports_estimate_inside_enclosure(self, runner):
+        result = run_ok(runner, ["dim", "--alphabet", "[[2,2],[-2,-2]]", "--n-max", "8"])
+        payload = json.loads(result.stdout)
+        low, high = payload["enclosure"]
+        assert low <= payload["s_low"] <= payload["s_high"] <= high
+        assert payload["certified"] is False
 
     def test_annulus_alphabet(self, runner):
         result = run_ok(

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -441,18 +442,27 @@ class TestPartitionSum:
         with pytest.raises(BudgetExceededError) as info:
             partition_sum(QUAD, 10, 1.0, max_words=1000)
         assert info.value.truncation_bound > 0
-        # the bound is (sum of single-branch sups)^n, at or above the exact Z_n
+        # the bound is (sum of single-branch sups)^n, rounded up, at or above the exact Z_n
         with pytest.raises(BudgetExceededError) as info:
             partition_sum(QUAD, 9, 1.0, max_words=1000)
-        singles = math.fsum(
-            float(BranchComposition.from_word([d]).sup_deriv_exact()) for d in QUAD.members()
-        )
-        assert info.value.truncation_bound == singles**9
+        singles = sum(BranchComposition.from_word([d]).sup_deriv_exact() for d in QUAD.members())
+        assert singles**9 <= info.value.truncation_bound <= singles**9 * (1 + Fraction(1, 10**12))
         assert info.value.truncation_bound >= math.exp(9 * partition_sum(QUAD, 9, 1.0).log_zn_over_n)
         # at s = 0 the bound is 4^n, past the float range at n = 600
         with pytest.raises(BudgetExceededError) as info:
             partition_sum(QUAD, 600, 0.0)
         assert info.value.truncation_bound == math.inf
+
+    def test_base_point_upper_bracket_bounds_the_pressure(self):
+        # annulus:8:16 has dimension 1.41903, so P(1.418) > 0; log Z_base(3)/3
+        # alone falls below 0 there
+        est = partition_sum(DigitSet.annulus(8, 17), 3, 1.418, "base_point")
+        assert est.log_zn_over_n < 0 <= est.upper_bracket
+
+    def test_word_length_budget_of_one_digit_alphabet(self):
+        with pytest.raises(BudgetExceededError, match="word length 1001"):
+            partition_sum(SINGLE, 1001, 0.0, max_words=1000)
+        assert partition_sum(SINGLE, 1000, 0.0, max_words=1000).word_count == 1
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
@@ -503,27 +513,8 @@ class TestBowen:
 
         monkeypatch.setattr(dimension, "partition_sum", counting)
         result = bowen_dimension(PAIR, tol=1e-3, n_max=12)
-        assert result.iterations == 11
+        assert result.iterations == 6
         assert len(calls) == len(set(calls))
-
-    def test_base_point_bracket_read_only_where_needed(self, monkeypatch):
-        # a negative sup-norm upper bracket certifies the sign, so the only
-        # base-point sum taken where it is negative is the reported
-        # lower bracket at s_high
-        calls = []
-        original = dimension.partition_sum
-
-        def recording(alphabet, n, s, mode, *args):
-            calls.append((mode, s, n))
-            return original(alphabet, n, s, mode, *args)
-
-        monkeypatch.setattr(dimension, "partition_sum", recording)
-        result = bowen_dimension(PAIR, tol=1e-3, n_max=12)
-        base = [(s, n) for mode, s, n in calls if mode == "base_point"]
-        assert len(base) < len(calls) - len(base)
-        for s, n in base:
-            if original(PAIR, n, s, "sup_norm").upper_bracket < 0:
-                assert (s, n) == (result.s_high, result.n_used)
 
     def test_each_word_table_built_once_per_call(self):
         # every build is a cache miss; with no eviction each stays cached,
@@ -531,8 +522,36 @@ class TestBowen:
         _word_value_table.cache_clear()
         bowen_dimension(PAIR, tol=1e-3, n_max=12)
         info = _word_value_table.cache_info()
-        assert info.misses == info.currsize == 5  # word lengths 1, 2, 4, 8, 12
+        assert info.misses == info.currsize == 2  # word lengths 11 and 12
         assert info.hits > 0
+
+    def test_one_digit_alphabet_is_a_point(self):
+        _word_value_table.cache_clear()
+        result = bowen_dimension(SINGLE, tol=1e-3, n_max=5000)
+        assert (result.s_low, result.s_high, result.enclosure) == (0.0, 0.0, (0.0, 0.0))
+        assert result.conclusive and result.n_used == 0
+        assert _word_value_table.cache_info().misses == 0
+        with pytest.raises(DomainError):
+            bowen_dimension(DigitSet.from_branches([(1, 1)]))
+
+    def test_enclosure_not_refuted_by_exact_sums(self):
+        # Z_sup(4) < 1 at low would prove the dimension below low, and
+        # Z_inf(4) > 1 at high would prove it above high; each word's sup
+        # and inf are exact rationals, summed at 50 digits
+        result = bowen_dimension(QUAD, tol=1e-3, n_max=4)
+        assert result.n_used == 4
+        low, high = result.enclosure
+        assert low <= result.s_low <= result.s_high <= high
+        assert result.width <= 1e-3 < high - low and not result.conclusive
+        assert result.upper_at_low >= 0.0 >= result.lower_at_high
+        comps = [BranchComposition.from_word(w) for w in itertools.product(QUAD.members(), repeat=4)]
+
+        def z(values, s):
+            with mpmath.workdps(50):
+                return mpmath.fsum((mpmath.mpf(v.numerator) / v.denominator) ** s for v in values)
+
+        assert z([c.sup_deriv_exact() for c in comps], low) >= 1
+        assert z([c.inf_deriv_exact() for c in comps], high) <= 1
 
 
 class TestTau:
