@@ -84,11 +84,11 @@ def _parse_alphabet(spec: str) -> dimension.DigitSet:
     return dimension.DigitSet.from_branches(GaussianInt.from_pairs(data))
 
 
-def _digit_sequence_source(source: str, horizon: int) -> np.ndarray:
+def _tau_estimate(source: str, horizon: int) -> dimension.TauEstimate:
     if source == "lattice":
-        return np.sqrt(dimension.DigitSet.lattice_with_zero().norm_sq_array(horizon))
+        return dimension.tau_of_digit_set(dimension.DigitSet.lattice_with_zero(), horizon)
     if source == "d2":
-        return np.sqrt(dimension.DigitSet.d2().norm_sq_array(horizon))
+        return dimension.tau_of_digit_set(dimension.DigitSet.d2(), horizon)
     if source.startswith("power:"):
         text = source.split(":", 1)[1]
         try:
@@ -97,9 +97,11 @@ def _digit_sequence_source(source: str, horizon: int) -> np.ndarray:
             raise DomainError(f"power exponent must be a number, got {text!r}") from None
         if not (math.isfinite(p) and p > 0):
             raise DomainError(f"power exponent must be finite and positive, got {text}")
+        dimension._check_tau_horizon(horizon)
         # n^p may overflow to inf; tau_exponent rejects non-finite norms
         with np.errstate(over="ignore"):
-            return np.arange(1, horizon + 1, dtype=np.float64) ** p
+            norms = np.arange(1, horizon + 1, dtype=np.float64) ** p
+        return dimension.tau_exponent(norms, horizon)
     raise DomainError(f"unknown tau source {source!r}; use lattice, d2 or power:<p>")
 
 
@@ -152,7 +154,10 @@ def cli(ctx, config_path, seed, out, fmt):
     """Hurwitz continued fractions, their branch system and dimension tools."""
     config = RunConfig.from_file(config_path) if config_path else RunConfig()
     config = config.override(seed=seed)
-    ctx.obj = {"config": config, "out": Path(out) if out else None, "format": fmt}
+    out = Path(out) if out else None
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):  # fail before the work
+        raise DomainError(f"cannot write {str(out)!r}: not a file in an existing directory")
+    ctx.obj = {"config": config, "out": out, "format": fmt}
 
 
 @cli.command()
@@ -240,8 +245,7 @@ def tau(ctx, source, horizon):
     """Convergence exponent estimate of a norm sequence."""
     config: RunConfig = ctx.obj["config"]
     horizon = config.horizon if horizon is None else horizon
-    norms = _digit_sequence_source(source, horizon)
-    est = dimension.tau_exponent(norms, horizon)
+    est = _tau_estimate(source, horizon)
     payload = dict(est.to_json(), source=source)
     step = max(1, horizon // 10_000)
     rows = [
@@ -345,8 +349,7 @@ def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
     if failed:
         raise CheckFailure(f"{len(failed)} schedule checks failed")
     click.echo(
-        f"{len(sched.blocks)} blocks, horizon {sched.horizon}, "
-        f"tau estimate {sched.tau_estimate:.4f}",
+        f"{len(sched.blocks)} blocks, horizon {sched.horizon}, tau {digit_set.tau:g}",
         file=sys.stderr,
     )
 

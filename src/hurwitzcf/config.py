@@ -6,10 +6,13 @@ so typos surface instead of silently using defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import DomainError
+
+_MAX_WORDS = 1 << 24  # largest word budget; a table of 2^24 words takes about 0.4 GB
 
 
 @dataclass(frozen=True)
@@ -25,8 +28,10 @@ class RunConfig:
         if not 0 <= self.seed < 1 << 64:
             raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
         for name in ("max_words", "max_digits", "horizon", "bisection_tol", "ratio_tol"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite")
+        if self.max_words > _MAX_WORDS:
+            raise DomainError(f"max_words must be at most {_MAX_WORDS}, got {self.max_words}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

@@ -22,6 +22,8 @@ SQRT2 = math.sqrt(2.0)
 
 _LOG_K0 = math.log(COMPOSITION_DISTORTION_BOUND)  # widens a sum into a bracket on the pressure
 _MAX_BISECTIONS = 64  # caps each root search of bowen_dimension when tol is below the float spacing
+_MAX_HORIZON = 10**7  # largest tau or schedule horizon; tau at 10^7 holds about 0.6 GB
+_MAX_SHELL_NORM_SQ = 1 << 24  # shell tables end here, at 5.3e7 lattice points
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +79,17 @@ class DigitSet:
     @property
     def is_finite(self) -> bool:
         return self.explicit is not None or self.norm_sq_hi is not None
+
+    @property
+    def tau(self) -> float:
+        """Convergence exponent: the infimum of t with sum |b|^-t finite.
+
+        A finite set's sum converges for every t >= 0, so tau is 0.  An
+        infinite set holds every lattice point beyond its least norm, and
+        #{b in B : |b| <= r} = pi r^2 + O(r) (Gauss circle count), so
+        sum |b|^-t converges exactly when t > 2, and tau is 2.
+        """
+        return 0.0 if self.is_finite else 2.0
 
     def contains(self, g: GaussianInt) -> bool:
         if self.explicit is not None:
@@ -142,7 +155,11 @@ class _ShellTable:
         """Make the table complete up to norm_sq."""
         if norm_sq <= self.limit or self.limit >= self.cap:
             return
-        self.limit = min(max(norm_sq, 2 * self.limit), self.cap)
+        if min(norm_sq, self.cap) > _MAX_SHELL_NORM_SQ:
+            raise BudgetExceededError(
+                f"{self.set.name} needs shells past norm_sq {_MAX_SHELL_NORM_SQ}", math.inf
+            )
+        self.limit = min(max(norm_sq, 2 * self.limit), self.cap, _MAX_SHELL_NORM_SQ)
         values, counts = norm_sq_shells(self.limit)
         if self.set.norm_sq_lo <= 0:
             values, counts = np.r_[0, values], np.r_[1, counts]
@@ -174,6 +191,37 @@ class _ShellTable:
         """Sum of |i|^-exponent over members with norm_sq in [lo, hi)."""
         values, counts = self.band(norm_sq_lo, norm_sq_hi)
         return float(np.sum(counts * np.power(values.astype(np.float64), -exponent / 2.0)))
+
+    def anchor_after(self, norm_sq_lo: int, exponent: float) -> int:
+        """Least shell value hi > lo with weight(lo, hi, exponent) >= 1.
+
+        One cumulative sum over a window of shells from lo, doubled until
+        it reaches 1, places the crossing; ``weight`` then settles the last
+        ulp, so the answer is the one a shell-by-shell scan with ``weight``
+        finds.
+        """
+        i = int(np.searchsorted(self.values, norm_sq_lo))
+        width = 64
+        while True:
+            self.shell(i + width)  # the window's shells and one past it
+            values, counts = self.values[i : i + width], self.counts[i : i + width]
+            cum = np.cumsum(counts * np.power(values.astype(np.float64), -exponent / 2.0))
+            k = int(np.searchsorted(cum, 1.0))
+            if k < width:
+                break
+            width *= 2
+        j = i + k + 1  # shells i..j-1 carry weight cum[k] >= 1
+        while self.weight(norm_sq_lo, self.shell(j), exponent) < 1.0:
+            j += 1
+        while j > i + 1 and self.weight(norm_sq_lo, self.shell(j - 1), exponent) >= 1.0:
+            j -= 1
+        return self.shell(j)
+
+    def shell(self, j: int) -> int:
+        """The j-th shell value, growing the table to reach it."""
+        while len(self.values) <= j:
+            self._grow(f"has fewer than {j + 1} shells")
+        return int(self.values[j])
 
     def count(self, norm_sq_lo: int, norm_sq_hi: int) -> int:
         return int(self.band(norm_sq_lo, norm_sq_hi)[1].sum())
@@ -753,8 +801,7 @@ def tau_exponent(norms: Sequence[float] | np.ndarray, horizon: int) -> TauEstima
     horizon/10) to later indices where x has at least doubled; the raw
     ratio trajectory is kept for diagnostics.
     """
-    if horizon < 1000:
-        raise DomainError("horizon must be at least 1000")
+    _check_tau_horizon(horizon)
     x = np.asarray(norms, dtype=np.float64)[:horizon]
     if len(x) < horizon:
         raise DomainError(f"sequence shorter ({len(x)}) than horizon {horizon}")
@@ -799,10 +846,18 @@ def tau_exponent(norms: Sequence[float] | np.ndarray, horizon: int) -> TauEstima
     )
 
 
+def _check_tau_horizon(horizon: int) -> None:
+    if horizon < 1000:
+        raise DomainError("horizon must be at least 1000")
+    if horizon > _MAX_HORIZON:
+        raise DomainError(f"horizon must be at most {_MAX_HORIZON}, got {horizon}")
+
+
 def tau_of_digit_set(s: DigitSet, horizon: int = 200_000) -> TauEstimate:
-    """Convergence exponent of the moduli of a digit set's enumeration."""
-    ns = s.norm_sq_array(horizon)
-    return tau_exponent(np.sqrt(ns), horizon)
+    """Estimate of the convergence exponent from the moduli of a digit
+    set's enumeration; ``DigitSet.tau`` is the exact value it estimates."""
+    _check_tau_horizon(horizon)
+    return tau_exponent(np.sqrt(s.norm_sq_array(horizon)), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -864,19 +919,17 @@ def restricted_power_sum(
     return head + tail_integral_bound(tail_start, p)
 
 
-def upper_threshold(s: DigitSet, eps: float, tau: float | None = None) -> ThresholdResult:
+def upper_threshold(s: DigitSet, eps: float) -> ThresholdResult:
     """Least norm cutoff N making the weighted covering tail sum <= 1.
 
-    The weight is (k0 k2 c2 / k1)^((tau+eps)/2); the tail sum is evaluated
-    by shell enumeration plus the integral tail bound, which is monotone in
-    N, so the crossing is located by doubling plus bisection.  Without a
-    given tau, the set's tau is estimated at horizon 10^5.
+    The weight is (k0 k2 c2 / k1)^((tau+eps)/2), with tau the set's exact
+    ``DigitSet.tau``; the tail sum is evaluated by shell enumeration plus
+    the integral tail bound, which is monotone in N, so the crossing is
+    located by doubling plus bisection.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
-    if tau is None:
-        tau = tau_of_digit_set(s, 100_000).estimate
-    p = tau + eps
+    p = s.tau + eps
     k0 = COMPOSITION_DISTORTION_BOUND
     factor = (k0 * DIAMETER_K2 * float(DECAY_C2) / DIAMETER_K1) ** (p / 2.0)
 
@@ -903,7 +956,7 @@ def upper_threshold(s: DigitSet, eps: float, tau: float | None = None) -> Thresh
     return ThresholdResult(
         norm_cutoff=cutoff,
         factor=factor,
-        tau=tau,
+        tau=s.tau,
         eps=eps,
         sum_at_cutoff=weighted(cutoff),
         sum_before_cutoff=weighted(cutoff - 1) if cutoff > n_min else float("inf"),
@@ -953,7 +1006,6 @@ class NonAutSchedule:
     horizon: int
     eps: float
     ratio_tol: float
-    tau_estimate: float
     f_source: str
     truncated: bool = False
     warning: str | None = None
@@ -966,12 +1018,6 @@ class NonAutSchedule:
                 return blk
         return self.blocks[-1]
 
-    def declared_ratio_tolerance(self, m: int) -> float:
-        """Per-block tolerance schedule for the size/length ratios."""
-        if m < 2:
-            return float("inf")
-        return self.ratio_tol / m
-
     def to_json(self) -> dict:
         return {
             "anchors": [a.to_pair() for a in self.anchors],
@@ -979,7 +1025,7 @@ class NonAutSchedule:
             "horizon": self.horizon,
             "eps": self.eps,
             "ratio_tol": self.ratio_tol,
-            "tau_estimate": self.tau_estimate,
+            "tau": self.digit_set.tau,
             "f": self.f_source,
             "truncated": self.truncated,
         }
@@ -1016,7 +1062,6 @@ def build_schedule(
     eps: float,
     horizon: int,
     ratio_tol: float = 0.1,
-    tau: float | None = None,
 ) -> NonAutSchedule:
     """Greedy block schedule matching a growth bound.
 
@@ -1026,24 +1071,22 @@ def build_schedule(
     level |z_{m+2}| and (ii) the size/length ratio log(#pool)/start falling
     below ratio_tol/m.  Construction stops at the horizon; an unreachable
     clearance level truncates the schedule with a warning instead of
-    failing.  The growth bound is evaluated at most once per step.
-    Without a given tau, the set's tau is estimated at horizon 2 10^5.
+    failing.  The growth bound is evaluated at most once per step.  tau
+    is the set's exact convergence exponent, ``DigitSet.tau``.
     """
     if s.is_finite:
         raise DomainError("schedule construction needs an infinite digit set")
     if s.contains(GaussianInt(0, 0)):
         raise DomainError(f"digit set {s.name} contains the pole digit 0")
-    if horizon < 10:
-        raise DomainError("horizon too small")
+    if not 10 <= horizon <= _MAX_HORIZON:
+        raise DomainError(f"horizon must lie in [10, {_MAX_HORIZON}], got {horizon}")
     if not (math.isfinite(ratio_tol) and ratio_tol > 0):
         raise DomainError(f"ratio_tol must be finite and positive, got {ratio_tol}")
     f_source = f.source if isinstance(f, GrowthFunction) else getattr(f, "__name__", "callable")
     clearance_of = _clearance_query(f if callable(f) else f.__call__, horizon)
-    if tau is None:
-        tau = tau_of_digit_set(s).estimate
-    if not 0.0 < eps < tau:
-        raise DomainError(f"eps must lie in (0, tau={tau:.4f})")
-    p = tau - eps
+    if not 0.0 < eps < s.tau:
+        raise DomainError(f"eps must lie in (0, tau={s.tau:g})")
+    p = s.tau - eps
 
     shells = s._shells
     min_ns = s.min_norm_sq()
@@ -1055,11 +1098,7 @@ def build_schedule(
 
     def extend_anchors(upto: int) -> None:
         while len(anchor_ns) < upto:
-            lo = anchor_ns[-1]
-            hi = shells.next_shell_after(lo)
-            while shells.weight(lo, hi, p) < 1.0:
-                hi = shells.next_shell_after(hi)
-            nxt = hi
+            nxt = shells.anchor_after(anchor_ns[-1], p)
             anchor_ns.append(nxt)
             anchors.append(shell_members(nxt)[0])
 
@@ -1092,7 +1131,8 @@ def build_schedule(
                 f"schedule truncated at block {m}"
             )
             break
-        ratio_need = int(math.ceil((m + 1) * math.log(max(nxt_count, 2)) / ratio_tol))
+        # a tiny ratio_tol can overflow the quotient; past the horizon is past it
+        ratio_need = math.ceil(min((m + 1) * math.log(max(nxt_count, 2)) / ratio_tol, horizon + 1))
         next_start = max(start + 1, clearance, ratio_need)
         if next_start > horizon:
             blocks.append(ScheduleBlock(m, lo, hi, count, horizon - start + 1, start))
@@ -1108,7 +1148,6 @@ def build_schedule(
         horizon=horizon,
         eps=eps,
         ratio_tol=ratio_tol,
-        tau_estimate=tau,
         f_source=f_source,
         truncated=truncated,
         warning=warning,
@@ -1134,7 +1173,7 @@ def _anchors_strictly_increasing(sched: NonAutSchedule, f) -> tuple[bool, dict |
 
 
 def _annulus_weight_at_least_one(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
-    p = sched.tau_estimate - sched.eps
+    p = sched.digit_set.tau - sched.eps
     for i in range(len(sched.anchors) - 1):
         lo = sched.anchors[i].norm_sq()
         hi = sched.anchors[i + 1].norm_sq()
@@ -1179,7 +1218,7 @@ def _ratio_tolerance_schedule(sched: NonAutSchedule, f) -> tuple[bool, dict | No
     for blk in sched.blocks:
         if blk.index < 2:
             continue
-        tol = sched.declared_ratio_tolerance(blk.index)
+        tol = sched.ratio_tol / blk.index
         ratio_start = math.log(max(blk.count, 1)) / blk.start
         ratio_end = math.log(max(blk.count, 1)) / blk.end
         if ratio_start > tol or ratio_end > tol:
@@ -1302,7 +1341,7 @@ def verify_lower_bound_chain(
         raise DomainError("delta must be positive")
     if n > sched.horizon:
         raise DomainError(f"n = {n} beyond schedule horizon {sched.horizon}")
-    tau = sched.tau_estimate
+    tau = sched.digit_set.tau
     if not 0 < eps < tau:
         raise DomainError("eps must lie in (0, tau)")
     s_val = (tau - eps) / (2.0 + delta)

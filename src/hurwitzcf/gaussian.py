@@ -206,7 +206,11 @@ def norm_sq_shells(limit_norm_sq: int) -> tuple[np.ndarray, np.ndarray]:
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
     w = math.isqrt(limit_norm_sq)
     sq = np.arange(-w, w + 1, dtype=np.int64) ** 2
-    counts = np.bincount((sq[:, None] + sq[None, :]).ravel())[: limit_norm_sq + 1]
+    counts = np.zeros(limit_norm_sq + 1, dtype=np.int64)
+    rows = max(1, (1 << 22) // len(sq))  # grid rows per block of about 4M points
+    for i in range(0, len(sq), rows):
+        ns = (sq[i : i + rows, None] + sq[None, :]).ravel()
+        counts += np.bincount(ns[ns <= limit_norm_sq], minlength=limit_norm_sq + 1)
     counts[0] = 0
     values = np.flatnonzero(counts)
     return values, counts[values]

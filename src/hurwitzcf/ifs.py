@@ -9,6 +9,7 @@ bottom row (c, d).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -375,22 +376,13 @@ def distortion_estimate(max_word_len: int = 3, max_words: int = 20_000, seed: in
     for length in range(1, max_word_len + 1):
         total = len(alphabet) ** length
         if total <= max_words:
-            words = _all_words(alphabet, length)
+            words = itertools.product(alphabet, repeat=length)
         else:
             idx = rng.integers(0, len(alphabet), size=(max_words, length))
             words = (tuple(alphabet[j] for j in row) for row in idx)
         for word in words:
             best = max(best, ratio_of(word))
     return best
-
-
-def _all_words(alphabet: Sequence[GaussianInt], length: int):
-    if length == 0:
-        yield ()
-        return
-    for head in alphabet:
-        for tail in _all_words(alphabet, length - 1):
-            yield (head, *tail)
 
 
 # ---------------------------------------------------------------------------

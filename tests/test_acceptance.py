@@ -8,6 +8,7 @@ tolerances and runtime budget directly.
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ def test_criterion_08_schedule():
     chain = [verify_lower_bound_chain(sched, eps=0.5, delta=0.1, n=n) for n in ns]
     assert len({r.log_lower_bound for r in chain}) == 1, "bound depends on n"
     assert all(r.positive for r in chain)
-    expected_s = (sched.tau_estimate - 0.5) / 2.1
+    expected_s = (sched.digit_set.tau - 0.5) / 2.1
     assert abs(chain[0].s_value - expected_s) < 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"schedule suite took {elapsed:.2f}s"
@@ -266,15 +267,20 @@ def test_criterion_11_determinism(tmp_path):
         assert first.stdout_bytes == second.stdout_bytes, args
 
     # fresh processes as well, not just in-process reruns
+    import os
     import subprocess
     import sys
 
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outputs = []
     for run in range(2):
         out = tmp_path / f"run{run}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "hurwitzcf.cli", "--seed", "11", "--out", str(out),
              "schedule", "--set", "d2", "--f", "n+3", "--horizon", "1200"],
+            env=env,
             capture_output=True,
         )
         assert proc.returncode == 0, proc.stderr.decode()

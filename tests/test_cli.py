@@ -2,7 +2,12 @@ import contextlib
 import gc
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
+import time
 import warnings
 import weakref
 from dataclasses import fields
@@ -261,6 +266,52 @@ class TestInputErrors:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
+
+
+def _run_limited(args, tmp_path):
+    """The CLI in a subprocess with 3 GB of address space (ulimit -v 3000000)."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    limit = 3_000_000 * 1024
+    return subprocess.run(
+        [sys.executable, "-m", "hurwitzcf.cli", *args], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+class TestSizeLimits:
+    """Sizes past the module limits end in one stderr line, not an OOM."""
+
+    @pytest.mark.parametrize(
+        "config, args, code",
+        [
+            (None, ["tau", "--source", "power:2", "--horizon", "1000000000000"], 2),
+            ("horizon = 10000000000000", ["tau", "--source", "lattice"], 2),
+            (None, ["schedule", "--set", "d2", "--f", "n+3", "--horizon", "1000000000000"], 2),
+            ("max_words = 1099511627776",
+             ["pressure", "--alphabet", "[[2,2],[-2,-2]]", "--n", "40", "--s", "1"], 2),
+            (None, ["schedule", "--set", "d2", "--f", "n+3", "--eps", "0.05"], 3),
+            (None, ["dim", "--alphabet", "annulus:8:100000000"], 3),
+        ],
+        ids=["tau-horizon", "config-horizon", "schedule-horizon", "config-max-words",
+             "schedule-shells", "dim-shells"],
+    )
+    def test_exit_in_one_line(self, tmp_path, config, args, code):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config + "\n")
+            args = ["--config", "run.cfg", *args]
+        result = _run_limited(args, tmp_path)
+        assert result.returncode == code, result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        prefix = "error: " if code == 2 else "budget exhausted: "
+        assert result.stderr.startswith(prefix)
+
+    def test_small_eps_schedule_is_fast_and_valid(self, runner):
+        start = time.perf_counter()
+        run_ok(runner, ["schedule", "--set", "d2", "--f", "n+3", "--eps", "0.1"])
+        assert time.perf_counter() - start < 10.0  # exit 0: every validator check passed
 
 
 class TestInProcess:

@@ -3,22 +3,26 @@
 Every command line exits 0 (ok), 1 (check failure), 2 (usage or domain
 error) or 3 (budget), raises nothing but ``SystemExit``, and writes JSON
 without NaN or Infinity, to stdout or to an ``--out`` that is a new file,
-a directory or a path whose parent is missing.  Sizes are bounded only to
-keep the run short:
-alphabets of at most 4 digits, horizons and word lengths up to 5000,
-``--norm-sq-max`` up to 64.
+a directory or a path whose parent is missing.  Some command lines read a
+``--config`` file whose lines set each ``RunConfig`` key to an in-range,
+huge, NaN, infinite or non-numeric value, name an unknown key or lack
+``=``.  Sizes are bounded only to keep the run short: alphabets of at most
+4 digits, horizons and word lengths up to 5000, ``--norm-sq-max`` up to 64,
+in-range config values up to 5000.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurwitzcf.cli import cli
+from hurwitzcf.config import RunConfig
 from hurwitzcf.verify import SUITES
 
 ints = st.integers(-12, 12) | st.integers(-(2**70), 2**70)
@@ -29,6 +33,16 @@ horizons = st.integers(-1, 5000)
 def _text(values) -> st.SearchStrategy[str]:
     return values.map(str)
 
+
+config_values = (
+    _text(st.integers(1, 5000))
+    | _text(floats)
+    | st.sampled_from(["0", "-1", str(2**40), str(2**70), "9" * 5000, "1e999", "nan", "inf",
+                       "-inf", "abc", "", "1_0"])
+)
+config_lines = st.tuples(
+    st.sampled_from([f.name for f in fields(RunConfig)] + ["wibble"]), config_values
+).map(" = ".join) | st.just("no equals sign")
 
 alphabets = (
     st.lists(st.tuples(ints, ints).map(list), min_size=1, max_size=4).map(json.dumps)
@@ -86,6 +100,8 @@ def command_lines(draw) -> list[str]:
         group += ["--out", out]
     if draw(st.booleans()):
         group += ["--seed", draw(_text(st.integers(-1, 2**64)))]
+    if draw(st.integers(0, 3)) == 0:
+        group += ["--config", "\n".join(draw(st.lists(config_lines, min_size=1, max_size=3)))]
     return group + args
 
 
@@ -99,6 +115,13 @@ def _reject_constant(name: str):
 @example(["--format", "json", "dim", "--alphabet", "[[2,2]]", "--n-max", "5000"])
 @example(["--format", "json", "pressure", "--alphabet", "[[2,2]]", "--n", "5000", "--s", "0"])
 @example(["--format", "json", "pressure", "--alphabet", "annulus:8:9", "--n", "1462", "--s", "0"])
+@example(["--format", "json", "schedule", "--set", "d2", "--f", "n+3", "--horizon", "1000",
+          "--ratio-tol", "5e-324"])
+@example(["--format", "json", "--config", "ratio_tol = 5e-324", "verify", "schedule"])
+@example(["--format", "json", "--config", "bisection_tol = nan", "dim", "--alphabet", "[[2,2]]"])
+@example(["--format", "json", "--config", "max_words = 1099511627776", "pressure", "--alphabet",
+          "[[2,2],[-2,-2]]", "--n", "40", "--s", "1"])
+@example(["--format", "json", "--config", "horizon = 10000000000000", "tau"])
 def test_exit_code_contract(args):
     out, err = io.StringIO(), io.StringIO()
     code = 0
@@ -108,6 +131,10 @@ def test_exit_code_contract(args):
         if "--out" in args:
             at = args.index("--out") + 1
             args = [*args[:at], str(paths[args[at]]), *args[at + 1:]]
+        if "--config" in args:
+            at = args.index("--config") + 1
+            Path(tmp, "run.cfg").write_text(args[at] + "\n")
+            args = [*args[:at], str(Path(tmp, "run.cfg")), *args[at + 1:]]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 cli.main(args, prog_name="hurwitzcf", standalone_mode=False)

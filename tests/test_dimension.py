@@ -69,17 +69,27 @@ class TestDigitSet:
 R_BRUTE = 40  # every case below is checked on norm_sq <= R_BRUTE^2
 EXPLICIT = {(3, 0), (2, 2), (0, -3), (-2, -2)}
 
+# (id, set, membership, tau): tau is 0 for a finite set and 2 for a set
+# holding every lattice point beyond some norm
 DIGIT_SET_CASES = [
-    ("explicit", DigitSet.from_branches(EXPLICIT), lambda ns, a, b: (a, b) in EXPLICIT),
-    ("annulus", DigitSet.annulus(5, 30), lambda ns, a, b: 5 <= ns < 30),
-    ("d2", DigitSet.d2(), lambda ns, a, b: ns >= 8),
-    ("lattice", DigitSet.lattice(), lambda ns, a, b: ns >= 1),
-    ("lattice0", DigitSet.lattice_with_zero(), lambda ns, a, b: True),
-    ("min_norm_sq=50", DigitSet.with_min_norm_sq(50), lambda ns, a, b: ns >= 50),
+    ("explicit", DigitSet.from_branches(EXPLICIT), lambda ns, a, b: (a, b) in EXPLICIT, 0.0),
+    ("annulus", DigitSet.annulus(5, 30), lambda ns, a, b: 5 <= ns < 30, 0.0),
+    ("d2", DigitSet.d2(), lambda ns, a, b: ns >= 8, 2.0),
+    ("lattice", DigitSet.lattice(), lambda ns, a, b: ns >= 1, 2.0),
+    ("lattice0", DigitSet.lattice_with_zero(), lambda ns, a, b: True, 2.0),
+    ("min_norm_sq=50", DigitSet.with_min_norm_sq(50), lambda ns, a, b: ns >= 50, 2.0),
 ]
 
 
-@pytest.mark.parametrize("s, member", [c[1:] for c in DIGIT_SET_CASES],
+@pytest.mark.parametrize("s, member, tau", [c[1:] for c in DIGIT_SET_CASES],
+                         ids=[c[0] for c in DIGIT_SET_CASES])
+def test_digit_set_tau(s, member, tau):
+    assert s.tau == tau
+    if not s.is_finite:  # the log-log estimate approaches the exact value
+        assert abs(tau_of_digit_set(s, 100_000).estimate - tau) < 0.02
+
+
+@pytest.mark.parametrize("s, member", [c[1:3] for c in DIGIT_SET_CASES],
                          ids=[c[0] for c in DIGIT_SET_CASES])
 def test_digit_set_against_brute_force(s, member):
     brute = sorted(
@@ -109,6 +119,15 @@ def test_empty_finite_set_raises(s):
         s.min_norm_sq()
     with pytest.raises(DomainError):
         s.norm_sq_array(1)
+
+
+@pytest.mark.parametrize("s", [DigitSet.d2(), DigitSet.annulus(8, 1 << 30)], ids=["d2", "annulus"])
+def test_shell_table_budget(s):
+    # shells past norm_sq 2^24 are a budget, reached before any grid is built
+    with pytest.raises(BudgetExceededError) as info:
+        s.shell_counts((1 << 24) + 1)
+    assert info.value.truncation_bound == math.inf
+    assert DigitSet.annulus(8, 100).shell_counts(1 << 30)[0][-1] == 98  # a finite cap stays in
 
 
 # The recursive enumeration over full 8-tuple composition matrices that
@@ -613,13 +632,19 @@ class TestUpperThreshold:
             assert math.isclose(closed, numeric, rel_tol=1e-9)
 
     def test_crossing_property_d2(self):
-        res = upper_threshold(DigitSet.d2(), eps=0.5, tau=2.0)
+        res = upper_threshold(DigitSet.d2(), eps=0.5)
         assert res.sum_at_cutoff <= 1.0 < res.sum_before_cutoff
         assert res.norm_cutoff > 1000
 
+    def test_exact_tau_d2(self):
+        # tau is the exact 2, not a log-log estimate (2.00169 at horizon 10^5)
+        res = upper_threshold(DigitSet.d2(), eps=0.5)
+        assert res.tau == 2.0
+        assert res.norm_cutoff == 210_556_610
+
     def test_huge_eps_min_norm(self):
         s = DigitSet.with_min_norm_sq(10_000)
-        res = upper_threshold(s, eps=10.0, tau=2.0)
+        res = upper_threshold(s, eps=10.0)
         assert res.norm_cutoff == 100
         assert res.sum_at_cutoff <= 1.0
 
@@ -639,6 +664,6 @@ class TestUpperThreshold:
 
     def test_eps_positive_required(self):
         with pytest.raises(DomainError):
-            upper_threshold(DigitSet.d2(), eps=0.0, tau=2.0)
+            upper_threshold(DigitSet.d2(), eps=0.0)
         with pytest.raises(DomainError):
-            upper_threshold(DigitSet.d2(), eps=-1.0, tau=2.0)
+            upper_threshold(DigitSet.d2(), eps=-1.0)

@@ -71,7 +71,7 @@ class TestBuildSchedule:
         # every anchor annulus carries weight >= 1 at the built exponent,
         # summed over lattice points counted by a plain double loop
         sched, _ = d2_schedule
-        p = sched.tau_estimate - sched.eps
+        p = sched.digit_set.tau - sched.eps
         r = math.isqrt(sched.anchors[-1].norm_sq())
         shells = Counter(a * a + b * b for a in range(-r, r + 1) for b in range(-r, r + 1))
         norms = sorted(shells)
@@ -122,7 +122,6 @@ class TestScheduleEdges:
             eps=0.5,
             horizon=500,
             ratio_tol=0.1,
-            tau=2.0,
         )
         assert sched.truncated
         assert sched.warning is not None
@@ -133,7 +132,7 @@ class TestScheduleEdges:
         # earlier must still fail growth domination
         growth = GrowthFunction("10 - 1000/n")
         sched = build_schedule(
-            DigitSet.d2(), growth, eps=0.5, horizon=3000, ratio_tol=0.1, tau=2.0
+            DigitSet.d2(), growth, eps=0.5, horizon=3000, ratio_tol=0.1
         )
         assert sched.truncated
         blocks = list(sched.blocks)
@@ -157,9 +156,34 @@ class TestScheduleEdges:
 
     def test_eps_range_enforced(self):
         with pytest.raises(DomainError):
-            build_schedule(DigitSet.d2(), GrowthFunction("n"), 5.0, 1000, tau=2.0)
+            build_schedule(DigitSet.d2(), GrowthFunction("n"), 5.0, 1000)
         with pytest.raises(DomainError):
-            build_schedule(DigitSet.d2(), GrowthFunction("n"), -0.1, 1000, tau=2.0)
+            build_schedule(DigitSet.d2(), GrowthFunction("n"), -0.1, 1000)
+
+
+def _scan_anchors(s, p, count):
+    """Reference: anchors by a shell-by-shell scan, one ``weight`` per shell."""
+    shells = s._shells
+    anchor_ns = [s.min_norm_sq()]
+    while len(anchor_ns) < count:
+        lo = anchor_ns[-1]
+        hi = shells.next_shell_after(lo)
+        while shells.weight(lo, hi, p) < 1.0:
+            hi = shells.next_shell_after(hi)
+        anchor_ns.append(hi)
+    return anchor_ns
+
+
+class TestAnchorSearch:
+    @pytest.mark.parametrize("eps", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("make_set", [DigitSet.d2, DigitSet.lattice,
+                                          lambda: DigitSet.with_min_norm_sq(20)],
+                             ids=["d2", "lattice", "minnormsq:20"])
+    def test_anchors_match_shell_scan(self, make_set, eps):
+        sched = build_schedule(make_set(), GrowthFunction("n+3"), eps=eps, horizon=12_000)
+        found = [a.norm_sq() for a in sched.anchors]
+        # a fresh set, so the reference scan grows its own shell table
+        assert found == _scan_anchors(make_set(), 2.0 - eps, len(found))
 
 
 def _clearance_scan(f, level, horizon):
@@ -219,7 +243,7 @@ class TestClearanceQuery:
             return n + 3.0
 
         horizon = 10_000
-        sched = build_schedule(DigitSet.d2(), counting_f, eps=0.5, horizon=horizon, tau=2.0)
+        sched = build_schedule(DigitSet.d2(), counting_f, eps=0.5, horizon=horizon)
         assert len(sched.blocks) > 100
         assert calls <= horizon
 
@@ -228,8 +252,9 @@ class TestLowerBoundChain:
     def test_dimension_floor_formula(self, d2_schedule):
         sched, _ = d2_schedule
         result = verify_lower_bound_chain(sched, 0.5, 0.1, sched.horizon)
-        expected = (sched.tau_estimate - 0.5) / 2.1
+        expected = (sched.digit_set.tau - 0.5) / 2.1
         assert abs(result.s_value - expected) < 1e-12
+        assert result.s_value == 1.5 / 2.1  # (tau - eps)/(2 + delta) at the exact tau 2
         # cutoff anchors must clear the decay floor (16/25)|i|^-2 >= |i|^-2.1
         threshold = (25.0 / 16.0) ** 20
         assert sched.anchors[result.block_cutoff].norm_sq() >= threshold
@@ -238,7 +263,7 @@ class TestLowerBoundChain:
         # eps close to tau collapses the exponent toward zero
         sched, _ = d2_schedule
         result = verify_lower_bound_chain(
-            sched, eps=sched.tau_estimate - 1e-6, delta=0.1, n=sched.horizon
+            sched, eps=sched.digit_set.tau - 1e-6, delta=0.1, n=sched.horizon
         )
         assert result.s_value < 1e-6
         assert result.positive
