@@ -69,18 +69,23 @@ def _read_arg(spec: str) -> str:
         raise DomainError(f"cannot read {spec[1:]!r}: {exc}") from exc
 
 
-def _parse_alphabet(spec: str) -> dimension.DigitSet:
-    """Alphabet specs: inline JSON pairs, @file of pairs, or annulus:LO:HI."""
-    if spec.startswith("annulus:"):
-        try:
-            _, lo, hi = spec.split(":")
-            return dimension.DigitSet.annulus(int(lo), int(hi) + 1)
-        except ValueError as exc:
-            raise DomainError(f"bad annulus spec {spec!r}; use annulus:LO:HI") from exc
+def _digit_set(spec: str) -> dimension.DigitSet:
+    """Digit-set specs: d2, lattice, minnormsq:N, annulus:LO:HI (inclusive norm_sq),
+    inline JSON pairs or @file of pairs; each command checks the set's size itself."""
+    if spec in ("d2", "lattice"):
+        return getattr(dimension.DigitSet, spec)()
+    kind, _, bounds = spec.partition(":")
+    text = _read_arg(spec)
     try:
-        data = json.loads(_read_arg(spec))
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"bad alphabet spec {spec!r}") from exc
+        if kind == "minnormsq":
+            return dimension.DigitSet.with_min_norm_sq(int(bounds))
+        if kind == "annulus":
+            lo, hi = bounds.split(":")
+            return dimension.DigitSet.annulus(int(lo), int(hi) + 1)
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise DomainError(f"bad digit set {spec!r}; use d2, lattice, minnormsq:N, "
+                          "annulus:LO:HI, JSON pairs or @file") from exc
     return dimension.DigitSet.from_branches(GaussianInt.from_pairs(data))
 
 
@@ -193,7 +198,7 @@ def eval_word(ctx, word):
     text = _read_arg(word)
     try:
         digits = expansion.DigitWord.from_json(text)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, RecursionError) as exc:
         raise DomainError(f"bad word {word!r}: {exc}") from exc
     value = expansion.evaluate(digits)
     payload = {
@@ -258,7 +263,8 @@ def tau(ctx, source, horizon):
 
 
 @cli.command()
-@click.option("--alphabet", required=True, help="JSON pairs, @file or annulus:LO:HI (norm_sq).")
+@click.option("--alphabet", required=True,
+              help="A finite digit set: JSON pairs, @file or annulus:LO:HI (norm_sq).")
 @click.option("--n", "word_len", type=int, required=True)
 @click.option("--s", type=float, required=True)
 @click.option("--mode", type=click.Choice(["sup_norm", "base_point"]), default="sup_norm")
@@ -267,7 +273,7 @@ def pressure(ctx, alphabet, word_len, s, mode):
     """Partition sum with distortion brackets at one (n, s)."""
     config: RunConfig = ctx.obj["config"]
     est = dimension.partition_sum(
-        _parse_alphabet(alphabet), word_len, s, mode, max_words=config.max_words
+        _digit_set(alphabet), word_len, s, mode, max_words=config.max_words
     )
     _emit(ctx, est.to_json())
     click.echo(
@@ -278,7 +284,7 @@ def pressure(ctx, alphabet, word_len, s, mode):
 
 
 @cli.command()
-@click.option("--alphabet", required=True)
+@click.option("--alphabet", required=True, help="A finite digit set, as for pressure.")
 @click.option("--tol", type=float, default=None)
 @click.option("--n-max", type=int, default=12, show_default=True)
 @click.pass_context
@@ -286,7 +292,7 @@ def dim(ctx, alphabet, tol, n_max):
     """Bowen-dimension estimate inside a sound enclosure, from pressure roots."""
     config: RunConfig = ctx.obj["config"]
     result = dimension.bowen_dimension(
-        _parse_alphabet(alphabet),
+        _digit_set(alphabet),
         tol=config.bisection_tol if tol is None else tol,
         n_max=n_max,
         max_words=config.max_words,
@@ -302,7 +308,7 @@ def dim(ctx, alphabet, tol, n_max):
 
 @cli.command()
 @click.option("--set", "set_name", default="d2", show_default=True,
-              help="d2, lattice or minnormsq:<ns>.")
+              help="An infinite digit set: d2, lattice or minnormsq:N.")
 @click.option("--f", "growth", required=True, help="Growth expression over n, e.g. 'n+3'.")
 @click.option("--eps", type=float, default=0.5, show_default=True)
 @click.option("--horizon", type=int, default=10_000, show_default=True)
@@ -314,18 +320,7 @@ def dim(ctx, alphabet, tol, n_max):
 def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
     """Build (and validate) a non-autonomous block schedule."""
     config: RunConfig = ctx.obj["config"]
-    if set_name == "d2":
-        digit_set = dimension.DigitSet.d2()
-    elif set_name == "lattice":
-        digit_set = dimension.DigitSet.lattice()
-    elif set_name.startswith("minnormsq:"):
-        try:
-            norm_sq_lo = int(set_name.split(":", 1)[1])
-        except ValueError as exc:
-            raise DomainError(f"bad digit set {set_name!r}; use minnormsq:<integer>") from exc
-        digit_set = dimension.DigitSet.with_min_norm_sq(norm_sq_lo)
-    else:
-        raise DomainError(f"unknown digit set {set_name!r}")
+    digit_set = _digit_set(set_name)
     fn = dimension.GrowthFunction(growth)
     ratio_tol = config.ratio_tol if ratio_tol is None else ratio_tol
     sched = dimension.build_schedule(digit_set, fn, eps=eps, horizon=horizon, ratio_tol=ratio_tol)

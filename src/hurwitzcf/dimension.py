@@ -5,9 +5,12 @@ schedules for restricted digit sets.
 
 from __future__ import annotations
 
+import ast
 import bisect
 import functools
 import math
+import string
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -228,145 +231,77 @@ class _ShellTable:
 
 
 # ---------------------------------------------------------------------------
-# growth functions (tiny expression grammar over n)
+# growth functions (Python's expression parser behind a node whitelist)
+
+# ASCII letters, digits, "_.+-*/^()," space and tab: no comment, backslash or Unicode name
+_GROWTH_CHARS = frozenset(string.ascii_letters + string.digits + "_.+-*/^(), \t")
+_GROWTH_BINARY = {
+    ast.Add: lambda a, b: lambda n: a(n) + b(n),
+    ast.Sub: lambda a, b: lambda n: a(n) - b(n),
+    ast.Mult: lambda a, b: lambda n: a(n) * b(n),
+    ast.Div: lambda a, b: lambda n: a(n) / b(n),
+    ast.Pow: lambda a, b: lambda n: a(n) ** b(n),
+}
+_GROWTH_CALLS = {
+    ("max", 2): lambda a, b: lambda n: max(a(n), b(n)),
+    ("log", 1): lambda a: lambda n: math.log(a(n)),
+    ("sqrt", 1): lambda a: lambda n: math.sqrt(a(n)),
+}
 
 
 class GrowthFunction:
-    """Growth bound f(n) parsed from a small expression grammar.
+    """Growth bound f(n) read from an arithmetic expression over n.
 
     Supported syntax: numbers, the variable n, parentheses, + - * /, ^ for
-    powers, max(a,b), log(a) and sqrt(a).  Evaluation is plain float
+    powers (right-associative, binding tighter than unary minus: -n^2 is
+    -(n^2)), max(a,b), log(a) and sqrt(a).  Evaluation is plain float
     arithmetic, so configurations stay reproducible text.
     """
 
     def __init__(self, source: str):
         self.source = source.strip()
-        self._fn = _parse_growth(self.source)
+        text = self.source.replace("^", "**")
+        try:
+            if "**" in self.source or not set(self.source) <= _GROWTH_CHARS:
+                raise ValueError("'**' or a character outside the grammar")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", SyntaxWarning)  # "1if": no stderr line
+                self._fn = _growth_closure(ast.parse(text, mode="eval").body, text)
+        except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+            deep = isinstance(exc, (RecursionError, MemoryError))  # a stack overflow
+            reason = "nested too deeply" if deep else getattr(exc, "msg", exc)
+            raise DomainError(f"bad growth bound {self.source!r} ({reason}); use numbers, n, "
+                              "+ - * / ^, max(a, b), log(a) and sqrt(a)") from None
 
     def __call__(self, n: int) -> float:
         try:
             return float(self._fn(float(n)))
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (ArithmeticError, ValueError, TypeError, RecursionError) as exc:
             raise DomainError(f"growth bound {self.source!r} is undefined at n = {n}: {exc}") from exc
 
     def __repr__(self) -> str:
         return f"GrowthFunction({self.source!r})"
 
 
-def _parse_growth(src: str) -> Callable[[float], float]:
-    tokens = _tokenize(src)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise DomainError(f"unexpected end of expression in {src!r}")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise DomainError(f"expected {expected!r}, got {tok!r} in {src!r}")
-        pos += 1
-        return tok
-
-    def parse_expr() -> Callable[[float], float]:
-        node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            lhs = node
-            if op == "+":
-                node = lambda n, a=lhs, b=rhs: a(n) + b(n)
-            else:
-                node = lambda n, a=lhs, b=rhs: a(n) - b(n)
-        return node
-
-    def parse_term() -> Callable[[float], float]:
-        node = parse_power()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_power()
-            lhs = node
-            if op == "*":
-                node = lambda n, a=lhs, b=rhs: a(n) * b(n)
-            else:
-                node = lambda n, a=lhs, b=rhs: a(n) / b(n)
-        return node
-
-    def parse_power() -> Callable[[float], float]:
-        base = parse_atom()
-        if peek() == "^":
-            take()
-            exp = parse_power()
-            return lambda n, a=base, b=exp: a(n) ** b(n)
-        return base
-
-    def parse_atom() -> Callable[[float], float]:
-        tok = take()
-        if tok == "(":
-            inner = parse_expr()
-            take(")")
-            return inner
-        if tok == "-":
-            inner = parse_atom()
-            return lambda n, a=inner: -a(n)
-        if tok == "n":
-            return lambda n: n
-        if tok == "max":
-            take("(")
-            first = parse_expr()
-            take(",")
-            second = parse_expr()
-            take(")")
-            return lambda n, a=first, b=second: max(a(n), b(n))
-        if tok in ("log", "sqrt"):
-            take("(")
-            inner = parse_expr()
-            take(")")
-            fn = math.log if tok == "log" else math.sqrt
-            return lambda n, a=inner, f=fn: f(a(n))
-        try:
-            value = float(tok)
-        except ValueError as exc:
-            raise DomainError(f"bad token {tok!r} in {src!r}") from exc
-        return lambda n, v=value: v
-
-    node = parse_expr()
-    if pos != len(tokens):
-        raise DomainError(f"trailing tokens in {src!r}")
-    return node
-
-
-def _tokenize(src: str) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^(),":
-            out.append(ch)
-            i += 1
-        elif ch.isalpha():
-            j = i
-            while j < len(src) and src[j].isalpha():
-                j += 1
-            out.append(src[i:j])
-            i = j
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < len(src) and (
-                src[j].isdigit()
-                or src[j] in ".eE"
-                or (src[j] in "+-" and src[j - 1] in "eE")
-            ):
-                j += 1
-            out.append(src[i:j])
-            i = j
-        else:
-            raise DomainError(f"bad character {ch!r} in {src!r}")
-    return out
+def _growth_closure(node: ast.AST, text: str) -> Callable[[float], float]:
+    """The closure of one node of the parsed text; ValueError for a node outside the grammar."""
+    if isinstance(node, ast.Name) and node.id == "n":
+        return lambda n: n
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = float(ast.get_source_segment(text, node))  # ValueError for 0x10, 0o7, 0b1
+        return lambda n: value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        a = _growth_closure(node.operand, text)
+        return lambda n: -a(n)
+    if isinstance(node, ast.BinOp) and type(node.op) in _GROWTH_BINARY:
+        a, b = _growth_closure(node.left, text), _growth_closure(node.right, text)
+        return _GROWTH_BINARY[type(node.op)](a, b)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+        make = _GROWTH_CALLS.get((node.func.id, len(node.args)))
+        if make is not None:
+            return make(*(_growth_closure(arg, text) for arg in node.args))
+    segment = ast.get_source_segment(text, node).replace("**", "^")
+    raise ValueError(f"{segment!r} is outside the grammar")
 
 
 # ---------------------------------------------------------------------------
@@ -1245,7 +1180,7 @@ SCHEDULE_CHECKS = (
 
 
 def validate_schedule(
-    sched: NonAutSchedule, f: GrowthFunction | Callable[[int], float] | None = None
+    sched: NonAutSchedule, f: GrowthFunction | Callable[[int], float]
 ) -> list[dict]:
     """Re-derive every schedule requirement from scratch.
 
@@ -1253,15 +1188,11 @@ def validate_schedule(
     set's minimal norm; every anchor annulus carries weight >= 1 at
     exponent -(tau - eps); block pools match the stated annuli member for
     member; every step of block m >= 2 clears the growth bound at the next
-    anchor level (when f is given); and the size/length ratios respect
-    the declared tolerance schedule.  Returns a list of
-    {check, status, witness?}, one per entry of SCHEDULE_CHECKS.
+    anchor level; and the size/length ratios respect the declared
+    tolerance schedule.  Returns a list of {check, status, witness?}, one
+    per entry of SCHEDULE_CHECKS.
     """
-    return [
-        check_entry(name, *check(sched, f))
-        for name, check in SCHEDULE_CHECKS
-        if f is not None or check is not _growth_domination
-    ]
+    return [check_entry(name, *check(sched, f)) for name, check in SCHEDULE_CHECKS]
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,14 @@ class TestInputErrors:
             ["pressure", "--alphabet", "[[2,2]]", "--n", "1200", "--s", "1"],
             ["--out", "{directory}", "classify", "2", "2"],
             ["--out", "{missing}/x.json", "classify", "2", "2"],
+            ["pressure", "--alphabet", "d2", "--n", "2", "--s", "1"],
+            ["dim", "--alphabet", "minnormsq:8"],
+            ["dim", "--alphabet", "annulus:8"],
+            ["dim", "--alphabet", "[" * 100_000],
+            ["eval", "[" * 100_000],
+            ["schedule", "--set", "[[2,2],[-2,-2]]", "--f", "n+3"],
+            ["schedule", "--set", "annulus:8:16", "--f", "n+3"],
+            ["schedule", "--set", "@{missing}", "--f", "n+3"],
         ],
     )
     def test_usage_and_domain_errors_exit_two(self, runner, tmp_path, args):
@@ -312,6 +320,29 @@ class TestSizeLimits:
         start = time.perf_counter()
         run_ok(runner, ["schedule", "--set", "d2", "--f", "n+3", "--eps", "0.1"])
         assert time.perf_counter() - start < 10.0  # exit 0: every validator check passed
+
+
+class TestGrowthBoundInput:
+    @pytest.mark.parametrize(
+        "growth",
+        ["-" * 3000 + "n", "(" * 1500 + "n" + ")" * 1500, "n+" * 3000 + "n", "n^" * 3000 + "n",
+         "__import__('os').getpid()", "1if n else 2"],
+        ids=["deep-minus", "deep-parentheses", "deep-terms", "parser-stack", "import",
+             "syntax-warning"],
+    )
+    def test_rejected_in_one_line(self, tmp_path, growth):
+        # a subprocess keeps the interpreter's own warning filters, so a SyntaxWarning would show
+        result = _run_limited(["schedule", "--set", "d2", "--horizon", "100", "--f", growth],
+                              tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("error: bad growth bound")
+
+    def test_unary_minus_binds_looser_than_power(self, runner):
+        # -n^2+200 = 200 - n^2 falls below every level, so only the first block is built
+        result = run_ok(runner, ["schedule", "--set", "d2", "--f", "-n^2+200", "--horizon", "100"])
+        payload = json.loads(result.stdout)
+        assert payload["truncated"] and len(payload["blocks"]) == 1
 
 
 class TestInProcess:

@@ -81,7 +81,9 @@ def command_lines(draw) -> list[str]:
                          | _text(st.integers(-5, 100)).map("minnormsq:".__add__))
         growth = draw(st.sampled_from(
             ["n+3", "n^2", "log(n)+2", "sqrt(n)", "2", "1/(n-50)", "1/(n-50)+10", "n/0", "(n",
-             "exp(n)", "n^-1", "0", "-n", "1e308*n", "log(n-5)+100"]))
+             "exp(n)", "n^-1", "0", "-n", "1e308*n", "log(n-5)+100", "-n^2+200",
+             "-" * 3000 + "n", "(" * 1500 + "n" + ")" * 1500, "n+" * 3000 + "n",
+             "__import__('os').getpid()"]))
         args = ["schedule", "--set", digit_set, "--f", growth, "--eps", draw(_text(floats)),
                 "--horizon", draw(_text(horizons)),
                 "--emit", draw(st.sampled_from(["blocks", "subexp"])),

@@ -31,15 +31,55 @@ class TestGrowthFunction:
         assert GrowthFunction("sqrt(n)")(49) == 7.0
         assert GrowthFunction("(n+1)*(n-1)")(5) == 24.0
         assert GrowthFunction("-1+n")(3) == 2.0
+        assert GrowthFunction("-n^2")(3) == -9.0  # ^ binds tighter than unary minus
+        assert GrowthFunction("2*-n^2")(3) == -18.0
 
     def test_bad_expressions(self):
-        for bad in ("", "n+", "2**n", "foo(n)", "n$", "max(n)", "1e", "1.2.3", "e5"):
+        for bad in ("", "n+", "2**n", "foo(n)", "n$", "max(n)", "1e", "1.2.3", "e5",
+                    # Python syntax outside the grammar
+                    "0x10", "1j", "True", "n.real", "__import__('os')", "(lambda: n)()",
+                    "[n][0]", "log(n, 2)", "max(n, n, n)", "max(a=n, b=1)", "n if n else 1",
+                    "n % 2", "n // 2", "n < 1", "1if n else 2", "n # 2", "n+\\\n1",
+                    # float() spellings, leading zeros, newlines, non-ASCII digits, 4301 digits
+                    "inf", "nan", "05", "n\n+1", "\uff12*n", "1" * 4301):
             with pytest.raises(DomainError):
                 GrowthFunction(bad)
 
     @pytest.mark.parametrize(
+        "source", ["-" * 3000 + "n", "(" * 1500 + "n" + ")" * 1500, "n+" * 3000 + "n",
+                   "-" * 10_000 + "n", "n^" * 3000 + "n"],
+        ids=["minus", "parentheses", "terms", "parser-stack-minus", "parser-stack-power"],
+    )
+    def test_deep_expressions_are_domain_errors(self, source):
+        with pytest.raises(DomainError, match="nested too deeply|too many nested"):
+            GrowthFunction(source)
+
+    def test_underscore_digit_groups(self):
+        assert GrowthFunction("1_0*n")(2) == 20.0
+
+    # each bench and README growth bound beside the same arithmetic in Python
+    PYTHON_ARITHMETIC = [
+        ("n+3", lambda n: n + 3),
+        ("10", lambda n: 10.0),
+        ("2*n+1", lambda n: 2 * n + 1),
+        ("max(10, sqrt(n))", lambda n: max(10, math.sqrt(n))),
+        ("5*log(n+1)+4", lambda n: 5 * math.log(n + 1) + 4),
+        ("n^2", lambda n: n**2),
+        ("1e-3*n+5", lambda n: 1e-3 * n + 5),
+        ("-n^2+200", lambda n: -n**2 + 200),
+    ]
+
+    @pytest.mark.parametrize("source, python", PYTHON_ARITHMETIC,
+                             ids=[s for s, _ in PYTHON_ARITHMETIC])
+    def test_bit_identical_to_python_arithmetic(self, source, python):
+        f = GrowthFunction(source)
+        for n in (1, 2, 3, 7, 50, 999, 2048, 3000, 12_000, 10**6 + 1):
+            assert f(n) == python(float(n)), (source, n)
+
+    @pytest.mark.parametrize(
         "source, n",
-        [("log(n-5)+100", 5), ("sqrt(n-100)+50", 99), ("(n-100)^0.5+50", 99), ("10^n", 400)],
+        [("log(n-5)+100", 5), ("sqrt(n-100)+50", 99), ("(n-100)^0.5+50", 99), ("10^n", 400),
+         ("1/(n-50)", 50)],
     )
     def test_domain_errors_name_expression_and_n(self, source, n):
         with pytest.raises(DomainError, match=rf"{re.escape(repr(source))}.* n = {n}\b"):
