@@ -104,8 +104,9 @@ def _tau_estimate(source: str, horizon: int) -> dimension.TauEstimate:
             raise DomainError(f"power exponent must be finite and positive, got {text}")
         dimension._check_tau_horizon(horizon)
         # n^p may overflow to inf; tau_exponent rejects non-finite norms
+        norms = np.arange(1, horizon + 1, dtype=np.float64)
         with np.errstate(over="ignore"):
-            norms = np.arange(1, horizon + 1, dtype=np.float64) ** p
+            norms **= p
         return dimension.tau_exponent(norms, horizon)
     raise DomainError(f"unknown tau source {source!r}; use lattice, d2 or power:<p>")
 
@@ -252,12 +253,12 @@ def tau(ctx, source, horizon):
     horizon = config.horizon if horizon is None else horizon
     est = _tau_estimate(source, horizon)
     payload = dict(est.to_json(), source=source)
-    step = max(1, horizon // 10_000)
-    rows = [
-        {"n": int(est.trajectory_n[i]), "x": est.trajectory_x[i],
-         "ratio": est.trajectory_ratio[i]}
-        for i in range(0, horizon, step)
-    ]
+    rows = None
+    if ctx.obj["format"] == "csv":
+        rows = [
+            {"n": int(n), "x": x, "ratio": ratio}
+            for n, x, ratio in zip(est.trajectory_n, est.trajectory_x, est.trajectory_ratio)
+        ]
     _emit(ctx, payload, rows)
     click.echo(f"tau estimate: {est.estimate:.6f} (ratio max {est.ratio_max:.6f})", file=sys.stderr)
 

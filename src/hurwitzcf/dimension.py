@@ -25,7 +25,7 @@ SQRT2 = math.sqrt(2.0)
 
 _LOG_K0 = math.log(COMPOSITION_DISTORTION_BOUND)  # widens a sum into a bracket on the pressure
 _MAX_BISECTIONS = 64  # caps each root search of bowen_dimension when tol is below the float spacing
-_MAX_HORIZON = 10**7  # largest tau or schedule horizon; tau at 10^7 holds about 0.6 GB
+_MAX_HORIZON = 10**7  # largest tau or schedule horizon
 _MAX_SHELL_NORM_SQ = 1 << 24  # shell tables end here, at 5.3e7 lattice points
 
 
@@ -705,6 +705,12 @@ def bowen_dimension(
 # convergence exponent
 
 
+# trajectory rows a TauEstimate keeps (and the tau command prints): every
+# max(1, horizon // TAU_ROWS)-th index
+TAU_ROWS = 10_000
+_TAU_CHUNK = 1 << 18  # indices per block of the tail-window scan
+
+
 @dataclass(frozen=True)
 class TauEstimate:
     estimate: float
@@ -734,7 +740,9 @@ def tau_exponent(norms: Sequence[float] | np.ndarray, horizon: int) -> TauEstima
     power law with a constant factor, so the reported estimate is the
     maximum two-point log-log slope from the tail-window anchor (index
     horizon/10) to later indices where x has at least doubled; the raw
-    ratio trajectory is kept for diagnostics.
+    ratio trajectory is kept for diagnostics at every
+    max(1, horizon // TAU_ROWS)-th index.  The tail window is scanned in
+    blocks, so no temporary is as long as the horizon.
     """
     _check_tau_horizon(horizon)
     x = np.asarray(norms, dtype=np.float64)[:horizon]
@@ -742,41 +750,44 @@ def tau_exponent(norms: Sequence[float] | np.ndarray, horizon: int) -> TauEstima
         raise DomainError(f"sequence shorter ({len(x)}) than horizon {horizon}")
     if not np.isfinite(x).all():
         raise DomainError("norm sequence must be finite")
-    if np.any(np.diff(x) < 0):
+    if np.any(x[1:] < x[:-1]):
         raise DomainError("norm sequence must be nondecreasing")
     if float(x[-1]) <= 1.0:
         raise DomainError("all norms <= 1 within horizon: logarithms degenerate")
 
-    n = np.arange(1, horizon + 1, dtype=np.float64)
-    valid = x > 1.0
-    ratio = np.full(horizon, np.nan)
-    ratio[valid] = np.log(n[valid]) / np.log(x[valid])
+    kept = np.arange(0, horizon, max(1, horizon // TAU_ROWS))
+    n = kept + 1.0
+    xk = x[kept]
+    valid = xk > 1.0
+    ratio = np.full(len(kept), np.nan)
+    ratio[valid] = np.log(n[valid]) / np.log(xk[valid])
 
     n0 = max(horizon // 10, 10)
-    first_valid = int(np.argmax(valid)) + 1
+    first_valid = int(np.argmax(x > 1.0)) + 1
     n0 = max(n0, first_valid)
     x0 = float(x[n0 - 1])
 
-    window = slice(n0 - 1, horizon)
-    ratio_max = float(np.nanmax(ratio[window]))
-
-    idx = np.arange(n0, horizon)  # 0-based indices past the anchor
-    grown = x[idx] >= 2.0 * x0
-    degenerate = not bool(np.any(grown))
-    if degenerate:
-        estimate = ratio_max
-    else:
-        sel = idx[grown]
-        slopes = (np.log(sel + 1.0) - math.log(n0)) / (np.log(x[sel]) - math.log(x0))
-        estimate = float(np.max(slopes))
+    # every x in the window [n0 - 1, horizon) is at least x0 > 1; index
+    # n0 - 1 itself has x = x0 < 2 x0, so it never contributes a slope
+    ratio_max = estimate = -math.inf
+    for lo in range(n0 - 1, horizon, _TAU_CHUNK):
+        hi = min(lo + _TAU_CHUNK, horizon)
+        log_n = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
+        log_x = np.log(x[lo:hi])
+        ratio_max = max(ratio_max, float(np.max(log_n / log_x)))
+        grown = x[lo:hi] >= 2.0 * x0
+        if grown.any():
+            slopes = (log_n[grown] - math.log(n0)) / (log_x[grown] - math.log(x0))
+            estimate = max(estimate, float(np.max(slopes)))
+    degenerate = estimate == -math.inf
     return TauEstimate(
-        estimate=estimate,
+        estimate=ratio_max if degenerate else estimate,
         ratio_max=ratio_max,
         anchor_index=n0,
         horizon=horizon,
         degenerate=degenerate,
         trajectory_n=n,
-        trajectory_x=x,
+        trajectory_x=xk,
         trajectory_ratio=ratio,
     )
 
@@ -792,7 +803,8 @@ def tau_of_digit_set(s: DigitSet, horizon: int = 200_000) -> TauEstimate:
     """Estimate of the convergence exponent from the moduli of a digit
     set's enumeration; ``DigitSet.tau`` is the exact value it estimates."""
     _check_tau_horizon(horizon)
-    return tau_exponent(np.sqrt(s.norm_sq_array(horizon)), horizon)
+    norms = s.norm_sq_array(horizon)
+    return tau_exponent(np.sqrt(norms, out=norms), horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,18 @@ class TestConfig:
         assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(RunConfig)]
         assert [n for n in hurwitzcf.__all__ if not hasattr(hurwitzcf, n)] == []
 
+    def test_runtime_does_not_import_mpmath(self):
+        # mpmath is a test dependency only; a fresh interpreter running the
+        # CLI module must not pay its import
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, hurwitzcf.cli; print('mpmath' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -607,6 +607,36 @@ class TestTau:
         assert len(est.trajectory_ratio) == 2000
         assert est.anchor_index == 200
 
+    @pytest.mark.parametrize("source", ["lattice", "power", "plateau"])
+    def test_blocked_scan_matches_whole_arrays(self, source):
+        # the estimator over whole horizon-long arrays, kept as the reference
+        # for the blocked scan and the thinned trajectory (600_000 indices
+        # span three blocks of the tail window)
+        horizon = 600_000
+        n = np.arange(1, horizon + 1, dtype=np.float64)
+        x = {
+            "lattice": np.sqrt(DigitSet.lattice_with_zero().norm_sq_array(horizon)),
+            "power": n**1.5,
+            "plateau": np.minimum(n, 5000.0) + 1.0,  # never doubles past the anchor
+        }[source]
+        valid = x > 1.0
+        ratio = np.full(horizon, np.nan)
+        ratio[valid] = np.log(n[valid]) / np.log(x[valid])
+        n0 = max(horizon // 10, 10, int(np.argmax(valid)) + 1)
+        x0 = float(x[n0 - 1])
+        ratio_max = float(np.nanmax(ratio[n0 - 1:]))
+        idx = np.arange(n0, horizon)
+        sel = idx[x[idx] >= 2.0 * x0]
+        slopes = (np.log(sel + 1.0) - math.log(n0)) / (np.log(x[sel]) - math.log(x0))
+        est = tau_exponent(x, horizon)
+        assert est.degenerate == (len(sel) == 0) == (source == "plateau")
+        assert est.estimate == (ratio_max if len(sel) == 0 else float(np.max(slopes)))
+        assert est.ratio_max == ratio_max and est.anchor_index == n0
+        step = horizon // 10_000
+        assert np.array_equal(est.trajectory_n, n[::step])
+        assert np.array_equal(est.trajectory_x, x[::step])
+        assert np.array_equal(est.trajectory_ratio, ratio[::step], equal_nan=True)
+
 
 class TestUpperThreshold:
     def test_tail_bound_dominates_enumeration(self):

@@ -1,5 +1,8 @@
+import math
+import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from hurwitzcf import (
     expand,
     expand_guarded,
     hurwitz_step,
+    nearest_round,
 )
 from hurwitzcf.verify import random_box_rationals
 
@@ -140,8 +144,6 @@ class TestRoundtrip:
         num = p * q.conj()
         n = Fraction(q.norm_sq())
         z = ExactComplexRational(num.re / n, num.im / n)
-        from hurwitzcf import nearest_round
-
         z = z.sub_gaussian(nearest_round(z))
         result = expand(z)
         assert result.terminated
@@ -214,3 +216,162 @@ class TestGuardedExpansion:
     def test_bad_radius(self):
         with pytest.raises(DomainError):
             expand_guarded(0.1, 0.1, error_radius=0.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, "nan", "inf"])
+    def test_non_finite_radius(self, radius):
+        # a NaN radius passed every comparison and emitted huge wrong digits;
+        # an infinite one returned "ok" with no digits
+        with pytest.raises(DomainError, match="error_radius must be a finite number"):
+            expand_guarded(0.1, 0.2, radius)
+
+    @pytest.mark.parametrize(
+        "re, im", [(math.nan, 0.1), (0.1, math.inf), (-math.inf, 0.0), ("nan", "0.1"), ("0.1", "x")]
+    )
+    def test_non_finite_coordinates(self, re, im):
+        with pytest.raises(DomainError, match="must be a finite number"):
+            expand_guarded(re, im, 1e-15)
+
+    @pytest.mark.parametrize("re, im", [(0.7, 0.1), (0.1, 0.5), (-0.6, 0.0), ("0.5", "0")])
+    def test_outside_box(self, re, im):
+        with pytest.raises(DomainError, match="outside the half-open unit box"):
+            expand_guarded(re, im, 1e-15)
+
+    def test_string_read_as_exact_decimal(self):
+        # 0.1 + 0.2i as decimals is the Gaussian rational (1 + 2i)/10, whose
+        # expansion terminates; the float inputs are other points
+        exact = expand(ecr(Fraction(1, 10), Fraction(2, 10)))
+        assert exact.terminated
+        guarded = expand_guarded("0.1", "0.2", 1e-300, max_digits=64)
+        assert guarded.status == "ok"
+        assert guarded.digits == exact.digits
+
+
+def _mpmath_expand_guarded(re, im, error_radius, max_digits):
+    """The 212-bit mpmath expansion the integer one replaced, kept as a reference.
+
+    It rounds the centre at every step and adds 2^-204 |1/z| to the radius
+    for that; its decisions match the exact-centre code except at ties
+    within about 2^-200 relative, and on strings that 212 bits do not hold
+    when the radius is below that rounding.
+    """
+    with mpmath.workprec(212):
+        z = mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
+        rad = mpmath.mpf(error_radius)
+        eps = mpmath.mpf(2) ** (8 - 212)
+        digits = []
+        for _ in range(max_digits):
+            az = abs(z)
+            if az <= rad:
+                return digits, "ok", len(digits)
+            w = 1 / z
+            wrad = rad / (az * (az - rad)) + eps * abs(w)
+            kr = mpmath.floor(w.real + mpmath.mpf(1) / 2)
+            ki = mpmath.floor(w.imag + mpmath.mpf(1) / 2)
+            margin_r = min(w.real + 0.5 - kr, kr + 0.5 - w.real)
+            margin_i = min(w.imag + 0.5 - ki, ki + 0.5 - w.imag)
+            if min(margin_r, margin_i) <= wrad:
+                return digits, "precision_exhausted", len(digits)
+            digit = GaussianInt(int(kr), int(ki))
+            digits.append(digit)
+            z = w - mpmath.mpc(digit.re, digit.im)
+            rad = wrad
+        return digits, "max_digits", len(digits)
+
+
+def _box_points(seed: int, count: int) -> list[ExactComplexRational]:
+    """Nonzero Gaussian rationals a/b of the box, N(b) log-uniform over [10, 10^18]."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        size = math.isqrt(int(10 ** rng.uniform(1, 18)))
+        b = GaussianInt(rng.randint(-size, size), rng.randint(-size, size))
+        if not b:
+            continue
+        a = GaussianInt(rng.randint(-size, size), rng.randint(-size, size))
+        z = ExactComplexRational.from_gaussian(a) / ExactComplexRational.from_gaussian(b)
+        z = z.sub_gaussian(nearest_round(z))
+        if not z.is_zero():
+            out.append(z)
+    return out
+
+
+def _decimal(q: Fraction, places: int) -> str:
+    n = abs(q.numerator) * 10**places // q.denominator
+    return f"{'-' if q < 0 else ''}{n // 10**places}.{n % 10**places:0{places}d}"
+
+
+_RADII = [1e-300, 1e-100, 1e-30, 1e-15, 1e-8, 1e-3, 0.1, 3.0]
+
+
+def _guarded_corpus(seed: int, count: int):
+    """(re, im, radius, max_digits) cases: floats, their repr strings, and
+    40-digit decimals at radii above the 2^-212 rounding of the reference."""
+    rng = random.Random(seed)
+    cases = []
+    for z in _box_points(seed, count):
+        radius, max_digits = rng.choice(_RADII), rng.choice([1, 4, 64])
+        kind = rng.choice(["float", "repr", "decimal"])
+        if kind == "decimal" and radius > 1e-60:
+            cases.append((_decimal(z.re, 40), _decimal(z.im, 40), radius, max_digits))
+        elif kind == "repr":
+            cases.append((repr(float(z.re)), repr(float(z.im)), radius, max_digits))
+        else:
+            cases.append((float(z.re), float(z.im), radius, max_digits))
+    return cases
+
+
+class TestDifferential:
+    def test_guarded_matches_mpmath_reference(self):
+        corpus = _guarded_corpus(1501, 1500)
+        corpus += [(0.375, 0.0, r, m) for r in _RADII for m in (1, 4, 64)]
+        corpus += [(0.4, 0.0, 1e-15, 4), (-0.5, -0.5, 1e-15, 4), (0.0, 0.0, 1e-15, 4)]
+        statuses = set()
+        for re, im, radius, max_digits in corpus:
+            got = expand_guarded(re, im, radius, max_digits)
+            statuses.add(got.status)
+            assert (list(got.digits), got.status, got.steps) == _mpmath_expand_guarded(
+                re, im, radius, max_digits
+            ), (re, im, radius, max_digits)
+        assert statuses == {"ok", "precision_exhausted", "max_digits"}
+
+    @staticmethod
+    def _fraction_step(z: ExactComplexRational):
+        # the map written out on Fractions: 1/z, floor(coordinate + 1/2), residual
+        n = z.re * z.re + z.im * z.im
+        w = (z.re / n, -z.im / n)
+        d = GaussianInt(*(math.floor(c + Fraction(1, 2)) for c in w))
+        return d, ExactComplexRational(w[0] - d.re, w[1] - d.im)
+
+    def test_exact_layer_matches_fraction_reference(self):
+        for z in _box_points(77, 300):
+            digits, current = [], z
+            while not current.is_zero():
+                digit, nxt = self._fraction_step(current)
+                assert hurwitz_step(current) == (digit, nxt)
+                digits.append(digit)
+                current = nxt
+            result = expand(z)
+            assert list(result.digits) == digits and result.terminated
+            assert result.remainder.is_zero()
+            value = ecr(0, 0)
+            for digit in reversed(digits):
+                value = value.add_gaussian(digit).reciprocal()
+            assert evaluate(digits) == value == z
+            cut = max(len(digits) // 2, 1)
+            truncated = expand(z, max_digits=cut)
+            tail = z
+            for _ in range(cut):
+                tail = self._fraction_step(tail)[1]
+            assert list(truncated.digits) == digits[:cut]
+            assert truncated.remainder == tail and truncated.terminated == tail.is_zero()
+            regular = []
+            for digit in digits:
+                if classify_digit(digit) != "regular":
+                    break
+                regular.append(digit)
+            assert cylinder_check(regular, z)
+            if regular:
+                last = regular[-1]
+                # |im| >= 5 keeps the replaced digit regular and different
+                wrong = GaussianInt(last.re, last.im + (5 if last.im >= 0 else -5))
+                assert not cylinder_check(regular[:-1] + [wrong], z)
