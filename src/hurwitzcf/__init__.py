@@ -39,14 +39,7 @@ from .gaussian import (
     nearest_round,
     parse_exact_complex,
 )
-from .ifs import (
-    BranchComposition,
-    ball_inclusion_check,
-    branch_apply,
-    contraction_bound,
-    distortion_estimate,
-    word_diameter_bounds,
-)
+from .ifs import BranchComposition, branch_apply, contraction_bound
 from .svg import TessellationSpec, render_svg, soundness_check
 
 __version__ = "0.1.0"
@@ -67,7 +60,6 @@ __all__ = [
     "RunConfig",
     "TauEstimate",
     "TessellationSpec",
-    "ball_inclusion_check",
     "bowen_dimension",
     "branch_apply",
     "build_schedule",
@@ -75,7 +67,6 @@ __all__ = [
     "contraction_bound",
     "count_in_square",
     "cylinder_check",
-    "distortion_estimate",
     "enumerate_by_norm",
     "evaluate",
     "exceptional_digits",
@@ -93,5 +84,4 @@ __all__ = [
     "upper_threshold",
     "validate_schedule",
     "verify_lower_bound_chain",
-    "word_diameter_bounds",
 ]

@@ -244,6 +244,8 @@ def expand_guarded(
     or the lower bound on |z| does not exceed the radius; ``max_digits``:
     ``max_digits`` digits were accepted.
     """
+    if max_digits < 1:
+        raise DomainError("max_digits must be positive")
     r = _exact(error_radius, "error_radius")
     if r <= 0:
         raise DomainError("error_radius must be positive")

@@ -9,7 +9,6 @@ bottom row (c, d).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,8 +50,11 @@ SINGLE_BRANCH_DISTORTION_MAX = Fraction(25, 9)
 # base case 1/|x| <= 1/(2*sqrt2)), so the derivative pole w = -d/c keeps
 # |w| > sqrt2 + 1.  The max/min ratio of |z + w|^2 over the box is at most
 # ((|w| + sqrt2/2) / (|w| - sqrt2/2))^2, decreasing in |w|, hence bounded by
-# ((sqrt2 + 1 + sqrt2/2)/(sqrt2 + 1 - sqrt2/2))^2 = (2*sqrt2 - 1)^2.
-COMPOSITION_DISTORTION_BOUND = 9.0 - 4.0 * math.sqrt(2.0)
+# ((sqrt2 + 1 + sqrt2/2)/(sqrt2 + 1 - sqrt2/2))^2 = (2*sqrt2 - 1)^2.  That
+# is 9 - 4 sqrt2, whose nearest float 3.3431457505076194 lies below it:
+# (9 - K)^2 - 32 = +4.4e-15 there.  The next float up is sound, and the
+# ``ifs`` distortion check decides that exactly.
+COMPOSITION_DISTORTION_BOUND = math.nextafter(9.0 - 4.0 * math.sqrt(2.0), math.inf)
 
 # Two-sided bounds k1 |Dphi(0)| <= diam <= k2 |Dphi(0)| on the diameter of
 # a word's image of the box: k1 = 2 delta / (3 k0) with delta = 1/2 and
@@ -131,32 +133,18 @@ class BranchComposition:
         return self.a * self.d - self.b * self.c
 
     # -- application -------------------------------------------------------
-    def apply(self, z: ExactComplexRational | complex):
-        if isinstance(z, ExactComplexRational):
-            num = ExactComplexRational(
-                self.a.re * z.re - self.a.im * z.im + self.b.re,
-                self.a.re * z.im + self.a.im * z.re + self.b.im,
-            )
-            den = ExactComplexRational(
-                self.c.re * z.re - self.c.im * z.im + self.d.re,
-                self.c.re * z.im + self.c.im * z.re + self.d.im,
-            )
-            if den.is_zero():
-                raise DomainError(f"pole of composition at z = {z}")
-            return num / den
-        zz = complex(z)
-        den = complex(self.c) * zz + complex(self.d)
-        if den == 0:
+    def apply(self, z: ExactComplexRational) -> ExactComplexRational:
+        num = ExactComplexRational(
+            self.a.re * z.re - self.a.im * z.im + self.b.re,
+            self.a.re * z.im + self.a.im * z.re + self.b.im,
+        )
+        den = ExactComplexRational(
+            self.c.re * z.re - self.c.im * z.im + self.d.re,
+            self.c.re * z.im + self.c.im * z.re + self.d.im,
+        )
+        if den.is_zero():
             raise DomainError(f"pole of composition at z = {z}")
-        return (complex(self.a) * zz + complex(self.b)) / den
-
-    def apply_inverse(self, p: complex) -> complex:
-        """Exact inverse Moebius transform (d p - b) / (-c p + a), in floats."""
-        pp = complex(p)
-        den = -complex(self.c) * pp + complex(self.a)
-        if den == 0:
-            raise DomainError("pole of inverse composition")
-        return (complex(self.d) * pp - complex(self.b)) / den
+        return num / den
 
     # -- derivative moduli ---------------------------------------------------
     def deriv_abs_exact(self, z: ExactComplexRational) -> Fraction:
@@ -169,13 +157,6 @@ class BranchComposition:
         if n == 0:
             raise DomainError(f"derivative pole at z = {z}")
         return Fraction(1) / n
-
-    def deriv_abs(self, z: complex) -> float:
-        zz = complex(z)
-        den = complex(self.c) * zz + complex(self.d)
-        if den == 0:
-            raise DomainError(f"derivative pole at z = {z}")
-        return 1.0 / abs(den) ** 2
 
     def sup_deriv_exact(self) -> Fraction:
         """Exact supremum of |Dphi| over the closed unit box.
@@ -249,39 +230,25 @@ def d2_branches(norm_sq_max: int) -> list[GaussianInt]:
 # constants and their verification
 
 
-def validate_decay_bounds(norm_sq_max: int = 64, grid: int = 31):
-    """Exact check of c1/|i|^2 <= |Dphi_i| <= c2/|i|^2 on a rational grid.
+def validate_decay_bounds(norm_sq_max: int = 64) -> tuple[bool, dict | None]:
+    """Exact check of c1/|i|^2 <= |Dphi_i| <= c2/|i|^2 over the closed box.
 
-    Grid points have coordinates -1/2 + j/grid, j = 0..grid, so corners are
-    included; comparisons are cross-multiplied integers, hence exact.
-    Branches with norm_sq beyond the cutoff satisfy the bounds
-    analytically: |z + i| within sqrt2/2 of |i| and |i| >= 2 sqrt2 give the
-    3/4 and 5/4 factors for every branch.  Returns (ok, witness).
+    Compares the exact box infimum and supremum of every branch with
+    norm_sq <= norm_sq_max against the two bounds.  Branches beyond the
+    cutoff satisfy them analytically: |z + i| within sqrt2/2 of |i| and
+    |i| >= 2 sqrt2 give the 3/4 and 5/4 factors for every branch.  Returns
+    (ok, witness).
     """
-    # z = ((2j - grid) + i(2m - grid)) / (2 grid); |z + k + il|^2 has
-    # integer numerator over (2 grid)^2
-    two_g = 2 * grid
-    offs = [2 * j - grid for j in range(grid + 1)]
-    c1n, c1d = DECAY_C1.numerator, DECAY_C1.denominator
-    c2n, c2d = DECAY_C2.numerator, DECAY_C2.denominator
     for branch in d2_branches(norm_sq_max):
+        comp = BranchComposition.from_word([branch])
         ns = branch.norm_sq()
-        kk = two_g * branch.re
-        ll = two_g * branch.im
-        for u in offs:
-            du = (u + kk) ** 2
-            for v in offs:
-                dist = du + (v + ll) ** 2  # (2g)^2 |z + k + il|^2
-                # c1/ns <= (2g)^2/dist  <=>  c1 * dist <= c1d * (2g)^2 * ns
-                if c1n * dist > c1d * two_g**2 * ns or c2n * dist < c2d * two_g**2 * ns:
-                    return False, {
-                        "branch": [branch.re, branch.im],
-                        "z": [f"{u}/{two_g}", f"{v}/{two_g}"],
-                    }
+        inf, sup = comp.inf_deriv_exact(), comp.sup_deriv_exact()
+        if not DECAY_C1 / ns <= inf or not sup <= DECAY_C2 / ns:
+            return False, {"branch": branch.to_pair(), "inf": str(inf), "sup": str(sup)}
     return True, None
 
 
-def contraction_bound(exact: bool = True) -> Fraction | float:
+def contraction_bound() -> Fraction:
     """Supremum of single-branch derivative moduli over all branches.
 
     Exact corner analysis over norm_sq <= 64; branches beyond satisfy
@@ -290,8 +257,7 @@ def contraction_bound(exact: bool = True) -> Fraction | float:
     the exact maximum over the enumerated range, which is returned as
     computed; the ``ifs`` checks compare it with ``CONTRACTION_SUP``.
     """
-    best = max(BranchComposition.from_word([b]).sup_deriv_exact() for b in d2_branches(64))
-    return best if exact else float(best)
+    return max(BranchComposition.from_word([b]).sup_deriv_exact() for b in d2_branches(64))
 
 
 def sup_deriv_by_norm_class(norm_sq_max: int) -> list[tuple[int, Fraction]]:
@@ -320,14 +286,18 @@ def contraction_envelope_check(norm_sq_max: int = 100) -> tuple[bool, dict | Non
 
     The envelope is nonincreasing in |i| and attained exactly by diagonal
     branches, so together with envelope(9) < 2/9 it pins the global
-    supremum to the minimal norm class.
+    supremum to the minimal norm class.  Both are decided exactly: with
+    |i| - sqrt2/2 > 0, v <= envelope(ns) reads t = ns + 1/2 - 1/v <=
+    sqrt(2 ns), that is t <= 0 or t^2 <= 2 ns; envelope(9) < v reads
+    u = 19/2 - 1/v > 3 sqrt2, that is u > 0 and u^2 > 18 (25 > 18 at 2/9).
     """
     for ns, v in sup_deriv_by_norm_class(norm_sq_max):
-        envelope = 1.0 / (math.sqrt(ns) - math.sqrt(2.0) / 2.0) ** 2
-        if float(v) > envelope * (1.0 + 1e-12):
-            return False, {"norm_sq": ns, "sup": float(v), "envelope": envelope}
-    if not 1.0 / (3.0 - math.sqrt(2.0) / 2.0) ** 2 < float(CONTRACTION_SUP):
-        return False, {"check": "envelope(9) < 2/9"}
+        t = ns + Fraction(1, 2) - 1 / v
+        if t > 0 and t * t > 2 * ns:
+            return False, {"norm_sq": ns, "sup": str(v)}
+    u = Fraction(19, 2) - 1 / CONTRACTION_SUP
+    if not (u > 0 and u * u > 18):
+        return False, {"check": "envelope(9) < sup", "sup": str(CONTRACTION_SUP)}
     return True, None
 
 
@@ -342,102 +312,44 @@ def max_single_branch_distortion(norm_sq_max: int = 64) -> Fraction:
     return max(BranchComposition.from_word([b]).distortion_exact() for b in d2_branches(norm_sq_max))
 
 
-def distortion_estimate(max_word_len: int = 3, max_words: int = 20_000, seed: int = 1) -> float:
-    """Sampled composition distortion over short words of norm_sq <= 13.
-
-    Exhausts words as long as the alphabet power fits ``max_words``, then
-    samples uniformly (seeded).  Each word's ratio is taken over a rational
-    grid of 5 points per axis that includes the box corners, where
-    single-branch extremes live, so the estimate is >= the exact
-    single-branch maximum 25/9.  Word space is sampled, hence non-rigorous;
-    ``COMPOSITION_DISTORTION_BOUND`` is the proven bound.
-    """
-    alphabet = d2_branches(13)
-    g = 4  # coordinates (2j - g) / (2g), j = 0..g
-    offs = [2 * j - g for j in range(g + 1)]
-    rng = np.random.default_rng(seed)
-    best = 1.0
-
-    def ratio_of(word) -> float:
-        comp = BranchComposition.from_word(word)
-        # (2g)^2 |c z + d|^2 = |c (u + iv) + 2g d|^2 at z = (u + iv)/(2g)
-        cr, ci = comp.c.re, comp.c.im
-        dr, di = 2 * g * comp.d.re, 2 * g * comp.d.im
-        lo = hi = None
-        for u in offs:
-            for v in offs:
-                re = cr * u - ci * v + dr
-                im = cr * v + ci * u + di
-                q = re * re + im * im
-                lo = q if lo is None or q < lo else lo
-                hi = q if hi is None or q > hi else hi
-        return hi / lo
-
-    for length in range(1, max_word_len + 1):
-        total = len(alphabet) ** length
-        if total <= max_words:
-            words = itertools.product(alphabet, repeat=length)
-        else:
-            idx = rng.integers(0, len(alphabet), size=(max_words, length))
-            words = (tuple(alphabet[j] for j in row) for row in idx)
-        for word in words:
-            best = max(best, ratio_of(word))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # geometric verification operations
 
 
-def word_diameter_bounds(comp: BranchComposition) -> tuple[float, float]:
-    """Two-sided bounds [k1 |Dphi(0)|, k2 |Dphi(0)|] on the image diameter."""
-    if not comp.word:
-        raise DomainError("diameter bounds need a nonempty word")
-    base = float(comp.base_deriv_exact())
-    return DIAMETER_K1 * base, DIAMETER_K2 * base
+def box_distortion_terms(cr, ci, dr, di):
+    """(far, near) of bottom rows (c, d), object arrays of Python ints.
 
-
-def mc_diameter(comp: BranchComposition, samples: int = 1024, seed: int = 1) -> float:
-    """Monte Carlo diameter of the image of the closed unit box."""
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(-0.5, 0.5, size=samples)
-    ys = rng.uniform(-0.5, 0.5, size=samples)
-    # include the corners: extremes are often attained there
-    xs = np.concatenate([xs, [-0.5, -0.5, 0.5, 0.5]])
-    ys = np.concatenate([ys, [-0.5, 0.5, -0.5, 0.5]])
-    pts = np.array([comp.apply(complex(x, y)) for x, y in zip(xs, ys)])
-    diffs = np.abs(pts[:, None] - pts[None, :])
-    return float(diffs.max())
-
-
-def ball_inclusion_check(
-    comp: BranchComposition,
-    center: ExactComplexRational,
-    delta: float,
-    distortion: float,
-    samples: int = 256,
-) -> bool:
-    """Image of a ball contains the predicted smaller ball around the image.
-
-    Samples the boundary circle of radius delta*|Dphi(center)|/(3 K) around
-    phi(center) and pulls each sample back through the exact inverse map;
-    all pullbacks must land inside the original ball.
+    A nonempty word's exact sup/inf of |Dphi| over the closed box is
+    far/near, from the closed form of ``sup_deriv_exact`` and
+    ``inf_deriv_exact``: near = nx^2 + ny^2 and far = mx^2 + my^2 with
+    the clamped corners nx = max(2|re| - den, 0), mx = 2|re| + den and
+    likewise in im.  near = 0 marks a pole in the box.
     """
-    if delta < 0:
-        raise DomainError("delta must be nonnegative")
-    if delta == 0:
-        return True
-    base = float(comp.deriv_abs_exact(center))
-    radius = delta * base / (3.0 * distortion)
-    image_center = complex(comp.apply(center))
-    c0 = complex(center)
-    for j in range(samples):
-        theta = 2.0 * math.pi * j / samples
-        p = image_center + radius * complex(math.cos(theta), math.sin(theta))
-        back = comp.apply_inverse(p)
-        if abs(back - c0) >= delta:
-            return False
-    return True
+    den, re, im = pole_terms(cr, ci, dr, di)
+    re, im = 2 * np.abs(re), 2 * np.abs(im)
+    near = np.maximum(re - den, 0) ** 2 + np.maximum(im - den, 0) ** 2
+    return (re + den) ** 2 + (im + den) ** 2, near
+
+
+def ball_inclusion_holds(cr, ci, dr, di, delta, distortion) -> np.ndarray:
+    """Per bottom row (c, d), whether phi(B(0, delta)) contains the ball
+    B(phi(0), delta |Dphi(0)| / (3 K)), decided exactly for K = distortion.
+
+    phi(z) - phi(0) = det z / (d (c z + d)) with |det| = 1, so on |z| =
+    delta the image stays at distance delta / (|d| (|d| + delta |c|)) or
+    more from phi(0), with equality where |c z + d| is largest.  When the
+    pole -d/c lies outside the closed disc (delta |c| < |d|) the image is a
+    disc around phi(0) and that is the distance to its boundary, so the
+    inclusion holds exactly when delta |c| < |d| and 1 + delta |c|/|d| <=
+    3 K, i.e. delta |c| <= (3 K - 1) |d|; both are squared into integers.
+    The arguments are object arrays of Python ints; delta and K are exact
+    (floats convert exactly).
+    """
+    delta, slack = Fraction(delta), 3 * Fraction(distortion) - 1
+    c2, d2 = cr * cr + ci * ci, dr * dr + di * di
+    lhs = delta.numerator**2 * c2  # (delta |c|)^2 delta.denominator^2
+    rhs = (slack.numerator * delta.denominator) ** 2 * d2
+    return (lhs < delta.denominator**2 * d2) & (lhs * slack.denominator**2 <= rhs) & (slack >= 0)
 
 
 def sample_box_rationals(rng: np.random.Generator, count: int, grid: int = 1 << 16):
@@ -498,40 +410,31 @@ def separation_check(
     return True, None
 
 
-def boundary_points(half_width: float, per_side: int) -> list[complex]:
-    """Evenly spaced points on the boundary of a centred square box."""
-    ts = np.linspace(-half_width, half_width, per_side)
-    pts: list[complex] = []
-    for t in ts:
-        pts.extend(
-            [
-                complex(t, -half_width),
-                complex(t, half_width),
-                complex(-half_width, t),
-                complex(half_width, t),
-            ]
-        )
-    return pts
-
-
 def nesting_check(
-    branches: Sequence[BranchLike], pad: float = 0.25, per_side: int = 64
+    branches: Sequence[BranchLike], pad: Fraction | float = Fraction(1, 4)
 ) -> tuple[bool, dict | None]:
-    """Branch images of the padded box stay inside the padded box.
+    """Branch images of the box stay inside the box, decided exactly.
 
-    Checks the closed unit box and the padded box of half-width 1/2 + pad,
-    on boundary samples.
+    Checks the closed unit box and the box padded to half-width
+    h = 1/2 + pad.  Re(1/w) <= h holds exactly when |w - 1/(2h)| >= 1/(2h),
+    and likewise -Re(1/w) <= h and +-Im(1/w) <= h with the centres
+    -1/(2h) and -+i/(2h).  So phi_b(box_h) lies in box_h exactly when the
+    square box_h + b meets none of the four open discs of radius 1/(2h)
+    around +-1/(2h) and +-i/(2h); the pole 0 lies on all four boundaries,
+    so such a square misses it.  The point of the square nearest a centre
+    is the centre's clamped projection.
     """
     for b in branches:
-        comp = BranchComposition.from_word([_as_digit(b)])
-        for half in (0.5, 0.5 + pad):
-            for p in boundary_points(half, per_side):
-                img = comp.apply(p)
-                if max(abs(img.real), abs(img.imag)) > half + 1e-12:
+        digit = _as_digit(b)
+        for half in (Fraction(1, 2), Fraction(1, 2) + Fraction(pad)):
+            r = 1 / (2 * half)
+            for px, py in ((r, 0), (-r, 0), (0, r), (0, -r)):
+                qx = min(max(px, digit.re - half), digit.re + half)
+                qy = min(max(py, digit.im - half), digit.im + half)
+                if (qx - px) ** 2 + (qy - py) ** 2 < r * r:
                     return False, {
-                        "branch": _as_digit(b).to_pair(),
-                        "half_width": half,
-                        "point": [p.real, p.imag],
-                        "image": [img.real, img.imag],
+                        "branch": digit.to_pair(),
+                        "half_width": str(half),
+                        "centre": [str(px), str(py)],
                     }
     return True, None

@@ -154,9 +154,8 @@ def _exceptional_set_is_the_sixteen(config: RunConfig):
 
 @check("ifs", "contraction_sup_two_ninths")
 def _contraction_sup_two_ninths(config: RunConfig):
-    sup = ifs.contraction_bound(exact=True)
+    sup = ifs.contraction_bound()
     ok = sup == ifs.CONTRACTION_SUP and sup < Fraction(2, 3)
-    ok = ok and ifs.contraction_bound(exact=False) == float(ifs.CONTRACTION_SUP)
     return ok, {"sup": str(sup), "expected": str(ifs.CONTRACTION_SUP)}
 
 
@@ -165,9 +164,9 @@ def _contraction_envelope_monotone(config: RunConfig):
     return ifs.contraction_envelope_check(100)
 
 
-@check("ifs", "decay_bounds_on_grid")
-def _decay_bounds_on_grid(config: RunConfig):
-    return ifs.validate_decay_bounds(norm_sq_max=64, grid=31)
+@check("ifs", "decay_bounds_over_box")
+def _decay_bounds_over_box(config: RunConfig):
+    return ifs.validate_decay_bounds(norm_sq_max=64)
 
 
 @check("ifs", "chain_rule_matches_matrix_exactly")
@@ -196,35 +195,52 @@ def _branch_images_separated(config: RunConfig):
 
 @check("ifs", "branch_images_nested")
 def _branch_images_nested(config: RunConfig):
-    return ifs.nesting_check(ifs.d2_branches(25), pad=0.25, per_side=48)
+    return ifs.nesting_check(ifs.d2_branches(25), pad=Fraction(1, 4))
 
 
-@check("ifs", "distortion_single_branch_25_9")
-def _distortion_single_branch_25_9(config: RunConfig):
-    sampled = ifs.distortion_estimate(max_word_len=2, max_words=1024, seed=config.seed)
-    exact_max = ifs.max_single_branch_distortion()
-    ok = (
-        math.isfinite(sampled)
-        and sampled >= float(ifs.SINGLE_BRANCH_DISTORTION_MAX) - 1e-12
-        and exact_max == ifs.SINGLE_BRANCH_DISTORTION_MAX
-    )
+@functools.lru_cache(maxsize=1)
+def short_words() -> tuple[list[tuple[GaussianInt, ...]], list[np.ndarray]]:
+    """Every word of length 1 to 3 over ``d2_branches(13)``, in
+    ``itertools.product`` order by length, with its bottom rows
+    (cr, ci, dr, di) as object arrays of Python ints."""
+    alphabet = ifs.d2_branches(13)
+    pairs = [g.to_pair() for g in alphabet]
+    rows = [np.array([v], dtype=object) for v in (0, 0, 1, 0)]  # the identity
+    levels = []
+    for _ in range(3):
+        rows = dimension._extend_levels(rows, pairs, 1)
+        levels.append(rows)
+    words = [w for n in range(1, 4) for w in itertools.product(alphabet, repeat=n)]
+    return words, [np.concatenate(column) for column in zip(*levels)]
+
+
+@check("ifs", "distortion_words_within_k0")
+def _distortion_words_within_k0(config: RunConfig):
+    # 25/9 <= the exact max of sup/inf |Dphi| over short words <= K0, and
+    # K0 >= (2 sqrt2 - 1)^2 = 9 - 4 sqrt2, i.e. t = 9 - K0 <= 0 or t^2 <= 32
+    words, rows = short_words()
+    far, near = ifs.box_distortion_terms(*rows)
+    worst = max(range(len(words)), key=lambda j: Fraction(far[j], near[j]))
+    word_max = Fraction(far[worst], near[worst])
+    single = ifs.max_single_branch_distortion()
+    k0 = Fraction(ifs.COMPOSITION_DISTORTION_BOUND)
+    t = 9 - k0
+    ok = single == ifs.SINGLE_BRANCH_DISTORTION_MAX <= word_max <= k0 and (t <= 0 or t * t <= 32)
     return ok, {
-        "sampled": sampled,
-        "max": str(exact_max),
+        "max": str(single),
         "expected": str(ifs.SINGLE_BRANCH_DISTORTION_MAX),
+        "word": [g.to_pair() for g in words[worst]],
+        "word_max": str(word_max),
+        "k0": ifs.COMPOSITION_DISTORTION_BOUND,
     }
 
 
 @check("ifs", "ball_inclusion")
 def _ball_inclusion(config: RunConfig):
-    for word, distortion in (
-        ([(2, 2)], float(Fraction(25, 9))),
-        ([(3, 1)], ifs.COMPOSITION_DISTORTION_BOUND),
-    ):
-        comp = ifs.BranchComposition.from_word(word)
-        if not ifs.ball_inclusion_check(comp, ExactComplexRational(), 0.5, distortion):
-            return False, {"word": [list(w) for w in word]}
-    return True, None
+    words, rows = short_words()
+    holds = ifs.ball_inclusion_holds(*rows, Fraction(1, 2), ifs.COMPOSITION_DISTORTION_BOUND)
+    bad = np.flatnonzero(~holds)
+    return not bad.size, {"word": [g.to_pair() for g in words[bad[0]]]} if bad.size else None
 
 
 _PAIR = dimension.DigitSet.from_branches([(2, 2), (-2, -2)])

@@ -22,7 +22,6 @@ from hurwitzcf import (
     classify_digit,
     contraction_bound,
     count_in_square,
-    distortion_estimate,
     evaluate,
     exceptional_digits,
     expand,
@@ -40,12 +39,13 @@ from hurwitzcf.ifs import (
     DECAY_C2,
     DIAMETER_K1,
     DIAMETER_K2,
+    box_distortion_terms,
     contraction_envelope_check,
     max_single_branch_distortion,
     validate_decay_bounds,
 )
 from hurwitzcf.svg import TessellationSpec, soundness_check
-from hurwitzcf.verify import random_box_rationals
+from hurwitzcf.verify import random_box_rationals, short_words
 
 
 def report(criterion: int, detail: str) -> None:
@@ -115,29 +115,41 @@ def test_criterion_04_convergence_exponent():
 
 
 def test_criterion_05_contraction_and_decay():
-    sup_exact = contraction_bound(exact=True)
+    start = time.perf_counter()
+    sup_exact = contraction_bound()
     assert sup_exact == Fraction(2, 9)
-    assert abs(contraction_bound(exact=False) - 2.0 / 9.0) <= 1e-12
     assert sup_exact < Fraction(2, 3)
-    # 32 x 32 = 1024 exact rational grid points per branch, norm_sq <= 64
-    ok, witness = validate_decay_bounds(norm_sq_max=64, grid=31)
+    # exact box infimum and supremum of every branch with norm_sq <= 64
+    ok, witness = validate_decay_bounds(norm_sq_max=64)
     assert ok, witness
     # tail: per-class sups fall under the monotone envelope, which analytic
     # bounds extend past any cutoff
     ok, witness = contraction_envelope_check(128)
     assert ok, witness
-    report(5, "sup |Dphi| = 2/9 < 2/3; 16/25 and 16/9 decay bounds hold on grids")
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"contraction and decay checks took {elapsed:.2f}s"
+    report(5, f"sup |Dphi| = 2/9 < 2/3; 16/25 and 16/9 decay bounds hold over the box "
+              f"in {elapsed:.2f}s")
 
 
 def test_criterion_06_distortion():
+    start = time.perf_counter()
     assert max_single_branch_distortion() == Fraction(25, 9)
-    sampled = distortion_estimate(max_word_len=3)
-    assert math.isfinite(sampled)
-    assert sampled >= float(Fraction(25, 9)) - 1e-12
+    # exact sup/inf over the box of all 14,424 words of length <= 3
+    words, rows = short_words()
+    far, near = box_distortion_terms(*rows)
+    word_max = max(Fraction(f, n) for f, n in zip(far, near))
+    k0 = Fraction(COMPOSITION_DISTORTION_BOUND)
+    assert Fraction(25, 9) <= word_max <= k0
+    # k0 >= (2 sqrt2 - 1)^2 = 9 - 4 sqrt2
+    assert 0 < 9 - k0 and (9 - k0) ** 2 <= 32
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"distortion checks took {elapsed:.2f}s"
     report(
         6,
-        f"exact single-branch max 25/9; sampled length<=3 distortion "
-        f"{sampled:.4f} (uniform bound {COMPOSITION_DISTORTION_BOUND:.4f})",
+        f"exact single-branch max 25/9; exact max over {len(words)} words of length <= 3 "
+        f"{float(word_max):.4f} <= uniform bound {COMPOSITION_DISTORTION_BOUND:.4f} "
+        f"in {elapsed:.2f}s",
     )
 
 

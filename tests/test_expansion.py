@@ -224,6 +224,12 @@ class TestGuardedExpansion:
         with pytest.raises(DomainError, match="error_radius must be a finite number"):
             expand_guarded(0.1, 0.2, radius)
 
+    @pytest.mark.parametrize("max_digits", [0, -5])
+    def test_non_positive_max_digits(self, max_digits):
+        # as in expand; it used to return no digits with status max_digits
+        with pytest.raises(DomainError, match="max_digits must be positive"):
+            expand_guarded(0.1, 0.2, 1e-15, max_digits=max_digits)
+
     @pytest.mark.parametrize(
         "re, im", [(math.nan, 0.1), (0.1, math.inf), (-math.inf, 0.0), ("nan", "0.1"), ("0.1", "x")]
     )

@@ -5,15 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hurwitzcf import (
-    BranchComposition,
-    DomainError,
-    ExactComplexRational,
-    ball_inclusion_check,
-    branch_apply,
-    distortion_estimate,
-    word_diameter_bounds,
-)
+from hurwitzcf import BranchComposition, DomainError, ExactComplexRational, branch_apply
 from hurwitzcf import dimension
 from hurwitzcf.ifs import (
     contraction_envelope_check,
@@ -22,14 +14,16 @@ from hurwitzcf.ifs import (
     DECAY_C2,
     DIAMETER_K1,
     DIAMETER_K2,
+    ball_inclusion_holds,
+    box_distortion_terms,
     d2_branches,
     max_single_branch_distortion,
-    mc_diameter,
     nesting_check,
     sample_box_rationals,
     separation_check,
     sup_deriv_by_norm_class,
 )
+from hurwitzcf.verify import short_words
 
 
 def ecr(re, im) -> ExactComplexRational:
@@ -75,22 +69,6 @@ class TestComposition:
         assert single.deriv_abs_exact(corner) == Fraction(2, 9)
         double = BranchComposition.from_word([(2, 2), (2, 2)])
         assert double.deriv_abs_exact(ecr(0, 0)) == Fraction(1, 65)
-
-    def test_chain_rule_float(self):
-        comp = BranchComposition.from_word([(2, 2), (-2, 2), (3, 0)])
-        z = 0.21 - 0.37j
-        stepwise = 1.0
-        point = z
-        for digit in reversed(comp.word):
-            single = BranchComposition.from_word([digit])
-            stepwise *= single.deriv_abs(point)
-            point = single.apply(point)
-        assert abs(comp.deriv_abs(z) - stepwise) < 1e-12
-
-    def test_inverse_roundtrip(self):
-        comp = BranchComposition.from_word([(2, 2), (0, -3)])
-        z = 0.1 + 0.2j
-        assert abs(comp.apply_inverse(comp.apply(z)) - z) < 1e-14
 
     def test_sup_inf_bracket_samples(self):
         rng = np.random.default_rng(9)
@@ -160,9 +138,8 @@ class TestContraction:
         for word in ([(0, 3)], [(2, 2)], [(3, 1), (2, -2)]):
             comp = BranchComposition.from_word(word)
             xs = np.linspace(-0.5, 0.5, 41)
-            grid_max = max(
-                comp.deriv_abs(complex(x, y)) for x in xs for y in xs
-            )
+            c, d = complex(comp.c), complex(comp.d)
+            grid_max = max(1.0 / abs(c * complex(x, y) + d) ** 2 for x in xs for y in xs)
             assert grid_max <= float(comp.sup_deriv_exact()) + 1e-15
             assert grid_max >= float(comp.sup_deriv_exact()) * 0.9
 
@@ -200,6 +177,20 @@ class TestDecay:
         assert Fraction(16, 25, ) / 100 <= val <= Fraction(16, 9) / 100
 
 
+def _words_up_to_two():
+    alphabet = d2_branches(13)
+    return [(a,) for a in alphabet] + [(a, b) for a in alphabet for b in alphabet]
+
+
+def _sampled_distortion(word) -> float:
+    """max/min of the float |Dphi| = 1/|cz + d|^2 on a 5 x 5 box grid."""
+    comp = BranchComposition.from_word(word)
+    c, d = complex(comp.c), complex(comp.d)
+    xs = np.linspace(-0.5, 0.5, 5)
+    dens = [abs(c * complex(x, y) + d) ** 2 for x in xs for y in xs]
+    return max(dens) / min(dens)
+
+
 class TestDistortion:
     def test_identity_has_none(self):
         assert BranchComposition.identity().distortion_exact() == 1
@@ -210,48 +201,53 @@ class TestDistortion:
         assert max_single_branch_distortion() == Fraction(25, 9)
 
     def test_sampled_at_least_single_branch(self):
-        sampled = distortion_estimate(max_word_len=3)
-        assert math.isfinite(sampled)
-        assert sampled >= float(Fraction(25, 9)) - 1e-12
+        # a float 5 x 5 grid with the corners, where single-branch extremes
+        # live, reaches 25/9 and never passes the exact closed form
+        sampled = {word: _sampled_distortion(word) for word in _words_up_to_two()}
+        assert max(sampled.values()) >= float(Fraction(25, 9)) - 1e-12
+        for word, value in sampled.items():
+            exact = BranchComposition.from_word(word).distortion_exact()
+            assert value <= float(exact) * (1 + 1e-12), word
 
     def test_uniform_bound_dominates_samples(self):
-        sampled = distortion_estimate(max_word_len=3)
-        assert sampled <= COMPOSITION_DISTORTION_BOUND
+        assert max(map(_sampled_distortion, _words_up_to_two())) <= COMPOSITION_DISTORTION_BOUND
         # the bound itself is (2 sqrt2 - 1)^2
         assert abs(COMPOSITION_DISTORTION_BOUND - (2 * math.sqrt(2) - 1) ** 2) < 1e-14
 
+    def test_uniform_bound_dominates_short_words(self):
+        # exact sup/inf over the box of every word of length <= 3: the max,
+        # 961/289 = 3.3253, lies between 25/9 and K0
+        words, rows = short_words()
+        far, near = box_distortion_terms(*rows)
+        assert len(words) == 14_424
+        word_max = max(Fraction(f, n) for f, n in zip(far, near))
+        assert word_max == Fraction(961, 289)
+        assert Fraction(25, 9) < word_max < Fraction(COMPOSITION_DISTORTION_BOUND)
+        for j in range(0, len(words), 97):
+            assert Fraction(far[j], near[j]) == BranchComposition.from_word(words[j]).distortion_exact()
+
+    def test_uniform_bound_rounded_up(self):
+        # K0 >= (2 sqrt2 - 1)^2 = 9 - 4 sqrt2 <=> (9 - K0)^2 <= 32; the
+        # nearest float to 9 - 4 sqrt2 lies below it, K0 one step above
+        t = 9 - Fraction(COMPOSITION_DISTORTION_BOUND)
+        assert 0 < t and t * t <= 32
+        below = 9 - Fraction(math.nextafter(COMPOSITION_DISTORTION_BOUND, 0.0))
+        assert below * below > 32
+
     def test_pole_distance_invariant(self):
-        # |d/c| > sqrt2 + 1 for every branch word, the fact behind the bound
-        rng = np.random.default_rng(17)
-        alphabet = d2_branches(13)
-        for _ in range(200):
-            length = int(rng.integers(1, 6))
-            word = [alphabet[int(j)] for j in rng.integers(0, len(alphabet), length)]
-            comp = BranchComposition.from_word(word)
-            ratio_sq = Fraction(comp.d.norm_sq(), comp.c.norm_sq())
-            assert ratio_sq > (1 + math.sqrt(2)) ** 2
+        # |d/c| > sqrt2 + 1 for every branch word, the fact behind the bound:
+        # with t = |d|^2 - 3 |c|^2, that is t > 0 and t^2 > 8 |c|^4
+        _, (cr, ci, dr, di) = short_words()
+        c2, d2 = cr * cr + ci * ci, dr * dr + di * di
+        t = d2 - 3 * c2
+        assert (t > 0).all() and (t * t > 8 * c2 * c2).all()
 
 
 class TestDiameter:
-    def test_bounds_contain_monte_carlo(self):
-        for word in ([(2, 2)], [(3, 0)], [(2, 2), (-2, 2)]):
-            comp = BranchComposition.from_word(word)
-            lo, hi = word_diameter_bounds(comp)
-            assert lo < hi
-            diam = mc_diameter(comp, samples=512, seed=2)
-            assert lo <= diam <= hi
-
     def test_real_axis_chord_inside_bounds(self):
         # the image of [5/2, 7/2] on the real axis is [2/7, 2/5]
-        comp = BranchComposition.from_word([(3, 0)])
-        lo, hi = word_diameter_bounds(comp)
-        chord = 2.0 / 5.0 - 2.0 / 7.0
-        assert lo <= chord <= hi
-        assert mc_diameter(comp, samples=512, seed=2) >= chord - 1e-9
-
-    def test_empty_word_rejected(self):
-        with pytest.raises(DomainError):
-            word_diameter_bounds(BranchComposition.identity())
+        base = float(BranchComposition.from_word([(3, 0)]).base_deriv_exact())
+        assert DIAMETER_K1 * base <= 2.0 / 5.0 - 2.0 / 7.0 <= DIAMETER_K2 * base
 
 
 class TestCylinderIdentity:
@@ -300,16 +296,37 @@ class TestSeparation:
             separation_check([(1, 0)], samples=5, seed=1)
 
 
+def _rows(*words):
+    comps = [BranchComposition.from_word(w) for w in words]
+    return [np.array(col, dtype=object) for col in zip(*((m.c.re, m.c.im, m.d.re, m.d.im) for m in comps))]
+
+
 class TestBallInclusion:
     def test_zero_radius_vacuous(self):
-        comp = BranchComposition.from_word([(2, 2)])
-        assert ball_inclusion_check(comp, ecr(0, 0), 0.0, 3.0)
+        assert ball_inclusion_holds(*_rows([(2, 2)]), 0, 3).all()
+
+    def test_boundary_distance_matches_circle_samples(self):
+        # min over |z| = delta of |phi(z) - phi(0)| is delta/(|d| (|d| + delta |c|))
+        delta = 0.5
+        for word in ([(2, 2)], [(3, 1), (-2, 2)], [(0, 3), (2, -2), (-3, 0)]):
+            comp = BranchComposition.from_word(word)
+            a, b, c, d = (complex(g) for g in (comp.a, comp.b, comp.c, comp.d))
+            zs = delta * np.exp(2j * np.pi * np.arange(4096) / 4096)
+            sampled = np.abs((a * zs + b) / (c * zs + d) - b / d).min()
+            closed = delta / (abs(d) * (abs(d) + delta * abs(c)))
+            assert closed <= sampled <= closed * (1 + 1e-6)
+
+    def test_decides_three_k_against_one_plus_ratio(self):
+        # (2, 2): |c|/|d| = 1/sqrt8, so 1 + |c|/(2 |d|) <= 3K <=> K >= (1 + 1/sqrt32)/3
+        rows = _rows([(2, 2)])
+        assert ball_inclusion_holds(*rows, Fraction(1, 2), Fraction(394, 1000)).all()
+        assert not ball_inclusion_holds(*rows, Fraction(1, 2), Fraction(392, 1000)).any()
 
 
 class TestNesting:
     def test_padded_boxes_shrink(self):
         # smaller pads nest too
-        ok, _ = nesting_check(d2_branches(9), pad=0.1, per_side=32)
+        ok, _ = nesting_check(d2_branches(9), pad=0.1)
         assert ok
 
 

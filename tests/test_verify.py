@@ -14,7 +14,7 @@ import pytest
 
 from hurwitzcf import ifs
 from hurwitzcf.config import RunConfig
-from hurwitzcf.verify import CHECKS
+from hurwitzcf.verify import CHECKS, short_words
 
 NAMES = [f"{suite}.{name}" for suite, checks in CHECKS.items() for name in checks]
 
@@ -45,6 +45,47 @@ def test_contraction_check_names_both_values(monkeypatch):
 
 def test_distortion_check_names_both_values(monkeypatch):
     monkeypatch.setattr(ifs, "SINGLE_BRANCH_DISTORTION_MAX", Fraction(3, 1))
-    ok, witness = CHECKS["ifs"]["distortion_single_branch_25_9"](RunConfig())
+    ok, witness = CHECKS["ifs"]["distortion_words_within_k0"](RunConfig())
     assert not ok
     assert (witness["max"], witness["expected"]) == ("25/9", "3")
+
+
+# each exact ifs check fails once its input is mutated
+
+
+def test_distortion_check_refutes_k0_below_word_max(monkeypatch):
+    # the exact max over words of length <= 3 is 961/289 = 3.3253
+    monkeypatch.setattr(ifs, "COMPOSITION_DISTORTION_BOUND", 3.3)
+    ok, witness = CHECKS["ifs"]["distortion_words_within_k0"](RunConfig())
+    assert not ok
+    assert Fraction(witness["word_max"]) == Fraction(961, 289) > Fraction(3.3)
+
+
+@pytest.mark.parametrize("name, value", [("DECAY_C1", Fraction(17, 25)),
+                                         ("DECAY_C2", Fraction(8, 5))])
+def test_decay_check_refutes_mutated_constant(monkeypatch, name, value):
+    monkeypatch.setattr(ifs, name, value)
+    ok, witness = CHECKS["ifs"]["decay_bounds_over_box"](RunConfig())
+    assert not ok
+    assert witness["branch"] == [-2, -2]
+
+
+def test_envelope_check_refutes_small_sup(monkeypatch):
+    # envelope(9) = 1/(3 - sqrt2/2)^2 = 0.190 is not below 1/6
+    monkeypatch.setattr(ifs, "CONTRACTION_SUP", Fraction(1, 6))
+    ok, witness = CHECKS["ifs"]["contraction_envelope_monotone"](RunConfig())
+    assert not ok and witness["check"] == "envelope(9) < sup"
+
+
+def test_nesting_check_refutes_pad_whose_image_leaves():
+    # for (2, 2) the corner image leaves box_h once h passes 1 + 1/sqrt2
+    assert ifs.nesting_check(ifs.d2_branches(25), pad=Fraction(6, 5)) == (True, None)
+    ok, witness = ifs.nesting_check(ifs.d2_branches(25), pad=Fraction(5, 4))
+    assert not ok
+    assert (witness["branch"], witness["half_width"]) == ([-2, -2], "7/4")
+
+
+def test_ball_inclusion_refutes_k_below_one_third():
+    words, rows = short_words()
+    assert ifs.ball_inclusion_holds(*rows, Fraction(1, 2), ifs.COMPOSITION_DISTORTION_BOUND).all()
+    assert not ifs.ball_inclusion_holds(*rows, Fraction(1, 2), Fraction(3, 10)).any()
