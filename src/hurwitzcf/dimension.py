@@ -130,7 +130,13 @@ class DigitSet:
         """
         shells = self._shells
         shells.cover(count)
-        return np.repeat(shells.values.astype(np.float64), shells.counts)[:count]
+        # repeat only the shells up to the one holding index count - 1, that
+        # one cut short, so no larger array stays alive behind the result
+        ends = np.cumsum(shells.counts)
+        last = int(np.searchsorted(ends, count - 1, side="right"))
+        counts = shells.counts[:last + 1].copy()
+        counts[-1:] -= ends[last:last + 1] - count
+        return np.repeat(shells.values[:last + 1].astype(np.float64), counts)
 
 
 class _ShellTable:

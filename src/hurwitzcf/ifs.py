@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .expansion import expand
+from .expansion import _euclid_step, _from_quotient
 from .gaussian import (
     ExactComplexRational,
     GaussianInt,
@@ -58,8 +58,12 @@ COMPOSITION_DISTORTION_BOUND = math.nextafter(9.0 - 4.0 * math.sqrt(2.0), math.i
 
 # Two-sided bounds k1 |Dphi(0)| <= diam <= k2 |Dphi(0)| on the diameter of
 # a word's image of the box: k1 = 2 delta / (3 k0) with delta = 1/2 and
-# k0 = COMPOSITION_DISTORTION_BOUND, k2 = k0 * diam of the unit box.
-DIAMETER_K1 = 1.0 / (3.0 * COMPOSITION_DISTORTION_BOUND)
+# k0 = COMPOSITION_DISTORTION_BOUND, k2 = k0 * diam of the unit box.  k1 is
+# the largest float at most 1/(3 k0), since the nearest one lies above it;
+# k2 rounds up.
+DIAMETER_K1 = float(1 / (3 * Fraction(COMPOSITION_DISTORTION_BOUND)))
+if Fraction(DIAMETER_K1) * 3 * Fraction(COMPOSITION_DISTORTION_BOUND) > 1:
+    DIAMETER_K1 = math.nextafter(DIAMETER_K1, 0.0)
 DIAMETER_K2 = COMPOSITION_DISTORTION_BOUND * math.sqrt(2.0)
 
 
@@ -362,51 +366,89 @@ def sample_box_rationals(rng: np.random.Generator, count: int, grid: int = 1 << 
     ]
 
 
+_GRID = 1 << 16  # samples u = (a + ib)/2^16 with a, b in [-2^15, 2^15)
+
+
+def _int_dtype(digits: Iterable[GaussianInt]) -> type:
+    """int64 while every coordinate is below 2^15 - 1, else Python ints.
+
+    Below that bound the terms of _box_images stay below 2^63: |A|, |B| <
+    2^31 and N = A^2 + B^2 < 2^63.
+    """
+    return np.int64 if all(max(abs(d.re), abs(d.im)) < (1 << 15) - 1 for d in digits) else object
+
+
+def _box_images(digit: GaussianInt, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """``samples`` seeded points p = 1/(u + digit) of the half-open box.
+
+    u = (a + ib)/2^16 takes the draws of sample_box_rationals: one call of
+    shape (2, need) yields the stream of its two calls of size need.
+    Images outside the box (only exceptional digits have them) are drawn
+    again.  A point is returned as the row (A, B) = 2^16 (u + digit), so
+    1/p = (A + iB)/2^16 and p = 2^16 (A - iB)/N with N = A^2 + B^2; p lies
+    in the box exactly when -N <= 2^17 A < N and -N < 2^17 B <= N, decided
+    in the exact integer type of _int_dtype.
+    """
+    dtype = _int_dtype([digit])
+    shift = np.array([digit.re, digit.im], dtype=dtype) * _GRID
+    points = np.zeros((0, 2), dtype=dtype)
+    drawn = 0
+    while (need := samples - len(points)) > 0:
+        drawn += need
+        if drawn > 200 * samples:
+            raise DomainError(f"rejection sampling stalled for digit {digit}")
+        w = rng.integers(-_GRID // 2, _GRID // 2, size=(2, need)).astype(dtype).T + shift
+        n = (w * w).sum(axis=1)
+        a, b = (2 * _GRID) * w.T
+        points = np.concatenate([points, w[(-n <= a) & (a < n) & (-n < b) & (b <= n)]])
+    return points
+
+
+def _sample_witness(digits: Sequence[GaussianInt], owner: np.ndarray, points: np.ndarray,
+                    claimed: np.ndarray) -> dict | None:
+    """The first sample whose first digit is not its own, or that its own
+    region does not claim alone.
+
+    Sample s is the _box_images row points[s] = (A, B) of digit
+    digits[owner[s]], and ``claimed[s, r]`` says whether region r claims
+    it.  The first digit of p = 2^16/(A + iB) comes from one
+    expansion._euclid_step; only a witness builds p.
+    """
+    counts = claimed.sum(axis=1)
+    alone = (counts == 1) & claimed[np.arange(len(owner)), owner]
+    for (A, B), own, count, ok in zip(points.tolist(), owner.tolist(), counts.tolist(),
+                                      alone.tolist()):
+        digit = digits[own]
+        if _euclid_step(_GRID, 0, A, B)[:2] != (digit.re, digit.im):
+            return {"check": "first_digit", "region": digit.to_pair(),
+                    "point": str(_from_quotient(_GRID, 0, A, B))}
+        if not ok:
+            return {"check": "unique_region", "region": digit.to_pair(),
+                    "point": str(_from_quotient(_GRID, 0, A, B)), "claims": count}
+    return None
+
+
 def separation_check(
     digits: Sequence[BranchLike], samples: int, seed: int
 ) -> tuple[bool, dict | None]:
     """Cylinders of ``digits`` carry their own first digit and are disjoint.
 
-    Each digit d gets ``samples`` points p = 1/(u + d) from seeded
-    sample_box_rationals draws u; images outside the box (only exceptional
-    digits have them) are redrawn.  Every p must expand with first digit d,
-    and 1/p - e must lie in the box for e = d alone.  Returns (ok, witness).
+    Each digit d gets ``samples`` points p = 1/(u + d) from _box_images.
+    Every p must expand with first digit d, and 1/p - e must lie in the box
+    for e = d alone: with 1/p = (A + iB)/2^16 that is
+    -2^15 <= A - 2^16 e.re < 2^15 and likewise for B.  Returns (ok, witness).
     """
     if not digits:
         raise DomainError("digit list must be nonempty")
     digits = [_as_digit(b) for b in digits]
+    low = np.array([[d.re, d.im] for d in digits], dtype=_int_dtype(digits)) * _GRID - _GRID // 2
     rng = np.random.default_rng(seed)
-    for digit in digits:
-        points: list[ExactComplexRational] = []
-        drawn = 0
-        while (need := samples - len(points)) > 0:
-            drawn += need
-            if drawn > 200 * samples:
-                raise DomainError(f"rejection sampling stalled for digit {digit}")
-            images = (u.add_gaussian(digit).reciprocal() for u in sample_box_rationals(rng, need))
-            points += [p for p in images if p.in_unit_box()]
-        for p in points:
-            first = expand(p, max_digits=1).digits
-            if len(first) == 0 or first[0] != digit:
-                return False, {"check": "first_digit", "region": digit.to_pair(), "point": str(p)}
-            w = p.reciprocal()
-            wf = complex(w)
-            # cheap float pre-filter with a wide safety margin; the
-            # membership decision itself stays exact
-            claims = sum(
-                1
-                for e in digits
-                if abs(wf.real - e.re) <= 0.75
-                and abs(wf.imag - e.im) <= 0.75
-                and w.sub_gaussian(e).in_unit_box()
-            )
-            if claims != 1:
-                return False, {
-                    "check": "unique_region",
-                    "region": digit.to_pair(),
-                    "point": str(p),
-                    "claims": claims,
-                }
+    for own, digit in enumerate(digits):
+        points = _box_images(digit, samples, rng)
+        claimed = np.all((points[:, None] >= low) & (points[:, None] < low + _GRID), axis=2)
+        witness = _sample_witness(digits, np.full(len(points), own), points, claimed)
+        if witness is not None:
+            return False, witness
     return True, None
 
 

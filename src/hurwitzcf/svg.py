@@ -6,17 +6,33 @@ through the origin: the lines x = k +- 1/2 map to circles of radius
 1/|2k +- 1| centred on the real axis, the lines y = l +- 1/2 to circles of
 radius 1/|2l +- 1| centred on the imaginary axis.  Arcs are emitted with
 these exact parameters rather than polyline approximations.
+
+The soundness check reads the regions back from the rendered document.
+The line Re w = m/2 (m odd) maps to the circle through 0 with centre 1/m
+and radius 1/|m|, and Im w = m/2 to the one with centre -i/m; for p = 1/w,
+|p - 1/m| < 1/|m| exactly when m (2 Re w - m) > 0, and |p + i/m| < 1/|m|
+exactly when m (2 Im w - m) > 0.  Each arc's circle is recovered from its
+printed endpoints, radius and flags and snapped to the one exact circle of
+this family it matches; distinct odd m are far apart next to the rounding
+of the 12 printed digits, so the snapped circle is the one the arc draws.
+z -> 1/z preserves orientation, so every region's boundary runs
+counterclockwise and the sweep flag says on which side of its circle the
+region lies.  Membership of a dyadic sample is then a sign test on
+integers.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .expansion import REGULAR_NORM_SQ, classify_digit
+from .expansion import REGULAR_NORM_SQ, _from_quotient, classify_digit
 from .gaussian import GaussianInt, points_by_norm
-from .ifs import separation_check
+from .ifs import _GRID, _box_images, _sample_witness
 
 
 @dataclass(frozen=True)
@@ -126,14 +142,178 @@ def render_svg(spec: TessellationSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+_REGION = re.compile(r'<path id="cyl_(-?\d+)_(-?\d+)" d="([^"]*)"')
+# Printed numbers carry a relative error below 5e-12.  A centre recovered
+# from them inherits it amplified by |endpoint| / chord; _SNAP leaves a
+# factor 10 over the largest error measured on the arcs of every region up
+# to norm_sq 20000.  At that tolerance the snap tells neighbouring odd m
+# apart while |m| < _MAX_M.
+_SNAP = 1e-10
+_MAX_M = 1 << 17
+_UNBOUNDED = 1 << 62
+
+
+def _read_arcs(paths: list[str]) -> np.ndarray | tuple[int, str]:
+    """Every arc of the region paths as (x1, y1, r, large, sweep, x2, y2).
+
+    Each path must read M x y, four arcs A r r 0 large sweep x y with
+    flags 0 or 1, and Z, and end where it starts.  Returns a float array
+    of shape (regions, 4, 7), or (region, reason) for the first path that
+    does not read so.
+    """
+    rows = []
+    for region, d in enumerate(paths):
+        t = d.split()
+        arcs = [t[3 + 8 * i: 11 + 8 * i] for i in range(4)]
+        if len(t) != 36 or t[0] != "M" or t[-1] != "Z" or t[33:35] != t[1:3] or any(
+            a[0] != "A" or a[1] != a[2] or a[3] != "0" or {a[4], a[5]} - {"0", "1"} for a in arcs
+        ):
+            return region, "not a closed path M x y, four arcs A r r 0 large sweep x y, Z"
+        try:
+            ends = [(float(a[6]), float(a[7])) for a in arcs]
+            rows.append([(*start, float(a[1]), int(a[4]), int(a[5]), *end)
+                         for a, start, end in zip(arcs, ends[-1:] + ends[:-1], ends)])
+        except ValueError:
+            return region, "a number does not parse"
+    return np.array(rows, dtype=np.float64)
+
+
+def _exact_circles(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(axis, m, ok) of the exact circle each arc draws.
+
+    The centre follows SVG 1.1 F.6.5 for rx = ry = r and no rotation: with
+    h = (p1 - p2)/2 it is (p1 + p2)/2 + c (h.y, -h.x), where
+    c = +-sqrt(r^2/|h|^2 - 1) is positive when the flags differ; a radius
+    too small for the chord is scaled up (F.6.6), so c = 0.  The centre
+    must be 1/m (axis 0) or -i/m (axis 1) and r must be 1/|m|, for an odd
+    m with |m| < _MAX_M, both within _SNAP; ok is False where they are not.
+    """
+    x1, y1, r, large, sweep, x2, y2 = np.moveaxis(arcs, -1, 0)
+    hx, hy = (x1 - x2) / 2, (y1 - y2) / 2
+    half_chord = np.hypot(hx, hy)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = np.sqrt(np.maximum(0.0, (r / half_chord) ** 2 - 1))
+        c = np.where(large == sweep, -c, c)
+        cx, cy = (x1 + x2) / 2 + c * hy, (y1 + y2) / 2 - c * hx
+        axis = (np.abs(cy) > np.abs(cx)).astype(np.int64)
+        inverse = np.where(axis == 0, 1 / cx, -1 / cy)
+        finite = np.abs(inverse) < _MAX_M
+        m = np.rint(np.where(finite, inverse, 1)).astype(np.int64)
+        exact = np.where(axis == 0, cx - 1 / m, cy + 1 / m)
+        off_axis = np.where(axis == 0, cy, cx)
+        amplify = np.maximum(np.hypot(x1, y1), np.hypot(x2, y2)) / half_chord
+        ok = (finite & (m % 2 == 1) & (np.abs(r * np.abs(m) - 1) <= _SNAP)
+              & (np.hypot(exact, off_axis) * np.abs(m) <= _SNAP * (1 + amplify)))
+    return axis, m, ok
+
+
+def _region_bounds(axis: np.ndarray, m: np.ndarray,
+                   sweep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer bounds lo <= (A, B) <= hi on 2^16 w of each region, shape (R, 2).
+
+    An arc on the circle of Re w = m/2 (axis 0) or Im w = m/2 (axis 1)
+    keeps its region inside the disc with sweep 1 and outside with sweep
+    0, so the region lies where m (X - 2^15 m) has the sign of m, or the
+    opposite sign with sweep 0, for X = A or B.  Following the half-open
+    box, a positive side is a closed lower edge, X >= 2^15 m, and a
+    negative side an open upper edge, X <= 2^15 m - 1.  A side that no
+    arc bounds stays at -+2^62.
+    """
+    lower = (m > 0) == (sweep == 1)
+    edge = m << 15
+    lo = [np.where(lower & (axis == k), edge, -_UNBOUNDED).max(axis=1) for k in (0, 1)]
+    hi = [np.where(~lower & (axis == k), edge - 1, _UNBOUNDED).min(axis=1) for k in (0, 1)]
+    return np.stack(lo, axis=1), np.stack(hi, axis=1)
+
+
+def _read_regions(spec: TessellationSpec) -> tuple[list[GaussianInt], np.ndarray, np.ndarray] | dict:
+    """The region digits and their bounds lo, hi read from render_svg(spec).
+
+    Each ``<path id="cyl_k_l">`` is read as four exact circles
+    (_exact_circles) and integer bounds on 2^16 w (_region_bounds); the ids
+    must be region_digits(spec) in order.  Returns a witness dict instead
+    when the document does not read so.
+    """
+    digits = region_digits(spec)
+    found = _REGION.findall(render_svg(spec))
+    ids = [[int(k), int(l)] for k, l, _ in found]
+    if ids != [digit.to_pair() for digit in digits]:
+        return {"check": "regions", "expected": [d.to_pair() for d in digits], "found": ids}
+    arcs = _read_arcs([d for _, _, d in found])
+    if isinstance(arcs, tuple):
+        return {"check": "arc", "region": ids[arcs[0]], "arc": -1, "reason": arcs[1]}
+    axis, m, ok = _exact_circles(arcs)
+    if not ok.all():
+        region, arc = np.argwhere(~ok)[0].tolist()
+        x1, y1, r, large, sweep, x2, y2 = arcs[region, arc].tolist()
+        return {"check": "arc", "region": ids[region], "arc": arc,
+                "reason": f"radius {r:.12g} from ({x1:.12g}, {y1:.12g}) to ({x2:.12g}, "
+                          f"{y2:.12g}) with flags {large:.0f} {sweep:.0f} draws no circle "
+                          f"1/m or -i/m through 0 with m odd"}
+    lo, hi = _region_bounds(axis, m, arcs[..., 4])
+    return digits, lo, hi
+
+
 def soundness_check(
     spec: TessellationSpec, samples_per_region: int = 1000, seed: int = 1
 ) -> tuple[bool, dict | None]:
-    """Sampled interior points carry their region's digit, uniquely.
+    """The rendered document claims every sample for its own region alone.
 
-    For every rendered region, each sampled point's first digit must equal
-    the region label, and the point must lie in exactly one region's image
-    (tested through the inverse map on every rendered digit); see
-    ifs.separation_check.
+    Reads the regions back from render_svg(spec) (_read_regions; see the
+    module docstring).  At the middle of each edge of a region's pre-image
+    box around k + il, the nearest grid point of 2^-16 Z[i] inside the
+    half-open box must be claimed and the nearest one outside must not; on
+    the closed lower edges the inside point lies on the edge.  Then each
+    region gets ``samples_per_region`` points p = 1/w from
+    ifs._box_images, with w = (A + iB)/2^16: p must expand with first
+    digit (k, l), and its region alone must claim it, that is
+    lo <= (A, B) <= hi.  With norm_sq_max < 2^28 the digit coordinates
+    stay below 2^14, so |A|, |B| < 2^31, 2^15 |m| < 2^32 and
+    A^2 + B^2 < 2^63: every term is exact in int64.
+
+    Witness checks: ``regions`` (ids other than the region digits),
+    ``arc`` (a path that draws no exact circle arc, with the arc index, -1
+    for the whole path, and the reason), ``edge_inside`` and
+    ``edge_outside`` (a probe claimed wrongly), ``first_digit`` and
+    ``unique_region`` (a sample).
     """
-    return separation_check(region_digits(spec), samples_per_region, seed)
+    if spec.norm_sq_max >= 1 << 28:
+        raise DomainError("the soundness check needs norm_sq_max below 2^28")
+    read = _read_regions(spec)
+    if isinstance(read, dict):
+        return False, read
+    digits, lo, hi = read
+    witness = _probe_witness(digits, lo, hi)
+    if witness is not None:
+        return False, witness
+    rng = np.random.default_rng(seed)
+    batches = [_box_images(digit, samples_per_region, rng) for digit in digits]
+    points = np.concatenate(batches)
+    owner = np.repeat(np.arange(len(digits)), [len(batch) for batch in batches])
+    step = max(1, (1 << 20) // len(digits))  # about a megabyte of claims at a time
+    for start in range(0, len(points), step):
+        rows = points[start:start + step, None, :]
+        claimed = np.all((rows >= lo) & (rows <= hi), axis=2)
+        witness = _sample_witness(digits, owner[start:start + step], rows[:, 0], claimed)
+        if witness is not None:
+            return False, witness
+    return True, None
+
+
+def _probe_witness(digits: list[GaussianInt], lo: np.ndarray, hi: np.ndarray) -> dict | None:
+    """A probe at the middle of a pre-image box edge that its region claims
+    from outside the box or misses from inside it."""
+    half = _GRID // 2
+    offsets = [(-half, 0), (half - 1, 0), (0, -half), (0, half - 1),  # inside
+               (-half - 1, 0), (half, 0), (0, -half - 1), (0, half)]  # outside
+    centres = np.array([digit.to_pair() for digit in digits], dtype=np.int64) * _GRID
+    probes = centres[:, None, :] + np.array(offsets, dtype=np.int64)
+    held = np.all((probes >= lo[:, None]) & (probes <= hi[:, None]), axis=2)
+    wrong = np.argwhere(held != (np.arange(len(offsets)) < 4))
+    if len(wrong) == 0:
+        return None
+    r, j = wrong[0].tolist()
+    A, B = probes[r, j].tolist()
+    return {"check": "edge_inside" if j < 4 else "edge_outside", "region": digits[r].to_pair(),
+            "edge": ("left", "right", "bottom", "top")[j % 4],
+            "point": str(_from_quotient(_GRID, 0, A, B))}

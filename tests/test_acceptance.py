@@ -254,6 +254,7 @@ def test_criterion_10_tessellation_soundness():
     ok, witness = soundness_check(spec, samples_per_region=1000, seed=20_240_801)
     assert ok, witness
     elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, f"soundness check took {elapsed:.2f}s"
     from hurwitzcf.svg import region_digits
 
     count = len(region_digits(spec))

@@ -65,6 +65,15 @@ class TestDigitSet:
         assert arr[0] == 8.0 and len(arr) == 100
         assert np.all(np.diff(arr) >= 0)
 
+    @pytest.mark.parametrize("count", [0, 1, 4, 5, 100, 4097])
+    def test_norm_sq_array_owns_its_memory(self, count):
+        # the result is not a slice of the repeated shell table
+        s = DigitSet.lattice_with_zero()
+        arr = s.norm_sq_array(count)
+        assert arr.base is None and arr.dtype == np.float64
+        values, counts = s._shells.values, s._shells.counts
+        assert arr.tolist() == np.repeat(values.astype(np.float64), counts)[:count].tolist()
+
 
 R_BRUTE = 40  # every case below is checked on norm_sq <= R_BRUTE^2
 EXPLICIT = {(3, 0), (2, 2), (0, -3), (-2, -2)}

@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hurwitzcf import BranchComposition, DomainError, ExactComplexRational, branch_apply
+from hurwitzcf import (BranchComposition, DomainError, ExactComplexRational, GaussianInt,
+                       branch_apply)
 from hurwitzcf import dimension
 from hurwitzcf.ifs import (
+    _sample_witness,
     contraction_envelope_check,
     COMPOSITION_DISTORTION_BOUND,
     DECAY_C1,
@@ -290,6 +292,13 @@ class TestSeparation:
         with pytest.raises(DomainError):
             separation_check([], samples=10, seed=1)
 
+    def test_witness_names_first_digit_before_claims(self):
+        # the second sample, 2^16 w = (3 * 2^16, 0), is p = 1/3 with first digit 3
+        points = np.array([[2 << 16, 2 << 16], [3 << 16, 0]])
+        witness = _sample_witness([GaussianInt(2, 2)], np.zeros(2, dtype=int), points,
+                                  np.array([[True], [False]]))
+        assert witness == {"check": "first_digit", "region": [2, 2], "point": "1/3+0i"}
+
     def test_empty_cylinder_stalls_with_domain_error(self):
         # no point 1/(u + 1) of the half-open box lies in the box
         with pytest.raises(DomainError, match="stalled"):
@@ -338,3 +347,11 @@ class TestEngineConstants:
         assert float(DECAY_C1) == 16 / 25 and float(DECAY_C2) == 16 / 9
         # the k0 the dimension engine widens its lower brackets by
         assert dimension._LOG_K0 == math.log(k0)
+
+    def test_diameter_constants_round_outward(self):
+        # k1 is a lower bound and k2 an upper one: k1 <= 1/(3 k0) and
+        # k2 >= sqrt2 k0, decided exactly; k1 is the largest such float
+        k0 = Fraction(COMPOSITION_DISTORTION_BOUND)
+        assert Fraction(DIAMETER_K1) * 3 * k0 <= 1
+        assert Fraction(math.nextafter(DIAMETER_K1, math.inf)) * 3 * k0 > 1
+        assert Fraction(DIAMETER_K2) ** 2 >= 2 * k0**2

@@ -4,7 +4,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from hurwitzcf import DomainError, TessellationSpec, render_svg, soundness_check
+from hurwitzcf import DomainError, GaussianInt, TessellationSpec, render_svg, soundness_check
+from hurwitzcf import svg
+from hurwitzcf.expansion import _from_quotient
+from hurwitzcf.ifs import _box_images, sample_box_rationals
 from hurwitzcf.svg import region_digits, region_path
 
 
@@ -133,3 +136,138 @@ class TestSoundness:
         assert all(d.norm_sq() == 2 for d in region_digits(spec))
         ok, witness = soundness_check(spec, samples_per_region=25, seed=12)
         assert ok, witness
+
+
+def _mutate(monkeypatch, digit, change):
+    """Render the region of ``digit`` through ``change`` on its path tokens."""
+    real = svg.region_path
+
+    def region_path_mutated(k, l):
+        tokens = real(k, l).split()
+        return " ".join(change(tokens) if (k, l) == digit else tokens)
+
+    monkeypatch.setattr(svg, "region_path", region_path_mutated)
+
+
+def _flip(tokens, index):
+    tokens[index] = "1" if tokens[index] == "0" else "0"
+    return tokens
+
+
+def _scale_radius(tokens, arc):
+    radius = f"{float(tokens[4 + 8 * arc]) * 1.05:.12g}"
+    tokens[4 + 8 * arc] = tokens[5 + 8 * arc] = radius
+    return tokens
+
+
+def _swap_corners(tokens):
+    # the ends of arcs 0 and 1, the corners (k + 1/2, l - 1/2) and (k + 1/2, l + 1/2)
+    tokens[9:11], tokens[17:19] = tokens[17:19], tokens[9:11]
+    return tokens
+
+
+MUTATIONS = {
+    "sweep": lambda t: _flip(t, 8 + 8),
+    "large_arc": lambda t: _flip(t, 7 + 8),
+    "both_flags": lambda t: _flip(_flip(t, 7 + 16), 8 + 16),
+    "radius": lambda t: _scale_radius(t, 2),
+    "swapped_corners": _swap_corners,
+    "dropped_arc": lambda t: t[:19] + t[27:],
+}
+
+
+class TestSoundnessReadsTheSvg:
+    """Each mutation of a rendered path must fail the check."""
+
+    spec = TessellationSpec(norm_sq_max=13)
+
+    @pytest.mark.parametrize("digit", [(2, 1), (3, 0), (-2, -2)])
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_mutated_path_fails(self, monkeypatch, digit, name):
+        assert soundness_check(self.spec, samples_per_region=20, seed=1) == (True, None)
+        _mutate(monkeypatch, digit, MUTATIONS[name])
+        ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
+        assert not ok
+        assert witness["region"] == list(digit), witness
+        assert witness["check"] in ("arc", "edge_inside", "edge_outside", "unique_region")
+
+    def test_empty_path_fails(self, monkeypatch):
+        monkeypatch.setattr(svg, "region_path", lambda k, l: "M 0 0 Z")
+        ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
+        assert not ok
+        assert witness["check"] == "arc" and witness["arc"] == -1
+
+    def test_path_of_another_region_fails(self, monkeypatch):
+        real = svg.region_path
+        monkeypatch.setattr(svg, "region_path",
+                            lambda k, l: real(3, 1) if (k, l) == (3, 2) else real(k, l))
+        ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
+        assert not ok
+        assert witness["check"] == "edge_inside" and witness["region"] == [3, 2]
+
+    def test_missing_region_fails(self, monkeypatch):
+        render = svg.render_svg
+        monkeypatch.setattr(svg, "render_svg",
+                            lambda spec: render(spec).replace('<path id="cyl_2_1"', "<path"))
+        ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
+        assert not ok and witness["check"] == "regions"
+
+    def test_arc_witness_names_region_and_arc(self, monkeypatch):
+        _mutate(monkeypatch, (3, 1), MUTATIONS["radius"])
+        ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
+        assert not ok
+        assert witness["check"] == "arc" and witness["region"] == [3, 1] and witness["arc"] == 2
+
+
+class TestRegionBounds:
+    spec = TessellationSpec(norm_sq_max=25)
+
+    def claims(self, A, B):
+        digits, lo, hi = svg._read_regions(self.spec)
+        point = np.array([A, B])
+        return [d.to_pair() for d, held in zip(digits, np.all((lo <= point) & (point <= hi), axis=1))
+                if held]
+
+    def test_bounds_are_the_half_open_boxes(self):
+        digits, lo, hi = svg._read_regions(self.spec)
+        centres = np.array([d.to_pair() for d in digits]) << 16
+        assert (lo == centres - (1 << 15)).all()
+        assert (hi == centres + (1 << 15) - 1).all()
+
+    def test_point_on_vertical_edge_claimed_once(self):
+        # w = 3.5 + i: the open right edge of (3, 1), the closed left edge of (4, 1)
+        assert self.claims((3 << 16) + (1 << 15), 1 << 16) == [[4, 1]]
+        assert self.claims((3 << 16) + (1 << 15) - 1, 1 << 16) == [[3, 1]]
+
+    def test_point_on_horizontal_edge_claimed_once(self):
+        # w = 3 + 1.5i: the open top edge of (3, 1), the closed bottom edge of (3, 2)
+        assert self.claims(3 << 16, (1 << 16) + (1 << 15)) == [[3, 2]]
+        assert self.claims(3 << 16, (1 << 16) + (1 << 15) - 1) == [[3, 1]]
+
+    def test_corner_claimed_once(self):
+        # w = -2.5 - 1.5i: the closed corner of (-2, -1) only
+        assert self.claims(-(5 << 15), -(3 << 15)) == [[-2, -1]]
+
+    def test_samples_on_closed_edges_pass(self):
+        # seed 0 draws four samples on a closed edge, one of them
+        # 2^16 w = (2^15, 132646) of (1, 2): on the closed left edge of its
+        # box and on the open right edge of (0, 2)
+        rng = np.random.default_rng(0)
+        points = np.concatenate([_box_images(d, 1000, rng) for d in region_digits(self.spec)])
+        on_edge = (points % (1 << 16) == 1 << 15).any(axis=1)
+        assert on_edge.any()
+        assert soundness_check(self.spec, samples_per_region=1000, seed=0) == (True, None)
+
+
+def test_box_images_take_the_sample_box_rationals_draws():
+    for digit, seed in ((GaussianInt(1, 1), 5), (GaussianInt(3, -2), 6), (GaussianInt(0, 2), 7)):
+        rng = np.random.default_rng(seed)
+        expected = []
+        while len(expected) < 40:
+            images = [u.add_gaussian(digit).reciprocal()
+                      for u in sample_box_rationals(rng, 40 - len(expected))]
+            expected += [p for p in images if p.in_unit_box()]
+        points = _box_images(digit, 40, np.random.default_rng(seed))
+        assert [str(_from_quotient(1 << 16, 0, A, B)) for A, B in points.tolist()] == [
+            str(p) for p in expected
+        ]
