@@ -40,8 +40,14 @@ def _write(ctx: click.Context, text: str) -> None:
         raise DomainError(f"cannot write {str(out)!r}: {exc}") from exc
 
 
-def _emit(ctx: click.Context, payload: dict, rows: list[dict] | None = None) -> None:
-    """Write the JSON or CSV form of a result to --out or stdout."""
+def _emit(ctx: click.Context, payload: dict, columns: dict[str, list] | None = None) -> None:
+    """Write the JSON form of a result, or its CSV table, to --out or stdout.
+
+    The table comes as ordered columns, name -> list of Python scalars, one
+    entry per row; without columns it is the payload as one row.  The CSV is
+    the header of column names, then the rows, so a table without rows is
+    its header alone.
+    """
     if ctx.obj["format"] == "json":
         try:
             text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -49,12 +55,12 @@ def _emit(ctx: click.Context, payload: dict, rows: list[dict] | None = None) -> 
             bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
             raise DomainError(f"non-finite result {', '.join(bad) or 'value'}: {exc}") from exc
     else:
-        rows = rows if rows is not None else [payload]
+        if columns is None:
+            columns = {name: [value] for name, value in payload.items()}
         buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
         text = buf.getvalue()
     _write(ctx, text)
 
@@ -183,10 +189,12 @@ def expand(ctx, z, max_digits):
         "terminated": result.terminated,
         "roundtrip_ok": roundtrip,
     }
-    rows = [
-        {"index": i + 1, "re": d.re, "im": d.im} for i, d in enumerate(result.digits)
-    ]
-    _emit(ctx, payload, rows)
+    columns = {
+        "index": list(range(1, len(result.digits) + 1)),
+        "re": [d.re for d in result.digits],
+        "im": [d.im for d in result.digits],
+    }
+    _emit(ctx, payload, columns)
     click.echo(f"digits: {result.digits}", file=sys.stderr)
     click.echo(f"terminated: {result.terminated}  roundtrip: {roundtrip}", file=sys.stderr)
 
@@ -253,13 +261,14 @@ def tau(ctx, source, horizon):
     horizon = config.horizon if horizon is None else horizon
     est = _tau_estimate(source, horizon)
     payload = dict(est.to_json(), source=source)
-    rows = None
+    columns = None
     if ctx.obj["format"] == "csv":
-        rows = [
-            {"n": int(n), "x": x, "ratio": ratio}
-            for n, x, ratio in zip(est.trajectory_n, est.trajectory_x, est.trajectory_ratio)
-        ]
-    _emit(ctx, payload, rows)
+        columns = {
+            "n": est.trajectory_n.astype(np.int64).tolist(),
+            "x": est.trajectory_x.tolist(),
+            "ratio": est.trajectory_ratio.tolist(),
+        }
+    _emit(ctx, payload, columns)
     click.echo(f"tau estimate: {est.estimate:.6f} (ratio max {est.ratio_max:.6f})", file=sys.stderr)
 
 
@@ -329,17 +338,16 @@ def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
     if emit == "subexp":
         traj = dimension.subexp_check(sched)
         payload["subexp"] = traj.to_json()
-        rows = [
-            {"n": int(n), "ratio": r}
-            for n, r in zip(traj.n.tolist(), traj.ratio.tolist())
-        ]
+        columns = {"n": traj.n.astype(np.int64).tolist(), "ratio": traj.ratio.tolist()}
     else:
-        rows = [dict(b.to_json(), block=b.index) for b in sched.blocks]
+        blocks = [b.to_json() for b in sched.blocks]
+        columns = {name: [b[name] for b in blocks] for name in ("norm_lo", "norm_hi", "count", "t")}
+        columns["block"] = [b.index for b in sched.blocks]
     failed = []
     if validate:
         payload["validation"] = dimension.validate_schedule(sched, fn)
         failed = [c for c in payload["validation"] if c["status"] != "pass"]
-    _emit(ctx, payload, rows)
+    _emit(ctx, payload, columns)
     if sched.warning:
         click.echo(f"warning: {sched.warning}", file=sys.stderr)
     if failed:
@@ -359,8 +367,8 @@ def verify(ctx, suite):
     checks = verifymod.run_suite(suite, config)
     passed = all(c["status"] == "pass" for c in checks)
     payload = {"suite": suite, "passed": passed, "checks": checks}
-    rows = [{"check": c["check"], "status": c["status"]} for c in checks]
-    _emit(ctx, payload, rows)
+    columns = {name: [c[name] for c in checks] for name in ("check", "status")}
+    _emit(ctx, payload, columns)
     for c in checks:
         click.echo(f"{c['status']:>4}  {c['check']}", file=sys.stderr)
     if not passed:

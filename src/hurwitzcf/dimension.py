@@ -144,8 +144,8 @@ class _ShellTable:
 
     ``values`` holds the distinct member norm_sq values in increasing order
     and ``counts`` the number of members on each shell; both are complete
-    up to ``limit``.  Radial sets grow by doubling ``limit`` and recounting;
-    no member lies beyond ``cap``.
+    up to ``limit``.  Radial sets grow by doubling ``limit`` and counting
+    only the new band of shells; no member lies beyond ``cap``.
     """
 
     def __init__(self, s: DigitSet):
@@ -168,12 +168,14 @@ class _ShellTable:
             raise BudgetExceededError(
                 f"{self.set.name} needs shells past norm_sq {_MAX_SHELL_NORM_SQ}", math.inf
             )
-        self.limit = min(max(norm_sq, 2 * self.limit), self.cap, _MAX_SHELL_NORM_SQ)
-        values, counts = norm_sq_shells(self.limit)
-        if self.set.norm_sq_lo <= 0:
+        old = self.limit
+        self.limit = min(max(norm_sq, 2 * old), self.cap, _MAX_SHELL_NORM_SQ)
+        values, counts = norm_sq_shells(self.limit, old)  # only the shells past the old limit
+        if old < 0 and self.set.norm_sq_lo <= 0:
             values, counts = np.r_[0, values], np.r_[1, counts]
         keep = values >= self.set.norm_sq_lo
-        self.values, self.counts = values[keep], counts[keep]
+        self.values = np.concatenate((self.values, values[keep]))
+        self.counts = np.concatenate((self.counts, counts[keep]))
 
     def _grow(self, shortfall: str) -> None:
         if self.limit >= self.cap:
@@ -241,18 +243,10 @@ class _ShellTable:
 
 # ASCII letters, digits, "_.+-*/^()," space and tab: no comment, backslash or Unicode name
 _GROWTH_CHARS = frozenset(string.ascii_letters + string.digits + "_.+-*/^(), \t")
-_GROWTH_BINARY = {
-    ast.Add: lambda a, b: lambda n: a(n) + b(n),
-    ast.Sub: lambda a, b: lambda n: a(n) - b(n),
-    ast.Mult: lambda a, b: lambda n: a(n) * b(n),
-    ast.Div: lambda a, b: lambda n: a(n) / b(n),
-    ast.Pow: lambda a, b: lambda n: a(n) ** b(n),
-}
-_GROWTH_CALLS = {
-    ("max", 2): lambda a, b: lambda n: max(a(n), b(n)),
-    ("log", 1): lambda a: lambda n: math.log(a(n)),
-    ("sqrt", 1): lambda a: lambda n: math.sqrt(a(n)),
-}
+_GROWTH_BINARY = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_GROWTH_CALLS = {("max", 2), ("log", 1), ("sqrt", 1)}
+# the only names a compiled growth bound can reach
+_GROWTH_NAMESPACE = {"__builtins__": {}, "max": max, "log": math.log, "sqrt": math.sqrt}
 
 
 class GrowthFunction:
@@ -260,7 +254,11 @@ class GrowthFunction:
 
     Supported syntax: numbers, the variable n, parentheses, + - * /, ^ for
     powers (right-associative, binding tighter than unary minus: -n^2 is
-    -(n^2)), max(a,b), log(a) and sqrt(a).  Evaluation is plain float
+    -(n^2)), max(a,b), log(a) and sqrt(a).  Python's parser reads the text;
+    a walk over the tree rejects every node outside this grammar and turns
+    each numeric literal into the float of its source text.  The accepted
+    tree is compiled once into ``lambda n: <expr>``, run with n as a float in
+    a namespace holding only max, log and sqrt.  Evaluation is plain float
     arithmetic, so configurations stay reproducible text.
     """
 
@@ -272,7 +270,14 @@ class GrowthFunction:
                 raise ValueError("'**' or a character outside the grammar")
             with warnings.catch_warnings():
                 warnings.simplefilter("error", SyntaxWarning)  # "1if": no stderr line
-                self._fn = _growth_closure(ast.parse(text, mode="eval").body, text)
+                body = ast.parse(text, mode="eval").body
+                _check_growth(body, text)
+                arg = ast.copy_location(ast.arg("n"), body)
+                args = ast.arguments(posonlyargs=[], args=[arg], kwonlyargs=[], kw_defaults=[],
+                                     defaults=[])
+                fn = ast.copy_location(ast.Lambda(args, body), body)
+                code = compile(ast.Expression(fn), "<growth>", "eval")
+            self._fn = eval(code, dict(_GROWTH_NAMESPACE))
         except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
             deep = isinstance(exc, (RecursionError, MemoryError))  # a stack overflow
             reason = "nested too deeply" if deep else getattr(exc, "msg", exc)
@@ -289,23 +294,24 @@ class GrowthFunction:
         return f"GrowthFunction({self.source!r})"
 
 
-def _growth_closure(node: ast.AST, text: str) -> Callable[[float], float]:
-    """The closure of one node of the parsed text; ValueError for a node outside the grammar."""
+def _check_growth(node: ast.AST, text: str) -> None:
+    """Check one node of the parsed text and its subtree against the grammar,
+    making each numeric literal the float of its source; ValueError outside it."""
     if isinstance(node, ast.Name) and node.id == "n":
-        return lambda n: n
+        return
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        value = float(ast.get_source_segment(text, node))  # ValueError for 0x10, 0o7, 0b1
-        return lambda n: value
+        node.value = float(ast.get_source_segment(text, node))  # ValueError for 0x10, 0o7, 0b1
+        return
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        a = _growth_closure(node.operand, text)
-        return lambda n: -a(n)
-    if isinstance(node, ast.BinOp) and type(node.op) in _GROWTH_BINARY:
-        a, b = _growth_closure(node.left, text), _growth_closure(node.right, text)
-        return _GROWTH_BINARY[type(node.op)](a, b)
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
-        make = _GROWTH_CALLS.get((node.func.id, len(node.args)))
-        if make is not None:
-            return make(*(_growth_closure(arg, text) for arg in node.args))
+        return _check_growth(node.operand, text)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _GROWTH_BINARY):
+        _check_growth(node.left, text)
+        return _check_growth(node.right, text)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords
+            and (node.func.id, len(node.args)) in _GROWTH_CALLS):
+        for arg in node.args:
+            _check_growth(arg, text)
+        return
     segment = ast.get_source_segment(text, node).replace("**", "^")
     raise ValueError(f"{segment!r} is outside the grammar")
 
@@ -1162,8 +1168,9 @@ def _growth_domination(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
             continue
         level = math.sqrt(sched.anchors[blk.index].norm_sq())
         for n in range(blk.start, blk.end + 1):
-            if f(n) < level:
-                return False, {"block": blk.index, "n": n, "f": f(n), "level": level}
+            value = f(n)
+            if value < level:
+                return False, {"block": blk.index, "n": n, "f": value, "level": level}
     return True, None
 
 

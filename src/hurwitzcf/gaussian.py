@@ -195,25 +195,38 @@ def count_in_square(n: int) -> int:
     return count
 
 
-def norm_sq_shells(limit_norm_sq: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice shells up to a norm-squared cutoff.
+_SHELL_BAND = 1 << 18  # norm_sq values counted per pass of norm_sq_shells
 
-    Returns (values, counts): the distinct nonzero norm-squared values
-    <= limit_norm_sq in increasing order and the number of lattice points
-    on each shell.
+
+def norm_sq_shells(limit_norm_sq: int, above_norm_sq: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice shells in a norm-squared band.
+
+    Returns (values, counts): the distinct nonzero norm-squared values in
+    (above_norm_sq, limit_norm_sq] in increasing order and the number of
+    lattice points on each shell.  Every nonzero point is i^k times exactly
+    one point with re > 0 and im >= 0, so a count is four times that of this
+    quadrant.  The band is counted in slices of _SHELL_BAND values; per row
+    re, the im of a slice's points form one range found in the table of
+    squares, so only the points in the band are ever generated.
     """
-    if limit_norm_sq < 1:
+    lo = max(above_norm_sq, 0)
+    if limit_norm_sq <= lo:
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    w = math.isqrt(limit_norm_sq)
-    sq = np.arange(-w, w + 1, dtype=np.int64) ** 2
-    counts = np.zeros(limit_norm_sq + 1, dtype=np.int64)
-    rows = max(1, (1 << 22) // len(sq))  # grid rows per block of about 4M points
-    for i in range(0, len(sq), rows):
-        ns = (sq[i : i + rows, None] + sq[None, :]).ravel()
-        counts += np.bincount(ns[ns <= limit_norm_sq], minlength=limit_norm_sq + 1)
-    counts[0] = 0
-    values = np.flatnonzero(counts)
-    return values, counts[values]
+    sq = np.arange(math.isqrt(limit_norm_sq) + 1, dtype=np.int64) ** 2
+    values, counts = [], []
+    for band_lo in range(lo, limit_norm_sq, _SHELL_BAND):  # the slice (band_lo, band_hi]
+        band_hi = min(band_lo + _SHELL_BAND, limit_norm_sq)
+        re_sq = sq[1 : math.isqrt(band_hi) + 1]
+        first = np.searchsorted(sq, band_lo - re_sq, side="right")  # least im past band_lo
+        lengths = np.searchsorted(sq, band_hi - re_sq, side="right") - first
+        starts = np.cumsum(lengths) - lengths  # where each row's run begins in the flat arrays
+        im = np.arange(lengths.sum()) + np.repeat(first - starts, lengths)  # first, first + 1, ...
+        ns = np.repeat(re_sq, lengths) + im * im
+        slice_counts = np.bincount(ns - (band_lo + 1), minlength=band_hi - band_lo)
+        nonzero = np.flatnonzero(slice_counts)
+        values.append(nonzero + (band_lo + 1))
+        counts.append(4 * slice_counts[nonzero])
+    return np.concatenate(values), np.concatenate(counts)
 
 
 def points_by_norm(lo: int, hi: int) -> list[GaussianInt]:

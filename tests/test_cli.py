@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -59,6 +60,10 @@ class TestExpand:
         lines = result.stdout.strip().splitlines()
         assert lines[0] == "index,re,im"
         assert lines[1] == "1,3,0" and lines[2] == "2,-2,0"
+
+    def test_csv_without_rows_has_header(self, runner):
+        # 0 has no digits, so its table is the header alone
+        assert run_ok(runner, ["--format", "csv", "expand", "0"]).stdout == "index,re,im\n"
 
 
 class TestEvalAndClassify:
@@ -480,6 +485,37 @@ class TestDeterminism:
         second = runner.invoke(cli, args)
         assert first.exit_code == 0, first.output + str(first.exception)
         assert first.stdout_bytes == second.stdout_bytes
+
+    # sha256 of stdout: the CSV bytes of these commands are fixed output
+    GOLDEN_CSV = [
+        (["tau", "--source", "lattice", "--horizon", "3000"],
+         "2935e8b40c5bf7cb3bc5461e83a400d4080b302e8eee7d6b42cfda9da550d85e"),
+        (["tau", "--source", "lattice", "--horizon", "150000"],
+         "eab1ed64574b880818102d84633395e1feabdcfe00784f970f85e5efd0896907"),
+        (["tau", "--source", "d2", "--horizon", "3000"],
+         "362ced919c87ac588dfba543e813a1417c117e0309d747f6118f2187d653a821"),
+        (["tau", "--source", "d2", "--horizon", "150000"],
+         "1fe1e792f0b817584ad6a59d13a0e02b0527d365b66b3ef51f4f86ee9b15ec58"),
+        (["tau", "--source", "power:1.3", "--horizon", "3000"],
+         "6374f40545801da4245b5d53baa2efee3d208ab13ad5a7bd4db9efd3df994180"),
+        (["tau", "--source", "power:1.3", "--horizon", "150000"],
+         "1359c95d2a216c977a87edd77e2c924deac306d2d9186d68cabbed10e2aebd66"),
+        (["schedule", "--set", "d2", "--f", "n+3", "--horizon", "3000", "--emit", "blocks"],
+         "2ef50731820e586e00b9890c6dd9b60f434c2df2f9b8bb7816a8af7bd5f6b44d"),
+        (["schedule", "--set", "d2", "--f", "n+3", "--horizon", "3000", "--emit", "subexp"],
+         "e1cb397540a66edd38ccfce3a3e6dd74b2744782b5f1acab8eca2e37a75def29"),
+        (["expand", "2/5+0/1 i"],
+         "8a60fae8cc9ebd78d74ddcf54b6e60ff3ae438674ea7ddf0ae22fdfd82acef71"),
+        (["verify", "arith"],
+         "786b038ea8f3423baa542a57f779f567eebe04f147727753020932334a636763"),
+    ]
+
+    @pytest.mark.parametrize("args, digest", GOLDEN_CSV, ids=[" ".join(a) for a, _ in GOLDEN_CSV])
+    def test_golden_csv(self, runner, args, digest):
+        stdout = run_ok(runner, ["--format", "csv", *args]).stdout_bytes
+        if args[0] == "tau" and args[2] == "lattice":
+            assert b"\n1,0.0,nan\n" in stdout  # x = 0 at the first index: no ratio
+        assert hashlib.sha256(stdout).hexdigest() == digest
 
     def test_out_file_identical(self, runner, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -145,6 +145,25 @@ class TestShells:
             assert len(members) == cnt
             assert all(m.norm_sq() == ns for m in members)
 
+    @pytest.mark.parametrize("limit", [1, 2, 25, 1000, (1 << 18) + 3, 600_000])
+    def test_bands_match_grid_count(self, limit):
+        w = int(limit**0.5)
+        axis = np.arange(-w, w + 1, dtype=np.int64) ** 2
+        grid = (axis[:, None] + axis[None, :]).ravel()
+        for above in (0, 1, limit // 3, limit // 2, limit - 1, limit):
+            values, counts = norm_sq_shells(limit, above)
+            expect = np.unique(grid[(grid > above) & (grid <= limit)], return_counts=True)
+            assert np.array_equal(values, expect[0]) and np.array_equal(counts, expect[1])
+            assert values.dtype == counts.dtype == np.int64
+
+    def test_grown_table_matches_one_count(self):
+        # a table grown band by band holds what one count up to its limit gives
+        shells = DigitSet.lattice_with_zero()._shells
+        shells.cover(400_000)
+        values, counts = norm_sq_shells(shells.limit)
+        assert np.array_equal(shells.values, np.r_[0, values])
+        assert np.array_equal(shells.counts, np.r_[1, counts])
+
 
 class TestParse:
     def test_rational_pairs(self):

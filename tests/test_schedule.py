@@ -1,11 +1,17 @@
+import ast
 import bisect
 import math
 import random
 import re
+import struct
+import types
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hurwitzcf import (
     DigitSet,
@@ -16,6 +22,7 @@ from hurwitzcf import (
     validate_schedule,
     verify_lower_bound_chain,
 )
+from hurwitzcf.cli import cli
 from hurwitzcf.dimension import _clearance_query
 
 
@@ -88,6 +95,114 @@ class TestGrowthFunction:
     def test_signed_exponents(self):
         assert GrowthFunction("1e-3*n+5")(1000) == 6.0
         assert GrowthFunction("2.5E+1")(0) == 25.0
+
+
+# The closure builder that evaluated growth bounds before they were compiled,
+# kept as the reference the compiled form must match bit for bit.
+_REFERENCE_BINARY = {
+    ast.Add: lambda a, b: lambda n: a(n) + b(n),
+    ast.Sub: lambda a, b: lambda n: a(n) - b(n),
+    ast.Mult: lambda a, b: lambda n: a(n) * b(n),
+    ast.Div: lambda a, b: lambda n: a(n) / b(n),
+    ast.Pow: lambda a, b: lambda n: a(n) ** b(n),
+}
+_REFERENCE_CALLS = {
+    ("max", 2): lambda a, b: lambda n: max(a(n), b(n)),
+    ("log", 1): lambda a: lambda n: math.log(a(n)),
+    ("sqrt", 1): lambda a: lambda n: math.sqrt(a(n)),
+}
+
+
+def _reference_closure(node, text):
+    if isinstance(node, ast.Name) and node.id == "n":
+        return lambda n: n
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = float(ast.get_source_segment(text, node))
+        return lambda n: value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        a = _reference_closure(node.operand, text)
+        return lambda n: -a(n)
+    if isinstance(node, ast.BinOp) and type(node.op) in _REFERENCE_BINARY:
+        a, b = _reference_closure(node.left, text), _reference_closure(node.right, text)
+        return _REFERENCE_BINARY[type(node.op)](a, b)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+        make = _REFERENCE_CALLS.get((node.func.id, len(node.args)))
+        if make is not None:
+            return make(*(_reference_closure(arg, text) for arg in node.args))
+    raise ValueError("outside the grammar")
+
+
+def _reference_outcome(source, n):
+    text = source.strip().replace("^", "**")
+    fn = _reference_closure(ast.parse(text, mode="eval").body, text)
+    try:
+        return "value", struct.pack("<d", float(fn(float(n))))
+    except (ArithmeticError, ValueError, TypeError, RecursionError) as exc:
+        return "error", f"growth bound {source.strip()!r} is undefined at n = {n}: {exc}"
+
+
+def _compiled_outcome(f, n):
+    try:
+        return "value", struct.pack("<d", f(n))
+    except DomainError as exc:
+        return "error", str(exc)
+
+
+_GROWTH_LEAVES = st.sampled_from(
+    ["n", "0", "1", "2", "3", "0.5", "1e-3", "1_0", "2.5E+1", "50", "100", "400"]
+)
+_GROWTH_EXPRESSIONS = st.recursive(
+    _GROWTH_LEAVES,
+    lambda inner: st.one_of(
+        inner.map(lambda a: f"-{a}"),
+        inner.map(lambda a: f"({a})"),
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map("".join),
+        st.tuples(inner, inner).map(lambda ab: f"max({ab[0]}, {ab[1]})"),
+        inner.map(lambda a: f"log({a})"),
+        inner.map(lambda a: f"sqrt({a})"),
+    ),
+    max_leaves=12,
+)
+# the edges of the domain errors below, and a spread of steps
+_GROWTH_STEPS = [0, 1, 2, 3, 5, 49, 50, 51, 99, 100, 101, 399, 400, 1000, 20_000, 10**7]
+
+
+class TestCompiledGrowthBound:
+    @given(_GROWTH_EXPRESSIONS, st.integers(0, 10**7))
+    @example("-n^2", 3)
+    @example("2^3^2", 1)
+    @example("log(n)", 0)
+    @example("1/(n-50)", 50)
+    @example("(n-100)^0.5", 99)
+    @example("10^n", 400)
+    @example("max(1e-3*n, sqrt(n))+1_0", 7)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_closures_bit_for_bit(self, source, drawn):
+        f = GrowthFunction(source)
+        for n in [drawn, *_GROWTH_STEPS]:
+            assert _compiled_outcome(f, n) == _reference_outcome(source, n), (source, n)
+
+    @given(_GROWTH_EXPRESSIONS)
+    @example("max(n, 2)+log(n)*sqrt(n)-1e-3")
+    @settings(max_examples=200, deadline=None)
+    def test_compiled_code_reaches_only_n_max_log_sqrt(self, source):
+        fn = GrowthFunction(source)._fn
+        code = fn.__code__
+        assert set(code.co_names) <= {"max", "log", "sqrt"}
+        assert code.co_varnames == ("n",)
+        assert not any(isinstance(c, types.CodeType) for c in code.co_consts)
+        assert fn.__globals__["__builtins__"] == {}
+        assert set(fn.__globals__) <= {"__builtins__", "max", "log", "sqrt"}
+
+    @pytest.mark.parametrize(
+        "source", ["-" * 3000 + "n", "n+" * 3000 + "n", "n^" * 3000 + "n",
+                   "sqrt(" * 300 + "n" + ")" * 300, "max(n, " * 300 + "n" + ")" * 300],
+        ids=["minus", "terms", "power", "sqrt", "max"],
+    )
+    def test_too_deep_exits_2(self, source):
+        result = CliRunner().invoke(cli, ["schedule", "--set", "d2", "--horizon", "100", "--f", source])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: bad growth bound")
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +401,21 @@ class TestClearanceQuery:
         sched = build_schedule(DigitSet.d2(), counting_f, eps=0.5, horizon=horizon)
         assert len(sched.blocks) > 100
         assert calls <= horizon
+        assert all(c["status"] == "pass" for c in validate_schedule(sched, counting_f))
+        assert calls <= 2 * horizon  # growth_domination evaluates each step once too
+
+    def test_growth_domination_witness_evaluates_once(self):
+        calls = Counter()
+
+        def counting_f(n):
+            calls[n] += 1
+            return n + 3.0 if n < 2500 else 0.0
+
+        sched = build_schedule(DigitSet.d2(), lambda n: n + 3.0, eps=0.5, horizon=3000)
+        report = {c["check"]: c for c in validate_schedule(sched, counting_f)}
+        witness = report["growth_domination"]["witness"]
+        assert witness["n"] == 2500 and witness["f"] == 0.0
+        assert max(calls.values()) == 1
 
 
 class TestLowerBoundChain:
