@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .gaussian import GaussianInt, norm_sq_shells, shell_members
+from .gaussian import GaussianInt, first_on_shell, norm_sq_shells, points_by_norm
 from .ifs import (BRANCH_MIN_NORM_SQ, COMPOSITION_DISTORTION_BOUND, DECAY_C1, DECAY_C2,
                   DIAMETER_K1, DIAMETER_K2, _as_digit, pole_terms)
 
@@ -111,8 +111,8 @@ class DigitSet:
             return self.explicit
         if self.norm_sq_hi is None:
             raise DomainError(f"{self.name} is infinite")
-        values, _ = self._shells.band(0, self.norm_sq_hi)
-        return tuple(g for ns in values.tolist() for g in shell_members(ns))
+        self._shells.ensure(self.norm_sq_hi - 1)  # the shell table's budget bounds the members
+        return tuple(points_by_norm(self.norm_sq_lo, self.norm_sq_hi - 1))
 
     def min_norm_sq(self) -> int:
         self._shells.cover(1)
@@ -546,15 +546,22 @@ def _outward_log(z: float, words: int, shift: float, widen: float, n: int, towar
     return math.nextafter(x / n, toward)
 
 
-def _branch_digits(alphabet: DigitSet) -> tuple[tuple[int, int], ...]:
-    """(re, im) of every member of a nonempty alphabet of branch digits."""
-    members = alphabet.members()
-    for g in members:
+def _branch_count(alphabet: DigitSet) -> int:
+    """Member count of a nonempty finite alphabet of branch digits, read from
+    its shell table (or its explicit members) before any digit is built."""
+    if not alphabet.is_finite:
+        raise DomainError(f"{alphabet.name} is infinite")
+    if alphabet.explicit is not None:
+        suspects, k = alphabet.explicit, len(alphabet.explicit)
+    else:  # the first member has the least norm
+        values, counts = alphabet._shells.band(0, alphabet.norm_sq_hi)
+        suspects, k = [first_on_shell(int(ns)) for ns in values[:1]], int(counts.sum())
+    for g in suspects:
         if g.norm_sq() < BRANCH_MIN_NORM_SQ:
             raise DomainError(f"alphabet digit {g} is not a branch index")
-    if not members:
+    if not k:
         raise DomainError("alphabet must be nonempty")
-    return tuple((g.re, g.im) for g in members)
+    return k
 
 
 def _truncation_bound(digits: tuple[tuple[int, int], ...], n: int, s: float) -> float:
@@ -581,7 +588,9 @@ def partition_sum(
     does (the budget of a one-digit alphabet), the call raises
     ``BudgetExceededError`` with the bound (sum_i sup_i^s)^n
     (``_truncation_bound``), which holds in either mode: sup-norm sums are
-    submultiplicative, and no base-point value exceeds its word's sup.
+    submultiplicative, and no base-point value exceeds its word's sup.  k
+    is counted first; when k alone exceeds ``max_words``, no digit is built
+    and the bound is inf.
 
     The brackets of ``PressureEstimate`` are rounded outward
     (``_outward_log``).  The table bounds each value from the mode's side,
@@ -597,15 +606,15 @@ def partition_sum(
         raise DomainError("word length must be positive")
     if not (math.isfinite(s) and s >= 0):
         raise DomainError(f"s must be finite and nonnegative, got {s}")
-    digits = _branch_digits(alphabet)
-    k = len(digits)
+    k = _branch_count(alphabet)
+    digits = tuple((g.re, g.im) for g in alphabet.members()) if k <= max_words else ()
     # k^n against max_words in logs, exactly only where they are within a factor 2
     excess = n * math.log2(k) - math.log2(max(max_words, 1)) if n <= max_words else math.inf
     if excess > 1 or (excess > -1 and k**n > max_words):
         raise BudgetExceededError(
             f"word length {n} exceeds budget {max_words}" if n > max_words
             else f"{k}^{n} words exceed budget {max_words}",
-            truncation_bound=_truncation_bound(digits, n, s),
+            truncation_bound=_truncation_bound(digits, n, s) if digits else math.inf,
         )
 
     sups, bases = _word_value_table(digits, n)
@@ -693,7 +702,7 @@ def bowen_dimension(
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
-    k = len(_branch_digits(alphabet))
+    k = _branch_count(alphabet)
     if k == 1:
         return BowenDimResult(0.0, 0.0, 0, 0, True, 0.0, 0.0, (0.0, 0.0))
     n = 1
@@ -858,23 +867,24 @@ def tail_integral_bound(a: float, p: float) -> float:
     return 2.0 * math.pi * (u ** (2.0 - p) / (p - 2.0) + (SQRT2 / 2.0) * u ** (1.0 - p) / (p - 1.0))
 
 
-def restricted_power_sum(
-    s: DigitSet, norm_cutoff: int, p: float, enum_norm_max: int = 300
-) -> float:
+_ENUM_NORM_MAX = 300  # restricted_power_sum enumerates the shells with |i| up to this
+
+
+def restricted_power_sum(s: DigitSet, norm_cutoff: int, p: float) -> float:
     """Estimator of the sum of |i|^-p over members with |i| >= norm_cutoff.
 
-    Shells up to ``enum_norm_max`` are enumerated exactly; the remainder is
+    Shells up to ``_ENUM_NORM_MAX`` are enumerated exactly; the remainder is
     covered by the integral tail bound (an upper bound over the full
     lattice, hence over any subset).
     """
     if norm_cutoff < 1:
         raise DomainError("norm cutoff must be positive")
     head = 0.0
-    if norm_cutoff <= enum_norm_max:
-        head = s._shells.weight(norm_cutoff * norm_cutoff, enum_norm_max**2 + 1, p)
-    if s.is_finite and s.norm_sq_hi is not None and s.norm_sq_hi <= enum_norm_max**2 + 1:
+    if norm_cutoff <= _ENUM_NORM_MAX:
+        head = s._shells.weight(norm_cutoff * norm_cutoff, _ENUM_NORM_MAX**2 + 1, p)
+    if s.is_finite and s.norm_sq_hi is not None and s.norm_sq_hi <= _ENUM_NORM_MAX**2 + 1:
         return head
-    tail_start = math.sqrt(max(norm_cutoff, enum_norm_max) ** 2 + 1)
+    tail_start = math.sqrt(max(norm_cutoff, _ENUM_NORM_MAX) ** 2 + 1)
     return head + tail_integral_bound(tail_start, p)
 
 
@@ -1053,13 +1063,13 @@ def build_schedule(
     # anchors: z_1 at the minimal norm, then minimal norms making each
     # annulus weight reach 1
     anchor_ns: list[int] = [min_ns]
-    anchors: list[GaussianInt] = [shell_members(min_ns)[0]]
+    anchors: list[GaussianInt] = [first_on_shell(min_ns)]
 
     def extend_anchors(upto: int) -> None:
         while len(anchor_ns) < upto:
             nxt = shells.anchor_after(anchor_ns[-1], p)
             anchor_ns.append(nxt)
-            anchors.append(shell_members(nxt)[0])
+            anchors.append(first_on_shell(nxt))
 
     blocks: list[ScheduleBlock] = []
     start = 1

@@ -52,9 +52,6 @@ class GaussianInt:
     def norm_sq(self) -> int:
         return self.re * self.re + self.im * self.im
 
-    def __abs__(self) -> float:
-        return math.hypot(self.re, self.im)
-
     def __complex__(self) -> complex:
         return complex(self.re, self.im)
 
@@ -198,31 +195,37 @@ def count_in_square(n: int) -> int:
 _SHELL_BAND = 1 << 18  # norm_sq values counted per pass of norm_sq_shells
 
 
+def _quadrant(above: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im), int64, of the points with re > 0, im >= 0 and norm_sq in
+    (above, limit] in (re, im) order; every nonzero point is i^k times one.
+    Each row's im form one range, found in the table of squares."""
+    if limit <= max(above, 0):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    sq = np.arange(math.isqrt(limit) + 1, dtype=np.int64) ** 2
+    re_sq = sq[1:]
+    first = np.searchsorted(sq, above - re_sq, side="right")  # least im past above
+    lengths = np.searchsorted(sq, limit - re_sq, side="right") - first
+    starts = np.cumsum(lengths) - lengths  # where each row's run begins in the flat arrays
+    re = np.repeat(np.arange(1, len(sq), dtype=np.int64), lengths)
+    return re, np.arange(len(re)) + np.repeat(first - starts, lengths)  # im: first, first + 1, ...
+
+
 def norm_sq_shells(limit_norm_sq: int, above_norm_sq: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Lattice shells in a norm-squared band.
 
     Returns (values, counts): the distinct nonzero norm-squared values in
     (above_norm_sq, limit_norm_sq] in increasing order and the number of
-    lattice points on each shell.  Every nonzero point is i^k times exactly
-    one point with re > 0 and im >= 0, so a count is four times that of this
-    quadrant.  The band is counted in slices of _SHELL_BAND values; per row
-    re, the im of a slice's points form one range found in the table of
-    squares, so only the points in the band are ever generated.
+    lattice points on each shell, four times that of ``_quadrant``.  The
+    band is counted in slices of _SHELL_BAND values.
     """
     lo = max(above_norm_sq, 0)
     if limit_norm_sq <= lo:
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    sq = np.arange(math.isqrt(limit_norm_sq) + 1, dtype=np.int64) ** 2
     values, counts = [], []
     for band_lo in range(lo, limit_norm_sq, _SHELL_BAND):  # the slice (band_lo, band_hi]
         band_hi = min(band_lo + _SHELL_BAND, limit_norm_sq)
-        re_sq = sq[1 : math.isqrt(band_hi) + 1]
-        first = np.searchsorted(sq, band_lo - re_sq, side="right")  # least im past band_lo
-        lengths = np.searchsorted(sq, band_hi - re_sq, side="right") - first
-        starts = np.cumsum(lengths) - lengths  # where each row's run begins in the flat arrays
-        im = np.arange(lengths.sum()) + np.repeat(first - starts, lengths)  # first, first + 1, ...
-        ns = np.repeat(re_sq, lengths) + im * im
-        slice_counts = np.bincount(ns - (band_lo + 1), minlength=band_hi - band_lo)
+        re, im = _quadrant(band_lo, band_hi)
+        slice_counts = np.bincount(re * re + im * im - (band_lo + 1), minlength=band_hi - band_lo)
         nonzero = np.flatnonzero(slice_counts)
         values.append(nonzero + (band_lo + 1))
         counts.append(4 * slice_counts[nonzero])
@@ -230,15 +233,26 @@ def norm_sq_shells(limit_norm_sq: int, above_norm_sq: int = 0) -> tuple[np.ndarr
 
 
 def points_by_norm(lo: int, hi: int) -> list[GaussianInt]:
-    """Lattice points with lo <= norm_sq <= hi, ordered by norm, ties (re, im)."""
-    w = math.isqrt(max(hi, 0))
-    rng = np.arange(-w, w + 1, dtype=np.int64)
-    re, im = np.meshgrid(rng, rng, indexing="ij")
-    ns = re * re + im * im
-    keep = (ns >= lo) & (ns <= hi)
-    re, im, ns = re[keep], im[keep], ns[keep]
-    order = np.lexsort((im, re, ns))
-    return [GaussianInt(a, b) for a, b in zip(re[order].tolist(), im[order].tolist())]
+    """Lattice points with lo <= norm_sq <= hi, ordered by norm, ties (re, im):
+    the ``_quadrant`` points times 1, i, -1 and -i, and 0 when lo <= 0 <= hi."""
+    a, b = _quadrant(max(lo, 1) - 1, hi)
+    re, im = np.concatenate((a, -b, -a, b)), np.concatenate((b, a, -b, -a))
+    if lo <= 0 <= hi:
+        re, im = np.r_[re, 0], np.r_[im, 0]
+    order = np.lexsort((im, re, re * re + im * im))
+    return [GaussianInt(x, y) for x, y in zip(re[order].tolist(), im[order].tolist())]
+
+
+def first_on_shell(norm_sq: int) -> GaussianInt:
+    """The least lattice point of norm_sq in (re, im) order: (a, -b) for the
+    least a >= -isqrt(norm_sq) with norm_sq - a^2 = b^2 a square."""
+    w = math.isqrt(norm_sq)
+    for a in range(-w, w + 1):
+        rem = norm_sq - a * a
+        b = math.isqrt(rem)
+        if b * b == rem:
+            return GaussianInt(a, -b)
+    raise DomainError(f"no lattice point has norm_sq {norm_sq}")
 
 
 def enumerate_by_norm(include_zero: bool, limit: int) -> list[GaussianInt]:
@@ -250,22 +264,6 @@ def enumerate_by_norm(include_zero: bool, limit: int) -> list[GaussianInt]:
     values, counts = norm_sq_shells(limit)
     hi = int(values[np.searchsorted(np.cumsum(counts), limit)])
     return points_by_norm(0 if include_zero else 1, hi)[:limit]
-
-
-def shell_members(norm_sq: int) -> list[GaussianInt]:
-    """All lattice points with the given norm squared, (re, im)-lexicographic."""
-    out = []
-    w = math.isqrt(norm_sq)
-    for a in range(-w, w + 1):
-        rem = norm_sq - a * a
-        b = math.isqrt(rem)
-        if b * b == rem:
-            if b == 0:
-                out.append(GaussianInt(a, 0))
-            else:
-                out.append(GaussianInt(a, -b))
-                out.append(GaussianInt(a, b))
-    return sorted(out, key=GaussianInt.lex_key)
 
 
 def parse_exact_complex(text: str) -> ExactComplexRational:

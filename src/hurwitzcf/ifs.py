@@ -9,6 +9,7 @@ bottom row (c, d).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,13 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expansion import _euclid_step, _from_quotient
-from .gaussian import (
-    ExactComplexRational,
-    GaussianInt,
-    norm_sq_shells,
-    points_by_norm,
-    shell_members,
-)
+from .gaussian import ExactComplexRational, GaussianInt, points_by_norm
 
 BRANCH_MIN_NORM_SQ = 8
 
@@ -272,17 +267,10 @@ def sup_deriv_by_norm_class(norm_sq_max: int) -> list[tuple[int, Fraction]]:
     gives 2/81); the monotone statement is the envelope bound checked by
     contraction_envelope_check.
     """
-    values, _ = norm_sq_shells(norm_sq_max)
-    out: list[tuple[int, Fraction]] = []
-    for ns in values.tolist():
-        if ns < BRANCH_MIN_NORM_SQ:
-            continue
-        best = max(
-            BranchComposition.from_word([g]).sup_deriv_exact()
-            for g in shell_members(int(ns))
-        )
-        out.append((int(ns), best))
-    return out
+    return [
+        (ns, max(BranchComposition.from_word([g]).sup_deriv_exact() for g in shell))
+        for ns, shell in itertools.groupby(d2_branches(norm_sq_max), key=GaussianInt.norm_sq)
+    ]
 
 
 def contraction_envelope_check(norm_sq_max: int = 100) -> tuple[bool, dict | None]:

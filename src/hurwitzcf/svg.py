@@ -44,6 +44,8 @@ class TessellationSpec:
     def __post_init__(self) -> None:
         if self.norm_sq_max < 2:
             raise DomainError("norm_sq_max must be at least 2")
+        if self.norm_sq_max > 1 << 16:  # about 2e5 regions and 88 MB of SVG
+            raise DomainError(f"norm_sq_max must be at most {1 << 16}, got {self.norm_sq_max}")
 
 
 def region_digits(spec: TessellationSpec) -> list[GaussianInt]:
@@ -267,9 +269,9 @@ def soundness_check(
     region gets ``samples_per_region`` points p = 1/w from
     ifs._box_images, with w = (A + iB)/2^16: p must expand with first
     digit (k, l), and its region alone must claim it, that is
-    lo <= (A, B) <= hi.  With norm_sq_max < 2^28 the digit coordinates
-    stay below 2^14, so |A|, |B| < 2^31, 2^15 |m| < 2^32 and
-    A^2 + B^2 < 2^63: every term is exact in int64.
+    lo <= (A, B) <= hi.  TessellationSpec caps norm_sq_max at 2^16, so the
+    digit coordinates are at most 2^8 < 2^14, |A|, |B| < 2^31,
+    2^15 |m| < 2^32 and A^2 + B^2 < 2^63: every term is exact in int64.
 
     Witness checks: ``regions`` (ids other than the region digits),
     ``arc`` (a path that draws no exact circle arc, with the arc index, -1
@@ -277,8 +279,6 @@ def soundness_check(
     ``edge_outside`` (a probe claimed wrongly), ``first_digit`` and
     ``unique_region`` (a sample).
     """
-    if spec.norm_sq_max >= 1 << 28:
-        raise DomainError("the soundness check needs norm_sq_max below 2^28")
     read = _read_regions(spec)
     if isinstance(read, dict):
         return False, read

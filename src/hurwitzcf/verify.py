@@ -91,14 +91,14 @@ def _enumeration_monotone_duplicate_free(config: RunConfig):
 
 @check("arith", "enumeration_index_norm_sandwich")
 def _enumeration_index_norm_sandwich(config: RunConfig):
-    # for 10 <= n in ((2N+1)^2, (2N+2)^2]: N < |z_n| <= sqrt2 (N+1)
+    # for 10 <= n in ((2N+1)^2, (2N+2)^2]: N < |z_n| <= sqrt2 (N+1), in integers
     pts = gaussian.enumerate_by_norm(include_zero=True, limit=10_000)
     checked = 0
     for bign in range(1, 50):
         for n in range(max((2 * bign + 1) ** 2 + 1, 10), (2 * bign + 2) ** 2 + 1):
-            mod = abs(pts[n - 1])
-            if not (bign < mod <= math.sqrt(2.0) * (bign + 1) + 1e-12):
-                return False, {"n": n, "N": bign, "modulus": mod}
+            ns = pts[n - 1].norm_sq()
+            if not bign * bign < ns <= 2 * (bign + 1) ** 2:
+                return False, {"n": n, "N": bign, "norm_sq": ns}
             checked += 1
     return checked > 1000, {"checked": checked}
 

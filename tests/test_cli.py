@@ -307,9 +307,11 @@ class TestSizeLimits:
              ["pressure", "--alphabet", "[[2,2],[-2,-2]]", "--n", "40", "--s", "1"], 2),
             (None, ["schedule", "--set", "d2", "--f", "n+3", "--eps", "0.05"], 3),
             (None, ["dim", "--alphabet", "annulus:8:100000000"], 3),
+            (None, ["dim", "--alphabet", "annulus:8:16000000"], 3),
+            (None, ["tessellate", "--norm-sq-max", "100000000"], 2),
         ],
         ids=["tau-horizon", "config-horizon", "schedule-horizon", "config-max-words",
-             "schedule-shells", "dim-shells"],
+             "schedule-shells", "dim-shells", "dim-members", "tessellate-regions"],
     )
     def test_exit_in_one_line(self, tmp_path, config, args, code):
         if config is not None:

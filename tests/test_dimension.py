@@ -487,6 +487,23 @@ class TestPartitionSum:
         est = partition_sum(DigitSet.annulus(8, 17), 3, 1.418, "base_point")
         assert est.log_zn_over_n < 0 <= est.upper_bracket
 
+    def test_alphabet_counted_before_digits_are_built(self, monkeypatch):
+        # 314,176 digits exceed the budget from their count alone: no member is built
+        big = DigitSet.annulus(8, 100_001)
+        monkeypatch.setattr(DigitSet, "members", lambda self: pytest.fail("members built"))
+        for call in (lambda: partition_sum(big, 1, 1.0), lambda: bowen_dimension(big)):
+            with pytest.raises(BudgetExceededError, match="^314176\\^1 words exceed budget 262144$") as info:
+                call()
+            assert info.value.truncation_bound == math.inf
+        # a digit of norm_sq below 8 is a usage error first, named as before
+        with pytest.raises(DomainError, match="alphabet digit -1 is not a branch index"):
+            partition_sum(DigitSet.annulus(1, 100_001), 1, 1.0)
+
+    def test_digits_past_int64_norms(self):
+        # a norm_sq past 2^63 stays off the int64 shell table
+        digit = DigitSet.from_branches([(0, 3037000500)])
+        assert partition_sum(digit, 1, 0.0).word_count == 1
+
     def test_word_length_budget_of_one_digit_alphabet(self):
         with pytest.raises(BudgetExceededError, match="word length 1001"):
             partition_sum(SINGLE, 1001, 0.0, max_words=1000)
@@ -690,14 +707,11 @@ class TestUpperThreshold:
     def test_head_enumeration_matches_brute_force(self):
         s = DigitSet.with_min_norm_sq(10_000)
         p = 12.0
-        primary = restricted_power_sum(s, 100, p, enum_norm_max=200)
-        brute = 0.0
-        for a in range(-200, 201):
-            for b in range(-200, 201):
-                ns = a * a + b * b
-                if ns >= 10_000:
-                    brute += ns ** (-p / 2.0)
-        tail = tail_integral_bound(math.sqrt(200**2 + 1), p)
+        primary = restricted_power_sum(s, 100, p)  # enumerates |i| <= 300
+        axis = np.arange(-300, 301, dtype=np.float64) ** 2
+        grid = (axis[:, None] + axis[None, :]).ravel()
+        brute = float(np.sum(grid[grid >= 10_000] ** (-p / 2.0)))
+        tail = tail_integral_bound(math.sqrt(300**2 + 1), p)
         assert brute <= primary <= brute + tail
         assert tail < 1e-20
 

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurwitzcf import (
@@ -15,7 +16,7 @@ from hurwitzcf import (
     nearest_round,
     parse_exact_complex,
 )
-from hurwitzcf.gaussian import norm_sq_shells, shell_members
+from hurwitzcf.gaussian import first_on_shell, norm_sq_shells, points_by_norm
 
 
 def ecr(re, im) -> ExactComplexRational:
@@ -141,7 +142,7 @@ class TestShells:
         )
         assert int(counts.sum()) == total
         for ns, cnt in zip(values.tolist(), counts.tolist()):
-            members = shell_members(int(ns))
+            members = points_by_norm(ns, ns)
             assert len(members) == cnt
             assert all(m.norm_sq() == ns for m in members)
 
@@ -163,6 +164,57 @@ class TestShells:
         values, counts = norm_sq_shells(shells.limit)
         assert np.array_equal(shells.values, np.r_[0, values])
         assert np.array_equal(shells.counts, np.r_[1, counts])
+
+
+def _shell_reference(norm_sq):
+    """One shell by a row scan of isqrt calls: the enumerator this package
+    used before points_by_norm(ns, ns), kept as its reference."""
+    out = []
+    w = math.isqrt(norm_sq)
+    for a in range(-w, w + 1):
+        rem = norm_sq - a * a
+        b = math.isqrt(rem)
+        if b * b == rem:
+            if b == 0:
+                out.append(GaussianInt(a, 0))
+            else:
+                out.append(GaussianInt(a, -b))
+                out.append(GaussianInt(a, b))
+    return sorted(out, key=GaussianInt.lex_key)
+
+
+def _band_reference(lo, hi):
+    """Every point of the square around the disc of norm_sq hi, filtered and sorted."""
+    w = math.isqrt(max(hi, 0))
+    pts = [(a * a + b * b, a, b) for a in range(-w, w + 1) for b in range(-w, w + 1)]
+    return [GaussianInt(a, b) for ns, a, b in sorted(pts) if lo <= ns <= hi]
+
+
+class TestPointsByNorm:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(-3, 3000), st.integers(-3, 3000))
+    @example(0, 0)
+    @example(-3, -1)
+    @example(5, 4)
+    @example(3, 3)
+    @example(1, 1)
+    @example(-3, 3000)
+    @example(3000, 3000)
+    def test_band_matches_square_scan(self, lo, hi):
+        assert points_by_norm(lo, hi) == _band_reference(lo, hi)
+
+    @pytest.mark.parametrize("ns", [1, 2, 25, 65, 3, (1 << 22) + 1, 5**10, 65**2 * 13, 1 << 22])
+    def test_single_shell_matches_row_scan(self, ns):
+        assert points_by_norm(ns, ns) == _shell_reference(ns)
+
+    def test_first_on_shell_is_first_point(self):
+        for ns in range(3000):
+            shell = points_by_norm(ns, ns)
+            if shell:
+                assert first_on_shell(ns) == shell[0]
+            else:
+                with pytest.raises(DomainError):
+                    first_on_shell(ns)
 
 
 class TestParse:
