@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .gaussian import GaussianInt, first_on_shell, norm_sq_shells, points_by_norm
+from .gaussian import GaussianInt, first_on_shell, lattice_points, norm_sq_shells
 from .ifs import (BRANCH_MIN_NORM_SQ, COMPOSITION_DISTORTION_BOUND, DECAY_C1, DECAY_C2,
                   DIAMETER_K1, DIAMETER_K2, _as_digit, pole_terms)
 
@@ -109,10 +109,18 @@ class DigitSet:
     def members(self) -> tuple[GaussianInt, ...]:
         if self.explicit is not None:
             return self.explicit
+        return tuple(GaussianInt(x, y) for x, y in self._member_coords().tolist())
+
+    def _member_coords(self) -> np.ndarray:
+        """(re, im) rows of the members in enumeration order: int64 for a
+        radial set, whose norm_sq the shell cap keeps below 2^24, and Python
+        ints (an object array) for explicit members, which may pass int64."""
+        if self.explicit is not None:
+            return np.array([(g.re, g.im) for g in self.explicit], dtype=object).reshape(-1, 2)
         if self.norm_sq_hi is None:
             raise DomainError(f"{self.name} is infinite")
         self._shells.ensure(self.norm_sq_hi - 1)  # the shell table's budget bounds the members
-        return tuple(points_by_norm(self.norm_sq_lo, self.norm_sq_hi - 1))
+        return lattice_points(self.norm_sq_lo, self.norm_sq_hi - 1)
 
     def min_norm_sq(self) -> int:
         self._shells.cover(1)
@@ -381,20 +389,18 @@ _ROUND_ULPS = 16  # _table_leaves rounds its values outward by a factor 1 +/- _R
 _KAPPA = 106  # every normal table value lies within a factor 1 +/- _KAPPA u of the exact one
 
 
-# Sized by what one bowen_dimension call reuses: the tables of its word
-# length n and of n - 1.  No table is shared between alphabets, so a larger
-# cache would only hold memory.
-@functools.lru_cache(maxsize=2)
-def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _word_value_table(digits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-word (sup, base-point) derivative values, enumerated once.
 
-    Word order is the lexicographic order over the given digit order (the
-    last digit varies fastest), so word i has the base-k digits of i and
-    sums over the arrays are deterministic.  Every sup is at or above the
-    word's exact sup and every base-point value at or below 1/|d|^2; for
-    branch digits (norm_sq >= 8) each one that is a normal float lies
-    within a factor 1 +/- ``_KAPPA`` u of the exact value, u = 2^-53
-    (``_table_leaves``, ``_leaf_values``).
+    ``digits`` holds the (re, im) rows of ``DigitSet._member_coords``: int64
+    while every norm_sq fits in int64, else Python ints.  Word order is the
+    lexicographic order over the digit rows (the last digit varies
+    fastest), so word i has the base-k digits of i and sums over the arrays
+    are deterministic.  Every sup is at or above the word's exact sup and
+    every base-point value at or below 1/|d|^2; for branch digits (norm_sq
+    >= 8) each one that is a normal float lies within a factor 1 +/-
+    ``_KAPPA`` u of the exact value, u = 2^-53 (``_table_leaves``,
+    ``_leaf_values``).
 
     Words are enumerated level by level as arrays of bottom rows, in
     blocks of at most ``_EXACT_CHUNK`` words.  With t the largest length
@@ -406,33 +412,34 @@ def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.n
     digit varies slowest; the short tail keeps the small-array levels of a
     block, and their per-call overhead, few.
 
-    The rows are int64 while a bound proves the entries fit: with M the
-    largest ceil(|x|) over the digits, |c| and |d| after j digits are at
-    most B_j, where B_-1 = 0, B_0 = 1 and B_(j+1) = M B_j + B_(j-1), and by
-    Cauchy-Schwarz every intermediate of the next level is at most
-    B_(j+1).  ``_table_leaves`` computes the leaf values of such a block;
+    The rows are int64 while a bound proves the entries fit: with M =
+    ceil(|x|) for the digit x of largest norm_sq, |c| and |d| after j
+    digits are at most B_j, where B_-1 = 0, B_0 = 1 and B_(j+1) = M B_j +
+    B_(j-1), and by Cauchy-Schwarz every intermediate of the next level is
+    at most B_(j+1).  ``_table_leaves`` computes the leaf values of such a block;
     the words it leaves undecided, every possible pole among them, go
     through ``_leaf_values`` in Python ints while the block's rows are at
     hand.  When B_n leaves int64 the rows are object arrays of Python ints,
     and every word goes through ``_leaf_values``.
     """
     k = len(digits)
-    m = max(math.isqrt(max(xr * xr + xi * xi - 1, 0)) + 1 for xr, xi in digits)
+    m = math.isqrt(max(int((digits * digits).sum(axis=1).max()) - 1, 0)) + 1
     levels, b_prev, b = 0, 0, 1
     while levels < n and m * b + b_prev < _INT64_LIMIT:
         levels, b_prev, b = levels + 1, b, m * b + b_prev
     dtype = np.int64 if levels == n else object
+    xr, xi = digits.astype(dtype, copy=False).T
 
     t = 0
     while t < n and k ** (t + 1) <= _EXACT_CHUNK:
         t += 1
     tail = min(t, n - t)
     rows = [np.array([v], dtype=dtype) for v in _IDENTITY_ROW]
-    prefixes = _extend_levels(rows, digits, n - tail)
+    prefixes = _extend_levels(rows, xr, xi, n - tail)
     sups, bases = np.empty(k**n), np.empty(k**n)
     run, width = _EXACT_CHUNK // k**tail, k**tail
     for first in range(0, len(prefixes[0]), run):
-        block = _extend_levels([a[first : first + run] for a in prefixes], digits, tail)
+        block = _extend_levels([a[first : first + run] for a in prefixes], xr, xi, tail)
         part = slice(first * width, first * width + len(block[0]))
         if dtype is object:
             slow = np.arange(len(block[0]))
@@ -446,13 +453,12 @@ def _word_value_table(digits: tuple[tuple[int, int], ...], n: int) -> tuple[np.n
 
 
 def _extend_levels(
-    rows: list[np.ndarray], digits: Sequence[tuple[int, int]], levels: int
+    rows: list[np.ndarray], xr: np.ndarray, xi: np.ndarray, levels: int
 ) -> list[np.ndarray]:
     """Bottom rows of every ``levels``-digit extension of each row, in word
-    order, in the rows' dtype (int64, or object for Python ints)."""
-    k = len(digits)
-    if levels:
-        xr, xi = np.array(digits, dtype=rows[0].dtype).T
+    order, for digits xr + i xi in the rows' dtype (int64, or object for
+    Python ints)."""
+    k = len(xr)
     for _ in range(levels):
         cr, ci, dr, di = (a[:, None] for a in rows)
         rows = [
@@ -500,14 +506,34 @@ def _table_leaves(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.nd
     q_lo >= q - 2 eps M (M + m) >= q (1 - 81.6u), so sup~ <= (4 den/q)(1 + 106u).
     """
     cr, ci, dr, di = (a.astype(np.float64) for a in rows)
-    den, re, im = pole_terms(cr, ci, dr, di)
-    q = 0
-    for v, a, b in ((re, dr * cr, di * ci), (im, di * cr, dr * ci)):
-        x = 2 * np.abs(v) - den - (_E_ULPS * _U) * (2 * (np.abs(a) + np.abs(b)) + den)
-        q = q + np.maximum(x, 0) ** 2
+    den = cr * cr
+    den += ci * ci
+    # X_lo^2 and Y_lo^2 in place, from the products a, b of ``pole_terms``:
+    # x = 2|v| - den - E with E = _E_ULPS u (2 (|a| + |b|) + den), each
+    # operation rounded in that order
+    re_a, re_b, im_a, im_b = dr * cr, di * ci, di * cr, dr * ci
+    squares = []
+    for x, a, b in ((re_a + re_b, re_a, re_b), (im_a - im_b, im_a, im_b)):
+        np.abs(x, out=x)
+        x *= 2
+        x -= den
+        np.abs(a, out=a)
+        a += np.abs(b, out=b)
+        a *= 2
+        a += den
+        a *= _E_ULPS * _U
+        x -= a
+        np.maximum(x, 0, out=x)
+        x *= x
+        squares.append(x)
+    q = squares[0]
+    q += squares[1]
+    sups = np.multiply(den, 4 + 4 * _ROUND_ULPS * _U, out=den)
+    bases = dr * dr
+    bases += di * di
     with np.errstate(divide="ignore", invalid="ignore"):  # poles give inf or nan, then go slow
-        sups = (4 + 4 * _ROUND_ULPS * _U) * den / q
-        bases = (1 - _ROUND_ULPS * _U) / (dr * dr + di * di)
+        sups /= q
+        np.divide(1 - _ROUND_ULPS * _U, bases, out=bases)
     return sups, bases, np.flatnonzero(q == 0)
 
 
@@ -564,7 +590,7 @@ def _branch_count(alphabet: DigitSet) -> int:
     return k
 
 
-def _truncation_bound(digits: tuple[tuple[int, int], ...], n: int, s: float) -> float:
+def _truncation_bound(digits: np.ndarray, n: int, s: float) -> float:
     """(sum_i sup_i^s)^n over single digits, rounded up: the n = 1 table's
     ``hi`` times n, stepped up, then math.exp, taken to err by at most 4
     ulps, widened by 1 + 16u and 2^-1071 and stepped up."""
@@ -575,6 +601,20 @@ def _truncation_bound(digits: tuple[tuple[int, int], ...], n: int, s: float) -> 
         return math.nextafter(math.exp(x) * (1 + 16 * _U) + 2.0**-1071, math.inf)
     except OverflowError:  # a bound past the float range bounds nothing finite
         return math.inf
+
+
+def _check_budget(k: int, n: int, s: float, max_words: int, digits: np.ndarray | None) -> None:
+    """Raise ``BudgetExceededError`` when the k^n words, or n itself (the
+    budget of a one-digit alphabet), exceed ``max_words``.  Its bound is
+    ``_truncation_bound`` over ``digits``, or inf when they were not built."""
+    # k^n against max_words in logs, exactly only where they are within a factor 2
+    excess = n * math.log2(k) - math.log2(max(max_words, 1)) if n <= max_words else math.inf
+    if excess > 1 or (excess > -1 and k**n > max_words):
+        raise BudgetExceededError(
+            f"word length {n} exceeds budget {max_words}" if n > max_words
+            else f"{k}^{n} words exceed budget {max_words}",
+            truncation_bound=math.inf if digits is None else _truncation_bound(digits, n, s),
+        )
 
 
 def partition_sum(
@@ -590,15 +630,7 @@ def partition_sum(
     (``_truncation_bound``), which holds in either mode: sup-norm sums are
     submultiplicative, and no base-point value exceeds its word's sup.  k
     is counted first; when k alone exceeds ``max_words``, no digit is built
-    and the bound is inf.
-
-    The brackets of ``PressureEstimate`` are rounded outward
-    (``_outward_log``).  The table bounds each value from the mode's side,
-    sups from above and base-point values from below, and a normal one to
-    within a factor 1 +- kappa u (``_KAPPA``).  The side that needs that
-    factor (lo for sup_norm, hi for base_point) widens by s (kappa + 2) u,
-    and has no bound when s > 0 and some value is below 2^-1022, where no
-    relative bound holds.
+    and the bound is inf.  ``_pressure_estimate`` brackets the sum.
     """
     if mode not in ("sup_norm", "base_point"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -607,18 +639,22 @@ def partition_sum(
     if not (math.isfinite(s) and s >= 0):
         raise DomainError(f"s must be finite and nonnegative, got {s}")
     k = _branch_count(alphabet)
-    digits = tuple((g.re, g.im) for g in alphabet.members()) if k <= max_words else ()
-    # k^n against max_words in logs, exactly only where they are within a factor 2
-    excess = n * math.log2(k) - math.log2(max(max_words, 1)) if n <= max_words else math.inf
-    if excess > 1 or (excess > -1 and k**n > max_words):
-        raise BudgetExceededError(
-            f"word length {n} exceeds budget {max_words}" if n > max_words
-            else f"{k}^{n} words exceed budget {max_words}",
-            truncation_bound=_truncation_bound(digits, n, s) if digits else math.inf,
-        )
-
+    digits = alphabet._member_coords() if k <= max_words else None
+    _check_budget(k, n, s, max_words, digits)
     sups, bases = _word_value_table(digits, n)
-    vals = sups if mode == "sup_norm" else bases
+    return _pressure_estimate(sups if mode == "sup_norm" else bases, n, s, mode)
+
+
+def _pressure_estimate(vals: np.ndarray, n: int, s: float, mode: str) -> PressureEstimate:
+    """The bracketed sum of vals^s over a length-n word table's values of ``mode``.
+
+    The brackets are rounded outward (``_outward_log``).  The table bounds
+    each value from the mode's side, sups from above and base-point values
+    from below, and a normal one to within a factor 1 +- kappa u
+    (``_KAPPA``).  The side that needs that factor (lo for sup_norm, hi for
+    base_point) widens by s (kappa + 2) u, and has no bound when s > 0 and
+    some value is below 2^-1022, where no relative bound holds.
+    """
     z = _tree_sum(vals**s)
     widen = math.inf if s > 0 and vals.min() < 2.0**-1022 else s * (_KAPPA + 2)
     up, down, shift = (0, widen, 0.0) if mode == "sup_norm" else (widen, 0, s * _LOG_K0)
@@ -697,6 +733,8 @@ def bowen_dimension(
     method for P(s) as Z_base(n) = (L_s^n 1)(0).  ``conclusive`` (JSON
     ``certified``) holds when the enclosure, then also the estimate, is at
     most tol wide.  A one-digit alphabet's attractor is a point: [0, 0].
+    The digits are resolved once, and each word table (n, then n - 1 for
+    the estimate) is built once.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
@@ -708,16 +746,24 @@ def bowen_dimension(
     n = 1
     while n < n_max and k ** (n + 1) <= max_words:
         n += 1
-    sup = functools.cache(lambda s: partition_sum(alphabet, n, s, "sup_norm", max_words))
-
-    def log_z(m: int, s: float) -> float:  # log Z_base(m)
-        return m * partition_sum(alphabet, m, s, "base_point", max_words).log_zn_over_n if m else 0.0
+    digits = alphabet._member_coords() if k <= max_words else None
+    _check_budget(k, n, 0.0, max_words, digits)  # the first root search starts at s = 0
+    sups, bases = _word_value_table(digits, n)
+    sup = functools.cache(lambda s: _pressure_estimate(sups, n, s, "sup_norm"))
 
     low, _, low_steps = _bracketed_root(lambda s: sup(s).lower_bracket, 0.0, 2.0, tol)
     _, high, high_steps = _bracketed_root(lambda s: sup(s).upper_bracket, low, 2.0, tol)
     conclusive = high - low <= tol
-    s_low, s_high, steps = (low, high, 0) if conclusive else _bracketed_root(
-        lambda s: log_z(n, s) - log_z(n - 1, s), low, high, tol)
+    if conclusive:
+        s_low, s_high, steps = low, high, 0
+    else:
+        shorter = _word_value_table(digits, n - 1)[1] if n > 1 else None
+
+        def log_z(vals: np.ndarray | None, m: int, s: float) -> float:  # log Z_base(m)
+            return m * _pressure_estimate(vals, m, s, "base_point").log_zn_over_n if m else 0.0
+
+        s_low, s_high, steps = _bracketed_root(
+            lambda s: log_z(bases, n, s) - log_z(shorter, n - 1, s), low, high, tol)
     return BowenDimResult(s_low, s_high, n, low_steps + high_steps + steps, conclusive,
                           sup(s_low).upper_bracket, sup(s_high).lower_bracket, (low, high))
 

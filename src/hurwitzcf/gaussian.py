@@ -232,15 +232,21 @@ def norm_sq_shells(limit_norm_sq: int, above_norm_sq: int = 0) -> tuple[np.ndarr
     return np.concatenate(values), np.concatenate(counts)
 
 
-def points_by_norm(lo: int, hi: int) -> list[GaussianInt]:
-    """Lattice points with lo <= norm_sq <= hi, ordered by norm, ties (re, im):
-    the ``_quadrant`` points times 1, i, -1 and -i, and 0 when lo <= 0 <= hi."""
+def lattice_points(lo: int, hi: int) -> np.ndarray:
+    """(re, im) rows, int64, of the lattice points with lo <= norm_sq <= hi,
+    ordered by norm, ties (re, im): the ``_quadrant`` points times 1, i, -1
+    and -i, and 0 when lo <= 0 <= hi."""
     a, b = _quadrant(max(lo, 1) - 1, hi)
     re, im = np.concatenate((a, -b, -a, b)), np.concatenate((b, a, -b, -a))
     if lo <= 0 <= hi:
         re, im = np.r_[re, 0], np.r_[im, 0]
     order = np.lexsort((im, re, re * re + im * im))
-    return [GaussianInt(x, y) for x, y in zip(re[order].tolist(), im[order].tolist())]
+    return np.stack((re[order], im[order]), axis=1)
+
+
+def points_by_norm(lo: int, hi: int) -> list[GaussianInt]:
+    """The ``lattice_points`` rows as Gaussian integers."""
+    return [GaussianInt(x, y) for x, y in lattice_points(lo, hi).tolist()]
 
 
 def first_on_shell(norm_sq: int) -> GaussianInt:

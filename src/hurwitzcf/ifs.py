@@ -89,20 +89,18 @@ def branch_apply(b: BranchLike, z: ExactComplexRational | complex):
 class BranchComposition:
     """Composition of branches as an integer Moebius matrix.
 
-    ``matrix`` is (a, b, c, d) with apply(z) = (a z + b) / (c z + d); it is
-    the ordered product of the per-branch matrices [[0, 1], [1, k + il]],
+    ``matrix`` holds the eight integers (ar, ai, br, bi, cr, ci, dr, di) of
+    the Gaussian entries (a, b, c, d), with apply(z) = (a z + b) / (c z + d);
+    it is the ordered product of the per-branch matrices [[0, 1], [1, k + il]],
     so |ad - bc| = 1 and the derivative modulus is 1/|c z + d|^2 exactly.
     """
 
     word: tuple[GaussianInt, ...]
-    a: GaussianInt
-    b: GaussianInt
-    c: GaussianInt
-    d: GaussianInt
+    matrix: tuple[int, int, int, int, int, int, int, int]
 
     @classmethod
     def identity(cls) -> "BranchComposition":
-        return cls((), GaussianInt(1), GaussianInt(0), GaussianInt(0), GaussianInt(1))
+        return cls((), (1, 0, 0, 0, 0, 0, 1, 0))
 
     @classmethod
     def from_word(cls, word: Iterable[BranchLike]) -> "BranchComposition":
@@ -114,33 +112,44 @@ class BranchComposition:
     def extend(self, b: BranchLike) -> "BranchComposition":
         """Append one branch on the inside (apply it first)."""
         digit = _as_digit(b)
-        if digit.norm_sq() < BRANCH_MIN_NORM_SQ:
+        xr, xi = digit.re, digit.im
+        if xr * xr + xi * xi < BRANCH_MIN_NORM_SQ:
             raise DomainError(f"digit {digit} is not a branch index")
-        # right-multiply by [[0,1],[1,digit]]
-        return BranchComposition(
-            self.word + (digit,),
-            self.b,
-            self.a + self.b * digit,
-            self.d,
-            self.c + self.d * digit,
-        )
+        # right-multiply by [[0,1],[1,digit]]: (a, b, c, d) -> (b, a + b digit, d, c + d digit)
+        ar, ai, br, bi, cr, ci, dr, di = self.matrix
+        return BranchComposition(self.word + (digit,), (
+            br, bi, ar + br * xr - bi * xi, ai + br * xi + bi * xr,
+            dr, di, cr + dr * xr - di * xi, ci + dr * xi + di * xr,
+        ))
+
+    @property
+    def a(self) -> GaussianInt:
+        return GaussianInt(self.matrix[0], self.matrix[1])
+
+    @property
+    def b(self) -> GaussianInt:
+        return GaussianInt(self.matrix[2], self.matrix[3])
+
+    @property
+    def c(self) -> GaussianInt:
+        return GaussianInt(self.matrix[4], self.matrix[5])
+
+    @property
+    def d(self) -> GaussianInt:
+        return GaussianInt(self.matrix[6], self.matrix[7])
 
     def __len__(self) -> int:
         return len(self.word)
 
     def det(self) -> GaussianInt:
-        return self.a * self.d - self.b * self.c
+        ar, ai, br, bi, cr, ci, dr, di = self.matrix
+        return GaussianInt(ar * dr - ai * di - br * cr + bi * ci, ar * di + ai * dr - br * ci - bi * cr)
 
     # -- application -------------------------------------------------------
     def apply(self, z: ExactComplexRational) -> ExactComplexRational:
-        num = ExactComplexRational(
-            self.a.re * z.re - self.a.im * z.im + self.b.re,
-            self.a.re * z.im + self.a.im * z.re + self.b.im,
-        )
-        den = ExactComplexRational(
-            self.c.re * z.re - self.c.im * z.im + self.d.re,
-            self.c.re * z.im + self.c.im * z.re + self.d.im,
-        )
+        ar, ai, br, bi, cr, ci, dr, di = self.matrix
+        num = ExactComplexRational(ar * z.re - ai * z.im + br, ar * z.im + ai * z.re + bi)
+        den = ExactComplexRational(cr * z.re - ci * z.im + dr, cr * z.im + ci * z.re + di)
         if den.is_zero():
             raise DomainError(f"pole of composition at z = {z}")
         return num / den
@@ -148,10 +157,8 @@ class BranchComposition:
     # -- derivative moduli ---------------------------------------------------
     def deriv_abs_exact(self, z: ExactComplexRational) -> Fraction:
         """|Dphi(z)| as an exact rational (the determinant has modulus 1)."""
-        den = ExactComplexRational(
-            self.c.re * z.re - self.c.im * z.im + self.d.re,
-            self.c.re * z.im + self.c.im * z.re + self.d.im,
-        )
+        _, _, _, _, cr, ci, dr, di = self.matrix
+        den = ExactComplexRational(cr * z.re - ci * z.im + dr, cr * z.im + ci * z.re + di)
         n = den.norm_sq()
         if n == 0:
             raise DomainError(f"derivative pole at z = {z}")
@@ -166,7 +173,7 @@ class BranchComposition:
         """
         if not self.word:
             return Fraction(1)
-        den, re, im = pole_terms(self.c.re, self.c.im, self.d.re, self.d.im)
+        den, re, im = pole_terms(*self.matrix[4:])
         nx, ny = max(2 * abs(re) - den, 0), max(2 * abs(im) - den, 0)
         return Fraction(4 * den, nx * nx + ny * ny)
 
@@ -175,13 +182,14 @@ class BranchComposition:
         the far corner mx = 2|re| + den in place of nx."""
         if not self.word:
             return Fraction(1)
-        den, re, im = pole_terms(self.c.re, self.c.im, self.d.re, self.d.im)
+        den, re, im = pole_terms(*self.matrix[4:])
         mx, my = 2 * abs(re) + den, 2 * abs(im) + den
         return Fraction(4 * den, mx * mx + my * my)
 
     def base_deriv_exact(self) -> Fraction:
         """|Dphi(0)| = 1/|d|^2 exactly."""
-        n = self.d.norm_sq()
+        dr, di = self.matrix[6:]
+        n = dr * dr + di * di
         if n == 0:
             raise DomainError("derivative pole at 0")
         return Fraction(1, n)

@@ -204,11 +204,11 @@ def short_words() -> tuple[list[tuple[GaussianInt, ...]], list[np.ndarray]]:
     ``itertools.product`` order by length, with its bottom rows
     (cr, ci, dr, di) as object arrays of Python ints."""
     alphabet = ifs.d2_branches(13)
-    pairs = [g.to_pair() for g in alphabet]
+    xr, xi = np.array([g.to_pair() for g in alphabet], dtype=object).T
     rows = [np.array([v], dtype=object) for v in (0, 0, 1, 0)]  # the identity
     levels = []
     for _ in range(3):
-        rows = dimension._extend_levels(rows, pairs, 1)
+        rows = dimension._extend_levels(rows, xr, xi, 1)
         levels.append(rows)
     words = [w for n in range(1, 4) for w in itertools.product(alphabet, repeat=n)]
     return words, [np.concatenate(column) for column in zip(*levels)]
@@ -300,7 +300,7 @@ def _dimension_references_enclosed(config: RunConfig):
 def _word_table_encloses_exact(config: RunConfig):
     # exact <= sup <= exact (1 + kappa u) and exact (1 - kappa u) <= base <= exact
     members = _QUAD.members()
-    sups, bases = dimension._word_value_table(tuple((g.re, g.im) for g in members), 4)
+    sups, bases = dimension._word_value_table(_QUAD._member_coords(), 4)
     kappa_u = Fraction(dimension._KAPPA, 1 << 53)
     for word, sup, base in zip(itertools.product(members, repeat=4), sups, bases):
         comp = ifs.BranchComposition.from_word(word)

@@ -142,13 +142,14 @@ class TestPressureAndDim:
         assert json.loads(result.stdout) == {"s_low": 0.0, "s_high": 0.0, "n_used": 0,
                                              "enclosure": [0.0, 0.0], "certified": True}
 
-    def test_dim_deep_one_digit_alphabet(self, runner):
+    def test_dim_deep_one_digit_alphabet(self, runner, monkeypatch):
         # a one-digit attractor is a point: no word table at any n-max
-        dimension._word_value_table.cache_clear()
+        builds = []
+        monkeypatch.setattr(dimension, "_word_value_table", lambda *args: builds.append(args))
         result = run_ok(runner, ["dim", "--alphabet", "[[2,2]]", "--n-max", "5000"])
         payload = json.loads(result.stdout)
         assert [payload["s_low"], payload["s_high"]] == [0, 0]
-        assert dimension._word_value_table.cache_info().misses == 0
+        assert builds == []
 
     def test_dim_reports_estimate_inside_enclosure(self, runner):
         result = run_ok(runner, ["dim", "--alphabet", "[[2,2],[-2,-2]]", "--n-max", "8"])
@@ -309,9 +310,13 @@ class TestSizeLimits:
             (None, ["dim", "--alphabet", "annulus:8:100000000"], 3),
             (None, ["dim", "--alphabet", "annulus:8:16000000"], 3),
             (None, ["tessellate", "--norm-sq-max", "100000000"], 2),
+            # 15,707,952 digits within the config's largest budget: the table is built
+            ("max_words = 16777216",
+             ["pressure", "--alphabet", "annulus:8:5000000", "--n", "1", "--s", "1"], 0),
         ],
         ids=["tau-horizon", "config-horizon", "schedule-horizon", "config-max-words",
-             "schedule-shells", "dim-shells", "dim-members", "tessellate-regions"],
+             "schedule-shells", "dim-shells", "dim-members", "tessellate-regions",
+             "pressure-members"],
     )
     def test_exit_in_one_line(self, tmp_path, config, args, code):
         if config is not None:
@@ -320,7 +325,7 @@ class TestSizeLimits:
         result = _run_limited(args, tmp_path)
         assert result.returncode == code, result.stderr
         assert len(result.stderr.splitlines()) == 1, result.stderr
-        prefix = "error: " if code == 2 else "budget exhausted: "
+        prefix = {0: "log Z/n = ", 2: "error: ", 3: "budget exhausted: "}[code]
         assert result.stderr.startswith(prefix)
 
     def test_small_eps_schedule_is_fast_and_valid(self, runner):
@@ -510,6 +515,24 @@ class TestDeterminism:
          "8a60fae8cc9ebd78d74ddcf54b6e60ff3ae438674ea7ddf0ae22fdfd82acef71"),
         (["verify", "arith"],
          "786b038ea8f3423baa542a57f779f567eebe04f147727753020932334a636763"),
+        (["verify", "ifs"],
+         "a6f35d5bc0ad0ef38acb6f54a688ae45da2a916234184105a3d094f998e1b2a0"),
+        (["dim", "--alphabet", "[[2,2],[-2,-2]]"],
+         "03ee96dc6c32608cb9d1e032f5aa5420db9d3a8f1de13fc5d93a3a8acb0a659b"),
+        (["dim", "--alphabet", "annulus:8:16"],
+         "aa804ce9509a53963571d440307993643e21d2e6f65334edde9a4af04db7c994"),
+        (["dim", "--alphabet", "[[2,2],[-2,-2],[3,0],[0,3],[-3,1]]"],
+         "9122038c5e769a09f22dd910b000b13b96b7624b1fe86067b677fc040d63756f"),
+        # int64 rows (3^8 words), then Python-int rows ((2,2)^60 passes int64)
+        (["pressure", "--alphabet", "[[2,2],[-2,-2],[3,0]]", "--n", "8", "--s", "0.9"],
+         "60e44996be23cff36191f186734734a9aad66ee74e2e0093f8ab4ead6f2e38c9"),
+        (["pressure", "--alphabet", "[[2,2],[-2,-2],[3,0]]", "--n", "8", "--s", "0.9",
+          "--mode", "base_point"],
+         "4a1ed1d005675ae22d1eb57f418fd60439f726717931dbf7faf9c562a244534c"),
+        (["pressure", "--alphabet", "[[2,2]]", "--n", "60", "--s", "0.5"],
+         "5de5a8db00e5067acc78f09d9036dd1adbb3eb74093eebb0288fdf22e7947123"),
+        (["pressure", "--alphabet", "[[2,2]]", "--n", "60", "--s", "0.5", "--mode", "base_point"],
+         "046102eb06e6360e1226bf021037aeb8d9a9b760041c1d5c3ead00df27c64e1f"),
     ]
 
     @pytest.mark.parametrize("args, digest", GOLDEN_CSV, ids=[" ".join(a) for a, _ in GOLDEN_CSV])

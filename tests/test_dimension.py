@@ -191,6 +191,12 @@ def _digits(s):
     return tuple((g.re, g.im) for g in s.members())
 
 
+def _table(digits, n):
+    """``_word_value_table`` over (re, im) pairs passed as Python ints, as
+    an explicit alphabet's digits are."""
+    return _word_value_table(np.array(digits, dtype=object).reshape(-1, 2), n)
+
+
 POOL = _digits(DigitSet.annulus(8, 65))  # the 176 digits with norm_sq in [8, 64]
 
 
@@ -303,6 +309,22 @@ def _cancellation_rows(rng, count):
 CANCELLATION_ROWS = _cancellation_rows(random.Random(8), 6000)
 
 
+def _ref_table_leaves(rows):
+    """``_table_leaves`` as the out-of-place expressions its in-place form
+    replaced, kept as the reference: the same roundings in the same order."""
+    cr, ci, dr, di = (a.astype(np.float64) for a in rows)
+    den, re, im = cr * cr + ci * ci, dr * cr + di * ci, di * cr - dr * ci
+    e, r = dimension._E_ULPS * dimension._U, dimension._ROUND_ULPS * dimension._U
+    q = 0
+    for v, a, b in ((re, dr * cr, di * ci), (im, di * cr, dr * ci)):
+        x = 2 * np.abs(v) - den - e * (2 * (np.abs(a) + np.abs(b)) + den)
+        q = q + np.maximum(x, 0) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sups = (4 + 4 * r) * den / q
+        bases = (1 - r) / (dr * dr + di * di)
+    return sups, bases, np.flatnonzero(q == 0)
+
+
 def _cancellation_leaves():
     """(decided words, how many of them bound their exact values outward,
     whether every pole is left undecided) of ``CANCELLATION_ROWS``."""
@@ -323,6 +345,19 @@ def _cancellation_leaves():
     return len(decided), int(ok.sum()), poles_slow
 
 
+def _count_builds(monkeypatch):
+    """The word length of each ``_word_value_table`` build, as the builds come."""
+    builds = []
+    build = dimension._word_value_table
+
+    def counting(digits, n):
+        builds.append(n)
+        return build(digits, n)
+
+    monkeypatch.setattr(dimension, "_word_value_table", counting)
+    return builds
+
+
 def _record_blocks(monkeypatch):
     """(rows, undecided words) of each ``_table_leaves`` call, as the calls come."""
     blocks = []
@@ -341,8 +376,22 @@ class TestWordValueTable:
     @pytest.mark.parametrize("digits, n", TABLE_CASES,
                              ids=[f"k{len(d)}-n{n}-{i}" for i, (d, n) in enumerate(TABLE_CASES)])
     def test_bit_identical_to_recursion(self, digits, n):
-        _assert_encloses(*_word_value_table.__wrapped__(digits, n),
-                         *_ref_word_value_table(digits, n))
+        sups, bases = _table(digits, n)
+        _assert_encloses(sups, bases, *_ref_word_value_table(digits, n))
+        if max(x * x + y * y for x, y in digits) < 1 << 63:
+            # int64 digit rows, as a radial alphabet passes them, give the same table
+            int64_sups, int64_bases = _word_value_table(np.array(digits, dtype=np.int64), n)
+            assert np.array_equal(int64_sups, sups) and np.array_equal(int64_bases, bases)
+
+    def test_leaves_bit_identical_to_reference(self):
+        # synthetic rows near the poles, and the int64 rows of a deep table
+        xr, xi = np.array(_digits(PAIR), dtype=np.int64).T
+        identity = [np.array([v], dtype=np.int64) for v in dimension._IDENTITY_ROW]
+        blocks = [[np.array(c, dtype=np.int64) for c in zip(*CANCELLATION_ROWS)],
+                  dimension._extend_levels(identity, xr, xi, 13)]
+        for rows in blocks:
+            for got, ref in zip(dimension._table_leaves(rows), _ref_table_leaves(rows)):
+                assert np.array_equal(got, ref, equal_nan=True)
 
     def test_cancellation_bound_is_sound(self):
         # every pole is left to the Python ints, and every value the float64
@@ -366,7 +415,7 @@ class TestWordValueTable:
         calls = []
         monkeypatch.setattr(dimension, "_leaf_values", lambda *a: calls.append(a))
         for digits, n in ((_digits(PAIR), 18), (((4, 1), (7, 3)), 16), (((8, 0), (0, -8)), 18)):
-            _word_value_table.__wrapped__(digits, n)
+            _table(digits, n)
         assert calls == []
 
     @pytest.mark.parametrize("n", [150, 2000])
@@ -374,7 +423,7 @@ class TestWordValueTable:
         # rows of Python ints far past int64, against the exact rationals of
         # the composition; at n 2000 the sup is the least positive float and
         # the base-point value 0
-        sups, bases = _word_value_table.__wrapped__(((2, 2),), n)
+        sups, bases = _table(((2, 2),), n)
         _assert_encloses(sups, bases, *_exact_values([[(2, 2)] * n]))
         assert (sups[0] < 2.0**-1022) == (bases[0] == 0) == (n == 2000)
 
@@ -384,7 +433,7 @@ class TestWordValueTable:
         blocks = _record_blocks(monkeypatch)
         tracemalloc.start()
         try:
-            sups, bases = _word_value_table.__wrapped__(_seeded(4, 3), 9)
+            sups, bases = _table(_seeded(4, 3), 9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -394,7 +443,7 @@ class TestWordValueTable:
 
     @pytest.mark.parametrize("digits, n", [(_digits(QUAD), 4), (_seeded(3, 2), 11)])
     def test_word_i_has_base_k_digits_of_i(self, digits, n):
-        sups, bases = _word_value_table.__wrapped__(digits, n)
+        sups, bases = _table(digits, n)
         k = len(digits)
         sample = random.Random(n).sample(range(k**n), 200)
         words = [[digits[(i // k ** (n - 1 - j)) % k] for j in range(n)] for i in sample]
@@ -402,7 +451,7 @@ class TestWordValueTable:
 
     def test_base_value_beyond_float_range(self):
         # |d|^2 of (2,2)^400 is too large for a float: 1.0 / |d|^2 overflows
-        sups, bases = _word_value_table.__wrapped__(((2, 2),), 400)
+        sups, bases = _table(((2, 2),), 400)
         comp = BranchComposition.from_word([(2, 2)] * 400)
         with pytest.raises(OverflowError):
             1.0 / comp.d.norm_sq()
@@ -412,7 +461,7 @@ class TestWordValueTable:
                              ids=["int64", "python-ints"])
     def test_pole_raises(self, digits, n):
         with pytest.raises(DomainError, match="derivative pole"):
-            _word_value_table.__wrapped__(digits, n)
+            _table(digits, n)
 
 
 class TestPartitionSum:
@@ -550,32 +599,43 @@ class TestBowen:
 
     def test_brackets_computed_once_per_s_and_n(self, monkeypatch):
         calls = []
-        original = dimension.partition_sum
+        original = dimension._pressure_estimate
 
-        def counting(alphabet, n, s, mode, *args):
+        def counting(vals, n, s, mode):
             calls.append((n, s, mode))
-            return original(alphabet, n, s, mode, *args)
+            return original(vals, n, s, mode)
 
-        monkeypatch.setattr(dimension, "partition_sum", counting)
+        monkeypatch.setattr(dimension, "_pressure_estimate", counting)
         result = bowen_dimension(PAIR, tol=1e-3, n_max=12)
         assert result.iterations == 6
         assert len(calls) == len(set(calls))
+        assert {mode for _, _, mode in calls} == {"sup_norm", "base_point"}
 
-    def test_each_word_table_built_once_per_call(self):
-        # every build is a cache miss; with no eviction each stays cached,
-        # so as many misses as entries means no (digits, n) was built twice
-        _word_value_table.cache_clear()
+    def test_each_word_table_built_once_per_call(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
         bowen_dimension(PAIR, tol=1e-3, n_max=12)
-        info = _word_value_table.cache_info()
-        assert info.misses == info.currsize == 2  # word lengths 11 and 12
-        assert info.hits > 0
+        assert builds == [12, 11]  # the sup-norm roots at n, then the estimate at n - 1
 
-    def test_one_digit_alphabet_is_a_point(self):
-        _word_value_table.cache_clear()
+    def test_digits_resolved_once(self, monkeypatch):
+        resolved = []
+        original = DigitSet._member_coords
+
+        def counting(self):
+            resolved.append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(DigitSet, "_member_coords", counting)
+        builds = _count_builds(monkeypatch)
+        result = bowen_dimension(DigitSet.annulus(8, 17), tol=1e-3)
+        assert resolved == ["annulus[8,17)"]
+        assert builds == [3, 2] and result.n_used == 3
+
+    def test_one_digit_alphabet_is_a_point(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
         result = bowen_dimension(SINGLE, tol=1e-3, n_max=5000)
         assert (result.s_low, result.s_high, result.enclosure) == (0.0, 0.0, (0.0, 0.0))
         assert result.conclusive and result.n_used == 0
-        assert _word_value_table.cache_info().misses == 0
+        assert builds == []
         with pytest.raises(DomainError):
             bowen_dimension(DigitSet.from_branches([(1, 1)]))
 

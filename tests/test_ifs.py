@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +105,80 @@ def _ref_box_extremes(comp):
 
 
 HUGE_DIGITS = [(2**40, 3), (-5, 2**40 + 1), (-(2**40), -(2**39)), (7, -(2**41))]
+
+
+@dataclass(frozen=True)
+class _RefComposition:
+    """The Gaussian-integer recurrence that ``BranchComposition``'s eight
+    ints replaced, kept as the reference: (a, b, c, d) -> (b, a + b x, d,
+    c + d x) for each digit x, and every value from Gaussian arithmetic."""
+
+    word: tuple
+    a: GaussianInt
+    b: GaussianInt
+    c: GaussianInt
+    d: GaussianInt
+
+    @classmethod
+    def from_word(cls, word):
+        comp = cls((), GaussianInt(1), GaussianInt(0), GaussianInt(0), GaussianInt(1))
+        for x in word:
+            digit = x if isinstance(x, GaussianInt) else GaussianInt(*x)
+            if digit.norm_sq() < 8:
+                raise DomainError(f"digit {digit} is not a branch index")
+            comp = cls(comp.word + (digit,), comp.b, comp.a + comp.b * digit, comp.d,
+                       comp.c + comp.d * digit)
+        return comp
+
+    def det(self):
+        return self.a * self.d - self.b * self.c
+
+    def box_extremes(self):
+        """(sup, inf) of |Dphi| over the box from the clamped corners of d conj(c)."""
+        if not self.word:
+            return Fraction(1), Fraction(1)
+        den, p = self.c.norm_sq(), self.d * self.c.conj()
+        near = [max(2 * abs(v) - den, 0) for v in (p.re, p.im)]
+        far = [2 * abs(v) + den for v in (p.re, p.im)]
+        return Fraction(4 * den, sum(v * v for v in near)), Fraction(4 * den, sum(v * v for v in far))
+
+    def apply_and_deriv(self, z):
+        lift = ExactComplexRational.from_gaussian
+        den = lift(self.c) * z + lift(self.d)
+        return (lift(self.a) * z + lift(self.b)) / den, Fraction(1) / den.norm_sq()
+
+
+class TestCompositionReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_gaussian_recurrence(self, seed):
+        rng = random.Random(seed)
+        small = d2_branches(50)
+        pool = small + [(g.re, g.im) for g in small[:20]] + HUGE_DIGITS
+        words = [rng.choices(pool, k=rng.randrange(0, 7)) for _ in range(120)]
+        # the same words again with every digit a GaussianInt: equal compositions
+        words += [[GaussianInt(*x) if isinstance(x, tuple) else x for x in w] for w in words[:30]]
+        comps = [BranchComposition.from_word(w) for w in words]
+        refs = [_RefComposition.from_word(w) for w in words]
+        points = sample_box_rationals(np.random.default_rng(seed), 3)
+        for comp, ref in zip(comps, refs):
+            assert (comp.a, comp.b, comp.c, comp.d) == (ref.a, ref.b, ref.c, ref.d)
+            assert comp.word == ref.word and len(comp) == len(ref.word)
+            assert comp.det() == ref.det() and comp.det().norm_sq() == 1
+            assert (comp.sup_deriv_exact(), comp.inf_deriv_exact()) == ref.box_extremes()
+            assert comp.base_deriv_exact() == Fraction(1, ref.d.norm_sq())
+            for z in points:
+                assert (comp.apply(z), comp.deriv_abs_exact(z)) == ref.apply_and_deriv(z)
+        for i, j in itertools.combinations(range(len(comps)), 2):
+            assert (comps[i] == comps[j]) == (refs[i] == refs[j])
+            if comps[i] == comps[j]:
+                assert hash(comps[i]) == hash(comps[j])
+        assert len(set(comps)) == len(set(refs)) < len(words)
+
+    @pytest.mark.parametrize("word", [[(2, 1)], [(0, 0)], [(2, 2), (1, -2)], [(2**40, 3), (2, 0)]])
+    def test_non_branch_digit_rejected(self, word):
+        for cls in (BranchComposition, _RefComposition):
+            with pytest.raises(DomainError, match="is not a branch index"):
+                cls.from_word(word)
 
 
 class TestIntegerSupInf:
