@@ -35,11 +35,10 @@ from .gaussian import (
     ExactComplexRational,
     GaussianInt,
     count_in_square,
-    enumerate_by_norm,
     nearest_round,
     parse_exact_complex,
 )
-from .ifs import BranchComposition, branch_apply, contraction_bound
+from .ifs import BranchComposition, contraction_bound
 from .svg import TessellationSpec, render_svg, soundness_check
 
 __version__ = "0.1.0"
@@ -61,13 +60,11 @@ __all__ = [
     "TauEstimate",
     "TessellationSpec",
     "bowen_dimension",
-    "branch_apply",
     "build_schedule",
     "classify_digit",
     "contraction_bound",
     "count_in_square",
     "cylinder_check",
-    "enumerate_by_norm",
     "evaluate",
     "exceptional_digits",
     "expand",

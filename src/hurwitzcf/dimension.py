@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError
 from .gaussian import GaussianInt, first_on_shell, lattice_points, norm_sq_shells
 from .ifs import (BRANCH_MIN_NORM_SQ, COMPOSITION_DISTORTION_BOUND, DECAY_C1, DECAY_C2,
-                  DIAMETER_K1, DIAMETER_K2, _as_digit, pole_terms)
+                  DIAMETER_K1, DIAMETER_K2, _as_digit, box_distortion_terms)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -360,25 +360,6 @@ class PressureEstimate:
         }
 
 
-def _leaf_values(cr: int, ci: int, dr: int, di: int) -> tuple[float, float]:
-    """(sup over box of |Dphi|, |Dphi(0)|) from a composition's bottom row, rounded outward.
-
-    (cr, ci, dr, di) is the bottom row (c, d) of the integer composition
-    matrix.  The sup of |Dphi| is the rational 4 den/(nx^2 + ny^2) of
-    ``BranchComposition.sup_deriv_exact`` and |Dphi(0)| = 1/|d|^2.  Python's
-    int / int rounds each correctly, and one ``math.nextafter`` step then
-    moves the sup up and the base-point value down: sup >= 4 den/q and
-    base <= 1/|d|^2, each within 3u relative where it is a normal float.
-    """
-    den, re, im = pole_terms(cr, ci, dr, di)
-    nx, ny = 2 * abs(re) - den, 2 * abs(im) - den
-    nx, ny = nx if nx > 0 else 0, ny if ny > 0 else 0
-    q = nx * nx + ny * ny
-    if q == 0:
-        raise DomainError("derivative pole inside the box; word is not a branch word")
-    return math.nextafter((4 * den) / q, math.inf), math.nextafter(1 / (dr * dr + di * di), 0)
-
-
 _IDENTITY_ROW = (0, 0, 1, 0)
 
 _INT64_LIMIT = 1 << 63  # every int64 intermediate stays strictly below this
@@ -400,17 +381,20 @@ def _word_value_table(digits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     every base-point value at or below 1/|d|^2; for branch digits (norm_sq
     >= 8) each one that is a normal float lies within a factor 1 +/-
     ``_KAPPA`` u of the exact value, u = 2^-53 (``_table_leaves``,
-    ``_leaf_values``).
+    ``_exact_leaves``).
 
     Words are enumerated level by level as arrays of bottom rows, in
     blocks of at most ``_EXACT_CHUNK`` words.  With t the largest length
     up to n with k^t <= ``_EXACT_CHUNK`` and tail = min(t, n - t), the
-    first n - tail levels are enumerated once (at most ``_EXACT_CHUNK``
-    prefixes while the table has at most ``_EXACT_CHUNK``^2 words).  Each
+    first n - tail levels are enumerated once and held together.  Each
     run of ``_EXACT_CHUNK // k^tail`` prefixes then gets its tail levels
     and its leaf values, a contiguous slice of the table since the first
     digit varies slowest; the short tail keeps the small-array levels of a
-    block, and their per-call overhead, few.
+    block, and their per-call overhead, few.  The k^(n - tail) prefixes
+    number k^t <= ``_EXACT_CHUNK`` when n <= 2t, and k^(n - t) < k^(n+1) /
+    ``_EXACT_CHUNK`` otherwise.  So for k > ``_EXACT_CHUNK`` (t = 0) every
+    word's row is held at once beside the table: four entries a word,
+    twice the table, plus the temporaries of the last level.
 
     The rows are int64 while a bound proves the entries fit: with M =
     ceil(|x|) for the digit x of largest norm_sq, |c| and |d| after j
@@ -418,9 +402,9 @@ def _word_value_table(digits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     B_(j-1), and by Cauchy-Schwarz every intermediate of the next level is
     at most B_(j+1).  ``_table_leaves`` computes the leaf values of such a block;
     the words it leaves undecided, every possible pole among them, go
-    through ``_leaf_values`` in Python ints while the block's rows are at
+    through ``_exact_leaves`` in Python ints while the block's rows are at
     hand.  When B_n leaves int64 the rows are object arrays of Python ints,
-    and every word goes through ``_leaf_values``.
+    and every word goes through ``_exact_leaves``.
     """
     k = len(digits)
     m = math.isqrt(max(int((digits * digits).sum(axis=1).max()) - 1, 0)) + 1
@@ -446,10 +430,26 @@ def _word_value_table(digits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
         else:
             sups[part], bases[part], slow = _table_leaves(block)
         if slow.size:
-            slow_rows = zip(*(a[slow].tolist() for a in block))
-            sups[part][slow], bases[part][slow] = np.array(
-                [_leaf_values(*row) for row in slow_rows]).T
+            exact = [a[slow].astype(object) for a in block]
+            sups[part][slow], bases[part][slow] = _exact_leaves(exact)
     return sups, bases
+
+
+def _exact_leaves(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(sup over box of |Dphi|, |Dphi(0)|) of bottom rows of Python ints, rounded outward.
+
+    The sup is the rational 4 den/near of ``ifs.box_distortion_terms`` and
+    |Dphi(0)| = 1/|d|^2.  Python's int / int rounds each correctly, and one
+    ``np.nextafter`` step then moves the sup up and the base-point value
+    down: sup >= 4 den/near and base <= 1/|d|^2, each within 3u relative
+    where it is a normal float.
+    """
+    cr, ci, dr, di = rows
+    _, near, den = box_distortion_terms(cr, ci, dr, di)
+    if (near == 0).any():
+        raise DomainError("derivative pole inside the box; word is not a branch word")
+    sups = np.nextafter((4 * den / near).astype(np.float64), np.inf)
+    return sups, np.nextafter((1 / (dr * dr + di * di)).astype(np.float64), 0)
 
 
 def _extend_levels(
@@ -475,7 +475,7 @@ def _table_leaves(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.nd
 
     ``_word_value_table`` passes one block, at most ``_EXACT_CHUNK`` rows.
     Returns (sups, bases, slow): sup >= 4 den/q and base <= 1/|d|^2, the
-    exact values of ``_leaf_values``; ``slow`` indexes the words with
+    exact values of ``_exact_leaves``; ``slow`` indexes the words with
     q_lo = 0, every possible pole among them, whose values are unset.
 
     Soundness, with u = 2^-53 and gamma_k = k u/(1 - k u).  Entries below
@@ -1098,7 +1098,7 @@ def build_schedule(
     if not (math.isfinite(ratio_tol) and ratio_tol > 0):
         raise DomainError(f"ratio_tol must be finite and positive, got {ratio_tol}")
     f_source = f.source if isinstance(f, GrowthFunction) else getattr(f, "__name__", "callable")
-    clearance_of = _clearance_query(f if callable(f) else f.__call__, horizon)
+    clearance_of = _clearance_query(f, horizon)
     if not 0.0 < eps < s.tau:
         raise DomainError(f"eps must lie in (0, tau={s.tau:g})")
     p = s.tau - eps
@@ -1136,23 +1136,18 @@ def build_schedule(
         nxt_count = shells.count(nxt_lo, nxt_hi)
         level = math.sqrt(anchor_ns[m + 1])  # |z_{m+2}|, the bound block m+1 must clear
         clearance = clearance_of(level)
-        if clearance is None:
-            blocks.append(
-                ScheduleBlock(m, lo, hi, count, horizon - start + 1, start)
-            )
-            truncated = True
+        if clearance is None:  # the last block runs to the horizon
+            next_start, truncated = horizon + 1, True
             warning = (
                 f"growth bound never reaches level {level:.3f} within horizon; "
                 f"schedule truncated at block {m}"
             )
-            break
-        # a tiny ratio_tol can overflow the quotient; past the horizon is past it
-        ratio_need = math.ceil(min((m + 1) * math.log(max(nxt_count, 2)) / ratio_tol, horizon + 1))
-        next_start = max(start + 1, clearance, ratio_need)
-        if next_start > horizon:
-            blocks.append(ScheduleBlock(m, lo, hi, count, horizon - start + 1, start))
-            break
-        blocks.append(ScheduleBlock(m, lo, hi, count, next_start - start, start))
+        else:
+            # a tiny ratio_tol can overflow the quotient; past the horizon is past it
+            ratio_need = math.ceil(
+                min((m + 1) * math.log(max(nxt_count, 2)) / ratio_tol, horizon + 1))
+            next_start = max(start + 1, clearance, ratio_need)
+        blocks.append(ScheduleBlock(m, lo, hi, count, min(next_start, horizon + 1) - start, start))
         start = next_start
         m += 1
 

@@ -261,17 +261,6 @@ def first_on_shell(norm_sq: int) -> GaussianInt:
     raise DomainError(f"no lattice point has norm_sq {norm_sq}")
 
 
-def enumerate_by_norm(include_zero: bool, limit: int) -> list[GaussianInt]:
-    """First ``limit`` lattice points ordered by norm, ties (re, im)-lexicographic."""
-    if limit < 1:
-        raise DomainError("limit must be positive")
-    # the disc of norm_sq ``limit`` holds more than ``limit`` nonzero points;
-    # the norm_sq of the limit-th of them bounds the band from above
-    values, counts = norm_sq_shells(limit)
-    hi = int(values[np.searchsorted(np.cumsum(counts), limit)])
-    return points_by_norm(0 if include_zero else 1, hi)[:limit]
-
-
 def parse_exact_complex(text: str) -> ExactComplexRational:
     """Parse strings like ``2/5+0/1 i``, ``-3/10+17/10i`` or ``1/2-1/3 i``.
 

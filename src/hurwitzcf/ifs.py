@@ -66,23 +66,8 @@ BranchLike = GaussianInt | tuple[int, int]
 
 
 def _as_digit(b: BranchLike) -> GaussianInt:
-    if isinstance(b, GaussianInt):
-        return b
-    return GaussianInt(int(b[0]), int(b[1]))
-
-
-def branch_apply(b: BranchLike, z: ExactComplexRational | complex):
-    """Apply one branch; exact in, exact out (complex floats pass through)."""
-    d = _as_digit(b)
-    if isinstance(z, ExactComplexRational):
-        shifted = z.add_gaussian(d)
-        if shifted.is_zero():
-            raise DomainError(f"pole of branch {d} at z = {z}")
-        return shifted.reciprocal()
-    w = complex(z) + complex(d.re, d.im)
-    if w == 0:
-        raise DomainError(f"pole of branch {d} at z = {z}")
-    return 1.0 / w
+    """A digit as given, or parsed by ``GaussianInt.from_pair``."""
+    return b if isinstance(b, GaussianInt) else GaussianInt.from_pair(b)
 
 
 @dataclass(frozen=True)
@@ -317,18 +302,19 @@ def max_single_branch_distortion(norm_sq_max: int = 64) -> Fraction:
 
 
 def box_distortion_terms(cr, ci, dr, di):
-    """(far, near) of bottom rows (c, d), object arrays of Python ints.
+    """(far, near, den) of bottom rows (c, d), object arrays of Python ints.
 
     A nonempty word's exact sup/inf of |Dphi| over the closed box is
     far/near, from the closed form of ``sup_deriv_exact`` and
     ``inf_deriv_exact``: near = nx^2 + ny^2 and far = mx^2 + my^2 with
     the clamped corners nx = max(2|re| - den, 0), mx = 2|re| + den and
-    likewise in im.  near = 0 marks a pole in the box.
+    likewise in im, and den = |c|^2, so the sup is also 4 den/near.
+    near = 0 marks a pole in the box.
     """
     den, re, im = pole_terms(cr, ci, dr, di)
     re, im = 2 * np.abs(re), 2 * np.abs(im)
     near = np.maximum(re - den, 0) ** 2 + np.maximum(im - den, 0) ** 2
-    return (re + den) ** 2 + (im + den) ** 2, near
+    return (re + den) ** 2 + (im + den) ** 2, near, den
 
 
 def ball_inclusion_holds(cr, ci, dr, di, delta, distortion) -> np.ndarray:
@@ -352,16 +338,6 @@ def ball_inclusion_holds(cr, ci, dr, di, delta, distortion) -> np.ndarray:
     return (lhs < delta.denominator**2 * d2) & (lhs * slack.denominator**2 <= rhs) & (slack >= 0)
 
 
-def sample_box_rationals(rng: np.random.Generator, count: int, grid: int = 1 << 16):
-    """Seeded exact rational samples of the half-open unit box."""
-    res = rng.integers(-grid // 2, grid // 2, size=count)
-    ims = rng.integers(-grid // 2, grid // 2, size=count)
-    return [
-        ExactComplexRational(Fraction(int(a), grid), Fraction(int(b), grid))
-        for a, b in zip(res, ims)
-    ]
-
-
 _GRID = 1 << 16  # samples u = (a + ib)/2^16 with a, b in [-2^15, 2^15)
 
 
@@ -377,8 +353,8 @@ def _int_dtype(digits: Iterable[GaussianInt]) -> type:
 def _box_images(digit: GaussianInt, samples: int, rng: np.random.Generator) -> np.ndarray:
     """``samples`` seeded points p = 1/(u + digit) of the half-open box.
 
-    u = (a + ib)/2^16 takes the draws of sample_box_rationals: one call of
-    shape (2, need) yields the stream of its two calls of size need.
+    u = (a + ib)/2^16, where one draw of shape (2, need) from [-2^15, 2^15)
+    gives need values of a, then need values of b.
     Images outside the box (only exceptional digits have them) are drawn
     again.  A point is returned as the row (A, B) = 2^16 (u + digit), so
     1/p = (A + iB)/2^16 and p = 2^16 (A - iB)/N with N = A^2 + B^2; p lies

@@ -83,7 +83,7 @@ def _nearest_round_residual_in_box(config: RunConfig):
 
 @check("arith", "enumeration_monotone_duplicate_free")
 def _enumeration_monotone_duplicate_free(config: RunConfig):
-    pts = gaussian.enumerate_by_norm(include_zero=True, limit=10_000)
+    pts = gaussian.points_by_norm(0, 5000)[:10_000]
     norms = [p.norm_sq() for p in pts]
     ok = all(norms[i] <= norms[i + 1] for i in range(len(norms) - 1))
     return ok and len(set((p.re, p.im) for p in pts)) == len(pts), None
@@ -92,7 +92,7 @@ def _enumeration_monotone_duplicate_free(config: RunConfig):
 @check("arith", "enumeration_index_norm_sandwich")
 def _enumeration_index_norm_sandwich(config: RunConfig):
     # for 10 <= n in ((2N+1)^2, (2N+2)^2]: N < |z_n| <= sqrt2 (N+1), in integers
-    pts = gaussian.enumerate_by_norm(include_zero=True, limit=10_000)
+    pts = gaussian.points_by_norm(0, 5000)[:10_000]
     checked = 0
     for bign in range(1, 50):
         for n in range(max((2 * bign + 1) ** 2 + 1, 10), (2 * bign + 2) ** 2 + 1):
@@ -182,7 +182,7 @@ def _chain_rule_matches_matrix_exactly(config: RunConfig):
     ]
     for word in words:
         comp = ifs.BranchComposition.from_word(word)
-        for z in ifs.sample_box_rationals(rng, 5):
+        for z in random_box_rationals(rng, 5, 10_000):
             if comp.deriv_abs_exact(z) != ifs.chain_deriv_abs_exact(word, z):
                 return False, {"word": [list(w) for w in word], "z": str(z)}
     return True, None
@@ -219,7 +219,7 @@ def _distortion_words_within_k0(config: RunConfig):
     # 25/9 <= the exact max of sup/inf |Dphi| over short words <= K0, and
     # K0 >= (2 sqrt2 - 1)^2 = 9 - 4 sqrt2, i.e. t = 9 - K0 <= 0 or t^2 <= 32
     words, rows = short_words()
-    far, near = ifs.box_distortion_terms(*rows)
+    far, near, _ = ifs.box_distortion_terms(*rows)
     worst = max(range(len(words)), key=lambda j: Fraction(far[j], near[j]))
     word_max = Fraction(far[worst], near[worst])
     single = ifs.max_single_branch_distortion()

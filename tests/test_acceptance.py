@@ -137,7 +137,7 @@ def test_criterion_06_distortion():
     assert max_single_branch_distortion() == Fraction(25, 9)
     # exact sup/inf over the box of all 14,424 words of length <= 3
     words, rows = short_words()
-    far, near = box_distortion_terms(*rows)
+    far, near, _ = box_distortion_terms(*rows)
     word_max = max(Fraction(f, n) for f, n in zip(far, near))
     k0 = Fraction(COMPOSITION_DISTORTION_BOUND)
     assert Fraction(25, 9) <= word_max <= k0

@@ -157,6 +157,14 @@ def _ref_leaf_values(mat):
     return (4 * den, q), (1, dr * dr + di * di)
 
 
+def _is_pole(row):
+    try:
+        _ref_leaf_values((0, 0, 0, 0, *row))
+    except DomainError:
+        return True
+    return False
+
+
 def _ref_extend_mat(mat, xr, xi):
     ar, ai, br, bi, cr, ci, dr, di = mat
     return (
@@ -412,11 +420,47 @@ class TestWordValueTable:
 
     def test_large_entries_rarely_reach_python(self, monkeypatch):
         # no int64 word of these tables, with entries up to 2^54, is a possible pole
-        calls = []
-        monkeypatch.setattr(dimension, "_leaf_values", lambda *a: calls.append(a))
+        exact_rows = []
+        exact_leaves = dimension._exact_leaves
+
+        def counting(rows):
+            exact_rows.append(len(rows[0]))
+            return exact_leaves(rows)
+
+        monkeypatch.setattr(dimension, "_exact_leaves", counting)
         for digits, n in ((_digits(PAIR), 18), (((4, 1), (7, 3)), 16), (((8, 0), (0, -8)), 18)):
             _table(digits, n)
-        assert calls == []
+        assert sum(exact_rows) == 0
+        _table(((2**40, 1), (7, 3)), 2)  # object rows: every word takes the exact path
+        assert exact_rows == [4]
+
+    def test_exact_path_matches_reference(self):
+        # object rows of 2^40-sized digits, and the int64 rows _table_leaves
+        # leaves undecided that are not poles: one correctly rounded
+        # quotient each, stepped one float outward
+        xr, xi = np.array(_seeded(7, 9) + ((2**40, 1), (-5, 2**40 + 1)), dtype=object).T
+        identity = [np.array([v], dtype=object) for v in dimension._IDENTITY_ROW]
+        huge = list(zip(*dimension._extend_levels(identity, xr, xi, 3)))
+        int64_rows = [np.array(c, dtype=np.int64) for c in zip(*CANCELLATION_ROWS)]
+        slow = dimension._table_leaves(int64_rows)[2]
+        near_poles = [CANCELLATION_ROWS[i] for i in slow.tolist()
+                      if not _is_pole(CANCELLATION_ROWS[i])]
+        assert len(huge) == 729 and len(near_poles) > 0
+        for rows in (huge, near_poles):
+            ref = [_ref_leaf_values((0, 0, 0, 0, *row)) for row in rows]
+            sups, bases = dimension._exact_leaves([np.array(c, dtype=object) for c in zip(*rows)])
+            assert np.array_equal(sups, [math.nextafter(a / b, math.inf) for (a, b), _ in ref])
+            assert np.array_equal(bases, [math.nextafter(a / b, 0) for _, (a, b) in ref])
+
+    def test_exact_path_pole_raises_as_reference(self):
+        pole = (0, 0, 1, 0)  # the identity's bottom row: the pole sits at the origin
+        with pytest.raises(DomainError) as ref:
+            _ref_leaf_values((0, 0, 0, 0, *pole))
+        rows = [np.array([2, v], dtype=object) for v in pole]
+        rows[2][0] = 5  # a row with no pole first, then the pole
+        with pytest.raises(DomainError) as got:
+            dimension._exact_leaves(rows)
+        assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize("n", [150, 2000])
     def test_deep_one_digit_table_matches_exact_composition(self, n):

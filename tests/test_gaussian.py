@@ -12,7 +12,6 @@ from hurwitzcf import (
     ExactComplexRational,
     GaussianInt,
     count_in_square,
-    enumerate_by_norm,
     nearest_round,
     parse_exact_complex,
 )
@@ -110,22 +109,26 @@ class TestCountInSquare:
 
 class TestEnumerateByNorm:
     def test_zero_first(self):
-        assert enumerate_by_norm(include_zero=True, limit=1) == [GaussianInt(0, 0)]
+        assert points_by_norm(0, 0) == [GaussianInt(0, 0)]
+        assert points_by_norm(0, 2)[0] == GaussianInt(0, 0)
 
     def test_norm_le_2_count(self):
-        pts = enumerate_by_norm(include_zero=True, limit=20)
+        pts = points_by_norm(0, 5)[:20]
         assert sum(1 for p in pts if p.norm_sq() <= 2) == 9
+        assert GaussianInt(0, 0) not in points_by_norm(1, 5)
 
     def test_units_lex_order(self):
-        assert enumerate_by_norm(include_zero=False, limit=4) == [
+        assert points_by_norm(1, 1) == [
             GaussianInt(-1, 0),
             GaussianInt(0, -1),
             GaussianInt(0, 1),
             GaussianInt(1, 0),
         ]
+        pts = points_by_norm(0, 50)
+        assert pts == sorted(pts, key=lambda g: (g.norm_sq(), g.re, g.im))
 
     def test_agrees_with_array_fast_path(self):
-        pts = enumerate_by_norm(include_zero=True, limit=2000)
+        pts = points_by_norm(0, 1000)[:2000]
         arr = DigitSet.lattice_with_zero().norm_sq_array(2000)
         assert np.array_equal(arr, np.array([p.norm_sq() for p in pts], dtype=float))
 

@@ -7,8 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hurwitzcf import (BranchComposition, DomainError, ExactComplexRational, GaussianInt,
-                       branch_apply)
+from hurwitzcf import BranchComposition, DigitSet, DomainError, ExactComplexRational, GaussianInt
 from hurwitzcf import dimension
 from hurwitzcf.ifs import (
     _sample_witness,
@@ -23,15 +22,19 @@ from hurwitzcf.ifs import (
     d2_branches,
     max_single_branch_distortion,
     nesting_check,
-    sample_box_rationals,
     separation_check,
     sup_deriv_by_norm_class,
 )
-from hurwitzcf.verify import short_words
+from hurwitzcf.verify import random_box_rationals, short_words
 
 
 def ecr(re, im) -> ExactComplexRational:
     return ExactComplexRational(Fraction(re), Fraction(im))
+
+
+def branch(b):
+    """The exact branch map z -> 1/(z + b)."""
+    return BranchComposition.from_word([b]).apply
 
 
 class TestBranch:
@@ -41,14 +44,37 @@ class TestBranch:
         BranchComposition.from_word([(2, 2)])
 
     def test_apply_examples(self):
-        assert branch_apply((2, 2), ecr(0, 0)) == ecr(Fraction(1, 4), Fraction(-1, 4))
-        assert branch_apply((-2, 2), ecr(0, 0)) == ecr(Fraction(-1, 4), Fraction(-1, 4))
+        assert branch((2, 2))(ecr(0, 0)) == ecr(Fraction(1, 4), Fraction(-1, 4))
+        assert branch((-2, 2))(ecr(0, 0)) == ecr(Fraction(-1, 4), Fraction(-1, 4))
         corner = ecr(Fraction(-1, 2), Fraction(-1, 2))
-        assert branch_apply((2, 2), corner) == ecr(Fraction(1, 3), Fraction(-1, 3))
+        assert branch((2, 2))(corner) == ecr(Fraction(1, 3), Fraction(-1, 3))
 
-    def test_apply_float(self):
-        got = branch_apply((2, 2), 0j)
-        assert abs(got - (0.25 - 0.25j)) < 1e-15
+
+# Each entry point that takes digits, fed one digit; the (-2, -2) and
+# (3, 0) beside it are valid.
+DIGIT_ENTRY_POINTS = {
+    "from_branches": lambda b: DigitSet.from_branches([(-2, -2), b]),
+    "from_word": lambda b: BranchComposition.from_word([(3, 0), b]),
+    "extend": lambda b: BranchComposition.from_word([(3, 0)]).extend(b),
+    "separation_check": lambda b: separation_check([(-2, -2), b], samples=5, seed=1),
+    "nesting_check": lambda b: nesting_check([(3, 0), b]),
+}
+
+
+class TestDigitParsing:
+    # pairs go through GaussianInt.from_pair, as the CLI's do: nothing is
+    # truncated by int() or read from a bool or a string
+    @pytest.mark.parametrize("entry", DIGIT_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [(2.7, 2.9), (2.9, 2), (True, 3), ("3", "0"), (3, 0, 1), 3],
+                             ids=["floats", "float-re", "bool", "strings", "triple", "int"])
+    def test_non_int_pair_rejected(self, entry, bad):
+        with pytest.raises(DomainError, match="expected"):
+            DIGIT_ENTRY_POINTS[entry](bad)
+
+    @pytest.mark.parametrize("entry", DIGIT_ENTRY_POINTS)
+    def test_pair_and_gaussian_int_agree(self, entry):
+        fn = DIGIT_ENTRY_POINTS[entry]
+        assert fn((2, 2)) == fn([2, 2]) == fn(GaussianInt(2, 2))
 
 
 class TestComposition:
@@ -58,7 +84,7 @@ class TestComposition:
         z = ecr(Fraction(1, 7), Fraction(-2, 7))
         stepwise = z
         for digit in reversed(word):
-            stepwise = branch_apply(digit, stepwise)
+            stepwise = branch(digit)(stepwise)
         assert comp.apply(z) == stepwise
 
     def test_determinant_modulus_one(self):
@@ -79,7 +105,7 @@ class TestComposition:
         comp = BranchComposition.from_word([(2, 2), (-2, 2)])
         sup = comp.sup_deriv_exact()
         inf = comp.inf_deriv_exact()
-        for z in sample_box_rationals(rng, 50):
+        for z in random_box_rationals(rng, 50, 10_000):
             val = comp.deriv_abs_exact(z)
             assert inf <= val <= sup
 
@@ -159,7 +185,7 @@ class TestCompositionReference:
         words += [[GaussianInt(*x) if isinstance(x, tuple) else x for x in w] for w in words[:30]]
         comps = [BranchComposition.from_word(w) for w in words]
         refs = [_RefComposition.from_word(w) for w in words]
-        points = sample_box_rationals(np.random.default_rng(seed), 3)
+        points = random_box_rationals(np.random.default_rng(seed), 3, 10_000)
         for comp, ref in zip(comps, refs):
             assert (comp.a, comp.b, comp.c, comp.d) == (ref.a, ref.b, ref.c, ref.d)
             assert comp.word == ref.word and len(comp) == len(ref.word)
@@ -296,7 +322,7 @@ class TestDistortion:
         # exact sup/inf over the box of every word of length <= 3: the max,
         # 961/289 = 3.3253, lies between 25/9 and K0
         words, rows = short_words()
-        far, near = box_distortion_terms(*rows)
+        far, near, _ = box_distortion_terms(*rows)
         assert len(words) == 14_424
         word_max = max(Fraction(f, n) for f, n in zip(far, near))
         assert word_max == Fraction(961, 289)
@@ -337,7 +363,7 @@ class TestCylinderIdentity:
 
         rng = np.random.default_rng(23)
         alphabet = [(b.re, b.im) for b in d2_branches(16)]
-        points = sample_box_rationals(rng, 8)
+        points = random_box_rationals(rng, 8, 10_000)
         words = [[a] for a in alphabet] + [[a, b] for a in alphabet for b in alphabet]
         for _ in range(120):
             idx = rng.integers(0, len(alphabet), size=3)
@@ -361,7 +387,7 @@ class TestSeparation:
     def test_center_first_digit(self):
         from hurwitzcf import expand
 
-        p = branch_apply((2, 2), ecr(0, 0))
+        p = branch((2, 2))(ecr(0, 0))
         assert expand(p, max_digits=1).digits[0].to_pair() == [2, 2]
 
     def test_empty_list_rejected(self):

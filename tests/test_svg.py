@@ -1,5 +1,6 @@
 import re
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from hurwitzcf import DomainError, GaussianInt, TessellationSpec, render_svg, soundness_check
 from hurwitzcf import svg
 from hurwitzcf.expansion import _from_quotient
-from hurwitzcf.ifs import _box_images, sample_box_rationals
+from hurwitzcf.gaussian import ExactComplexRational
+from hurwitzcf.ifs import _box_images
 from hurwitzcf.svg import region_digits, region_path
 
 
@@ -259,13 +261,22 @@ class TestRegionBounds:
         assert soundness_check(self.spec, samples_per_region=1000, seed=0) == (True, None)
 
 
+def _sample_box_rationals(rng, count, grid=1 << 16):
+    """Seeded exact rational samples of the half-open unit box: the
+    per-point sampler whose stream ``_box_images`` draws in one call."""
+    res = rng.integers(-grid // 2, grid // 2, size=count)
+    ims = rng.integers(-grid // 2, grid // 2, size=count)
+    return [ExactComplexRational(Fraction(int(a), grid), Fraction(int(b), grid))
+            for a, b in zip(res, ims)]
+
+
 def test_box_images_take_the_sample_box_rationals_draws():
     for digit, seed in ((GaussianInt(1, 1), 5), (GaussianInt(3, -2), 6), (GaussianInt(0, 2), 7)):
         rng = np.random.default_rng(seed)
         expected = []
         while len(expected) < 40:
             images = [u.add_gaussian(digit).reciprocal()
-                      for u in sample_box_rationals(rng, 40 - len(expected))]
+                      for u in _sample_box_rationals(rng, 40 - len(expected))]
             expected += [p for p in images if p.in_unit_box()]
         points = _box_images(digit, 40, np.random.default_rng(seed))
         assert [str(_from_quotient(1 << 16, 0, A, B)) for A, B in points.tolist()] == [
