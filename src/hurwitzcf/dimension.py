@@ -173,9 +173,7 @@ class _ShellTable:
         if norm_sq <= self.limit or self.limit >= self.cap:
             return
         if min(norm_sq, self.cap) > _MAX_SHELL_NORM_SQ:
-            raise BudgetExceededError(
-                f"{self.set.name} needs shells past norm_sq {_MAX_SHELL_NORM_SQ}", math.inf
-            )
+            raise BudgetExceededError(f"{self.set.name} needs shells past norm_sq {_MAX_SHELL_NORM_SQ}")
         old = self.limit
         self.limit = min(max(norm_sq, 2 * old), self.cap, _MAX_SHELL_NORM_SQ)
         values, counts = norm_sq_shells(self.limit, old)  # only the shells past the old limit
@@ -590,30 +588,14 @@ def _branch_count(alphabet: DigitSet) -> int:
     return k
 
 
-def _truncation_bound(digits: np.ndarray, n: int, s: float) -> float:
-    """(sum_i sup_i^s)^n over single digits, rounded up: the n = 1 table's
-    ``hi`` times n, stepped up, then math.exp, taken to err by at most 4
-    ulps, widened by 1 + 16u and 2^-1071 and stepped up."""
-    sups, _ = _word_value_table(digits, 1)
-    log_z1 = _outward_log(_tree_sum(sups**s), len(sups), 0.0, 0, 1, math.inf)
-    try:
-        x = math.nextafter(n * log_z1, math.inf)
-        return math.nextafter(math.exp(x) * (1 + 16 * _U) + 2.0**-1071, math.inf)
-    except OverflowError:  # a bound past the float range bounds nothing finite
-        return math.inf
-
-
-def _check_budget(k: int, n: int, s: float, max_words: int, digits: np.ndarray | None) -> None:
+def _check_budget(k: int, n: int, max_words: int) -> None:
     """Raise ``BudgetExceededError`` when the k^n words, or n itself (the
-    budget of a one-digit alphabet), exceed ``max_words``.  Its bound is
-    ``_truncation_bound`` over ``digits``, or inf when they were not built."""
-    # k^n against max_words in logs, exactly only where they are within a factor 2
-    excess = n * math.log2(k) - math.log2(max(max_words, 1)) if n <= max_words else math.inf
-    if excess > 1 or (excess > -1 and k**n > max_words):
+    budget of a one-digit alphabet), exceed ``max_words``.  For k >= 2, k^n
+    exceeds it once n passes its bit length, so k^n is only taken for short n."""
+    if n > max_words or (k > 1 and (n > int(max_words).bit_length() or k**n > max_words)):
         raise BudgetExceededError(
             f"word length {n} exceeds budget {max_words}" if n > max_words
-            else f"{k}^{n} words exceed budget {max_words}",
-            truncation_bound=math.inf if digits is None else _truncation_bound(digits, n, s),
+            else f"{k}^{n} words exceed budget {max_words}"
         )
 
 
@@ -626,11 +608,9 @@ def partition_sum(
     the box; base_point mode evaluates the derivative at 0.  Every one of
     the k^n words is enumerated.  When they exceed ``max_words``, or n
     does (the budget of a one-digit alphabet), the call raises
-    ``BudgetExceededError`` with the bound (sum_i sup_i^s)^n
-    (``_truncation_bound``), which holds in either mode: sup-norm sums are
-    submultiplicative, and no base-point value exceeds its word's sup.  k
-    is counted first; when k alone exceeds ``max_words``, no digit is built
-    and the bound is inf.  ``_pressure_estimate`` brackets the sum.
+    ``BudgetExceededError``, decided from the count k before any digit is
+    built and carrying only its message.  ``_pressure_estimate`` brackets
+    the sum.
     """
     if mode not in ("sup_norm", "base_point"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -639,9 +619,8 @@ def partition_sum(
     if not (math.isfinite(s) and s >= 0):
         raise DomainError(f"s must be finite and nonnegative, got {s}")
     k = _branch_count(alphabet)
-    digits = alphabet._member_coords() if k <= max_words else None
-    _check_budget(k, n, s, max_words, digits)
-    sups, bases = _word_value_table(digits, n)
+    _check_budget(k, n, max_words)
+    sups, bases = _word_value_table(alphabet._member_coords(), n)
     return _pressure_estimate(sups if mode == "sup_norm" else bases, n, s, mode)
 
 
@@ -746,8 +725,8 @@ def bowen_dimension(
     n = 1
     while n < n_max and k ** (n + 1) <= max_words:
         n += 1
-    digits = alphabet._member_coords() if k <= max_words else None
-    _check_budget(k, n, 0.0, max_words, digits)  # the first root search starts at s = 0
+    _check_budget(k, n, max_words)
+    digits = alphabet._member_coords()
     sups, bases = _word_value_table(digits, n)
     sup = functools.cache(lambda s: _pressure_estimate(sups, n, s, "sup_norm"))
 
@@ -1336,13 +1315,17 @@ def verify_lower_bound_chain(
 ) -> ChainResult:
     """Evaluate the explicit n-independent lower bound on the partition sum.
 
-    With s = (tau - eps)/(2 + delta), the first N blocks contribute the
-    explicit product c1^(N s) |z_1|^(-2 s t_1) prod_m (sum over pool of
+    With s = (tau - eps)/(2 + delta), each step owes a factor c1^s, so the
+    first N blocks, which hold n_N = t_1 + ... + t_N steps, contribute the
+    explicit product c1^(s n_N) |z_1|^(-2 s t_1) prod_m (sum over pool of
     |i|^-2s)^(t_m); blocks beyond N carry exponent -(2+delta)s = -(tau-eps)
     and each contributes a factor >= 1 by the annulus weight construction,
     so the bound does not depend on n.  N is the first block index from
     which c1/|i|^2 >= |i|^-(2+delta) holds for all later digits; c1 = 16/25
-    is the decay constant ``ifs.DECAY_C1``.
+    is the decay constant ``ifs.DECAY_C1``.  Precondition: c1/|i|^2 <=
+    |Dphi_i| on the box, which ``ifs.DECAY_C1`` proves only for norm_sq >=
+    8, so a set with smaller members (``lattice``, ``minnormsq:N`` with
+    N < 8) gets a value that is not a proven bound.
     """
     if delta <= 0:
         raise DomainError("delta must be positive")
@@ -1380,7 +1363,7 @@ def verify_lower_bound_chain(
     shells = sched.digit_set._shells
     t1 = sched.blocks[0].t
     z1_ns = sched.anchors[0].norm_sq()
-    log_bound = cutoff * s_val * log_c1
+    log_bound = end_cutoff * s_val * log_c1  # c1^s per step of the first N blocks
     log_bound += -s_val * t1 * math.log(z1_ns)  # |z_1|^(-2 s t_1)
     for blk in sched.blocks[1:cutoff]:
         w = shells.weight(blk.norm_sq_lo, blk.norm_sq_hi, 2.0 * s_val)

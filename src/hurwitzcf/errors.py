@@ -8,12 +8,4 @@ class DomainError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration outgrew its configured budget.
-
-    Carries an upper bound on the sum that was not enumerated, so callers
-    can still reason about the result.
-    """
-
-    def __init__(self, message: str, truncation_bound: float):
-        super().__init__(message)
-        self.truncation_bound = truncation_bound
+    """An enumeration outgrew its configured budget; it carries only its message."""

@@ -1,0 +1,50 @@
+"""The benchmark's own jobs on their first cycle, so that a change which
+breaks a traced name or a bench check fails here and not only in a bench
+run.  `perfbench/` is put on the path and only read."""
+
+import random
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+import hurwitzcf
+import hurwitzcf.cli  # noqa: F401  (the traced `cli.schedule` and `cli.tau` live here)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import jobs  # noqa: E402
+import spans  # noqa: E402
+
+WORKLOADS = sorted(jobs.STREAMS)
+
+
+def test_traced_names_resolve():
+    for owner_path, attr, _ in spans.TRACED:
+        owner = hurwitzcf
+        for part in owner_path.split("."):
+            owner = getattr(owner, part)
+        assert callable(getattr(owner, attr)), (owner_path, attr)
+
+
+def test_tracer_patches_and_restores():
+    before = hurwitzcf.dimension.partition_sum
+    with spans.Tracer().patched(hurwitzcf):
+        assert hurwitzcf.dimension.partition_sum is not before
+    assert hurwitzcf.dimension.partition_sum is before
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_self_tests_pass(workload):
+    checks, _ = jobs.self_tests(workload)
+    assert checks and all(checks.values()), checks
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_first_cycle_passes_its_checks(workload):
+    # run_job raises jobs.CheckError on any wrong output
+    traffic = defaultdict(list)
+    tracer = spans.Tracer()
+    cycle = next(jobs.STREAMS[workload](random.Random(0), traffic))
+    for job in jobs.reference_jobs(workload, traffic) + cycle:
+        jobs.run_job(job, tracer)

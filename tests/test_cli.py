@@ -313,10 +313,13 @@ class TestSizeLimits:
             # 15,707,952 digits within the config's largest budget: the table is built
             ("max_words = 16777216",
              ["pressure", "--alphabet", "annulus:8:5000000", "--n", "1", "--s", "1"], 0),
+            # the same digits at n 2 are refused from their count, before any is built
+            ("max_words = 16777216",
+             ["pressure", "--alphabet", "annulus:8:5000000", "--n", "2", "--s", "1"], 3),
         ],
         ids=["tau-horizon", "config-horizon", "schedule-horizon", "config-max-words",
              "schedule-shells", "dim-shells", "dim-members", "tessellate-regions",
-             "pressure-members"],
+             "pressure-members", "pressure-words"],
     )
     def test_exit_in_one_line(self, tmp_path, config, args, code):
         if config is not None:

@@ -3,7 +3,6 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -133,9 +132,8 @@ def test_empty_finite_set_raises(s):
 @pytest.mark.parametrize("s", [DigitSet.d2(), DigitSet.annulus(8, 1 << 30)], ids=["d2", "annulus"])
 def test_shell_table_budget(s):
     # shells past norm_sq 2^24 are a budget, reached before any grid is built
-    with pytest.raises(BudgetExceededError) as info:
+    with pytest.raises(BudgetExceededError, match=r"needs shells past norm_sq 16777216$"):
         s.shell_counts((1 << 24) + 1)
-    assert info.value.truncation_bound == math.inf
     assert DigitSet.annulus(8, 100).shell_counts(1 << 30)[0][-1] == 98  # a finite cap stays in
 
 
@@ -560,19 +558,36 @@ class TestPartitionSum:
                     assert est.lower_bracket <= middle <= est.upper_bracket, (n, s)
 
     def test_budget_error_payload(self):
-        with pytest.raises(BudgetExceededError) as info:
+        with pytest.raises(BudgetExceededError, match="^4\\^10 words exceed budget 1000$"):
             partition_sum(QUAD, 10, 1.0, max_words=1000)
-        assert info.value.truncation_bound > 0
-        # the bound is (sum of single-branch sups)^n, rounded up, at or above the exact Z_n
-        with pytest.raises(BudgetExceededError) as info:
+        with pytest.raises(BudgetExceededError, match="^4\\^9 words exceed budget 1000$"):
             partition_sum(QUAD, 9, 1.0, max_words=1000)
-        singles = sum(BranchComposition.from_word([d]).sup_deriv_exact() for d in QUAD.members())
-        assert singles**9 <= info.value.truncation_bound <= singles**9 * (1 + Fraction(1, 10**12))
-        assert info.value.truncation_bound >= math.exp(9 * partition_sum(QUAD, 9, 1.0).log_zn_over_n)
-        # at s = 0 the bound is 4^n, past the float range at n = 600
-        with pytest.raises(BudgetExceededError) as info:
+        with pytest.raises(BudgetExceededError, match="^4\\^600 words exceed budget 262144$"):
             partition_sum(QUAD, 600, 0.0)
-        assert info.value.truncation_bound == math.inf
+
+    def test_refused_before_digits_are_built(self, monkeypatch):
+        # a refusal is decided from the count alone: no digit is resolved
+        monkeypatch.setattr(DigitSet, "_member_coords", lambda self: pytest.fail("digits built"))
+        for call in (lambda: partition_sum(QUAD, 10, 1.0, max_words=1000),
+                     lambda: partition_sum(SINGLE, 1001, 0.0, max_words=1000),
+                     lambda: bowen_dimension(QUAD, max_words=3)):
+            with pytest.raises(BudgetExceededError):
+                call()
+
+    @pytest.mark.parametrize("max_words", [1, 2, 1000, 1 << 18, 1 << 24])
+    def test_check_budget_refuses_exactly_past_the_count(self, max_words):
+        for k in range(1, 21):
+            for n in range(1, 41):
+                if n > max_words:
+                    message = f"word length {n} exceeds budget {max_words}"
+                elif k**n > max_words:
+                    message = f"{k}^{n} words exceed budget {max_words}"
+                else:
+                    dimension._check_budget(k, n, max_words)
+                    continue
+                with pytest.raises(BudgetExceededError) as info:
+                    dimension._check_budget(k, n, max_words)
+                assert str(info.value) == message, (k, n)
 
     def test_base_point_upper_bracket_bounds_the_pressure(self):
         # annulus:8:16 has dimension 1.41903, so P(1.418) > 0; log Z_base(3)/3
@@ -585,9 +600,8 @@ class TestPartitionSum:
         big = DigitSet.annulus(8, 100_001)
         monkeypatch.setattr(DigitSet, "members", lambda self: pytest.fail("members built"))
         for call in (lambda: partition_sum(big, 1, 1.0), lambda: bowen_dimension(big)):
-            with pytest.raises(BudgetExceededError, match="^314176\\^1 words exceed budget 262144$") as info:
+            with pytest.raises(BudgetExceededError, match="^314176\\^1 words exceed budget 262144$"):
                 call()
-            assert info.value.truncation_bound == math.inf
         # a digit of norm_sq below 8 is a usage error first, named as before
         with pytest.raises(DomainError, match="alphabet digit -1 is not a branch index"):
             partition_sum(DigitSet.annulus(1, 100_001), 1, 1.0)

@@ -429,6 +429,24 @@ class TestLowerBoundChain:
         threshold = (25.0 / 16.0) ** 20
         assert sched.anchors[result.block_cutoff].norm_sq() >= threshold
 
+    def test_bound_is_the_product_over_steps(self, d2_schedule):
+        # every step of the first N blocks owes c1^s times its pool weight
+        # (|z_1|^-2s in block 1), so the log bound is a sum over steps
+        sched, _ = d2_schedule
+        result = verify_lower_bound_chain(sched, 0.5, 0.1, sched.horizon)
+        s, first = result.s_value, sched.blocks[:result.block_cutoff]
+        values, counts = sched.digit_set.shell_counts(first[-1].norm_sq_hi)
+        weights = {first[0].index: sched.anchors[0].norm_sq() ** -s}  # block 1: z_1 alone
+        for blk in first[1:]:
+            pool = (values >= blk.norm_sq_lo) & (values < blk.norm_sq_hi)
+            weights[blk.index] = math.fsum(int(c) * int(v) ** -s
+                                           for v, c in zip(values[pool], counts[pool]))
+        terms = [s * math.log(16 / 25) + math.log(weights[sched.block_of(step).index])
+                 for step in range(1, first[-1].end + 1)]
+        assert len(terms) == 6190 and result.block_cutoff == 91
+        assert result.log_lower_bound == pytest.approx(math.fsum(terms), rel=1e-9)
+        assert result.log_lower_bound < 0
+
     def test_degenerate_small_eps(self, d2_schedule):
         # eps close to tau collapses the exponent toward zero
         sched, _ = d2_schedule
