@@ -40,13 +40,15 @@ def _write(ctx: click.Context, text: str) -> None:
         raise DomainError(f"cannot write {str(out)!r}: {exc}") from exc
 
 
-def _emit(ctx: click.Context, payload: dict, columns: dict[str, list] | None = None) -> None:
+def _emit(ctx: click.Context, payload: dict, columns: dict | None = None) -> None:
     """Write the JSON form of a result, or its CSV table, to --out or stdout.
 
-    The table comes as ordered columns, name -> list of Python scalars, one
+    The table comes as ordered columns, name -> list or numpy array, one
     entry per row; without columns it is the payload as one row.  The CSV is
-    the header of column names, then the rows, so a table without rows is
-    its header alone.
+    the header of column names, then the rows, _ROW_BLOCK at a time, so a
+    table without rows is its header alone.  A block of only int and float
+    is one str.format per row, as str() is what csv.writer writes for them;
+    a block with bool, None or str goes through csv.writer.
     """
     if ctx.obj["format"] == "json":
         try:
@@ -60,7 +62,14 @@ def _emit(ctx: click.Context, payload: dict, columns: dict[str, list] | None = N
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(zip(*columns.values()))
+        row = ",".join(["{}"] * len(columns)) + "\n"
+        for lo in range(0, min(map(len, columns.values()), default=0), _ROW_BLOCK):
+            block = [c[lo : lo + _ROW_BLOCK] for c in columns.values()]
+            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            if all(set(map(type, c)) <= {int, float} for c in block):
+                buf.write("".join(map(row.format, *block)))
+            else:
+                writer.writerows(zip(*block))
         text = buf.getvalue()
     _write(ctx, text)
 
@@ -119,6 +128,7 @@ def _tau_estimate(source: str, horizon: int) -> dimension.TauEstimate:
 
 # click 8.2 and later raise this for a bare command, whose help it prints
 _HELP_REQUEST = getattr(click.exceptions, "NoArgsIsHelpError", ())
+_ROW_BLOCK = 4096  # rows of a CSV table formatted at a time
 
 
 @contextlib.contextmanager
@@ -261,13 +271,8 @@ def tau(ctx, source, horizon):
     horizon = config.horizon if horizon is None else horizon
     est = _tau_estimate(source, horizon)
     payload = dict(est.to_json(), source=source)
-    columns = None
-    if ctx.obj["format"] == "csv":
-        columns = {
-            "n": est.trajectory_n.astype(np.int64).tolist(),
-            "x": est.trajectory_x.tolist(),
-            "ratio": est.trajectory_ratio.tolist(),
-        }
+    columns = {"n": est.trajectory_n.astype(np.int64), "x": est.trajectory_x,
+               "ratio": est.trajectory_ratio}
     _emit(ctx, payload, columns)
     click.echo(f"tau estimate: {est.estimate:.6f} (ratio max {est.ratio_max:.6f})", file=sys.stderr)
 
@@ -338,7 +343,7 @@ def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
     if emit == "subexp":
         traj = dimension.subexp_check(sched)
         payload["subexp"] = traj.to_json()
-        columns = {"n": traj.n.astype(np.int64).tolist(), "ratio": traj.ratio.tolist()}
+        columns = {"n": traj.n.astype(np.int64), "ratio": traj.ratio}
     else:
         blocks = [b.to_json() for b in sched.blocks]
         columns = {name: [b[name] for b in blocks] for name in ("norm_lo", "norm_hi", "count", "t")}

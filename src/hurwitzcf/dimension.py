@@ -6,7 +6,7 @@ schedules for restricted digit sets.
 from __future__ import annotations
 
 import ast
-import bisect
+import contextlib
 import functools
 import math
 import string
@@ -24,6 +24,7 @@ from .ifs import (BRANCH_MIN_NORM_SQ, COMPOSITION_DISTORTION_BOUND, DECAY_C1, DE
 SQRT2 = math.sqrt(2.0)
 
 _LOG_K0 = math.log(COMPOSITION_DISTORTION_BOUND)  # widens a sum into a bracket on the pressure
+_GROWTH_BLOCK = 1 << 14  # most steps of a growth bound evaluated at once (128 KiB of values)
 _MAX_BISECTIONS = 64  # caps each root search of bowen_dimension when tol is below the float spacing
 _MAX_HORIZON = 10**7  # largest tau or schedule horizon
 _MAX_SHELL_NORM_SQ = 1 << 24  # shell tables end here, at 5.3e7 lattice points
@@ -298,6 +299,20 @@ class GrowthFunction:
 
     def __repr__(self) -> str:
         return f"GrowthFunction({self.source!r})"
+
+
+def _growth_values(f: GrowthFunction | Callable[[int], float], steps: range) -> np.ndarray:
+    """f at a range of steps as float64: one comprehension over a GrowthFunction's
+    compiled lambda, or over f(n).  If a step raises, f redoes the steps one at a
+    time: the first raises as f does, or the values before the one that raises return."""
+    fn, arg = (f._fn, float) if isinstance(f, GrowthFunction) else (f, int)
+    try:
+        return np.array([fn(arg(n)) for n in steps], dtype=np.float64)
+    except Exception:
+        values = [f(steps[0])]
+        with contextlib.suppress(Exception):
+            values.extend(map(f, steps[1:]))
+        return np.array(values, dtype=np.float64)
 
 
 def _check_growth(node: ast.AST, text: str) -> None:
@@ -1032,19 +1047,24 @@ def _clearance_query(
 
     The query maps a level to the smallest n0 with f(n) >= level for every
     n in [n0, horizon], or None when f(horizon) < level; NaN fails every
-    level.  It keeps neg[k] = -min f over [horizon - k, horizon], which is
-    nondecreasing, and extends it by one step only while every value so far
-    clears the queried level.  So f is evaluated at most once per step, and
-    only at steps a backward scan from the horizon for that level reaches.
+    level.  It keeps neg[k + 1] = -min f over [horizon - k, horizon], which
+    is nondecreasing, in a preallocated array, by _growth_values blocks that
+    double up to _GROWTH_BLOCK steps while every value so far clears the
+    queried level.  So f is evaluated at most once per step, and raises only
+    at a step the one-step backward scan for that level reaches.
     """
-    neg: list[float] = []
+    neg = np.empty(horizon + 1)
+    neg[0], filled, block = -math.inf, 0, 1  # neg[: filled + 1] is known
 
     def clearance(level: float) -> int | None:
-        while len(neg) < horizon and (not neg or neg[-1] <= -level):
-            v = f(horizon - len(neg))
-            x = -v if v == v else math.inf
-            neg.append(x if not neg or x > neg[-1] else neg[-1])
-        cleared = bisect.bisect_right(neg, -level)
+        nonlocal filled, block
+        while filled < horizon and neg[filled] <= -level:
+            x = -_growth_values(f, range(horizon - filled, max(horizon - filled - block, 0), -1))
+            x[np.isnan(x)] = math.inf
+            x[0] = max(x[0], neg[filled])
+            np.maximum.accumulate(x, out=neg[filled + 1 : filled + 1 + x.size])
+            filled, block = filled + x.size, min(2 * block, _GROWTH_BLOCK)
+        cleared = int(np.searchsorted(neg[1 : filled + 1], -level, side="right"))
         return horizon - cleared + 1 if cleared else None
 
     return clearance
@@ -1192,15 +1212,20 @@ def _block_membership(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
 
 
 def _growth_domination(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
-    """Every step of block m >= 2 clears the growth bound at the next anchor."""
+    """Every step of block m >= 2 clears the growth bound at the next anchor;
+    scanned in _growth_values chunks of up to _GROWTH_BLOCK steps, so f runs
+    once per step and raises only at a step the one-step scan reaches."""
     for blk in sched.blocks[1:]:
         if blk.index >= len(sched.anchors):
             continue
         level = math.sqrt(sched.anchors[blk.index].norm_sq())
-        for n in range(blk.start, blk.end + 1):
-            value = f(n)
-            if value < level:
-                return False, {"block": blk.index, "n": n, "f": value, "level": level}
+        n = blk.start
+        while n <= blk.end:
+            values = _growth_values(f, range(n, min(n + _GROWTH_BLOCK, blk.end + 1)))
+            i = int(np.argmax(values < level))  # the first failing step, if any
+            if values[i] < level:
+                return False, {"block": blk.index, "n": n + i, "f": values[i].item(), "level": level}
+            n += values.size
     return True, None
 
 

@@ -1,19 +1,23 @@
 import contextlib
+import csv
 import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import resource
 import subprocess
 import sys
 import time
+import types
 import warnings
 import weakref
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -64,6 +68,58 @@ class TestExpand:
     def test_csv_without_rows_has_header(self, runner):
         # 0 has no digits, so its table is the header alone
         assert run_ok(runner, ["--format", "csv", "expand", "0"]).stdout == "index,re,im\n"
+
+
+class TestCsvRows:
+    """Tables of int and float columns are formatted without csv.writer;
+    the bytes must be the ones csv.writer writes."""
+
+    FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-5, 5e-324, 0.1, 1 / 3, 2.5e300]
+    INTS = [2**63, -(2**63), 0, 1, -7, 10**30, 2**53 + 1, 42, -1, 3, 2**64]
+
+    @staticmethod
+    def _emit(capsys, payload, columns=None):
+        climod._emit(types.SimpleNamespace(obj={"format": "csv", "out": None}), payload, columns)
+        return capsys.readouterr().out
+
+    @staticmethod
+    def _csv_writer(columns):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                               for c in columns.values())))
+        return buf.getvalue()
+
+    def test_edge_values_as_lists(self, capsys):
+        columns = {"x": self.FLOATS, "k": self.INTS, "mixed": self.INTS[:5] + self.FLOATS[:6]}
+        assert self._emit(capsys, {}, columns) == self._csv_writer(columns)
+
+    def test_arrays_across_row_blocks(self, capsys):
+        rng = np.random.default_rng(7)
+        rows = 3 * climod._ROW_BLOCK + 5
+        scale = 10.0 ** rng.integers(-300, 300, rows - len(self.FLOATS))
+        x = np.concatenate([self.FLOATS, rng.standard_normal(rows - len(self.FLOATS)) * scale])
+        columns = {"n": np.arange(1, rows + 1, dtype=np.int64), "x": x,
+                   "u": np.full(rows, 2**63, dtype=np.uint64),
+                   "h": rng.standard_normal(rows).astype(np.float32)}
+        text = self._emit(capsys, {}, columns)
+        assert text == self._csv_writer(columns)
+        assert text.count("\n") == rows + 1 and "\n1,nan,9223372036854775808," in text
+
+    def test_no_rows_is_the_header(self, capsys):
+        columns = {"n": np.empty(0, dtype=np.int64), "ratio": np.empty(0), "t": []}
+        assert self._emit(capsys, {}, columns) == "n,ratio,t\n"
+
+    def test_other_columns_go_through_csv_writer(self, capsys):
+        payload = {"f": "max(10, sqrt(n))", "truncated": True, "warning": None, "horizon": 70000,
+                   "tau": 2.0}
+        text = self._emit(capsys, payload)
+        assert text == 'f,truncated,warning,horizon,tau\n"max(10, sqrt(n))",True,,70000,2.0\n'
+        columns = {"ok": np.array([True, False]), "n": np.arange(2), "s": ["a,b", 'q"']}
+        assert self._emit(capsys, {}, columns) == self._csv_writer(columns)
+        columns = {"ok": [True, 1], "x": [0.5, None]}
+        assert self._emit(capsys, {}, columns) == "ok,x\nTrue,0.5\n1,\n"
 
 
 class TestEvalAndClassify:
@@ -331,6 +387,17 @@ class TestSizeLimits:
         prefix = {0: "log Z/n = ", 2: "error: ", 3: "budget exhausted: "}[code]
         assert result.stderr.startswith(prefix)
 
+    def test_deep_growth_error_stays_linear(self, tmp_path):
+        # a bound that raises far behind the horizon: scanning blocks must not
+        # turn the one-step scan into a quadratic one
+        args = ["schedule", "--set", "d2", "--f", "max(n, 1/(n-3000))", "--horizon", "80000"]
+        start = time.perf_counter()
+        result = _run_limited(args, tmp_path)
+        assert time.perf_counter() - start < 2.0
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == ("error: growth bound 'max(n, 1/(n-3000))' is undefined at "
+                                 "n = 3000: float division by zero\n")
+
     def test_small_eps_schedule_is_fast_and_valid(self, runner):
         start = time.perf_counter()
         run_ok(runner, ["schedule", "--set", "d2", "--f", "n+3", "--eps", "0.1"])
@@ -514,6 +581,13 @@ class TestDeterminism:
          "2ef50731820e586e00b9890c6dd9b60f434c2df2f9b8bb7816a8af7bd5f6b44d"),
         (["schedule", "--set", "d2", "--f", "n+3", "--horizon", "3000", "--emit", "subexp"],
          "e1cb397540a66edd38ccfce3a3e6dd74b2744782b5f1acab8eca2e37a75def29"),
+        # truncating growth bounds past 2^16 steps, so the growth scans run in many blocks
+        (["schedule", "--set", "d2", "--f", "max(10, sqrt(n))", "--horizon", "70000"],
+         "9f05b1e1d789c2b85be765a45309b851ac8fdfed984fa833e0fa5be3d1992d5e"),
+        (["schedule", "--set", "lattice", "--f", "5*log(n+1)+4", "--horizon", "70000"],
+         "2acb5f4e7d45e551cf6ac0de59e0eb1bd8fb7df0b0dd3fab9c55ee341dfb029b"),
+        (["schedule", "--set", "d2", "--f", "10", "--horizon", "70000", "--emit", "subexp"],
+         "e22ac2ea273f20c2ec7f39e9b4d54b942488b94cf50b10e4209a01b7701b40e1"),
         (["expand", "2/5+0/1 i"],
          "8a60fae8cc9ebd78d74ddcf54b6e60ff3ae438674ea7ddf0ae22fdfd82acef71"),
         (["verify", "arith"],
@@ -543,6 +617,18 @@ class TestDeterminism:
         stdout = run_ok(runner, ["--format", "csv", *args]).stdout_bytes
         if args[0] == "tau" and args[2] == "lattice":
             assert b"\n1,0.0,nan\n" in stdout  # x = 0 at the first index: no ratio
+        assert hashlib.sha256(stdout).hexdigest() == digest
+
+    # sha256 of stdout for JSON output
+    GOLDEN_JSON = [
+        (["schedule", "--set", "d2", "--f", "10", "--horizon", "3000"],
+         "87e032ec0233f7498bf20f0b7526d6bded41da11975c751dd14dc2c2ac745115"),
+    ]
+
+    @pytest.mark.parametrize("args, digest", GOLDEN_JSON, ids=[" ".join(a) for a, _ in GOLDEN_JSON])
+    def test_golden_json(self, runner, args, digest):
+        stdout = run_ok(runner, args).stdout_bytes
+        assert len(json.loads(stdout)["validation"]) == len(dimension.SCHEDULE_CHECKS)
         assert hashlib.sha256(stdout).hexdigest() == digest
 
     def test_out_file_identical(self, runner, tmp_path):

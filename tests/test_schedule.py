@@ -1,5 +1,6 @@
 import ast
 import bisect
+import functools
 import math
 import random
 import re
@@ -23,7 +24,7 @@ from hurwitzcf import (
     verify_lower_bound_chain,
 )
 from hurwitzcf.cli import cli
-from hurwitzcf.dimension import _clearance_query
+from hurwitzcf.dimension import _GROWTH_BLOCK, SCHEDULE_CHECKS, _clearance_query, check_entry
 
 
 class TestGrowthFunction:
@@ -360,6 +361,32 @@ def _outcome(query, level):
         return type(exc)
 
 
+def _domination_scan(sched, f):
+    """Reference: growth domination scanned one step at a time, stopping at
+    the first step below its block's level."""
+    for blk in sched.blocks[1:]:
+        if blk.index >= len(sched.anchors):
+            continue
+        level = math.sqrt(sched.anchors[blk.index].norm_sq())
+        for n in range(blk.start, blk.end + 1):
+            value = f(n)
+            if value < level:
+                return False, {"block": blk.index, "n": n, "f": value, "level": level}
+    return True, None
+
+
+def _report(sched, f, domination=None):
+    """validate_schedule's report, or the reference report with the one-step
+    domination scan; an error is reported by its type and message."""
+    try:
+        if domination is None:
+            return validate_schedule(sched, f)
+        return [check_entry(name, *(domination if name == "growth_domination" else check)(sched, f))
+                for name, check in SCHEDULE_CHECKS]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestClearanceQuery:
     GROWTHS = [
         "n+3",
@@ -388,6 +415,49 @@ class TestClearanceQuery:
             for level in levels:
                 expected = _outcome(lambda lv: _clearance_scan(f, lv, horizon), level)
                 assert _outcome(query, level) == expected, (source, level)
+
+    # bounds that raise, or fall below 10, only past a step the scans may reach
+    DEEP = ["max(n, 1/(n-3000))", "(n-100)^0.5+n", "11 - n/43000", "max(n, 1/(n-68000))",
+            "max(11 - n/43000, 1/(n-69000))"]
+
+    # past 2^16 steps, so the scans cross several _GROWTH_BLOCK boundaries
+    @pytest.mark.parametrize("source", ["n+3", "10", "1/(n-50)", "max(n, 1/(n-68000))"])
+    def test_matches_backward_scan_across_blocks(self, source):
+        horizon = 70_001
+        f = GrowthFunction(source)
+        cached = functools.cache(f)  # the reference rescans from the horizon per level
+        query = _clearance_query(f, horizon)
+        for level in sorted(self.LEVELS):
+            expected = _outcome(lambda lv: _clearance_scan(cached, lv, horizon), level)
+            assert _outcome(query, level) == expected, (source, level)
+
+    @pytest.mark.parametrize("horizon", [10, 11, 500, 3001, 70_001])
+    @pytest.mark.parametrize("built", ["n+3", "10", "max(10, sqrt(n))"])
+    def test_validation_matches_one_step_scan(self, built, horizon):
+        sched = build_schedule(DigitSet.d2(), GrowthFunction(built), eps=0.5, horizon=horizon)
+        sources = self.GROWTHS if horizon < 70_000 else ["n+3", "10", "1/(n-50)"]
+        for source in sources + self.DEEP:
+            f = GrowthFunction(source)
+            assert _report(sched, f) == _report(sched, f, _domination_scan), source
+
+    def test_block_paths_evaluate_each_step_once(self):
+        # the constant bound truncates, so the last block spans several growth blocks
+        horizon = 70_001
+        sched = build_schedule(DigitSet.d2(), GrowthFunction("10"), eps=0.5, horizon=horizon)
+        assert sched.blocks[-1].t > 4 * _GROWTH_BLOCK
+        calls = Counter()
+        compiled = GrowthFunction("max(10, sqrt(n))")
+        fn = compiled._fn
+        compiled._fn = lambda x: calls.update([int(x)]) or fn(x)  # the lambda the blocks call
+        for f in (compiled, lambda n: calls.update([n]) or 10.0):
+            calls.clear()
+            query = _clearance_query(f, horizon)
+            for level in sorted(self.LEVELS):
+                query(level)
+            assert max(calls.values()) == 1 and len(calls) == horizon
+            calls.clear()
+            assert all(c["status"] == "pass" for c in validate_schedule(sched, f))
+            assert max(calls.values()) == 1
 
     def test_build_schedule_evaluates_each_step_once(self):
         calls = 0
