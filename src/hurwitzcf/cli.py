@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import click
 import numpy as np
@@ -28,50 +29,64 @@ class CheckFailure(Exception):
     """A verification-style command found a failing check."""
 
 
-def _write(ctx: click.Context, text: str) -> None:
-    """Write text to --out or stdout; a path that cannot be written is a domain error."""
+def _write(ctx: click.Context, pieces: Iterable[str]) -> None:
+    """Write the pieces of text to --out or stdout, each as it comes; a path
+    that cannot be written is a domain error."""
     out: Path | None = ctx.obj["out"]
     if out is None:
-        click.echo(text, file=sys.stdout, nl=False)
+        for piece in pieces:
+            click.echo(piece, file=sys.stdout, nl=False)
         return
     try:
-        out.write_text(text)
+        with out.open("w") as file:
+            file.writelines(pieces)
     except OSError as exc:
         raise DomainError(f"cannot write {str(out)!r}: {exc}") from exc
+
+
+def _csv_text(rows: Iterable) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _csv_pieces(columns: dict) -> Iterator[str]:
+    """The CSV table of ordered columns: the header of column names, then
+    the rows, _ROW_BLOCK at a time, one piece each.  A block of only int
+    and float is one str.format per row, as str() is what csv.writer
+    writes for them; a block with bool, None or str goes through
+    csv.writer."""
+    yield _csv_text([columns])
+    row = ",".join(["{}"] * len(columns)) + "\n"
+    for lo in range(0, min(map(len, columns.values()), default=0), _ROW_BLOCK):
+        block = [c[lo : lo + _ROW_BLOCK] for c in columns.values()]
+        block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+        if all(set(map(type, c)) <= {int, float} for c in block):
+            yield "".join(map(row.format, *block))
+        else:
+            yield _csv_text(zip(*block))
 
 
 def _emit(ctx: click.Context, payload: dict, columns: dict | None = None) -> None:
     """Write the JSON form of a result, or its CSV table, to --out or stdout.
 
     The table comes as ordered columns, name -> list or numpy array, one
-    entry per row; without columns it is the payload as one row.  The CSV is
-    the header of column names, then the rows, _ROW_BLOCK at a time, so a
-    table without rows is its header alone.  A block of only int and float
-    is one str.format per row, as str() is what csv.writer writes for them;
-    a block with bool, None or str goes through csv.writer.
+    entry per row; without columns it is the payload as one row.  The JSON
+    is serialised whole before anything is written; the CSV goes out one
+    row block at a time (_csv_pieces), so a table without rows is its
+    header alone.
     """
-    if ctx.obj["format"] == "json":
-        try:
-            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-        except ValueError as exc:
-            bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
-            raise DomainError(f"non-finite result {', '.join(bad) or 'value'}: {exc}") from exc
-    else:
+    if ctx.obj["format"] == "csv":
         if columns is None:
             columns = {name: [value] for name, value in payload.items()}
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        row = ",".join(["{}"] * len(columns)) + "\n"
-        for lo in range(0, min(map(len, columns.values()), default=0), _ROW_BLOCK):
-            block = [c[lo : lo + _ROW_BLOCK] for c in columns.values()]
-            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-            if all(set(map(type, c)) <= {int, float} for c in block):
-                buf.write("".join(map(row.format, *block)))
-            else:
-                writer.writerows(zip(*block))
-        text = buf.getvalue()
-    _write(ctx, text)
+        _write(ctx, _csv_pieces(columns))
+        return
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
+        raise DomainError(f"non-finite result {', '.join(bad) or 'value'}: {exc}") from exc
+    _write(ctx, [text])
 
 
 def _read_arg(spec: str) -> str:
@@ -254,7 +269,7 @@ def tessellate(ctx, norm_sq_max, include_exceptional, stroke_width):
         include_exceptional=include_exceptional,
         stroke_width=stroke_width,
     )
-    _write(ctx, svgmod.render_svg(spec))
+    _write(ctx, [svgmod.render_svg(spec)])
     if ctx.obj["out"] is not None:
         click.echo(f"wrote {ctx.obj['out']} ({len(svgmod.region_digits(spec))} regions)",
                    file=sys.stderr)

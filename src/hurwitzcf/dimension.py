@@ -936,8 +936,8 @@ def upper_threshold(s: DigitSet, eps: float) -> ThresholdResult:
     the integral tail bound, which is monotone in N, so the crossing is
     located by doubling plus bisection.
     """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise DomainError(f"eps must be finite and positive, got {eps}")
     p = s.tau + eps
     k0 = COMPOSITION_DISTORTION_BOUND
     factor = (k0 * DIAMETER_K2 * float(DECAY_C2) / DIAMETER_K1) ** (p / 2.0)
@@ -1352,6 +1352,8 @@ def verify_lower_bound_chain(
     8, so a set with smaller members (``lattice``, ``minnormsq:N`` with
     N < 8) gets a value that is not a proven bound.
     """
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
     if delta <= 0:
         raise DomainError("delta must be positive")
     if n > sched.horizon:

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .expansion import _euclid_step, _from_quotient
 from .gaussian import ExactComplexRational, GaussianInt, points_by_norm
 
 BRANCH_MIN_NORM_SQ = 8
@@ -336,92 +335,6 @@ def ball_inclusion_holds(cr, ci, dr, di, delta, distortion) -> np.ndarray:
     lhs = delta.numerator**2 * c2  # (delta |c|)^2 delta.denominator^2
     rhs = (slack.numerator * delta.denominator) ** 2 * d2
     return (lhs < delta.denominator**2 * d2) & (lhs * slack.denominator**2 <= rhs) & (slack >= 0)
-
-
-_GRID = 1 << 16  # samples u = (a + ib)/2^16 with a, b in [-2^15, 2^15)
-
-
-def _int_dtype(digits: Iterable[GaussianInt]) -> type:
-    """int64 while every coordinate is below 2^15 - 1, else Python ints.
-
-    Below that bound the terms of _box_images stay below 2^63: |A|, |B| <
-    2^31 and N = A^2 + B^2 < 2^63.
-    """
-    return np.int64 if all(max(abs(d.re), abs(d.im)) < (1 << 15) - 1 for d in digits) else object
-
-
-def _box_images(digit: GaussianInt, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """``samples`` seeded points p = 1/(u + digit) of the half-open box.
-
-    u = (a + ib)/2^16, where one draw of shape (2, need) from [-2^15, 2^15)
-    gives need values of a, then need values of b.
-    Images outside the box (only exceptional digits have them) are drawn
-    again.  A point is returned as the row (A, B) = 2^16 (u + digit), so
-    1/p = (A + iB)/2^16 and p = 2^16 (A - iB)/N with N = A^2 + B^2; p lies
-    in the box exactly when -N <= 2^17 A < N and -N < 2^17 B <= N, decided
-    in the exact integer type of _int_dtype.
-    """
-    dtype = _int_dtype([digit])
-    shift = np.array([digit.re, digit.im], dtype=dtype) * _GRID
-    points = np.zeros((0, 2), dtype=dtype)
-    drawn = 0
-    while (need := samples - len(points)) > 0:
-        drawn += need
-        if drawn > 200 * samples:
-            raise DomainError(f"rejection sampling stalled for digit {digit}")
-        w = rng.integers(-_GRID // 2, _GRID // 2, size=(2, need)).astype(dtype).T + shift
-        n = (w * w).sum(axis=1)
-        a, b = (2 * _GRID) * w.T
-        points = np.concatenate([points, w[(-n <= a) & (a < n) & (-n < b) & (b <= n)]])
-    return points
-
-
-def _sample_witness(digits: Sequence[GaussianInt], owner: np.ndarray, points: np.ndarray,
-                    claimed: np.ndarray) -> dict | None:
-    """The first sample whose first digit is not its own, or that its own
-    region does not claim alone.
-
-    Sample s is the _box_images row points[s] = (A, B) of digit
-    digits[owner[s]], and ``claimed[s, r]`` says whether region r claims
-    it.  The first digit of p = 2^16/(A + iB) comes from one
-    expansion._euclid_step; only a witness builds p.
-    """
-    counts = claimed.sum(axis=1)
-    alone = (counts == 1) & claimed[np.arange(len(owner)), owner]
-    for (A, B), own, count, ok in zip(points.tolist(), owner.tolist(), counts.tolist(),
-                                      alone.tolist()):
-        digit = digits[own]
-        if _euclid_step(_GRID, 0, A, B)[:2] != (digit.re, digit.im):
-            return {"check": "first_digit", "region": digit.to_pair(),
-                    "point": str(_from_quotient(_GRID, 0, A, B))}
-        if not ok:
-            return {"check": "unique_region", "region": digit.to_pair(),
-                    "point": str(_from_quotient(_GRID, 0, A, B)), "claims": count}
-    return None
-
-
-def separation_check(
-    digits: Sequence[BranchLike], samples: int, seed: int
-) -> tuple[bool, dict | None]:
-    """Cylinders of ``digits`` carry their own first digit and are disjoint.
-
-    Each digit d gets ``samples`` points p = 1/(u + d) from _box_images.
-    Every p must expand with first digit d, and 1/p - e must lie in the box
-    for e = d alone: with 1/p = (A + iB)/2^16 that is
-    -2^15 <= A - 2^16 e.re < 2^15 and likewise for B.  Returns (ok, witness).
-    """
-    if not digits:
-        raise DomainError("digit list must be nonempty")
-    digits = [_as_digit(b) for b in digits]
-    low = np.array([[d.re, d.im] for d in digits], dtype=_int_dtype(digits)) * _GRID - _GRID // 2
-    rng = np.random.default_rng(seed)
-    for own, digit in enumerate(digits):
-        points = _box_images(digit, samples, rng)
-        claimed = np.all((points[:, None] >= low) & (points[:, None] < low + _GRID), axis=2)
-        witness = _sample_witness(digits, np.full(len(points), own), points, claimed)
-        if witness is not None:
-            return False, witness
-    return True, None
 
 
 def nesting_check(

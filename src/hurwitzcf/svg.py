@@ -30,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expansion import REGULAR_NORM_SQ, _from_quotient, classify_digit
+from .expansion import REGULAR_NORM_SQ, _euclid_step, _from_quotient, classify_digit
 from .gaussian import GaussianInt, points_by_norm
-from .ifs import _GRID, _box_images, _sample_witness
+
+_GRID = 1 << 16  # samples u = (a + ib)/2^16 with a, b in [-2^15, 2^15)
 
 
 @dataclass(frozen=True)
@@ -267,7 +268,7 @@ def soundness_check(
     half-open box must be claimed and the nearest one outside must not; on
     the closed lower edges the inside point lies on the edge.  Then each
     region gets ``samples_per_region`` points p = 1/w from
-    ifs._box_images, with w = (A + iB)/2^16: p must expand with first
+    _box_images, with w = (A + iB)/2^16: p must expand with first
     digit (k, l), and its region alone must claim it, that is
     lo <= (A, B) <= hi.  TessellationSpec caps norm_sq_max at 2^16, so the
     digit coordinates are at most 2^8 < 2^14, |A|, |B| < 2^31,
@@ -298,6 +299,54 @@ def soundness_check(
         if witness is not None:
             return False, witness
     return True, None
+
+
+def _box_images(digit: GaussianInt, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """``samples`` seeded points p = 1/(u + digit) of the half-open box.
+
+    u = (a + ib)/2^16, where one draw of shape (2, need) from [-2^15, 2^15)
+    gives need values of a, then need values of b.
+    Images outside the box (only exceptional digits have them) are drawn
+    again.  A point is returned as the int64 row (A, B) = 2^16 (u + digit),
+    so 1/p = (A + iB)/2^16 and p = 2^16 (A - iB)/N with N = A^2 + B^2; p
+    lies in the box exactly when -N <= 2^17 A < N and -N < 2^17 B <= N.
+    """
+    shift = np.array(digit.to_pair(), dtype=np.int64) * _GRID
+    points = np.zeros((0, 2), dtype=np.int64)
+    drawn = 0
+    while (need := samples - len(points)) > 0:
+        drawn += need
+        if drawn > 200 * samples:
+            raise DomainError(f"rejection sampling stalled for digit {digit}")
+        w = rng.integers(-_GRID // 2, _GRID // 2, size=(2, need)).T + shift
+        n = (w * w).sum(axis=1)
+        a, b = (2 * _GRID) * w.T
+        points = np.concatenate([points, w[(-n <= a) & (a < n) & (-n < b) & (b <= n)]])
+    return points
+
+
+def _sample_witness(digits: list[GaussianInt], owner: np.ndarray, points: np.ndarray,
+                    claimed: np.ndarray) -> dict | None:
+    """The first sample whose first digit is not its own, or that its own
+    region does not claim alone.
+
+    Sample s is the _box_images row points[s] = (A, B) of digit
+    digits[owner[s]], and ``claimed[s, r]`` says whether region r claims
+    it.  The first digit of p = 2^16/(A + iB) comes from one
+    expansion._euclid_step; only a witness builds p.
+    """
+    counts = claimed.sum(axis=1)
+    alone = (counts == 1) & claimed[np.arange(len(owner)), owner]
+    for (A, B), own, count, ok in zip(points.tolist(), owner.tolist(), counts.tolist(),
+                                      alone.tolist()):
+        digit = digits[own]
+        if _euclid_step(_GRID, 0, A, B)[:2] != (digit.re, digit.im):
+            return {"check": "first_digit", "region": digit.to_pair(),
+                    "point": str(_from_quotient(_GRID, 0, A, B))}
+        if not ok:
+            return {"check": "unique_region", "region": digit.to_pair(),
+                    "point": str(_from_quotient(_GRID, 0, A, B)), "claims": count}
+    return None
 
 
 def _probe_witness(digits: list[GaussianInt], lo: np.ndarray, hi: np.ndarray) -> dict | None:

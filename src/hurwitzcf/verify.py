@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import dimension, expansion, gaussian, ifs
+from . import dimension, expansion, gaussian, ifs, svg
 from .config import RunConfig
 from .gaussian import ExactComplexRational, GaussianInt
 
@@ -190,7 +190,9 @@ def _chain_rule_matches_matrix_exactly(config: RunConfig):
 
 @check("ifs", "branch_images_separated")
 def _branch_images_separated(config: RunConfig):
-    return ifs.separation_check([(2, 2), (2, 3), (3, 0)], samples=200, seed=config.seed)
+    # cylinders of the 24 regular digits up to norm_sq 13: first digit and region read back
+    spec = svg.TessellationSpec(norm_sq_max=13, include_exceptional=False)
+    return svg.soundness_check(spec, samples_per_region=200, seed=config.seed)
 
 
 @check("ifs", "branch_images_nested")

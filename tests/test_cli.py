@@ -636,3 +636,12 @@ class TestDeterminism:
         run_ok(runner, ["--out", str(a), "tessellate", "--norm-sq-max", "10"])
         run_ok(runner, ["--out", str(b), "tessellate", "--norm-sq-max", "10"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_out_file_matches_stdout_past_one_row_block(self, runner, tmp_path):
+        # 10^4 trajectory rows go out in three row blocks
+        args = ["--format", "csv", "tau", "--source", "d2", "--horizon", "150000"]
+        stdout = run_ok(runner, args).stdout_bytes
+        assert stdout.count(b"\n") > 2 * climod._ROW_BLOCK
+        out = tmp_path / "t.csv"
+        run_ok(runner, ["--out", str(out), *args])
+        assert out.read_bytes() == stdout

@@ -838,3 +838,8 @@ class TestUpperThreshold:
             upper_threshold(DigitSet.d2(), eps=0.0)
         with pytest.raises(DomainError):
             upper_threshold(DigitSet.d2(), eps=-1.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(DomainError, match="eps must be finite and positive"):
+            upper_threshold(DigitSet.d2(), eps=eps)

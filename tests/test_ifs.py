@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from hurwitzcf import BranchComposition, DigitSet, DomainError, ExactComplexRational, GaussianInt
-from hurwitzcf import dimension
+from hurwitzcf import dimension, svg
 from hurwitzcf.ifs import (
-    _sample_witness,
     contraction_envelope_check,
     COMPOSITION_DISTORTION_BOUND,
     DECAY_C1,
@@ -22,7 +21,6 @@ from hurwitzcf.ifs import (
     d2_branches,
     max_single_branch_distortion,
     nesting_check,
-    separation_check,
     sup_deriv_by_norm_class,
 )
 from hurwitzcf.verify import random_box_rationals, short_words
@@ -56,7 +54,6 @@ DIGIT_ENTRY_POINTS = {
     "from_branches": lambda b: DigitSet.from_branches([(-2, -2), b]),
     "from_word": lambda b: BranchComposition.from_word([(3, 0), b]),
     "extend": lambda b: BranchComposition.from_word([(3, 0)]).extend(b),
-    "separation_check": lambda b: separation_check([(-2, -2), b], samples=5, seed=1),
     "nesting_check": lambda b: nesting_check([(3, 0), b]),
 }
 
@@ -376,13 +373,9 @@ class TestCylinderIdentity:
 
 
 class TestSeparation:
-    def test_no_violation(self):
-        ok, witness = separation_check([(2, 2), (2, 3)], samples=5000, seed=4)
-        assert ok, witness
-
-    def test_single_branch_vacuous(self):
-        ok, _ = separation_check([(2, 2)], samples=50, seed=4)
-        assert ok
+    """A cylinder carries its own first digit.  The sampled check is
+    svg.soundness_check, registered as ifs.branch_images_separated; its
+    sampler and witness are pinned here."""
 
     def test_center_first_digit(self):
         from hurwitzcf import expand
@@ -390,21 +383,17 @@ class TestSeparation:
         p = branch((2, 2))(ecr(0, 0))
         assert expand(p, max_digits=1).digits[0].to_pair() == [2, 2]
 
-    def test_empty_list_rejected(self):
-        with pytest.raises(DomainError):
-            separation_check([], samples=10, seed=1)
-
     def test_witness_names_first_digit_before_claims(self):
         # the second sample, 2^16 w = (3 * 2^16, 0), is p = 1/3 with first digit 3
         points = np.array([[2 << 16, 2 << 16], [3 << 16, 0]])
-        witness = _sample_witness([GaussianInt(2, 2)], np.zeros(2, dtype=int), points,
-                                  np.array([[True], [False]]))
+        witness = svg._sample_witness([GaussianInt(2, 2)], np.zeros(2, dtype=int), points,
+                                      np.array([[True], [False]]))
         assert witness == {"check": "first_digit", "region": [2, 2], "point": "1/3+0i"}
 
     def test_empty_cylinder_stalls_with_domain_error(self):
         # no point 1/(u + 1) of the half-open box lies in the box
         with pytest.raises(DomainError, match="stalled"):
-            separation_check([(1, 0)], samples=5, seed=1)
+            svg._box_images(GaussianInt(1, 0), 5, np.random.default_rng(1))
 
 
 def _rows(*words):

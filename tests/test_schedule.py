@@ -537,3 +537,10 @@ class TestLowerBoundChain:
         sched, _ = d2_schedule
         with pytest.raises(DomainError):
             verify_lower_bound_chain(sched, 0.5, 0.0, sched.horizon)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_rejected(self, d2_schedule, delta):
+        # NaN fails every comparison, so delta <= 0 alone lets it through
+        sched, _ = d2_schedule
+        with pytest.raises(DomainError, match="delta must be finite"):
+            verify_lower_bound_chain(sched, 0.5, delta, sched.horizon)

@@ -9,8 +9,7 @@ from hurwitzcf import DomainError, GaussianInt, TessellationSpec, render_svg, so
 from hurwitzcf import svg
 from hurwitzcf.expansion import _from_quotient
 from hurwitzcf.gaussian import ExactComplexRational
-from hurwitzcf.ifs import _box_images
-from hurwitzcf.svg import region_digits, region_path
+from hurwitzcf.svg import _box_images, region_digits, region_path
 
 
 class TestRegionEnumeration:

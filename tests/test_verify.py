@@ -5,6 +5,7 @@ registered in ``hurwitzcf.verify`` runs here with no further test code.
 """
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,11 +13,50 @@ from pathlib import Path
 
 import pytest
 
-from hurwitzcf import ifs
+from hurwitzcf import ifs, svg
 from hurwitzcf.config import RunConfig
 from hurwitzcf.verify import CHECKS, short_words
 
 NAMES = [f"{suite}.{name}" for suite, checks in CHECKS.items() for name in checks]
+
+# the names `verify all` reports, in report order
+VERIFY_ALL = [
+    "arith.count_in_square_closed_form",
+    "arith.nearest_round_residual_in_box",
+    "arith.enumeration_monotone_duplicate_free",
+    "arith.enumeration_index_norm_sandwich",
+    "expansion.expansion_roundtrip_exact",
+    "expansion.shift_removes_first_digit",
+    "expansion.exceptional_set_is_the_sixteen",
+    "ifs.contraction_sup_two_ninths",
+    "ifs.contraction_envelope_monotone",
+    "ifs.decay_bounds_over_box",
+    "ifs.chain_rule_matches_matrix_exactly",
+    "ifs.branch_images_separated",
+    "ifs.branch_images_nested",
+    "ifs.distortion_words_within_k0",
+    "ifs.ball_inclusion",
+    "pressure.partition_submultiplicative",
+    "pressure.pressure_monotone_in_s",
+    "pressure.single_branch_dimension_zero",
+    "pressure.two_branch_bisection_sign_invariants",
+    "pressure.dimension_references_enclosed",
+    "pressure.word_table_encloses_exact",
+    "schedule.anchor_start_at_min_norm",
+    "schedule.anchors_strictly_increasing",
+    "schedule.annulus_weight_at_least_one",
+    "schedule.block_membership",
+    "schedule.growth_domination",
+    "schedule.ratio_tolerance_schedule",
+    "schedule.blocks_tile_horizon",
+    "schedule.subexponential_final_window",
+    "schedule.lower_bound_chain_n_independent",
+]
+
+
+def test_verify_all_names_pinned():
+    # a fold that drops, renames or reorders a reported check changes this list
+    assert NAMES == VERIFY_ALL
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -83,6 +123,24 @@ def test_nesting_check_refutes_pad_whose_image_leaves():
     ok, witness = ifs.nesting_check(ifs.d2_branches(25), pad=Fraction(5, 4))
     assert not ok
     assert (witness["branch"], witness["half_width"]) == ([-2, -2], "7/4")
+
+
+def test_separation_check_refutes_wrong_first_digit(monkeypatch):
+    monkeypatch.setattr(svg, "_euclid_step", lambda ar, ai, br, bi: (0, 0, br, bi))
+    ok, witness = CHECKS["ifs"]["branch_images_separated"](RunConfig())
+    assert not ok
+    assert (witness["check"], witness["region"]) == ("first_digit", [-2, -2])
+
+
+def test_separation_check_refutes_swapped_region_ids(monkeypatch):
+    render = svg.render_svg
+    swap = {'id="cyl_-2_-2"': 'id="cyl_2_2"', 'id="cyl_2_2"': 'id="cyl_-2_-2"'}
+    monkeypatch.setattr(svg, "render_svg", lambda spec: re.sub(
+        "|".join(swap), lambda m: swap[m.group()], render(spec)))
+    ok, witness = CHECKS["ifs"]["branch_images_separated"](RunConfig())
+    assert not ok
+    assert witness["check"] == "regions"
+    assert witness["found"][0] == [2, 2] and witness["expected"][0] == [-2, -2]
 
 
 def test_ball_inclusion_refutes_k_below_one_third():
