@@ -43,6 +43,10 @@ class TessellationSpec:
     stroke_width: float = 0.002
 
     def __post_init__(self) -> None:
+        if not isinstance(self.norm_sq_max, int) or isinstance(self.norm_sq_max, bool):
+            raise DomainError(f"norm_sq_max must be an int, got {self.norm_sq_max!r}")
+        if not (isinstance(self.stroke_width, (int, float)) and 0 <= self.stroke_width < math.inf):
+            raise DomainError(f"stroke_width must be finite and >= 0, got {self.stroke_width!r}")
         if self.norm_sq_max < 2:
             raise DomainError("norm_sq_max must be at least 2")
         if self.norm_sq_max > 1 << 16:  # about 2e5 regions and 88 MB of SVG
@@ -55,94 +59,72 @@ def region_digits(spec: TessellationSpec) -> list[GaussianInt]:
     return points_by_norm(lo, spec.norm_sq_max)
 
 
-def _invert(x: float, y: float) -> complex:
-    z = complex(x, y)
-    return 1.0 / z
+def _pairs(digits: list[GaussianInt]) -> np.ndarray:
+    """The (re, im) rows, int64, of ``digits``."""
+    return np.array([(d.re, d.im) for d in digits], dtype=np.int64).reshape(-1, 2)
 
 
-def _edge_circle(axis: str, c: float) -> tuple[complex, float]:
-    """Image circle of the line x = c (axis 'x') or y = c (axis 'y')."""
-    r = 1.0 / (2.0 * abs(c))
-    if axis == "x":
-        return complex(1.0 / (2.0 * c), 0.0), r
-    return complex(0.0, -1.0 / (2.0 * c)), r
+_PATH = "M {:.12g} {:.12g}" + " A {:.12g} {:.12g} 0 0 {:.0f} {:.12g} {:.12g}" * 4 + " Z"
+_BLOCK = 4096  # regions formatted at a time
 
 
-def _arc_flags(p1: complex, p2: complex, center: complex) -> tuple[int, int]:
-    """SVG flags for the arc from p1 to p2 avoiding the origin point."""
-    a1 = math.atan2(p1.imag - center.imag, p1.real - center.real)
-    a2 = math.atan2(p2.imag - center.imag, p2.real - center.real)
-    a0 = math.atan2(-center.imag, -center.real)  # the origin lies on the circle
-    ccw = (a2 - a1) % (2.0 * math.pi)
-    origin_offset = (a0 - a1) % (2.0 * math.pi)
-    if origin_offset > ccw:  # origin not on the counterclockwise arc
-        sweep = 1
-        large = 1 if ccw > math.pi else 0
-    else:
-        sweep = 0
-        cw = 2.0 * math.pi - ccw
-        large = 1 if cw > math.pi else 0
-    return large, sweep
+def region_paths(digits: list[GaussianInt]) -> list[str]:
+    """Closed SVG paths of four circular arcs for the cylinders of ``digits``.
 
-
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
-
-
-def region_path(k: int, l: int) -> str:
-    """Closed SVG path of four circular arcs for the cylinder of (k, l)."""
-    corners_pre = [
-        (k - 0.5, l - 0.5),
-        (k + 0.5, l - 0.5),
-        (k + 0.5, l + 0.5),
-        (k - 0.5, l + 0.5),
-    ]
-    edges = [
-        ("y", l - 0.5),  # bottom edge joins corners 0 -> 1
-        ("x", k + 0.5),  # right edge joins 1 -> 2
-        ("y", l + 0.5),  # top edge joins 2 -> 3
-        ("x", k - 0.5),  # left edge joins 3 -> 0
-    ]
-    pts = [_invert(x, y) for x, y in corners_pre]
-    parts = [f"M {_fmt(pts[0].real)} {_fmt(pts[0].imag)}"]
-    for i, (axis, c) in enumerate(edges):
-        p1 = pts[i]
-        p2 = pts[(i + 1) % 4]
-        center, radius = _edge_circle(axis, c)
-        large, sweep = _arc_flags(p1, p2, center)
-        parts.append(
-            f"A {_fmt(radius)} {_fmt(radius)} 0 {large} {sweep} "
-            f"{_fmt(p2.real)} {_fmt(p2.imag)}"
-        )
-    parts.append("Z")
-    return " ".join(parts)
+    Corner i of the box around k + il is (k -+ 1/2, l -+ 1/2), counterclockwise
+    from the bottom left, and arc i runs from corner i to corner i + 1 along the
+    image of the line y = l - 1/2, x = k + 1/2, y = l + 1/2 or x = k - 1/2.  A
+    corner's image 1/(x + iy) is computed with the operations of CPython's
+    complex division, in their order, so it equals ``1.0 / complex(x, y)`` bit
+    for bit; the line at c maps to a circle of radius 1/|2c| through 0.  The
+    flags are closed-form.  The image of c + iy lies at angle -2 atan(y/c)
+    about the centre 1/(2c), so an edge from y1 to y1 + 1 spans more than pi
+    only if y1 (y1 + 1) < -c^2, that is l^2 + (k +- 1/2)^2 < 1/4 (and
+    k^2 + (l +- 1/2)^2 < 1/4 for the lines y = c), which no integers allow:
+    the large-arc flag is 0.  The arc avoids 0, the image of infinity, and
+    runs counterclockwise (sweep 1) exactly when the box lies on the side of
+    its line away from 0: l - 1/2 > 0, k + 1/2 < 0, l + 1/2 < 0, k - 1/2 > 0.
+    """
+    pairs = _pairs(digits)
+    k, l = pairs[:, :1], pairs[:, 1:]
+    x, y = k + [-0.5, 0.5, 0.5, -0.5], l + [-0.5, -0.5, 0.5, 0.5]
+    wide = np.abs(x) >= np.abs(y)
+    ratio = np.where(wide, y / x, x / y)
+    denom = np.where(wide, x + y * ratio, x * ratio + y)
+    re, im = np.where(wide, 1.0, ratio) / denom, np.where(wide, -ratio, -1.0) / denom
+    r = 1.0 / np.abs(2.0 * np.concatenate([l - 0.5, k + 0.5, l + 0.5, k - 0.5], axis=1))
+    sweep = np.concatenate([l > 0, k < 0, l < 0, k > 0], axis=1)
+    ends = np.roll([re, im], -1, axis=2)  # arc i ends at corner i + 1
+    arcs = np.stack((r, r, sweep, *ends), axis=2).reshape(-1, 20)
+    return [_PATH.format(*row) for row in np.hstack([re[:, :1], im[:, :1], arcs]).tolist()]
 
 
 def render_svg(spec: TessellationSpec) -> str:
     """Full SVG document for the tessellation (no timestamps, byte-stable)."""
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    width = f"{spec.stroke_width:.12g}"
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
-        f'viewBox="-0.52 -0.52 1.04 1.04">',
-        "<defs>",
-        '<clipPath id="unit-box"><rect x="-0.5" y="-0.5" width="1" height="1"/></clipPath>',
-        "</defs>",
-        '<g transform="scale(1,-1)">',
-        f'<rect x="-0.5" y="-0.5" width="1" height="1" fill="none" '
-        f'stroke="black" stroke-width="{_fmt(spec.stroke_width)}"/>',
+        'viewBox="-0.52 -0.52 1.04 1.04">\n'
+        "<defs>\n"
+        '<clipPath id="unit-box"><rect x="-0.5" y="-0.5" width="1" height="1"/></clipPath>\n'
+        "</defs>\n"
+        '<g transform="scale(1,-1)">\n'
+        '<rect x="-0.5" y="-0.5" width="1" height="1" fill="none" '
+        f'stroke="black" stroke-width="{width}"/>\n'
     ]
-    for digit in region_digits(spec):
-        exceptional = classify_digit(digit) == "exceptional"
-        clip = ' clip-path="url(#unit-box)"' if exceptional else ""
-        hue = (37 * (digit.re * 13 + digit.im * 7)) % 360
-        lines.append(
-            f'<path id="cyl_{digit.re}_{digit.im}" d="{region_path(digit.re, digit.im)}" '
-            f'fill="hsl({hue},60%,80%)" stroke="black" '
-            f'stroke-width="{_fmt(spec.stroke_width)}"{clip}/>'
-        )
-    lines.append("</g>")
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    line = (f'<path id="cyl_{{}}_{{}}" d="{{}}" fill="hsl({{}},60%,80%)" stroke="black" '
+            f'stroke-width="{width}"{{}}/>\n')
+    clip = ' clip-path="url(#unit-box)"'
+    digits = region_digits(spec)
+    for start in range(0, len(digits), _BLOCK):
+        block = digits[start:start + _BLOCK]
+        parts.append("".join(
+            line.format(d.re, d.im, path, (37 * (d.re * 13 + d.im * 7)) % 360,
+                        clip if classify_digit(d) == "exceptional" else "")
+            for d, path in zip(block, region_paths(block))))
+    parts.append("</g>\n</svg>\n")
+    return "".join(parts)
 
 
 _REGION = re.compile(r'<path id="cyl_(-?\d+)_(-?\d+)" d="([^"]*)"')
@@ -278,8 +260,12 @@ def soundness_check(
     ``arc`` (a path that draws no exact circle arc, with the arc index, -1
     for the whole path, and the reason), ``edge_inside`` and
     ``edge_outside`` (a probe claimed wrongly), ``first_digit`` and
-    ``unique_region`` (a sample).
+    ``unique_region`` (a sample).  A sample count below 1 or a seed below
+    0, or either one not an int, raises DomainError.
     """
+    for name, value, least in (("samples_per_region", samples_per_region, 1), ("seed", seed, 0)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise DomainError(f"{name} must be an int of at least {least}, got {value!r}")
     read = _read_regions(spec)
     if isinstance(read, dict):
         return False, read
@@ -288,9 +274,8 @@ def soundness_check(
     if witness is not None:
         return False, witness
     rng = np.random.default_rng(seed)
-    batches = [_box_images(digit, samples_per_region, rng) for digit in digits]
-    points = np.concatenate(batches)
-    owner = np.repeat(np.arange(len(digits)), [len(batch) for batch in batches])
+    points = _box_images(digits, samples_per_region, rng)
+    owner = np.repeat(np.arange(len(digits)), samples_per_region)
     step = max(1, (1 << 20) // len(digits))  # about a megabyte of claims at a time
     for start in range(0, len(points), step):
         rows = points[start:start + step, None, :]
@@ -301,28 +286,43 @@ def soundness_check(
     return True, None
 
 
-def _box_images(digit: GaussianInt, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """``samples`` seeded points p = 1/(u + digit) of the half-open box.
+def _box_images(digits: list[GaussianInt], samples: int, rng: np.random.Generator) -> np.ndarray:
+    """``samples`` seeded points p = 1/(u + digit) of the half-open box for
+    each of ``digits``, their rows in digit order.
 
-    u = (a + ib)/2^16, where one draw of shape (2, need) from [-2^15, 2^15)
-    gives need values of a, then need values of b.
-    Images outside the box (only exceptional digits have them) are drawn
-    again.  A point is returned as the int64 row (A, B) = 2^16 (u + digit),
-    so 1/p = (A + iB)/2^16 and p = 2^16 (A - iB)/N with N = A^2 + B^2; p
-    lies in the box exactly when -N <= 2^17 A < N and -N < 2^17 B <= N.
+    u = (a + ib)/2^16 with a, b from [-2^15, 2^15).  Each round is one
+    draw: a digit still ``need`` points short takes its next 2 need values,
+    need values of a and then need values of b, the digits in order.  A
+    Generator gives the same values for one call as for consecutive calls,
+    so this is a draw of shape (2, need) per digit.  Images outside the box
+    (only exceptional digits have them) are drawn again in the next round,
+    and a digit that has drawn over 200 ``samples`` points stalls.  A point
+    is returned as the int64 row (A, B) = 2^16 (u + digit), so
+    1/p = (A + iB)/2^16 and p = 2^16 (A - iB)/N with N = A^2 + B^2; p lies
+    in the box exactly when -N <= 2^17 A < N and -N < 2^17 B <= N.
     """
-    shift = np.array(digit.to_pair(), dtype=np.int64) * _GRID
-    points = np.zeros((0, 2), dtype=np.int64)
-    drawn = 0
-    while (need := samples - len(points)) > 0:
-        drawn += need
-        if drawn > 200 * samples:
-            raise DomainError(f"rejection sampling stalled for digit {digit}")
-        w = rng.integers(-_GRID // 2, _GRID // 2, size=(2, need)).T + shift
-        n = (w * w).sum(axis=1)
-        a, b = (2 * _GRID) * w.T
-        points = np.concatenate([points, w[(-n <= a) & (a < n) & (-n < b) & (b <= n)]])
-    return points
+    shift = _pairs(digits) * _GRID
+    need = np.full(len(digits), samples, dtype=np.int64)
+    drawn = np.zeros_like(need)
+    kept = []
+    while (short := np.flatnonzero(need)).size:
+        counts = need[short]
+        drawn[short] += counts
+        if drawn.max() > 200 * samples:
+            stalled = digits[np.argmax(drawn > 200 * samples)]
+            raise DomainError(f"rejection sampling stalled for digit {stalled}")
+        owner = np.repeat(short, counts)
+        b_at = np.arange(len(owner)) + np.repeat(np.cumsum(counts), counts)
+        values = rng.integers(-_GRID // 2, _GRID // 2, size=2 * len(owner))
+        A = values[b_at - np.repeat(counts, counts)] + shift[owner, 0]
+        B = values[b_at] + shift[owner, 1]
+        n = A * A + B * B
+        a, b = (2 * _GRID) * A, (2 * _GRID) * B
+        inside = (-n <= a) & (a < n) & (-n < b) & (b <= n)
+        kept.append((owner[inside], A[inside], B[inside]))
+        need -= np.bincount(kept[-1][0], minlength=len(digits))
+    owner, A, B = (np.concatenate(column) for column in zip(*kept))
+    return np.stack((A, B), axis=1)[np.argsort(owner, kind="stable")]
 
 
 def _sample_witness(digits: list[GaussianInt], owner: np.ndarray, points: np.ndarray,
@@ -332,21 +332,24 @@ def _sample_witness(digits: list[GaussianInt], owner: np.ndarray, points: np.nda
 
     Sample s is the _box_images row points[s] = (A, B) of digit
     digits[owner[s]], and ``claimed[s, r]`` says whether region r claims
-    it.  The first digit of p = 2^16/(A + iB) comes from one
-    expansion._euclid_step; only a witness builds p.
+    it.  The first digits of p = 2^16/(A + iB) come from one
+    expansion._euclid_step on the int64 columns, whose terms stay below
+    2^50 for |A|, |B| < 2^31; only a witness builds p.
     """
+    own = _pairs(digits)[owner]
+    first_re, first_im = _euclid_step(_GRID, 0, points[:, 0], points[:, 1])[:2]
+    wrong_digit = (first_re != own[:, 0]) | (first_im != own[:, 1])
     counts = claimed.sum(axis=1)
     alone = (counts == 1) & claimed[np.arange(len(owner)), owner]
-    for (A, B), own, count, ok in zip(points.tolist(), owner.tolist(), counts.tolist(),
-                                      alone.tolist()):
-        digit = digits[own]
-        if _euclid_step(_GRID, 0, A, B)[:2] != (digit.re, digit.im):
-            return {"check": "first_digit", "region": digit.to_pair(),
-                    "point": str(_from_quotient(_GRID, 0, A, B))}
-        if not ok:
-            return {"check": "unique_region", "region": digit.to_pair(),
-                    "point": str(_from_quotient(_GRID, 0, A, B)), "claims": count}
-    return None
+    failed = np.flatnonzero(wrong_digit | ~alone)
+    if failed.size == 0:
+        return None
+    s = failed[0]
+    A, B = points[s].tolist()
+    found = {"region": digits[owner[s]].to_pair(), "point": str(_from_quotient(_GRID, 0, A, B))}
+    if wrong_digit[s]:
+        return {"check": "first_digit", **found}
+    return {"check": "unique_region", **found, "claims": int(counts[s])}
 
 
 def _probe_witness(digits: list[GaussianInt], lo: np.ndarray, hi: np.ndarray) -> dict | None:
@@ -355,7 +358,7 @@ def _probe_witness(digits: list[GaussianInt], lo: np.ndarray, hi: np.ndarray) ->
     half = _GRID // 2
     offsets = [(-half, 0), (half - 1, 0), (0, -half), (0, half - 1),  # inside
                (-half - 1, 0), (half, 0), (0, -half - 1), (0, half)]  # outside
-    centres = np.array([digit.to_pair() for digit in digits], dtype=np.int64) * _GRID
+    centres = _pairs(digits) * _GRID
     probes = centres[:, None, :] + np.array(offsets, dtype=np.int64)
     held = np.all((probes >= lo[:, None]) & (probes <= hi[:, None]), axis=2)
     wrong = np.argwhere(held != (np.arange(len(offsets)) < 4))

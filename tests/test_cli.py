@@ -320,6 +320,9 @@ class TestInputErrors:
             ["schedule", "--set", "[[2,2],[-2,-2]]", "--f", "n+3"],
             ["schedule", "--set", "annulus:8:16", "--f", "n+3"],
             ["schedule", "--set", "@{missing}", "--f", "n+3"],
+            ["tessellate", "--stroke-width", "nan"],
+            ["tessellate", "--stroke-width", "inf"],
+            ["tessellate", "--stroke-width", "-1"],
         ],
     )
     def test_usage_and_domain_errors_exit_two(self, runner, tmp_path, args):

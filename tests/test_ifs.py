@@ -393,7 +393,7 @@ class TestSeparation:
     def test_empty_cylinder_stalls_with_domain_error(self):
         # no point 1/(u + 1) of the half-open box lies in the box
         with pytest.raises(DomainError, match="stalled"):
-            svg._box_images(GaussianInt(1, 0), 5, np.random.default_rng(1))
+            svg._box_images([GaussianInt(1, 0)], 5, np.random.default_rng(1))
 
 
 def _rows(*words):

@@ -1,3 +1,5 @@
+import functools
+import math
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -6,10 +8,14 @@ import numpy as np
 import pytest
 
 from hurwitzcf import DomainError, GaussianInt, TessellationSpec, render_svg, soundness_check
-from hurwitzcf import svg
+from hurwitzcf import gaussian, svg
 from hurwitzcf.expansion import _from_quotient
 from hurwitzcf.gaussian import ExactComplexRational
-from hurwitzcf.svg import _box_images, region_digits, region_path
+from hurwitzcf.svg import _box_images, region_digits, region_paths
+
+
+def region_path(k, l):
+    return region_paths([GaussianInt(k, l)])[0]
 
 
 class TestRegionEnumeration:
@@ -33,6 +39,19 @@ class TestRegionEnumeration:
     def test_bad_cutoff(self):
         with pytest.raises(DomainError):
             TessellationSpec(norm_sq_max=1)
+
+    @pytest.mark.parametrize("norm_sq_max", [8.5, 8.0, True, "8"])
+    def test_cutoff_must_be_an_int(self, norm_sq_max):
+        with pytest.raises(DomainError, match="norm_sq_max"):
+            TessellationSpec(norm_sq_max=norm_sq_max)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, -1.0, "0.002"])
+    def test_stroke_width_must_be_finite_and_non_negative(self, width):
+        with pytest.raises(DomainError, match="stroke_width"):
+            TessellationSpec(stroke_width=width)
+
+    def test_zero_stroke_width_renders(self):
+        assert 'stroke-width="0"' in render_svg(TessellationSpec(norm_sq_max=2, stroke_width=0))
 
 
 class TestArcGeometry:
@@ -101,6 +120,114 @@ class TestArcGeometry:
             assert abs(abs(complex(0, 0) - center) - radius) < 1e-12  # through origin
 
 
+def _ref_invert(x, y):
+    return 1.0 / complex(x, y)
+
+
+def _ref_edge_circle(axis, c):
+    """Image circle of the line x = c (axis 'x') or y = c (axis 'y')."""
+    r = 1.0 / (2.0 * abs(c))
+    if axis == "x":
+        return complex(1.0 / (2.0 * c), 0.0), r
+    return complex(0.0, -1.0 / (2.0 * c)), r
+
+
+def _ref_arc_flags(p1, p2, center):
+    """SVG flags for the arc from p1 to p2 avoiding the origin point."""
+    a1 = math.atan2(p1.imag - center.imag, p1.real - center.real)
+    a2 = math.atan2(p2.imag - center.imag, p2.real - center.real)
+    a0 = math.atan2(-center.imag, -center.real)  # the origin lies on the circle
+    ccw = (a2 - a1) % (2.0 * math.pi)
+    origin_offset = (a0 - a1) % (2.0 * math.pi)
+    if origin_offset > ccw:  # origin not on the counterclockwise arc
+        return (1 if ccw > math.pi else 0), 1
+    return (1 if 2.0 * math.pi - ccw > math.pi else 0), 0
+
+
+def _ref_edges(k, l):
+    """The corners 1/(x + iy) of the box around k + il, counterclockwise
+    from the bottom left, and its edges as (axis, c), edge i from corner i."""
+    corners = [(k - 0.5, l - 0.5), (k + 0.5, l - 0.5), (k + 0.5, l + 0.5), (k - 0.5, l + 0.5)]
+    edges = [("y", l - 0.5), ("x", k + 0.5), ("y", l + 0.5), ("x", k - 0.5)]
+    return [_ref_invert(x, y) for x, y in corners], edges
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_region_path(k, l):
+    """The per-region renderer: each arc's flags from the angles of its ends."""
+    pts, edges = _ref_edges(k, l)
+    parts = [f"M {pts[0].real:.12g} {pts[0].imag:.12g}"]
+    for i, (axis, c) in enumerate(edges):
+        p1, p2 = pts[i], pts[(i + 1) % 4]
+        center, radius = _ref_edge_circle(axis, c)
+        large, sweep = _ref_arc_flags(p1, p2, center)
+        parts.append(f"A {radius:.12g} {radius:.12g} 0 {large} {sweep} "
+                     f"{p2.real:.12g} {p2.imag:.12g}")
+    return " ".join(parts + ["Z"])
+
+
+def _ref_render_svg(spec):
+    width = f"{spec.stroke_width:.12g}"
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
+        'viewBox="-0.52 -0.52 1.04 1.04">',
+        "<defs>",
+        '<clipPath id="unit-box"><rect x="-0.5" y="-0.5" width="1" height="1"/></clipPath>',
+        "</defs>",
+        '<g transform="scale(1,-1)">',
+        f'<rect x="-0.5" y="-0.5" width="1" height="1" fill="none" '
+        f'stroke="black" stroke-width="{width}"/>',
+    ]
+    for d in region_digits(spec):
+        clip = ' clip-path="url(#unit-box)"' if d.norm_sq() < 8 else ""
+        hue = (37 * (d.re * 13 + d.im * 7)) % 360
+        lines.append(f'<path id="cyl_{d.re}_{d.im}" d="{_ref_region_path(d.re, d.im)}" '
+                     f'fill="hsl({hue},60%,80%)" stroke="black" stroke-width="{width}"{clip}/>')
+    return "\n".join(lines + ["</g>", "</svg>"]) + "\n"
+
+
+class TestRendererReference:
+    """The array renderer against the per-region one it replaced."""
+
+    @pytest.mark.parametrize("include_exceptional", [True, False])
+    def test_documents_are_byte_identical(self, include_exceptional):
+        for norm_sq_max in [*range(2, 201), 5000]:
+            spec = TessellationSpec(norm_sq_max=norm_sq_max,
+                                    include_exceptional=include_exceptional)
+            assert render_svg(spec) == _ref_render_svg(spec), norm_sq_max
+
+    def test_stroke_width_is_printed_as_before(self):
+        spec = TessellationSpec(norm_sq_max=9, stroke_width=1 / 3)
+        assert render_svg(spec) == _ref_render_svg(spec)
+
+    def test_corners_and_radii_are_bit_for_bit(self, monkeypatch):
+        # printed to 17 digits, every number reads back as the float the
+        # per-region code computed
+        monkeypatch.setattr(svg, "_PATH", svg._PATH.replace(".12g", ".17g"))
+        digits = gaussian.points_by_norm(2, 5000)
+        for d, path in zip(digits, region_paths(digits)):
+            pts, edges = _ref_edges(d.re, d.im)
+            t = [float(token) for token in path.split()[1:-1] if token != "A"]
+            assert t[:2] == [pts[0].real, pts[0].imag], d
+            assert [t[2 + 7 * i: 4 + 7 * i] for i in range(4)] == [
+                [_ref_edge_circle(*edge)[1]] * 2 for edge in edges], d
+            assert [t[7 + 7 * i: 9 + 7 * i] for i in range(4)] == [
+                [p.real, p.imag] for p in pts[1:] + pts[:1]], d
+
+    def test_closed_form_flags_match_the_angles(self):
+        # every region up to norm_sq 2^14: the flags of each rendered arc are
+        # those its angles give
+        digits = gaussian.points_by_norm(2, 1 << 14)
+        assert len(digits) > 51_000
+        for d, path in zip(digits, region_paths(digits)):
+            pts, edges = _ref_edges(d.re, d.im)
+            tokens = path.split()
+            assert [(int(tokens[7 + 8 * i]), int(tokens[8 + 8 * i])) for i in range(4)] == [
+                _ref_arc_flags(pts[i], pts[(i + 1) % 4], _ref_edge_circle(*edge)[0])
+                for i, edge in enumerate(edges)], d
+
+
 class TestSvgDocument:
     def test_structure_and_clipping(self):
         spec = TessellationSpec(norm_sq_max=8)
@@ -124,6 +251,16 @@ class TestSvgDocument:
 
 
 class TestSoundness:
+    @pytest.mark.parametrize("samples", [0, -1, 2.5, True, None])
+    def test_samples_must_be_a_positive_int(self, samples):
+        with pytest.raises(DomainError, match="samples_per_region"):
+            soundness_check(TessellationSpec(norm_sq_max=2), samples_per_region=samples, seed=1)
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            soundness_check(TessellationSpec(norm_sq_max=2), samples_per_region=5, seed=seed)
+
     def test_sampled_points_carry_region_digit(self):
         ok, witness = soundness_check(
             TessellationSpec(norm_sq_max=9), samples_per_region=40, seed=3
@@ -141,13 +278,13 @@ class TestSoundness:
 
 def _mutate(monkeypatch, digit, change):
     """Render the region of ``digit`` through ``change`` on its path tokens."""
-    real = svg.region_path
+    real = svg.region_paths
 
-    def region_path_mutated(k, l):
-        tokens = real(k, l).split()
-        return " ".join(change(tokens) if (k, l) == digit else tokens)
+    def region_paths_mutated(digits):
+        return [" ".join(change(path.split()) if d.to_pair() == list(digit) else path.split())
+                for d, path in zip(digits, real(digits))]
 
-    monkeypatch.setattr(svg, "region_path", region_path_mutated)
+    monkeypatch.setattr(svg, "region_paths", region_paths_mutated)
 
 
 def _flip(tokens, index):
@@ -193,15 +330,15 @@ class TestSoundnessReadsTheSvg:
         assert witness["check"] in ("arc", "edge_inside", "edge_outside", "unique_region")
 
     def test_empty_path_fails(self, monkeypatch):
-        monkeypatch.setattr(svg, "region_path", lambda k, l: "M 0 0 Z")
+        monkeypatch.setattr(svg, "region_paths", lambda digits: ["M 0 0 Z"] * len(digits))
         ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
         assert not ok
         assert witness["check"] == "arc" and witness["arc"] == -1
 
     def test_path_of_another_region_fails(self, monkeypatch):
-        real = svg.region_path
-        monkeypatch.setattr(svg, "region_path",
-                            lambda k, l: real(3, 1) if (k, l) == (3, 2) else real(k, l))
+        real = svg.region_paths
+        monkeypatch.setattr(svg, "region_paths", lambda digits: real(
+            [GaussianInt(3, 1) if d == GaussianInt(3, 2) else d for d in digits]))
         ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
         assert not ok
         assert witness["check"] == "edge_inside" and witness["region"] == [3, 2]
@@ -250,11 +387,11 @@ class TestRegionBounds:
         assert self.claims(-(5 << 15), -(3 << 15)) == [[-2, -1]]
 
     def test_samples_on_closed_edges_pass(self):
-        # seed 0 draws four samples on a closed edge, one of them
-        # 2^16 w = (2^15, 132646) of (1, 2): on the closed left edge of its
-        # box and on the open right edge of (0, 2)
+        # seed 0 draws three samples on a closed edge, one of them
+        # 2^16 w = (-56039, -229376) of (-1, -3): on the closed bottom edge
+        # of its box and on the open top edge of (-1, -4)
         rng = np.random.default_rng(0)
-        points = np.concatenate([_box_images(d, 1000, rng) for d in region_digits(self.spec)])
+        points = _box_images(region_digits(self.spec), 1000, rng)
         on_edge = (points % (1 << 16) == 1 << 15).any(axis=1)
         assert on_edge.any()
         assert soundness_check(self.spec, samples_per_region=1000, seed=0) == (True, None)
@@ -269,6 +406,41 @@ def _sample_box_rationals(rng, count, grid=1 << 16):
             for a, b in zip(res, ims)]
 
 
+def _images_in_rounds(digits, samples, rng):
+    """Round by round: each digit still short, in order, draws its shortfall
+    of box rationals u and keeps the images 1/(u + digit) in the box."""
+    kept = {d: [] for d in digits}
+    while short := [d for d in digits if len(kept[d]) < samples]:
+        for d, u in [(d, _sample_box_rationals(rng, samples - len(kept[d]))) for d in short]:
+            kept[d] += [p for p in (v.add_gaussian(d).reciprocal() for v in u) if p.in_unit_box()]
+    return [str(p) for d in digits for p in kept[d]]
+
+
+def _as_points(rows):
+    return [str(_from_quotient(1 << 16, 0, A, B)) for A, B in rows.tolist()]
+
+
+def test_witness_names_first_digit_of_a_sample_claimed_alone():
+    # 2^16 w = (3 * 2^16, 0) is p = 1/3, claimed by its region but with first digit 3
+    witness = svg._sample_witness([GaussianInt(2, 2)], np.zeros(1, dtype=int),
+                                  np.array([[3 << 16, 0]]), np.array([[True]]))
+    assert witness == {"check": "first_digit", "region": [2, 2], "point": "1/3+0i"}
+
+
+def test_regular_digits_take_their_own_draws_in_turn():
+    digits = region_digits(TessellationSpec(norm_sq_max=13, include_exceptional=False))
+    rng = np.random.default_rng(4)
+    expected = np.concatenate([_box_images([d], 30, rng) for d in digits])
+    assert (_box_images(digits, 30, np.random.default_rng(4)) == expected).all()
+
+
+def test_exceptional_digits_redraw_in_rounds():
+    digits = region_digits(TessellationSpec(norm_sq_max=8))
+    assert sum(d.norm_sq() < 8 for d in digits) == 16
+    points = _box_images(digits, 25, np.random.default_rng(9))
+    assert _as_points(points) == _images_in_rounds(digits, 25, np.random.default_rng(9))
+
+
 def test_box_images_take_the_sample_box_rationals_draws():
     for digit, seed in ((GaussianInt(1, 1), 5), (GaussianInt(3, -2), 6), (GaussianInt(0, 2), 7)):
         rng = np.random.default_rng(seed)
@@ -277,7 +449,5 @@ def test_box_images_take_the_sample_box_rationals_draws():
             images = [u.add_gaussian(digit).reciprocal()
                       for u in _sample_box_rationals(rng, 40 - len(expected))]
             expected += [p for p in images if p.in_unit_box()]
-        points = _box_images(digit, 40, np.random.default_rng(seed))
-        assert [str(_from_quotient(1 << 16, 0, A, B)) for A, B in points.tolist()] == [
-            str(p) for p in expected
-        ]
+        points = _box_images([digit], 40, np.random.default_rng(seed))
+        assert _as_points(points) == [str(p) for p in expected]
