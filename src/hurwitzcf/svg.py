@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expansion import REGULAR_NORM_SQ, _euclid_step, _from_quotient, classify_digit
-from .gaussian import GaussianInt, points_by_norm
+from .expansion import REGULAR_NORM_SQ, _euclid_step, _from_quotient
+from .gaussian import GaussianInt, lattice_points
 
 _GRID = 1 << 16  # samples u = (a + ib)/2^16 with a, b in [-2^15, 2^15)
 
@@ -53,23 +53,34 @@ class TessellationSpec:
             raise DomainError(f"norm_sq_max must be at most {1 << 16}, got {self.norm_sq_max}")
 
 
+def _region_rows(spec: TessellationSpec) -> np.ndarray:
+    """The (re, im) rows, int64, of the digits whose cylinders are rendered,
+    norm-lex ordered."""
+    return lattice_points(2 if spec.include_exceptional else REGULAR_NORM_SQ, spec.norm_sq_max)
+
+
 def region_digits(spec: TessellationSpec) -> list[GaussianInt]:
     """Digits whose cylinders are rendered, norm-lex ordered."""
-    lo = 2 if spec.include_exceptional else REGULAR_NORM_SQ
-    return points_by_norm(lo, spec.norm_sq_max)
+    return [GaussianInt(re, im) for re, im in _region_rows(spec).tolist()]
 
 
-def _pairs(digits: list[GaussianInt]) -> np.ndarray:
-    """The (re, im) rows, int64, of ``digits``."""
-    return np.array([(d.re, d.im) for d in digits], dtype=np.int64).reshape(-1, 2)
-
-
-_PATH = "M {:.12g} {:.12g}" + " A {:.12g} {:.12g} 0 0 {:.0f} {:.12g} {:.12g}" * 4 + " Z"
+_NUMBER = ".12g"  # the format of every number in a path, and of the stroke width
+_PATH = "M" + " {}" * 9 + " Z"  # corner 0, then arc i's head and end corner, i = 0..3
 _BLOCK = 4096  # regions formatted at a time
 
 
-def region_paths(digits: list[GaussianInt]) -> list[str]:
-    """Closed SVG paths of four circular arcs for the cylinders of ``digits``.
+def _formatted_once(keys: np.ndarray, text, *columns: np.ndarray) -> np.ndarray:
+    """An object array of the shape of ``keys`` holding ``text(*values)``,
+    formatted once for each distinct key from the values that ``columns``
+    hold at one of its places."""
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    texts = list(map(text, *(column.ravel()[first].tolist() for column in columns)))
+    return np.array(texts, dtype=object)[inverse.reshape(keys.shape)]
+
+
+def region_paths(rows: np.ndarray) -> list[str]:
+    """Closed SVG paths of four circular arcs for the cylinders of the int64
+    digit rows (re, im).
 
     Corner i of the box around k + il is (k -+ 1/2, l -+ 1/2), counterclockwise
     from the bottom left, and arc i runs from corner i to corner i + 1 along the
@@ -84,24 +95,34 @@ def region_paths(digits: list[GaussianInt]) -> list[str]:
     the large-arc flag is 0.  The arc avoids 0, the image of infinity, and
     runs counterclockwise (sweep 1) exactly when the box lies on the side of
     its line away from 0: l - 1/2 > 0, k + 1/2 < 0, l + 1/2 < 0, k - 1/2 > 0.
+
+    Each distinct number is formatted once: a corner, shared by up to four
+    boxes, is keyed by its odd pair (2x, 2y), and an arc's head
+    ``A r r 0 0 sweep`` by the odd m = 2c of its line and its sweep, 2c
+    being exact so that 1.0/|2c| is 1.0/|m|.
     """
-    pairs = _pairs(digits)
-    k, l = pairs[:, :1], pairs[:, 1:]
-    x, y = k + [-0.5, 0.5, 0.5, -0.5], l + [-0.5, -0.5, 0.5, 0.5]
+    k, l = rows[:, :1], rows[:, 1:]
+    twice_x, twice_y = 2 * k + [-1, 1, 1, -1], 2 * l + [-1, -1, 1, 1]  # of corner i
+    x, y = twice_x / 2, twice_y / 2
     wide = np.abs(x) >= np.abs(y)
     ratio = np.where(wide, y / x, x / y)
     denom = np.where(wide, x + y * ratio, x * ratio + y)
     re, im = np.where(wide, 1.0, ratio) / denom, np.where(wide, -ratio, -1.0) / denom
-    r = 1.0 / np.abs(2.0 * np.concatenate([l - 0.5, k + 0.5, l + 0.5, k - 0.5], axis=1))
-    sweep = np.concatenate([l > 0, k < 0, l < 0, k > 0], axis=1)
-    ends = np.roll([re, im], -1, axis=2)  # arc i ends at corner i + 1
-    arcs = np.stack((r, r, sweep, *ends), axis=2).reshape(-1, 20)
-    return [_PATH.format(*row) for row in np.hstack([re[:, :1], im[:, :1], arcs]).tolist()]
+    m = np.abs(np.where([False, True, False, True], twice_x, twice_y))  # of arc i's line
+    sweep = np.concatenate([l > 0, k < 0, l < 0, k > 0], axis=1).astype(np.int64)
+    span = 2 * int(np.abs(twice_y).max(initial=0)) + 1
+    corners = _formatted_once(twice_x * span + twice_y,
+                              f"{{:{_NUMBER}}} {{:{_NUMBER}}}".format, re, im)
+    heads = _formatted_once(2 * m + sweep, f"A {{0:{_NUMBER}}} {{0:{_NUMBER}}} 0 0 {{1}}".format,
+                            1.0 / m, sweep)
+    table = np.empty((len(rows), 9), dtype=object)
+    table[:, 0:8:2], table[:, 1::2], table[:, 8] = corners, heads, corners[:, 0]
+    return list(map(_PATH.format, *table.T.tolist()))
 
 
 def render_svg(spec: TessellationSpec) -> str:
     """Full SVG document for the tessellation (no timestamps, byte-stable)."""
-    width = f"{spec.stroke_width:.12g}"
+    width = format(spec.stroke_width, _NUMBER)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
@@ -115,14 +136,14 @@ def render_svg(spec: TessellationSpec) -> str:
     ]
     line = (f'<path id="cyl_{{}}_{{}}" d="{{}}" fill="hsl({{}},60%,80%)" stroke="black" '
             f'stroke-width="{width}"{{}}/>\n')
-    clip = ' clip-path="url(#unit-box)"'
-    digits = region_digits(spec)
-    for start in range(0, len(digits), _BLOCK):
-        block = digits[start:start + _BLOCK]
-        parts.append("".join(
-            line.format(d.re, d.im, path, (37 * (d.re * 13 + d.im * 7)) % 360,
-                        clip if classify_digit(d) == "exceptional" else "")
-            for d, path in zip(block, region_paths(block))))
+    rows = _region_rows(spec)
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start:start + _BLOCK]
+        hue = (37 * (block @ [13, 7])) % 360
+        clip = np.where((block * block).sum(axis=1) < REGULAR_NORM_SQ,
+                        ' clip-path="url(#unit-box)"', "")
+        parts.append("".join(map(line.format, *block.T.tolist(), region_paths(block),
+                                 hue.tolist(), clip.tolist())))
     parts.append("</g>\n</svg>\n")
     return "".join(parts)
 
@@ -138,29 +159,58 @@ _MAX_M = 1 << 17
 _UNBOUNDED = 1 << 62
 
 
+# Token columns of a path M x y, four arcs A r r 0 large sweep x y, Z; arc i
+# starts at column 3 + 8i.
+_ARCS = np.arange(3, 35, 8)
+_FIXED_AT, _FIXED = np.r_[0, _ARCS, _ARCS + 3, 35], np.array([*"MAAAA0000Z"], dtype=object)
+_SAME_AT = np.r_[1, 2, _ARCS + 1], np.r_[33, 34, _ARCS + 2]  # closing point, rx == ry
+_FLAGS_AT = np.r_[_ARCS + 4, _ARCS + 5]  # every large flag, then every sweep flag
+_NUMBERS_AT = (_ARCS[:, None] + [1, 6, 7]).ravel()  # r, x2, y2 of each arc
+_NOT_A_PATH = "not a closed path M x y, four arcs A r r 0 large sweep x y, Z"
+
+
 def _read_arcs(paths: list[str]) -> np.ndarray | tuple[int, str]:
     """Every arc of the region paths as (x1, y1, r, large, sweep, x2, y2).
 
     Each path must read M x y, four arcs A r r 0 large sweep x y with
     flags 0 or 1, and Z, and end where it starts.  Returns a float array
     of shape (regions, 4, 7), or (region, reason) for the first path that
-    does not read so.
+    does not read so, its structure judged before its numbers.  The paths
+    are split into one (regions, 36) token table: its fixed tokens, radii,
+    flags and closing points are column tests, and its numbers are parsed
+    in one pass.
     """
-    rows = []
-    for region, d in enumerate(paths):
-        t = d.split()
-        arcs = [t[3 + 8 * i: 11 + 8 * i] for i in range(4)]
-        if len(t) != 36 or t[0] != "M" or t[-1] != "Z" or t[33:35] != t[1:3] or any(
-            a[0] != "A" or a[1] != a[2] or a[3] != "0" or {a[4], a[5]} - {"0", "1"} for a in arcs
-        ):
-            return region, "not a closed path M x y, four arcs A r r 0 large sweep x y, Z"
-        try:
-            ends = [(float(a[6]), float(a[7])) for a in arcs]
-            rows.append([(*start, float(a[1]), int(a[4]), int(a[5]), *end)
-                         for a, start, end in zip(arcs, ends[-1:] + ends[:-1], ends)])
-        except ValueError:
-            return region, "a number does not parse"
-    return np.array(rows, dtype=np.float64)
+    tokens = list(map(str.split, paths))
+    lengths = list(map(len, tokens))
+    if lengths.count(36) < len(paths):
+        short = next(region for region, length in enumerate(lengths) if length != 36)
+        before = _read_arcs(paths[:short])
+        return before if isinstance(before, tuple) else (short, _NOT_A_PATH)
+    table = np.array(tokens, dtype=object).reshape(-1, 36)
+    flags = table[:, _FLAGS_AT]
+    structure = ((table[:, _FIXED_AT] == _FIXED).all(axis=1)
+                 & (table[:, _SAME_AT[0]] == table[:, _SAME_AT[1]]).all(axis=1)
+                 & ((flags == "0") | (flags == "1")).all(axis=1))
+    numbers, failed = table[:, _NUMBERS_AT], ~structure
+    try:
+        values = np.array(list(map(float, numbers.ravel().tolist())))
+    except ValueError:
+        failed |= ~np.array(list(map(_all_parse, numbers.tolist())), dtype=bool)
+    if failed.any():
+        region = int(np.argmax(failed))
+        return region, _NOT_A_PATH if not structure[region] else "a number does not parse"
+    r, x, y = np.moveaxis(values.reshape(-1, 4, 3), 2, 0)
+    large, sweep = (flags == "1").reshape(-1, 2, 4).transpose(1, 0, 2)
+    return np.stack((np.roll(x, 1, axis=1), np.roll(y, 1, axis=1), r, large, sweep, x, y), axis=2)
+
+
+def _all_parse(numbers: list[str]) -> bool:
+    """Whether ``float`` reads every one of ``numbers``."""
+    try:
+        list(map(float, numbers))
+    except ValueError:
+        return False
+    return True
 
 
 def _exact_circles(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,19 +261,23 @@ def _region_bounds(axis: np.ndarray, m: np.ndarray,
     return np.stack(lo, axis=1), np.stack(hi, axis=1)
 
 
-def _read_regions(spec: TessellationSpec) -> tuple[list[GaussianInt], np.ndarray, np.ndarray] | dict:
-    """The region digits and their bounds lo, hi read from render_svg(spec).
+def _read_regions(spec: TessellationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray] | dict:
+    """The region rows and their bounds lo, hi read from render_svg(spec).
 
     Each ``<path id="cyl_k_l">`` is read as four exact circles
     (_exact_circles) and integer bounds on 2^16 w (_region_bounds); the ids
-    must be region_digits(spec) in order.  Returns a witness dict instead
-    when the document does not read so.
+    must be the _region_rows(spec) in order.  Returns a witness dict
+    instead when the document does not read so, and raises DomainError for
+    a spec with no regions, since a check of nothing proves nothing.
     """
-    digits = region_digits(spec)
+    rows = _region_rows(spec)
+    if not len(rows):
+        raise DomainError(f"{spec} has no regions to check")
     found = _REGION.findall(render_svg(spec))
     ids = [[int(k), int(l)] for k, l, _ in found]
-    if ids != [digit.to_pair() for digit in digits]:
-        return {"check": "regions", "expected": [d.to_pair() for d in digits], "found": ids}
+    expected = rows.tolist()
+    if ids != expected:
+        return {"check": "regions", "expected": expected, "found": ids}
     arcs = _read_arcs([d for _, _, d in found])
     if isinstance(arcs, tuple):
         return {"check": "arc", "region": ids[arcs[0]], "arc": -1, "reason": arcs[1]}
@@ -236,7 +290,13 @@ def _read_regions(spec: TessellationSpec) -> tuple[list[GaussianInt], np.ndarray
                           f"{y2:.12g}) with flags {large:.0f} {sweep:.0f} draws no circle "
                           f"1/m or -i/m through 0 with m odd"}
     lo, hi = _region_bounds(axis, m, arcs[..., 4])
-    return digits, lo, hi
+    return rows, lo, hi
+
+
+def _claims(A: np.ndarray, B: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """lo <= (A, B) <= hi, broadcast: four comparisons on the coordinate
+    columns, with the pair axis last in ``lo`` and ``hi``."""
+    return (A >= lo[..., 0]) & (A <= hi[..., 0]) & (B >= lo[..., 1]) & (B <= hi[..., 1])
 
 
 def soundness_check(
@@ -261,7 +321,8 @@ def soundness_check(
     for the whole path, and the reason), ``edge_inside`` and
     ``edge_outside`` (a probe claimed wrongly), ``first_digit`` and
     ``unique_region`` (a sample).  A sample count below 1 or a seed below
-    0, or either one not an int, raises DomainError.
+    0, or either one not an int, raises DomainError, and so does a spec
+    with no regions.
     """
     for name, value, least in (("samples_per_region", samples_per_region, 1), ("seed", seed, 0)):
         if not isinstance(value, int) or isinstance(value, bool) or value < least:
@@ -269,74 +330,87 @@ def soundness_check(
     read = _read_regions(spec)
     if isinstance(read, dict):
         return False, read
-    digits, lo, hi = read
-    witness = _probe_witness(digits, lo, hi)
+    rows, lo, hi = read
+    witness = _probe_witness(rows, lo, hi)
     if witness is not None:
         return False, witness
     rng = np.random.default_rng(seed)
-    points = _box_images(digits, samples_per_region, rng)
-    owner = np.repeat(np.arange(len(digits)), samples_per_region)
-    step = max(1, (1 << 20) // len(digits))  # about a megabyte of claims at a time
+    points = _box_images(rows, samples_per_region, rng)
+    owner = np.repeat(np.arange(len(rows)), samples_per_region)
+    step = max(1, (1 << 20) // len(rows))  # about a megabyte of claims at a time
     for start in range(0, len(points), step):
-        rows = points[start:start + step, None, :]
-        claimed = np.all((rows >= lo) & (rows <= hi), axis=2)
-        witness = _sample_witness(digits, owner[start:start + step], rows[:, 0], claimed)
+        chunk = points[start:start + step]
+        claimed = _claims(chunk[:, :1], chunk[:, 1:], lo, hi)
+        witness = _sample_witness(rows, owner[start:start + step], chunk, claimed)
         if witness is not None:
             return False, witness
     return True, None
 
 
-def _box_images(digits: list[GaussianInt], samples: int, rng: np.random.Generator) -> np.ndarray:
+_OVERSAMPLE = 4  # draws per missing sample of an exceptional digit
+_STALL = 200  # draws per sample, times the factor, after which a digit stalls
+
+
+def _box_images(rows: np.ndarray, samples: int, rng: np.random.Generator) -> np.ndarray:
     """``samples`` seeded points p = 1/(u + digit) of the half-open box for
-    each of ``digits``, their rows in digit order.
+    each digit row (re, im), the points in row order.
 
     u = (a + ib)/2^16 with a, b from [-2^15, 2^15).  Each round is one
-    draw: a digit still ``need`` points short takes its next 2 need values,
-    need values of a and then need values of b, the digits in order.  A
-    Generator gives the same values for one call as for consecutive calls,
-    so this is a draw of shape (2, need) per digit.  Images outside the box
-    (only exceptional digits have them) are drawn again in the next round,
-    and a digit that has drawn over 200 ``samples`` points stalls.  A point
-    is returned as the int64 row (A, B) = 2^16 (u + digit), so
-    1/p = (A + iB)/2^16 and p = 2^16 (A - iB)/N with N = A^2 + B^2; p lies
-    in the box exactly when -N <= 2^17 A < N and -N < 2^17 B <= N.
+    draw: a digit still ``need`` points short takes its next 2 c values,
+    c values of a and then c values of b, the digits in order, where c is
+    need for a regular digit and _OVERSAMPLE need for an exceptional one
+    (norm_sq < 8), whose images may leave the box.  A Generator gives the
+    same values for one call as for consecutive calls, so this is a draw
+    of shape (2, c) per digit.  A digit keeps the first ``need`` of its
+    images in the box, in draw order, and draws again in the next round if
+    it is still short; a digit that has drawn over _STALL times its factor
+    times ``samples`` points stalls.  A point is returned as the int64 row
+    (A, B) = 2^16 (u + digit), so 1/p = (A + iB)/2^16 and
+    p = 2^16 (A - iB)/N with N = A^2 + B^2; p lies in the box exactly when
+    -N <= 2^17 A < N and -N < 2^17 B <= N.
     """
-    shift = _pairs(digits) * _GRID
-    need = np.full(len(digits), samples, dtype=np.int64)
+    shift = rows * _GRID
+    factor = np.where((rows * rows).sum(axis=1) < REGULAR_NORM_SQ, _OVERSAMPLE, 1)
+    limit = _STALL * samples * factor
+    need = np.full(len(rows), samples, dtype=np.int64)
     drawn = np.zeros_like(need)
     kept = []
     while (short := np.flatnonzero(need)).size:
-        counts = need[short]
+        counts = need[short] * factor[short]
         drawn[short] += counts
-        if drawn.max() > 200 * samples:
-            stalled = digits[np.argmax(drawn > 200 * samples)]
+        if (over := drawn > limit).any():
+            stalled = GaussianInt(*rows[np.argmax(over)].tolist())
             raise DomainError(f"rejection sampling stalled for digit {stalled}")
         owner = np.repeat(short, counts)
-        b_at = np.arange(len(owner)) + np.repeat(np.cumsum(counts), counts)
+        starts = np.cumsum(counts) - counts  # of each short digit's draws
+        a_at = np.arange(len(owner)) + np.repeat(starts, counts)
         values = rng.integers(-_GRID // 2, _GRID // 2, size=2 * len(owner))
-        A = values[b_at - np.repeat(counts, counts)] + shift[owner, 0]
-        B = values[b_at] + shift[owner, 1]
+        A = values[a_at] + shift[owner, 0]
+        B = values[a_at + np.repeat(counts, counts)] + shift[owner, 1]
         n = A * A + B * B
         a, b = (2 * _GRID) * A, (2 * _GRID) * B
         inside = (-n <= a) & (a < n) & (-n < b) & (b <= n)
-        kept.append((owner[inside], A[inside], B[inside]))
-        need -= np.bincount(kept[-1][0], minlength=len(digits))
+        rank = np.cumsum(inside)  # images in the box so far, this one included
+        rank -= np.repeat(rank[starts] - inside[starts], counts)
+        keep = inside & (rank <= np.repeat(need[short], counts))
+        kept.append((owner[keep], A[keep], B[keep]))
+        need -= np.bincount(kept[-1][0], minlength=len(rows))
     owner, A, B = (np.concatenate(column) for column in zip(*kept))
     return np.stack((A, B), axis=1)[np.argsort(owner, kind="stable")]
 
 
-def _sample_witness(digits: list[GaussianInt], owner: np.ndarray, points: np.ndarray,
+def _sample_witness(rows: np.ndarray, owner: np.ndarray, points: np.ndarray,
                     claimed: np.ndarray) -> dict | None:
     """The first sample whose first digit is not its own, or that its own
     region does not claim alone.
 
-    Sample s is the _box_images row points[s] = (A, B) of digit
-    digits[owner[s]], and ``claimed[s, r]`` says whether region r claims
+    Sample s is the _box_images row points[s] = (A, B) of the digit row
+    rows[owner[s]], and ``claimed[s, r]`` says whether region r claims
     it.  The first digits of p = 2^16/(A + iB) come from one
     expansion._euclid_step on the int64 columns, whose terms stay below
     2^50 for |A|, |B| < 2^31; only a witness builds p.
     """
-    own = _pairs(digits)[owner]
+    own = rows[owner]
     first_re, first_im = _euclid_step(_GRID, 0, points[:, 0], points[:, 1])[:2]
     wrong_digit = (first_re != own[:, 0]) | (first_im != own[:, 1])
     counts = claimed.sum(axis=1)
@@ -346,26 +420,25 @@ def _sample_witness(digits: list[GaussianInt], owner: np.ndarray, points: np.nda
         return None
     s = failed[0]
     A, B = points[s].tolist()
-    found = {"region": digits[owner[s]].to_pair(), "point": str(_from_quotient(_GRID, 0, A, B))}
+    found = {"region": own[s].tolist(), "point": str(_from_quotient(_GRID, 0, A, B))}
     if wrong_digit[s]:
         return {"check": "first_digit", **found}
     return {"check": "unique_region", **found, "claims": int(counts[s])}
 
 
-def _probe_witness(digits: list[GaussianInt], lo: np.ndarray, hi: np.ndarray) -> dict | None:
+def _probe_witness(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> dict | None:
     """A probe at the middle of a pre-image box edge that its region claims
     from outside the box or misses from inside it."""
     half = _GRID // 2
     offsets = [(-half, 0), (half - 1, 0), (0, -half), (0, half - 1),  # inside
                (-half - 1, 0), (half, 0), (0, -half - 1), (0, half)]  # outside
-    centres = _pairs(digits) * _GRID
-    probes = centres[:, None, :] + np.array(offsets, dtype=np.int64)
-    held = np.all((probes >= lo[:, None]) & (probes <= hi[:, None]), axis=2)
+    probes = (rows * _GRID)[:, None, :] + np.array(offsets, dtype=np.int64)
+    held = _claims(probes[..., 0], probes[..., 1], lo[:, None], hi[:, None])
     wrong = np.argwhere(held != (np.arange(len(offsets)) < 4))
     if len(wrong) == 0:
         return None
     r, j = wrong[0].tolist()
     A, B = probes[r, j].tolist()
-    return {"check": "edge_inside" if j < 4 else "edge_outside", "region": digits[r].to_pair(),
+    return {"check": "edge_inside" if j < 4 else "edge_outside", "region": rows[r].tolist(),
             "edge": ("left", "right", "bottom", "top")[j % 4],
             "point": str(_from_quotient(_GRID, 0, A, B))}

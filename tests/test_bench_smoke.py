@@ -48,3 +48,14 @@ def test_first_cycle_passes_its_checks(workload):
     cycle = next(jobs.STREAMS[workload](random.Random(0), traffic))
     for job in jobs.reference_jobs(workload, traffic) + cycle:
         jobs.run_job(job, tracer)
+
+
+@pytest.mark.parametrize("norm_sq_max", [8, 13, 25])
+def test_soundness_jobs_pass_on_every_stratum(norm_sq_max):
+    # the exact stream cycles norm_sq_max through 8, 13 and 25 and draws 1 to
+    # 4 samples a region; run_soundness raises jobs.CheckError on a failed check
+    regions = len(hurwitzcf.svg.region_digits(hurwitzcf.TessellationSpec(norm_sq_max=norm_sq_max)))
+    for samples in range(1, 5):
+        info = jobs.run_soundness({"norm_sq_max": norm_sq_max, "samples": samples, "seed": samples},
+                                  spans.Tracer())
+        assert info == {"samples": regions * samples}

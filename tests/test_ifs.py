@@ -386,14 +386,14 @@ class TestSeparation:
     def test_witness_names_first_digit_before_claims(self):
         # the second sample, 2^16 w = (3 * 2^16, 0), is p = 1/3 with first digit 3
         points = np.array([[2 << 16, 2 << 16], [3 << 16, 0]])
-        witness = svg._sample_witness([GaussianInt(2, 2)], np.zeros(2, dtype=int), points,
+        witness = svg._sample_witness(np.array([[2, 2]]), np.zeros(2, dtype=int), points,
                                       np.array([[True], [False]]))
         assert witness == {"check": "first_digit", "region": [2, 2], "point": "1/3+0i"}
 
     def test_empty_cylinder_stalls_with_domain_error(self):
         # no point 1/(u + 1) of the half-open box lies in the box
         with pytest.raises(DomainError, match="stalled"):
-            svg._box_images([GaussianInt(1, 0)], 5, np.random.default_rng(1))
+            svg._box_images(np.array([[1, 0]]), 5, np.random.default_rng(1))
 
 
 def _rows(*words):

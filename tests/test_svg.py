@@ -15,7 +15,7 @@ from hurwitzcf.svg import _box_images, region_digits, region_paths
 
 
 def region_path(k, l):
-    return region_paths([GaussianInt(k, l)])[0]
+    return region_paths(np.array([[k, l]]))[0]
 
 
 class TestRegionEnumeration:
@@ -204,10 +204,10 @@ class TestRendererReference:
     def test_corners_and_radii_are_bit_for_bit(self, monkeypatch):
         # printed to 17 digits, every number reads back as the float the
         # per-region code computed
-        monkeypatch.setattr(svg, "_PATH", svg._PATH.replace(".12g", ".17g"))
-        digits = gaussian.points_by_norm(2, 5000)
-        for d, path in zip(digits, region_paths(digits)):
-            pts, edges = _ref_edges(d.re, d.im)
+        monkeypatch.setattr(svg, "_NUMBER", ".17g")
+        rows = gaussian.lattice_points(2, 5000)
+        for d, path in zip(rows.tolist(), region_paths(rows)):
+            pts, edges = _ref_edges(*d)
             t = [float(token) for token in path.split()[1:-1] if token != "A"]
             assert t[:2] == [pts[0].real, pts[0].imag], d
             assert [t[2 + 7 * i: 4 + 7 * i] for i in range(4)] == [
@@ -218,10 +218,10 @@ class TestRendererReference:
     def test_closed_form_flags_match_the_angles(self):
         # every region up to norm_sq 2^14: the flags of each rendered arc are
         # those its angles give
-        digits = gaussian.points_by_norm(2, 1 << 14)
-        assert len(digits) > 51_000
-        for d, path in zip(digits, region_paths(digits)):
-            pts, edges = _ref_edges(d.re, d.im)
+        rows = gaussian.lattice_points(2, 1 << 14)
+        assert len(rows) > 51_000
+        for d, path in zip(rows.tolist(), region_paths(rows)):
+            pts, edges = _ref_edges(*d)
             tokens = path.split()
             assert [(int(tokens[7 + 8 * i]), int(tokens[8 + 8 * i])) for i in range(4)] == [
                 _ref_arc_flags(pts[i], pts[(i + 1) % 4], _ref_edge_circle(*edge)[0])
@@ -267,6 +267,12 @@ class TestSoundness:
         )
         assert ok, witness
 
+    def test_spec_without_regions_is_refused(self):
+        # regular digits start at norm_sq 8: a check that judges nothing
+        # must not report ok
+        with pytest.raises(DomainError, match="no regions"):
+            soundness_check(TessellationSpec(norm_sq_max=5, include_exceptional=False))
+
     def test_region_sampler_stays_in_cylinder(self):
         # the norm_sq 2 regions are exceptional: part of each branch image
         # leaves the box, so their samples go through rejection
@@ -280,9 +286,9 @@ def _mutate(monkeypatch, digit, change):
     """Render the region of ``digit`` through ``change`` on its path tokens."""
     real = svg.region_paths
 
-    def region_paths_mutated(digits):
-        return [" ".join(change(path.split()) if d.to_pair() == list(digit) else path.split())
-                for d, path in zip(digits, real(digits))]
+    def region_paths_mutated(rows):
+        return [" ".join(change(path.split()) if d == list(digit) else path.split())
+                for d, path in zip(rows.tolist(), real(rows))]
 
     monkeypatch.setattr(svg, "region_paths", region_paths_mutated)
 
@@ -330,15 +336,15 @@ class TestSoundnessReadsTheSvg:
         assert witness["check"] in ("arc", "edge_inside", "edge_outside", "unique_region")
 
     def test_empty_path_fails(self, monkeypatch):
-        monkeypatch.setattr(svg, "region_paths", lambda digits: ["M 0 0 Z"] * len(digits))
+        monkeypatch.setattr(svg, "region_paths", lambda rows: ["M 0 0 Z"] * len(rows))
         ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
         assert not ok
         assert witness["check"] == "arc" and witness["arc"] == -1
 
     def test_path_of_another_region_fails(self, monkeypatch):
         real = svg.region_paths
-        monkeypatch.setattr(svg, "region_paths", lambda digits: real(
-            [GaussianInt(3, 1) if d == GaussianInt(3, 2) else d for d in digits]))
+        monkeypatch.setattr(svg, "region_paths", lambda rows: real(
+            np.where((rows == [3, 2]).all(axis=1, keepdims=True), [3, 1], rows)))
         ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
         assert not ok
         assert witness["check"] == "edge_inside" and witness["region"] == [3, 2]
@@ -357,18 +363,105 @@ class TestSoundnessReadsTheSvg:
         assert witness["check"] == "arc" and witness["region"] == [3, 1] and witness["arc"] == 2
 
 
+def _ref_read_arcs(paths):
+    """The per-region parser that the token table replaced."""
+    rows = []
+    for region, d in enumerate(paths):
+        t = d.split()
+        arcs = [t[3 + 8 * i: 11 + 8 * i] for i in range(4)]
+        if len(t) != 36 or t[0] != "M" or t[-1] != "Z" or t[33:35] != t[1:3] or any(
+            a[0] != "A" or a[1] != a[2] or a[3] != "0" or {a[4], a[5]} - {"0", "1"} for a in arcs
+        ):
+            return region, "not a closed path M x y, four arcs A r r 0 large sweep x y, Z"
+        try:
+            ends = [(float(a[6]), float(a[7])) for a in arcs]
+            rows.append([(*start, float(a[1]), int(a[4]), int(a[5]), *end)
+                         for a, start, end in zip(arcs, ends[-1:] + ends[:-1], ends)])
+        except ValueError:
+            return region, "a number does not parse"
+    return np.array(rows, dtype=np.float64)
+
+
+def _reads_as_before(paths):
+    arcs, ref = svg._read_arcs(paths), _ref_read_arcs(paths)
+    if isinstance(ref, tuple):
+        return arcs == ref
+    return arcs.shape == ref.shape and arcs.tobytes() == ref.tobytes()
+
+
+def _set(index, token):
+    def change(tokens):
+        tokens[index] = token(tokens[index])
+        return tokens
+    return change
+
+
+MALFORMED = {
+    **MUTATIONS,
+    "unparsed_number": _set(9, lambda _: "1e5x"),
+    "flag_2": _set(8, lambda _: "2"),
+    "rx_not_ry": _set(5, lambda ry: ry + "0"),  # the same radius, printed otherwise
+    "missing_z": lambda t: t[:-1],
+    "lowercase_z": _set(35, lambda _: "z"),
+    "35_tokens": lambda t: t[:20] + t[21:],
+    "end_not_start": _set(33, lambda x: x + "0"),
+}
+
+
+class TestArcReader:
+    """The token table against the per-region parser it replaced."""
+
+    paths = region_paths(svg._region_rows(TessellationSpec(norm_sq_max=13)))
+
+    def with_changed(self, *changes):
+        paths = list(self.paths)
+        for region, change in changes:
+            paths[region] = " ".join(change(paths[region].split()))
+        return paths
+
+    @pytest.mark.parametrize("include_exceptional", [True, False])
+    def test_arrays_are_bit_for_bit(self, include_exceptional):
+        for norm_sq_max in [*range(2, 101), 5000]:
+            rows = svg._region_rows(TessellationSpec(norm_sq_max=norm_sq_max,
+                                                     include_exceptional=include_exceptional))
+            if len(rows):
+                assert _reads_as_before(region_paths(rows)), norm_sq_max
+
+    @pytest.mark.parametrize("region", [0, 7, -1])
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_path_reads_as_before(self, name, region):
+        paths = self.with_changed((region, MALFORMED[name]))
+        assert _reads_as_before(paths)
+        if name not in MUTATIONS:
+            assert svg._read_arcs(paths)[0] == region % len(paths)
+
+    @pytest.mark.parametrize("first, second", [("unparsed_number", "flag_2"),
+                                               ("flag_2", "unparsed_number"),
+                                               ("35_tokens", "unparsed_number"),
+                                               ("unparsed_number", "35_tokens")])
+    def test_first_of_two_bad_regions_wins(self, first, second):
+        paths = self.with_changed((3, MALFORMED[first]), (9, MALFORMED[second]))
+        assert _reads_as_before(paths) and svg._read_arcs(paths)[0] == 3
+
+    def test_structure_is_judged_before_numbers(self):
+        paths = self.with_changed((5, MALFORMED["unparsed_number"]), (5, MALFORMED["flag_2"]))
+        assert _reads_as_before(paths)
+        assert svg._read_arcs(paths) == (5, _ref_read_arcs(paths)[1])
+        assert "closed path" in _ref_read_arcs(paths)[1]
+
+
 class TestRegionBounds:
     spec = TessellationSpec(norm_sq_max=25)
 
     def claims(self, A, B):
-        digits, lo, hi = svg._read_regions(self.spec)
+        rows, lo, hi = svg._read_regions(self.spec)
         point = np.array([A, B])
-        return [d.to_pair() for d, held in zip(digits, np.all((lo <= point) & (point <= hi), axis=1))
+        return [d for d, held in zip(rows.tolist(), np.all((lo <= point) & (point <= hi), axis=1))
                 if held]
 
     def test_bounds_are_the_half_open_boxes(self):
-        digits, lo, hi = svg._read_regions(self.spec)
-        centres = np.array([d.to_pair() for d in digits]) << 16
+        rows, lo, hi = svg._read_regions(self.spec)
+        centres = rows << 16
         assert (lo == centres - (1 << 15)).all()
         assert (hi == centres + (1 << 15) - 1).all()
 
@@ -387,11 +480,11 @@ class TestRegionBounds:
         assert self.claims(-(5 << 15), -(3 << 15)) == [[-2, -1]]
 
     def test_samples_on_closed_edges_pass(self):
-        # seed 0 draws three samples on a closed edge, one of them
-        # 2^16 w = (-56039, -229376) of (-1, -3): on the closed bottom edge
-        # of its box and on the open top edge of (-1, -4)
+        # seed 0 draws two samples on a closed edge, one of them
+        # 2^16 w = (-213019, -98304) of (-3, -1): on the closed bottom edge
+        # of its box and on the open top edge of (-3, -2)
         rng = np.random.default_rng(0)
-        points = _box_images(region_digits(self.spec), 1000, rng)
+        points = _box_images(svg._region_rows(self.spec), 1000, rng)
         on_edge = (points % (1 << 16) == 1 << 15).any(axis=1)
         assert on_edge.any()
         assert soundness_check(self.spec, samples_per_region=1000, seed=0) == (True, None)
@@ -406,13 +499,22 @@ def _sample_box_rationals(rng, count, grid=1 << 16):
             for a, b in zip(res, ims)]
 
 
+def _draw_images(rng, digit, lack):
+    """The first ``lack`` images 1/(u + digit) in the box of one draw of box
+    rationals u: ``lack`` of them, _OVERSAMPLE times as many for an
+    exceptional digit."""
+    factor = svg._OVERSAMPLE if digit.norm_sq() < 8 else 1
+    images = (u.add_gaussian(digit).reciprocal() for u in _sample_box_rationals(rng, factor * lack))
+    return [p for p in images if p.in_unit_box()][:lack]
+
+
 def _images_in_rounds(digits, samples, rng):
-    """Round by round: each digit still short, in order, draws its shortfall
-    of box rationals u and keeps the images 1/(u + digit) in the box."""
+    """Round by round: each digit still short, in order, draws for its
+    shortfall and keeps the images it lacks."""
     kept = {d: [] for d in digits}
     while short := [d for d in digits if len(kept[d]) < samples]:
-        for d, u in [(d, _sample_box_rationals(rng, samples - len(kept[d]))) for d in short]:
-            kept[d] += [p for p in (v.add_gaussian(d).reciprocal() for v in u) if p.in_unit_box()]
+        for d in short:
+            kept[d] += _draw_images(rng, d, samples - len(kept[d]))
     return [str(p) for d in digits for p in kept[d]]
 
 
@@ -422,22 +524,23 @@ def _as_points(rows):
 
 def test_witness_names_first_digit_of_a_sample_claimed_alone():
     # 2^16 w = (3 * 2^16, 0) is p = 1/3, claimed by its region but with first digit 3
-    witness = svg._sample_witness([GaussianInt(2, 2)], np.zeros(1, dtype=int),
+    witness = svg._sample_witness(np.array([[2, 2]]), np.zeros(1, dtype=int),
                                   np.array([[3 << 16, 0]]), np.array([[True]]))
     assert witness == {"check": "first_digit", "region": [2, 2], "point": "1/3+0i"}
 
 
 def test_regular_digits_take_their_own_draws_in_turn():
-    digits = region_digits(TessellationSpec(norm_sq_max=13, include_exceptional=False))
+    digits = svg._region_rows(TessellationSpec(norm_sq_max=13, include_exceptional=False))
     rng = np.random.default_rng(4)
-    expected = np.concatenate([_box_images([d], 30, rng) for d in digits])
+    expected = np.concatenate([_box_images(d[None], 30, rng) for d in digits])
     assert (_box_images(digits, 30, np.random.default_rng(4)) == expected).all()
 
 
 def test_exceptional_digits_redraw_in_rounds():
     digits = region_digits(TessellationSpec(norm_sq_max=8))
     assert sum(d.norm_sq() < 8 for d in digits) == 16
-    points = _box_images(digits, 25, np.random.default_rng(9))
+    points = _box_images(svg._region_rows(TessellationSpec(norm_sq_max=8)), 25,
+                         np.random.default_rng(9))
     assert _as_points(points) == _images_in_rounds(digits, 25, np.random.default_rng(9))
 
 
@@ -446,8 +549,23 @@ def test_box_images_take_the_sample_box_rationals_draws():
         rng = np.random.default_rng(seed)
         expected = []
         while len(expected) < 40:
-            images = [u.add_gaussian(digit).reciprocal()
-                      for u in _sample_box_rationals(rng, 40 - len(expected))]
-            expected += [p for p in images if p.in_unit_box()]
-        points = _box_images([digit], 40, np.random.default_rng(seed))
+            expected += _draw_images(rng, digit, 40 - len(expected))
+        points = _box_images(np.array([digit.to_pair()]), 40, np.random.default_rng(seed))
         assert _as_points(points) == [str(p) for p in expected]
+
+
+def test_stall_guard_scales_with_the_draw_factor():
+    # no image 1/(u + 1) lies in the box; the exceptional digit 1 draws
+    # _OVERSAMPLE times its shortfall, and it stalls after 200 draws as it
+    # would at one draw per missing sample
+    sizes = []
+
+    class Recorder:
+        def integers(self, low, high, size):
+            sizes.append(size)
+            return rng.integers(low, high, size=size)
+
+    rng = np.random.default_rng(1)
+    with pytest.raises(DomainError, match="stalled for digit 1$"):
+        _box_images(np.array([[1, 0]]), 5, Recorder())
+    assert sizes == [2 * 5 * svg._OVERSAMPLE] * 200
