@@ -50,19 +50,27 @@ def _csv_text(rows: Iterable) -> str:
     return buf.getvalue()
 
 
+def _numeric(column) -> bool:
+    """Whether every entry is an int or a float (no bool): an int, uint or
+    float array by its dtype, anything else by the type of each entry."""
+    if isinstance(column, np.ndarray):
+        return column.dtype.kind in "iuf"
+    return set(map(type, column)) <= {int, float}
+
+
 def _csv_pieces(columns: dict) -> Iterator[str]:
     """The CSV table of ordered columns: the header of column names, then
     the rows, _ROW_BLOCK at a time, one piece each.  A block of only int
-    and float is one str.format per row, as str() is what csv.writer
-    writes for them; a block with bool, None or str goes through
-    csv.writer."""
+    and float columns is formatted column by column, str() of each value,
+    which is what csv.writer writes for them, and joined row by row; a
+    block with bool, None, str or complex goes through csv.writer."""
     yield _csv_text([columns])
-    row = ",".join(["{}"] * len(columns)) + "\n"
     for lo in range(0, min(map(len, columns.values()), default=0), _ROW_BLOCK):
         block = [c[lo : lo + _ROW_BLOCK] for c in columns.values()]
+        numeric = all(map(_numeric, block))
         block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-        if all(set(map(type, c)) <= {int, float} for c in block):
-            yield "".join(map(row.format, *block))
+        if numeric:
+            yield "\n".join([*map(",".join, zip(*(map(str, c) for c in block))), ""])
         else:
             yield _csv_text(zip(*block))
 

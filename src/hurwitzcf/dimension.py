@@ -8,6 +8,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import functools
+import itertools
 import math
 import string
 import warnings
@@ -25,6 +26,7 @@ SQRT2 = math.sqrt(2.0)
 
 _LOG_K0 = math.log(COMPOSITION_DISTORTION_BOUND)  # widens a sum into a bracket on the pressure
 _GROWTH_BLOCK = 1 << 14  # most steps of a growth bound evaluated at once (128 KiB of values)
+_FLOAT_RUN = 1 << 10  # steps a compiled growth bound gets as Python floats at a time (32 KiB)
 _MAX_BISECTIONS = 64  # caps each root search of bowen_dimension when tol is below the float spacing
 _MAX_HORIZON = 10**7  # largest tau or schedule horizon
 _MAX_SHELL_NORM_SQ = 1 << 24  # shell tables end here, at 5.3e7 lattice points
@@ -202,13 +204,13 @@ class _ShellTable:
     def band(self, norm_sq_lo: int, norm_sq_hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of the shells in [lo, hi)."""
         self.ensure(norm_sq_hi - 1)
-        i, j = np.searchsorted(self.values, [norm_sq_lo, norm_sq_hi])
+        i, j = self.values.searchsorted(norm_sq_lo), self.values.searchsorted(norm_sq_hi)
         return self.values[i:j], self.counts[i:j]
 
     def weight(self, norm_sq_lo: int, norm_sq_hi: int, exponent: float) -> float:
         """Sum of |i|^-exponent over members with norm_sq in [lo, hi)."""
         values, counts = self.band(norm_sq_lo, norm_sq_hi)
-        return float(np.sum(counts * np.power(values.astype(np.float64), -exponent / 2.0)))
+        return float((counts * np.power(values.astype(np.float64), -exponent / 2.0)).sum())
 
     def anchor_after(self, norm_sq_lo: int, exponent: float) -> int:
         """Least shell value hi > lo with weight(lo, hi, exponent) >= 1.
@@ -302,12 +304,19 @@ class GrowthFunction:
 
 
 def _growth_values(f: GrowthFunction | Callable[[int], float], steps: range) -> np.ndarray:
-    """f at a range of steps as float64: one comprehension over a GrowthFunction's
-    compiled lambda, or over f(n).  If a step raises, f redoes the steps one at a
-    time: the first raises as f does, or the values before the one that raises return."""
-    fn, arg = (f._fn, float) if isinstance(f, GrowthFunction) else (f, int)
+    """f at a range of steps as float64, each step evaluated once into np.fromiter.
+    A GrowthFunction's compiled lambda runs over the steps as float64 ranges of
+    _FLOAT_RUN steps, whose floats are float(n) as the steps lie below 2^53; any
+    other f gets the int steps.  If a step raises or returns no real number, f
+    redoes the steps one at a time: the first raises as f does, or the values
+    before the one that raises return."""
+    fn, args = f, steps
+    if isinstance(f, GrowthFunction):
+        runs = (steps[i : i + _FLOAT_RUN] for i in range(0, len(steps), _FLOAT_RUN))
+        fn, args = f._fn, itertools.chain.from_iterable(
+            np.arange(r.start, r.stop, r.step, dtype=np.float64).tolist() for r in runs)
     try:
-        return np.array([fn(arg(n)) for n in steps], dtype=np.float64)
+        return np.fromiter(map(fn, args), dtype=np.float64, count=len(steps))
     except Exception:
         values = [f(steps[0])]
         with contextlib.suppress(Exception):
@@ -802,8 +811,10 @@ def tau_exponent(norms: Sequence[float] | np.ndarray, horizon: int) -> TauEstima
     maximum two-point log-log slope from the tail-window anchor (index
     horizon/10) to later indices where x has at least doubled; the raw
     ratio trajectory is kept for diagnostics at every
-    max(1, horizon // TAU_ROWS)-th index.  The tail window is scanned in
-    blocks, so no temporary is as long as the horizon.
+    max(1, horizon // TAU_ROWS)-th index.  As x is nondecreasing, x > 1
+    and x >= 2 x0 each hold on a suffix, whose start np.searchsorted finds.
+    The tail window is scanned in blocks, so no temporary is as long as the
+    horizon.
     """
     _check_tau_horizon(horizon)
     x = np.asarray(norms, dtype=np.float64)[:horizon]
@@ -819,27 +830,31 @@ def tau_exponent(norms: Sequence[float] | np.ndarray, horizon: int) -> TauEstima
     kept = np.arange(0, horizon, max(1, horizon // TAU_ROWS))
     n = kept + 1.0
     xk = x[kept]
-    valid = xk > 1.0
+    valid = int(xk.searchsorted(1.0, side="right"))  # xk[valid:] > 1
     ratio = np.full(len(kept), np.nan)
-    ratio[valid] = np.log(n[valid]) / np.log(xk[valid])
+    ratio[valid:] = np.log(n[valid:]) / np.log(xk[valid:])
 
-    n0 = max(horizon // 10, 10)
-    first_valid = int(np.argmax(x > 1.0)) + 1
-    n0 = max(n0, first_valid)
+    first_valid = int(x.searchsorted(1.0, side="right")) + 1  # x[first_valid - 1:] > 1
+    n0 = max(horizon // 10, 10, first_valid)
     x0 = float(x[n0 - 1])
+    grown = int(x.searchsorted(2.0 * x0))  # x[grown:] >= 2 x0
 
     # every x in the window [n0 - 1, horizon) is at least x0 > 1; index
     # n0 - 1 itself has x = x0 < 2 x0, so it never contributes a slope
     ratio_max = estimate = -math.inf
     for lo in range(n0 - 1, horizon, _TAU_CHUNK):
         hi = min(lo + _TAU_CHUNK, horizon)
-        log_n = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
+        log_n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        np.log(log_n, out=log_n)
         log_x = np.log(x[lo:hi])
-        ratio_max = max(ratio_max, float(np.max(log_n / log_x)))
-        grown = x[lo:hi] >= 2.0 * x0
-        if grown.any():
-            slopes = (log_n[grown] - math.log(n0)) / (log_x[grown] - math.log(x0))
-            estimate = max(estimate, float(np.max(slopes)))
+        ratio_max = max(ratio_max, float((log_n / log_x).max()))
+        if grown < hi:  # the slopes, in place on the grown suffix
+            k = max(grown - lo, 0)
+            slopes, log_x = log_n[k:], log_x[k:]
+            slopes -= math.log(n0)
+            log_x -= math.log(x0)
+            slopes /= log_x
+            estimate = max(estimate, float(slopes.max()))
     degenerate = estimate == -math.inf
     return TauEstimate(
         estimate=ratio_max if degenerate else estimate,

@@ -122,6 +122,11 @@ def region_paths(rows: np.ndarray) -> list[str]:
 
 def render_svg(spec: TessellationSpec) -> str:
     """Full SVG document for the tessellation (no timestamps, byte-stable)."""
+    return _document(spec, _region_rows(spec))
+
+
+def _document(spec: TessellationSpec, rows: np.ndarray) -> str:
+    """render_svg(spec) from its region rows, _region_rows(spec)."""
     width = format(spec.stroke_width, _NUMBER)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -136,7 +141,6 @@ def render_svg(spec: TessellationSpec) -> str:
     ]
     line = (f'<path id="cyl_{{}}_{{}}" d="{{}}" fill="hsl({{}},60%,80%)" stroke="black" '
             f'stroke-width="{width}"{{}}/>\n')
-    rows = _region_rows(spec)
     for start in range(0, len(rows), _BLOCK):
         block = rows[start:start + _BLOCK]
         hue = (37 * (block @ [13, 7])) % 360
@@ -262,7 +266,8 @@ def _region_bounds(axis: np.ndarray, m: np.ndarray,
 
 
 def _read_regions(spec: TessellationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray] | dict:
-    """The region rows and their bounds lo, hi read from render_svg(spec).
+    """The region rows and their bounds lo, hi read from render_svg(spec),
+    rendered from the rows enumerated here.
 
     Each ``<path id="cyl_k_l">`` is read as four exact circles
     (_exact_circles) and integer bounds on 2^16 w (_region_bounds); the ids
@@ -273,7 +278,7 @@ def _read_regions(spec: TessellationSpec) -> tuple[np.ndarray, np.ndarray, np.nd
     rows = _region_rows(spec)
     if not len(rows):
         raise DomainError(f"{spec} has no regions to check")
-    found = _REGION.findall(render_svg(spec))
+    found = _REGION.findall(_document(spec, rows))
     ids = [[int(k), int(l)] for k, l, _ in found]
     expected = rows.tolist()
     if ids != expected:

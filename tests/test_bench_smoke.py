@@ -59,3 +59,19 @@ def test_soundness_jobs_pass_on_every_stratum(norm_sq_max):
         info = jobs.run_soundness({"norm_sq_max": norm_sq_max, "samples": samples, "seed": samples},
                                   spans.Tracer())
         assert info == {"samples": regions * samples}
+
+
+@pytest.mark.parametrize("fmt, emit", jobs.SCHEDULE_FORMATS)
+def test_schedule_jobs_pass_in_every_format(fmt, emit):
+    # run_schedule counts the JSON blocks or the CSV rows against the built
+    # schedule and raises jobs.CheckError on a mismatch
+    info = jobs.run_schedule({"set": "d2", "f": "n+3", "eps": "0.5", "horizon": 3000,
+                              "format": fmt, "emit": emit, "delta": 0.5}, spans.Tracer())
+    assert info["horizon"] == 3000 and info["blocks"] > 10 and not info["truncated"]
+
+
+@pytest.mark.parametrize("source", ["lattice", "d2", "power:0.74"])
+def test_tau_jobs_pass_on_every_source(source):
+    # run_tau checks the CSV header and its 10^4 trajectory rows
+    info = jobs.run_tau({"source": source, "horizon": 100_000}, spans.Tracer())
+    assert info["abs_err"] < 0.05 and info["bytes"] > 10_000 * len("1,1.0,0.0\n")

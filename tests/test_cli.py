@@ -121,6 +121,44 @@ class TestCsvRows:
         columns = {"ok": [True, 1], "x": [0.5, None]}
         assert self._emit(capsys, {}, columns) == "ok,x\nTrue,0.5\n1,\n"
 
+    @staticmethod
+    def _count_csv_writer(monkeypatch) -> list:
+        calls = []
+        real = climod._csv_text
+        monkeypatch.setattr(climod, "_csv_text", lambda rows: calls.append(1) or real(rows))
+        return calls
+
+    def test_int_uint_and_float_arrays_are_formatted_column_wise(self, capsys, monkeypatch):
+        rng = np.random.default_rng(11)
+        rows = climod._ROW_BLOCK + 9
+        edges32 = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-45, 3.4e38, 0.1, 16777217.0]
+        columns = {
+            "i64": np.r_[[-(2**63), 2**63 - 1, 0, -1],
+                         rng.integers(-(2**63), 2**63 - 1, rows - 4, dtype=np.int64)],
+            "u64": np.r_[np.array([2**64 - 1, 0, 2**63], dtype=np.uint64),
+                         rng.integers(0, 2**64 - 1, rows - 3, dtype=np.uint64)],
+            "f32": np.r_[np.array(edges32, dtype=np.float32),
+                         (rng.standard_normal(rows - len(edges32))
+                          * 10.0 ** rng.integers(-30, 30, rows - len(edges32))).astype(np.float32)],
+            "f64": np.r_[self.FLOATS, rng.standard_normal(rows - len(self.FLOATS))
+                         * 10.0 ** rng.integers(-300, 300, rows - len(self.FLOATS))],
+        }
+        assert [c.dtype.name for c in columns.values()] == ["int64", "uint64", "float32", "float64"]
+        calls = self._count_csv_writer(monkeypatch)
+        assert self._emit(capsys, {}, columns) == self._csv_writer(columns)
+        assert len(calls) == 1  # the header alone: both row blocks took the column-wise path
+
+    @pytest.mark.parametrize("column", [
+        np.array([True, False, True, True]),
+        np.array([1 + 2j, -0.5j, complex(math.nan, 1.0), 3.0 + 0j]),
+        [1, True, 0, False],
+    ], ids=["bool array", "complex array", "int and bool list"])
+    def test_bool_and_complex_stay_on_csv_writer(self, capsys, monkeypatch, column):
+        columns = {"n": np.arange(4), "x": np.linspace(0.0, 1.0, 4), "v": column}
+        calls = self._count_csv_writer(monkeypatch)
+        assert self._emit(capsys, {}, columns) == self._csv_writer(columns)
+        assert len(calls) == 2  # the header and the one row block
+
 
 class TestEvalAndClassify:
     def test_eval_roundtrip(self, runner):

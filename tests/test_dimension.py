@@ -782,6 +782,126 @@ class TestTau:
         assert np.array_equal(est.trajectory_ratio, ratio[::step], equal_nan=True)
 
 
+def _ref_tau_exponent(x, horizon):
+    """The window scan that suffix starts replaced: x > 1 by argmax over the
+    whole sequence and x >= 2 x0 by a boolean mask in every chunk."""
+    x = np.asarray(x, dtype=np.float64)[:horizon]
+    kept = np.arange(0, horizon, max(1, horizon // dimension.TAU_ROWS))
+    n = kept + 1.0
+    xk = x[kept]
+    valid = xk > 1.0
+    ratio = np.full(len(kept), np.nan)
+    ratio[valid] = np.log(n[valid]) / np.log(xk[valid])
+    n0 = max(horizon // 10, 10)
+    n0 = max(n0, int(np.argmax(x > 1.0)) + 1)
+    x0 = float(x[n0 - 1])
+    ratio_max = estimate = -math.inf
+    for lo in range(n0 - 1, horizon, dimension._TAU_CHUNK):
+        hi = min(lo + dimension._TAU_CHUNK, horizon)
+        log_n = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
+        log_x = np.log(x[lo:hi])
+        ratio_max = max(ratio_max, float(np.max(log_n / log_x)))
+        grown = x[lo:hi] >= 2.0 * x0
+        if grown.any():
+            slopes = (log_n[grown] - math.log(n0)) / (log_x[grown] - math.log(x0))
+            estimate = max(estimate, float(np.max(slopes)))
+    degenerate = estimate == -math.inf
+    return (ratio_max if degenerate else estimate, ratio_max, n0, degenerate, n, xk, ratio)
+
+
+def _assert_as_reference(x, horizon):
+    est = tau_exponent(x, horizon)
+    ref = _ref_tau_exponent(x, horizon)
+    got = (est.estimate, est.ratio_max, est.anchor_index, est.degenerate)
+    assert got == ref[:4]
+    for array, expected in zip((est.trajectory_n, est.trajectory_x, est.trajectory_ratio), ref[4:]):
+        assert array.tobytes() == expected.tobytes()
+    return est
+
+
+class TestTauSuffixWindow:
+    """The suffix starts give what the mask scan gave, bit for bit."""
+
+    def test_plateau_at_exactly_twice_the_anchor(self):
+        n = np.arange(1, 5001, dtype=np.float64)
+        # x0 = x[499] = 500, and x stays at 2 x0 = 1000 from index 999 on
+        est = _assert_as_reference(np.minimum(n, 1000.0), 5000)
+        assert not est.degenerate and est.anchor_index == 500
+        below = np.minimum(n, np.nextafter(1000.0, 0.0))  # never doubles
+        assert _assert_as_reference(below, 5000).degenerate
+
+    @pytest.mark.parametrize("lead", [[0.25] * 100 + [1.0] * 700, [0.0] * 801, [1.0] * 801,
+                                      [0.5] * 5 + [1.0] * 15])
+    def test_leading_values_at_most_one(self, lead):
+        horizon = 2000
+        x = np.r_[lead, 1.5 + np.arange(horizon - len(lead), dtype=np.float64)]
+        est = _assert_as_reference(x, horizon)
+        assert est.anchor_index == max(horizon // 10, len(lead) + 1)
+        assert np.isnan(est.trajectory_ratio[:len(lead)]).all()
+
+    # x creeps up from 2 until index g, is exactly 2 x0 there and 1e300
+    # after it: the slope at g - 1 (x just over x0) would be the steepest by
+    # far, and from 140 indices past the anchor on the one at g is the steepest
+    @pytest.mark.parametrize("offset", [1, 2, 1 << 18, (1 << 18) - 1, (1 << 18) + 1,
+                                        (2 << 18) + 5])
+    def test_first_doubled_index_past_chunk_starts(self, offset):
+        assert dimension._TAU_CHUNK == 1 << 18
+        horizon = 600_000
+        n0 = horizon // 10
+        g = n0 - 1 + offset  # the chunks start at n0 - 1 + k 2^18
+        x = 2.0 + np.arange(horizon, dtype=np.float64) * 1e-9
+        x0 = float(x[n0 - 1])
+        x[g], x[g + 1:] = 2.0 * x0, 1e300
+        est = _assert_as_reference(x, horizon)
+        at_g = (math.log(g + 1) - math.log(n0)) / (math.log(x[g]) - math.log(x0))
+        assert est.estimate == at_g or offset < 140
+
+    @pytest.mark.parametrize("horizon", [1000, 4321, 150_000, 1_000_000])
+    @pytest.mark.parametrize("source", ["lattice", "d2", "power:0.74"])
+    def test_cli_sources(self, source, horizon):
+        if source == "power:0.74":
+            x = np.arange(1, horizon + 1, dtype=np.float64) ** 0.74
+        else:
+            make = DigitSet.lattice_with_zero if source == "lattice" else DigitSet.d2
+            x = np.sqrt(make().norm_sq_array(horizon))
+        _assert_as_reference(x, horizon)
+
+
+class TestShellQueries:
+    """``weight`` and ``count`` against the per-call formulas they replaced,
+    bit for bit, on bands queried while the table grows and after."""
+
+    @staticmethod
+    def _ref(table, lo, hi, exponent):
+        i, j = np.searchsorted(table.values, [lo, hi])
+        values, counts = table.values[i:j], table.counts[i:j]
+        weight = float(np.sum(counts * np.power(values.astype(np.float64), -exponent / 2.0)))
+        return weight.hex(), int(counts.sum())
+
+    @pytest.mark.parametrize("make", [DigitSet.d2, DigitSet.lattice,
+                                      lambda: DigitSet.with_min_norm_sq(20)],
+                             ids=["d2", "lattice", "minnormsq:20"])
+    def test_bit_for_bit(self, make):
+        table = make()._shells
+        first_limit = table.limit
+        rng = random.Random(3)
+        exponents = [0.0, 0.5, 1.0, 4 / 3, 1.5, 2.0, 2.5, 3.9, -0.7]
+        top, grown = 70, 0
+        for _ in range(1500):
+            if rng.random() < 0.03:  # past what the table holds: it grows first
+                top = int(top * rng.uniform(1.0, 1.4)) + 1
+                lo, hi = rng.randint(top // 2, top), top
+                grown += hi - 1 > table.limit
+            else:  # a band below the limit, or an empty or reversed one
+                lo, hi = sorted(rng.randint(-3, top) for _ in range(2))
+                if rng.random() < 0.1:
+                    lo, hi = hi, lo
+            exponent = rng.choice(exponents)
+            got = table.weight(lo, hi, exponent).hex(), table.count(lo, hi)
+            assert got == self._ref(table, lo, hi, exponent), (lo, hi, exponent)
+        assert grown >= 5 and table.limit >= 16 * first_limit
+
+
 class TestUpperThreshold:
     def test_tail_bound_dominates_enumeration(self):
         # brute lattice sum over an annulus never exceeds the bound

@@ -24,7 +24,8 @@ from hurwitzcf import (
     verify_lower_bound_chain,
 )
 from hurwitzcf.cli import cli
-from hurwitzcf.dimension import _GROWTH_BLOCK, SCHEDULE_CHECKS, _clearance_query, check_entry
+from hurwitzcf.dimension import (
+    _GROWTH_BLOCK, SCHEDULE_CHECKS, _clearance_query, _growth_values, check_entry)
 
 
 class TestGrowthFunction:
@@ -194,6 +195,17 @@ class TestCompiledGrowthBound:
         assert not any(isinstance(c, types.CodeType) for c in code.co_consts)
         assert fn.__globals__["__builtins__"] == {}
         assert set(fn.__globals__) <= {"__builtins__", "max", "log", "sqrt"}
+
+    @pytest.mark.parametrize("steps", [range(1, 5000), range(4999, 0, -1),
+                                       range(70_001, 70_001 - _GROWTH_BLOCK, -1)])
+    def test_growth_values_run_the_lambda_over_float_ranges(self, monkeypatch, steps):
+        f = GrowthFunction("max(10, sqrt(n))/3 + n^1.5")
+        seen, fn = [], f._fn
+        f._fn = lambda x: seen.append(x) or fn(x)
+        monkeypatch.setattr(GrowthFunction, "__call__", lambda self, n: pytest.fail("f(n) ran"))
+        values = _growth_values(f, steps)
+        assert seen == [float(n) for n in steps] and {type(x) for x in seen} == {float}
+        assert values.tolist() == [fn(float(n)) for n in steps]
 
     @pytest.mark.parametrize(
         "source", ["-" * 3000 + "n", "n+" * 3000 + "n", "n^" * 3000 + "n",

@@ -267,6 +267,20 @@ class TestSoundness:
         )
         assert ok, witness
 
+    @pytest.mark.parametrize("norm_sq_max", [8, 13, 25])
+    def test_regions_are_enumerated_once(self, monkeypatch, norm_sq_max):
+        # the document the check reads is rendered from the rows it compares
+        # the ids against, so the lattice is walked once per check
+        calls = []
+        real = svg.lattice_points
+        monkeypatch.setattr(svg, "lattice_points", lambda *a: calls.append(a) or real(*a))
+        spec = TessellationSpec(norm_sq_max=norm_sq_max)
+        assert soundness_check(spec, samples_per_region=3, seed=2) == (True, None)
+        assert len(calls) == 1
+        calls.clear()
+        render_svg(spec)
+        assert len(calls) == 1
+
     def test_spec_without_regions_is_refused(self):
         # regular digits start at norm_sq 8: a check that judges nothing
         # must not report ok
@@ -350,9 +364,9 @@ class TestSoundnessReadsTheSvg:
         assert witness["check"] == "edge_inside" and witness["region"] == [3, 2]
 
     def test_missing_region_fails(self, monkeypatch):
-        render = svg.render_svg
-        monkeypatch.setattr(svg, "render_svg",
-                            lambda spec: render(spec).replace('<path id="cyl_2_1"', "<path"))
+        render = svg._document  # the check reads render_svg's document through it
+        monkeypatch.setattr(svg, "_document", lambda spec, rows: render(spec, rows).replace(
+            '<path id="cyl_2_1"', "<path"))
         ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
         assert not ok and witness["check"] == "regions"
 

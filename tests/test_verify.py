@@ -4,6 +4,8 @@ The ids are the ``verify all`` names (``suite.check``), so a check
 registered in ``hurwitzcf.verify`` runs here with no further test code.
 """
 
+import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hurwitzcf import ifs, svg
+from hurwitzcf import dimension, ifs, svg, verify
 from hurwitzcf.config import RunConfig
 from hurwitzcf.verify import CHECKS, short_words
 
@@ -133,10 +135,10 @@ def test_separation_check_refutes_wrong_first_digit(monkeypatch):
 
 
 def test_separation_check_refutes_swapped_region_ids(monkeypatch):
-    render = svg.render_svg
+    render = svg._document  # the check reads render_svg's document through it
     swap = {'id="cyl_-2_-2"': 'id="cyl_2_2"', 'id="cyl_2_2"': 'id="cyl_-2_-2"'}
-    monkeypatch.setattr(svg, "render_svg", lambda spec: re.sub(
-        "|".join(swap), lambda m: swap[m.group()], render(spec)))
+    monkeypatch.setattr(svg, "_document", lambda spec, rows: re.sub(
+        "|".join(swap), lambda m: swap[m.group()], render(spec, rows)))
     ok, witness = CHECKS["ifs"]["branch_images_separated"](RunConfig())
     assert not ok
     assert witness["check"] == "regions"
@@ -147,3 +149,108 @@ def test_ball_inclusion_refutes_k_below_one_third():
     words, rows = short_words()
     assert ifs.ball_inclusion_holds(*rows, Fraction(1, 2), ifs.COMPOSITION_DISTORTION_BOUND).all()
     assert not ifs.ball_inclusion_holds(*rows, Fraction(1, 2), Fraction(3, 10)).any()
+
+
+# one mutant per schedule check: the builder, the growth bound or the chain
+# goes wrong, and the check must say so; no check threshold is touched
+
+
+def _builder(mutant):
+    """The suite's d2 schedule built by ``mutant(build_schedule, s, f, **options)``."""
+    def apply(monkeypatch):
+        real = dimension.build_schedule
+        monkeypatch.setattr(dimension, "build_schedule",
+                            lambda s, f, **options: mutant(real, s, f, **options))
+    return apply
+
+
+def _built(change):
+    """The real schedule passed through ``change``."""
+    return _builder(lambda real, s, f, **options: change(real(s, f, **options)))
+
+
+def _block_replaced(sched, index, **fields):
+    blocks = list(sched.blocks)
+    blocks[index] = dataclasses.replace(blocks[index], **fields)
+    return dataclasses.replace(sched, blocks=tuple(blocks))
+
+
+def _anchor_one_shell_short(monkeypatch):
+    # each anchor stops at the shell before the one where the weight reaches 1
+    real = dimension._ShellTable.anchor_after
+
+    def short(self, norm_sq_lo, exponent):
+        return self.shell(int(self.values.searchsorted(real(self, norm_sq_lo, exponent))) - 1)
+
+    monkeypatch.setattr(dimension._ShellTable, "anchor_after", short)
+
+
+def _unchecked_bound(monkeypatch):
+    # n + 3 clears every level from the first step of block 2 on, so this
+    # check fails only under a bound that binds: the suite's bound becomes
+    # the constant 10, and the builder clears an infinite one instead
+    class Ten(dimension.GrowthFunction):
+        def __init__(self, source):
+            super().__init__("10")
+
+    monkeypatch.setattr(dimension, "GrowthFunction", Ten)
+    _builder(lambda real, s, f, **options: real(s, lambda n: math.inf, **options))(monkeypatch)
+
+
+def _chain_charges_every_step(monkeypatch):
+    # the decay factor c1^s charged at every step up to n, not only in the first N blocks
+    real = dimension.verify_lower_bound_chain
+
+    def chain(sched, eps, delta, n):
+        r = real(sched, eps, delta, n)
+        extra = (n - r.n_independent_from) * r.s_value * math.log(float(ifs.DECAY_C1))
+        return dataclasses.replace(r, log_lower_bound=r.log_lower_bound + extra)
+
+    monkeypatch.setattr(dimension, "verify_lower_bound_chain", chain)
+
+
+SCHEDULE_MUTANTS = {
+    # the builder skips the smallest shell of d2, norm_sq 8
+    "anchor_start_at_min_norm": _builder(lambda real, s, f, **options: dataclasses.replace(
+        real(dimension.DigitSet.with_min_norm_sq(9), f, **options), digit_set=s)),
+    # the builder repeats its second anchor
+    "anchors_strictly_increasing": _built(lambda sched: dataclasses.replace(
+        sched, anchors=sched.anchors[:2] + sched.anchors[1:])),
+    "annulus_weight_at_least_one": _anchor_one_shell_short,
+    # the builder miscounts the pool of block 3 by one member
+    "block_membership": _built(lambda sched: _block_replaced(
+        sched, 2, count=sched.blocks[2].count + 1)),
+    "growth_domination": _unchecked_bound,
+    # the builder builds to twice the tolerance it declares
+    "ratio_tolerance_schedule": _builder(lambda real, s, f, ratio_tol, **options: (
+        dataclasses.replace(real(s, f, ratio_tol=2 * ratio_tol, **options), ratio_tol=ratio_tol))),
+    # the last block stops one step short of the horizon
+    "blocks_tile_horizon": _built(lambda sched: _block_replaced(sched, -1, t=sched.blocks[-1].t - 1)),
+    # at horizon 10^4 no float pool size breaks tolerance 0.1 in the final
+    # window (log of the largest float / 9000 < 0.08), so the builder declares
+    # a tolerance 1000 times tighter than the one it built to
+    "subexponential_final_window": _built(lambda sched: dataclasses.replace(
+        sched, ratio_tol=sched.ratio_tol / 1000)),
+    "lower_bound_chain_n_independent": _chain_charges_every_step,
+}
+SCHEDULE_NAMES = [name.split(".", 1)[1] for name in VERIFY_ALL if name.startswith("schedule.")]
+
+
+def test_schedule_mutants_cover_the_suite():
+    assert len(SCHEDULE_NAMES) == 9
+    assert list(SCHEDULE_MUTANTS) == SCHEDULE_NAMES == list(CHECKS["schedule"])
+
+
+@pytest.fixture
+def fresh_d2_schedule():
+    # the suite builds its schedule once per run; each mutant needs its own
+    verify._d2_schedule.cache_clear()
+    yield
+    verify._d2_schedule.cache_clear()
+
+
+@pytest.mark.parametrize("name", SCHEDULE_NAMES)
+def test_schedule_check_fails_under_its_mutant(monkeypatch, fresh_d2_schedule, name):
+    SCHEDULE_MUTANTS[name](monkeypatch)
+    ok, witness = CHECKS["schedule"][name](RunConfig())
+    assert not ok, witness
