@@ -392,7 +392,9 @@ _ROUND_ULPS = 16  # _table_leaves rounds its values outward by a factor 1 +/- _R
 _KAPPA = 106  # every normal table value lies within a factor 1 +/- _KAPPA u of the exact one
 
 
-def _word_value_table(digits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _word_value_table(
+    digits: np.ndarray, n: int, bases_only: bool = False
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Per-word (sup, base-point) derivative values, enumerated once.
 
     ``digits`` holds the (re, im) rows of ``DigitSet._member_coords``: int64
@@ -405,6 +407,14 @@ def _word_value_table(digits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     ``_KAPPA`` u of the exact value, u = 2^-53 (``_table_leaves``,
     ``_exact_leaves``).
 
+    With ``bases_only`` no sup is built (None in their place), and an int64
+    block takes its base-point values alone (``_base_leaves``), skipping
+    the pole and cancellation terms.  For branch digits every value is then
+    a full build's: no branch word has a pole, as every branch maps the box
+    into itself, so q > 0, and ``_table_leaves``'s tightness bound q_lo >= q
+    (1 - 81.6u) > 0 leaves no int64 word to the exact path.  Object rows go
+    through ``_exact_leaves`` either way.
+
     Words are enumerated level by level as arrays of bottom rows, in
     blocks of at most ``_EXACT_CHUNK`` words.  With t the largest length
     up to n with k^t <= ``_EXACT_CHUNK`` and tail = min(t, n - t), the
@@ -416,17 +426,22 @@ def _word_value_table(digits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     number k^t <= ``_EXACT_CHUNK`` when n <= 2t, and k^(n - t) < k^(n+1) /
     ``_EXACT_CHUNK`` otherwise.  So for k > ``_EXACT_CHUNK`` (t = 0) every
     word's row is held at once beside the table: four entries a word,
-    twice the table, plus the temporaries of the last level.
+    twice the table, plus the temporaries of the last level.  The digit
+    columns are tiled once, as far as the longest level of more than one
+    row reaches, and every level reads a prefix of that tile
+    (``_extend_levels``); with no such level the columns serve untiled.
 
     The rows are int64 while a bound proves the entries fit: with M =
-    ceil(|x|) for the digit x of largest norm_sq, |c| and |d| after j
-    digits are at most B_j, where B_-1 = 0, B_0 = 1 and B_(j+1) = M B_j +
-    B_(j-1), and by Cauchy-Schwarz every intermediate of the next level is
-    at most B_(j+1).  ``_table_leaves`` computes the leaf values of such a block;
-    the words it leaves undecided, every possible pole among them, go
-    through ``_exact_leaves`` in Python ints while the block's rows are at
-    hand.  When B_n leaves int64 the rows are object arrays of Python ints,
-    and every word goes through ``_exact_leaves``.
+    ceil(|x|) for the digit x of largest norm_sq, after j digits |d| <= B_j
+    and |c| <= B_(j-1), c being the d of the word one digit shorter, where
+    B_-1 = 0, B_0 = 1 and B_(j+1) = M B_j + B_(j-1).  The next level's d is
+    c + d x; by Cauchy-Schwarz |dr xr| + |di xi| <= |d| |x|, so every
+    product and every partial sum of its three terms, in any order, is at
+    most |c| + |d| M <= B_(j+1).  ``_table_leaves`` computes the leaf values
+    of such a block; the words it leaves undecided, every possible pole
+    among them, go through ``_exact_leaves`` in Python ints while the
+    block's rows are at hand.  When B_n leaves int64 the rows are object
+    arrays of Python ints, and every word goes through ``_exact_leaves``.
     """
     k = len(digits)
     m = math.isqrt(max(int((digits * digits).sum(axis=1).max()) - 1, 0)) + 1
@@ -440,20 +455,27 @@ def _word_value_table(digits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     while t < n and k ** (t + 1) <= _EXACT_CHUNK:
         t += 1
     tail = min(t, n - t)
+    run, width, count = _EXACT_CHUNK // k**tail, k**tail, k ** (n - tail)
+    reach = max(count, min(run, count) * width)  # the longest level: the last prefix or block one
+    if reach > k:
+        xr, xi = np.tile(xr, reach // k), np.tile(xi, reach // k)
     rows = [np.array([v], dtype=dtype) for v in _IDENTITY_ROW]
-    prefixes = _extend_levels(rows, xr, xi, n - tail)
-    sups, bases = np.empty(k**n), np.empty(k**n)
-    run, width = _EXACT_CHUNK // k**tail, k**tail
-    for first in range(0, len(prefixes[0]), run):
-        block = _extend_levels([a[first : first + run] for a in prefixes], xr, xi, tail)
+    prefixes = _extend_levels(rows, xr, xi, k, n - tail)
+    sups, bases = None if bases_only else np.empty(k**n), np.empty(k**n)
+    for first in range(0, count, run):
+        block = _extend_levels([a[first : first + run] for a in prefixes], xr, xi, k, tail)
         part = slice(first * width, first * width + len(block[0]))
         if dtype is object:
             slow = np.arange(len(block[0]))
+        elif bases_only:
+            _base_leaves(*(a.astype(np.float64) for a in block[2:]), bases[part])
+            continue
         else:
-            sups[part], bases[part], slow = _table_leaves(block)
+            slow = _table_leaves(block, sups[part], bases[part])
         if slow.size:
-            exact = [a[slow].astype(object) for a in block]
-            sups[part][slow], bases[part][slow] = _exact_leaves(exact)
+            exact_sups, bases[part][slow] = _exact_leaves([a[slow].astype(object) for a in block])
+            if not bases_only:
+                sups[part][slow] = exact_sups
     return sups, bases
 
 
@@ -475,30 +497,40 @@ def _exact_leaves(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _extend_levels(
-    rows: list[np.ndarray], xr: np.ndarray, xi: np.ndarray, levels: int
+    rows: list[np.ndarray], xr: np.ndarray, xi: np.ndarray, k: int, levels: int
 ) -> list[np.ndarray]:
     """Bottom rows of every ``levels``-digit extension of each row, in word
-    order, for digits xr + i xi in the rows' dtype (int64, or object for
-    Python ints)."""
-    k = len(xr)
+    order, in the rows' dtype (int64, or object for Python ints).
+
+    ``xr`` and ``xi`` hold the k digits xr[:k] + i xi[:k] repeated in order
+    at least as far as the longest level, so a level of L rows repeats each
+    row k times and meets the first L k entries: every operation runs over
+    one flat array.  A level of one row adds its c without repeating it.
+    """
     for _ in range(levels):
-        cr, ci, dr, di = (a[:, None] for a in rows)
-        rows = [
-            np.repeat(dr.ravel(), k),
-            np.repeat(di.ravel(), k),
-            (cr + dr * xr - di * xi).ravel(),
-            (ci + dr * xi + di * xr).ravel(),
-        ]
+        size = len(rows[0]) * k
+        tr, ti = xr[:size], xi[:size]
+        cr, ci = rows[:2] if size == k else (np.repeat(a, k) for a in rows[:2])
+        dr, di = (np.repeat(a, k) for a in rows[2:])
+        re = dr * tr
+        re += cr
+        re -= di * ti
+        im = dr * ti
+        im += ci
+        im += di * tr
+        rows = [dr, di, re, im]
     return rows
 
 
-def _table_leaves(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leaf values of int64 bottom rows in float64, rounded outward.
+def _table_leaves(rows: list[np.ndarray], sups: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Leaf values of int64 bottom rows in float64, rounded outward, written
+    into ``sups`` and ``bases``.
 
-    ``_word_value_table`` passes one block, at most ``_EXACT_CHUNK`` rows.
-    Returns (sups, bases, slow): sup >= 4 den/q and base <= 1/|d|^2, the
-    exact values of ``_exact_leaves``; ``slow`` indexes the words with
-    q_lo = 0, every possible pole among them, whose values are unset.
+    ``_word_value_table`` passes one block, at most ``_EXACT_CHUNK`` rows,
+    and its slices of the table.  sup >= 4 den/q and base <= 1/|d|^2, the
+    exact values of ``_exact_leaves``.  Returns ``slow``, the indices of the
+    words with q_lo = 0, every possible pole among them, whose values are
+    not bounds (inf or nan where the word is a pole).
 
     Soundness, with u = 2^-53 and gamma_k = k u/(1 - k u).  Entries below
     2^63 keep every intermediate finite and each 0 or normal, so every
@@ -550,13 +582,20 @@ def _table_leaves(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.nd
         squares.append(x)
     q = squares[0]
     q += squares[1]
-    sups = np.multiply(den, 4 + 4 * _ROUND_ULPS * _U, out=den)
-    bases = dr * dr
-    bases += di * di
+    den *= 4 + 4 * _ROUND_ULPS * _U
     with np.errstate(divide="ignore", invalid="ignore"):  # poles give inf or nan, then go slow
-        sups /= q
-        np.divide(1 - _ROUND_ULPS * _U, bases, out=bases)
-    return sups, bases, np.flatnonzero(q == 0)
+        np.divide(den, q, out=sups)
+        _base_leaves(dr, di, bases)
+    return np.flatnonzero(q == 0)
+
+
+def _base_leaves(dr: np.ndarray, di: np.ndarray, bases: np.ndarray) -> None:
+    """Base-point values fl((1 - _ROUND_ULPS u)/fl(dr^2 + di^2)) of the
+    float64 casts of int64 d entries, written into ``bases``; dr and di are
+    overwritten.  ``_table_leaves`` gives the bound."""
+    dr *= dr
+    dr += np.multiply(di, di, out=di)
+    np.divide(1 - _ROUND_ULPS * _U, dr, out=bases)
 
 
 def _tree_sum(terms: np.ndarray) -> float:
@@ -644,12 +683,15 @@ def partition_sum(
         raise DomainError(f"s must be finite and nonnegative, got {s}")
     k = _branch_count(alphabet)
     _check_budget(k, n, max_words)
-    sups, bases = _word_value_table(alphabet._member_coords(), n)
-    return _pressure_estimate(sups if mode == "sup_norm" else bases, n, s, mode)
+    sups, bases = _word_value_table(alphabet._member_coords(), n, bases_only=mode == "base_point")
+    vals = sups if mode == "sup_norm" else bases
+    return _pressure_estimate(vals, vals.min(), n, s, mode)
 
 
-def _pressure_estimate(vals: np.ndarray, n: int, s: float, mode: str) -> PressureEstimate:
-    """The bracketed sum of vals^s over a length-n word table's values of ``mode``.
+def _pressure_estimate(vals: np.ndarray, least: float, n: int, s: float, mode: str
+                       ) -> PressureEstimate:
+    """The bracketed sum of vals^s over a length-n word table's values of
+    ``mode``, of which ``least`` is the least.
 
     The brackets are rounded outward (``_outward_log``).  The table bounds
     each value from the mode's side, sups from above and base-point values
@@ -659,7 +701,7 @@ def _pressure_estimate(vals: np.ndarray, n: int, s: float, mode: str) -> Pressur
     some value is below 2^-1022, where no relative bound holds.
     """
     z = _tree_sum(vals**s)
-    widen = math.inf if s > 0 and vals.min() < 2.0**-1022 else s * (_KAPPA + 2)
+    widen = math.inf if s > 0 and least < 2.0**-1022 else s * (_KAPPA + 2)
     up, down, shift = (0, widen, 0.0) if mode == "sup_norm" else (widen, 0, s * _LOG_K0)
     return PressureEstimate(
         s=s,
@@ -737,7 +779,7 @@ def bowen_dimension(
     ``certified``) holds when the enclosure, then also the estimate, is at
     most tol wide.  A one-digit alphabet's attractor is a point: [0, 0].
     The digits are resolved once, and each word table (n, then n - 1 for
-    the estimate) is built once.
+    the estimate, its base-point values alone) is built once.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
@@ -752,7 +794,8 @@ def bowen_dimension(
     _check_budget(k, n, max_words)
     digits = alphabet._member_coords()
     sups, bases = _word_value_table(digits, n)
-    sup = functools.cache(lambda s: _pressure_estimate(sups, n, s, "sup_norm"))
+    least = sups.min()
+    sup = functools.cache(lambda s: _pressure_estimate(sups, least, n, s, "sup_norm"))
 
     low, _, low_steps = _bracketed_root(lambda s: sup(s).lower_bracket, 0.0, 2.0, tol)
     _, high, high_steps = _bracketed_root(lambda s: sup(s).upper_bracket, low, 2.0, tol)
@@ -760,10 +803,14 @@ def bowen_dimension(
     if conclusive:
         s_low, s_high, steps = low, high, 0
     else:
-        shorter = _word_value_table(digits, n - 1)[1] if n > 1 else None
+        shorter = _word_value_table(digits, n - 1, bases_only=True)[1] if n > 1 else None
 
-        def log_z(vals: np.ndarray | None, m: int, s: float) -> float:  # log Z_base(m)
-            return m * _pressure_estimate(vals, m, s, "base_point").log_zn_over_n if m else 0.0
+        def log_z(vals: np.ndarray | None, m: int, s: float) -> float:
+            # log Z_base(m) as m times partition_sum's logZ_over_n, without its brackets
+            if not m:
+                return 0.0
+            z = _tree_sum(vals**s)
+            return m * ((math.log(z) if z > 0 else -math.inf) / m)
 
         s_low, s_high, steps = _bracketed_root(
             lambda s: log_z(bases, n, s) - log_z(shorter, n - 1, s), low, high, tol)

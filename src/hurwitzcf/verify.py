@@ -206,11 +206,12 @@ def short_words() -> tuple[list[tuple[GaussianInt, ...]], list[np.ndarray]]:
     ``itertools.product`` order by length, with its bottom rows
     (cr, ci, dr, di) as object arrays of Python ints."""
     alphabet = ifs.d2_branches(13)
-    xr, xi = np.array([g.to_pair() for g in alphabet], dtype=object).T
+    k = len(alphabet)
+    xr, xi = np.tile(np.array([g.to_pair() for g in alphabet], dtype=object), (k * k, 1)).T
     rows = [np.array([v], dtype=object) for v in (0, 0, 1, 0)]  # the identity
     levels = []
     for _ in range(3):
-        rows = dimension._extend_levels(rows, xr, xi, 1)
+        rows = dimension._extend_levels(rows, xr, xi, k, 1)
         levels.append(rows)
     words = [w for n in range(1, 4) for w in itertools.product(alphabet, repeat=n)]
     return words, [np.concatenate(column) for column in zip(*levels)]

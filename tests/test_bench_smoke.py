@@ -75,3 +75,32 @@ def test_tau_jobs_pass_on_every_source(source):
     # run_tau checks the CSV header and its 10^4 trajectory rows
     info = jobs.run_tau({"source": source, "horizon": 100_000}, spans.Tracer())
     assert info["abs_err"] < 0.05 and info["bytes"] > 10_000 * len("1,1.0,0.0\n")
+
+
+SHAPE_ENDS = [min(jobs.PRESSURE_SHAPES, key=lambda kn: kn[0] ** kn[1]),
+              max(jobs.PRESSURE_SHAPES, key=lambda kn: kn[0] ** kn[1])]
+
+
+@pytest.mark.parametrize("mode", ["sup_norm", "base_point"])
+@pytest.mark.parametrize("k, n", SHAPE_ENDS, ids=[f"k{k}-n{n}" for k, n in SHAPE_ENDS])
+def test_pressure_jobs_pass_at_the_smallest_and_largest_shapes(k, n, mode):
+    # run_pressure counts the words and raises jobs.CheckError on a bad bracket
+    digits = tuple(random.Random(k).sample(jobs.POOL, k))
+    info = jobs.run_pressure({"digits": digits, "n": n, "s": 1.1, "mode": mode}, spans.Tracer())
+    assert info == {"words": k**n}
+
+
+# alphabet size -> word length: 2 digits take n 12 in one block with no
+# tail levels, 3 digits n 11 in runs with tail levels, 16 digits n 4
+DIM_LENGTHS = {2: 12, 3: 11, 16: 4}
+
+
+@pytest.mark.parametrize("size", list(DIM_LENGTHS))
+def test_dim_then_certify_jobs_pass(size):
+    # run_dim checks the width and the bracket signs, run_certify its interval
+    digits = tuple(random.Random(size).sample(jobs.POOL, size))
+    slot: dict = {}
+    info = jobs.run_dim({"digits": digits, "ref": None, "slot": slot}, spans.Tracer())
+    assert info["n_used"] == DIM_LENGTHS[size]
+    certified = jobs.run_certify({"digits": digits, "slot": slot}, spans.Tracer())
+    assert certified["words"] > 0

@@ -193,6 +193,27 @@ def _ref_word_value_table(digits, n):
     return sups, bases
 
 
+def _ref_extend_levels(rows, xr, xi, levels):
+    """``_extend_levels`` as the broadcast its flat form replaced, kept as
+    the reference: each row against the k digit columns at once."""
+    k = len(xr)
+    for _ in range(levels):
+        cr, ci, dr, di = (a[:, None] for a in rows)
+        rows = [
+            np.repeat(dr.ravel(), k),
+            np.repeat(di.ravel(), k),
+            (cr + dr * xr - di * xi).ravel(),
+            (ci + dr * xi + di * xr).ravel(),
+        ]
+    return rows
+
+
+def _tiled(digits, dtype, reach):
+    """(xr, xi, k): the digit columns in ``dtype`` repeated to ``reach`` entries."""
+    xr, xi = np.array(digits, dtype=dtype).reshape(-1, 2).T
+    return np.tile(xr, reach // len(xr)), np.tile(xi, reach // len(xi)), len(xr)
+
+
 def _digits(s):
     return tuple((g.re, g.im) for g in s.members())
 
@@ -331,11 +352,17 @@ def _ref_table_leaves(rows):
     return sups, bases, np.flatnonzero(q == 0)
 
 
+def _leaves(rows):
+    """(sups, bases, slow) of ``_table_leaves`` writing into fresh arrays."""
+    sups, bases = np.empty(len(rows[0])), np.empty(len(rows[0]))
+    slow = dimension._table_leaves(rows, sups, bases)
+    return sups, bases, slow
+
+
 def _cancellation_leaves():
     """(decided words, how many of them bound their exact values outward,
     whether every pole is left undecided) of ``CANCELLATION_ROWS``."""
-    sups, bases, slow = dimension._table_leaves(
-        [np.array(c, dtype=np.int64) for c in zip(*CANCELLATION_ROWS)])
+    sups, bases, slow = _leaves([np.array(c, dtype=np.int64) for c in zip(*CANCELLATION_ROWS)])
     exact, poles_slow = {}, True
     for i, row in enumerate(CANCELLATION_ROWS):
         try:
@@ -356,9 +383,9 @@ def _count_builds(monkeypatch):
     builds = []
     build = dimension._word_value_table
 
-    def counting(digits, n):
+    def counting(digits, n, bases_only=False):
         builds.append(n)
-        return build(digits, n)
+        return build(digits, n, bases_only)
 
     monkeypatch.setattr(dimension, "_word_value_table", counting)
     return builds
@@ -369,10 +396,10 @@ def _record_blocks(monkeypatch):
     blocks = []
     table_leaves = dimension._table_leaves
 
-    def recording(rows):
-        result = table_leaves(rows)
-        blocks.append((len(rows[0]), len(result[2])))
-        return result
+    def recording(rows, sups, bases):
+        slow = table_leaves(rows, sups, bases)
+        blocks.append((len(rows[0]), len(slow)))
+        return slow
 
     monkeypatch.setattr(dimension, "_table_leaves", recording)
     return blocks
@@ -384,20 +411,50 @@ class TestWordValueTable:
     def test_bit_identical_to_recursion(self, digits, n):
         sups, bases = _table(digits, n)
         _assert_encloses(sups, bases, *_ref_word_value_table(digits, n))
+        # a base-only build gives the same base-point values, bit for bit
+        none, base_only = _word_value_table(np.array(digits, dtype=object), n, bases_only=True)
+        assert none is None and base_only.tobytes() == bases.tobytes()
         if max(x * x + y * y for x, y in digits) < 1 << 63:
             # int64 digit rows, as a radial alphabet passes them, give the same table
-            int64_sups, int64_bases = _word_value_table(np.array(digits, dtype=np.int64), n)
+            int64 = np.array(digits, dtype=np.int64)
+            int64_sups, int64_bases = _word_value_table(int64, n)
             assert np.array_equal(int64_sups, sups) and np.array_equal(int64_bases, bases)
+            assert _word_value_table(int64, n, bases_only=True)[1].tobytes() == bases.tobytes()
 
     def test_leaves_bit_identical_to_reference(self):
         # synthetic rows near the poles, and the int64 rows of a deep table
-        xr, xi = np.array(_digits(PAIR), dtype=np.int64).T
         identity = [np.array([v], dtype=np.int64) for v in dimension._IDENTITY_ROW]
         blocks = [[np.array(c, dtype=np.int64) for c in zip(*CANCELLATION_ROWS)],
-                  dimension._extend_levels(identity, xr, xi, 13)]
+                  dimension._extend_levels(identity, *_tiled(_digits(PAIR), np.int64, 1 << 13), 13)]
         for rows in blocks:
-            for got, ref in zip(dimension._table_leaves(rows), _ref_table_leaves(rows)):
+            for got, ref in zip(_leaves(rows), _ref_table_leaves(rows)):
                 assert np.array_equal(got, ref, equal_nan=True)
+
+    # (digits, dtype, prefix levels, tail levels, prefixes a block): one tile
+    # serves the prefix levels from one row and every block, the last one
+    # shorter; NEAR_INT64's entries reach 2^62.99, the others are Python ints,
+    # and the split of 5^5 prefixes into runs of 327 is the build's own, up
+    # to a whole block of 8175 words
+    @pytest.mark.parametrize("digits, dtype, prefix, tail, run", [
+        (NEAR_INT64, np.int64, 2, 2, 5),
+        (((2**40, 1), (2, 2), (0, -3)), object, 2, 1, 4),
+        (((2**70, 3), (2, 2)), object, 2, 1, 3),
+        (_seeded(5, 6), np.int64, 5, 2, 327),
+    ], ids=["near-int64", "2^40", "2^70", "k5-n7"])
+    def test_flat_levels_match_broadcast(self, digits, dtype, prefix, tail, run):
+        k = len(digits)
+        xr, xi, _ = _tiled(digits, dtype, k)
+        tiles = _tiled(digits, dtype, max(k**prefix, run * k**tail))
+        identity = [np.array([v], dtype=dtype) for v in dimension._IDENTITY_ROW]
+        prefixes = dimension._extend_levels(identity, *tiles, prefix)
+        blocks = [dimension._extend_levels([a[i : i + run] for a in prefixes], *tiles, tail)
+                  for i in range(0, k**prefix, run)]
+        assert len(blocks[-1][0]) < len(blocks[0][0]) == run * k**tail
+        for got, ref in ((prefixes, _ref_extend_levels(identity, xr, xi, prefix)),
+                         ([np.concatenate(c) for c in zip(*blocks)],
+                          _ref_extend_levels(identity, xr, xi, prefix + tail))):
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
 
     def test_cancellation_bound_is_sound(self):
         # every pole is left to the Python ints, and every value the float64
@@ -436,11 +493,11 @@ class TestWordValueTable:
         # object rows of 2^40-sized digits, and the int64 rows _table_leaves
         # leaves undecided that are not poles: one correctly rounded
         # quotient each, stepped one float outward
-        xr, xi = np.array(_seeded(7, 9) + ((2**40, 1), (-5, 2**40 + 1)), dtype=object).T
+        tiles = _tiled(_seeded(7, 9) + ((2**40, 1), (-5, 2**40 + 1)), object, 9**3)
         identity = [np.array([v], dtype=object) for v in dimension._IDENTITY_ROW]
-        huge = list(zip(*dimension._extend_levels(identity, xr, xi, 3)))
+        huge = list(zip(*dimension._extend_levels(identity, *tiles, 3)))
         int64_rows = [np.array(c, dtype=np.int64) for c in zip(*CANCELLATION_ROWS)]
-        slow = dimension._table_leaves(int64_rows)[2]
+        slow = _leaves(int64_rows)[2]
         near_poles = [CANCELLATION_ROWS[i] for i in slow.tolist()
                       if not _is_pole(CANCELLATION_ROWS[i])]
         assert len(huge) == 729 and len(near_poles) > 0
@@ -595,6 +652,18 @@ class TestPartitionSum:
         est = partition_sum(DigitSet.annulus(8, 17), 3, 1.418, "base_point")
         assert est.log_zn_over_n < 0 <= est.upper_bracket
 
+    def test_value_below_normal_range_leaves_its_side_unbounded(self):
+        # the word of eight 2^70-sized digits has values below 2^-1022 beside
+        # normal ones: for s > 0 the side that needs a relative bound has none
+        mixed = DigitSet.from_branches([(2**70, 3), (2, 2)])
+        sup, base = partition_sum(mixed, 8, 1.0), partition_sum(mixed, 8, 1.0, "base_point")
+        assert sup.lower_bracket == -math.inf < sup.log_zn_over_n < sup.upper_bracket < math.inf
+        assert -math.inf < base.lower_bracket < base.log_zn_over_n < base.upper_bracket == math.inf
+        at_zero = partition_sum(mixed, 8, 0.0)
+        assert math.isfinite(at_zero.lower_bracket) and math.isfinite(at_zero.upper_bracket)
+        assert partition_sum(mixed, 7, 1.0).lower_bracket > -math.inf  # all normal at n 7
+        assert bowen_dimension(mixed, n_max=8).lower_at_high == -math.inf
+
     def test_alphabet_counted_before_digits_are_built(self, monkeypatch):
         # 314,176 digits exceed the budget from their count alone: no member is built
         big = DigitSet.annulus(8, 100_001)
@@ -656,18 +725,43 @@ class TestBowen:
             bowen_dimension(PAIR, tol=tol)
 
     def test_brackets_computed_once_per_s_and_n(self, monkeypatch):
+        # the power-method search reads log Z alone and builds no brackets
         calls = []
         original = dimension._pressure_estimate
 
-        def counting(vals, n, s, mode):
+        def counting(vals, least, n, s, mode):
             calls.append((n, s, mode))
-            return original(vals, n, s, mode)
+            return original(vals, least, n, s, mode)
 
         monkeypatch.setattr(dimension, "_pressure_estimate", counting)
         result = bowen_dimension(PAIR, tol=1e-3, n_max=12)
-        assert result.iterations == 6
+        assert result.iterations == 6 and not result.conclusive
         assert len(calls) == len(set(calls))
-        assert {mode for _, _, mode in calls} == {"sup_norm", "base_point"}
+        assert {(n, mode) for n, _, mode in calls} == {(12, "sup_norm")}
+
+    def test_estimate_reads_the_base_point_sums(self):
+        # log Z_base(m) is m times partition_sum's logZ_over_n, bit for bit
+        result = bowen_dimension(PAIR, tol=1e-3, n_max=12)
+
+        def log_z(m, s):
+            return m * partition_sum(PAIR, m, s, "base_point").log_zn_over_n
+
+        low, high = result.enclosure
+        s_low, s_high, _ = dimension._bracketed_root(
+            lambda s: log_z(12, s) - log_z(11, s), low, high, 1e-3)
+        assert (s_low, s_high) == (result.s_low, result.s_high)
+
+    def test_base_only_builds_skip_the_leaf_kernel(self, monkeypatch):
+        # the n - 1 table of the estimate and a base_point sum hold base-point
+        # values alone; the n table and a sup_norm sum go through _table_leaves
+        blocks = _record_blocks(monkeypatch)
+        partition_sum(QUAD, 6, 1.0, "base_point")
+        assert blocks == []
+        partition_sum(QUAD, 6, 1.0, "sup_norm")
+        assert sum(size for size, _ in blocks) == 4**6
+        blocks.clear()
+        result = bowen_dimension(PAIR, tol=1e-3, n_max=12)
+        assert not result.conclusive and sum(size for size, _ in blocks) == 2**12
 
     def test_each_word_table_built_once_per_call(self, monkeypatch):
         builds = _count_builds(monkeypatch)

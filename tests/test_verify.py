@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hurwitzcf import dimension, ifs, svg, verify
@@ -253,4 +254,77 @@ def fresh_d2_schedule():
 def test_schedule_check_fails_under_its_mutant(monkeypatch, fresh_d2_schedule, name):
     SCHEDULE_MUTANTS[name](monkeypatch)
     ok, witness = CHECKS["schedule"][name](RunConfig())
+    assert not ok, witness
+
+
+# one mutant per pressure check: the word table, the pressure estimate or
+# the root search goes wrong, and the check must say so; no check threshold
+# is touched
+
+
+def _leaves_then(change):
+    """``_table_leaves`` whose sups then go through ``change``, in place."""
+    def apply(monkeypatch):
+        real = dimension._table_leaves
+
+        def leaves(rows, sups, bases):
+            slow = real(rows, sups, bases)
+            change(sups)
+            return slow
+
+        monkeypatch.setattr(dimension, "_table_leaves", leaves)
+    return apply
+
+
+def _one_branch_too_many(monkeypatch):
+    # a one-digit alphabet is counted as two, so bowen_dimension searches for a root
+    real = dimension._branch_count
+    monkeypatch.setattr(dimension, "_branch_count", lambda alphabet: real(alphabet) + 1)
+
+
+def _root_search_sign_flipped(monkeypatch):
+    # the root search keeps the end where f is negative
+    real = dimension._bracketed_root
+    monkeypatch.setattr(dimension, "_bracketed_root",
+                        lambda f, a, b, tol: real(lambda s: -f(s), a, b, tol))
+
+
+def _estimate_table_one_digit_long(monkeypatch):
+    # the estimate's base-only table is built at n, not n - 1, so the power
+    # method compares log Z_base(n) with itself
+    real = dimension._word_value_table
+    monkeypatch.setattr(dimension, "_word_value_table",
+                        lambda digits, n, bases_only=False: real(digits, n + bases_only, bases_only))
+
+
+def _tile_out_of_phase(monkeypatch):
+    # every level meets the digit columns one digit late: the words are
+    # enumerated in another order, so word i no longer has the digits of i
+    real = dimension._extend_levels
+    monkeypatch.setattr(dimension, "_extend_levels", lambda rows, xr, xi, k, levels: real(
+        rows, np.roll(xr, 1), np.roll(xi, 1), k, levels))
+
+
+PRESSURE_MUTANTS = {
+    # the leaves drop the factor 4 of sup = 4 den/q
+    "partition_submultiplicative": _leaves_then(lambda sups: np.multiply(sups, 0.25, out=sups)),
+    # the leaves give the sup's reciprocal, above 1, so Z grows with s
+    "pressure_monotone_in_s": _leaves_then(lambda sups: np.divide(1, sups, out=sups)),
+    "single_branch_dimension_zero": _one_branch_too_many,
+    "two_branch_bisection_sign_invariants": _root_search_sign_flipped,
+    "dimension_references_enclosed": _estimate_table_one_digit_long,
+    "word_table_encloses_exact": _tile_out_of_phase,
+}
+PRESSURE_NAMES = [name.split(".", 1)[1] for name in VERIFY_ALL if name.startswith("pressure.")]
+
+
+def test_pressure_mutants_cover_the_suite():
+    assert len(PRESSURE_NAMES) == 6
+    assert list(PRESSURE_MUTANTS) == PRESSURE_NAMES == list(CHECKS["pressure"])
+
+
+@pytest.mark.parametrize("name", PRESSURE_NAMES)
+def test_pressure_check_fails_under_its_mutant(monkeypatch, name):
+    PRESSURE_MUTANTS[name](monkeypatch)
+    ok, witness = CHECKS["pressure"][name](RunConfig())
     assert not ok, witness
