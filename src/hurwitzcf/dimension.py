@@ -30,6 +30,7 @@ _FLOAT_RUN = 1 << 10  # steps a compiled growth bound gets as Python floats at a
 _MAX_BISECTIONS = 64  # caps each root search of bowen_dimension when tol is below the float spacing
 _MAX_HORIZON = 10**7  # largest tau or schedule horizon
 _MAX_SHELL_NORM_SQ = 1 << 24  # shell tables end here, at 5.3e7 lattice points
+_WEIGHT_WINDOW = 1 << 14  # shells of one window of shell-sum terms (128 KiB)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +132,9 @@ class DigitSet:
 
     def shell_counts(self, limit_norm_sq: int) -> tuple[np.ndarray, np.ndarray]:
         """Norm_sq shell values and member counts up to the cutoff."""
-        values, counts = self._shells.band(0, limit_norm_sq + 1)
-        return values.copy(), counts.copy()
+        shells = self._shells
+        i, j = shells.band(0, limit_norm_sq + 1)
+        return shells.values[i:j].copy(), np.diff(shells.ends[i : j + 1])
 
     def norm_sq_array(self, count: int) -> np.ndarray:
         """Norm_sq of the first ``count`` members in enumeration order.
@@ -143,28 +145,35 @@ class DigitSet:
         shells.cover(count)
         # repeat only the shells up to the one holding index count - 1, that
         # one cut short, so no larger array stays alive behind the result
-        ends = np.cumsum(shells.counts)
-        last = int(np.searchsorted(ends, count - 1, side="right"))
-        counts = shells.counts[:last + 1].copy()
-        counts[-1:] -= ends[last:last + 1] - count
-        return np.repeat(shells.values[:last + 1].astype(np.float64), counts)
+        last = int(np.searchsorted(shells.ends, count))
+        counts = np.diff(np.minimum(shells.ends[:last + 1], count))
+        return np.repeat(shells.values[:last].astype(np.float64), counts)
 
 
 class _ShellTable:
     """Norm_sq shells of a digit set's members, grown on demand.
 
     ``values`` holds the distinct member norm_sq values in increasing order
-    and ``counts`` the number of members on each shell; both are complete
-    up to ``limit``.  Radial sets grow by doubling ``limit`` and counting
-    only the new band of shells; no member lies beyond ``cap``.
+    and ``ends`` the cumulative member counts, int64, with a leading 0:
+    shell j holds the members ends[j] <= i < ends[j + 1] of the enumeration,
+    so a count over shells i..j-1 is the exact ends[j] - ends[i].  Both are
+    complete up to ``limit``.  Radial sets grow by doubling ``limit`` and
+    counting only the new band of shells; no member lies beyond ``cap``.
+
+    A shell sum of |b|^-exponent is the numpy ``sum`` of a contiguous slice
+    of one term array, count times norm_sq^(-exponent/2) per shell.  Each
+    term is computed elementwise, and ``sum`` runs its pairwise summation
+    on a contiguous slice of length L exactly as on a fresh array of length
+    L, so a slice of a longer window gives the bits of the band's own sum.
     """
 
     def __init__(self, s: DigitSet):
         self.set = s
-        self.values = self.counts = np.zeros(0, dtype=np.int64)
+        self.values, self.ends = np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
         if s.explicit is not None:
             ns = np.array([g.norm_sq() for g in s.explicit], dtype=np.int64)
-            self.values, self.counts = np.unique(ns, return_counts=True)
+            self.values, counts = np.unique(ns, return_counts=True)
+            self.ends = np.r_[self.ends, np.cumsum(counts)]
             self.limit = self.cap = int(ns.max(initial=0))
         else:
             self.limit = -1
@@ -183,8 +192,10 @@ class _ShellTable:
         if old < 0 and self.set.norm_sq_lo <= 0:
             values, counts = np.r_[0, values], np.r_[1, counts]
         keep = values >= self.set.norm_sq_lo
+        ends = np.cumsum(counts[keep])
+        ends += self.ends[-1]
         self.values = np.concatenate((self.values, values[keep]))
-        self.counts = np.concatenate((self.counts, counts[keep]))
+        self.ends = np.concatenate((self.ends, ends))
 
     def _grow(self, shortfall: str) -> None:
         if self.limit >= self.cap:
@@ -193,7 +204,7 @@ class _ShellTable:
 
     def cover(self, count: int) -> None:
         """Grow until the table holds at least ``count`` members."""
-        while int(self.counts.sum()) < count:
+        while int(self.ends[-1]) < count:
             self._grow(f"has fewer than {count} members")
 
     def next_shell_after(self, norm_sq: int) -> int:
@@ -201,50 +212,76 @@ class _ShellTable:
             self._grow(f"has no member beyond norm_sq {norm_sq}")
         return int(self.values[np.searchsorted(self.values, norm_sq, side="right")])
 
-    def band(self, norm_sq_lo: int, norm_sq_hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the shells in [lo, hi)."""
+    def band(self, norm_sq_lo: int, norm_sq_hi: int) -> tuple[int, int]:
+        """Shell indices i <= j, shells i..j-1 being those in [lo, hi)."""
         self.ensure(norm_sq_hi - 1)
-        i, j = self.values.searchsorted(norm_sq_lo), self.values.searchsorted(norm_sq_hi)
-        return self.values[i:j], self.counts[i:j]
+        i, j = self.values.searchsorted((norm_sq_lo, norm_sq_hi)).tolist()
+        return i, max(i, j)
+
+    def count(self, norm_sq_lo: int, norm_sq_hi: int) -> int:
+        i, j = self.band(norm_sq_lo, norm_sq_hi)
+        return int(self.ends[j] - self.ends[i])
+
+    def terms(self, i: int, j: int, exponent: float) -> np.ndarray:
+        """count |b|^-exponent of shells i..j-1 (those the table holds)."""
+        j = min(j, len(self.values))
+        powers = np.power(self.values[i:j].astype(np.float64), -exponent / 2.0)
+        return (self.ends[i + 1 : j + 1] - self.ends[i:j]) * powers
+
+    def weights(self, bands: Sequence[tuple[int, int]], exponent: float) -> list[float]:
+        """Sum of |b|^-exponent over the members with norm_sq in each band [lo, hi).
+
+        Each sum is a slice of a window of terms, which gives the bits of
+        the band's own sum (see the class docstring).  A window starts at a
+        band it must hold and spans ``_WEIGHT_WINDOW`` shells, or that band,
+        up to the last shell any band holds: no temporary grows with the bands.
+        """
+        if not bands:
+            return []
+        self.ensure(max(hi for _, hi in bands) - 1)
+        spans = self.values.searchsorted(bands).tolist()
+        reach = max(map(max, spans))
+        start, window, out = 0, np.zeros(0), []
+        for i, j in spans:
+            j = max(i, j)
+            if i < start or j > start + len(window):
+                start = i
+                window = self.terms(i, max(j, min(i + _WEIGHT_WINDOW, reach)), exponent)
+            out.append(float(window[i - start : j - start].sum()))
+        return out
 
     def weight(self, norm_sq_lo: int, norm_sq_hi: int, exponent: float) -> float:
-        """Sum of |i|^-exponent over members with norm_sq in [lo, hi)."""
-        values, counts = self.band(norm_sq_lo, norm_sq_hi)
-        return float((counts * np.power(values.astype(np.float64), -exponent / 2.0)).sum())
+        """Sum of |b|^-exponent over members with norm_sq in [lo, hi)."""
+        return self.weights(((norm_sq_lo, norm_sq_hi),), exponent)[0]
 
     def anchor_after(self, norm_sq_lo: int, exponent: float) -> int:
         """Least shell value hi > lo with weight(lo, hi, exponent) >= 1.
 
-        One cumulative sum over a window of shells from lo, doubled until
-        it reaches 1, places the crossing; ``weight`` then settles the last
-        ulp, so the answer is the one a shell-by-shell scan with ``weight``
-        finds.
+        One cumulative sum over a window of terms from lo, doubled until it
+        reaches 1 and the prefix sums settling its last ulp fit, places the
+        crossing.  A prefix of the window sums to ``weight``'s bits, so the
+        answer is the one a shell-by-shell scan with ``weight`` finds.
         """
         i = int(np.searchsorted(self.values, norm_sq_lo))
         width = 64
         while True:
             self.shell(i + width)  # the window's shells and one past it
-            values, counts = self.values[i : i + width], self.counts[i : i + width]
-            cum = np.cumsum(counts * np.power(values.astype(np.float64), -exponent / 2.0))
-            k = int(np.searchsorted(cum, 1.0))
-            if k < width:
+            window = self.terms(i, i + width, exponent)
+            k = int(np.searchsorted(np.cumsum(window), 1.0)) + 1  # the cumsum over k shells is >= 1
+            while k <= width and window[:k].sum() < 1.0:
+                k += 1
+            if k <= width:
                 break
             width *= 2
-        j = i + k + 1  # shells i..j-1 carry weight cum[k] >= 1
-        while self.weight(norm_sq_lo, self.shell(j), exponent) < 1.0:
-            j += 1
-        while j > i + 1 and self.weight(norm_sq_lo, self.shell(j - 1), exponent) >= 1.0:
-            j -= 1
-        return self.shell(j)
+        while k > 1 and window[: k - 1].sum() >= 1.0:
+            k -= 1
+        return self.shell(i + k)
 
     def shell(self, j: int) -> int:
         """The j-th shell value, growing the table to reach it."""
         while len(self.values) <= j:
             self._grow(f"has fewer than {j + 1} shells")
         return int(self.values[j])
-
-    def count(self, norm_sq_lo: int, norm_sq_hi: int) -> int:
-        return int(self.band(norm_sq_lo, norm_sq_hi)[1].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +678,8 @@ def _branch_count(alphabet: DigitSet) -> int:
     if alphabet.explicit is not None:
         suspects, k = alphabet.explicit, len(alphabet.explicit)
     else:  # the first member has the least norm
-        values, counts = alphabet._shells.band(0, alphabet.norm_sq_hi)
-        suspects, k = [first_on_shell(int(ns)) for ns in values[:1]], int(counts.sum())
+        k = alphabet._shells.count(0, alphabet.norm_sq_hi)  # every shell lies below norm_sq_hi
+        suspects = [first_on_shell(int(ns)) for ns in alphabet._shells.values[:1]]
     for g in suspects:
         if g.norm_sq() < BRANCH_MIN_NORM_SQ:
             raise DomainError(f"alphabet digit {g} is not a branch index")
@@ -825,7 +862,7 @@ def bowen_dimension(
 # trajectory rows a TauEstimate keeps (and the tau command prints): every
 # max(1, horizon // TAU_ROWS)-th index
 TAU_ROWS = 10_000
-_TAU_CHUNK = 1 << 18  # indices per block of the tail-window scan
+_TAU_CHUNK = 1 << 18  # runs per block of the tail-window scan
 
 
 @dataclass(frozen=True)
@@ -858,10 +895,8 @@ def tau_exponent(norms: Sequence[float] | np.ndarray, horizon: int) -> TauEstima
     maximum two-point log-log slope from the tail-window anchor (index
     horizon/10) to later indices where x has at least doubled; the raw
     ratio trajectory is kept for diagnostics at every
-    max(1, horizon // TAU_ROWS)-th index.  As x is nondecreasing, x > 1
-    and x >= 2 x0 each hold on a suffix, whose start np.searchsorted finds.
-    The tail window is scanned in blocks, so no temporary is as long as the
-    horizon.
+    max(1, horizon // TAU_ROWS)-th index.  The sequence is scanned as runs
+    of length one (``_tau_on_runs``).
     """
     _check_tau_horizon(horizon)
     x = np.asarray(norms, dtype=np.float64)[:horizon]
@@ -871,27 +906,55 @@ def tau_exponent(norms: Sequence[float] | np.ndarray, horizon: int) -> TauEstima
         raise DomainError("norm sequence must be finite")
     if np.any(x[1:] < x[:-1]):
         raise DomainError("norm sequence must be nondecreasing")
+    return _tau_on_runs(x, None, horizon)
+
+
+def _tau_on_runs(x: np.ndarray, ends: np.ndarray | None, horizon: int) -> TauEstimate:
+    """``tau_exponent`` of the sequence that is x[r] at the 0-based indices
+    ends[r] <= i < ends[r + 1]: x nondecreasing, ends[0] = 0 and the runs
+    reaching the horizon.  ends None stands for runs of length one.
+
+    On a run of equal x > 1, log n / log x and (log n - log n0) / (log x -
+    log x0) are nondecreasing in n: the float logs of the integers up to
+    10^7 are strictly increasing (consecutive ones differ by about 1/n,
+    far above their few ulps of error), and subtracting a constant or
+    dividing by a positive one keeps that order.  So both maxima over the
+    tail window sit at each run's last index inside the horizon, and the
+    scan takes one ratio and one slope per run there, the floats a scan of
+    every index takes.  As x is nondecreasing, x > 1 and x >= 2 x0 each
+    hold on a suffix of the runs, whose start np.searchsorted finds.  The
+    runs are scanned in blocks, so no temporary is as long as the horizon.
+    """
+    def run_of(i):  # the run holding 0-based index i (an int or an int array)
+        return i if ends is None else np.searchsorted(ends, i, side="right") - 1
+
+    x = x[: run_of(horizon - 1) + 1]
     if float(x[-1]) <= 1.0:
         raise DomainError("all norms <= 1 within horizon: logarithms degenerate")
 
     kept = np.arange(0, horizon, max(1, horizon // TAU_ROWS))
     n = kept + 1.0
-    xk = x[kept]
+    xk = x[run_of(kept)]
     valid = int(xk.searchsorted(1.0, side="right"))  # xk[valid:] > 1
     ratio = np.full(len(kept), np.nan)
     ratio[valid:] = np.log(n[valid:]) / np.log(xk[valid:])
 
-    first_valid = int(x.searchsorted(1.0, side="right")) + 1  # x[first_valid - 1:] > 1
+    first_valid = int(x.searchsorted(1.0, side="right"))  # the first run with x > 1
+    first_valid = (first_valid if ends is None else int(ends[first_valid])) + 1  # its first n
     n0 = max(horizon // 10, 10, first_valid)
-    x0 = float(x[n0 - 1])
+    first = run_of(n0 - 1)
+    x0 = float(x[first])
     grown = int(x.searchsorted(2.0 * x0))  # x[grown:] >= 2 x0
 
-    # every x in the window [n0 - 1, horizon) is at least x0 > 1; index
-    # n0 - 1 itself has x = x0 < 2 x0, so it never contributes a slope
+    # every x in the window from run ``first`` on is at least x0 > 1; that
+    # run itself has x = x0 < 2 x0, so it never contributes a slope
     ratio_max = estimate = -math.inf
-    for lo in range(n0 - 1, horizon, _TAU_CHUNK):
-        hi = min(lo + _TAU_CHUNK, horizon)
-        log_n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    for lo in range(first, len(x), _TAU_CHUNK):
+        hi = min(lo + _TAU_CHUNK, len(x))
+        if ends is None:
+            log_n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        else:  # each run's last index inside the horizon, as the count n
+            log_n = np.minimum(ends[lo + 1 : hi + 1], horizon).astype(np.float64)
         np.log(log_n, out=log_n)
         log_x = np.log(x[lo:hi])
         ratio_max = max(ratio_max, float((log_n / log_x).max()))
@@ -924,10 +987,13 @@ def _check_tau_horizon(horizon: int) -> None:
 
 def tau_of_digit_set(s: DigitSet, horizon: int = 200_000) -> TauEstimate:
     """Estimate of the convergence exponent from the moduli of a digit
-    set's enumeration; ``DigitSet.tau`` is the exact value it estimates."""
+    set's enumeration, scanned on its shells; ``DigitSet.tau`` is the exact
+    value it estimates."""
     _check_tau_horizon(horizon)
-    norms = s.norm_sq_array(horizon)
-    return tau_exponent(np.sqrt(norms, out=norms), horizon)
+    shells = s._shells
+    shells.cover(horizon)
+    norms = shells.values.astype(np.float64)
+    return _tau_on_runs(np.sqrt(norms, out=norms), shells.ends, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -979,15 +1045,29 @@ def restricted_power_sum(s: DigitSet, norm_cutoff: int, p: float) -> float:
     covered by the integral tail bound (an upper bound over the full
     lattice, hence over any subset).
     """
-    if norm_cutoff < 1:
-        raise DomainError("norm cutoff must be positive")
-    head = 0.0
-    if norm_cutoff <= _ENUM_NORM_MAX:
-        head = s._shells.weight(norm_cutoff * norm_cutoff, _ENUM_NORM_MAX**2 + 1, p)
-    if s.is_finite and s.norm_sq_hi is not None and s.norm_sq_hi <= _ENUM_NORM_MAX**2 + 1:
-        return head
-    tail_start = math.sqrt(max(norm_cutoff, _ENUM_NORM_MAX) ** 2 + 1)
-    return head + tail_integral_bound(tail_start, p)
+    return _restricted_power_sums(s, p)(norm_cutoff)
+
+
+def _restricted_power_sums(s: DigitSet, p: float) -> Callable[[int], float]:
+    """``restricted_power_sum(s, ., p)``, whose every head (the shells from
+    norm_cutoff^2 on) sums a suffix slice of one term array over the shells
+    up to ``_ENUM_NORM_MAX``^2: the bits of the head's own sum (``_ShellTable``)."""
+    shells = s._shells
+    terms = shells.terms(0, shells.band(0, _ENUM_NORM_MAX**2 + 1)[1], p)
+    finite = s.is_finite and s.norm_sq_hi is not None and s.norm_sq_hi <= _ENUM_NORM_MAX**2 + 1
+
+    def power_sum(norm_cutoff: int) -> float:
+        if norm_cutoff < 1:
+            raise DomainError("norm cutoff must be positive")
+        head = 0.0
+        if norm_cutoff <= _ENUM_NORM_MAX:
+            head = float(terms[shells.values.searchsorted(norm_cutoff * norm_cutoff):].sum())
+        if finite:
+            return head
+        tail_start = math.sqrt(max(norm_cutoff, _ENUM_NORM_MAX) ** 2 + 1)
+        return head + tail_integral_bound(tail_start, p)
+
+    return power_sum
 
 
 def upper_threshold(s: DigitSet, eps: float) -> ThresholdResult:
@@ -996,16 +1076,20 @@ def upper_threshold(s: DigitSet, eps: float) -> ThresholdResult:
     The weight is (k0 k2 c2 / k1)^((tau+eps)/2), with tau the set's exact
     ``DigitSet.tau``; the tail sum is evaluated by shell enumeration plus
     the integral tail bound, which is monotone in N, so the crossing is
-    located by doubling plus bisection.
+    located by doubling plus bisection.  Every step's shell head sums a
+    suffix slice of one term array (``_restricted_power_sums``): numpy's
+    pairwise sum of a contiguous slice gives the bits of the head summed
+    alone, and the shells are powered once per call.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"eps must be finite and positive, got {eps}")
     p = s.tau + eps
     k0 = COMPOSITION_DISTORTION_BOUND
     factor = (k0 * DIAMETER_K2 * float(DECAY_C2) / DIAMETER_K1) ** (p / 2.0)
+    power_sum = _restricted_power_sums(s, p)
 
     def weighted(n: int) -> float:
-        return factor * restricted_power_sum(s, n, p)
+        return factor * power_sum(n)
 
     n_min = max(1, math.isqrt(s.min_norm_sq()))
     if weighted(n_min) <= 1.0:
@@ -1244,11 +1328,10 @@ def _anchors_strictly_increasing(sched: NonAutSchedule, f) -> tuple[bool, dict |
 
 
 def _annulus_weight_at_least_one(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
-    p = sched.digit_set.tau - sched.eps
-    for i in range(len(sched.anchors) - 1):
-        lo = sched.anchors[i].norm_sq()
-        hi = sched.anchors[i + 1].norm_sq()
-        w = sched.digit_set._shells.weight(lo, hi, p)
+    ns = [a.norm_sq() for a in sched.anchors]
+    annuli = list(zip(ns, ns[1:]))
+    weights = sched.digit_set._shells.weights(annuli, sched.digit_set.tau - sched.eps)
+    for (lo, hi), w in zip(annuli, weights):
         if w < 1.0 - 1e-12:
             return False, {"annulus": [lo, hi], "weight": w}
     return True, None
@@ -1454,18 +1537,15 @@ def verify_lower_bound_chain(
     z1_ns = sched.anchors[0].norm_sq()
     log_bound = end_cutoff * s_val * log_c1  # c1^s per step of the first N blocks
     log_bound += -s_val * t1 * math.log(z1_ns)  # |z_1|^(-2 s t_1)
-    for blk in sched.blocks[1:cutoff]:
-        w = shells.weight(blk.norm_sq_lo, blk.norm_sq_hi, 2.0 * s_val)
+    head = sched.blocks[1:cutoff]
+    for blk, w in zip(head, shells.weights([(b.norm_sq_lo, b.norm_sq_hi) for b in head],
+                                           2.0 * s_val)):
         log_bound += blk.t * math.log(w)
 
     # blocks after the cutoff must each contribute a factor >= 1
-    positive = math.isfinite(log_bound)
-    target = sched.block_of(n).index
-    for blk in sched.blocks[cutoff:target]:
-        w = shells.weight(blk.norm_sq_lo, blk.norm_sq_hi, (2.0 + delta) * s_val)
-        if w < 1.0 - 1e-9:
-            positive = False
-            break
+    later = sched.blocks[cutoff : sched.block_of(n).index]
+    weights = shells.weights([(b.norm_sq_lo, b.norm_sq_hi) for b in later], (2.0 + delta) * s_val)
+    positive = math.isfinite(log_bound) and not any(w < 1.0 - 1e-9 for w in weights)
     return ChainResult(
         s_value=s_val,
         block_cutoff=cutoff,

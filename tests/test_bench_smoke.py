@@ -77,6 +77,21 @@ def test_tau_jobs_pass_on_every_source(source):
     assert info["abs_err"] < 0.05 and info["bytes"] > 10_000 * len("1,1.0,0.0\n")
 
 
+@pytest.mark.parametrize("horizon", jobs.TAU_HORIZONS)
+@pytest.mark.parametrize("source", ["lattice", "d2", "power:0.74"])
+def test_tau_jobs_pass_at_the_bench_horizons(source, horizon):
+    # the horizons every schedule cycle runs, each with its row and estimate checks
+    info = jobs.run_tau({"source": source, "horizon": horizon}, spans.Tracer())
+    assert info["abs_err"] < 0.05
+
+
+@pytest.mark.parametrize("eps", [0.3, 2.0])
+@pytest.mark.parametrize("set_name", ["d2", "lattice", "minnormsq:16", "minnormsq:24"])
+def test_threshold_jobs_pass_at_the_ends_of_the_bench_range(set_name, eps):
+    # run_threshold raises jobs.CheckError unless the sum crosses 1 at the cutoff
+    assert jobs.run_threshold({"set": set_name, "eps": eps}, spans.Tracer())["N"] >= 1
+
+
 SHAPE_ENDS = [min(jobs.PRESSURE_SHAPES, key=lambda kn: kn[0] ** kn[1]),
               max(jobs.PRESSURE_SHAPES, key=lambda kn: kn[0] ** kn[1])]
 

@@ -392,8 +392,35 @@ def _run_limited(args, tmp_path):
     )
 
 
+# a launcher a few MB in size runs the CLI and prints its exit code and peak
+# RSS in KiB: a child's peak counts the image it was forked from, so the
+# CLI is not spawned from pytest itself
+_PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "hurwitzcf.cli", *sys.argv[1:]],
+                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 class TestSizeLimits:
     """Sizes past the module limits end in one stderr line, not an OOM."""
+
+    @pytest.mark.parametrize("args", [
+        ["--format", "csv", "tau", "--source", "d2", "--horizon", "10000000"],
+        ["tau", "--horizon", "10000000"],
+    ], ids=["d2-csv", "default-json"])
+    def test_tau_at_the_largest_horizon_peaks_below_100_mb(self, tmp_path, args):
+        # tau scans the shell table's runs: no array as long as the horizon
+        # (80 MB of float64 at 10^7) is built
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", _PEAK_RSS, *args], env=env, cwd=tmp_path,
+                                capture_output=True, text=True, timeout=120, check=True)
+        code, peak_kib = map(int, result.stdout.split())
+        assert code == 0 and peak_kib < 100 * 1024, peak_kib
 
     @pytest.mark.parametrize(
         "config, args, code",

@@ -21,7 +21,8 @@ from hurwitzcf import (
 )
 from hurwitzcf import dimension
 from hurwitzcf.dimension import _word_value_table, restricted_power_sum, tail_integral_bound
-from hurwitzcf.gaussian import GaussianInt
+from hurwitzcf.gaussian import GaussianInt, lattice_points, norm_sq_shells
+from hurwitzcf.ifs import COMPOSITION_DISTORTION_BOUND, DECAY_C2, DIAMETER_K1, DIAMETER_K2
 
 
 PAIR = DigitSet.from_branches([(2, 2), (-2, -2)])
@@ -70,7 +71,7 @@ class TestDigitSet:
         s = DigitSet.lattice_with_zero()
         arr = s.norm_sq_array(count)
         assert arr.base is None and arr.dtype == np.float64
-        values, counts = s._shells.values, s._shells.counts
+        values, counts = s._shells.values, np.diff(s._shells.ends)
         assert arr.tolist() == np.repeat(values.astype(np.float64), counts)[:count].tolist()
 
 
@@ -903,8 +904,8 @@ def _ref_tau_exponent(x, horizon):
     return (ratio_max if degenerate else estimate, ratio_max, n0, degenerate, n, xk, ratio)
 
 
-def _assert_as_reference(x, horizon):
-    est = tau_exponent(x, horizon)
+def _assert_as_reference(x, horizon, est=None):
+    est = tau_exponent(x, horizon) if est is None else est
     ref = _ref_tau_exponent(x, horizon)
     got = (est.estimate, est.ratio_max, est.anchor_index, est.degenerate)
     assert got == ref[:4]
@@ -961,26 +962,132 @@ class TestTauSuffixWindow:
         _assert_as_reference(x, horizon)
 
 
+def _ref_tau_of_digit_set(s, horizon):
+    """``tau_of_digit_set`` as it was before it scanned shell runs: the
+    modulus of every index, sqrt of ``norm_sq_array``, through the per-index
+    reference scan.  Asserts the run scan's result equals it, bit for bit,
+    and the norms equal those of shells counted afresh."""
+    est = tau_of_digit_set(s, horizon)
+    norms = s.norm_sq_array(horizon)
+    values, counts = _fresh_shells(s, s._shells.limit)
+    assert norms.tobytes() == np.repeat(values.astype(np.float64), counts)[:horizon].tobytes()
+    return _assert_as_reference(np.sqrt(norms), horizon, est)
+
+
+def _run_places(ends, i):
+    """Where index i sits in its run: a subset of {"start", "mid", "end"}."""
+    r = int(np.searchsorted(ends, i, side="right")) - 1
+    first, last = int(ends[r]), int(ends[r + 1]) - 1
+    return {place for place, at in (("start", i == first), ("mid", first < i < last),
+                                     ("end", i == last)) if at}
+
+
+def _edge_horizons(s, first, last):
+    """(what, place) -> the least horizon in [first, last] that puts it there.
+
+    "last" is index H - 1 and "anchor" index n0 - 1 = H // 10 - 1, each at
+    the start, inside or at the end of its run; "crossing" is H - 1 in the
+    run where x first reaches 2 x0, so that the horizon cuts that run."""
+    shells = s._shells
+    shells.cover(last)
+    ends, x = shells.ends, np.sqrt(shells.values.astype(np.float64))
+    found = {}
+    for h in range(first, last + 1):
+        anchor_run = int(np.searchsorted(ends, h // 10 - 1, side="right")) - 1
+        grown = int(np.searchsorted(x, 2.0 * x[anchor_run]))
+        places = [("last", p) for p in _run_places(ends, h - 1)]
+        places += [("anchor", p) for p in _run_places(ends, h // 10 - 1)]
+        if grown + 1 < len(ends) and ends[grown] <= h - 1 < ends[grown + 1]:
+            places += [("crossing", p) for p in _run_places(ends, h - 1)]
+        for key in places:
+            found.setdefault(key, h)
+    return found
+
+
+TAU_SETS = {
+    "lattice0": DigitSet.lattice_with_zero,
+    "d2": DigitSet.d2,
+    "minnormsq:20": lambda: DigitSet.with_min_norm_sq(20),
+    "annulus": lambda: DigitSet.annulus(40_000, 42_000),  # |b| in [200, 205): x never doubles
+    # norm_sq in [1000, 1300) and [4000, 5300): x doubles in the second band,
+    # late enough that a horizon can cut the run where it first does
+    "explicit": lambda: DigitSet.from_branches(
+        np.r_[lattice_points(1000, 1299), lattice_points(4000, 5299)].tolist()),
+}
+
+
+class TestTauOnShellRuns:
+    """``tau_of_digit_set`` scans runs of equal norm; the per-index scan of
+    the sequence it stands for gives the same result, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(TAU_SETS))
+    def test_edge_horizons(self, name):
+        s = TAU_SETS[name]()
+        found = _edge_horizons(s, 1000, 3000)
+        wanted = ["last", "anchor"] + ["crossing"] * (name == "explicit")
+        assert {(what, p) for what in wanted for p in ("start", "mid", "end")} <= set(found)
+        for horizon in sorted(set(found.values())):
+            est = _ref_tau_of_digit_set(s, horizon)
+            assert est.degenerate or name != "annulus"
+
+    @pytest.mark.parametrize("horizon", [146_779, 316_227, 681_292])
+    @pytest.mark.parametrize("name", ["lattice0", "d2", "minnormsq:20"])
+    def test_bench_horizons(self, name, horizon):
+        _ref_tau_of_digit_set(TAU_SETS[name](), horizon)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("name", ["lattice0", "d2", "explicit"])
+    def test_blocks_of_few_runs(self, monkeypatch, name, chunk):
+        # block starts fall at every offset from the anchor run and the first grown run
+        monkeypatch.setattr(dimension, "_TAU_CHUNK", chunk)
+        for horizon in (1000, 1777):
+            _ref_tau_of_digit_set(TAU_SETS[name](), horizon)
+
+    def test_short_set_raises(self):
+        with pytest.raises(DomainError, match="has fewer than 3000 members"):
+            tau_of_digit_set(DigitSet.annulus(8, 100), 3000)
+
+
+def _fresh_shells(s, limit):
+    """(values, counts) of a digit set's shells up to limit, counted afresh:
+    by ``norm_sq_shells`` for a radial set and from the members of an explicit one."""
+    if s.explicit is not None:
+        shells = Counter(g.norm_sq() for g in s.explicit if g.norm_sq() <= limit)
+        values = np.array(sorted(shells), dtype=np.int64)
+        return values, np.array([shells[v] for v in values.tolist()], dtype=np.int64)
+    values, counts = norm_sq_shells(limit)
+    if s.norm_sq_lo <= 0:
+        values, counts = np.r_[0, values], np.r_[1, counts]
+    keep = (values >= s.norm_sq_lo) & (values < (s.norm_sq_hi or math.inf))
+    return values[keep], counts[keep]
+
+
+def _band_formula(shells, lo, hi, exponent):
+    """(weight, count) of the band [lo, hi) by the per-call formula: the counts
+    times the powers of a fresh band, summed."""
+    values, counts = shells
+    i, j = np.searchsorted(values, [lo, hi])
+    values, counts = values[i:j], counts[i:j]
+    weight = float(np.sum(counts * np.power(values.astype(np.float64), -exponent / 2.0)))
+    return weight.hex(), int(counts.sum())
+
+
+SHELL_SETS = {"d2": DigitSet.d2, "lattice": DigitSet.lattice,
+              "minnormsq:20": lambda: DigitSet.with_min_norm_sq(20)}
+
+
 class TestShellQueries:
-    """``weight`` and ``count`` against the per-call formulas they replaced,
-    bit for bit, on bands queried while the table grows and after."""
+    """``weight``, ``weights`` and ``count`` against the per-call formulas
+    they replaced, bit for bit, on bands queried while the table grows and
+    after; the reference shells are counted afresh."""
 
-    @staticmethod
-    def _ref(table, lo, hi, exponent):
-        i, j = np.searchsorted(table.values, [lo, hi])
-        values, counts = table.values[i:j], table.counts[i:j]
-        weight = float(np.sum(counts * np.power(values.astype(np.float64), -exponent / 2.0)))
-        return weight.hex(), int(counts.sum())
-
-    @pytest.mark.parametrize("make", [DigitSet.d2, DigitSet.lattice,
-                                      lambda: DigitSet.with_min_norm_sq(20)],
-                             ids=["d2", "lattice", "minnormsq:20"])
+    @pytest.mark.parametrize("make", list(SHELL_SETS.values()), ids=list(SHELL_SETS))
     def test_bit_for_bit(self, make):
         table = make()._shells
         first_limit = table.limit
         rng = random.Random(3)
         exponents = [0.0, 0.5, 1.0, 4 / 3, 1.5, 2.0, 2.5, 3.9, -0.7]
-        top, grown = 70, 0
+        top, grown, fresh = 70, 0, {}  # limit -> the shells counted afresh up to it
         for _ in range(1500):
             if rng.random() < 0.03:  # past what the table holds: it grows first
                 top = int(top * rng.uniform(1.0, 1.4)) + 1
@@ -992,8 +1099,50 @@ class TestShellQueries:
                     lo, hi = hi, lo
             exponent = rng.choice(exponents)
             got = table.weight(lo, hi, exponent).hex(), table.count(lo, hi)
-            assert got == self._ref(table, lo, hi, exponent), (lo, hi, exponent)
+            if table.limit not in fresh:
+                fresh[table.limit] = _fresh_shells(table.set, table.limit)
+            assert got == _band_formula(fresh[table.limit], lo, hi, exponent), (lo, hi, exponent)
         assert grown >= 5 and table.limit >= 16 * first_limit
+
+    @pytest.mark.parametrize("make", list(SHELL_SETS.values()), ids=list(SHELL_SETS))
+    def test_batches_match_one_band_and_the_formula(self, make):
+        # batches of consecutive annuli (as anchors and blocks give them),
+        # random, empty and reversed bands, bands wider than a window, and
+        # batches that reach past the table, so it grows inside the call
+        table = make()._shells
+        rng = random.Random(11)
+        window = dimension._WEIGHT_WINDOW
+        top, wide = 100, 0
+        for _ in range(40):
+            top = int(top * rng.uniform(1.1, 1.4))
+            cuts = sorted(rng.sample(range(-2, top), rng.randint(1, 40)))
+            bands = list(zip(cuts, cuts[1:]))
+            bands += [(rng.randint(0, top), rng.randint(0, top)) for _ in range(rng.randint(0, 6))]
+            bands.append((rng.randint(0, top // 4), top))
+            if rng.random() < 0.3:
+                rng.shuffle(bands)
+            exponent = rng.choice([0.5, 4 / 3, 1.5, 1.9, 2.5])
+            got = table.weights(bands, exponent)
+            shells = _fresh_shells(table.set, table.limit)
+            for (lo, hi), w in zip(bands, got, strict=True):
+                assert w.hex() == table.weight(lo, hi, exponent).hex()
+                assert (w.hex(), table.count(lo, hi)) == _band_formula(shells, lo, hi, exponent)
+                wide += int(np.searchsorted(shells[0], hi) - np.searchsorted(shells[0], lo)) > window
+        assert wide >= 3 and table.weights([], 1.0) == []
+
+    @pytest.mark.parametrize("make", list(SHELL_SETS.values()), ids=list(SHELL_SETS))
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 1.5, 1.95])
+    def test_anchor_after_matches_a_scan_of_weights(self, make, exponent):
+        # the least shell hi with the band's formula weight >= 1, shell by shell
+        table = make()._shells
+        lo = table.shell(0)
+        for _ in range(6):
+            hi = table.anchor_after(lo, exponent)
+            shells = _fresh_shells(table.set, table.limit)
+            values = shells[0][np.searchsorted(shells[0], lo) + 1:]
+            weights = [float.fromhex(_band_formula(shells, lo, v, exponent)[0]) for v in values[:4096]]
+            assert max(weights) >= 1.0 and hi == values[np.argmax(np.array(weights) >= 1.0)]
+            lo = hi
 
 
 class TestUpperThreshold:
@@ -1057,3 +1206,53 @@ class TestUpperThreshold:
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(DomainError, match="eps must be finite and positive"):
             upper_threshold(DigitSet.d2(), eps=eps)
+
+    @staticmethod
+    def _ref_power_sum(s, shells, norm_cutoff, p):
+        """restricted_power_sum by its formula: the head over shells counted
+        afresh, summed as a fresh band, then the integral tail."""
+        top = dimension._ENUM_NORM_MAX
+        head = 0.0
+        if norm_cutoff <= top:
+            head = float.fromhex(_band_formula(shells, norm_cutoff**2, top**2 + 1, p)[0])
+        if s.is_finite and s.norm_sq_hi <= top**2 + 1:
+            return head
+        return head + tail_integral_bound(math.sqrt(max(norm_cutoff, top) ** 2 + 1), p)
+
+    @pytest.mark.parametrize("eps", [0.3, 2.0, 10.0])
+    @pytest.mark.parametrize("make", [DigitSet.d2, DigitSet.lattice,
+                                      lambda: DigitSet.with_min_norm_sq(16),
+                                      lambda: DigitSet.with_min_norm_sq(24),
+                                      lambda: DigitSet.with_min_norm_sq(10_000),
+                                      lambda: DigitSet.annulus(8, 2000),
+                                      lambda: DigitSet.from_branches(lattice_points(50, 400).tolist())],
+                             ids=["d2", "lattice", "minnormsq:16", "minnormsq:24",
+                                  "minnormsq:10000", "annulus", "explicit"])
+    def test_matches_a_reference_bisection(self, make, eps):
+        # the doubling and bisection of upper_threshold over the formula's
+        # sums, and restricted_power_sum against the formula at every cutoff
+        s = make()
+        p = s.tau + eps
+        shells = _fresh_shells(s, dimension._ENUM_NORM_MAX**2)
+        for n in [*range(1, 302), 1000, 1 << 20]:
+            assert restricted_power_sum(s, n, p).hex() == self._ref_power_sum(s, shells, n, p).hex()
+        factor = (COMPOSITION_DISTORTION_BOUND * DIAMETER_K2 * float(DECAY_C2)
+                  / DIAMETER_K1) ** (p / 2.0)
+
+        def weighted(n):
+            return factor * self._ref_power_sum(s, shells, n, p)
+
+        n_min = cutoff = max(1, math.isqrt(s.min_norm_sq()))
+        if weighted(n_min) > 1.0:
+            cutoff = n_min + 1
+            while weighted(cutoff) > 1.0:
+                cutoff *= 2
+            lo = cutoff // 2
+            while lo + 1 < cutoff:
+                mid = (lo + cutoff) // 2
+                lo, cutoff = (lo, mid) if weighted(mid) <= 1.0 else (mid, cutoff)
+        res = upper_threshold(s, eps)
+        before = weighted(cutoff - 1) if cutoff > n_min else math.inf
+        assert (res.norm_cutoff, res.factor) == (cutoff, factor)
+        assert (res.sum_at_cutoff.hex(), res.sum_before_cutoff.hex()) == (weighted(cutoff).hex(),
+                                                                          before.hex())

@@ -166,7 +166,7 @@ class TestShells:
         shells.cover(400_000)
         values, counts = norm_sq_shells(shells.limit)
         assert np.array_equal(shells.values, np.r_[0, values])
-        assert np.array_equal(shells.counts, np.r_[1, counts])
+        assert np.array_equal(shells.ends, np.cumsum(np.r_[0, 1, counts]))
 
 
 def _shell_reference(norm_sq):

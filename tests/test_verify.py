@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hurwitzcf import dimension, ifs, svg, verify
+from hurwitzcf import dimension, gaussian, ifs, svg, verify
 from hurwitzcf.config import RunConfig
+from hurwitzcf.gaussian import GaussianInt
 from hurwitzcf.verify import CHECKS, short_words
 
 NAMES = [f"{suite}.{name}" for suite, checks in CHECKS.items() for name in checks]
@@ -327,4 +328,62 @@ def test_pressure_mutants_cover_the_suite():
 def test_pressure_check_fails_under_its_mutant(monkeypatch, name):
     PRESSURE_MUTANTS[name](monkeypatch)
     ok, witness = CHECKS["pressure"][name](RunConfig())
+    assert not ok, witness
+
+
+# one mutant per arith check: the counting, the rounding or the enumeration
+# goes wrong, and the check must say so; no check threshold is touched
+
+
+def _patched(name, wrap):
+    """``gaussian.<name>`` replaced by ``wrap(real)``."""
+    def apply(monkeypatch):
+        monkeypatch.setattr(gaussian, name, wrap(getattr(gaussian, name)))
+    return apply
+
+
+def _round_off_past_two(real):
+    # one too far along the real axis for real parts beyond 2; the check's
+    # shifted copies (z + 3 - 2i) all land there
+    return lambda z: real(z) + GaussianInt(int(z.re > 2), 0)
+
+
+def _rows_duplicated(real):
+    # the second norm-2 point repeats the first, in place of (-1, 1)
+    def rows(lo, hi):
+        out = real(lo, hi).copy()
+        out[6] = out[5]
+        return out
+    return rows
+
+
+def _half_turns_dropped(real):
+    # only the points times 1 and i: two rotations of the first quadrant of four
+    def rows(lo, hi):
+        out = real(lo, hi)
+        keep = (out[:, 0] > 0) & (out[:, 1] >= 0) | (out[:, 0] <= 0) & (out[:, 1] > 0)
+        return out[keep | (out == 0).all(axis=1)]
+    return rows
+
+
+ARITH_MUTANTS = {
+    # the count misses one point of the square of half-width 17
+    "count_in_square_closed_form": _patched(
+        "count_in_square", lambda real: lambda n: real(n) - (n == 17)),
+    "nearest_round_residual_in_box": _patched("nearest_round", _round_off_past_two),
+    "enumeration_monotone_duplicate_free": _patched("lattice_points", _rows_duplicated),
+    "enumeration_index_norm_sandwich": _patched("lattice_points", _half_turns_dropped),
+}
+ARITH_NAMES = [name.split(".", 1)[1] for name in VERIFY_ALL if name.startswith("arith.")]
+
+
+def test_arith_mutants_cover_the_suite():
+    assert len(ARITH_NAMES) == 4
+    assert list(ARITH_MUTANTS) == ARITH_NAMES == list(CHECKS["arith"])
+
+
+@pytest.mark.parametrize("name", ARITH_NAMES)
+def test_arith_check_fails_under_its_mutant(monkeypatch, name):
+    ARITH_MUTANTS[name](monkeypatch)
+    ok, witness = CHECKS["arith"][name](RunConfig())
     assert not ok, witness
