@@ -17,8 +17,9 @@ this family it matches; distinct odd m are far apart next to the rounding
 of the 12 printed digits, so the snapped circle is the one the arc draws.
 z -> 1/z preserves orientation, so every region's boundary runs
 counterclockwise and the sweep flag says on which side of its circle the
-region lies.  Membership of a dyadic sample is then a sign test on
-integers.
+region lies.  Membership of a grid point is then a sign test on
+integers, and eight probes a region decide it for every grid point
+(soundness_check).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import DomainError
 from .expansion import REGULAR_NORM_SQ, _euclid_step, _from_quotient
 from .gaussian import GaussianInt, lattice_points
 
-_GRID = 1 << 16  # samples u = (a + ib)/2^16 with a, b in [-2^15, 2^15)
+_GRID = 1 << 16  # grid points w = (A + iB)/2^16 of the pre-image boxes
 
 
 @dataclass(frozen=True)
@@ -298,36 +299,38 @@ def _read_regions(spec: TessellationSpec) -> tuple[np.ndarray, np.ndarray, np.nd
     return rows, lo, hi
 
 
-def _claims(A: np.ndarray, B: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """lo <= (A, B) <= hi, broadcast: four comparisons on the coordinate
-    columns, with the pair axis last in ``lo`` and ``hi``."""
-    return (A >= lo[..., 0]) & (A <= hi[..., 0]) & (B >= lo[..., 1]) & (B <= hi[..., 1])
-
-
 def soundness_check(
     spec: TessellationSpec, samples_per_region: int = 1000, seed: int = 1
 ) -> tuple[bool, dict | None]:
-    """The rendered document claims every sample for its own region alone.
+    """The rendered document claims every grid point p = 1/w, 2^16 w =
+    A + iB, of a region's half-open pre-image box around k + il for that
+    region alone, and p has first digit (k, l).
 
     Reads the regions back from render_svg(spec) (_read_regions; see the
-    module docstring).  At the middle of each edge of a region's pre-image
-    box around k + il, the nearest grid point of 2^-16 Z[i] inside the
-    half-open box must be claimed and the nearest one outside must not; on
-    the closed lower edges the inside point lies on the edge.  Then each
-    region gets ``samples_per_region`` points p = 1/w from
-    _box_images, with w = (A + iB)/2^16: p must expand with first
-    digit (k, l), and its region alone must claim it, that is
-    lo <= (A, B) <= hi.  TessellationSpec caps norm_sq_max at 2^16, so the
-    digit coordinates are at most 2^8 < 2^14, |A|, |B| < 2^31,
-    2^15 |m| < 2^32 and A^2 + B^2 < 2^63: every term is exact in int64.
+    module docstring) as integer rectangles lo <= (A, B) <= hi, and judges
+    eight probes a region (_probe_witness): at the middle of each box edge
+    the nearest grid point inside the box must be claimed, and the nearest
+    one outside must not.  That decides every grid point.  Take the left
+    edge, with c the box centre and h = 2^15: the inside probe
+    (c_x - h, c_y) is held, so lo_x <= c_x - h and lo_y <= c_y <= hi_y;
+    the outside probe (c_x - h - 1, c_y) is not held, so lo_x >= c_x - h.
+    The other three edges follow the same way, so every region is its own
+    box, and distinct digits have disjoint boxes.  The first digit,
+    (floor((A + h)/2^16), floor((B + h)/2^16)) by expansion._euclid_step,
+    is nondecreasing in A and in B, so the four inside probes, the box's
+    extreme points, decide it on the whole box.  As norm_sq_max <= 2^16,
+    |A|, |B| < 2^31, 2^15 |m| < 2^32 and _euclid_step's terms stay below
+    2^50: all exact in int64.
 
     Witness checks: ``regions`` (ids other than the region digits),
     ``arc`` (a path that draws no exact circle arc, with the arc index, -1
     for the whole path, and the reason), ``edge_inside`` and
-    ``edge_outside`` (a probe claimed wrongly), ``first_digit`` and
-    ``unique_region`` (a sample).  A sample count below 1 or a seed below
-    0, or either one not an int, raises DomainError, and so does a spec
-    with no regions.
+    ``edge_outside`` (a probe claimed wrongly) and ``first_digit`` (an
+    inside probe with another first digit).  ``samples_per_region`` and
+    ``seed`` are not read: they stay, validated, until the benchmark's
+    soundness job stops passing them.  A sample count below 1 or a seed
+    below 0, either one not an int, or a spec with no regions raises
+    DomainError.
     """
     for name, value, least in (("samples_per_region", samples_per_region, 1), ("seed", seed, 0)):
         if not isinstance(value, int) or isinstance(value, bool) or value < least:
@@ -335,115 +338,30 @@ def soundness_check(
     read = _read_regions(spec)
     if isinstance(read, dict):
         return False, read
-    rows, lo, hi = read
-    witness = _probe_witness(rows, lo, hi)
-    if witness is not None:
-        return False, witness
-    rng = np.random.default_rng(seed)
-    points = _box_images(rows, samples_per_region, rng)
-    owner = np.repeat(np.arange(len(rows)), samples_per_region)
-    step = max(1, (1 << 20) // len(rows))  # about a megabyte of claims at a time
-    for start in range(0, len(points), step):
-        chunk = points[start:start + step]
-        claimed = _claims(chunk[:, :1], chunk[:, 1:], lo, hi)
-        witness = _sample_witness(rows, owner[start:start + step], chunk, claimed)
-        if witness is not None:
-            return False, witness
-    return True, None
-
-
-_OVERSAMPLE = 4  # draws per missing sample of an exceptional digit
-_STALL = 200  # draws per sample, times the factor, after which a digit stalls
-
-
-def _box_images(rows: np.ndarray, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """``samples`` seeded points p = 1/(u + digit) of the half-open box for
-    each digit row (re, im), the points in row order.
-
-    u = (a + ib)/2^16 with a, b from [-2^15, 2^15).  Each round is one
-    draw: a digit still ``need`` points short takes its next 2 c values,
-    c values of a and then c values of b, the digits in order, where c is
-    need for a regular digit and _OVERSAMPLE need for an exceptional one
-    (norm_sq < 8), whose images may leave the box.  A Generator gives the
-    same values for one call as for consecutive calls, so this is a draw
-    of shape (2, c) per digit.  A digit keeps the first ``need`` of its
-    images in the box, in draw order, and draws again in the next round if
-    it is still short; a digit that has drawn over _STALL times its factor
-    times ``samples`` points stalls.  A point is returned as the int64 row
-    (A, B) = 2^16 (u + digit), so 1/p = (A + iB)/2^16 and
-    p = 2^16 (A - iB)/N with N = A^2 + B^2; p lies in the box exactly when
-    -N <= 2^17 A < N and -N < 2^17 B <= N.
-    """
-    shift = rows * _GRID
-    factor = np.where((rows * rows).sum(axis=1) < REGULAR_NORM_SQ, _OVERSAMPLE, 1)
-    limit = _STALL * samples * factor
-    need = np.full(len(rows), samples, dtype=np.int64)
-    drawn = np.zeros_like(need)
-    kept = []
-    while (short := np.flatnonzero(need)).size:
-        counts = need[short] * factor[short]
-        drawn[short] += counts
-        if (over := drawn > limit).any():
-            stalled = GaussianInt(*rows[np.argmax(over)].tolist())
-            raise DomainError(f"rejection sampling stalled for digit {stalled}")
-        owner = np.repeat(short, counts)
-        starts = np.cumsum(counts) - counts  # of each short digit's draws
-        a_at = np.arange(len(owner)) + np.repeat(starts, counts)
-        values = rng.integers(-_GRID // 2, _GRID // 2, size=2 * len(owner))
-        A = values[a_at] + shift[owner, 0]
-        B = values[a_at + np.repeat(counts, counts)] + shift[owner, 1]
-        n = A * A + B * B
-        a, b = (2 * _GRID) * A, (2 * _GRID) * B
-        inside = (-n <= a) & (a < n) & (-n < b) & (b <= n)
-        rank = np.cumsum(inside)  # images in the box so far, this one included
-        rank -= np.repeat(rank[starts] - inside[starts], counts)
-        keep = inside & (rank <= np.repeat(need[short], counts))
-        kept.append((owner[keep], A[keep], B[keep]))
-        need -= np.bincount(kept[-1][0], minlength=len(rows))
-    owner, A, B = (np.concatenate(column) for column in zip(*kept))
-    return np.stack((A, B), axis=1)[np.argsort(owner, kind="stable")]
-
-
-def _sample_witness(rows: np.ndarray, owner: np.ndarray, points: np.ndarray,
-                    claimed: np.ndarray) -> dict | None:
-    """The first sample whose first digit is not its own, or that its own
-    region does not claim alone.
-
-    Sample s is the _box_images row points[s] = (A, B) of the digit row
-    rows[owner[s]], and ``claimed[s, r]`` says whether region r claims
-    it.  The first digits of p = 2^16/(A + iB) come from one
-    expansion._euclid_step on the int64 columns, whose terms stay below
-    2^50 for |A|, |B| < 2^31; only a witness builds p.
-    """
-    own = rows[owner]
-    first_re, first_im = _euclid_step(_GRID, 0, points[:, 0], points[:, 1])[:2]
-    wrong_digit = (first_re != own[:, 0]) | (first_im != own[:, 1])
-    counts = claimed.sum(axis=1)
-    alone = (counts == 1) & claimed[np.arange(len(owner)), owner]
-    failed = np.flatnonzero(wrong_digit | ~alone)
-    if failed.size == 0:
-        return None
-    s = failed[0]
-    A, B = points[s].tolist()
-    found = {"region": own[s].tolist(), "point": str(_from_quotient(_GRID, 0, A, B))}
-    if wrong_digit[s]:
-        return {"check": "first_digit", **found}
-    return {"check": "unique_region", **found, "claims": int(counts[s])}
+    witness = _probe_witness(*read)
+    return witness is None, witness
 
 
 def _probe_witness(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> dict | None:
     """A probe at the middle of a pre-image box edge that its region claims
-    from outside the box or misses from inside it."""
+    from outside the box or misses from inside it, or else an inside probe
+    whose first digit is not its region's."""
     half = _GRID // 2
     offsets = [(-half, 0), (half - 1, 0), (0, -half), (0, half - 1),  # inside
                (-half - 1, 0), (half, 0), (0, -half - 1), (0, half)]  # outside
     probes = (rows * _GRID)[:, None, :] + np.array(offsets, dtype=np.int64)
-    held = _claims(probes[..., 0], probes[..., 1], lo[:, None], hi[:, None])
+    A, B = probes[..., 0], probes[..., 1]
+    held = ((A >= lo[:, None, 0]) & (A <= hi[:, None, 0])
+            & (B >= lo[:, None, 1]) & (B <= hi[:, None, 1]))
     wrong = np.argwhere(held != (np.arange(len(offsets)) < 4))
-    if len(wrong) == 0:
-        return None
+    checks = ["edge_inside"] * 4 + ["edge_outside"] * 4
+    if not len(wrong):
+        first_re, first_im = _euclid_step(_GRID, 0, A[:, :4], B[:, :4])[:2]
+        wrong = np.argwhere((first_re != rows[:, :1]) | (first_im != rows[:, 1:]))
+        checks = ["first_digit"] * 4
+        if not len(wrong):
+            return None
     r, j = wrong[0].tolist()
-    A, B = probes[r, j].tolist()
-    return {"check": "edge_inside" if j < 4 else "edge_outside", "region": rows[r].tolist(),
+    return {"check": checks[j], "region": rows[r].tolist(),
             "edge": ("left", "right", "bottom", "top")[j % 4],
-            "point": str(_from_quotient(_GRID, 0, A, B))}
+            "point": str(_from_quotient(_GRID, 0, *probes[r, j].tolist()))}

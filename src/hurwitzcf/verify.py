@@ -69,8 +69,13 @@ def _count_in_square_closed_form(config: RunConfig):
 
 @check("arith", "nearest_round_residual_in_box")
 def _nearest_round_residual_in_box(config: RunConfig):
+    # each coordinate p/q of the corpus is drawn in the box, -q <= 2p < q,
+    # not reduced into it by the rounding under test
     rng = np.random.default_rng(config.seed)
-    for z in random_box_rationals(rng, 200, 10_000):
+    q = rng.integers(1, 101, size=(200, 2))
+    p = rng.integers(-(q // 2), (q + 1) // 2)
+    for (pr, pi), (qr, qi) in zip(p.tolist(), q.tolist()):
+        z = ExactComplexRational(Fraction(pr, qr), Fraction(pi, qi))
         g = gaussian.nearest_round(z)
         if not z.sub_gaussian(g).in_unit_box():
             # z already in the box rounds to 0; test a shifted copy too
@@ -192,7 +197,7 @@ def _chain_rule_matches_matrix_exactly(config: RunConfig):
 def _branch_images_separated(config: RunConfig):
     # cylinders of the 24 regular digits up to norm_sq 13: first digit and region read back
     spec = svg.TessellationSpec(norm_sq_max=13, include_exceptional=False)
-    return svg.soundness_check(spec, samples_per_region=200, seed=config.seed)
+    return svg.soundness_check(spec)
 
 
 @check("ifs", "branch_images_nested")

@@ -251,14 +251,15 @@ def test_criterion_09_upper_threshold():
 def test_criterion_10_tessellation_soundness():
     start = time.perf_counter()
     spec = TessellationSpec(norm_sq_max=25)
-    ok, witness = soundness_check(spec, samples_per_region=1000, seed=20_240_801)
+    ok, witness = soundness_check(spec)
     assert ok, witness
     elapsed = time.perf_counter() - start
     assert elapsed < 3.0, f"soundness check took {elapsed:.2f}s"
     from hurwitzcf.svg import region_digits
 
     count = len(region_digits(spec))
-    report(10, f"{count} regions x 1000 samples, labels unique and correct in {elapsed:.1f}s")
+    report(10, f"{count} regions, every grid point claimed by its own region alone "
+               f"in {elapsed:.1f}s")
 
 
 def test_criterion_11_determinism(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hurwitzcf import BranchComposition, DigitSet, DomainError, ExactComplexRational, GaussianInt
-from hurwitzcf import dimension, svg
+from hurwitzcf import dimension
 from hurwitzcf.ifs import (
     contraction_envelope_check,
     COMPOSITION_DISTORTION_BOUND,
@@ -373,27 +373,14 @@ class TestCylinderIdentity:
 
 
 class TestSeparation:
-    """A cylinder carries its own first digit.  The sampled check is
-    svg.soundness_check, registered as ifs.branch_images_separated; its
-    sampler and witness are pinned here."""
+    """A cylinder carries its own first digit.  The whole-grid check is
+    svg.soundness_check, registered as ifs.branch_images_separated."""
 
     def test_center_first_digit(self):
         from hurwitzcf import expand
 
         p = branch((2, 2))(ecr(0, 0))
         assert expand(p, max_digits=1).digits[0].to_pair() == [2, 2]
-
-    def test_witness_names_first_digit_before_claims(self):
-        # the second sample, 2^16 w = (3 * 2^16, 0), is p = 1/3 with first digit 3
-        points = np.array([[2 << 16, 2 << 16], [3 << 16, 0]])
-        witness = svg._sample_witness(np.array([[2, 2]]), np.zeros(2, dtype=int), points,
-                                      np.array([[True], [False]]))
-        assert witness == {"check": "first_digit", "region": [2, 2], "point": "1/3+0i"}
-
-    def test_empty_cylinder_stalls_with_domain_error(self):
-        # no point 1/(u + 1) of the half-open box lies in the box
-        with pytest.raises(DomainError, match="stalled"):
-            svg._box_images(np.array([[1, 0]]), 5, np.random.default_rng(1))
 
 
 def _rows(*words):

@@ -2,16 +2,13 @@ import functools
 import math
 import re
 import xml.etree.ElementTree as ET
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hurwitzcf import DomainError, GaussianInt, TessellationSpec, render_svg, soundness_check
+from hurwitzcf import DomainError, TessellationSpec, render_svg, soundness_check
 from hurwitzcf import gaussian, svg
-from hurwitzcf.expansion import _from_quotient
-from hurwitzcf.gaussian import ExactComplexRational
-from hurwitzcf.svg import _box_images, region_digits, region_paths
+from hurwitzcf.svg import region_digits, region_paths
 
 
 def region_path(k, l):
@@ -262,9 +259,7 @@ class TestSoundness:
             soundness_check(TessellationSpec(norm_sq_max=2), samples_per_region=5, seed=seed)
 
     def test_sampled_points_carry_region_digit(self):
-        ok, witness = soundness_check(
-            TessellationSpec(norm_sq_max=9), samples_per_region=40, seed=3
-        )
+        ok, witness = soundness_check(TessellationSpec(norm_sq_max=9))
         assert ok, witness
 
     @pytest.mark.parametrize("norm_sq_max", [8, 13, 25])
@@ -275,7 +270,7 @@ class TestSoundness:
         real = svg.lattice_points
         monkeypatch.setattr(svg, "lattice_points", lambda *a: calls.append(a) or real(*a))
         spec = TessellationSpec(norm_sq_max=norm_sq_max)
-        assert soundness_check(spec, samples_per_region=3, seed=2) == (True, None)
+        assert soundness_check(spec) == (True, None)
         assert len(calls) == 1
         calls.clear()
         render_svg(spec)
@@ -289,10 +284,10 @@ class TestSoundness:
 
     def test_region_sampler_stays_in_cylinder(self):
         # the norm_sq 2 regions are exceptional: part of each branch image
-        # leaves the box, so their samples go through rejection
+        # leaves the box, yet each region is still its digit's pre-image box
         spec = TessellationSpec(norm_sq_max=2)
         assert all(d.norm_sq() == 2 for d in region_digits(spec))
-        ok, witness = soundness_check(spec, samples_per_region=25, seed=12)
+        ok, witness = soundness_check(spec)
         assert ok, witness
 
 
@@ -342,16 +337,16 @@ class TestSoundnessReadsTheSvg:
     @pytest.mark.parametrize("digit", [(2, 1), (3, 0), (-2, -2)])
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
     def test_mutated_path_fails(self, monkeypatch, digit, name):
-        assert soundness_check(self.spec, samples_per_region=20, seed=1) == (True, None)
+        assert soundness_check(self.spec) == (True, None)
         _mutate(monkeypatch, digit, MUTATIONS[name])
-        ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
+        ok, witness = soundness_check(self.spec)
         assert not ok
         assert witness["region"] == list(digit), witness
-        assert witness["check"] in ("arc", "edge_inside", "edge_outside", "unique_region")
+        assert witness["check"] in ("arc", "edge_inside", "edge_outside")
 
     def test_empty_path_fails(self, monkeypatch):
         monkeypatch.setattr(svg, "region_paths", lambda rows: ["M 0 0 Z"] * len(rows))
-        ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
+        ok, witness = soundness_check(self.spec)
         assert not ok
         assert witness["check"] == "arc" and witness["arc"] == -1
 
@@ -359,7 +354,7 @@ class TestSoundnessReadsTheSvg:
         real = svg.region_paths
         monkeypatch.setattr(svg, "region_paths", lambda rows: real(
             np.where((rows == [3, 2]).all(axis=1, keepdims=True), [3, 1], rows)))
-        ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
+        ok, witness = soundness_check(self.spec)
         assert not ok
         assert witness["check"] == "edge_inside" and witness["region"] == [3, 2]
 
@@ -367,12 +362,12 @@ class TestSoundnessReadsTheSvg:
         render = svg._document  # the check reads render_svg's document through it
         monkeypatch.setattr(svg, "_document", lambda spec, rows: render(spec, rows).replace(
             '<path id="cyl_2_1"', "<path"))
-        ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
+        ok, witness = soundness_check(self.spec)
         assert not ok and witness["check"] == "regions"
 
     def test_arc_witness_names_region_and_arc(self, monkeypatch):
         _mutate(monkeypatch, (3, 1), MUTATIONS["radius"])
-        ok, witness = soundness_check(self.spec, samples_per_region=20, seed=1)
+        ok, witness = soundness_check(self.spec)
         assert not ok
         assert witness["check"] == "arc" and witness["region"] == [3, 1] and witness["arc"] == 2
 
@@ -494,92 +489,18 @@ class TestRegionBounds:
         assert self.claims(-(5 << 15), -(3 << 15)) == [[-2, -1]]
 
     def test_samples_on_closed_edges_pass(self):
-        # seed 0 draws two samples on a closed edge, one of them
-        # 2^16 w = (-213019, -98304) of (-3, -1): on the closed bottom edge
-        # of its box and on the open top edge of (-3, -2)
-        rng = np.random.default_rng(0)
-        points = _box_images(svg._region_rows(self.spec), 1000, rng)
-        on_edge = (points % (1 << 16) == 1 << 15).any(axis=1)
-        assert on_edge.any()
-        assert soundness_check(self.spec, samples_per_region=1000, seed=0) == (True, None)
-
-
-def _sample_box_rationals(rng, count, grid=1 << 16):
-    """Seeded exact rational samples of the half-open unit box: the
-    per-point sampler whose stream ``_box_images`` draws in one call."""
-    res = rng.integers(-grid // 2, grid // 2, size=count)
-    ims = rng.integers(-grid // 2, grid // 2, size=count)
-    return [ExactComplexRational(Fraction(int(a), grid), Fraction(int(b), grid))
-            for a, b in zip(res, ims)]
-
-
-def _draw_images(rng, digit, lack):
-    """The first ``lack`` images 1/(u + digit) in the box of one draw of box
-    rationals u: ``lack`` of them, _OVERSAMPLE times as many for an
-    exceptional digit."""
-    factor = svg._OVERSAMPLE if digit.norm_sq() < 8 else 1
-    images = (u.add_gaussian(digit).reciprocal() for u in _sample_box_rationals(rng, factor * lack))
-    return [p for p in images if p.in_unit_box()][:lack]
-
-
-def _images_in_rounds(digits, samples, rng):
-    """Round by round: each digit still short, in order, draws for its
-    shortfall and keeps the images it lacks."""
-    kept = {d: [] for d in digits}
-    while short := [d for d in digits if len(kept[d]) < samples]:
-        for d in short:
-            kept[d] += _draw_images(rng, d, samples - len(kept[d]))
-    return [str(p) for d in digits for p in kept[d]]
-
-
-def _as_points(rows):
-    return [str(_from_quotient(1 << 16, 0, A, B)) for A, B in rows.tolist()]
-
-
-def test_witness_names_first_digit_of_a_sample_claimed_alone():
-    # 2^16 w = (3 * 2^16, 0) is p = 1/3, claimed by its region but with first digit 3
-    witness = svg._sample_witness(np.array([[2, 2]]), np.zeros(1, dtype=int),
-                                  np.array([[3 << 16, 0]]), np.array([[True]]))
-    assert witness == {"check": "first_digit", "region": [2, 2], "point": "1/3+0i"}
-
-
-def test_regular_digits_take_their_own_draws_in_turn():
-    digits = svg._region_rows(TessellationSpec(norm_sq_max=13, include_exceptional=False))
-    rng = np.random.default_rng(4)
-    expected = np.concatenate([_box_images(d[None], 30, rng) for d in digits])
-    assert (_box_images(digits, 30, np.random.default_rng(4)) == expected).all()
-
-
-def test_exceptional_digits_redraw_in_rounds():
-    digits = region_digits(TessellationSpec(norm_sq_max=8))
-    assert sum(d.norm_sq() < 8 for d in digits) == 16
-    points = _box_images(svg._region_rows(TessellationSpec(norm_sq_max=8)), 25,
-                         np.random.default_rng(9))
-    assert _as_points(points) == _images_in_rounds(digits, 25, np.random.default_rng(9))
-
-
-def test_box_images_take_the_sample_box_rationals_draws():
-    for digit, seed in ((GaussianInt(1, 1), 5), (GaussianInt(3, -2), 6), (GaussianInt(0, 2), 7)):
-        rng = np.random.default_rng(seed)
-        expected = []
-        while len(expected) < 40:
-            expected += _draw_images(rng, digit, 40 - len(expected))
-        points = _box_images(np.array([digit.to_pair()]), 40, np.random.default_rng(seed))
-        assert _as_points(points) == [str(p) for p in expected]
-
-
-def test_stall_guard_scales_with_the_draw_factor():
-    # no image 1/(u + 1) lies in the box; the exceptional digit 1 draws
-    # _OVERSAMPLE times its shortfall, and it stalls after 200 draws as it
-    # would at one draw per missing sample
-    sizes = []
-
-    class Recorder:
-        def integers(self, low, high, size):
-            sizes.append(size)
-            return rng.integers(low, high, size=size)
-
-    rng = np.random.default_rng(1)
-    with pytest.raises(DomainError, match="stalled for digit 1$"):
-        _box_images(np.array([[1, 0]]), 5, Recorder())
-    assert sizes == [2 * 5 * svg._OVERSAMPLE] * 200
+        # every 1001st grid point of each box's closed left and bottom edges,
+        # corners included, is claimed by its own region alone and has its
+        # region's first digit; each is also on the open edge of the next box
+        rows, lo, hi = svg._read_regions(TessellationSpec(norm_sq_max=13))
+        half = 1 << 15
+        steps = np.arange(-half, half, 1001)
+        edges = np.concatenate([np.stack([np.full_like(steps, -half), steps], axis=1),
+                                np.stack([steps, np.full_like(steps, -half)], axis=1)])
+        points = (rows << 16)[:, None, :] + edges  # (region, point, (A, B))
+        A, B = points[..., :1], points[..., 1:]
+        claimed = (A >= lo[:, 0]) & (A <= hi[:, 0]) & (B >= lo[:, 1]) & (B <= hi[:, 1])
+        assert (claimed.sum(axis=2) == 1).all()
+        assert claimed[np.arange(len(rows)), :, np.arange(len(rows))].all()
+        first_re, first_im = svg._euclid_step(1 << 16, 0, A[..., 0], B[..., 0])[:2]
+        assert (first_re == rows[:, :1]).all() and (first_im == rows[:, 1:]).all()

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hurwitzcf import dimension, gaussian, ifs, svg, verify
+from hurwitzcf import dimension, expansion, gaussian, ifs, svg, verify
 from hurwitzcf.config import RunConfig
 from hurwitzcf.gaussian import GaussianInt
 from hurwitzcf.verify import CHECKS, short_words
@@ -335,10 +335,10 @@ def test_pressure_check_fails_under_its_mutant(monkeypatch, name):
 # goes wrong, and the check must say so; no check threshold is touched
 
 
-def _patched(name, wrap):
-    """``gaussian.<name>`` replaced by ``wrap(real)``."""
+def _patched(module, name, wrap):
+    """``module.<name>`` replaced by ``wrap(real)``."""
     def apply(monkeypatch):
-        monkeypatch.setattr(gaussian, name, wrap(getattr(gaussian, name)))
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     return apply
 
 
@@ -369,10 +369,10 @@ def _half_turns_dropped(real):
 ARITH_MUTANTS = {
     # the count misses one point of the square of half-width 17
     "count_in_square_closed_form": _patched(
-        "count_in_square", lambda real: lambda n: real(n) - (n == 17)),
-    "nearest_round_residual_in_box": _patched("nearest_round", _round_off_past_two),
-    "enumeration_monotone_duplicate_free": _patched("lattice_points", _rows_duplicated),
-    "enumeration_index_norm_sandwich": _patched("lattice_points", _half_turns_dropped),
+        gaussian, "count_in_square", lambda real: lambda n: real(n) - (n == 17)),
+    "nearest_round_residual_in_box": _patched(gaussian, "nearest_round", _round_off_past_two),
+    "enumeration_monotone_duplicate_free": _patched(gaussian, "lattice_points", _rows_duplicated),
+    "enumeration_index_norm_sandwich": _patched(gaussian, "lattice_points", _half_turns_dropped),
 }
 ARITH_NAMES = [name.split(".", 1)[1] for name in VERIFY_ALL if name.startswith("arith.")]
 
@@ -387,3 +387,100 @@ def test_arith_check_fails_under_its_mutant(monkeypatch, name):
     ARITH_MUTANTS[name](monkeypatch)
     ok, witness = CHECKS["arith"][name](RunConfig())
     assert not ok, witness
+
+
+def test_nearest_round_check_refutes_flooring(monkeypatch):
+    # floor(x) in place of floor(x + 1/2) sends every coordinate in [-1/2, 0)
+    # out of the box; a corpus reduced by the same rounding would hide it
+    monkeypatch.setattr(gaussian, "nearest_round",
+                        lambda z: GaussianInt(math.floor(z.re), math.floor(z.im)))
+    ok, witness = CHECKS["arith"]["nearest_round_residual_in_box"](RunConfig())
+    assert not ok, witness
+
+
+# one mutant per expansion check: the map, its step or the digit alphabet
+# goes wrong, and the check must say so
+
+
+EXPANSION_MUTANTS = {
+    # the continuant reads the digits last first
+    "expansion_roundtrip_exact": _patched(
+        expansion, "evaluate", lambda real: lambda word: real(tuple(word)[::-1])),
+    # the step applies the map twice, so its iterate has lost two digits
+    "shift_removes_first_digit": _patched(
+        expansion, "hurwitz_step", lambda real: lambda z: (real(z)[0], real(real(z)[1])[1])),
+    # the four units of norm_sq 1 count as digits
+    "exceptional_set_is_the_sixteen": lambda monkeypatch: monkeypatch.setattr(
+        expansion, "MIN_DIGIT_NORM_SQ", 1),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPANSION_MUTANTS))
+def test_expansion_check_fails_under_its_mutant(monkeypatch, name):
+    EXPANSION_MUTANTS[name](monkeypatch)
+    ok, witness = CHECKS["expansion"][name](RunConfig())
+    assert not ok, witness
+
+
+# one mutant per ifs check: the branch alphabet, the derivative bounds, the
+# compositions or the rendered cylinders go wrong, and the check must say so
+
+
+def _sup_at_far_corner(monkeypatch):
+    # the supremum over the box is taken where the infimum is
+    monkeypatch.setattr(ifs.BranchComposition, "sup_deriv_exact",
+                        ifs.BranchComposition.inf_deriv_exact)
+
+
+def _exceptional_branches(monkeypatch):
+    # the branches start at the exceptional shell of norm_sq 5, not at 8
+    monkeypatch.setattr(ifs, "BRANCH_MIN_NORM_SQ", 5)
+
+
+def _words_reversed(monkeypatch):
+    # a word's matrix multiplies its branches in the opposite order
+    real = ifs.BranchComposition.from_word
+    monkeypatch.setattr(ifs.BranchComposition, "from_word",
+                        classmethod(lambda cls, word: real(list(word)[::-1])))
+
+
+def _class_below(real):
+    # each norm class is paired with the sup of the class below it
+    def classes(norm_sq_max):
+        out = real(norm_sq_max)
+        return [(ns, v) for (ns, _), (_, v) in zip(out[1:], out)]
+    return classes
+
+
+IFS_MUTANTS = {
+    "contraction_sup_two_ninths": _sup_at_far_corner,
+    "contraction_envelope_monotone": _patched(ifs, "sup_deriv_by_norm_class", _class_below),
+    "decay_bounds_over_box": _exceptional_branches,
+    "chain_rule_matches_matrix_exactly": _words_reversed,
+    # every region draws the box of its right neighbour
+    "branch_images_separated": _patched(
+        svg, "region_paths", lambda real: lambda rows: real(rows + [1, 0])),
+    "branch_images_nested": _exceptional_branches,
+    # the near and far corners change places
+    "distortion_words_within_k0": _patched(
+        ifs, "box_distortion_terms",
+        lambda real: lambda *rows: (lambda far, near, den: (near, far, den))(*real(*rows))),
+    # the bottom row is read as (d, c)
+    "ball_inclusion": _patched(
+        ifs, "ball_inclusion_holds",
+        lambda real: lambda cr, ci, dr, di, *bound: real(dr, di, cr, ci, *bound)),
+}
+
+
+@pytest.mark.parametrize("name", list(IFS_MUTANTS))
+def test_ifs_check_fails_under_its_mutant(monkeypatch, name):
+    IFS_MUTANTS[name](monkeypatch)
+    ok, witness = CHECKS["ifs"][name](RunConfig())
+    assert not ok, witness
+
+
+def test_every_reported_check_has_a_mutant():
+    # a check added to `verify all` without a mutant fails here
+    tables = {"arith": ARITH_MUTANTS, "expansion": EXPANSION_MUTANTS, "ifs": IFS_MUTANTS,
+              "pressure": PRESSURE_MUTANTS, "schedule": SCHEDULE_MUTANTS}
+    assert [f"{suite}.{name}" for suite, table in tables.items() for name in table] == VERIFY_ALL
