@@ -8,7 +8,6 @@ from __future__ import annotations
 import ast
 import contextlib
 import functools
-import itertools
 import math
 import string
 import warnings
@@ -18,15 +17,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
+from .expansion import REGULAR_NORM_SQ
 from .gaussian import GaussianInt, first_on_shell, lattice_points, norm_sq_shells
-from .ifs import (BRANCH_MIN_NORM_SQ, COMPOSITION_DISTORTION_BOUND, DECAY_C1, DECAY_C2,
-                  DIAMETER_K1, DIAMETER_K2, _as_digit, box_distortion_terms)
+from .ifs import (COMPOSITION_DISTORTION_BOUND, DECAY_C1, DECAY_C2, DIAMETER_K1, DIAMETER_K2,
+                  _as_digit, box_distortion_terms)
 
 SQRT2 = math.sqrt(2.0)
 
 _LOG_K0 = math.log(COMPOSITION_DISTORTION_BOUND)  # widens a sum into a bracket on the pressure
 _GROWTH_BLOCK = 1 << 14  # most steps of a growth bound evaluated at once (128 KiB of values)
-_FLOAT_RUN = 1 << 10  # steps a compiled growth bound gets as Python floats at a time (32 KiB)
 _MAX_BISECTIONS = 64  # caps each root search of bowen_dimension when tol is below the float spacing
 _MAX_HORIZON = 10**7  # largest tau or schedule horizon
 _MAX_SHELL_NORM_SQ = 1 << 24  # shell tables end here, at 5.3e7 lattice points
@@ -63,7 +62,7 @@ class DigitSet:
     @classmethod
     def d2(cls) -> "DigitSet":
         """The branch alphabet: norm_sq >= 8."""
-        return cls("d2", BRANCH_MIN_NORM_SQ, None)
+        return cls("d2", REGULAR_NORM_SQ, None)
 
     @classmethod
     def annulus(cls, norm_sq_lo: int, norm_sq_hi: int | None) -> "DigitSet":
@@ -129,12 +128,6 @@ class DigitSet:
     def min_norm_sq(self) -> int:
         self._shells.cover(1)
         return int(self._shells.values[0])
-
-    def shell_counts(self, limit_norm_sq: int) -> tuple[np.ndarray, np.ndarray]:
-        """Norm_sq shell values and member counts up to the cutoff."""
-        shells = self._shells
-        i, j = shells.band(0, limit_norm_sq + 1)
-        return shells.values[i:j].copy(), np.diff(shells.ends[i : j + 1])
 
     def norm_sq_array(self, count: int) -> np.ndarray:
         """Norm_sq of the first ``count`` members in enumeration order.
@@ -250,17 +243,13 @@ class _ShellTable:
             out.append(float(window[i - start : j - start].sum()))
         return out
 
-    def weight(self, norm_sq_lo: int, norm_sq_hi: int, exponent: float) -> float:
-        """Sum of |b|^-exponent over members with norm_sq in [lo, hi)."""
-        return self.weights(((norm_sq_lo, norm_sq_hi),), exponent)[0]
-
     def anchor_after(self, norm_sq_lo: int, exponent: float) -> int:
-        """Least shell value hi > lo with weight(lo, hi, exponent) >= 1.
+        """Least shell value hi > lo with weights([(lo, hi)], exponent)[0] >= 1.
 
         One cumulative sum over a window of terms from lo, doubled until it
         reaches 1 and the prefix sums settling its last ulp fit, places the
-        crossing.  A prefix of the window sums to ``weight``'s bits, so the
-        answer is the one a shell-by-shell scan with ``weight`` finds.
+        crossing.  A prefix of the window sums to ``weights``' bits, so the
+        answer is the one a shell-by-shell scan with ``weights`` finds.
         """
         i = int(np.searchsorted(self.values, norm_sq_lo))
         width = 64
@@ -342,16 +331,14 @@ class GrowthFunction:
 
 def _growth_values(f: GrowthFunction | Callable[[int], float], steps: range) -> np.ndarray:
     """f at a range of steps as float64, each step evaluated once into np.fromiter.
-    A GrowthFunction's compiled lambda runs over the steps as float64 ranges of
-    _FLOAT_RUN steps, whose floats are float(n) as the steps lie below 2^53; any
-    other f gets the int steps.  If a step raises or returns no real number, f
-    redoes the steps one at a time: the first raises as f does, or the values
-    before the one that raises return."""
+    A GrowthFunction's compiled lambda runs over one float64 range of the steps,
+    at most _GROWTH_BLOCK of them, whose floats are float(n) as the steps lie
+    below 2^53; any other f gets the int steps.  If a step raises or returns no
+    real number, f redoes the steps one at a time: the first raises as f does,
+    or the values before the one that raises return."""
     fn, args = f, steps
     if isinstance(f, GrowthFunction):
-        runs = (steps[i : i + _FLOAT_RUN] for i in range(0, len(steps), _FLOAT_RUN))
-        fn, args = f._fn, itertools.chain.from_iterable(
-            np.arange(r.start, r.stop, r.step, dtype=np.float64).tolist() for r in runs)
+        fn, args = f._fn, np.arange(steps.start, steps.stop, steps.step, dtype=np.float64).tolist()
     try:
         return np.fromiter(map(fn, args), dtype=np.float64, count=len(steps))
     except Exception:
@@ -681,7 +668,7 @@ def _branch_count(alphabet: DigitSet) -> int:
         k = alphabet._shells.count(0, alphabet.norm_sq_hi)  # every shell lies below norm_sq_hi
         suspects = [first_on_shell(int(ns)) for ns in alphabet._shells.values[:1]]
     for g in suspects:
-        if g.norm_sq() < BRANCH_MIN_NORM_SQ:
+        if g.norm_sq() < REGULAR_NORM_SQ:
             raise DomainError(f"alphabet digit {g} is not a branch index")
     if not k:
         raise DomainError("alphabet must be nonempty")
@@ -760,10 +747,6 @@ class BowenDimResult:
     upper_at_low: float  # the sup-norm hi at s_low
     lower_at_high: float  # the sup-norm lo at s_high
     enclosure: tuple[float, float]
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.s_low + self.s_high)
 
     @property
     def width(self) -> float:
@@ -1035,23 +1018,17 @@ def tail_integral_bound(a: float, p: float) -> float:
     return 2.0 * math.pi * (u ** (2.0 - p) / (p - 2.0) + (SQRT2 / 2.0) * u ** (1.0 - p) / (p - 1.0))
 
 
-_ENUM_NORM_MAX = 300  # restricted_power_sum enumerates the shells with |i| up to this
-
-
-def restricted_power_sum(s: DigitSet, norm_cutoff: int, p: float) -> float:
-    """Estimator of the sum of |i|^-p over members with |i| >= norm_cutoff.
-
-    Shells up to ``_ENUM_NORM_MAX`` are enumerated exactly; the remainder is
-    covered by the integral tail bound (an upper bound over the full
-    lattice, hence over any subset).
-    """
-    return _restricted_power_sums(s, p)(norm_cutoff)
+_ENUM_NORM_MAX = 300  # _restricted_power_sums enumerates the shells with |i| up to this
 
 
 def _restricted_power_sums(s: DigitSet, p: float) -> Callable[[int], float]:
-    """``restricted_power_sum(s, ., p)``, whose every head (the shells from
-    norm_cutoff^2 on) sums a suffix slice of one term array over the shells
-    up to ``_ENUM_NORM_MAX``^2: the bits of the head's own sum (``_ShellTable``)."""
+    """Estimator of the sum of |i|^-p over the members with |i| >= N, as a function of N.
+
+    Shells up to ``_ENUM_NORM_MAX`` are enumerated exactly; the remainder is
+    covered by the integral tail bound (an upper bound over the full
+    lattice, hence over any subset).  Every head (the shells from N^2 on)
+    sums a suffix slice of one term array over the shells up to
+    ``_ENUM_NORM_MAX``^2: the bits of the head's own sum (``_ShellTable``)."""
     shells = s._shells
     terms = shells.terms(0, shells.band(0, _ENUM_NORM_MAX**2 + 1)[1], p)
     finite = s.is_finite and s.norm_sq_hi is not None and s.norm_sq_hi <= _ENUM_NORM_MAX**2 + 1
@@ -1171,7 +1148,7 @@ class NonAutSchedule:
         for blk in self.blocks:
             if blk.start <= n <= blk.end:
                 return blk
-        return self.blocks[-1]
+        raise DomainError(f"step {n} lies in no block")
 
     def to_json(self) -> dict:
         return {
@@ -1332,7 +1309,7 @@ def _annulus_weight_at_least_one(sched: NonAutSchedule, f) -> tuple[bool, dict |
     annuli = list(zip(ns, ns[1:]))
     weights = sched.digit_set._shells.weights(annuli, sched.digit_set.tau - sched.eps)
     for (lo, hi), w in zip(annuli, weights):
-        if w < 1.0 - 1e-12:
+        if w < 1.0:
             return False, {"annulus": [lo, hi], "weight": w}
     return True, None
 
@@ -1444,12 +1421,13 @@ def subexp_check(sched: NonAutSchedule) -> SubexpTrajectory:
 
     The final-window maximum (last tenth of the horizon) must stay below
     the schedule's ratio tolerance for the system to count as
-    subexponentially bounded at desk scale.
+    subexponentially bounded at desk scale.  The blocks must tile [1,
+    horizon] (``_blocks_tile_horizon``), or the call raises ``DomainError``.
     """
+    if not _blocks_tile_horizon(sched, None)[0]:
+        raise DomainError(f"schedule blocks do not tile [1, {sched.horizon}]")
     ns = np.arange(1, sched.horizon + 1, dtype=np.float64)
-    sizes = np.empty(sched.horizon, dtype=np.float64)
-    for blk in sched.blocks:
-        sizes[blk.start - 1 : blk.end] = max(blk.count, 1)
+    sizes = np.repeat([float(max(b.count, 1)) for b in sched.blocks], [b.t for b in sched.blocks])
     ratio = np.log(sizes) / ns
     window_start = max(int(0.9 * sched.horizon) - 1, 0)
     return SubexpTrajectory(

@@ -202,7 +202,6 @@ class GuardedExpansion:
 
     digits: DigitWord
     status: str  # "ok", "precision_exhausted", or "max_digits"
-    steps: int
 
 
 # bits of the radius kept below its leading bit at entry
@@ -274,4 +273,4 @@ def expand_guarded(
             break
         digits.append(GaussianInt(dr, di))
         ar, ai, br, bi = cr, ci, ar, ai
-    return GuardedExpansion(DigitWord(tuple(digits)), status, len(digits))
+    return GuardedExpansion(DigitWord(tuple(digits)), status)

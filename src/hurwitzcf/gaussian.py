@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import DomainError
 
-Rat = int | Fraction
-
 
 @dataclass(frozen=True)
 class GaussianInt:

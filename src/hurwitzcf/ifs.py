@@ -18,9 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .expansion import REGULAR_NORM_SQ
 from .gaussian import ExactComplexRational, GaussianInt, points_by_norm
-
-BRANCH_MIN_NORM_SQ = 8
 
 # Supremum of single-branch derivative moduli over the closed unit box.
 # The minimiser of |z + k + il|^2 is the clamped projection of -(k + il);
@@ -97,7 +96,7 @@ class BranchComposition:
         """Append one branch on the inside (apply it first)."""
         digit = _as_digit(b)
         xr, xi = digit.re, digit.im
-        if xr * xr + xi * xi < BRANCH_MIN_NORM_SQ:
+        if xr * xr + xi * xi < REGULAR_NORM_SQ:
             raise DomainError(f"digit {digit} is not a branch index")
         # right-multiply by [[0,1],[1,digit]]: (a, b, c, d) -> (b, a + b digit, d, c + d digit)
         ar, ai, br, bi, cr, ci, dr, di = self.matrix
@@ -214,7 +213,7 @@ def chain_deriv_abs_exact(
 
 def d2_branches(norm_sq_max: int) -> list[GaussianInt]:
     """All branch indices with norm_sq in [8, norm_sq_max], norm-lex ordered."""
-    return points_by_norm(BRANCH_MIN_NORM_SQ, norm_sq_max)
+    return points_by_norm(REGULAR_NORM_SQ, norm_sq_max)
 
 
 # ---------------------------------------------------------------------------

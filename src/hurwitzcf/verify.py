@@ -88,10 +88,10 @@ def _nearest_round_residual_in_box(config: RunConfig):
 
 @check("arith", "enumeration_monotone_duplicate_free")
 def _enumeration_monotone_duplicate_free(config: RunConfig):
-    pts = gaussian.points_by_norm(0, 5000)[:10_000]
-    norms = [p.norm_sq() for p in pts]
-    ok = all(norms[i] <= norms[i + 1] for i in range(len(norms) - 1))
-    return ok and len(set((p.re, p.im) for p in pts)) == len(pts), None
+    # (norm_sq, re, im) strictly increasing: norms never fall, no point
+    # repeats, and ties come in (re, im) order
+    keys = [(p.norm_sq(), p.re, p.im) for p in gaussian.points_by_norm(0, 5000)[:10_000]]
+    return all(a < b for a, b in zip(keys, keys[1:])), None
 
 
 @check("arith", "enumeration_index_norm_sandwich")

@@ -20,7 +20,7 @@ from hurwitzcf import (
     upper_threshold,
 )
 from hurwitzcf import dimension
-from hurwitzcf.dimension import _word_value_table, restricted_power_sum, tail_integral_bound
+from hurwitzcf.dimension import _restricted_power_sums, _word_value_table, tail_integral_bound
 from hurwitzcf.gaussian import GaussianInt, lattice_points, norm_sq_shells
 from hurwitzcf.ifs import COMPOSITION_DISTORTION_BOUND, DECAY_C2, DIAMETER_K1, DIAMETER_K2
 
@@ -28,6 +28,14 @@ from hurwitzcf.ifs import COMPOSITION_DISTORTION_BOUND, DECAY_C2, DIAMETER_K1, D
 PAIR = DigitSet.from_branches([(2, 2), (-2, -2)])
 QUAD = DigitSet.from_branches([(2, 2), (-2, -2), (3, 0), (0, 3)])
 SINGLE = DigitSet.from_branches([(2, 2)])
+
+
+def _shell_counts(s, limit_norm_sq):
+    """Norm_sq shell values and member counts of a digit set up to the cutoff,
+    read from its shell table."""
+    shells = s._shells
+    i, j = shells.band(0, limit_norm_sq + 1)
+    return shells.values[i:j], np.diff(shells.ends[i : j + 1])
 
 
 class TestDigitSet:
@@ -50,7 +58,7 @@ class TestDigitSet:
 
     def test_shell_counts_vs_enumeration(self):
         d2 = DigitSet.d2()
-        values, counts = d2.shell_counts(64)
+        values, counts = _shell_counts(d2, 64)
         brute = {}
         for a in range(-8, 9):
             for b in range(-8, 9):
@@ -115,7 +123,7 @@ def test_digit_set_against_brute_force(s, member):
             s.members()
     assert s.norm_sq_array(len(brute)).tolist() == norms
     assert s.min_norm_sq() == norms[0]
-    values, counts = s.shell_counts(1000)
+    values, counts = _shell_counts(s, 1000)
     shells = Counter(ns for ns in norms if ns <= 1000)
     assert dict(zip(values.tolist(), counts.tolist())) == shells
 
@@ -134,8 +142,8 @@ def test_empty_finite_set_raises(s):
 def test_shell_table_budget(s):
     # shells past norm_sq 2^24 are a budget, reached before any grid is built
     with pytest.raises(BudgetExceededError, match=r"needs shells past norm_sq 16777216$"):
-        s.shell_counts((1 << 24) + 1)
-    assert DigitSet.annulus(8, 100).shell_counts(1 << 30)[0][-1] == 98  # a finite cap stays in
+        _shell_counts(s, (1 << 24) + 1)
+    assert _shell_counts(DigitSet.annulus(8, 100), 1 << 30)[0][-1] == 98  # a finite cap stays in
 
 
 # The recursive enumeration over full 8-tuple composition matrices that
@@ -713,7 +721,7 @@ class TestBowen:
             ),
         ):
             result = bowen_dimension(digit_set, tol=1e-3, n_max=6)
-            mids.append(result.midpoint)
+            mids.append(0.5 * (result.s_low + result.s_high))
         assert mids[0] < mids[1] < mids[2]
 
     def test_infinite_alphabet_rejected(self):
@@ -1077,7 +1085,7 @@ SHELL_SETS = {"d2": DigitSet.d2, "lattice": DigitSet.lattice,
 
 
 class TestShellQueries:
-    """``weight``, ``weights`` and ``count`` against the per-call formulas
+    """``weights`` and ``count`` against the per-call formulas
     they replaced, bit for bit, on bands queried while the table grows and
     after; the reference shells are counted afresh."""
 
@@ -1098,7 +1106,7 @@ class TestShellQueries:
                 if rng.random() < 0.1:
                     lo, hi = hi, lo
             exponent = rng.choice(exponents)
-            got = table.weight(lo, hi, exponent).hex(), table.count(lo, hi)
+            got = table.weights([(lo, hi)], exponent)[0].hex(), table.count(lo, hi)
             if table.limit not in fresh:
                 fresh[table.limit] = _fresh_shells(table.set, table.limit)
             assert got == _band_formula(fresh[table.limit], lo, hi, exponent), (lo, hi, exponent)
@@ -1125,7 +1133,7 @@ class TestShellQueries:
             got = table.weights(bands, exponent)
             shells = _fresh_shells(table.set, table.limit)
             for (lo, hi), w in zip(bands, got, strict=True):
-                assert w.hex() == table.weight(lo, hi, exponent).hex()
+                assert w.hex() == table.weights([(lo, hi)], exponent)[0].hex()
                 assert (w.hex(), table.count(lo, hi)) == _band_formula(shells, lo, hi, exponent)
                 wide += int(np.searchsorted(shells[0], hi) - np.searchsorted(shells[0], lo)) > window
         assert wide >= 3 and table.weights([], 1.0) == []
@@ -1188,7 +1196,7 @@ class TestUpperThreshold:
     def test_head_enumeration_matches_brute_force(self):
         s = DigitSet.with_min_norm_sq(10_000)
         p = 12.0
-        primary = restricted_power_sum(s, 100, p)  # enumerates |i| <= 300
+        primary = _restricted_power_sums(s, p)(100)  # enumerates |i| <= 300
         axis = np.arange(-300, 301, dtype=np.float64) ** 2
         grid = (axis[:, None] + axis[None, :]).ravel()
         brute = float(np.sum(grid[grid >= 10_000] ** (-p / 2.0)))
@@ -1209,7 +1217,7 @@ class TestUpperThreshold:
 
     @staticmethod
     def _ref_power_sum(s, shells, norm_cutoff, p):
-        """restricted_power_sum by its formula: the head over shells counted
+        """_restricted_power_sums by its formula: the head over shells counted
         afresh, summed as a fresh band, then the integral tail."""
         top = dimension._ENUM_NORM_MAX
         head = 0.0
@@ -1230,12 +1238,13 @@ class TestUpperThreshold:
                                   "minnormsq:10000", "annulus", "explicit"])
     def test_matches_a_reference_bisection(self, make, eps):
         # the doubling and bisection of upper_threshold over the formula's
-        # sums, and restricted_power_sum against the formula at every cutoff
+        # sums, and _restricted_power_sums against the formula at every cutoff
         s = make()
         p = s.tau + eps
         shells = _fresh_shells(s, dimension._ENUM_NORM_MAX**2)
+        power_sum = _restricted_power_sums(s, p)
         for n in [*range(1, 302), 1000, 1 << 20]:
-            assert restricted_power_sum(s, n, p).hex() == self._ref_power_sum(s, shells, n, p).hex()
+            assert power_sum(n).hex() == self._ref_power_sum(s, shells, n, p).hex()
         factor = (COMPOSITION_DISTORTION_BOUND * DIAMETER_K2 * float(DECAY_C2)
                   / DIAMETER_K1) ** (p / 2.0)
 

@@ -249,6 +249,14 @@ class TestBuildSchedule:
             weight = math.fsum(shells[ns] * ns ** (-p / 2) for ns in norms[i:j])
             assert weight >= 1.0 - 1e-12
 
+    def test_annulus_weight_is_compared_with_one_exactly(self, d2_schedule):
+        # eps restated a hair below the 0.5 it was built for: the least
+        # annulus weight falls to 0.99999999999932, within 1e-12 of 1 but below it
+        sched, growth = d2_schedule
+        check = dict(SCHEDULE_CHECKS)["annulus_weight_at_least_one"]
+        ok, witness = check(replace(sched, eps=0.4999399742615424), growth)
+        assert not ok and 1.0 - 1e-12 <= witness["weight"] < 1.0
+
     def test_blocks_partition_horizon(self, d2_schedule):
         sched, _ = d2_schedule
         assert sched.blocks[0].start == 1
@@ -316,6 +324,24 @@ class TestScheduleEdges:
         assert status["blocks_tile_horizon"] == "pass"
         assert status["growth_domination"] == "fail"
 
+    def test_subexp_check_rejects_a_dropped_last_block(self, d2_schedule):
+        # no block gives the pool size of the last block's steps
+        sched, _ = d2_schedule
+        with pytest.raises(DomainError, match=r"do not tile \[1, 10000\]"):
+            subexp_check(replace(sched, blocks=sched.blocks[:-1]))
+
+    def test_block_of_rejects_a_step_in_a_gap(self, d2_schedule):
+        # block 4 ends one step early, so its last step lies in no block
+        sched, _ = d2_schedule
+        blocks = list(sched.blocks)
+        blocks[3] = replace(blocks[3], t=blocks[3].t - 1)
+        gapped = replace(sched, blocks=tuple(blocks))
+        with pytest.raises(DomainError, match=f"step {blocks[3].end + 1} lies in no block"):
+            gapped.block_of(blocks[3].end + 1)
+        assert gapped.block_of(blocks[3].end) == blocks[3]
+        with pytest.raises(DomainError, match="do not tile"):
+            subexp_check(gapped)
+
     def test_finite_set_rejected(self):
         with pytest.raises(DomainError):
             build_schedule(
@@ -330,13 +356,13 @@ class TestScheduleEdges:
 
 
 def _scan_anchors(s, p, count):
-    """Reference: anchors by a shell-by-shell scan, one ``weight`` per shell."""
+    """Reference: anchors by a shell-by-shell scan, one ``weights`` band per shell."""
     shells = s._shells
     anchor_ns = [s.min_norm_sq()]
     while len(anchor_ns) < count:
         lo = anchor_ns[-1]
         hi = shells.next_shell_after(lo)
-        while shells.weight(lo, hi, p) < 1.0:
+        while shells.weights([(lo, hi)], p)[0] < 1.0:
             hi = shells.next_shell_after(hi)
         anchor_ns.append(hi)
     return anchor_ns
@@ -517,7 +543,9 @@ class TestLowerBoundChain:
         sched, _ = d2_schedule
         result = verify_lower_bound_chain(sched, 0.5, 0.1, sched.horizon)
         s, first = result.s_value, sched.blocks[:result.block_cutoff]
-        values, counts = sched.digit_set.shell_counts(first[-1].norm_sq_hi)
+        shells = sched.digit_set._shells
+        i, j = shells.band(0, first[-1].norm_sq_hi + 1)
+        values, counts = shells.values[i:j], shells.ends[i + 1 : j + 1] - shells.ends[i:j]
         weights = {first[0].index: sched.anchors[0].norm_sq() ** -s}  # block 1: z_1 alone
         for blk in first[1:]:
             pool = (values >= blk.norm_sq_lo) & (values < blk.norm_sq_hi)

@@ -398,6 +398,22 @@ def test_nearest_round_check_refutes_flooring(monkeypatch):
     assert not ok, witness
 
 
+def _tie_swapped(real):
+    # the first two norm-2 points change places: norms never fall and no
+    # point repeats, but the shell leaves (re, im) order
+    def rows(lo, hi):
+        out = real(lo, hi).copy()
+        out[[5, 6]] = out[[6, 5]]
+        return out
+    return rows
+
+
+def test_enumeration_check_refutes_a_tie_out_of_order(monkeypatch):
+    _patched(gaussian, "lattice_points", _tie_swapped)(monkeypatch)
+    ok, witness = CHECKS["arith"]["enumeration_monotone_duplicate_free"](RunConfig())
+    assert not ok, witness
+
+
 # one mutant per expansion check: the map, its step or the digit alphabet
 # goes wrong, and the check must say so
 
@@ -434,7 +450,7 @@ def _sup_at_far_corner(monkeypatch):
 
 def _exceptional_branches(monkeypatch):
     # the branches start at the exceptional shell of norm_sq 5, not at 8
-    monkeypatch.setattr(ifs, "BRANCH_MIN_NORM_SQ", 5)
+    monkeypatch.setattr(ifs, "REGULAR_NORM_SQ", 5)
 
 
 def _words_reversed(monkeypatch):
