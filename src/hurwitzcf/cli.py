@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import click
 import numpy as np
@@ -58,36 +58,40 @@ def _numeric(column) -> bool:
     return set(map(type, column)) <= {int, float}
 
 
-def _csv_pieces(columns: dict) -> Iterator[str]:
-    """The CSV table of ordered columns: the header of column names, then
-    the rows, _ROW_BLOCK at a time, one piece each.  A block of only int
-    and float columns is formatted column by column, str() of each value,
-    which is what csv.writer writes for them, and joined row by row; a
-    block with bool, None, str or complex goes through csv.writer."""
-    yield _csv_text([columns])
-    for lo in range(0, min(map(len, columns.values()), default=0), _ROW_BLOCK):
-        block = [c[lo : lo + _ROW_BLOCK] for c in columns.values()]
-        numeric = all(map(_numeric, block))
-        block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-        if numeric:
-            yield "\n".join([*map(",".join, zip(*(map(str, c) for c in block))), ""])
-        else:
-            yield _csv_text(zip(*block))
+def _csv_pieces(names: Iterable[str], blocks: Iterable[Sequence]) -> Iterator[str]:
+    """The CSV table: the header of column names, then the rows of each
+    block of columns (lists or numpy arrays, one entry per row),
+    _ROW_BLOCK rows at a time, one piece each.  A piece of only int and
+    float columns is formatted column by column, str() of each value, which
+    is what csv.writer writes for them, and joined row by row; a piece with
+    bool, None, str or complex goes through csv.writer."""
+    yield _csv_text([names])
+    for columns in blocks:
+        for lo in range(0, min(map(len, columns), default=0), _ROW_BLOCK):
+            block = [c[lo : lo + _ROW_BLOCK] for c in columns]
+            numeric = all(map(_numeric, block))
+            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            if numeric:
+                yield "\n".join([*map(",".join, zip(*(map(str, c) for c in block))), ""])
+            else:
+                yield _csv_text(zip(*block))
 
 
-def _emit(ctx: click.Context, payload: dict, columns: dict | None = None) -> None:
+def _emit(ctx: click.Context, payload: dict, names: Sequence[str] | None = None,
+          blocks: Iterable[Sequence] = ()) -> None:
     """Write the JSON form of a result, or its CSV table, to --out or stdout.
 
-    The table comes as ordered columns, name -> list or numpy array, one
-    entry per row; without columns it is the payload as one row.  The JSON
-    is serialised whole before anything is written; the CSV goes out one
-    row block at a time (_csv_pieces), so a table without rows is its
-    header alone.
+    The table has the column names and comes as row blocks, each a
+    sequence of columns (lists or numpy arrays, one entry per row); without
+    names it is the payload as one row.  The JSON is serialised whole
+    before anything is written, and the blocks are not read; the CSV goes
+    out one row block at a time (_csv_pieces), so a table without rows is
+    its header alone.
     """
     if ctx.obj["format"] == "csv":
-        if columns is None:
-            columns = {name: [value] for name, value in payload.items()}
-        _write(ctx, _csv_pieces(columns))
+        if names is None:
+            names, blocks = list(payload), [[[value] for value in payload.values()]]
+        _write(ctx, _csv_pieces(names, blocks))
         return
     try:
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -140,12 +144,16 @@ def _tau_estimate(source: str, horizon: int) -> dimension.TauEstimate:
             raise DomainError(f"power exponent must be a number, got {text!r}") from None
         if not (math.isfinite(p) and p > 0):
             raise DomainError(f"power exponent must be finite and positive, got {text}")
-        dimension._check_tau_horizon(horizon)
-        # n^p may overflow to inf; tau_exponent rejects non-finite norms
-        norms = np.arange(1, horizon + 1, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            norms **= p
-        return dimension.tau_exponent(norms, horizon)
+
+        def power(i: slice) -> np.ndarray:
+            # x_n = n^p at the 0-based indices of i; it may overflow to inf,
+            # which tau_exponent rejects as a non-finite norm
+            x = np.arange(i.start + 1, i.stop + 1, i.step, dtype=np.float64)
+            with np.errstate(over="ignore"):
+                x **= p
+            return x
+
+        return dimension.tau_exponent(power, horizon)
     raise DomainError(f"unknown tau source {source!r}; use lattice, d2 or power:<p>")
 
 
@@ -222,12 +230,12 @@ def expand(ctx, z, max_digits):
         "terminated": result.terminated,
         "roundtrip_ok": roundtrip,
     }
-    columns = {
-        "index": list(range(1, len(result.digits) + 1)),
-        "re": [d.re for d in result.digits],
-        "im": [d.im for d in result.digits],
-    }
-    _emit(ctx, payload, columns)
+    columns = [
+        list(range(1, len(result.digits) + 1)),
+        [d.re for d in result.digits],
+        [d.im for d in result.digits],
+    ]
+    _emit(ctx, payload, ("index", "re", "im"), [columns])
     click.echo(f"digits: {result.digits}", file=sys.stderr)
     click.echo(f"terminated: {result.terminated}  roundtrip: {roundtrip}", file=sys.stderr)
 
@@ -294,9 +302,8 @@ def tau(ctx, source, horizon):
     horizon = config.horizon if horizon is None else horizon
     est = _tau_estimate(source, horizon)
     payload = dict(est.to_json(), source=source)
-    columns = {"n": est.trajectory_n.astype(np.int64), "x": est.trajectory_x,
-               "ratio": est.trajectory_ratio}
-    _emit(ctx, payload, columns)
+    columns = [est.trajectory_n.astype(np.int64), est.trajectory_x, est.trajectory_ratio]
+    _emit(ctx, payload, ("n", "x", "ratio"), [columns])
     click.echo(f"tau estimate: {est.estimate:.6f} (ratio max {est.ratio_max:.6f})", file=sys.stderr)
 
 
@@ -366,16 +373,17 @@ def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
     if emit == "subexp":
         traj = dimension.subexp_check(sched)
         payload["subexp"] = traj.to_json()
-        columns = {"n": traj.n.astype(np.int64), "ratio": traj.ratio}
+        names, rows = ("n", "ratio"), traj.rows()
     else:
+        names = ("norm_lo", "norm_hi", "count", "t", "block")
         blocks = [b.to_json() for b in sched.blocks]
-        columns = {name: [b[name] for b in blocks] for name in ("norm_lo", "norm_hi", "count", "t")}
-        columns["block"] = [b.index for b in sched.blocks]
+        columns = [[b[name] for b in blocks] for name in names[:-1]]
+        rows = [[*columns, [b.index for b in sched.blocks]]]
     failed = []
     if validate:
         payload["validation"] = dimension.validate_schedule(sched, fn)
         failed = [c for c in payload["validation"] if c["status"] != "pass"]
-    _emit(ctx, payload, columns)
+    _emit(ctx, payload, names, rows)
     if sched.warning:
         click.echo(f"warning: {sched.warning}", file=sys.stderr)
     if failed:
@@ -395,8 +403,8 @@ def verify(ctx, suite):
     checks = verifymod.run_suite(suite, config)
     passed = all(c["status"] == "pass" for c in checks)
     payload = {"suite": suite, "passed": passed, "checks": checks}
-    columns = {name: [c[name] for c in checks] for name in ("check", "status")}
-    _emit(ctx, payload, columns)
+    names = ("check", "status")
+    _emit(ctx, payload, names, [[[c[name] for c in checks] for name in names]])
     for c in checks:
         click.echo(f"{c['status']:>4}  {c['check']}", file=sys.stderr)
     if not passed:

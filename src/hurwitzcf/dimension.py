@@ -12,7 +12,7 @@ import math
 import string
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -845,7 +845,9 @@ def bowen_dimension(
 # trajectory rows a TauEstimate keeps (and the tau command prints): every
 # max(1, horizon // TAU_ROWS)-th index
 TAU_ROWS = 10_000
-_TAU_CHUNK = 1 << 18  # runs per block of the tail-window scan
+# steps or runs per block of every per-step sequence that tau and
+# subexp_check read, 256 KiB of float64: no array is as long as the horizon
+_TAU_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -869,7 +871,9 @@ class TauEstimate:
         }
 
 
-def tau_exponent(norms: Sequence[float] | np.ndarray, horizon: int) -> TauEstimate:
+def tau_exponent(
+    norms: Sequence[float] | np.ndarray | Callable[[slice], np.ndarray], horizon: int
+) -> TauEstimate:
     """Convergence exponent of a nondecreasing norm sequence.
 
     The limit being estimated is limsup log n / log x_n.  The plain ratio
@@ -878,24 +882,32 @@ def tau_exponent(norms: Sequence[float] | np.ndarray, horizon: int) -> TauEstima
     maximum two-point log-log slope from the tail-window anchor (index
     horizon/10) to later indices where x has at least doubled; the raw
     ratio trajectory is kept for diagnostics at every
-    max(1, horizon // TAU_ROWS)-th index.  The sequence is scanned as runs
-    of length one (``_tau_on_runs``).
+    max(1, horizon // TAU_ROWS)-th index.
+
+    norms is a sequence of at least horizon values, or a function that
+    maps a slice of 0-based indices to the float64 x at them.  It is
+    scanned as runs of length one (``_tau_on_runs``), which checks it
+    finite and nondecreasing as it reads it, _TAU_CHUNK indices at a time:
+    a function is never asked for more than _TAU_CHUNK values at once (the
+    trajectory's, fewer than 2 TAU_ROWS, included).
     """
     _check_tau_horizon(horizon)
-    x = np.asarray(norms, dtype=np.float64)[:horizon]
+    if callable(norms):
+        return _tau_on_runs(norms, None, horizon)
+    x = np.asarray(norms[:horizon], dtype=np.float64)
     if len(x) < horizon:
         raise DomainError(f"sequence shorter ({len(x)}) than horizon {horizon}")
-    if not np.isfinite(x).all():
-        raise DomainError("norm sequence must be finite")
-    if np.any(x[1:] < x[:-1]):
-        raise DomainError("norm sequence must be nondecreasing")
-    return _tau_on_runs(x, None, horizon)
+    return _tau_on_runs(x.__getitem__, None, horizon)
 
 
-def _tau_on_runs(x: np.ndarray, ends: np.ndarray | None, horizon: int) -> TauEstimate:
-    """``tau_exponent`` of the sequence that is x[r] at the 0-based indices
-    ends[r] <= i < ends[r + 1]: x nondecreasing, ends[0] = 0 and the runs
-    reaching the horizon.  ends None stands for runs of length one.
+def _tau_on_runs(
+    x_at: Callable[[slice | np.ndarray], np.ndarray], ends: np.ndarray | None, horizon: int
+) -> TauEstimate:
+    """``tau_exponent`` of the sequence that is x at run r on the 0-based
+    indices ends[r] <= i < ends[r + 1]: ends[0] = 0 and the runs reaching
+    the horizon.  ends None stands for runs of length one.  x_at maps a
+    slice of runs, and with ends an int array of runs, to the float64 x
+    there.
 
     On a run of equal x > 1, log n / log x and (log n - log n0) / (log x -
     log x0) are nondecreasing in n: the float logs of the integers up to
@@ -904,50 +916,73 @@ def _tau_on_runs(x: np.ndarray, ends: np.ndarray | None, horizon: int) -> TauEst
     dividing by a positive one keeps that order.  So both maxima over the
     tail window sit at each run's last index inside the horizon, and the
     scan takes one ratio and one slope per run there, the floats a scan of
-    every index takes.  As x is nondecreasing, x > 1 and x >= 2 x0 each
-    hold on a suffix of the runs, whose start np.searchsorted finds.  The
-    runs are scanned in blocks, so no temporary is as long as the horizon.
+    every index takes.
+
+    x is read once, through x_at in blocks of at most _TAU_CHUNK runs, each
+    an elementwise slice of the whole sequence.  Each block is checked
+    first: a non-finite x raises at once, and an order break once every
+    block is read, so a non-finite x is reported wherever the order breaks;
+    the scan stops at the first break.  As x is nondecreasing, x > 1 and
+    x >= 2 x0 each hold on a suffix of the runs, whose start a block finds
+    by np.searchsorted within itself.
     """
     def run_of(i):  # the run holding 0-based index i (an int or an int array)
         return i if ends is None else np.searchsorted(ends, i, side="right") - 1
 
-    x = x[: run_of(horizon - 1) + 1]
-    if float(x[-1]) <= 1.0:
-        raise DomainError("all norms <= 1 within horizon: logarithms degenerate")
-
-    kept = np.arange(0, horizon, max(1, horizon // TAU_ROWS))
-    n = kept + 1.0
-    xk = x[run_of(kept)]
-    valid = int(xk.searchsorted(1.0, side="right"))  # xk[valid:] > 1
-    ratio = np.full(len(kept), np.nan)
-    ratio[valid:] = np.log(n[valid:]) / np.log(xk[valid:])
-
-    first_valid = int(x.searchsorted(1.0, side="right"))  # the first run with x > 1
-    first_valid = (first_valid if ends is None else int(ends[first_valid])) + 1  # its first n
-    n0 = max(horizon // 10, 10, first_valid)
-    first = run_of(n0 - 1)
-    x0 = float(x[first])
-    grown = int(x.searchsorted(2.0 * x0))  # x[grown:] >= 2 x0
-
-    # every x in the window from run ``first`` on is at least x0 > 1; that
-    # run itself has x = x0 < 2 x0, so it never contributes a slope
+    runs = int(run_of(horizon - 1)) + 1
+    n0 = max(horizon // 10, 10)  # the anchor, unless x > 1 first holds past it
+    first = x0 = None  # the anchor's run and its x, once x > 1 is found
+    ordered, last = True, -math.inf
     ratio_max = estimate = -math.inf
-    for lo in range(first, len(x), _TAU_CHUNK):
-        hi = min(lo + _TAU_CHUNK, len(x))
+    for lo in range(0, runs, _TAU_CHUNK):
+        hi = min(lo + _TAU_CHUNK, runs)
+        xb = x_at(slice(lo, hi))
+        if not np.isfinite(xb).all():
+            raise DomainError("norm sequence must be finite")
+        ordered = ordered and last <= xb[0] and not np.any(xb[1:] < xb[:-1])
+        last = xb[-1]
+        if not ordered:
+            continue
+        if first is None:
+            if xb[-1] <= 1.0:
+                continue
+            valid = lo + int(xb.searchsorted(1.0, side="right"))  # the first run with x > 1
+            n0 = max(n0, (valid if ends is None else int(ends[valid])) + 1)
+            first = int(run_of(n0 - 1))
+        if hi <= first:
+            continue
+        if x0 is None:
+            x0 = float(xb[first - lo])
+            xb, lo = xb[first - lo :], first
+        # every x in the window from run ``first`` on is at least x0 > 1;
+        # that run itself has x = x0 < 2 x0, so it never contributes a slope
         if ends is None:
             log_n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         else:  # each run's last index inside the horizon, as the count n
             log_n = np.minimum(ends[lo + 1 : hi + 1], horizon).astype(np.float64)
         np.log(log_n, out=log_n)
-        log_x = np.log(x[lo:hi])
+        log_x = np.log(xb)
         ratio_max = max(ratio_max, float((log_n / log_x).max()))
-        if grown < hi:  # the slopes, in place on the grown suffix
-            k = max(grown - lo, 0)
+        k = int(xb.searchsorted(2.0 * x0))  # xb[k:] >= 2 x0
+        if k < len(xb):  # the slopes, in place on the grown suffix
             slopes, log_x = log_n[k:], log_x[k:]
             slopes -= math.log(n0)
             log_x -= math.log(x0)
             slopes /= log_x
             estimate = max(estimate, float(slopes.max()))
+    if not ordered:
+        raise DomainError("norm sequence must be nondecreasing")
+    if first is None:
+        raise DomainError("all norms <= 1 within horizon: logarithms degenerate")
+
+    step = max(1, horizon // TAU_ROWS)
+    kept = np.arange(0, horizon, step)
+    n = kept + 1.0
+    # a copy, as x_at may return a view of the caller's sequence
+    xk = np.array(x_at(slice(0, horizon, step) if ends is None else run_of(kept)))
+    valid = int(xk.searchsorted(1.0, side="right"))  # xk[valid:] > 1
+    ratio = np.full(len(kept), np.nan)
+    ratio[valid:] = np.log(n[valid:]) / np.log(xk[valid:])
     degenerate = estimate == -math.inf
     return TauEstimate(
         estimate=ratio_max if degenerate else estimate,
@@ -975,8 +1010,8 @@ def tau_of_digit_set(s: DigitSet, horizon: int = 200_000) -> TauEstimate:
     _check_tau_horizon(horizon)
     shells = s._shells
     shells.cover(horizon)
-    norms = shells.values.astype(np.float64)
-    return _tau_on_runs(np.sqrt(norms, out=norms), shells.ends, horizon)
+    return _tau_on_runs(lambda r: np.sqrt(shells.values[r], dtype=np.float64), shells.ends,
+                        horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -1399,14 +1434,31 @@ def validate_schedule(
 
 @dataclass(frozen=True)
 class SubexpTrajectory:
-    n: np.ndarray
-    ratio: np.ndarray
+    """log(pool size)/n over the steps n = 1..horizon, kept per block: block
+    m holds the steps starts[m] <= n < starts[m + 1] and has log(size)
+    log_sizes[m]; starts ends with horizon + 1."""
+
+    starts: np.ndarray
+    log_sizes: np.ndarray
     final_window_max: float
     ratio_tol: float
 
     @property
     def ok(self) -> bool:
         return self.final_window_max < self.ratio_tol
+
+    def rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(n, log(size)/n) over n = 1..horizon, _TAU_CHUNK steps at a time:
+        each block's log size repeated over its steps, divided by n as a
+        float, the values a division of whole per-step arrays gives."""
+        starts = self.starts
+        for lo in range(1, int(starts[-1]), _TAU_CHUNK):
+            n = np.arange(lo, min(lo + _TAU_CHUNK, int(starts[-1])))
+            i, j = starts.searchsorted((lo, n[-1]), side="right") - 1
+            steps = np.diff(np.clip(starts[i : j + 2], lo, n[-1] + 1))  # of each block here
+            ratio = np.repeat(self.log_sizes[i : j + 1], steps)
+            ratio /= n
+            yield n, ratio
 
     def to_json(self) -> dict:
         return {
@@ -1417,23 +1469,31 @@ class SubexpTrajectory:
 
 
 def subexp_check(sched: NonAutSchedule) -> SubexpTrajectory:
-    """Trajectory of log(pool size)/n over the horizon.
+    """Trajectory of log(pool size)/n over the horizon, kept per block; its
+    rows come _TAU_CHUNK steps at a time (``SubexpTrajectory.rows``).
 
     The final-window maximum (last tenth of the horizon) must stay below
     the schedule's ratio tolerance for the system to count as
-    subexponentially bounded at desk scale.  The blocks must tile [1,
-    horizon] (``_blocks_tile_horizon``), or the call raises ``DomainError``.
+    subexponentially bounded at desk scale.  It is the maximum over the
+    blocks of log(size) / (the block's first step inside the window),
+    exactly the maximum over every step: log(size) >= 0 is constant on a
+    block, and a correctly rounded division of it by a larger n is no
+    larger.  The log of each pool size is taken once, by np.log over the
+    blocks, the elementwise operation a per-step array of sizes would get.
+    The blocks must tile [1, horizon] (``_blocks_tile_horizon``), or the
+    call raises ``DomainError``.
     """
     if not _blocks_tile_horizon(sched, None)[0]:
         raise DomainError(f"schedule blocks do not tile [1, {sched.horizon}]")
-    ns = np.arange(1, sched.horizon + 1, dtype=np.float64)
-    sizes = np.repeat([float(max(b.count, 1)) for b in sched.blocks], [b.t for b in sched.blocks])
-    ratio = np.log(sizes) / ns
-    window_start = max(int(0.9 * sched.horizon) - 1, 0)
+    starts = np.array([b.start for b in sched.blocks] + [sched.horizon + 1])
+    log_sizes = np.log([float(max(b.count, 1)) for b in sched.blocks])
+    window = max(int(0.9 * sched.horizon), 1)  # the first step of the final window
+    inside = starts[1:] > window  # the blocks that reach into it
+    heads = np.maximum(starts[:-1][inside], window).astype(np.float64)
     return SubexpTrajectory(
-        n=ns,
-        ratio=ratio,
-        final_window_max=float(ratio[window_start:].max()),
+        starts=starts,
+        log_sizes=log_sizes,
+        final_window_max=float((log_sizes[inside] / heads).max()),
         ratio_tol=sched.ratio_tol,
     )
 

@@ -335,8 +335,13 @@ for _name, _fn in dimension.SCHEDULE_CHECKS:
 
 @check("schedule", "subexponential_final_window")
 def _subexponential_final_window(config: RunConfig):
-    traj = dimension.subexp_check(_d2_schedule(config.ratio_tol)[0])
-    return traj.ok, {"max": traj.final_window_max}
+    # the maximum subexp_check reads at block heads is the maximum of
+    # log(size)/n over every step of the final window, and below tolerance
+    sched = _d2_schedule(config.ratio_tol)[0]
+    traj = dimension.subexp_check(sched)
+    ns = np.arange(max(int(0.9 * sched.horizon), 1), sched.horizon + 1)
+    scan = float((np.log([float(max(sched.block_of(n).count, 1)) for n in ns]) / ns).max())
+    return traj.ok and traj.final_window_max == scan, {"max": traj.final_window_max, "scan": scan}
 
 
 @check("schedule", "lower_bound_chain_n_independent")

@@ -19,6 +19,7 @@ from hurwitzcf import (
     tau_of_digit_set,
     upper_threshold,
 )
+from hurwitzcf import cli as climod
 from hurwitzcf import dimension
 from hurwitzcf.dimension import _restricted_power_sums, _word_value_table, tail_integral_bound
 from hurwitzcf.gaussian import GaussianInt, lattice_points, norm_sq_shells
@@ -826,6 +827,9 @@ class TestTau:
         assert abs(tau_exponent(n, 100_000).estimate - 1.0) < 1e-9
         assert abs(tau_exponent(n**2, 100_000).estimate - 0.5) < 1e-9
         assert abs(tau_exponent(n**0.5, 100_000).estimate - 2.0) < 1e-9
+        # a longer int list is read only up to the horizon, past which it holds no number
+        longer = [*range(1, 100_001), "past the horizon"]
+        assert tau_exponent(longer, 100_000).estimate == tau_exponent(n, 100_000).estimate
 
     def test_lattice_moduli(self):
         est = tau_of_digit_set(DigitSet.lattice_with_zero(), 100_000)
@@ -848,6 +852,16 @@ class TestTau:
             tau_exponent(np.arange(1, 100, dtype=float), 99)
         with pytest.raises(DomainError):
             tau_exponent(np.arange(5000, 0, -1, dtype=float), 5000)
+        # an order break at the first block edge, then a non-finite norm
+        # blocks past it, which is reported first
+        x = np.arange(1, 100_001, dtype=float)
+        x[dimension._TAU_CHUNK] = 1.0
+        with pytest.raises(DomainError, match="must be nondecreasing"):
+            tau_exponent(x, 100_000)
+        x[90_000] = math.inf
+        for norms in (x, x.__getitem__):
+            with pytest.raises(DomainError, match="must be finite"):
+                tau_exponent(norms, 100_000)
 
     def test_trajectory_shape(self):
         est = tau_exponent(np.arange(1, 2001, dtype=float), 2000)
@@ -933,25 +947,26 @@ class TestTauSuffixWindow:
         below = np.minimum(n, np.nextafter(1000.0, 0.0))  # never doubles
         assert _assert_as_reference(below, 5000).degenerate
 
+    # the last lead x = 1 past the first block of the scan, after the anchor it displaces
     @pytest.mark.parametrize("lead", [[0.25] * 100 + [1.0] * 700, [0.0] * 801, [1.0] * 801,
-                                      [0.5] * 5 + [1.0] * 15])
+                                      [0.5] * 5 + [1.0] * 15, [1.0] * ((1 << 15) + 7)])
     def test_leading_values_at_most_one(self, lead):
-        horizon = 2000
+        horizon = max(2000, 2 * len(lead))
         x = np.r_[lead, 1.5 + np.arange(horizon - len(lead), dtype=np.float64)]
         est = _assert_as_reference(x, horizon)
         assert est.anchor_index == max(horizon // 10, len(lead) + 1)
-        assert np.isnan(est.trajectory_ratio[:len(lead)]).all()
+        assert np.isnan(est.trajectory_ratio[est.trajectory_n <= len(lead)]).all()
 
     # x creeps up from 2 until index g, is exactly 2 x0 there and 1e300
     # after it: the slope at g - 1 (x just over x0) would be the steepest by
     # far, and from 140 indices past the anchor on the one at g is the steepest
     @pytest.mark.parametrize("offset", [1, 2, 1 << 18, (1 << 18) - 1, (1 << 18) + 1,
-                                        (2 << 18) + 5])
+                                        (2 << 18) + 5, (1 << 15) - 1, 1 << 15, (1 << 15) + 1])
     def test_first_doubled_index_past_chunk_starts(self, offset):
-        assert dimension._TAU_CHUNK == 1 << 18
+        assert dimension._TAU_CHUNK == 1 << 15
         horizon = 600_000
         n0 = horizon // 10
-        g = n0 - 1 + offset  # the chunks start at n0 - 1 + k 2^18
+        g = n0 - 1 + offset  # the chunks start at n0 - 1 + k 2^15
         x = 2.0 + np.arange(horizon, dtype=np.float64) * 1e-9
         x0 = float(x[n0 - 1])
         x[g], x[g + 1:] = 2.0 * x0, 1e300
@@ -962,12 +977,15 @@ class TestTauSuffixWindow:
     @pytest.mark.parametrize("horizon", [1000, 4321, 150_000, 1_000_000])
     @pytest.mark.parametrize("source", ["lattice", "d2", "power:0.74"])
     def test_cli_sources(self, source, horizon):
+        est = None
         if source == "power:0.74":
+            # the CLI's power source, streamed in blocks, against n^p made whole
             x = np.arange(1, horizon + 1, dtype=np.float64) ** 0.74
+            est = climod._tau_estimate(source, horizon)
         else:
             make = DigitSet.lattice_with_zero if source == "lattice" else DigitSet.d2
             x = np.sqrt(make().norm_sq_array(horizon))
-        _assert_as_reference(x, horizon)
+        _assert_as_reference(x, horizon, est)
 
 
 def _ref_tau_of_digit_set(s, horizon):

@@ -1,6 +1,7 @@
 import ast
 import bisect
 import functools
+import itertools
 import math
 import random
 import re
@@ -9,6 +10,7 @@ import types
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from hurwitzcf import (
     validate_schedule,
     verify_lower_bound_chain,
 )
+from hurwitzcf import dimension
 from hurwitzcf.cli import cli
 from hurwitzcf.dimension import (
     _GROWTH_BLOCK, SCHEDULE_CHECKS, _clearance_query, _growth_values, check_entry)
@@ -277,11 +280,43 @@ class TestBuildSchedule:
         traj = subexp_check(sched)
         assert traj.ok
         assert traj.final_window_max < sched.ratio_tol
-        assert len(traj.ratio) == sched.horizon
+        rows = list(traj.rows())
+        ns, ratio = np.concatenate([n for n, _ in rows]), np.concatenate([r for _, r in rows])
+        assert len(ns) == len(ratio) == sched.horizon
+        assert np.array_equal(ns, np.arange(1, sched.horizon + 1))
         # single-pool prefix decays like 1/n
         first = sched.blocks[0]
         expect = math.log(first.count) / first.t
-        assert abs(traj.ratio[first.t - 1] - expect) < 1e-12
+        assert abs(ratio[first.t - 1] - expect) < 1e-12
+
+    @pytest.mark.parametrize("growth, horizon, edge", [
+        ("n+3", 10_000, False), ("10", 100_000, False), ("n+3", 10_000, True)])
+    def test_subexp_rows_match_per_step_arrays(self, growth, horizon, edge):
+        # the per-step arrays subexp_check once built, bit for bit: rows in
+        # blocks of _TAU_CHUNK steps, and the final-window maximum read at
+        # each block's first step in the window
+        sched = build_schedule(DigitSet.d2(), GrowthFunction(growth), eps=0.5, horizon=horizon)
+        assert sched.truncated == (growth == "10")
+        if edge:
+            # cut so that the window starts on the last step of a middle
+            # block, whose pool, made the largest, sets the maximum alone
+            m = len(sched.blocks) // 2
+            end = sched.blocks[m].end
+            horizon = next(h for h in itertools.count(end) if int(0.9 * h) == end)
+            blocks = [b for b in sched.blocks if b.start <= horizon]
+            blocks[-1] = replace(blocks[-1], t=horizon - blocks[-1].start + 1)
+            blocks[m] = replace(blocks[m], count=10 * max(b.count for b in blocks))
+            sched = replace(sched, horizon=horizon, blocks=tuple(blocks))
+        traj = subexp_check(sched)
+        ns = np.arange(1, horizon + 1, dtype=np.float64)
+        sizes = [float(max(b.count, 1)) for b in sched.blocks]
+        ratio = np.log(np.repeat(sizes, [b.t for b in sched.blocks])) / ns
+        rows = list(traj.rows())
+        assert [len(n) for n, _ in rows[:-1]] == [dimension._TAU_CHUNK] * (len(rows) - 1)
+        assert np.concatenate([n for n, _ in rows]).tobytes() == ns.astype(np.int64).tobytes()
+        assert np.concatenate([r for _, r in rows]).tobytes() == ratio.tobytes()
+        window_start = max(int(0.9 * horizon) - 1, 0)
+        assert traj.final_window_max == float(ratio[window_start:].max())
 
     def test_json_shape(self, d2_schedule):
         sched, _ = d2_schedule
