@@ -1097,7 +1097,10 @@ def upper_threshold(s: DigitSet, eps: float) -> ThresholdResult:
         raise DomainError(f"eps must be finite and positive, got {eps}")
     p = s.tau + eps
     k0 = COMPOSITION_DISTORTION_BOUND
-    factor = (k0 * DIAMETER_K2 * float(DECAY_C2) / DIAMETER_K1) ** (p / 2.0)
+    try:
+        factor = (k0 * DIAMETER_K2 * float(DECAY_C2) / DIAMETER_K1) ** (p / 2.0)
+    except OverflowError:
+        raise DomainError(f"eps = {eps} puts the weight factor beyond the float range") from None
     power_sum = _restricted_power_sums(s, p)
 
     def weighted(n: int) -> float:
@@ -1548,8 +1551,12 @@ def verify_lower_bound_chain(
     log_c1 = math.log(float(DECAY_C1))
 
     # smallest anchor index from which the decay floor dominates the
-    # (2+delta)-power: |z_{N+1}|^delta >= 1/c1
-    ns_threshold = math.exp(-2.0 * log_c1 / delta)
+    # (2+delta)-power: |z_{N+1}|^delta >= 1/c1; no norm_sq reaches one
+    # beyond the float range
+    try:
+        ns_threshold = math.exp(-2.0 * log_c1 / delta)
+    except OverflowError:
+        ns_threshold = math.inf
     cutoff = None
     for idx in range(1, len(sched.anchors)):
         if sched.anchors[idx].norm_sq() >= ns_threshold:

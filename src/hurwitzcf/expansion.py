@@ -47,9 +47,6 @@ class DigitWord:
     def __getitem__(self, idx):
         return self.digits[idx]
 
-    def to_json(self) -> str:
-        return json.dumps([d.to_pair() for d in self.digits])
-
     @classmethod
     def from_json(cls, text: str) -> "DigitWord":
         return cls(GaussianInt.from_pairs(json.loads(text)))

@@ -53,7 +53,7 @@ COMPOSITION_DISTORTION_BOUND = math.nextafter(9.0 - 4.0 * math.sqrt(2.0), math.i
 # a word's image of the box: k1 = 2 delta / (3 k0) with delta = 1/2 and
 # k0 = COMPOSITION_DISTORTION_BOUND, k2 = k0 * diam of the unit box.  k1 is
 # the largest float at most 1/(3 k0), since the nearest one lies above it;
-# k2 rounds up.
+# the float product k2 rounds up (k2^2 - 2 k0^2 = +5.4e-15, decided exactly).
 DIAMETER_K1 = float(1 / (3 * Fraction(COMPOSITION_DISTORTION_BOUND)))
 if Fraction(DIAMETER_K1) * 3 * Fraction(COMPOSITION_DISTORTION_BOUND) > 1:
     DIAMETER_K1 = math.nextafter(DIAMETER_K1, 0.0)

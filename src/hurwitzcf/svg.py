@@ -11,15 +11,15 @@ The soundness check reads the regions back from the rendered document.
 The line Re w = m/2 (m odd) maps to the circle through 0 with centre 1/m
 and radius 1/|m|, and Im w = m/2 to the one with centre -i/m; for p = 1/w,
 |p - 1/m| < 1/|m| exactly when m (2 Re w - m) > 0, and |p + i/m| < 1/|m|
-exactly when m (2 Im w - m) > 0.  Each arc's circle is recovered from its
-printed endpoints, radius and flags and snapped to the one exact circle of
-this family it matches; distinct odd m are far apart next to the rounding
-of the 12 printed digits, so the snapped circle is the one the arc draws.
-z -> 1/z preserves orientation, so every region's boundary runs
-counterclockwise and the sweep flag says on which side of its circle the
-region lies.  Membership of a grid point is then a sign test on
-integers, and eight probes a region decide it for every grid point
-(soundness_check).
+exactly when m (2 Im w - m) > 0.  z -> 1/z preserves orientation, so
+every region's boundary runs counterclockwise and the sweep flag says on
+which side of its circle the region lies: a region is read as the
+intersection of the four sides its arcs give.  Each arc's circle is
+recovered from its printed endpoints, radius and flags and compared with
+the exact circle of its own box edge, which region_paths names for arc i
+of region (k, l); it must match to within the rounding of the 12 printed
+digits, and its flags exactly.  A region whose four arcs match is then,
+over the continuum, the image of its box (soundness_check).
 """
 
 from __future__ import annotations
@@ -157,11 +157,10 @@ _REGION = re.compile(r'<path id="cyl_(-?\d+)_(-?\d+)" d="([^"]*)"')
 # Printed numbers carry a relative error below 5e-12.  A centre recovered
 # from them inherits it amplified by |endpoint| / chord; _SNAP leaves a
 # factor 10 over the largest error measured on the arcs of every region up
-# to norm_sq 20000.  At that tolerance the snap tells neighbouring odd m
-# apart while |m| < _MAX_M.
+# to norm_sq 20000.  Up to norm_sq 2^16, |endpoint| / chord stays below 514
+# and |m| below 514, so the tolerance stays far inside the relative gap
+# 2/|m| between an arc's circle and the next one of the family.
 _SNAP = 1e-10
-_MAX_M = 1 << 17
-_UNBOUNDED = 1 << 62
 
 
 # Token columns of a path M x y, four arcs A r r 0 large sweep x y, Z; arc i
@@ -218,16 +217,24 @@ def _all_parse(numbers: list[str]) -> bool:
     return True
 
 
-def _exact_circles(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(axis, m, ok) of the exact circle each arc draws.
+def _arc_witness(rows: np.ndarray, arcs: np.ndarray) -> dict | None:
+    """The first arc that does not draw its own box edge, or None.
 
-    The centre follows SVG 1.1 F.6.5 for rx = ry = r and no rotation: with
-    h = (p1 - p2)/2 it is (p1 + p2)/2 + c (h.y, -h.x), where
-    c = +-sqrt(r^2/|h|^2 - 1) is positive when the flags differ; a radius
-    too small for the chord is scaled up (F.6.6), so c = 0.  The centre
-    must be 1/m (axis 0) or -i/m (axis 1) and r must be 1/|m|, for an odd
-    m with |m| < _MAX_M, both within _SNAP; ok is False where they are not.
+    Arc i of region (k, l) must draw the line y = l - 1/2, x = k + 1/2,
+    y = l + 1/2 or x = k - 1/2 as region_paths renders it: with
+    m = (2l - 1, 2k + 1, 2l + 1, 2k - 1)[i], its centre must be -i/m for
+    the y-lines (i even) and 1/m for the x-lines (i odd) and its radius
+    1/|m|, both within _SNAP, its large flag 0 and its sweep
+    (l > 0, k < 0, l < 0, k > 0)[i].  The centre follows SVG 1.1 F.6.5
+    for rx = ry = r and no rotation: with h = (p1 - p2)/2 it is
+    (p1 + p2)/2 + c (h.y, -h.x), where c = +-sqrt(r^2/|h|^2 - 1) is
+    positive when the flags differ; a radius too small for the chord is
+    scaled up (F.6.6), so c = 0.
     """
+    k, l = rows[:, :1], rows[:, 1:]
+    m = np.concatenate([2 * l - 1, 2 * k + 1, 2 * l + 1, 2 * k - 1], axis=1)
+    turn = np.concatenate([l > 0, k < 0, l < 0, k > 0], axis=1)
+    x_line = np.arange(4) % 2 == 1
     x1, y1, r, large, sweep, x2, y2 = np.moveaxis(arcs, -1, 0)
     hx, hy = (x1 - x2) / 2, (y1 - y2) / 2
     half_chord = np.hypot(hx, hy)
@@ -235,133 +242,80 @@ def _exact_circles(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         c = np.sqrt(np.maximum(0.0, (r / half_chord) ** 2 - 1))
         c = np.where(large == sweep, -c, c)
         cx, cy = (x1 + x2) / 2 + c * hy, (y1 + y2) / 2 - c * hx
-        axis = (np.abs(cy) > np.abs(cx)).astype(np.int64)
-        inverse = np.where(axis == 0, 1 / cx, -1 / cy)
-        finite = np.abs(inverse) < _MAX_M
-        m = np.rint(np.where(finite, inverse, 1)).astype(np.int64)
-        exact = np.where(axis == 0, cx - 1 / m, cy + 1 / m)
-        off_axis = np.where(axis == 0, cy, cx)
+        off = np.hypot(cx - np.where(x_line, 1 / m, 0), cy + np.where(x_line, 0, 1 / m))
         amplify = np.maximum(np.hypot(x1, y1), np.hypot(x2, y2)) / half_chord
-        ok = (finite & (m % 2 == 1) & (np.abs(r * np.abs(m) - 1) <= _SNAP)
-              & (np.hypot(exact, off_axis) * np.abs(m) <= _SNAP * (1 + amplify)))
-    return axis, m, ok
+        on_edge = ((np.abs(r * np.abs(m) - 1) <= _SNAP) & (off * np.abs(m) <= _SNAP * (1 + amplify))
+                   & (large == 0) & (sweep == turn))
+    if on_edge.all():
+        return None
+    region, arc = np.argwhere(~on_edge)[0].tolist()
+    x1, y1, r, large, sweep, x2, y2 = arcs[region, arc].tolist()
+    edge = m[region, arc]
+    centre = f"1/{edge}" if x_line[arc] else f"-i/{edge}"
+    return {"check": "arc", "region": rows[region].tolist(), "arc": arc,
+            "reason": f"radius {r:.12g} from ({x1:.12g}, {y1:.12g}) to ({x2:.12g}, {y2:.12g}) "
+                      f"with flags {large:.0f} {sweep:.0f} is not its box edge's arc: centre "
+                      f"{centre}, radius 1/{abs(edge)}, flags 0 {turn[region, arc]:d}"}
 
 
-def _region_bounds(axis: np.ndarray, m: np.ndarray,
-                   sweep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer bounds lo <= (A, B) <= hi on 2^16 w of each region, shape (R, 2).
-
-    An arc on the circle of Re w = m/2 (axis 0) or Im w = m/2 (axis 1)
-    keeps its region inside the disc with sweep 1 and outside with sweep
-    0, so the region lies where m (X - 2^15 m) has the sign of m, or the
-    opposite sign with sweep 0, for X = A or B.  Following the half-open
-    box, a positive side is a closed lower edge, X >= 2^15 m, and a
-    negative side an open upper edge, X <= 2^15 m - 1.  A side that no
-    arc bounds stays at -+2^62.
-    """
-    lower = (m > 0) == (sweep == 1)
-    edge = m << 15
-    lo = [np.where(lower & (axis == k), edge, -_UNBOUNDED).max(axis=1) for k in (0, 1)]
-    hi = [np.where(~lower & (axis == k), edge - 1, _UNBOUNDED).min(axis=1) for k in (0, 1)]
-    return np.stack(lo, axis=1), np.stack(hi, axis=1)
-
-
-def _read_regions(spec: TessellationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray] | dict:
-    """The region rows and their bounds lo, hi read from render_svg(spec),
-    rendered from the rows enumerated here.
-
-    Each ``<path id="cyl_k_l">`` is read as four exact circles
-    (_exact_circles) and integer bounds on 2^16 w (_region_bounds); the ids
-    must be the _region_rows(spec) in order.  Returns a witness dict
-    instead when the document does not read so, and raises DomainError for
-    a spec with no regions, since a check of nothing proves nothing.
-    """
-    rows = _region_rows(spec)
-    if not len(rows):
-        raise DomainError(f"{spec} has no regions to check")
-    found = _REGION.findall(_document(spec, rows))
-    ids = [[int(k), int(l)] for k, l, _ in found]
-    expected = rows.tolist()
-    if ids != expected:
-        return {"check": "regions", "expected": expected, "found": ids}
-    arcs = _read_arcs([d for _, _, d in found])
-    if isinstance(arcs, tuple):
-        return {"check": "arc", "region": ids[arcs[0]], "arc": -1, "reason": arcs[1]}
-    axis, m, ok = _exact_circles(arcs)
-    if not ok.all():
-        region, arc = np.argwhere(~ok)[0].tolist()
-        x1, y1, r, large, sweep, x2, y2 = arcs[region, arc].tolist()
-        return {"check": "arc", "region": ids[region], "arc": arc,
-                "reason": f"radius {r:.12g} from ({x1:.12g}, {y1:.12g}) to ({x2:.12g}, "
-                          f"{y2:.12g}) with flags {large:.0f} {sweep:.0f} draws no circle "
-                          f"1/m or -i/m through 0 with m odd"}
-    lo, hi = _region_bounds(axis, m, arcs[..., 4])
-    return rows, lo, hi
+def _first_digit_witness(rows: np.ndarray) -> dict | None:
+    """An extreme grid corner of a pre-image box, (2k - 1, 2l - 1) 2^15 or
+    (2k + 1, 2l + 1) 2^15 - 1 on 2^16 w, whose first digit is not its
+    region's, or None."""
+    corners = ((2 * rows[:, None, :] + [[-1], [1]]) << 15) - [[0], [1]]
+    first_re, first_im = _euclid_step(_GRID, 0, corners[..., 0], corners[..., 1])[:2]
+    wrong = np.argwhere((first_re != rows[:, :1]) | (first_im != rows[:, 1:]))
+    if not len(wrong):
+        return None
+    region, corner = wrong[0].tolist()
+    return {"check": "first_digit", "region": rows[region].tolist(),
+            "corner": ("bottom left", "top right")[corner],
+            "point": str(_from_quotient(_GRID, 0, *corners[region, corner].tolist()))}
 
 
 def soundness_check(
     spec: TessellationSpec, samples_per_region: int = 1000, seed: int = 1
 ) -> tuple[bool, dict | None]:
-    """The rendered document claims every grid point p = 1/w, 2^16 w =
-    A + iB, of a region's half-open pre-image box around k + il for that
-    region alone, and p has first digit (k, l).
+    """The rendered document draws each region as the image under z -> 1/z
+    of the half-open pre-image box around its digit k + il, and every grid
+    point p = 1/w, 2^16 w = A + iB, of that box has first digit (k, l).
 
-    Reads the regions back from render_svg(spec) (_read_regions; see the
-    module docstring) as integer rectangles lo <= (A, B) <= hi, and judges
-    eight probes a region (_probe_witness): at the middle of each box edge
-    the nearest grid point inside the box must be claimed, and the nearest
-    one outside must not.  That decides every grid point.  Take the left
-    edge, with c the box centre and h = 2^15: the inside probe
-    (c_x - h, c_y) is held, so lo_x <= c_x - h and lo_y <= c_y <= hi_y;
-    the outside probe (c_x - h - 1, c_y) is not held, so lo_x >= c_x - h.
-    The other three edges follow the same way, so every region is its own
-    box, and distinct digits have disjoint boxes.  The first digit,
-    (floor((A + h)/2^16), floor((B + h)/2^16)) by expansion._euclid_step,
-    is nondecreasing in A and in B, so the four inside probes, the box's
-    extreme points, decide it on the whole box.  As norm_sq_max <= 2^16,
-    |A|, |B| < 2^31, 2^15 |m| < 2^32 and _euclid_step's terms stay below
-    2^50: all exact in int64.
+    Reads the regions back from render_svg(spec), rendered from the rows
+    enumerated here: the ``<path id="cyl_k_l">`` ids must be those rows in
+    order, and each path must read as four arcs (_read_arcs).  Each arc is
+    compared with its own box edge (_arc_witness).  A region lies
+    on the sweep side of each of its four circles (module docstring), so
+    when all four circles and sweeps are its box edges', the region is the
+    intersection of the images of the box's four half-planes: its box's
+    image at every point of the continuum, not only on a grid, and distinct
+    digits have disjoint boxes.  The first digit of a grid point,
+    (floor((A + h)/2^16), floor((B + h)/2^16)) with h = 2^15 by
+    expansion._euclid_step, has a real part that depends on A alone and an
+    imaginary part that depends on B alone, each nondecreasing, so it is
+    decided on the whole box at its two extreme grid corners
+    (_first_digit_witness).  As norm_sq_max <= 2^16, |A|, |B| < 2^31 and
+    _euclid_step's terms stay below 2^50: all exact in int64.
 
     Witness checks: ``regions`` (ids other than the region digits),
-    ``arc`` (a path that draws no exact circle arc, with the arc index, -1
-    for the whole path, and the reason), ``edge_inside`` and
-    ``edge_outside`` (a probe claimed wrongly) and ``first_digit`` (an
-    inside probe with another first digit).  ``samples_per_region`` and
-    ``seed`` are not read: they stay, validated, until the benchmark's
-    soundness job stops passing them.  A sample count below 1 or a seed
-    below 0, either one not an int, or a spec with no regions raises
-    DomainError.
+    ``arc`` (an arc other than its box edge's, with the arc index, -1 for
+    the whole path, and the reason) and ``first_digit`` (a corner with
+    another first digit).  ``samples_per_region`` and ``seed`` are not
+    read: they stay, validated, until the benchmark's soundness job stops
+    passing them.  A sample count below 1 or a seed below 0, either one
+    not an int, or a spec with no regions raises DomainError.
     """
     for name, value, least in (("samples_per_region", samples_per_region, 1), ("seed", seed, 0)):
         if not isinstance(value, int) or isinstance(value, bool) or value < least:
             raise DomainError(f"{name} must be an int of at least {least}, got {value!r}")
-    read = _read_regions(spec)
-    if isinstance(read, dict):
-        return False, read
-    witness = _probe_witness(*read)
+    rows = _region_rows(spec)
+    if not len(rows):
+        raise DomainError(f"{spec} has no regions to check")  # a check of nothing proves nothing
+    found = _REGION.findall(_document(spec, rows))
+    ids = [[int(k), int(l)] for k, l, _ in found]
+    if ids != rows.tolist():
+        return False, {"check": "regions", "expected": rows.tolist(), "found": ids}
+    arcs = _read_arcs([d for _, _, d in found])
+    if isinstance(arcs, tuple):
+        return False, {"check": "arc", "region": ids[arcs[0]], "arc": -1, "reason": arcs[1]}
+    witness = _arc_witness(rows, arcs) or _first_digit_witness(rows)
     return witness is None, witness
-
-
-def _probe_witness(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> dict | None:
-    """A probe at the middle of a pre-image box edge that its region claims
-    from outside the box or misses from inside it, or else an inside probe
-    whose first digit is not its region's."""
-    half = _GRID // 2
-    offsets = [(-half, 0), (half - 1, 0), (0, -half), (0, half - 1),  # inside
-               (-half - 1, 0), (half, 0), (0, -half - 1), (0, half)]  # outside
-    probes = (rows * _GRID)[:, None, :] + np.array(offsets, dtype=np.int64)
-    A, B = probes[..., 0], probes[..., 1]
-    held = ((A >= lo[:, None, 0]) & (A <= hi[:, None, 0])
-            & (B >= lo[:, None, 1]) & (B <= hi[:, None, 1]))
-    wrong = np.argwhere(held != (np.arange(len(offsets)) < 4))
-    checks = ["edge_inside"] * 4 + ["edge_outside"] * 4
-    if not len(wrong):
-        first_re, first_im = _euclid_step(_GRID, 0, A[:, :4], B[:, :4])[:2]
-        wrong = np.argwhere((first_re != rows[:, :1]) | (first_im != rows[:, 1:]))
-        checks = ["first_digit"] * 4
-        if not len(wrong):
-            return None
-    r, j = wrong[0].tolist()
-    return {"check": checks[j], "region": rows[r].tolist(),
-            "edge": ("left", "right", "bottom", "top")[j % 4],
-            "point": str(_from_quotient(_GRID, 0, *probes[r, j].tolist()))}

@@ -259,8 +259,7 @@ def test_criterion_10_tessellation_soundness():
     from hurwitzcf.svg import region_digits
 
     count = len(region_digits(spec))
-    report(10, f"{count} regions, every grid point claimed by its own region alone "
-               f"in {elapsed:.1f}s")
+    report(10, f"{count} regions, every arc on its own box edge, in {elapsed:.1f}s")
 
 
 # SHA-256 of the stdout of the commands whose outputs are computed in exact

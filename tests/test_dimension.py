@@ -1205,6 +1205,16 @@ class TestUpperThreshold:
         assert res.tau == 2.0
         assert res.norm_cutoff == 210_556_610
 
+    def test_largest_eps_in_range(self):
+        res = upper_threshold(DigitSet.d2(), eps=200.0)
+        assert res.norm_cutoff == 18 and math.isfinite(res.factor)
+
+    @pytest.mark.parametrize("eps", [250.0, 300.0, 1e300])
+    def test_factor_beyond_the_float_range_is_a_domain_error(self, eps):
+        # the factor is 281.8^((2 + eps)/2), past the float range above eps = 249.6
+        with pytest.raises(DomainError, match="weight factor"):
+            upper_threshold(DigitSet.d2(), eps)
+
     def test_huge_eps_min_norm(self):
         s = DigitSet.with_min_norm_sq(10_000)
         res = upper_threshold(s, eps=10.0)

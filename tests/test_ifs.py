@@ -428,8 +428,10 @@ class TestEngineConstants:
 
     def test_diameter_constants_round_outward(self):
         # k1 is a lower bound and k2 an upper one: k1 <= 1/(3 k0) and
-        # k2 >= sqrt2 k0, decided exactly; k1 is the largest such float
+        # k2 >= sqrt2 k0, decided exactly; k1 is the largest such float and
+        # k2 the smallest
         k0 = Fraction(COMPOSITION_DISTORTION_BOUND)
         assert Fraction(DIAMETER_K1) * 3 * k0 <= 1
         assert Fraction(math.nextafter(DIAMETER_K1, math.inf)) * 3 * k0 > 1
         assert Fraction(DIAMETER_K2) ** 2 >= 2 * k0**2
+        assert Fraction(math.nextafter(DIAMETER_K2, 0.0)) ** 2 < 2 * k0**2

@@ -608,6 +608,14 @@ class TestLowerBoundChain:
         with pytest.raises(DomainError):
             verify_lower_bound_chain(sched, 0.5, 0.1, 5)
 
+    @pytest.mark.parametrize("delta", [2e-3, 1.2e-3, 1e-3, 1e-9])
+    def test_threshold_past_every_anchor_is_a_domain_error(self, d2_schedule, delta):
+        # (25/16)^(2/delta) passes the float range below delta = 1.26e-3;
+        # no anchor's norm_sq reaches it on either side
+        sched, _ = d2_schedule
+        with pytest.raises(DomainError, match="never reach the decay-floor threshold"):
+            verify_lower_bound_chain(sched, 0.5, delta, sched.horizon)
+
     def test_delta_positive_required(self, d2_schedule):
         sched, _ = d2_schedule
         with pytest.raises(DomainError):

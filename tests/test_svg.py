@@ -258,7 +258,7 @@ class TestSoundness:
         with pytest.raises(DomainError, match="seed"):
             soundness_check(TessellationSpec(norm_sq_max=2), samples_per_region=5, seed=seed)
 
-    def test_sampled_points_carry_region_digit(self):
+    def test_regions_are_their_boxes(self):
         ok, witness = soundness_check(TessellationSpec(norm_sq_max=9))
         assert ok, witness
 
@@ -282,7 +282,7 @@ class TestSoundness:
         with pytest.raises(DomainError, match="no regions"):
             soundness_check(TessellationSpec(norm_sq_max=5, include_exceptional=False))
 
-    def test_region_sampler_stays_in_cylinder(self):
+    def test_exceptional_regions_are_their_boxes(self):
         # the norm_sq 2 regions are exceptional: part of each branch image
         # leaves the box, yet each region is still its digit's pre-image box
         spec = TessellationSpec(norm_sq_max=2)
@@ -307,8 +307,8 @@ def _flip(tokens, index):
     return tokens
 
 
-def _scale_radius(tokens, arc):
-    radius = f"{float(tokens[4 + 8 * arc]) * 1.05:.12g}"
+def _scale_radius(tokens, arc, factor=1.05):
+    radius = f"{float(tokens[4 + 8 * arc]) * factor:.12g}"
     tokens[4 + 8 * arc] = tokens[5 + 8 * arc] = radius
     return tokens
 
@@ -342,7 +342,7 @@ class TestSoundnessReadsTheSvg:
         ok, witness = soundness_check(self.spec)
         assert not ok
         assert witness["region"] == list(digit), witness
-        assert witness["check"] in ("arc", "edge_inside", "edge_outside")
+        assert witness["check"] == "arc"
 
     def test_empty_path_fails(self, monkeypatch):
         monkeypatch.setattr(svg, "region_paths", lambda rows: ["M 0 0 Z"] * len(rows))
@@ -356,7 +356,8 @@ class TestSoundnessReadsTheSvg:
             np.where((rows == [3, 2]).all(axis=1, keepdims=True), [3, 1], rows)))
         ok, witness = soundness_check(self.spec)
         assert not ok
-        assert witness["check"] == "edge_inside" and witness["region"] == [3, 2]
+        # arcs 1 and 3 lie on the same lines x = 5/2, 7/2; arc 0 on y = 1/2, not 3/2
+        assert (witness["check"], witness["region"], witness["arc"]) == ("arc", [3, 2], 0)
 
     def test_missing_region_fails(self, monkeypatch):
         render = svg._document  # the check reads render_svg's document through it
@@ -370,6 +371,26 @@ class TestSoundnessReadsTheSvg:
         ok, witness = soundness_check(self.spec)
         assert not ok
         assert witness["check"] == "arc" and witness["region"] == [3, 1] and witness["arc"] == 2
+        assert witness["reason"].endswith("centre -i/3, radius 1/3, flags 0 0")
+
+    def test_radius_is_held_to_print_rounding(self, monkeypatch):
+        # a relative 5e-10 moves the recovered centre of (3, 1)'s arc 2 by
+        # less than the centre's tolerance, which grows with |endpoint| / chord
+        _mutate(monkeypatch, (3, 1), lambda t: _scale_radius(t, 2, 1 + 5e-10))
+        ok, witness = soundness_check(self.spec)
+        assert not ok and (witness["region"], witness["arc"]) == ([3, 1], 2)
+
+    @pytest.mark.parametrize("shift, corner", [(-1, "bottom left"), (1, "top right")])
+    def test_first_digit_witness_names_the_corner(self, monkeypatch, shift, corner):
+        # a rounding one grid step off moves one of the two extreme corners
+        # of the first box into its neighbour's
+        real = svg._euclid_step
+        monkeypatch.setattr(svg, "_euclid_step",
+                            lambda ar, ai, br, bi: real(ar, ai, br + shift, bi + shift))
+        ok, witness = soundness_check(self.spec)
+        assert not ok
+        assert (witness["check"], witness["region"], witness["corner"]) == (
+            "first_digit", svg._region_rows(self.spec)[0].tolist(), corner)
 
 
 def _ref_read_arcs(paths):
@@ -459,20 +480,29 @@ class TestArcReader:
         assert "closed path" in _ref_read_arcs(paths)[1]
 
 
+class TestFirstDigitOnBoxEdges:
+    def test_closed_edges_round_into_their_box(self):
+        # every 1001st grid point of each box's closed left and bottom edges,
+        # corners included, has its region's first digit; the grid point one
+        # step left of or below it, on the open edge of the next box, has
+        # that box's
+        rows = svg._region_rows(TessellationSpec(norm_sq_max=13))
+        half = 1 << 15
+        steps = np.arange(-half, half, 1001)
+        for normal in ([1, 0], [0, 1]):
+            edge = -half * np.array(normal) + steps[:, None] * normal[::-1]
+            points = (rows << 16)[:, None, :] + edge  # (region, point, (A, B))
+            for shift, digit in ((0, rows), (1, rows - normal)):
+                A, B = np.moveaxis(points - shift * np.array(normal), 2, 0)
+                first_re, first_im = svg._euclid_step(1 << 16, 0, A, B)[:2]
+                assert (first_re == digit[:, :1]).all() and (first_im == digit[:, 1:]).all()
+
+
 class TestRegionBounds:
-    spec = TessellationSpec(norm_sq_max=25)
-
+    # a region is its digit's half-open box: a point on a shared edge or
+    # corner rounds to one first digit, that of the box whose closed side it is on
     def claims(self, A, B):
-        rows, lo, hi = svg._read_regions(self.spec)
-        point = np.array([A, B])
-        return [d for d, held in zip(rows.tolist(), np.all((lo <= point) & (point <= hi), axis=1))
-                if held]
-
-    def test_bounds_are_the_half_open_boxes(self):
-        rows, lo, hi = svg._read_regions(self.spec)
-        centres = rows << 16
-        assert (lo == centres - (1 << 15)).all()
-        assert (hi == centres + (1 << 15) - 1).all()
+        return [list(svg._euclid_step(1 << 16, 0, A, B)[:2])]
 
     def test_point_on_vertical_edge_claimed_once(self):
         # w = 3.5 + i: the open right edge of (3, 1), the closed left edge of (4, 1)
@@ -487,20 +517,3 @@ class TestRegionBounds:
     def test_corner_claimed_once(self):
         # w = -2.5 - 1.5i: the closed corner of (-2, -1) only
         assert self.claims(-(5 << 15), -(3 << 15)) == [[-2, -1]]
-
-    def test_samples_on_closed_edges_pass(self):
-        # every 1001st grid point of each box's closed left and bottom edges,
-        # corners included, is claimed by its own region alone and has its
-        # region's first digit; each is also on the open edge of the next box
-        rows, lo, hi = svg._read_regions(TessellationSpec(norm_sq_max=13))
-        half = 1 << 15
-        steps = np.arange(-half, half, 1001)
-        edges = np.concatenate([np.stack([np.full_like(steps, -half), steps], axis=1),
-                                np.stack([steps, np.full_like(steps, -half)], axis=1)])
-        points = (rows << 16)[:, None, :] + edges  # (region, point, (A, B))
-        A, B = points[..., :1], points[..., 1:]
-        claimed = (A >= lo[:, 0]) & (A <= hi[:, 0]) & (B >= lo[:, 1]) & (B <= hi[:, 1])
-        assert (claimed.sum(axis=2) == 1).all()
-        assert claimed[np.arange(len(rows)), :, np.arange(len(rows))].all()
-        first_re, first_im = svg._euclid_step(1 << 16, 0, A[..., 0], B[..., 0])[:2]
-        assert (first_re == rows[:, :1]).all() and (first_im == rows[:, 1:]).all()
