@@ -287,7 +287,7 @@ def tessellate(ctx, norm_sq_max, include_exceptional, stroke_width):
     )
     _write(ctx, [svgmod.render_svg(spec)])
     if ctx.obj["out"] is not None:
-        click.echo(f"wrote {ctx.obj['out']} ({len(svgmod.region_digits(spec))} regions)",
+        click.echo(f"wrote {ctx.obj['out']} ({len(svgmod._region_rows(spec))} regions)",
                    file=sys.stderr)
 
 

@@ -7,19 +7,16 @@ through the origin: the lines x = k +- 1/2 map to circles of radius
 radius 1/|2l +- 1| centred on the imaginary axis.  Arcs are emitted with
 these exact parameters rather than polyline approximations.
 
-The soundness check reads the regions back from the rendered document.
-The line Re w = m/2 (m odd) maps to the circle through 0 with centre 1/m
-and radius 1/|m|, and Im w = m/2 to the one with centre -i/m; for p = 1/w,
-|p - 1/m| < 1/|m| exactly when m (2 Re w - m) > 0, and |p + i/m| < 1/|m|
-exactly when m (2 Im w - m) > 0.  z -> 1/z preserves orientation, so
-every region's boundary runs counterclockwise and the sweep flag says on
-which side of its circle the region lies: a region is read as the
-intersection of the four sides its arcs give.  Each arc's circle is
-recovered from its printed endpoints, radius and flags and compared with
-the exact circle of its own box edge, which region_paths names for arc i
-of region (k, l); it must match to within the rounding of the 12 printed
-digits, and its flags exactly.  A region whose four arcs match is then,
-over the continuum, the image of its box (soundness_check).
+The soundness check reads the regions back from the rendered document
+and compares each arc with the image of its own box edge, which
+region_paths names for arc i of region (k, l): the arc must end at the
+image 1/w of box corner i + 1, to within the rounding of the 12 printed
+digits, have the radius 1/|m| of its edge's line Re w = m/2 or
+Im w = m/2 (m odd), and carry that edge's flags exactly.  Through two
+distinct points pass two circles of radius r, and the flags pick one
+minor arc of one of them (SVG 1.1 F.6.5), so a region whose four arcs
+pass draws the image of its box's boundary, to print precision, and
+fills the image of its box (soundness_check).
 """
 
 from __future__ import annotations
@@ -46,8 +43,11 @@ class TessellationSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.norm_sq_max, int) or isinstance(self.norm_sq_max, bool):
             raise DomainError(f"norm_sq_max must be an int, got {self.norm_sq_max!r}")
-        if not (isinstance(self.stroke_width, (int, float)) and 0 <= self.stroke_width < math.inf):
-            raise DomainError(f"stroke_width must be finite and >= 0, got {self.stroke_width!r}")
+        if not isinstance(self.include_exceptional, bool):
+            raise DomainError(f"include_exceptional must be a bool, got {self.include_exceptional!r}")
+        width = self.stroke_width
+        if isinstance(width, bool) or not (isinstance(width, (int, float)) and 0 <= width < math.inf):
+            raise DomainError(f"stroke_width must be finite and >= 0, got {width!r}")
         if self.norm_sq_max < 2:
             raise DomainError("norm_sq_max must be at least 2")
         if self.norm_sq_max > 1 << 16:  # about 2e5 regions and 88 MB of SVG
@@ -154,12 +154,14 @@ def _document(spec: TessellationSpec, rows: np.ndarray) -> str:
 
 
 _REGION = re.compile(r'<path id="cyl_(-?\d+)_(-?\d+)" d="([^"]*)"')
-# Printed numbers carry a relative error below 5e-12.  A centre recovered
-# from them inherits it amplified by |endpoint| / chord; _SNAP leaves a
-# factor 10 over the largest error measured on the arcs of every region up
-# to norm_sq 20000.  Up to norm_sq 2^16, |endpoint| / chord stays below 514
-# and |m| below 514, so the tolerance stays far inside the relative gap
-# 2/|m| between an arc's circle and the next one of the family.
+# Printed to 12 digits, a number is within a relative 5e-12 of the
+# renderer's float, itself a few ulp from the exact corner image or radius;
+# the reference it is compared with is within 1 ulp of that.  So an arc's
+# end lies within 1e-11 |1/w| of its reference, a factor 10 inside _SNAP.
+# Any other corner w' has |1/w - 1/w'| >= |1/w| / (|w| + 1), and any other
+# radius 1/|m'| of the family differs from 1/|m| by a relative 2/(|m| + 2)
+# or more.  Up to norm_sq 2^16, |w| < 257 and |m| <= 513: both gaps, about
+# 1/|w|, stay above 3.8e-3, far outside _SNAP.
 _SNAP = 1e-10
 
 
@@ -169,16 +171,16 @@ _ARCS = np.arange(3, 35, 8)
 _FIXED_AT, _FIXED = np.r_[0, _ARCS, _ARCS + 3, 35], np.array([*"MAAAA0000Z"], dtype=object)
 _SAME_AT = np.r_[1, 2, _ARCS + 1], np.r_[33, 34, _ARCS + 2]  # closing point, rx == ry
 _FLAGS_AT = np.r_[_ARCS + 4, _ARCS + 5]  # every large flag, then every sweep flag
-_NUMBERS_AT = (_ARCS[:, None] + [1, 6, 7]).ravel()  # r, x2, y2 of each arc
+_NUMBERS_AT = (_ARCS[:, None] + [1, 6, 7]).ravel()  # r, x, y of each arc
 _NOT_A_PATH = "not a closed path M x y, four arcs A r r 0 large sweep x y, Z"
 
 
 def _read_arcs(paths: list[str]) -> np.ndarray | tuple[int, str]:
-    """Every arc of the region paths as (x1, y1, r, large, sweep, x2, y2).
+    """Every arc of the region paths as (r, large, sweep, x, y), (x, y) its end.
 
     Each path must read M x y, four arcs A r r 0 large sweep x y with
     flags 0 or 1, and Z, and end where it starts.  Returns a float array
-    of shape (regions, 4, 7), or (region, reason) for the first path that
+    of shape (regions, 4, 5), or (region, reason) for the first path that
     does not read so, its structure judged before its numbers.  The paths
     are split into one (regions, 36) token table: its fixed tokens, radii,
     flags and closing points are column tests, and its numbers are parsed
@@ -205,7 +207,7 @@ def _read_arcs(paths: list[str]) -> np.ndarray | tuple[int, str]:
         return region, _NOT_A_PATH if not structure[region] else "a number does not parse"
     r, x, y = np.moveaxis(values.reshape(-1, 4, 3), 2, 0)
     large, sweep = (flags == "1").reshape(-1, 2, 4).transpose(1, 0, 2)
-    return np.stack((np.roll(x, 1, axis=1), np.roll(y, 1, axis=1), r, large, sweep, x, y), axis=2)
+    return np.stack((r, large, sweep, x, y), axis=2)
 
 
 def _all_parse(numbers: list[str]) -> bool:
@@ -221,41 +223,33 @@ def _arc_witness(rows: np.ndarray, arcs: np.ndarray) -> dict | None:
     """The first arc that does not draw its own box edge, or None.
 
     Arc i of region (k, l) must draw the line y = l - 1/2, x = k + 1/2,
-    y = l + 1/2 or x = k - 1/2 as region_paths renders it: with
-    m = (2l - 1, 2k + 1, 2l + 1, 2k - 1)[i], its centre must be -i/m for
-    the y-lines (i even) and 1/m for the x-lines (i odd) and its radius
-    1/|m|, both within _SNAP, its large flag 0 and its sweep
-    (l > 0, k < 0, l < 0, k > 0)[i].  The centre follows SVG 1.1 F.6.5
-    for rx = ry = r and no rotation: with h = (p1 - p2)/2 it is
-    (p1 + p2)/2 + c (h.y, -h.x), where c = +-sqrt(r^2/|h|^2 - 1) is
-    positive when the flags differ; a radius too small for the chord is
-    scaled up (F.6.6), so c = 0.
+    y = l + 1/2 or x = k - 1/2 as region_paths renders it: it must end at
+    the image 1/w = 2 (X - iY)/(X^2 + Y^2) of corner i + 1, (X, Y) being
+    its odd pair (2 Re w, 2 Im w), within _SNAP |1/w|; its radius must be
+    1/|m| within _SNAP, with m = (2l - 1, 2k + 1, 2l + 1, 2k - 1)[i], its
+    large flag 0 and its sweep (l > 0, k < 0, l < 0, k > 0)[i].  Arc i
+    starts where arc i - 1 ends, and arc 0 at M x y, which _read_arcs holds
+    to arc 3's end, so the four ends fix every corner.
     """
     k, l = rows[:, :1], rows[:, 1:]
     m = np.concatenate([2 * l - 1, 2 * k + 1, 2 * l + 1, 2 * k - 1], axis=1)
     turn = np.concatenate([l > 0, k < 0, l < 0, k > 0], axis=1)
-    x_line = np.arange(4) % 2 == 1
-    x1, y1, r, large, sweep, x2, y2 = np.moveaxis(arcs, -1, 0)
-    hx, hy = (x1 - x2) / 2, (y1 - y2) / 2
-    half_chord = np.hypot(hx, hy)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c = np.sqrt(np.maximum(0.0, (r / half_chord) ** 2 - 1))
-        c = np.where(large == sweep, -c, c)
-        cx, cy = (x1 + x2) / 2 + c * hy, (y1 + y2) / 2 - c * hx
-        off = np.hypot(cx - np.where(x_line, 1 / m, 0), cy + np.where(x_line, 0, 1 / m))
-        amplify = np.maximum(np.hypot(x1, y1), np.hypot(x2, y2)) / half_chord
-        on_edge = ((np.abs(r * np.abs(m) - 1) <= _SNAP) & (off * np.abs(m) <= _SNAP * (1 + amplify))
-                   & (large == 0) & (sweep == turn))
+    twice_x, twice_y = 2 * k + [1, 1, -1, -1], 2 * l + [-1, 1, 1, -1]  # of corner i + 1
+    norm = twice_x * twice_x + twice_y * twice_y
+    end_x, end_y = 2 * twice_x / norm, -2 * twice_y / norm
+    r, large, sweep, x, y = np.moveaxis(arcs, -1, 0)
+    with np.errstate(over="ignore"):
+        on_edge = ((np.hypot(x - end_x, y - end_y) <= _SNAP * np.hypot(end_x, end_y))
+                   & (np.abs(r * np.abs(m) - 1) <= _SNAP) & (large == 0) & (sweep == turn))
     if on_edge.all():
         return None
     region, arc = np.argwhere(~on_edge)[0].tolist()
-    x1, y1, r, large, sweep, x2, y2 = arcs[region, arc].tolist()
-    edge = m[region, arc]
-    centre = f"1/{edge}" if x_line[arc] else f"-i/{edge}"
+    r, large, sweep, x, y = arcs[region, arc].tolist()
+    end = f"2/({twice_x[region, arc]}{twice_y[region, arc]:+d}i)"
     return {"check": "arc", "region": rows[region].tolist(), "arc": arc,
-            "reason": f"radius {r:.12g} from ({x1:.12g}, {y1:.12g}) to ({x2:.12g}, {y2:.12g}) "
-                      f"with flags {large:.0f} {sweep:.0f} is not its box edge's arc: centre "
-                      f"{centre}, radius 1/{abs(edge)}, flags 0 {turn[region, arc]:d}"}
+            "reason": f"radius {r:.12g} to ({x:.12g}, {y:.12g}) with flags {large:.0f} "
+                      f"{sweep:.0f} is not its box edge's arc: end {end}, "
+                      f"radius 1/{abs(m[region, arc])}, flags 0 {turn[region, arc]:d}"}
 
 
 def _first_digit_witness(rows: np.ndarray) -> dict | None:
@@ -283,18 +277,20 @@ def soundness_check(
     Reads the regions back from render_svg(spec), rendered from the rows
     enumerated here: the ``<path id="cyl_k_l">`` ids must be those rows in
     order, and each path must read as four arcs (_read_arcs).  Each arc is
-    compared with its own box edge (_arc_witness).  A region lies
-    on the sweep side of each of its four circles (module docstring), so
-    when all four circles and sweeps are its box edges', the region is the
-    intersection of the images of the box's four half-planes: its box's
-    image at every point of the continuum, not only on a grid, and distinct
-    digits have disjoint boxes.  The first digit of a grid point,
-    (floor((A + h)/2^16), floor((B + h)/2^16)) with h = 2^15 by
-    expansion._euclid_step, has a real part that depends on A alone and an
-    imaginary part that depends on B alone, each nondecreasing, so it is
-    decided on the whole box at its two extreme grid corners
-    (_first_digit_witness).  As norm_sq_max <= 2^16, |A|, |B| < 2^31 and
-    _euclid_step's terms stay below 2^50: all exact in int64.
+    compared with its own box edge (_arc_witness): its end with the image
+    1/w of the edge's end corner, within _SNAP |1/w|, ten times the
+    rounding of the printed digits and far inside the relative gap of
+    about 1/|w| to any other corner's image; its radius and flags with the
+    edge's.  So the path draws the image of its box's boundary (module
+    docstring) and fills the box's image at every point of the continuum,
+    not only on a grid; distinct digits have disjoint boxes.  The first
+    digit of a grid point, (floor((A + h)/2^16), floor((B + h)/2^16)) with
+    h = 2^15 by expansion._euclid_step, has a real part that depends on A
+    alone and an imaginary part that depends on B alone, each
+    nondecreasing, so it is decided on the whole box at its two extreme
+    grid corners (_first_digit_witness).  As norm_sq_max <= 2^16,
+    |A|, |B| < 2^31 and _euclid_step's terms stay below 2^50: all exact in
+    int64.
 
     Witness checks: ``regions`` (ids other than the region digits),
     ``arc`` (an arc other than its box edge's, with the arc index, -1 for

@@ -42,10 +42,15 @@ class TestRegionEnumeration:
         with pytest.raises(DomainError, match="norm_sq_max"):
             TessellationSpec(norm_sq_max=norm_sq_max)
 
-    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, -1.0, "0.002"])
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, -1.0, "0.002", True])
     def test_stroke_width_must_be_finite_and_non_negative(self, width):
         with pytest.raises(DomainError, match="stroke_width"):
             TessellationSpec(stroke_width=width)
+
+    @pytest.mark.parametrize("include", ["no", 1, None])
+    def test_include_exceptional_must_be_a_bool(self, include):
+        with pytest.raises(DomainError, match="include_exceptional"):
+            TessellationSpec(include_exceptional=include)
 
     def test_zero_stroke_width_renders(self):
         assert 'stroke-width="0"' in render_svg(TessellationSpec(norm_sq_max=2, stroke_width=0))
@@ -290,6 +295,25 @@ class TestSoundness:
         ok, witness = soundness_check(spec)
         assert ok, witness
 
+    @pytest.mark.parametrize("include_exceptional", [True, False])
+    def test_every_document_to_norm_sq_100_passes(self, include_exceptional):
+        for norm_sq_max in [*range(2 if include_exceptional else 8, 101), 5000]:
+            spec = TessellationSpec(norm_sq_max=norm_sq_max,
+                                    include_exceptional=include_exceptional)
+            assert soundness_check(spec) == (True, None), norm_sq_max
+
+    @pytest.mark.parametrize("include_exceptional", [True, False])
+    def test_outermost_shells_pass(self, include_exceptional):
+        # the rows of largest |m| the spec allows, without the 88 MB document
+        spec = TessellationSpec(norm_sq_max=1 << 16, include_exceptional=include_exceptional)
+        rows = svg._region_rows(spec)
+        rows = rows[(rows * rows).sum(axis=1) >= 65_000]
+        assert len(rows) > 1000 and (rows * rows).sum(axis=1).max() == 1 << 16
+        arcs = svg._read_arcs(region_paths(rows))
+        assert not isinstance(arcs, tuple), arcs
+        assert svg._arc_witness(rows, arcs) is None
+        assert svg._first_digit_witness(rows) is None
+
 
 def _mutate(monkeypatch, digit, change):
     """Render the region of ``digit`` through ``change`` on its path tokens."""
@@ -318,6 +342,8 @@ def _swap_corners(tokens):
     tokens[9:11], tokens[17:19] = tokens[17:19], tokens[9:11]
     return tokens
 
+
+CORNER_TOKENS = [(1, 2, 33, 34), (9, 10), (17, 18), (25, 26)]  # where corner i is printed
 
 MUTATIONS = {
     "sweep": lambda t: _flip(t, 8 + 8),
@@ -371,14 +397,26 @@ class TestSoundnessReadsTheSvg:
         ok, witness = soundness_check(self.spec)
         assert not ok
         assert witness["check"] == "arc" and witness["region"] == [3, 1] and witness["arc"] == 2
-        assert witness["reason"].endswith("centre -i/3, radius 1/3, flags 0 0")
+        # arc 2 of (3, 1) ends at corner 3, w = 5/2 + 3i/2, on the line y = 3/2
+        assert witness["reason"].endswith("end 2/(5+3i), radius 1/3, flags 0 0")
 
     def test_radius_is_held_to_print_rounding(self, monkeypatch):
-        # a relative 5e-10 moves the recovered centre of (3, 1)'s arc 2 by
-        # less than the centre's tolerance, which grows with |endpoint| / chord
         _mutate(monkeypatch, (3, 1), lambda t: _scale_radius(t, 2, 1 + 5e-10))
         ok, witness = soundness_check(self.spec)
         assert not ok and (witness["region"], witness["arc"]) == ([3, 1], 2)
+
+    @pytest.mark.parametrize("digit", [(3, 1), (2, 1)])
+    @pytest.mark.parametrize("corner", range(4))
+    def test_corner_at_the_origin_fails(self, monkeypatch, digit, corner):
+        # every edge circle passes through 0, the image of infinity, so the
+        # two circles that meet at a corner cross again at 0; corner 0 is
+        # printed twice, as M x y and as arc 3's end
+        places = CORNER_TOKENS[corner]
+        _mutate(monkeypatch, digit, lambda t: ["0" if i in places else x for i, x in enumerate(t)])
+        ok, witness = soundness_check(self.spec)
+        assert not ok
+        assert (witness["check"], witness["region"], witness["arc"]) == (
+            "arc", list(digit), (corner - 1) % 4)
 
     @pytest.mark.parametrize("shift, corner", [(-1, "bottom left"), (1, "top right")])
     def test_first_digit_witness_names_the_corner(self, monkeypatch, shift, corner):
@@ -404,9 +442,8 @@ def _ref_read_arcs(paths):
         ):
             return region, "not a closed path M x y, four arcs A r r 0 large sweep x y, Z"
         try:
-            ends = [(float(a[6]), float(a[7])) for a in arcs]
-            rows.append([(*start, float(a[1]), int(a[4]), int(a[5]), *end)
-                         for a, start, end in zip(arcs, ends[-1:] + ends[:-1], ends)])
+            rows.append([(float(a[1]), int(a[4]), int(a[5]), float(a[6]), float(a[7]))
+                         for a in arcs])
         except ValueError:
             return region, "a number does not parse"
     return np.array(rows, dtype=np.float64)
