@@ -34,7 +34,6 @@ from .expansion import (
 from .gaussian import (
     ExactComplexRational,
     GaussianInt,
-    count_in_square,
     nearest_round,
     parse_exact_complex,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "build_schedule",
     "classify_digit",
     "contraction_bound",
-    "count_in_square",
     "cylinder_check",
     "evaluate",
     "exceptional_digits",

@@ -174,22 +174,6 @@ def nearest_round(z: ExactComplexRational) -> GaussianInt:
     return GaussianInt(_floor_frac(z.re + h), _floor_frac(z.im + h))
 
 
-def count_in_square(n: int) -> int:
-    """Number of lattice points in the closed square [-n, n]^2.
-
-    Counted by explicit enumeration so the closed form (2n+1)^2 stays an
-    independent fact to test against.
-    """
-    if n < 0:
-        raise DomainError("square half-width must be nonnegative")
-    count = 0
-    for a in range(-n, n + 1):
-        for b in range(-n, n + 1):
-            if abs(a) <= n and abs(b) <= n:
-                count += 1
-    return count
-
-
 _SHELL_BAND = 1 << 18  # norm_sq values counted per pass of norm_sq_shells
 
 

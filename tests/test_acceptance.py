@@ -22,7 +22,6 @@ from hurwitzcf import (
     build_schedule,
     classify_digit,
     contraction_bound,
-    count_in_square,
     evaluate,
     exceptional_digits,
     expand,
@@ -35,6 +34,7 @@ from hurwitzcf import (
 )
 from hurwitzcf.cli import cli
 from hurwitzcf.dimension import _restricted_power_sums
+from hurwitzcf.gaussian import lattice_points
 from hurwitzcf.ifs import (
     COMPOSITION_DISTORTION_BOUND,
     DECAY_C2,
@@ -88,11 +88,13 @@ def test_criterion_02_digit_alphabet(corpus):
 
 def test_criterion_03_lattice_counting():
     start = time.perf_counter()
+    # the square [-N, N]^2 lies in the disc of norm_sq 2N^2
     for n in range(51):
-        assert count_in_square(n) == (2 * n + 1) ** 2
+        rows = lattice_points(0, 2 * n * n)
+        assert int((np.abs(rows) <= n).all(axis=1).sum()) == (2 * n + 1) ** 2
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"counting took {elapsed:.2f}s"
-    report(3, f"enumerated counts match (2N+1)^2 for N <= 50 in {elapsed:.2f}s")
+    report(3, f"lattice_points counts (2N+1)^2 in each square for N <= 50 in {elapsed:.2f}s")
 
 
 def test_criterion_04_convergence_exponent():
@@ -275,15 +277,15 @@ PINNED_OUTPUTS = {
     ("classify", "--", "-2", "-1"):
         "821d9909486df3138e090374166dbb1482a31198388f1718d95f956b9f35cea3",
     ("--format", "csv", "verify", "arith"):
-        "786b038ea8f3423baa542a57f779f567eebe04f147727753020932334a636763",
+        "3266c9575b4d3ff915ee3509ac280e9ddf646f17f4376c66519649ac16952894",
     ("tessellate", "--norm-sq-max", "8"):
         "8ada120a95f5db4c8070a2f2662fa36f718faa6bcc8f56d733ebf3aca6222374",
     ("tessellate", "--norm-sq-max", "25"):
         "08319f1295c7d250f2882c0886022b77da8d02324e3f56cc3fad9020d2193466",
     ("verify", "all"):
-        "70c53f78033fa1832c7ee42dfe7f66445699f771857b7b97c8c25c4bfd84f4df",
+        "222ce5c6b99b62f469e734326348ab0946736c50a407e3a2cbc645a6c0caf393",
     ("--format", "csv", "verify", "all"):
-        "5586d773cb2a8a2b88878b6afd2bae1979fc60e58b6a8037d447f307cbe70afd",
+        "5e60a5bf2ae2e47b035156d8904b43a85231ef48c75d1849e2205c55f6f95985",
 }
 
 

@@ -547,7 +547,7 @@ class TestVerify:
     def test_failing_check_exits_one(self, runner, monkeypatch):
         monkeypatch.setitem(
             climod.verifymod.CHECKS["arith"],
-            "count_in_square_closed_form",
+            "nearest_round_residual_in_box",
             lambda config: (False, {"n": 3}),
         )
         result = runner.invoke(cli, ["verify", "arith"])
@@ -555,7 +555,7 @@ class TestVerify:
         payload = json.loads(result.stdout)
         assert payload["passed"] is False
         assert payload["checks"][0] == {
-            "check": "count_in_square_closed_form",
+            "check": "nearest_round_residual_in_box",
             "status": "fail",
             "witness": {"n": 3},
         }
@@ -565,7 +565,7 @@ class TestVerify:
         def boom(config):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(climod.verifymod.CHECKS["arith"], "count_in_square_closed_form", boom)
+        monkeypatch.setitem(climod.verifymod.CHECKS["arith"], "nearest_round_residual_in_box", boom)
         result = runner.invoke(cli, ["verify", "arith"])
         assert result.exit_code == 1
         assert json.loads(result.stdout)["checks"][0]["witness"] == {"error": "boom"}
@@ -682,7 +682,7 @@ class TestDeterminism:
         (["expand", "2/5+0/1 i"],
          "8a60fae8cc9ebd78d74ddcf54b6e60ff3ae438674ea7ddf0ae22fdfd82acef71"),
         (["verify", "arith"],
-         "786b038ea8f3423baa542a57f779f567eebe04f147727753020932334a636763"),
+         "3266c9575b4d3ff915ee3509ac280e9ddf646f17f4376c66519649ac16952894"),
         (["verify", "ifs"],
          "a6f35d5bc0ad0ef38acb6f54a688ae45da2a916234184105a3d094f998e1b2a0"),
         (["dim", "--alphabet", "[[2,2],[-2,-2]]"],

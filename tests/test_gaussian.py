@@ -11,7 +11,6 @@ from hurwitzcf import (
     DomainError,
     ExactComplexRational,
     GaussianInt,
-    count_in_square,
     nearest_round,
     parse_exact_complex,
 )
@@ -95,16 +94,6 @@ class TestNearestRound:
     def test_residual_in_box(self, re, im):
         z = ExactComplexRational(re, im)
         assert z.sub_gaussian(nearest_round(z)).in_unit_box()
-
-
-class TestCountInSquare:
-    def test_small_values(self):
-        assert count_in_square(0) == 1
-        assert count_in_square(3) == 49
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            count_in_square(-1)
 
 
 class TestEnumerateByNorm:

@@ -5,6 +5,7 @@ registered in ``hurwitzcf.verify`` runs here with no further test code.
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -25,7 +26,6 @@ NAMES = [f"{suite}.{name}" for suite, checks in CHECKS.items() for name in check
 
 # the names `verify all` reports, in report order
 VERIFY_ALL = [
-    "arith.count_in_square_closed_form",
     "arith.nearest_round_residual_in_box",
     "arith.enumeration_monotone_duplicate_free",
     "arith.enumeration_index_norm_sandwich",
@@ -41,7 +41,6 @@ VERIFY_ALL = [
     "ifs.distortion_words_within_k0",
     "ifs.ball_inclusion",
     "pressure.partition_submultiplicative",
-    "pressure.pressure_monotone_in_s",
     "pressure.single_branch_dimension_zero",
     "pressure.two_branch_bisection_sign_invariants",
     "pressure.dimension_references_enclosed",
@@ -147,6 +146,16 @@ def test_separation_check_refutes_swapped_region_ids(monkeypatch):
     assert witness["found"][0] == [2, 2] and witness["expected"][0] == [-2, -2]
 
 
+def test_short_words_rows_are_the_composition_matrices():
+    words, rows = short_words()
+    assert words == [w for n in range(1, 4) for w in itertools.product(ifs.d2_branches(13), repeat=n)]
+    assert all(column.dtype == object for column in rows)
+    for j, word in enumerate(words):
+        got = tuple(column[j] for column in rows)
+        assert all(type(v) is int for v in got)
+        assert got == ifs.BranchComposition.from_word(word).matrix[4:], word
+
+
 def test_ball_inclusion_refutes_k_below_one_third():
     words, rows = short_words()
     assert ifs.ball_inclusion_holds(*rows, Fraction(1, 2), ifs.COMPOSITION_DISTORTION_BOUND).all()
@@ -187,18 +196,6 @@ def _anchor_one_shell_short(monkeypatch):
     monkeypatch.setattr(dimension._ShellTable, "anchor_after", short)
 
 
-def _unchecked_bound(monkeypatch):
-    # n + 3 clears every level from the first step of block 2 on, so this
-    # check fails only under a bound that binds: the suite's bound becomes
-    # the constant 10, and the builder clears an infinite one instead
-    class Ten(dimension.GrowthFunction):
-        def __init__(self, source):
-            super().__init__("10")
-
-    monkeypatch.setattr(dimension, "GrowthFunction", Ten)
-    _builder(lambda real, s, f, **options: real(s, lambda n: math.inf, **options))(monkeypatch)
-
-
 def _chain_charges_every_step(monkeypatch):
     # the decay factor c1^s charged at every step up to n, not only in the first N blocks
     real = dimension.verify_lower_bound_chain
@@ -237,7 +234,9 @@ SCHEDULE_MUTANTS = {
     # the builder miscounts the pool of block 3 by one member
     "block_membership": _built(lambda sched: _block_replaced(
         sched, 2, count=sched.blocks[2].count + 1)),
-    "growth_domination": _unchecked_bound,
+    # the builder clears 1.1 f while the schedule still names f
+    "growth_domination": _builder(lambda real, s, f, **options: dataclasses.replace(
+        real(s, lambda n: 1.1 * f(n), **options), f_source=f.source)),
     # the builder builds to twice the tolerance it declares
     "ratio_tolerance_schedule": _builder(lambda real, s, f, ratio_tol, **options: (
         dataclasses.replace(real(s, f, ratio_tol=2 * ratio_tol, **options), ratio_tol=ratio_tol))),
@@ -267,6 +266,28 @@ def test_schedule_check_fails_under_its_mutant(monkeypatch, fresh_d2_schedule, n
     SCHEDULE_MUTANTS[name](monkeypatch)
     ok, witness = CHECKS["schedule"][name](RunConfig())
     assert not ok, witness
+
+
+def test_growth_domination_binds_on_the_suite_schedule(monkeypatch, fresh_d2_schedule):
+    # some block starts at the first step from which f clears its level, and
+    # neither the ratio rule nor the step after the previous start sets it
+    sched, f = verify._d2_schedule(RunConfig().ratio_tol)
+    values = np.array([f(n) for n in range(1, sched.horizon + 1)])
+    binding = []
+    for prev, blk in zip(sched.blocks, sched.blocks[1:]):
+        short = np.flatnonzero(values < math.sqrt(sched.anchors[blk.index].norm_sq()))
+        clearance = int(short[-1]) + 2 if short.size else 1
+        ratio_need = math.ceil(blk.index * math.log(max(blk.count, 2)) / sched.ratio_tol)
+        if blk.start == clearance > max(ratio_need, prev.start + 1):
+            binding.append(blk.index)
+    assert binding
+    # a mutant that swaps the suite's bound tests another schedule, not this one
+    for name, mutant in SCHEDULE_MUTANTS.items():
+        verify._d2_schedule.cache_clear()
+        with monkeypatch.context() as patch:
+            mutant(patch)
+            sched, f = verify._d2_schedule(RunConfig().ratio_tol)
+        assert f.source == sched.f_source == "sqrt(n)", name
 
 
 # one mutant per pressure check: the word table, the pressure estimate or
@@ -320,8 +341,6 @@ def _tile_out_of_phase(monkeypatch):
 PRESSURE_MUTANTS = {
     # the leaves drop the factor 4 of sup = 4 den/q
     "partition_submultiplicative": _leaves_then(lambda sups: np.multiply(sups, 0.25, out=sups)),
-    # the leaves give the sup's reciprocal, above 1, so Z grows with s
-    "pressure_monotone_in_s": _leaves_then(lambda sups: np.divide(1, sups, out=sups)),
     "single_branch_dimension_zero": _one_branch_too_many,
     "two_branch_bisection_sign_invariants": _root_search_sign_flipped,
     "dimension_references_enclosed": _estimate_table_one_digit_long,
@@ -331,7 +350,7 @@ PRESSURE_NAMES = [name.split(".", 1)[1] for name in VERIFY_ALL if name.startswit
 
 
 def test_pressure_mutants_cover_the_suite():
-    assert len(PRESSURE_NAMES) == 6
+    assert len(PRESSURE_NAMES) == 5
     assert list(PRESSURE_MUTANTS) == PRESSURE_NAMES == list(CHECKS["pressure"])
 
 
@@ -378,9 +397,6 @@ def _half_turns_dropped(real):
 
 
 ARITH_MUTANTS = {
-    # the count misses one point of the square of half-width 17
-    "count_in_square_closed_form": _patched(
-        gaussian, "count_in_square", lambda real: lambda n: real(n) - (n == 17)),
     "nearest_round_residual_in_box": _patched(gaussian, "nearest_round", _round_off_past_two),
     "enumeration_monotone_duplicate_free": _patched(gaussian, "lattice_points", _rows_duplicated),
     "enumeration_index_norm_sandwich": _patched(gaussian, "lattice_points", _half_turns_dropped),
@@ -389,7 +405,7 @@ ARITH_NAMES = [name.split(".", 1)[1] for name in VERIFY_ALL if name.startswith("
 
 
 def test_arith_mutants_cover_the_suite():
-    assert len(ARITH_NAMES) == 4
+    assert len(ARITH_NAMES) == 3
     assert list(ARITH_MUTANTS) == ARITH_NAMES == list(CHECKS["arith"])
 
 
