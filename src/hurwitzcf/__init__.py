@@ -24,7 +24,6 @@ from .expansion import (
     DigitWord,
     ExpansionResult,
     classify_digit,
-    cylinder_check,
     evaluate,
     exceptional_digits,
     expand,
@@ -62,7 +61,6 @@ __all__ = [
     "build_schedule",
     "classify_digit",
     "contraction_bound",
-    "cylinder_check",
     "evaluate",
     "exceptional_digits",
     "expand",

@@ -285,9 +285,10 @@ def tessellate(ctx, norm_sq_max, include_exceptional, stroke_width):
         include_exceptional=include_exceptional,
         stroke_width=stroke_width,
     )
-    _write(ctx, [svgmod.render_svg(spec)])
+    document = svgmod.render_svg(spec)
+    _write(ctx, [document])
     if ctx.obj["out"] is not None:
-        click.echo(f"wrote {ctx.obj['out']} ({len(svgmod._region_rows(spec))} regions)",
+        click.echo(f"wrote {ctx.obj['out']} ({document.count('<path ')} regions)",
                    file=sys.stderr)
 
 

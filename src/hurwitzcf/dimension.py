@@ -97,14 +97,6 @@ class DigitSet:
         """
         return 0.0 if self.is_finite else 2.0
 
-    def contains(self, g: GaussianInt) -> bool:
-        if self.explicit is not None:
-            return g in self.explicit
-        ns = g.norm_sq()
-        if ns < self.norm_sq_lo:
-            return False
-        return self.norm_sq_hi is None or ns < self.norm_sq_hi
-
     @functools.cached_property
     def _shells(self) -> "_ShellTable":
         return _ShellTable(self)
@@ -1143,7 +1135,7 @@ class ScheduleBlock:
 
     The pool is the annulus of set members with norm_sq in [norm_sq_lo,
     norm_sq_hi); the first block instead uses the single shell at the
-    minimal norm (norm_sq_hi equals norm_sq_lo + 1 there).
+    minimal norm (norm_sq_hi is the next shell's norm_sq there).
     """
 
     index: int
@@ -1168,10 +1160,11 @@ class ScheduleBlock:
 
 @dataclass(frozen=True)
 class NonAutSchedule:
-    """Blocks (digit pool, length) realising a non-autonomous digit system."""
+    """Blocks (digit pool, length) realising a non-autonomous digit system;
+    ``anchors`` holds the norm_sq of each anchor z_m."""
 
     digit_set: DigitSet
-    anchors: tuple[GaussianInt, ...]
+    anchors: tuple[int, ...]
     blocks: tuple[ScheduleBlock, ...]
     horizon: int
     eps: float
@@ -1190,7 +1183,7 @@ class NonAutSchedule:
 
     def to_json(self) -> dict:
         return {
-            "anchors": [a.to_pair() for a in self.anchors],
+            "anchors": [first_on_shell(ns).to_pair() for ns in self.anchors],
             "blocks": [b.to_json() for b in self.blocks],
             "horizon": self.horizon,
             "eps": self.eps,
@@ -1251,7 +1244,7 @@ def build_schedule(
     """
     if s.is_finite:
         raise DomainError("schedule construction needs an infinite digit set")
-    if s.contains(GaussianInt(0, 0)):
+    if s.norm_sq_lo <= 0:  # an infinite set is radial
         raise DomainError(f"digit set {s.name} contains the pole digit 0")
     if not 10 <= horizon <= _MAX_HORIZON:
         raise DomainError(f"horizon must lie in [10, {_MAX_HORIZON}], got {horizon}")
@@ -1264,36 +1257,24 @@ def build_schedule(
     p = s.tau - eps
 
     shells = s._shells
-    min_ns = s.min_norm_sq()
 
     # anchors: z_1 at the minimal norm, then minimal norms making each
-    # annulus weight reach 1
-    anchor_ns: list[int] = [min_ns]
-    anchors: list[GaussianInt] = [first_on_shell(min_ns)]
-
-    def extend_anchors(upto: int) -> None:
-        while len(anchor_ns) < upto:
-            nxt = shells.anchor_after(anchor_ns[-1], p)
-            anchor_ns.append(nxt)
-            anchors.append(first_on_shell(nxt))
-
+    # annulus weight reach 1; block 1's pool is the one shell at z_1
+    anchor_ns = [s.min_norm_sq()]
+    lo, hi = anchor_ns[0], shells.next_shell_after(anchor_ns[0])
+    count = shells.count(lo, hi)
     blocks: list[ScheduleBlock] = []
     start = 1
     m = 1
     truncated = False
     warning = None
     while start <= horizon:
-        extend_anchors(m + 2)
-        if m == 1:
-            lo, hi = anchor_ns[0], shells.next_shell_after(anchor_ns[0])
-        else:
-            lo, hi = anchor_ns[m - 1], anchor_ns[m]
-        count = shells.count(lo, hi)
+        while len(anchor_ns) < m + 2:
+            anchor_ns.append(shells.anchor_after(anchor_ns[-1], p))
 
         # start of the next block: clearance for its growth level plus the
         # ratio requirement for its pool size
-        nxt_lo, nxt_hi = anchor_ns[m], anchor_ns[m + 1]
-        nxt_count = shells.count(nxt_lo, nxt_hi)
+        nxt_count = shells.count(anchor_ns[m], anchor_ns[m + 1])
         level = math.sqrt(anchor_ns[m + 1])  # |z_{m+2}|, the bound block m+1 must clear
         clearance = clearance_of(level)
         if clearance is None:  # the last block runs to the horizon
@@ -1308,12 +1289,13 @@ def build_schedule(
                 min((m + 1) * math.log(max(nxt_count, 2)) / ratio_tol, horizon + 1))
             next_start = max(start + 1, clearance, ratio_need)
         blocks.append(ScheduleBlock(m, lo, hi, count, min(next_start, horizon + 1) - start, start))
+        lo, hi, count = anchor_ns[m], anchor_ns[m + 1], nxt_count
         start = next_start
         m += 1
 
     return NonAutSchedule(
         digit_set=s,
-        anchors=tuple(anchors[: len(blocks) + 1]),
+        anchors=tuple(anchor_ns[: len(blocks) + 1]),
         blocks=tuple(blocks),
         horizon=horizon,
         eps=eps,
@@ -1334,17 +1316,15 @@ def check_entry(name: str, ok: bool, witness: dict | None = None) -> dict:
 
 def _anchor_start_at_min_norm(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
     anchor, min_ns = sched.anchors[0], sched.digit_set.min_norm_sq()
-    return anchor.norm_sq() == min_ns, {"anchor": anchor.to_pair(), "min_norm_sq": min_ns}
+    return anchor == min_ns, {"anchor_norm_sq": anchor, "min_norm_sq": min_ns}
 
 
 def _anchors_strictly_increasing(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
-    ns = [a.norm_sq() for a in sched.anchors]
-    return all(a < b for a, b in zip(ns, ns[1:])), None
+    return all(a < b for a, b in zip(sched.anchors, sched.anchors[1:])), None
 
 
 def _annulus_weight_at_least_one(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
-    ns = [a.norm_sq() for a in sched.anchors]
-    annuli = list(zip(ns, ns[1:]))
+    annuli = list(zip(sched.anchors, sched.anchors[1:]))
     weights = sched.digit_set._shells.weights(annuli, sched.digit_set.tau - sched.eps)
     for (lo, hi), w in zip(annuli, weights):
         if w < 1.0:
@@ -1356,11 +1336,11 @@ def _block_membership(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
     """Block pools match the stated annuli, counts re-derived from the shells."""
     shells = sched.digit_set._shells
     for blk in sched.blocks:
-        expect_lo = sched.anchors[blk.index - 1].norm_sq()
+        expect_lo = sched.anchors[blk.index - 1]
         if blk.index == 1:
             expect_hi = shells.next_shell_after(expect_lo)
         else:
-            expect_hi = sched.anchors[blk.index].norm_sq()
+            expect_hi = sched.anchors[blk.index]
         count = shells.count(blk.norm_sq_lo, blk.norm_sq_hi)
         if (blk.norm_sq_lo, blk.norm_sq_hi, blk.count) != (expect_lo, expect_hi, count):
             return False, {
@@ -1376,9 +1356,7 @@ def _growth_domination(sched: NonAutSchedule, f) -> tuple[bool, dict | None]:
     scanned in _growth_values chunks of up to _GROWTH_BLOCK steps, so f runs
     once per step and raises only at a step the one-step scan reaches."""
     for blk in sched.blocks[1:]:
-        if blk.index >= len(sched.anchors):
-            continue
-        level = math.sqrt(sched.anchors[blk.index].norm_sq())
+        level = math.sqrt(sched.anchors[blk.index])
         n = blk.start
         while n <= blk.end:
             values = _growth_values(f, range(n, min(n + _GROWTH_BLOCK, blk.end + 1)))
@@ -1530,8 +1508,14 @@ def verify_lower_bound_chain(
     first N blocks, which hold n_N = t_1 + ... + t_N steps, contribute the
     explicit product c1^(s n_N) |z_1|^(-2 s t_1) prod_m (sum over pool of
     |i|^-2s)^(t_m); blocks beyond N carry exponent -(2+delta)s = -(tau-eps)
-    and each contributes a factor >= 1 by the annulus weight construction,
-    so the bound does not depend on n.  N is the first block index from
+    and each must contribute a factor >= 1, so the bound does not depend
+    on n.  Each of those blocks, up to the one holding step n, is weighed
+    at the float tau - eps (not (2+delta)s, which can round an ulp away
+    from it) and its weight compared with 1.0 exactly.  When eps is the
+    schedule's own, tau - eps is the exponent ``build_schedule`` placed
+    the anchors with, and ``_ShellTable.anchor_after`` made each annulus
+    weight >= 1 on the bits ``_ShellTable.weights`` gives here, so every
+    comparison holds.  N is the first block index from
     which c1/|i|^2 >= |i|^-(2+delta) holds for all later digits; c1 = 16/25
     is the decay constant ``ifs.DECAY_C1``.  Precondition: c1/|i|^2 <=
     |Dphi_i| on the box, which ``ifs.DECAY_C1`` proves only for norm_sq >=
@@ -1559,7 +1543,7 @@ def verify_lower_bound_chain(
         ns_threshold = math.inf
     cutoff = None
     for idx in range(1, len(sched.anchors)):
-        if sched.anchors[idx].norm_sq() >= ns_threshold:
+        if sched.anchors[idx] >= ns_threshold:
             cutoff = idx
             break
     if cutoff is None:
@@ -1579,9 +1563,8 @@ def verify_lower_bound_chain(
 
     shells = sched.digit_set._shells
     t1 = sched.blocks[0].t
-    z1_ns = sched.anchors[0].norm_sq()
     log_bound = end_cutoff * s_val * log_c1  # c1^s per step of the first N blocks
-    log_bound += -s_val * t1 * math.log(z1_ns)  # |z_1|^(-2 s t_1)
+    log_bound += -s_val * t1 * math.log(sched.anchors[0])  # |z_1|^(-2 s t_1)
     head = sched.blocks[1:cutoff]
     for blk, w in zip(head, shells.weights([(b.norm_sq_lo, b.norm_sq_hi) for b in head],
                                            2.0 * s_val)):
@@ -1589,8 +1572,8 @@ def verify_lower_bound_chain(
 
     # blocks after the cutoff must each contribute a factor >= 1
     later = sched.blocks[cutoff : sched.block_of(n).index]
-    weights = shells.weights([(b.norm_sq_lo, b.norm_sq_hi) for b in later], (2.0 + delta) * s_val)
-    positive = math.isfinite(log_bound) and not any(w < 1.0 - 1e-9 for w in weights)
+    weights = shells.weights([(b.norm_sq_lo, b.norm_sq_hi) for b in later], tau - eps)
+    positive = math.isfinite(log_bound) and not any(w < 1.0 for w in weights)
     return ChainResult(
         s_value=s_val,
         block_cutoff=cutoff,

@@ -184,15 +184,6 @@ def exceptional_digits() -> list[GaussianInt]:
     return sorted(out, key=GaussianInt.lex_key)
 
 
-def cylinder_check(word: DigitWord | Sequence[GaussianInt], z: ExactComplexRational) -> bool:
-    """True iff the expansion of z starts with the given all-regular word."""
-    digits = tuple(word)
-    for d in digits:
-        if classify_digit(d) != "regular":
-            raise DomainError(f"digit {d} is not regular (norm_sq >= 8 required)")
-    return expand(z, max(len(digits), 1)).digits.digits[: len(digits)] == digits
-
-
 @dataclass(frozen=True)
 class GuardedExpansion:
     """Expansion of an inexact input with a tracked error radius."""

@@ -112,12 +112,6 @@ class ExactComplexRational:
     def __add__(self, other: "ExactComplexRational") -> "ExactComplexRational":
         return ExactComplexRational(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "ExactComplexRational") -> "ExactComplexRational":
-        return ExactComplexRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ExactComplexRational":
-        return ExactComplexRational(-self.re, -self.im)
-
     def __mul__(self, other: "ExactComplexRational") -> "ExactComplexRational":
         return ExactComplexRational(
             self.re * other.re - self.im * other.im,
@@ -136,9 +130,6 @@ class ExactComplexRational:
     def __truediv__(self, other: "ExactComplexRational") -> "ExactComplexRational":
         return self * other.reciprocal()
 
-    def conj(self) -> "ExactComplexRational":
-        return ExactComplexRational(self.re, -self.im)
-
     def sub_gaussian(self, g: GaussianInt) -> "ExactComplexRational":
         return ExactComplexRational(self.re - g.re, self.im - g.im)
 
@@ -152,9 +143,6 @@ class ExactComplexRational:
         """Half-open fundamental box: -1/2 <= re < 1/2 and likewise for im."""
         h = Fraction(1, 2)
         return -h <= self.re < h and -h <= self.im < h
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
         return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"

@@ -124,10 +124,6 @@ class BranchComposition:
     def __len__(self) -> int:
         return len(self.word)
 
-    def det(self) -> GaussianInt:
-        ar, ai, br, bi, cr, ci, dr, di = self.matrix
-        return GaussianInt(ar * dr - ai * di - br * cr + bi * ci, ar * di + ai * dr - br * ci - bi * cr)
-
     # -- application -------------------------------------------------------
     def apply(self, z: ExactComplexRational) -> ExactComplexRational:
         ar, ai, br, bi, cr, ci, dr, di = self.matrix

@@ -266,9 +266,14 @@ def test_criterion_10_tessellation_soundness():
 
 # SHA-256 of the stdout of the commands whose outputs are computed in exact
 # or basic IEEE arithmetic, recorded before the change that pinned them.  tau,
-# pressure, dim and schedule go through numpy and libm log and pow, which may
-# differ by an ulp across CPUs, so only their reruns are compared.  A change
-# that alters a pinned output updates its digest and says why in CHANGES.md.
+# pressure and dim go through numpy and libm log and pow, which may differ by
+# an ulp across CPUs, so only their reruns are compared.  Two schedule outputs
+# are pinned as well, so that a moved anchor, block or ratio shows: one with
+# anchors, validation and a first block of [20, 25), and the d2 subexp
+# trajectory.  Their anchors and log ratios go through numpy's power and log,
+# so on a CPU whose numpy rounds those differently their bytes may differ.
+# A change that alters a pinned output updates its digest and says
+# why in CHANGES.md.
 PINNED_OUTPUTS = {
     ("expand", "--", "-7/16+3/16 i"):
         "9856144c9ade22f7a3e6b9c74754b52c885f58e2f419b577e35652b640474517",
@@ -286,6 +291,10 @@ PINNED_OUTPUTS = {
         "222ce5c6b99b62f469e734326348ab0946736c50a407e3a2cbc645a6c0caf393",
     ("--format", "csv", "verify", "all"):
         "5e60a5bf2ae2e47b035156d8904b43a85231ef48c75d1849e2205c55f6f95985",
+    ("schedule", "--set", "minnormsq:19", "--f", "sqrt(n)", "--eps", "0.45", "--horizon", "12000"):
+        "6335304aa24823ae43ef02a061d678645b9d69a3d7ed41b63637e74425d97f79",
+    ("--format", "csv", "schedule", "--set", "d2", "--f", "n+3", "--emit", "subexp"):
+        "77f7011f12298b7f9562a9ba15dd88bd47ca46c61313b30f31cfdb33fac281b2",
 }
 
 

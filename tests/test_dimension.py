@@ -42,8 +42,8 @@ def _shell_counts(s, limit_norm_sq):
 class TestDigitSet:
     def test_d2_membership(self):
         d2 = DigitSet.d2()
-        assert d2.contains(GaussianInt(2, 2))
-        assert not d2.contains(GaussianInt(2, 1))
+        assert (d2.norm_sq_lo, d2.norm_sq_hi) == (GaussianInt(2, 2).norm_sq(), None)
+        assert GaussianInt(2, 1).norm_sq() < d2.norm_sq_lo
         assert not d2.is_finite
         assert d2.min_norm_sq() == 8
 
@@ -862,6 +862,11 @@ class TestTau:
         for norms in (x, x.__getitem__):
             with pytest.raises(DomainError, match="must be finite"):
                 tau_exponent(norms, 100_000)
+
+    def test_sequence_shorter_than_horizon(self):
+        for norms in (np.arange(1, 1500, dtype=float), list(range(1, 1500))):
+            with pytest.raises(DomainError, match=r"shorter \(1499\) than horizon 2000"):
+                tau_exponent(norms, 2000)
 
     def test_trajectory_shape(self):
         est = tau_exponent(np.arange(1, 2001, dtype=float), 2000)

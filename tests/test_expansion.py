@@ -15,7 +15,6 @@ from hurwitzcf import (
     ExactComplexRational,
     GaussianInt,
     classify_digit,
-    cylinder_check,
     evaluate,
     expand,
     expand_guarded,
@@ -112,21 +111,6 @@ class TestClassify:
         assert classify_digit(GaussianInt(1, 0)) == "invalid"
         assert classify_digit(GaussianInt(2, 1)) == "exceptional"
         assert classify_digit(GaussianInt(2, 2)) == "regular"
-
-
-class TestCylinderCheck:
-    def test_matching_prefix(self):
-        assert cylinder_check([GaussianInt(2, 2)], ecr(Fraction(1, 4), Fraction(-1, 4)))
-
-    def test_mismatching_prefix(self):
-        assert not cylinder_check([GaussianInt(2, 2)], ecr(Fraction(2, 5), 0))
-
-    def test_empty_prefix(self):
-        assert cylinder_check([], ecr(Fraction(1, 8), Fraction(1, 8)))
-
-    def test_non_regular_rejected(self):
-        with pytest.raises(DomainError):
-            cylinder_check([GaussianInt(1, 1)], ecr(0, 0))
 
 
 class TestRoundtrip:
@@ -371,14 +355,3 @@ class TestDifferential:
                 tail = self._fraction_step(tail)[1]
             assert list(truncated.digits) == digits[:cut]
             assert truncated.remainder == tail and truncated.terminated == tail.is_zero()
-            regular = []
-            for digit in digits:
-                if classify_digit(digit) != "regular":
-                    break
-                regular.append(digit)
-            assert cylinder_check(regular, z)
-            if regular:
-                last = regular[-1]
-                # |im| >= 5 keeps the replaced digit regular and different
-                wrong = GaussianInt(last.re, last.im + (5 if last.im >= 0 else -5))
-                assert not cylinder_check(regular[:-1] + [wrong], z)

@@ -234,7 +234,7 @@ class TestBuildSchedule:
     def test_first_block_is_min_norm_shell(self, d2_schedule):
         sched, _ = d2_schedule
         first = sched.blocks[0]
-        assert sched.anchors[0].norm_sq() == 8
+        assert sched.anchors[0] == 8
         assert first.norm_sq_lo == 8
         assert first.count == 4  # the four diagonal branches of norm_sq 8
 
@@ -243,12 +243,12 @@ class TestBuildSchedule:
         # summed over lattice points counted by a plain double loop
         sched, _ = d2_schedule
         p = sched.digit_set.tau - sched.eps
-        r = math.isqrt(sched.anchors[-1].norm_sq())
+        r = math.isqrt(sched.anchors[-1])
         shells = Counter(a * a + b * b for a in range(-r, r + 1) for b in range(-r, r + 1))
         norms = sorted(shells)
-        for lo_pt, hi_pt in zip(sched.anchors, sched.anchors[1:]):
-            i = bisect.bisect_left(norms, lo_pt.norm_sq())
-            j = bisect.bisect_left(norms, hi_pt.norm_sq())
+        for lo, hi in zip(sched.anchors, sched.anchors[1:]):
+            i = bisect.bisect_left(norms, lo)
+            j = bisect.bisect_left(norms, hi)
             weight = math.fsum(shells[ns] * ns ** (-p / 2) for ns in norms[i:j])
             assert weight >= 1.0 - 1e-12
 
@@ -260,6 +260,12 @@ class TestBuildSchedule:
         ok, witness = check(replace(sched, eps=0.4999399742615424), growth)
         assert not ok and 1.0 - 1e-12 <= witness["weight"] < 1.0
 
+    def test_anchor_witness_names_the_norm_sq(self, d2_schedule):
+        sched, growth = d2_schedule
+        check = dict(SCHEDULE_CHECKS)["anchor_start_at_min_norm"]
+        assert check(replace(sched, anchors=(9,) + sched.anchors[1:]), growth) == (
+            False, {"anchor_norm_sq": 9, "min_norm_sq": 8})
+
     def test_blocks_partition_horizon(self, d2_schedule):
         sched, _ = d2_schedule
         assert sched.blocks[0].start == 1
@@ -270,9 +276,7 @@ class TestBuildSchedule:
     def test_growth_clearance(self, d2_schedule):
         sched, growth = d2_schedule
         for blk in sched.blocks[1:]:
-            if blk.index >= len(sched.anchors):
-                continue
-            level = math.sqrt(sched.anchors[blk.index].norm_sq())
+            level = math.sqrt(sched.anchors[blk.index])
             assert growth(blk.start) >= level
 
     def test_subexp_trajectory(self, d2_schedule):
@@ -350,7 +354,7 @@ class TestScheduleEdges:
         m = next(
             i
             for i in range(1, len(blocks))
-            if growth(blocks[i].start - 1) < math.sqrt(sched.anchors[blocks[i].index].norm_sq())
+            if growth(blocks[i].start - 1) < math.sqrt(sched.anchors[blocks[i].index])
         )
         blocks[m - 1] = replace(blocks[m - 1], t=blocks[m - 1].t - 1)
         blocks[m] = replace(blocks[m], start=blocks[m].start - 1, t=blocks[m].t + 1)
@@ -410,9 +414,32 @@ class TestAnchorSearch:
                              ids=["d2", "lattice", "minnormsq:20"])
     def test_anchors_match_shell_scan(self, make_set, eps):
         sched = build_schedule(make_set(), GrowthFunction("n+3"), eps=eps, horizon=12_000)
-        found = [a.norm_sq() for a in sched.anchors]
+        found = list(sched.anchors)
         # a fresh set, so the reference scan grows its own shell table
         assert found == _scan_anchors(make_set(), 2.0 - eps, len(found))
+
+    @pytest.mark.parametrize("scale", [1.25, 0.8], ids=["early", "late"])
+    def test_pairwise_sums_correct_a_shifted_cumsum(self, monkeypatch, scale):
+        # the cumsum estimate scaled up places a crossing a shell or more
+        # early, scaled down a shell or more late; the pairwise sums must
+        # move each one back to the anchors of the shell-by-shell scan
+        real, shifts = np.cumsum, []
+
+        def shifted(a, *args, **kwargs):
+            out = real(a, *args, **kwargs)
+            if out.dtype.kind != "f":  # the shell table's member counts
+                return out
+            out *= scale
+            crossing = next((k for k in range(1, len(a) + 1) if a[:k].sum() >= 1.0), None)
+            if crossing is not None:
+                shifts.append(int(np.searchsorted(out, 1.0)) + 1 - crossing)
+            return out
+
+        monkeypatch.setattr(np, "cumsum", shifted)
+        sched = build_schedule(DigitSet.d2(), GrowthFunction("n+3"), eps=0.5, horizon=12_000)
+        monkeypatch.undo()
+        assert min(shifts) < 0 if scale > 1 else max(shifts) > 0
+        assert list(sched.anchors) == _scan_anchors(DigitSet.d2(), 1.5, len(sched.anchors))
 
 
 def _clearance_scan(f, level, horizon):
@@ -438,9 +465,7 @@ def _domination_scan(sched, f):
     """Reference: growth domination scanned one step at a time, stopping at
     the first step below its block's level."""
     for blk in sched.blocks[1:]:
-        if blk.index >= len(sched.anchors):
-            continue
-        level = math.sqrt(sched.anchors[blk.index].norm_sq())
+        level = math.sqrt(sched.anchors[blk.index])
         for n in range(blk.start, blk.end + 1):
             value = f(n)
             if value < level:
@@ -570,7 +595,7 @@ class TestLowerBoundChain:
         assert result.s_value == 1.5 / 2.1  # (tau - eps)/(2 + delta) at the exact tau 2
         # cutoff anchors must clear the decay floor (16/25)|i|^-2 >= |i|^-2.1
         threshold = (25.0 / 16.0) ** 20
-        assert sched.anchors[result.block_cutoff].norm_sq() >= threshold
+        assert sched.anchors[result.block_cutoff] >= threshold
 
     def test_bound_is_the_product_over_steps(self, d2_schedule):
         # every step of the first N blocks owes c1^s times its pool weight
@@ -581,7 +606,7 @@ class TestLowerBoundChain:
         shells = sched.digit_set._shells
         i, j = shells.band(0, first[-1].norm_sq_hi + 1)
         values, counts = shells.values[i:j], shells.ends[i + 1 : j + 1] - shells.ends[i:j]
-        weights = {first[0].index: sched.anchors[0].norm_sq() ** -s}  # block 1: z_1 alone
+        weights = {first[0].index: sched.anchors[0] ** -s}  # block 1: z_1 alone
         for blk in first[1:]:
             pool = (values >= blk.norm_sq_lo) & (values < blk.norm_sq_hi)
             weights[blk.index] = math.fsum(int(c) * int(v) ** -s
@@ -591,6 +616,33 @@ class TestLowerBoundChain:
         assert len(terms) == 6190 and result.block_cutoff == 91
         assert result.log_lower_bound == pytest.approx(math.fsum(terms), rel=1e-9)
         assert result.log_lower_bound < 0
+
+    def test_later_blocks_are_compared_with_one_exactly(self, d2_schedule):
+        # eps restated a hair below the 0.5 the schedule was built for:
+        # block 109 then weighs 0.9999999999999993 at tau - eps, below 1
+        sched, _ = d2_schedule
+        eps = 0.49993997426168646
+        built = verify_lower_bound_chain(sched, 0.5, 0.1, sched.horizon)
+        result = verify_lower_bound_chain(sched, eps, 0.1, sched.horizon)
+        blk = sched.blocks[108]
+        weight = sched.digit_set._shells.weights([(blk.norm_sq_lo, blk.norm_sq_hi)], 2.0 - eps)[0]
+        assert blk.index == 109 and weight == 0.9999999999999993
+        assert built.positive and built.block_cutoff == result.block_cutoff == 91
+        assert not result.positive
+
+    def test_later_blocks_are_weighed_at_the_builders_exponent(self, monkeypatch):
+        # at eps 0.45, delta 1 the float (2 + delta) s lies an ulp above tau - eps
+        sched = build_schedule(DigitSet.d2(), GrowthFunction("n+3"), eps=0.45, horizon=10_000)
+        real, exponents = dimension._ShellTable.weights, []
+
+        def weights(self, bands, exponent):
+            exponents.append(exponent)
+            return real(self, bands, exponent)
+
+        monkeypatch.setattr(dimension._ShellTable, "weights", weights)
+        result = verify_lower_bound_chain(sched, 0.45, 1.0, sched.horizon)
+        assert 3.0 * result.s_value != 2.0 - 0.45 == exponents[-1]
+        assert result.positive
 
     def test_degenerate_small_eps(self, d2_schedule):
         # eps close to tau collapses the exponent toward zero

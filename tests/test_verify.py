@@ -275,7 +275,7 @@ def test_growth_domination_binds_on_the_suite_schedule(monkeypatch, fresh_d2_sch
     values = np.array([f(n) for n in range(1, sched.horizon + 1)])
     binding = []
     for prev, blk in zip(sched.blocks, sched.blocks[1:]):
-        short = np.flatnonzero(values < math.sqrt(sched.anchors[blk.index].norm_sq()))
+        short = np.flatnonzero(values < math.sqrt(sched.anchors[blk.index]))
         clearance = int(short[-1]) + 2 if short.size else 1
         ratio_need = math.ceil(blk.index * math.log(max(blk.count, 2)) / sched.ratio_tol)
         if blk.start == clearance > max(ratio_need, prev.start + 1):
