@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 budget
-exhausted.  All emitted JSON/CSV is a pure function of the configuration
-(including the seed), so reruns are byte-identical.
+exhausted.  Every setting is a command flag except the seed and the word
+budget, which come from the ``--config`` file (the seed also from
+``--seed``).  All emitted JSON/CSV is a pure function of the command line
+and that file, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -215,13 +217,12 @@ def cli(ctx, config_path, seed, out, fmt):
 
 @cli.command()
 @click.argument("z")
-@click.option("--max-digits", type=int, default=None)
+@click.option("--max-digits", type=int, default=expansion.DEFAULT_MAX_DIGITS, show_default=True)
 @click.pass_context
 def expand(ctx, z, max_digits):
     """Hurwitz digit expansion of an exact point, e.g. "2/5+0/1 i"."""
-    config: RunConfig = ctx.obj["config"]
     point = parse_exact_complex(z)
-    result = expansion.expand(point, config.max_digits if max_digits is None else max_digits)
+    result = expansion.expand(point, max_digits)
     roundtrip = expansion.evaluate(result.digits) == point if result.terminated else False
     payload = {
         "input": z,
@@ -295,12 +296,10 @@ def tessellate(ctx, norm_sq_max, include_exceptional, stroke_width):
 @cli.command()
 @click.option("--source", default="lattice", show_default=True,
               help="lattice, d2 or power:<p> for x_n = n^p.")
-@click.option("--horizon", type=int, default=None)
+@click.option("--horizon", type=int, default=1_000_000, show_default=True)
 @click.pass_context
 def tau(ctx, source, horizon):
     """Convergence exponent estimate of a norm sequence."""
-    config: RunConfig = ctx.obj["config"]
-    horizon = config.horizon if horizon is None else horizon
     est = _tau_estimate(source, horizon)
     payload = dict(est.to_json(), source=source)
     columns = [est.trajectory_n.astype(np.int64), est.trajectory_x, est.trajectory_ratio]
@@ -331,7 +330,7 @@ def pressure(ctx, alphabet, word_len, s, mode):
 
 @cli.command()
 @click.option("--alphabet", required=True, help="A finite digit set, as for pressure.")
-@click.option("--tol", type=float, default=None)
+@click.option("--tol", type=float, default=1e-3, show_default=True)
 @click.option("--n-max", type=int, default=12, show_default=True)
 @click.pass_context
 def dim(ctx, alphabet, tol, n_max):
@@ -339,7 +338,7 @@ def dim(ctx, alphabet, tol, n_max):
     config: RunConfig = ctx.obj["config"]
     result = dimension.bowen_dimension(
         _digit_set(alphabet),
-        tol=config.bisection_tol if tol is None else tol,
+        tol=tol,
         n_max=n_max,
         max_words=config.max_words,
     )
@@ -358,17 +357,15 @@ def dim(ctx, alphabet, tol, n_max):
 @click.option("--f", "growth", required=True, help="Growth expression over n, e.g. 'n+3'.")
 @click.option("--eps", type=float, default=0.5, show_default=True)
 @click.option("--horizon", type=int, default=10_000, show_default=True)
-@click.option("--ratio-tol", type=float, default=None)
+@click.option("--ratio-tol", type=float, default=0.1, show_default=True)
 @click.option("--validate/--no-validate", default=True, show_default=True)
 @click.option("--emit", type=click.Choice(["blocks", "subexp"]), default="blocks",
               show_default=True, help="Row content for CSV output.")
 @click.pass_context
 def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
     """Build (and validate) a non-autonomous block schedule."""
-    config: RunConfig = ctx.obj["config"]
     digit_set = _digit_set(set_name)
     fn = dimension.GrowthFunction(growth)
-    ratio_tol = config.ratio_tol if ratio_tol is None else ratio_tol
     sched = dimension.build_schedule(digit_set, fn, eps=eps, horizon=horizon, ratio_tol=ratio_tol)
     payload = sched.to_json()
     if emit == "subexp":
@@ -400,8 +397,7 @@ def schedule(ctx, set_name, growth, eps, horizon, ratio_tol, validate, emit):
 @click.pass_context
 def verify(ctx, suite):
     """Run a bundled invariant suite; exit 0 iff everything passes."""
-    config: RunConfig = ctx.obj["config"]
-    checks = verifymod.run_suite(suite, config)
+    checks = verifymod.run_suite(suite, ctx.obj["config"].seed)
     passed = all(c["status"] == "pass" for c in checks)
     payload = {"suite": suite, "passed": passed, "checks": checks}
     names = ("check", "status")

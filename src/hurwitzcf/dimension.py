@@ -995,7 +995,7 @@ def _check_tau_horizon(horizon: int) -> None:
         raise DomainError(f"horizon must be at most {_MAX_HORIZON}, got {horizon}")
 
 
-def tau_of_digit_set(s: DigitSet, horizon: int = 200_000) -> TauEstimate:
+def tau_of_digit_set(s: DigitSet, horizon: int) -> TauEstimate:
     """Estimate of the convergence exponent from the moduli of a digit
     set's enumeration, scanned on its shells; ``DigitSet.tau`` is the exact
     value it estimates."""

@@ -1,6 +1,6 @@
 """Named invariant checks behind ``hurwitzcf verify`` and the test suite.
 
-Every check is a function ``(config) -> (ok, witness)`` registered under
+Every check is a function ``(seed) -> (ok, witness)`` registered under
 its suite with ``@check(suite, name)``; registration order is report
 order.  ``run_suite`` turns each result into a {check, status, witness?}
 entry, and pytest runs every registered check under its ``suite.name``
@@ -19,10 +19,9 @@ from typing import Callable
 import numpy as np
 
 from . import dimension, expansion, gaussian, ifs, svg
-from .config import RunConfig
 from .gaussian import ExactComplexRational, GaussianInt
 
-Check = Callable[[RunConfig], tuple[bool, dict | None]]
+Check = Callable[[int], tuple[bool, dict | None]]
 
 # suite -> check name -> check, in report order
 CHECKS: dict[str, dict[str, Check]] = {}
@@ -60,10 +59,10 @@ def random_box_rationals(rng: np.random.Generator, count: int, max_denom_norm_sq
 
 
 @check("arith", "nearest_round_residual_in_box")
-def _nearest_round_residual_in_box(config: RunConfig):
+def _nearest_round_residual_in_box(seed: int):
     # each coordinate p/q of the corpus is drawn in the box, -q <= 2p < q,
     # not reduced into it by the rounding under test
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     q = rng.integers(1, 101, size=(200, 2))
     p = rng.integers(-(q // 2), (q + 1) // 2)
     for (pr, pi), (qr, qi) in zip(p.tolist(), q.tolist()):
@@ -79,7 +78,7 @@ def _nearest_round_residual_in_box(config: RunConfig):
 
 
 @check("arith", "enumeration_monotone_duplicate_free")
-def _enumeration_monotone_duplicate_free(config: RunConfig):
+def _enumeration_monotone_duplicate_free(seed: int):
     # (norm_sq, re, im) strictly increasing: norms never fall, no point
     # repeats, and ties come in (re, im) order
     keys = [(p.norm_sq(), p.re, p.im) for p in gaussian.points_by_norm(0, 5000)[:10_000]]
@@ -87,7 +86,7 @@ def _enumeration_monotone_duplicate_free(config: RunConfig):
 
 
 @check("arith", "enumeration_index_norm_sandwich")
-def _enumeration_index_norm_sandwich(config: RunConfig):
+def _enumeration_index_norm_sandwich(seed: int):
     # for 10 <= n in ((2N+1)^2, (2N+2)^2]: N < |z_n| <= sqrt2 (N+1), in integers
     pts = gaussian.points_by_norm(0, 5000)[:10_000]
     checked = 0
@@ -100,14 +99,14 @@ def _enumeration_index_norm_sandwich(config: RunConfig):
     return checked > 1000, {"checked": checked}
 
 
-def _expansion_corpus(config: RunConfig):
-    return random_box_rationals(np.random.default_rng(config.seed), 300, 10_000)
+def _expansion_corpus(seed: int):
+    return random_box_rationals(np.random.default_rng(seed), 300, 10_000)
 
 
 @check("expansion", "expansion_roundtrip_exact")
-def _expansion_roundtrip_exact(config: RunConfig):
-    for z in _expansion_corpus(config):
-        result = expansion.expand(z, config.max_digits)
+def _expansion_roundtrip_exact(seed: int):
+    for z in _expansion_corpus(seed):
+        result = expansion.expand(z)
         if not result.terminated:
             return False, {"z": str(z), "reason": "no termination"}
         if expansion.evaluate(result.digits) != z:
@@ -118,16 +117,16 @@ def _expansion_roundtrip_exact(config: RunConfig):
 
 
 @check("expansion", "shift_removes_first_digit")
-def _shift_removes_first_digit(config: RunConfig):
+def _shift_removes_first_digit(seed: int):
     checked = 0
-    for z in _expansion_corpus(config)[:120]:
-        result = expansion.expand(z, config.max_digits)
+    for z in _expansion_corpus(seed)[:120]:
+        result = expansion.expand(z)
         if len(result.digits) < 2:
             continue
         if expansion.classify_digit(result.digits[0]) != "regular":
             continue
         _, shifted_z = expansion.hurwitz_step(z)
-        shifted = expansion.expand(shifted_z, config.max_digits)
+        shifted = expansion.expand(shifted_z)
         if shifted.digits.digits != result.digits.digits[1:]:
             return False, {"z": str(z)}
         checked += 1
@@ -135,7 +134,7 @@ def _shift_removes_first_digit(config: RunConfig):
 
 
 @check("expansion", "exceptional_set_is_the_sixteen")
-def _exceptional_set_is_the_sixteen(config: RunConfig):
+def _exceptional_set_is_the_sixteen(seed: int):
     exc = expansion.exceptional_digits()
     expected = sorted(
         (
@@ -150,25 +149,25 @@ def _exceptional_set_is_the_sixteen(config: RunConfig):
 
 
 @check("ifs", "contraction_sup_two_ninths")
-def _contraction_sup_two_ninths(config: RunConfig):
+def _contraction_sup_two_ninths(seed: int):
     sup = ifs.contraction_bound()
     ok = sup == ifs.CONTRACTION_SUP and sup < Fraction(2, 3)
     return ok, {"sup": str(sup), "expected": str(ifs.CONTRACTION_SUP)}
 
 
 @check("ifs", "contraction_envelope_monotone")
-def _contraction_envelope_monotone(config: RunConfig):
+def _contraction_envelope_monotone(seed: int):
     return ifs.contraction_envelope_check(100)
 
 
 @check("ifs", "decay_bounds_over_box")
-def _decay_bounds_over_box(config: RunConfig):
+def _decay_bounds_over_box(seed: int):
     return ifs.validate_decay_bounds(norm_sq_max=64)
 
 
 @check("ifs", "chain_rule_matches_matrix_exactly")
-def _chain_rule_matches_matrix_exactly(config: RunConfig):
-    rng = np.random.default_rng(config.seed)
+def _chain_rule_matches_matrix_exactly(seed: int):
+    rng = np.random.default_rng(seed)
     words = [
         [(2, 2)],
         [(2, 2), (2, 2)],
@@ -186,14 +185,14 @@ def _chain_rule_matches_matrix_exactly(config: RunConfig):
 
 
 @check("ifs", "branch_images_separated")
-def _branch_images_separated(config: RunConfig):
+def _branch_images_separated(seed: int):
     # cylinders of the 24 regular digits up to norm_sq 13: first digit and region read back
     spec = svg.TessellationSpec(norm_sq_max=13, include_exceptional=False)
     return svg.soundness_check(spec)
 
 
 @check("ifs", "branch_images_nested")
-def _branch_images_nested(config: RunConfig):
+def _branch_images_nested(seed: int):
     return ifs.nesting_check(ifs.d2_branches(25), pad=Fraction(1, 4))
 
 
@@ -213,7 +212,7 @@ def short_words() -> tuple[list[tuple[GaussianInt, ...]], list[np.ndarray]]:
 
 
 @check("ifs", "distortion_words_within_k0")
-def _distortion_words_within_k0(config: RunConfig):
+def _distortion_words_within_k0(seed: int):
     # 25/9 <= the exact max of sup/inf |Dphi| over short words <= K0, and
     # K0 >= (2 sqrt2 - 1)^2 = 9 - 4 sqrt2, i.e. t = 9 - K0 <= 0 or t^2 <= 32
     words, rows = short_words()
@@ -234,7 +233,7 @@ def _distortion_words_within_k0(config: RunConfig):
 
 
 @check("ifs", "ball_inclusion")
-def _ball_inclusion(config: RunConfig):
+def _ball_inclusion(seed: int):
     words, rows = short_words()
     holds = ifs.ball_inclusion_holds(*rows, Fraction(1, 2), ifs.COMPOSITION_DISTORTION_BOUND)
     bad = np.flatnonzero(~holds)
@@ -246,7 +245,7 @@ _QUAD = dimension.DigitSet.from_branches([(2, 2), (-2, -2), (3, 0), (0, 3)])
 
 
 @check("pressure", "partition_submultiplicative")
-def _partition_submultiplicative(config: RunConfig):
+def _partition_submultiplicative(seed: int):
     for s in (0.4, 0.5, 0.8, 1.0, 1.3):
         z = {
             n: math.exp(dimension.partition_sum(_QUAD, n, s, "sup_norm").log_zn_over_n * n)
@@ -260,25 +259,25 @@ def _partition_submultiplicative(config: RunConfig):
 
 
 @check("pressure", "single_branch_dimension_zero")
-def _single_branch_dimension_zero(config: RunConfig):
+def _single_branch_dimension_zero(seed: int):
     single = dimension.bowen_dimension(dimension.DigitSet.from_branches([(2, 2)]), n_max=8)
     return (single.s_low, single.s_high, single.conclusive) == (0.0, 0.0, True), single.to_json()
 
 
 @check("pressure", "two_branch_bisection_sign_invariants")
-def _two_branch_bisection_sign_invariants(config: RunConfig):
-    pair = dimension.bowen_dimension(_PAIR, tol=config.bisection_tol)
+def _two_branch_bisection_sign_invariants(seed: int):
+    pair = dimension.bowen_dimension(_PAIR, tol=1e-3)
     ok = pair.upper_at_low >= 0.0 >= pair.lower_at_high and 0.0 < pair.s_low <= pair.s_high < 2.0
-    return ok and pair.width <= config.bisection_tol, pair.to_json()
+    return ok and pair.width <= 1e-3, pair.to_json()
 
 
 @check("pressure", "dimension_references_enclosed")
-def _dimension_references_enclosed(config: RunConfig):
+def _dimension_references_enclosed(seed: int):
     # transfer-operator dimensions that agree to 1e-10 between two
     # discretisations; the annulus estimate, at word length 3, within 5e-5
     for alphabet, reference, slack in ((_PAIR, 0.330994621888, 0.0),
                                        (dimension.DigitSet.annulus(8, 17), 1.41902644, 5e-5)):
-        r = dimension.bowen_dimension(alphabet, tol=config.bisection_tol)
+        r = dimension.bowen_dimension(alphabet, tol=1e-3)
         if not (r.enclosure[0] <= reference <= r.enclosure[1]
                 and r.s_low - slack <= reference <= r.s_high + slack):
             return False, dict(r.to_json(), reference=reference)
@@ -286,7 +285,7 @@ def _dimension_references_enclosed(config: RunConfig):
 
 
 @check("pressure", "word_table_encloses_exact")
-def _word_table_encloses_exact(config: RunConfig):
+def _word_table_encloses_exact(seed: int):
     # exact <= sup <= exact (1 + kappa u) and exact (1 - kappa u) <= base <= exact
     members = _QUAD.members()
     sups, bases = dimension._word_value_table(_QUAD._member_coords(), 4)
@@ -301,7 +300,7 @@ def _word_table_encloses_exact(config: RunConfig):
 
 
 @functools.lru_cache(maxsize=1)
-def _d2_schedule(ratio_tol: float):
+def _d2_schedule():
     """The d2 schedule for growth sqrt(n) at horizon 10^4, built once per run.
 
     The bound binds: block m must clear |z_{m+1}|, which sqrt(n) reaches
@@ -312,20 +311,20 @@ def _d2_schedule(ratio_tol: float):
     at block 98, past the chain's cutoff block (91 at delta 0.1)."""
     growth = dimension.GrowthFunction("sqrt(n)")
     sched = dimension.build_schedule(
-        dimension.DigitSet.d2(), growth, eps=0.5, horizon=10_000, ratio_tol=ratio_tol
+        dimension.DigitSet.d2(), growth, eps=0.5, horizon=10_000, ratio_tol=0.1
     )
     return sched, growth
 
 
 for _name, _fn in dimension.SCHEDULE_CHECKS:
-    check("schedule", _name)(lambda config, fn=_fn: fn(*_d2_schedule(config.ratio_tol)))
+    check("schedule", _name)(lambda seed, fn=_fn: fn(*_d2_schedule()))
 
 
 @check("schedule", "subexponential_final_window")
-def _subexponential_final_window(config: RunConfig):
+def _subexponential_final_window(seed: int):
     # the maximum subexp_check reads at block heads is the maximum of
     # log(size)/n over every step of the final window, and below tolerance
-    sched = _d2_schedule(config.ratio_tol)[0]
+    sched = _d2_schedule()[0]
     traj = dimension.subexp_check(sched)
     ns = np.arange(max(int(0.9 * sched.horizon), 1), sched.horizon + 1)
     scan = float((np.log([float(max(sched.block_of(n).count, 1)) for n in ns]) / ns).max())
@@ -333,8 +332,8 @@ def _subexponential_final_window(config: RunConfig):
 
 
 @check("schedule", "lower_bound_chain_n_independent")
-def _lower_bound_chain_n_independent(config: RunConfig):
-    sched = _d2_schedule(config.ratio_tol)[0]
+def _lower_bound_chain_n_independent(seed: int):
+    sched = _d2_schedule()[0]
     last = sched.blocks[-1]
     results = [
         dimension.verify_lower_bound_chain(sched, eps=0.5, delta=0.1, n=n)
@@ -350,23 +349,22 @@ def _lower_bound_chain_n_independent(config: RunConfig):
 SUITES = (*CHECKS, "all")
 
 
-def run_check(fn: Check, config: RunConfig) -> tuple[bool, dict | None]:
+def run_check(fn: Check, seed: int) -> tuple[bool, dict | None]:
     """Run one check; an exception becomes a failure with its message."""
     try:
-        return fn(config)
+        return fn(seed)
     except Exception as exc:
         return False, {"error": str(exc)}
 
 
-def run_suite(name: str, config: RunConfig | None = None) -> list[dict]:
+def run_suite(name: str, seed: int = 1) -> list[dict]:
     """{check, status, witness?} entries of a suite; ``all`` prefixes suite names."""
-    config = config or RunConfig()
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     suites = list(CHECKS) if name == "all" else [name]
     return [
         dimension.check_entry(
-            f"{suite}.{check_name}" if name == "all" else check_name, *run_check(fn, config)
+            f"{suite}.{check_name}" if name == "all" else check_name, *run_check(fn, seed)
         )
         for suite in suites
         for check_name, fn in CHECKS[suite].items()

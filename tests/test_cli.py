@@ -2,6 +2,7 @@ import contextlib
 import csv
 import gc
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from click.testing import CliRunner
 
 import hurwitzcf
 from hurwitzcf import cli as climod
-from hurwitzcf import dimension
+from hurwitzcf import dimension, expansion
 from hurwitzcf.cli import cli
 from hurwitzcf.config import RunConfig
 
@@ -305,6 +306,35 @@ class TestSchedule:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failing_validator_check_exits_one(self, runner, monkeypatch, fmt):
+        args = ["--format", fmt, "schedule", "--set", "d2", "--f", "n+3", "--horizon", "2000"]
+        passing = run_ok(runner, args).stdout
+        monkeypatch.setattr(dimension, "SCHEDULE_CHECKS", (
+            *dimension.SCHEDULE_CHECKS, ("always_fails", lambda sched, f: (False, None))))
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert result.stderr == "check failure: 1 schedule checks failed\n"
+        if fmt == "csv":
+            assert result.stdout == passing  # the table is written before the exit
+        else:
+            payload = json.loads(result.stdout)
+            assert payload["validation"][-1] == {"check": "always_fails", "status": "fail"}
+            assert dict(payload, validation=None) == dict(json.loads(passing), validation=None)
+
+    @pytest.mark.parametrize("growth", ["-5", "1/(n-50)"])
+    def test_negative_growth_bound_is_a_constant_below_the_first_level(self, runner, growth):
+        # the builder reads f only at the steps it scans back from the
+        # horizon, so a bound negative early on is no special case
+        args = ["schedule", "--set", "d2", "--horizon", "1000", "--f"]
+        result = run_ok(runner, [*args, growth])
+        assert result.stderr == ("warning: growth bound never reaches level 3.606 within horizon; "
+                                 "schedule truncated at block 1\n1 blocks, horizon 1000, tau 2\n")
+        payload = json.loads(result.stdout)
+        assert len(payload["blocks"]) == 1
+        constant = json.loads(run_ok(runner, [*args, "2"]).stdout)
+        assert dict(payload, f="2") == constant
+
 
 class TestInputErrors:
     @pytest.mark.parametrize(
@@ -379,6 +409,27 @@ class TestInputErrors:
         assert len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["dim", "--alphabet", "[]"], "error: empty digit set"),
+            (["dim", "--alphabet", "annulus:11:11"], "error: alphabet must be nonempty"),
+            (["pressure", "--alphabet", "annulus:11:11", "--n", "2", "--s", "1"],
+             "error: alphabet must be nonempty"),
+        ],
+    )
+    def test_empty_alphabet_names_itself(self, runner, args, line):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.stderr == line + "\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    def test_out_that_fills_up(self, runner):
+        result = runner.invoke(cli, ["--out", "/dev/full", "classify", "2", "1"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: cannot write '/dev/full': [Errno 28] ")
+        assert len(result.stderr.splitlines()) == 1
+
 
 def _run_limited(args, tmp_path):
     """The CLI in a subprocess with 3 GB of address space (ulimit -v 3000000)."""
@@ -441,7 +492,6 @@ class TestSizeLimits:
         "config, args, code",
         [
             (None, ["tau", "--source", "power:2", "--horizon", "1000000000000"], 2),
-            ("horizon = 10000000000000", ["tau", "--source", "lattice"], 2),
             (None, ["schedule", "--set", "d2", "--f", "n+3", "--horizon", "1000000000000"], 2),
             ("max_words = 1099511627776",
              ["pressure", "--alphabet", "[[2,2],[-2,-2]]", "--n", "40", "--s", "1"], 2),
@@ -456,7 +506,7 @@ class TestSizeLimits:
             ("max_words = 16777216",
              ["pressure", "--alphabet", "annulus:8:5000000", "--n", "2", "--s", "1"], 3),
         ],
-        ids=["tau-horizon", "config-horizon", "schedule-horizon", "config-max-words",
+        ids=["tau-horizon", "schedule-horizon", "config-max-words",
              "schedule-shells", "dim-shells", "dim-members", "tessellate-regions",
              "pressure-members", "pressure-words"],
     )
@@ -548,7 +598,7 @@ class TestVerify:
         monkeypatch.setitem(
             climod.verifymod.CHECKS["arith"],
             "nearest_round_residual_in_box",
-            lambda config: (False, {"n": 3}),
+            lambda seed: (False, {"n": 3}),
         )
         result = runner.invoke(cli, ["verify", "arith"])
         assert result.exit_code == 1
@@ -562,7 +612,7 @@ class TestVerify:
         assert all(c["status"] == "pass" for c in payload["checks"][1:])
 
     def test_raising_check_is_a_failing_entry(self, runner, monkeypatch):
-        def boom(config):
+        def boom(seed):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(climod.verifymod.CHECKS["arith"], "nearest_round_residual_in_box", boom)
@@ -575,17 +625,34 @@ class TestVerify:
 class TestConfig:
     def test_file_roundtrip(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 99\nmax_digits = 64\nbisection_tol = 0.01\n# comment\n")
-        config = RunConfig.from_file(cfg)
-        assert config.seed == 99
-        assert config.max_digits == 64
-        assert config.bisection_tol == 0.01
+        cfg.write_text("seed = 99\nmax_words = 64\n# comment\n")
+        assert RunConfig.from_file(cfg) == RunConfig(seed=99, max_words=64)
 
     def test_unknown_key_rejected(self, tmp_path, runner):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wibble = 3\n")
         result = runner.invoke(cli, ["--config", str(cfg), "classify", "2", "2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("key", ["max_digits", "horizon", "bisection_tol", "ratio_tol"])
+    def test_key_a_flag_sets_is_unknown(self, tmp_path, runner, key):
+        # each of these settings has one knob, its command flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        result = runner.invoke(cli, ["--config", str(cfg), "tau", "--source", "lattice"])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {cfg}:1: unknown key {key!r}\n"
+
+    def test_flag_defaults_are_the_library_defaults(self):
+        def default(command, name):
+            return next(p.default for p in cli.commands[command].params if p.name == name)
+
+        bowen = inspect.signature(dimension.bowen_dimension).parameters
+        build = inspect.signature(dimension.build_schedule).parameters
+        assert default("expand", "max_digits") == expansion.DEFAULT_MAX_DIGITS
+        assert (default("dim", "tol"), default("dim", "n_max")) == (
+            bowen["tol"].default, bowen["n_max"].default)
+        assert default("schedule", "ratio_tol") == build["ratio_tol"].default
 
     def test_negative_seed_flag_is_usage_error(self, runner):
         result = runner.invoke(cli, ["--seed", "-1", "verify", "arith"])

@@ -119,11 +119,10 @@ def _reject_constant(name: str):
 @example(["--format", "json", "pressure", "--alphabet", "annulus:8:9", "--n", "1462", "--s", "0"])
 @example(["--format", "json", "schedule", "--set", "d2", "--f", "n+3", "--horizon", "1000",
           "--ratio-tol", "5e-324"])
-@example(["--format", "json", "--config", "ratio_tol = 5e-324", "verify", "schedule"])
-@example(["--format", "json", "--config", "bisection_tol = nan", "dim", "--alphabet", "[[2,2]]"])
+@example(["--format", "json", "dim", "--alphabet", "[[2,2]]", "--tol", "nan"])
 @example(["--format", "json", "--config", "max_words = 1099511627776", "pressure", "--alphabet",
           "[[2,2],[-2,-2]]", "--n", "40", "--s", "1"])
-@example(["--format", "json", "--config", "horizon = 10000000000000", "tau"])
+@example(["--format", "json", "tau", "--horizon", "10000000000000"])
 def test_exit_code_contract(args):
     out, err = io.StringIO(), io.StringIO()
     code = 0

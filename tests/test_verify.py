@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 from hurwitzcf import dimension, expansion, gaussian, ifs, svg, verify
-from hurwitzcf.config import RunConfig
 from hurwitzcf.gaussian import GaussianInt
 from hurwitzcf.verify import CHECKS, short_words
 
 NAMES = [f"{suite}.{name}" for suite, checks in CHECKS.items() for name in checks]
+SEED = 1  # the seed `hurwitzcf verify` runs at by default
 
 # the names `verify all` reports, in report order
 VERIFY_ALL = [
@@ -65,7 +65,20 @@ def test_verify_all_names_pinned():
 @pytest.mark.parametrize("name", NAMES)
 def test_registered_check(name):
     suite, _, check = name.partition(".")
-    ok, witness = CHECKS[suite][check](RunConfig())
+    ok, witness = CHECKS[suite][check](SEED)
+    assert ok, witness
+
+
+# the checks that draw a corpus from the seed, the one setting of `verify`
+SEEDED = ["arith.nearest_round_residual_in_box", "expansion.expansion_roundtrip_exact",
+          "expansion.shift_removes_first_digit", "ifs.chain_rule_matches_matrix_exactly"]
+
+
+@pytest.mark.parametrize("seed", [0, 7, (1 << 64) - 1])
+@pytest.mark.parametrize("name", SEEDED)
+def test_seeded_check_passes_at_other_seeds(name, seed):
+    suite, _, check = name.partition(".")
+    ok, witness = CHECKS[suite][check](seed)
     assert ok, witness
 
 
@@ -81,14 +94,14 @@ def test_ifs_checks_survive_optimised_python():
 
 def test_contraction_check_names_both_values(monkeypatch):
     monkeypatch.setattr(ifs, "CONTRACTION_SUP", Fraction(1, 5))
-    ok, witness = CHECKS["ifs"]["contraction_sup_two_ninths"](RunConfig())
+    ok, witness = CHECKS["ifs"]["contraction_sup_two_ninths"](SEED)
     assert not ok
     assert witness == {"sup": "2/9", "expected": "1/5"}
 
 
 def test_distortion_check_names_both_values(monkeypatch):
     monkeypatch.setattr(ifs, "SINGLE_BRANCH_DISTORTION_MAX", Fraction(3, 1))
-    ok, witness = CHECKS["ifs"]["distortion_words_within_k0"](RunConfig())
+    ok, witness = CHECKS["ifs"]["distortion_words_within_k0"](SEED)
     assert not ok
     assert (witness["max"], witness["expected"]) == ("25/9", "3")
 
@@ -99,7 +112,7 @@ def test_distortion_check_names_both_values(monkeypatch):
 def test_distortion_check_refutes_k0_below_word_max(monkeypatch):
     # the exact max over words of length <= 3 is 961/289 = 3.3253
     monkeypatch.setattr(ifs, "COMPOSITION_DISTORTION_BOUND", 3.3)
-    ok, witness = CHECKS["ifs"]["distortion_words_within_k0"](RunConfig())
+    ok, witness = CHECKS["ifs"]["distortion_words_within_k0"](SEED)
     assert not ok
     assert Fraction(witness["word_max"]) == Fraction(961, 289) > Fraction(3.3)
 
@@ -108,7 +121,7 @@ def test_distortion_check_refutes_k0_below_word_max(monkeypatch):
                                          ("DECAY_C2", Fraction(8, 5))])
 def test_decay_check_refutes_mutated_constant(monkeypatch, name, value):
     monkeypatch.setattr(ifs, name, value)
-    ok, witness = CHECKS["ifs"]["decay_bounds_over_box"](RunConfig())
+    ok, witness = CHECKS["ifs"]["decay_bounds_over_box"](SEED)
     assert not ok
     assert witness["branch"] == [-2, -2]
 
@@ -116,7 +129,7 @@ def test_decay_check_refutes_mutated_constant(monkeypatch, name, value):
 def test_envelope_check_refutes_small_sup(monkeypatch):
     # envelope(9) = 1/(3 - sqrt2/2)^2 = 0.190 is not below 1/6
     monkeypatch.setattr(ifs, "CONTRACTION_SUP", Fraction(1, 6))
-    ok, witness = CHECKS["ifs"]["contraction_envelope_monotone"](RunConfig())
+    ok, witness = CHECKS["ifs"]["contraction_envelope_monotone"](SEED)
     assert not ok and witness["check"] == "envelope(9) < sup"
 
 
@@ -130,7 +143,7 @@ def test_nesting_check_refutes_pad_whose_image_leaves():
 
 def test_separation_check_refutes_wrong_first_digit(monkeypatch):
     monkeypatch.setattr(svg, "_euclid_step", lambda ar, ai, br, bi: (0, 0, br, bi))
-    ok, witness = CHECKS["ifs"]["branch_images_separated"](RunConfig())
+    ok, witness = CHECKS["ifs"]["branch_images_separated"](SEED)
     assert not ok
     assert (witness["check"], witness["region"]) == ("first_digit", [-2, -2])
 
@@ -140,7 +153,7 @@ def test_separation_check_refutes_swapped_region_ids(monkeypatch):
     swap = {'id="cyl_-2_-2"': 'id="cyl_2_2"', 'id="cyl_2_2"': 'id="cyl_-2_-2"'}
     monkeypatch.setattr(svg, "_document", lambda spec, rows: re.sub(
         "|".join(swap), lambda m: swap[m.group()], render(spec, rows)))
-    ok, witness = CHECKS["ifs"]["branch_images_separated"](RunConfig())
+    ok, witness = CHECKS["ifs"]["branch_images_separated"](SEED)
     assert not ok
     assert witness["check"] == "regions"
     assert witness["found"][0] == [2, 2] and witness["expected"][0] == [-2, -2]
@@ -264,14 +277,14 @@ def fresh_d2_schedule():
 @pytest.mark.parametrize("name", SCHEDULE_NAMES)
 def test_schedule_check_fails_under_its_mutant(monkeypatch, fresh_d2_schedule, name):
     SCHEDULE_MUTANTS[name](monkeypatch)
-    ok, witness = CHECKS["schedule"][name](RunConfig())
+    ok, witness = CHECKS["schedule"][name](SEED)
     assert not ok, witness
 
 
 def test_growth_domination_binds_on_the_suite_schedule(monkeypatch, fresh_d2_schedule):
     # some block starts at the first step from which f clears its level, and
     # neither the ratio rule nor the step after the previous start sets it
-    sched, f = verify._d2_schedule(RunConfig().ratio_tol)
+    sched, f = verify._d2_schedule()
     values = np.array([f(n) for n in range(1, sched.horizon + 1)])
     binding = []
     for prev, blk in zip(sched.blocks, sched.blocks[1:]):
@@ -286,7 +299,7 @@ def test_growth_domination_binds_on_the_suite_schedule(monkeypatch, fresh_d2_sch
         verify._d2_schedule.cache_clear()
         with monkeypatch.context() as patch:
             mutant(patch)
-            sched, f = verify._d2_schedule(RunConfig().ratio_tol)
+            sched, f = verify._d2_schedule()
         assert f.source == sched.f_source == "sqrt(n)", name
 
 
@@ -357,7 +370,7 @@ def test_pressure_mutants_cover_the_suite():
 @pytest.mark.parametrize("name", PRESSURE_NAMES)
 def test_pressure_check_fails_under_its_mutant(monkeypatch, name):
     PRESSURE_MUTANTS[name](monkeypatch)
-    ok, witness = CHECKS["pressure"][name](RunConfig())
+    ok, witness = CHECKS["pressure"][name](SEED)
     assert not ok, witness
 
 
@@ -412,7 +425,7 @@ def test_arith_mutants_cover_the_suite():
 @pytest.mark.parametrize("name", ARITH_NAMES)
 def test_arith_check_fails_under_its_mutant(monkeypatch, name):
     ARITH_MUTANTS[name](monkeypatch)
-    ok, witness = CHECKS["arith"][name](RunConfig())
+    ok, witness = CHECKS["arith"][name](SEED)
     assert not ok, witness
 
 
@@ -421,7 +434,7 @@ def test_nearest_round_check_refutes_flooring(monkeypatch):
     # out of the box; a corpus reduced by the same rounding would hide it
     monkeypatch.setattr(gaussian, "nearest_round",
                         lambda z: GaussianInt(math.floor(z.re), math.floor(z.im)))
-    ok, witness = CHECKS["arith"]["nearest_round_residual_in_box"](RunConfig())
+    ok, witness = CHECKS["arith"]["nearest_round_residual_in_box"](SEED)
     assert not ok, witness
 
 
@@ -437,7 +450,7 @@ def _tie_swapped(real):
 
 def test_enumeration_check_refutes_a_tie_out_of_order(monkeypatch):
     _patched(gaussian, "lattice_points", _tie_swapped)(monkeypatch)
-    ok, witness = CHECKS["arith"]["enumeration_monotone_duplicate_free"](RunConfig())
+    ok, witness = CHECKS["arith"]["enumeration_monotone_duplicate_free"](SEED)
     assert not ok, witness
 
 
@@ -461,7 +474,7 @@ EXPANSION_MUTANTS = {
 @pytest.mark.parametrize("name", list(EXPANSION_MUTANTS))
 def test_expansion_check_fails_under_its_mutant(monkeypatch, name):
     EXPANSION_MUTANTS[name](monkeypatch)
-    ok, witness = CHECKS["expansion"][name](RunConfig())
+    ok, witness = CHECKS["expansion"][name](SEED)
     assert not ok, witness
 
 
@@ -518,7 +531,7 @@ IFS_MUTANTS = {
 @pytest.mark.parametrize("name", list(IFS_MUTANTS))
 def test_ifs_check_fails_under_its_mutant(monkeypatch, name):
     IFS_MUTANTS[name](monkeypatch)
-    ok, witness = CHECKS["ifs"][name](RunConfig())
+    ok, witness = CHECKS["ifs"][name](SEED)
     assert not ok, witness
 
 
